@@ -104,8 +104,9 @@ workload-smoke:
 	$(GO) test -race -run TestWorkloadSmoke -count=1 .
 
 # Short fuzzing passes over the text-format parsers, the workload-spec
-# grammar, the scheduling-pass cache, the sparse/dense bitmat parity, and
-# the Clos spine router.
+# grammar, the scheduling-pass cache, the sparse/dense bitmat parity, the
+# Clos spine router, and the incremental time-out predictor's parity with
+# the map-scan reference.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/traffic/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
@@ -115,6 +116,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWarmStartParity -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzClosRoute -fuzztime=30s ./internal/multistage/
 	$(GO) test -run=NONE -fuzz=FuzzDecompose -fuzztime=30s ./internal/multistage/
+	$(GO) test -run=NONE -fuzz=FuzzTimeoutParity -fuzztime=30s ./internal/predictor/
 
 figures:
 	$(GO) run ./cmd/figures

@@ -453,6 +453,11 @@ func (s *Scheduler) BStar() *bitmat.Matrix {
 	return s.bstar.Clone()
 }
 
+// BStarView returns B* itself, without the copy BStar makes. The matrix is
+// live and read-only for callers: every establish, eviction and flush
+// changes it.
+func (s *Scheduler) BStarView() *bitmat.Matrix { return s.bstar }
+
 // Connected reports whether the connection src→dst is established in any
 // slot (the B* bit).
 func (s *Scheduler) Connected(src, dst int) bool {

@@ -3,6 +3,7 @@ package predictor
 import (
 	"fmt"
 
+	"pmsnet/internal/bitmat"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
 )
@@ -108,7 +109,9 @@ func (m *Markov) predictNext(src, dst int) (int, bool) {
 func (m *Markov) OnRelease(c topology.Conn) { m.Timeout.OnRelease(c) }
 
 // Evictions implements Predictor.
-func (m *Markov) Evictions(now sim.Time) []topology.Conn { return m.Timeout.Evictions(now) }
+func (m *Markov) Evictions(now sim.Time, held *bitmat.Matrix) []topology.Conn {
+	return m.Timeout.Evictions(now, held)
+}
 
 // Prefetch implements Prefetcher: the current per-source predictions, each
 // returned once.

@@ -94,14 +94,14 @@ func TestMarkovEvictionDelegatesToTimeout(t *testing.T) {
 	m := NewMarkov(100, 1)
 	c := topology.Conn{Src: 0, Dst: 1}
 	m.OnEstablish(c, 0)
-	if got := m.Evictions(99); len(got) != 0 {
+	if got := m.Evictions(99, all); len(got) != 0 {
 		t.Fatalf("premature eviction %v", got)
 	}
-	if got := m.Evictions(100); len(got) != 1 || got[0] != c {
+	if got := m.Evictions(100, all); len(got) != 1 || got[0] != c {
 		t.Fatalf("Evictions = %v, want [%v]", got, c)
 	}
 	m.OnRelease(c)
-	if got := m.Evictions(1000); len(got) != 0 {
+	if got := m.Evictions(1000, all); len(got) != 0 {
 		t.Fatalf("after release: %v", got)
 	}
 }

@@ -13,9 +13,12 @@
 package predictor
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 
+	"pmsnet/internal/bitmat"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
 )
@@ -23,6 +26,11 @@ import (
 // Predictor decides when established connections should be evicted from the
 // network's configuration registers. Implementations are not safe for
 // concurrent use.
+//
+// Time never goes backwards: across all calls on one predictor, the now
+// arguments must be non-decreasing. The simulator's engine clock guarantees
+// this; Timeout (and so Markov) relies on it to keep its connections in
+// last-use order and panics when a call violates it.
 type Predictor interface {
 	// Name identifies the predictor in results.
 	Name() string
@@ -34,18 +42,21 @@ type Predictor interface {
 	// any reason (eviction it requested, a flush, or a scheduler release),
 	// so it can drop its state.
 	OnRelease(c topology.Conn)
-	// Evictions returns the connections that should be evicted now. The
-	// caller is expected to evict them and then call OnRelease for each.
-	Evictions(now sim.Time) []topology.Conn
+	// Evictions returns, in (Src, Dst) order and without duplicates, the
+	// connections that should be evicted now and are set in held — the
+	// scheduler's B*, the connections currently established. The caller is
+	// expected to evict them and then call OnRelease for each. The slice is
+	// reused by the next Evictions call; OnRelease leaves it intact.
+	Evictions(now sim.Time, held *bitmat.Matrix) []topology.Conn
 }
 
 // sortConns orders connections for deterministic eviction order.
 func sortConns(cs []topology.Conn) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].Src != cs[j].Src {
-			return cs[i].Src < cs[j].Src
+	slices.SortFunc(cs, func(a, b topology.Conn) int {
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
 		}
-		return cs[i].Dst < cs[j].Dst
+		return cmp.Compare(a.Dst, b.Dst)
 	})
 }
 
@@ -71,16 +82,41 @@ func (*Never) OnUse(topology.Conn, sim.Time) {}
 func (*Never) OnRelease(topology.Conn) {}
 
 // Evictions implements Predictor.
-func (*Never) Evictions(sim.Time) []topology.Conn { return nil }
+func (*Never) Evictions(sim.Time, *bitmat.Matrix) []topology.Conn { return nil }
 
 // --- Timeout ---
 
 // Timeout evicts a connection that has not been used for a fixed period —
 // the predictor used in the paper's experiments ("a connection is removed if
 // it is not used for a certain period of time").
+//
+// The sweep is incremental. Live connections sit in an intrusive list in
+// last-use order, oldest first, so a sweep pops only the ones that just
+// passed the timeout. Those move into an expired bitset indexed [Src][Dst]
+// and stay there until they are used again or released. Evictions ANDs the
+// expired rows with the held matrix word by word; walking the result in
+// row-major order yields (Src, Dst) order without a sort.
 type Timeout struct {
 	timeout sim.Time
-	lastUse map[topology.Conn]sim.Time
+	now     sim.Time // latest time seen; calls must not go back
+
+	index      map[topology.Conn]int32
+	nodes      []lruNode
+	free       int32 // free-node list through lruNode.next; none when < 0
+	head, tail int32 // live list, oldest first; empty when < 0
+
+	expired     [][]uint64 // expired[src] is a bitset over dst
+	expiredRows []uint64   // bitset over src: rows that may hold expired bits
+	out         []topology.Conn
+}
+
+// lruNode is one tracked connection. A node is either on the live list or
+// expired (its bit set in Timeout.expired); free nodes chain through next.
+type lruNode struct {
+	c          topology.Conn
+	last       sim.Time
+	prev, next int32
+	expired    bool
 }
 
 // NewTimeout builds a time-out predictor. timeout must be positive.
@@ -88,35 +124,151 @@ func NewTimeout(timeout sim.Time) *Timeout {
 	if timeout <= 0 {
 		panic(fmt.Sprintf("predictor: timeout %v must be positive", timeout))
 	}
-	return &Timeout{timeout: timeout, lastUse: make(map[topology.Conn]sim.Time)}
+	return &Timeout{
+		timeout: timeout,
+		index:   make(map[topology.Conn]int32),
+		free:    -1,
+		head:    -1,
+		tail:    -1,
+	}
 }
 
 // Name implements Predictor.
 func (p *Timeout) Name() string { return fmt.Sprintf("timeout(%v)", p.timeout) }
 
 // OnEstablish implements Predictor.
-func (p *Timeout) OnEstablish(c topology.Conn, now sim.Time) { p.lastUse[c] = now }
+func (p *Timeout) OnEstablish(c topology.Conn, now sim.Time) { p.touch(c, now) }
 
 // OnUse implements Predictor.
-func (p *Timeout) OnUse(c topology.Conn, now sim.Time) { p.lastUse[c] = now }
+func (p *Timeout) OnUse(c topology.Conn, now sim.Time) { p.touch(c, now) }
 
 // OnRelease implements Predictor.
-func (p *Timeout) OnRelease(c topology.Conn) { delete(p.lastUse, c) }
+func (p *Timeout) OnRelease(c topology.Conn) {
+	i, ok := p.index[c]
+	if !ok {
+		return
+	}
+	p.detach(i)
+	delete(p.index, c)
+	p.nodes[i].next = p.free
+	p.free = i
+}
 
 // Evictions implements Predictor.
-func (p *Timeout) Evictions(now sim.Time) []topology.Conn {
-	var out []topology.Conn
-	for c, last := range p.lastUse {
-		if now-last >= p.timeout {
-			out = append(out, c)
+func (p *Timeout) Evictions(now sim.Time, held *bitmat.Matrix) []topology.Conn {
+	p.advance(now)
+	for p.head >= 0 && now-p.nodes[p.head].last >= p.timeout {
+		n := &p.nodes[p.head]
+		p.unlink(p.head)
+		n.expired = true
+		if n.c.Src >= len(p.expired) {
+			p.expired = append(p.expired, make([][]uint64, n.c.Src+1-len(p.expired))...)
+		}
+		p.expired[n.c.Src] = setGrow(p.expired[n.c.Src], n.c.Dst)
+		p.expiredRows = setGrow(p.expiredRows, n.c.Src)
+	}
+	out := p.out[:0]
+	for rw, rows := range p.expiredRows {
+		for rows != 0 {
+			src := rw<<6 | bits.TrailingZeros64(rows)
+			rows &= rows - 1
+			row, live := p.expired[src], false
+			hw := held.RowWords(src)
+			for w, x := range row {
+				if x == 0 {
+					continue
+				}
+				live = true
+				for x &= hw[w]; x != 0; x &= x - 1 {
+					out = append(out, topology.Conn{Src: src, Dst: w<<6 | bits.TrailingZeros64(x)})
+				}
+			}
+			if !live {
+				// Rows are marked eagerly and unmarked here, once a sweep
+				// finds them empty.
+				bitmat.MaskClear(p.expiredRows, src)
+			}
 		}
 	}
-	sortConns(out)
+	p.out = out
 	return out
 }
 
 // Tracked returns the number of connections under observation.
-func (p *Timeout) Tracked() int { return len(p.lastUse) }
+func (p *Timeout) Tracked() int { return len(p.index) }
+
+// advance enforces the monotone-time contract of Predictor.
+func (p *Timeout) advance(now sim.Time) {
+	if now < p.now {
+		panic(fmt.Sprintf("predictor: %s called at %v after %v; time must not go backwards",
+			p.Name(), now, p.now))
+	}
+	p.now = now
+}
+
+// touch records a use of c at now, tracking it if it is new: the node moves
+// to the tail of the live list, which stays in last-use order because time
+// never goes backwards.
+func (p *Timeout) touch(c topology.Conn, now sim.Time) {
+	p.advance(now)
+	i, ok := p.index[c]
+	if ok {
+		p.detach(i)
+	} else {
+		if p.free >= 0 {
+			i = p.free
+			p.free = p.nodes[i].next
+		} else {
+			i = int32(len(p.nodes))
+			p.nodes = append(p.nodes, lruNode{})
+		}
+		p.nodes[i] = lruNode{c: c}
+		p.index[c] = i
+	}
+	n := &p.nodes[i]
+	n.last, n.prev, n.next = now, p.tail, -1
+	if p.tail >= 0 {
+		p.nodes[p.tail].next = i
+	} else {
+		p.head = i
+	}
+	p.tail = i
+}
+
+// detach takes node i off the live list or out of the expired bitset.
+func (p *Timeout) detach(i int32) {
+	n := &p.nodes[i]
+	if n.expired {
+		n.expired = false
+		bitmat.MaskClear(p.expired[n.c.Src], n.c.Dst)
+		return
+	}
+	p.unlink(i)
+}
+
+// unlink removes live node i from the list.
+func (p *Timeout) unlink(i int32) {
+	n := &p.nodes[i]
+	if n.prev >= 0 {
+		p.nodes[n.prev].next = n.next
+	} else {
+		p.head = n.next
+	}
+	if n.next >= 0 {
+		p.nodes[n.next].prev = n.prev
+	} else {
+		p.tail = n.prev
+	}
+}
+
+// setGrow sets bit i of mask, growing the mask to hold it.
+func setGrow(mask []uint64, i int) []uint64 {
+	if w := i >> 6; w >= len(mask) {
+		mask = append(mask, make([]uint64, w+1-len(mask))...)
+	}
+	bitmat.MaskSet(mask, i)
+	return mask
+}
 
 // --- Counter ---
 
@@ -149,6 +301,7 @@ type Counter struct {
 	totalUses uint64
 	atLastUse map[topology.Conn]uint64
 	idle      map[topology.Conn]uint64
+	out       []topology.Conn
 }
 
 // NewCounter builds a counter predictor. threshold must be positive.
@@ -188,18 +341,19 @@ func (p *Counter) OnRelease(c topology.Conn) {
 }
 
 // Evictions implements Predictor.
-func (p *Counter) Evictions(sim.Time) []topology.Conn {
-	var out []topology.Conn
+func (p *Counter) Evictions(_ sim.Time, held *bitmat.Matrix) []topology.Conn {
+	out := p.out[:0]
 	for c, at := range p.atLastUse {
 		// Uses by other connections since c's last use (c's own last use is
 		// included in totalUses and in at, so the difference counts exactly
 		// the *other* uses since then) plus the slot grants c wasted while
 		// other traffic waited.
-		if p.totalUses-at+p.idle[c] >= p.threshold {
+		if p.totalUses-at+p.idle[c] >= p.threshold && held.Get(c.Src, c.Dst) {
 			out = append(out, c)
 		}
 	}
 	sortConns(out)
+	p.out = out
 	return out
 }
 
@@ -212,7 +366,10 @@ var _ IdleGrantObserver = (*Counter)(nil)
 // It is the eviction upper bound for ablation comparisons.
 type Oracle struct {
 	remaining map[topology.Conn]int
-	done      []topology.Conn
+	// done counts each nominated connection's pending nominations; an
+	// OnRelease retires one.
+	done map[topology.Conn]int
+	out  []topology.Conn
 }
 
 // NewOracle builds an oracle from the per-connection total use counts of the
@@ -225,7 +382,7 @@ func NewOracle(uses map[topology.Conn]int) *Oracle {
 		}
 		rem[c] = n
 	}
-	return &Oracle{remaining: rem}
+	return &Oracle{remaining: rem, done: make(map[topology.Conn]int)}
 }
 
 // Name implements Predictor.
@@ -236,7 +393,7 @@ func (p *Oracle) OnEstablish(c topology.Conn, _ sim.Time) {
 	if _, ok := p.remaining[c]; !ok {
 		// A connection the oracle never saw in the plan has zero future
 		// uses; evict as soon as possible.
-		p.done = append(p.done, c)
+		p.done[c]++
 	}
 }
 
@@ -249,25 +406,29 @@ func (p *Oracle) OnUse(c topology.Conn, _ sim.Time) {
 	n--
 	p.remaining[c] = n
 	if n <= 0 {
-		p.done = append(p.done, c)
+		p.done[c]++
 		delete(p.remaining, c)
 	}
 }
 
 // OnRelease implements Predictor.
 func (p *Oracle) OnRelease(c topology.Conn) {
-	for i, d := range p.done {
-		if d == c {
-			p.done = append(p.done[:i], p.done[i+1:]...)
-			break
-		}
+	if n := p.done[c]; n > 1 {
+		p.done[c] = n - 1
+	} else {
+		delete(p.done, c)
 	}
 }
 
 // Evictions implements Predictor.
-func (p *Oracle) Evictions(sim.Time) []topology.Conn {
-	out := make([]topology.Conn, len(p.done))
-	copy(out, p.done)
+func (p *Oracle) Evictions(_ sim.Time, held *bitmat.Matrix) []topology.Conn {
+	out := p.out[:0]
+	for c := range p.done {
+		if held.Get(c.Src, c.Dst) {
+			out = append(out, c)
+		}
+	}
 	sortConns(out)
+	p.out = out
 	return out
 }

@@ -1,9 +1,14 @@
 package predictor
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 
+	"pmsnet/internal/bitmat"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
 )
@@ -12,13 +17,21 @@ var (
 	c01 = topology.Conn{Src: 0, Dst: 1}
 	c12 = topology.Conn{Src: 1, Dst: 2}
 	c23 = topology.Conn{Src: 2, Dst: 3}
+
+	// all holds every connection the unit tests use, so Evictions filters
+	// nothing out.
+	all = func() *bitmat.Matrix {
+		m := bitmat.NewSquare(8)
+		m.SetAll()
+		return m
+	}()
 )
 
 func TestNever(t *testing.T) {
 	p := NewNever()
 	p.OnEstablish(c01, 0)
 	p.OnUse(c01, 10)
-	if got := p.Evictions(1 << 40); got != nil {
+	if got := p.Evictions(1<<40, all); got != nil {
 		t.Fatalf("never predictor evicted %v", got)
 	}
 	if p.Name() != "never" {
@@ -33,17 +46,17 @@ func TestTimeoutEvictsIdleConnections(t *testing.T) {
 	p.OnEstablish(c12, 0)
 	p.OnUse(c01, 50)
 	// At t=120: c12 idle for 120 >= 100, c01 idle for 70 < 100.
-	got := p.Evictions(120)
+	got := p.Evictions(120, all)
 	if len(got) != 1 || got[0] != c12 {
 		t.Fatalf("Evictions = %v, want [%v]", got, c12)
 	}
 	// Use refreshes.
 	p.OnUse(c12, 121)
-	if got := p.Evictions(149); len(got) != 0 {
+	if got := p.Evictions(149, all); len(got) != 0 {
 		t.Fatalf("Evictions after refresh = %v, want none", got)
 	}
 	// At 250 both are idle long enough; order is deterministic.
-	got = p.Evictions(250)
+	got = p.Evictions(250, all)
 	if len(got) != 2 || got[0] != c01 || got[1] != c12 {
 		t.Fatalf("Evictions = %v, want sorted [%v %v]", got, c01, c12)
 	}
@@ -56,10 +69,10 @@ func TestTimeoutEvictsIdleConnections(t *testing.T) {
 func TestTimeoutExactBoundary(t *testing.T) {
 	p := NewTimeout(100)
 	p.OnEstablish(c01, 0)
-	if got := p.Evictions(99); len(got) != 0 {
+	if got := p.Evictions(99, all); len(got) != 0 {
 		t.Fatal("must not evict before the timeout")
 	}
-	if got := p.Evictions(100); len(got) != 1 {
+	if got := p.Evictions(100, all); len(got) != 1 {
 		t.Fatal("must evict exactly at the timeout")
 	}
 }
@@ -80,11 +93,11 @@ func TestCounterEvictsOnOtherUses(t *testing.T) {
 	// Three uses of c12: c01's counter reaches 3.
 	p.OnUse(c12, 1)
 	p.OnUse(c12, 2)
-	if got := p.Evictions(2); len(got) != 0 {
+	if got := p.Evictions(2, all); len(got) != 0 {
 		t.Fatalf("premature eviction: %v", got)
 	}
 	p.OnUse(c12, 3)
-	got := p.Evictions(3)
+	got := p.Evictions(3, all)
 	if len(got) != 1 || got[0] != c01 {
 		t.Fatalf("Evictions = %v, want [%v]", got, c01)
 	}
@@ -96,13 +109,13 @@ func TestCounterDoesNotEvictDuringComputePhase(t *testing.T) {
 	p := NewCounter(2)
 	p.OnEstablish(c01, 0)
 	p.OnUse(c01, 1)
-	if got := p.Evictions(1 << 40); len(got) != 0 {
+	if got := p.Evictions(1<<40, all); len(got) != 0 {
 		t.Fatalf("counter predictor evicted %v with no intervening uses", got)
 	}
 	tp := NewTimeout(100)
 	tp.OnEstablish(c01, 0)
 	tp.OnUse(c01, 1)
-	if got := tp.Evictions(1 << 40); len(got) != 1 {
+	if got := tp.Evictions(1<<40, all); len(got) != 1 {
 		t.Fatal("timeout predictor should evict during a long compute phase")
 	}
 }
@@ -113,11 +126,11 @@ func TestCounterUseResets(t *testing.T) {
 	p.OnUse(c12, 1)
 	p.OnUse(c01, 2) // reset
 	p.OnUse(c12, 3)
-	if got := p.Evictions(3); len(got) != 0 {
+	if got := p.Evictions(3, all); len(got) != 0 {
 		t.Fatalf("counter should be 1 for c01 after reset, got eviction %v", got)
 	}
 	p.OnUse(c23, 4)
-	got := p.Evictions(4)
+	got := p.Evictions(4, all)
 	if len(got) != 1 || got[0] != c01 {
 		t.Fatalf("Evictions = %v, want [%v]", got, c01)
 	}
@@ -137,18 +150,18 @@ func TestOracleEvictsAfterLastUse(t *testing.T) {
 	p.OnEstablish(c01, 0)
 	p.OnEstablish(c12, 0)
 	p.OnUse(c01, 1)
-	if got := p.Evictions(1); len(got) != 0 {
+	if got := p.Evictions(1, all); len(got) != 0 {
 		t.Fatalf("c01 has one use left, got eviction %v", got)
 	}
 	p.OnUse(c01, 2)
 	p.OnUse(c12, 3)
-	got := p.Evictions(3)
+	got := p.Evictions(3, all)
 	if len(got) != 2 {
 		t.Fatalf("Evictions = %v, want both exhausted connections", got)
 	}
 	p.OnRelease(c01)
 	p.OnRelease(c12)
-	if got := p.Evictions(4); len(got) != 0 {
+	if got := p.Evictions(4, all); len(got) != 0 {
 		t.Fatalf("after release: %v", got)
 	}
 }
@@ -156,7 +169,7 @@ func TestOracleEvictsAfterLastUse(t *testing.T) {
 func TestOracleUnplannedConnectionEvictedImmediately(t *testing.T) {
 	p := NewOracle(map[topology.Conn]int{c01: 1})
 	p.OnEstablish(c23, 0) // never in the plan
-	got := p.Evictions(0)
+	got := p.Evictions(0, all)
 	if len(got) != 1 || got[0] != c23 {
 		t.Fatalf("Evictions = %v, want [%v]", got, c23)
 	}
@@ -195,7 +208,7 @@ func TestQuickTimeoutNeverEvictsRecentlyUsed(t *testing.T) {
 			p.OnUse(c, now)
 			last[c] = now
 		}
-		for _, c := range p.Evictions(now) {
+		for _, c := range p.Evictions(now, all) {
 			if now-last[c] < timeout {
 				return false
 			}
@@ -225,7 +238,7 @@ func TestQuickCounterMatchesNaive(t *testing.T) {
 			log = append(log, c)
 		}
 		evicted := map[topology.Conn]bool{}
-		for _, c := range p.Evictions(0) {
+		for _, c := range p.Evictions(0, all) {
 			evicted[c] = true
 		}
 		for c := range seen {
@@ -252,27 +265,263 @@ func TestCounterIdleGrants(t *testing.T) {
 	p.OnEstablish(c01, 0)
 	p.OnIdleGrant(c01, 1)
 	p.OnIdleGrant(c01, 2)
-	if got := p.Evictions(2); len(got) != 0 {
+	if got := p.Evictions(2, all); len(got) != 0 {
 		t.Fatalf("2 idle grants below threshold 3, got %v", got)
 	}
 	p.OnIdleGrant(c01, 3)
-	if got := p.Evictions(3); len(got) != 1 || got[0] != c01 {
+	if got := p.Evictions(3, all); len(got) != 1 || got[0] != c01 {
 		t.Fatalf("Evictions = %v, want [%v]", got, c01)
 	}
 	// A use resets the idle count.
 	p.OnUse(c01, 4)
 	p.OnIdleGrant(c01, 5)
-	if got := p.Evictions(5); len(got) != 0 {
+	if got := p.Evictions(5, all); len(got) != 0 {
 		t.Fatalf("use should reset idle grants, got %v", got)
 	}
 	// Idle grants and other-uses combine.
 	p.OnIdleGrant(c01, 6)
 	p.OnUse(c12, 7)
-	if got := p.Evictions(7); len(got) != 1 || got[0] != c01 {
+	if got := p.Evictions(7, all); len(got) != 1 || got[0] != c01 {
 		t.Fatalf("2 idle + 1 other-use should reach threshold 3, got %v", got)
 	}
 	p.OnRelease(c01)
-	if got := p.Evictions(8); len(got) != 0 {
+	if got := p.Evictions(8, all); len(got) != 0 {
 		t.Fatalf("after release: %v", got)
+	}
+}
+
+func TestEvictionsFilterByHeld(t *testing.T) {
+	held := bitmat.NewSquare(8)
+	held.Set(c12.Src, c12.Dst)
+	// Each predictor establishes c01 and c12 at 0; after uses at 1, both are
+	// due at now.
+	for _, tc := range []struct {
+		p    Predictor
+		uses []topology.Conn
+		now  sim.Time
+	}{
+		{NewTimeout(100), nil, 100},
+		{NewMarkov(100, 1), nil, 100},
+		{NewCounter(1), []topology.Conn{c23}, 1},
+		{NewOracle(nil), nil, 1},
+		{NewScheduleSlack(map[topology.Conn]uint64{c01: 1, c12: 1}, 1000), []topology.Conn{c01, c12}, 1},
+	} {
+		tc.p.OnEstablish(c01, 0)
+		tc.p.OnEstablish(c12, 0)
+		for _, c := range tc.uses {
+			tc.p.OnUse(c, 1)
+		}
+		if got := tc.p.Evictions(tc.now, all); len(got) != 2 {
+			t.Fatalf("%s: Evictions(all) = %v, want both", tc.p.Name(), got)
+		}
+		if got := tc.p.Evictions(tc.now, held); len(got) != 1 || got[0] != c12 {
+			t.Fatalf("%s: Evictions(held) = %v, want [%v]", tc.p.Name(), got, c12)
+		}
+	}
+}
+
+func TestOracleDoubleNominationNeedsTwoReleases(t *testing.T) {
+	// An unplanned connection established twice without a release in between
+	// is nominated twice; the first release leaves one nomination standing.
+	p := NewOracle(nil)
+	p.OnEstablish(c01, 0)
+	p.OnEstablish(c01, 1)
+	if got := p.Evictions(1, all); len(got) != 1 || got[0] != c01 {
+		t.Fatalf("Evictions = %v, want one nomination of %v", got, c01)
+	}
+	p.OnRelease(c01)
+	if got := p.Evictions(2, all); len(got) != 1 {
+		t.Fatalf("after one release: %v, want [%v]", got, c01)
+	}
+	p.OnRelease(c01)
+	if got := p.Evictions(3, all); len(got) != 0 {
+		t.Fatalf("after two releases: %v", got)
+	}
+}
+
+func TestTimeoutPanicsWhenTimeGoesBackwards(t *testing.T) {
+	for name, call := range map[string]func(p *Timeout){
+		"OnUse":       func(p *Timeout) { p.OnUse(c12, 5) },
+		"OnEstablish": func(p *Timeout) { p.OnEstablish(c12, 5) },
+		"Evictions":   func(p *Timeout) { p.Evictions(5, all) },
+	} {
+		t.Run(name, func(t *testing.T) {
+			p := NewTimeout(100)
+			p.OnUse(c01, 10)
+			p.Evictions(10, all) // equal times are fine
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "time must not go backwards") {
+					t.Fatalf("panic = %q, want a time-went-backwards message", msg)
+				}
+			}()
+			call(p)
+		})
+	}
+}
+
+// refTimeout is the map-scan time-out predictor Timeout replaced, with the
+// B* filter its caller used to apply folded in. The parity tests hold
+// Timeout to it.
+type refTimeout struct {
+	timeout sim.Time
+	lastUse map[topology.Conn]sim.Time
+}
+
+func (p *refTimeout) touch(c topology.Conn, now sim.Time) { p.lastUse[c] = now }
+
+func (p *refTimeout) release(c topology.Conn) { delete(p.lastUse, c) }
+
+func (p *refTimeout) evictions(now sim.Time, held *bitmat.Matrix) []topology.Conn {
+	var out []topology.Conn
+	for c, last := range p.lastUse {
+		if now-last >= p.timeout && held.Get(c.Src, c.Dst) {
+			out = append(out, c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Src != out[j].Src {
+			return out[i].Src < out[j].Src
+		}
+		return out[i].Dst < out[j].Dst
+	})
+	return out
+}
+
+// parityN spans two bitset words per row and two words of rows; the parity
+// sequences draw from a 12x12 grid of its ports so that calls revisit the
+// same connections often.
+const parityN = 70
+
+func parityConn(a, b int) topology.Conn {
+	return topology.Conn{Src: a % 12 * 6, Dst: b % 12 * 6}
+}
+
+// checkTimeoutParity decodes data into a sequence of establish, use,
+// release, held-mask and Evictions calls with non-decreasing times, applies
+// it to Timeout and to refTimeout, and fails on the first Evictions result
+// that differs.
+func checkTimeoutParity(t *testing.T, data []byte) {
+	if len(data) == 0 {
+		return
+	}
+	timeout := sim.Time(data[0]%100) + 1
+	p := NewTimeout(timeout)
+	ref := &refTimeout{timeout: timeout, lastUse: map[topology.Conn]sim.Time{}}
+	held := bitmat.NewSquare(parityN)
+	now := sim.Time(0)
+	for i := 1; i+3 < len(data); i += 4 {
+		op, a, b, dt := data[i], int(data[i+1]), int(data[i+2]), sim.Time(data[i+3]%32)
+		c := parityConn(a, b)
+		now += dt
+		switch op % 8 {
+		case 0, 1:
+			p.OnEstablish(c, now)
+			ref.touch(c, now)
+			held.Set(c.Src, c.Dst)
+		case 2, 3:
+			p.OnUse(c, now)
+			ref.touch(c, now)
+		case 4:
+			p.OnRelease(c)
+			ref.release(c)
+		case 5:
+			held.Toggle(c.Src, c.Dst)
+		case 6:
+			if a&1 == 0 {
+				held.Reset()
+			} else {
+				held.SetAll()
+			}
+		case 7:
+			got, want := p.Evictions(now, held), ref.evictions(now, held)
+			if !slices.Equal(got, want) {
+				t.Fatalf("at op %d (t=%v): Evictions = %v, reference %v", i, now, got, want)
+			}
+			if b&1 == 0 {
+				// The tdm caller's loop: evict, then release.
+				for _, c := range want {
+					held.Clear(c.Src, c.Dst)
+					p.OnRelease(c)
+					ref.release(c)
+				}
+			}
+		}
+		if p.Tracked() != len(ref.lastUse) {
+			t.Fatalf("at op %d: Tracked = %d, reference %d", i, p.Tracked(), len(ref.lastUse))
+		}
+	}
+}
+
+func FuzzTimeoutParity(f *testing.F) {
+	f.Add([]byte{10, 0, 1, 2, 0, 2, 1, 2, 20, 7, 0, 0, 31})
+	f.Add([]byte{1, 0, 69, 69, 1, 0, 65, 3, 1, 7, 1, 1, 5, 4, 69, 69, 0, 7, 0, 0, 0})
+	f.Fuzz(checkTimeoutParity)
+}
+
+// TestTimeoutParitySeeded runs the parity check over seeded random
+// sequences, so plain go test covers what the fuzz target explores.
+func TestTimeoutParitySeeded(t *testing.T) {
+	for seed := int64(1); seed <= 64; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 4*2000+1)
+		rng.Read(data)
+		checkTimeoutParity(t, data)
+	}
+}
+
+// timeoutSteadyState models the hybrid two-phase run between scheduling
+// passes: 6,000 tracked connections at N=128, of which 5,900 belong to
+// swapped-out preload groups (expired, not in B*), 80 are busy and 20 sit
+// idle in B* (expired and nominated every pass, but left in place because
+// their queues are not empty). sweep advances time by one pass, touches the
+// busy ones and runs Evictions.
+func timeoutSteadyState() (sweep func() []topology.Conn) {
+	const n, tracked, busy, idle = 128, 6000, 80, 20
+	const timeout = sim.Time(500)
+	p := NewTimeout(timeout)
+	held := bitmat.NewSquare(n)
+	conns := make([]topology.Conn, tracked)
+	for k := range conns {
+		conns[k] = topology.Conn{Src: k % n, Dst: k / n}
+		p.OnEstablish(conns[k], 0)
+	}
+	hot := conns[tracked-busy-idle:]
+	for _, c := range hot {
+		held.Set(c.Src, c.Dst)
+	}
+	hot = hot[:busy]
+	now := sim.Time(0)
+	sweep = func() []topology.Conn {
+		now += timeout / 4
+		for _, c := range hot {
+			p.OnUse(c, now)
+		}
+		return p.Evictions(now, held)
+	}
+	for i := 0; i < 8; i++ {
+		sweep()
+	}
+	if got := sweep(); len(got) != idle {
+		panic("timeoutSteadyState: wrong nomination count")
+	}
+	return sweep
+}
+
+// TestTimeoutEvictionsZeroAlloc pins the steady-state sweep — touches of
+// tracked connections plus Evictions — to zero allocations.
+func TestTimeoutEvictionsZeroAlloc(t *testing.T) {
+	sweep := timeoutSteadyState()
+	if a := testing.AllocsPerRun(100, func() { sweep() }); a != 0 {
+		t.Fatalf("steady-state sweep allocates %v times, want 0", a)
+	}
+}
+
+func BenchmarkTimeoutEvictions(b *testing.B) {
+	sweep := timeoutSteadyState()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		sweep()
 	}
 }

@@ -3,6 +3,7 @@ package predictor
 import (
 	"fmt"
 
+	"pmsnet/internal/bitmat"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
 )
@@ -22,7 +23,8 @@ type ScheduleSlack struct {
 	used     map[topology.Conn]uint64
 	lastUse  map[topology.Conn]sim.Time
 	fallback sim.Time
-	spent    []topology.Conn
+	spent    map[topology.Conn]struct{} // budgets used up, not yet released
+	out      []topology.Conn
 }
 
 // NewScheduleSlack builds the predictor from a plan's per-connection slot
@@ -37,6 +39,7 @@ func NewScheduleSlack(planned map[topology.Conn]uint64, fallback sim.Time) *Sche
 		used:     make(map[topology.Conn]uint64),
 		lastUse:  make(map[topology.Conn]sim.Time),
 		fallback: fallback,
+		spent:    make(map[topology.Conn]struct{}),
 	}
 	for c, n := range planned {
 		if n > 0 {
@@ -72,46 +75,36 @@ func (p *ScheduleSlack) OnUse(c topology.Conn, now sim.Time) {
 	}
 	p.used[c]++
 	if p.used[c] == p.planned[c] {
-		// Crossing the budget exactly once keeps the nomination list
-		// duplicate-free even when traffic overshoots the plan.
-		p.spent = append(p.spent, c)
+		// Crossing the budget exactly once nominates the connection once,
+		// even when traffic overshoots the plan.
+		p.spent[c] = struct{}{}
 	}
 }
 
 // OnRelease implements Predictor.
 func (p *ScheduleSlack) OnRelease(c topology.Conn) {
 	delete(p.lastUse, c)
-	for i, s := range p.spent {
-		if s == c {
-			p.spent = append(p.spent[:i], p.spent[i+1:]...)
-			break
-		}
-	}
+	delete(p.spent, c)
 }
 
 // Evictions implements Predictor.
-func (p *ScheduleSlack) Evictions(now sim.Time) []topology.Conn {
-	out := make([]topology.Conn, len(p.spent))
-	copy(out, p.spent)
+func (p *ScheduleSlack) Evictions(now sim.Time, held *bitmat.Matrix) []topology.Conn {
+	out := p.out[:0]
+	for c := range p.spent {
+		if held.Get(c.Src, c.Dst) {
+			out = append(out, c)
+		}
+	}
 	for c, last := range p.lastUse {
-		if p.Slack(c) == 0 && now-last >= p.fallback {
-			// Either unplanned, or the budget is spent but the connection was
-			// already nominated and not yet released — the spent list covers
-			// the latter, so avoid duplicates.
-			if !p.inSpent(c) {
-				out = append(out, c)
-			}
+		// Either unplanned, or the budget is spent but the connection was
+		// already nominated and not yet released — the spent set covers the
+		// latter, so avoid duplicates.
+		if _, spent := p.spent[c]; !spent && p.Slack(c) == 0 && now-last >= p.fallback &&
+			held.Get(c.Src, c.Dst) {
+			out = append(out, c)
 		}
 	}
 	sortConns(out)
+	p.out = out
 	return out
-}
-
-func (p *ScheduleSlack) inSpent(c topology.Conn) bool {
-	for _, s := range p.spent {
-		if s == c {
-			return true
-		}
-	}
-	return false
 }

@@ -16,20 +16,20 @@ func TestScheduleSlackEvictsOnSpentBudget(t *testing.T) {
 		t.Fatalf("initial slack = %d, want 2", got)
 	}
 	p.OnUse(a, 10)
-	if len(p.Evictions(10)) != 0 {
+	if len(p.Evictions(10, all)) != 0 {
 		t.Fatal("evicted with budget remaining")
 	}
 	if got := p.Slack(a); got != 1 {
 		t.Fatalf("slack after one use = %d, want 1", got)
 	}
 	p.OnUse(a, 20)
-	got := p.Evictions(20)
+	got := p.Evictions(20, all)
 	if len(got) != 1 || got[0] != a {
 		t.Fatalf("Evictions = %v, want [%v]", got, a)
 	}
 	// The plan says a is done — no waiting for a timeout.
 	p.OnRelease(a)
-	if len(p.Evictions(21)) != 0 {
+	if len(p.Evictions(21, all)) != 0 {
 		t.Fatal("released connection still nominated")
 	}
 }
@@ -38,16 +38,16 @@ func TestScheduleSlackFallbackTimeout(t *testing.T) {
 	unplanned := topology.Conn{Src: 3, Dst: 4}
 	p := NewScheduleSlack(nil, 50)
 	p.OnEstablish(unplanned, 0)
-	if len(p.Evictions(49)) != 0 {
+	if len(p.Evictions(49, all)) != 0 {
 		t.Fatal("unplanned connection evicted before the fallback timeout")
 	}
-	got := p.Evictions(50)
+	got := p.Evictions(50, all)
 	if len(got) != 1 || got[0] != unplanned {
 		t.Fatalf("Evictions = %v, want the idle unplanned connection", got)
 	}
 	// Use refreshes the clock.
 	p.OnUse(unplanned, 60)
-	if len(p.Evictions(100)) != 0 {
+	if len(p.Evictions(100, all)) != 0 {
 		t.Fatal("recently used connection evicted")
 	}
 }
@@ -58,7 +58,7 @@ func TestScheduleSlackOverBudgetNoDuplicates(t *testing.T) {
 	p.OnEstablish(a, 0)
 	p.OnUse(a, 1)
 	p.OnUse(a, 2) // plan was wrong; extra traffic arrived
-	got := p.Evictions(500)
+	got := p.Evictions(500, all)
 	if len(got) != 1 || got[0] != a {
 		t.Fatalf("Evictions = %v, want exactly one nomination of %v", got, a)
 	}
@@ -74,7 +74,7 @@ func TestScheduleSlackDeterministicOrder(t *testing.T) {
 		p.OnEstablish(c, 0)
 		p.OnUse(c, 1)
 	}
-	got := p.Evictions(2)
+	got := p.Evictions(2, all)
 	want := []topology.Conn{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}, {Src: 5, Dst: 1}}
 	if len(got) != len(want) {
 		t.Fatalf("Evictions = %v, want %v", got, want)

@@ -124,10 +124,13 @@ func (r *run) onSLPass() {
 		for _, c := range res.Released {
 			r.pred.OnRelease(topology.Conn{Src: c.Src, Dst: c.Dst})
 		}
-		for _, c := range r.pred.Evictions(now) {
+		// The predictor nominates only connections still in B*. Evict clears
+		// no B* bit but its own, so the live matrix read here is as good as a
+		// snapshot taken before the loop.
+		for _, c := range r.pred.Evictions(now, r.sched.BStarView()) {
 			// Never evict a connection that still has traffic queued; the
 			// predictor only sees usage, not queue occupancy.
-			if r.queued.Count(c.Src, c.Dst) == 0 && r.sched.Connected(c.Src, c.Dst) {
+			if r.queued.Count(c.Src, c.Dst) == 0 {
 				r.sched.Evict(c.Src, c.Dst)
 				r.pred.OnRelease(c)
 			}
