@@ -105,8 +105,9 @@ workload-smoke:
 
 # Short fuzzing passes over the text-format parsers, the workload-spec
 # grammar, the scheduling-pass cache, the sparse/dense bitmat parity, the
-# Clos spine router, and the incremental time-out predictor's parity with
-# the map-scan reference.
+# Clos spine router, the incremental time-out predictor's parity with
+# the map-scan reference, and the event engine's fire order against a
+# sort-by-(at, seq) reference.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/traffic/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
@@ -117,6 +118,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzClosRoute -fuzztime=30s ./internal/multistage/
 	$(GO) test -run=NONE -fuzz=FuzzDecompose -fuzztime=30s ./internal/multistage/
 	$(GO) test -run=NONE -fuzz=FuzzTimeoutParity -fuzztime=30s ./internal/predictor/
+	$(GO) test -run=NONE -fuzz=FuzzEngineOrder -fuzztime=30s ./internal/sim/
 
 figures:
 	$(GO) run ./cmd/figures

@@ -21,7 +21,8 @@
 // byte-identical tables: every simulation is a pure function of its inputs
 // and the sweep harness collects results by point index. -progress writes
 // per-point completion lines (with wall times) to stderr, leaving stdout as
-// table output only.
+// table output only. -cpuprofile FILE writes a runtime/pprof CPU profile of
+// the whole command; read it with `go tool pprof FILE`.
 package main
 
 import (
@@ -29,6 +30,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime/pprof"
 	"strings"
 	"time"
 
@@ -54,8 +56,19 @@ func main() {
 		timeline  = flag.Bool("timeline", false, "print a slot-utilization/queue-depth timeline of one run (probed)")
 		netName   = flag.String("net", "tdm-dynamic", "network for -timeline (see pmsim -net)")
 		interval  = flag.Duration("interval", time.Microsecond, "bucket width for -timeline")
+		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	)
 	flag.Parse()
+	if *cpuProf != "" {
+		if err := startCPUProfile(*cpuProf); err != nil {
+			fatal(err)
+		}
+		defer func() {
+			if err := stopProfile(); err != nil {
+				fatal(fmt.Errorf("writing CPU profile: %w", err))
+			}
+		}()
+	}
 
 	if *timeline {
 		if err := runTimeline(*netName, *interval, *seed); err != nil {
@@ -351,5 +364,27 @@ func writeCSV(dir, name string, write func(*os.File) error) {
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "figures:", err)
+	stopProfile()
 	os.Exit(1)
+}
+
+// stopProfile stops the -cpuprofile capture and closes its file; fatal runs
+// it too, so a run that fails still leaves a readable profile.
+var stopProfile = func() error { return nil }
+
+// startCPUProfile starts a runtime/pprof CPU profile written to path.
+func startCPUProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	stopProfile = func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}
+	return nil
 }

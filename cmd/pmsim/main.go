@@ -36,12 +36,17 @@
 // scheduler, connection, message and fault event as Chrome trace-event JSON;
 // open the file in Perfetto (ui.perfetto.dev) or chrome://tracing. Tracing
 // observes a single run, so it cannot be combined with -seeds.
+//
+// -cpuprofile FILE writes a runtime/pprof CPU profile of the whole command
+// (workload generation, simulation and output); read it with
+// `go tool pprof FILE`.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
+	"runtime/pprof"
 	"strconv"
 	"time"
 
@@ -75,8 +80,19 @@ func main() {
 		seed     = flag.Int64("seed", 1, "workload random seed")
 		seeds    = flag.Int("seeds", 1, "multi-run mode: repeat the pattern at this many consecutive seeds")
 		parallel = flag.Int("parallel", 0, "concurrent runs in multi-run mode (0 = GOMAXPROCS, 1 = serial)")
+		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the command to this file")
 	)
 	flag.Parse()
+	if *cpuProf != "" {
+		if err := startCPUProfile(*cpuProf); err != nil {
+			fatal(err)
+		}
+		defer func() {
+			if err := stopProfile(); err != nil {
+				fatal(fmt.Errorf("writing CPU profile: %w", err))
+			}
+		}()
+	}
 
 	// `-net list` / `-fabric list` / `-sched list` / `-planner list` print
 	// the canonical vocabulary, one name per line, and exit — the
@@ -323,5 +339,27 @@ func buildConfig(netName, eviction string, n, k, preload int, timeout time.Durat
 
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "pmsim:", err)
+	stopProfile()
 	os.Exit(1)
+}
+
+// stopProfile stops the -cpuprofile capture and closes its file; fatal runs
+// it too, so a run that fails still leaves a readable profile.
+var stopProfile = func() error { return nil }
+
+// startCPUProfile starts a runtime/pprof CPU profile written to path.
+func startCPUProfile(path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := pprof.StartCPUProfile(f); err != nil {
+		f.Close()
+		return err
+	}
+	stopProfile = func() error {
+		pprof.StopCPUProfile()
+		return f.Close()
+	}
+	return nil
 }

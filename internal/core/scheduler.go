@@ -215,8 +215,8 @@ type Scheduler struct {
 	// preloads), which also keep B* current — the former lazy dirty/refresh
 	// cycle is gone, and SlotsOf/slotCountOf/GrantRow drop from O(K·N/64)
 	// word scans to O(K) array reads.
-	rowDst     [][]int32 // [slot][u] = v of the connection u→v, or -1
-	colSrc     [][]int32 // [slot][v] = u of the connection u→v, or -1
+	rowDst     [][]int32  // [slot][u] = v of the connection u→v, or -1
+	colSrc     [][]int32  // [slot][v] = u of the connection u→v, or -1
 	cfgRowMask [][]uint64 // [slot]: AI bitmask (input u occupied)
 	cfgColMask [][]uint64 // [slot]: AO bitmask (output v occupied)
 	cfgCount   []int      // [slot]: established connections
@@ -298,25 +298,47 @@ func NewScheduler(p Params) (*Scheduler, error) {
 		cfgColMask: make([][]uint64, p.K),
 		cfgCount:   make([]int, p.K),
 	}
+	// The per-slot index and every occupancy mask are carved from two
+	// arenas, one allocation each. Full slice expressions cap each piece's
+	// capacity, so an append that outgrows a piece reallocates instead of
+	// spilling into its neighbour.
 	occWords := (p.N + 63) / 64
+	idx := make([]int32, 2*p.K*p.N)
+	for j := range idx {
+		idx[j] = -1
+	}
+	words := make([]uint64, (2*p.K+4)*occWords)
+	carveIdx := func() []int32 {
+		piece := idx[:p.N:p.N]
+		idx = idx[p.N:]
+		return piece
+	}
+	carveWords := func() []uint64 {
+		piece := words[:occWords:occWords]
+		words = words[occWords:]
+		return piece
+	}
 	for i := range s.configs {
 		s.configs[i] = bitmat.NewSquare(p.N)
-		s.rowDst[i] = make([]int32, p.N)
-		s.colSrc[i] = make([]int32, p.N)
-		for j := 0; j < p.N; j++ {
-			s.rowDst[i][j] = -1
-			s.colSrc[i][j] = -1
-		}
-		s.cfgRowMask[i] = make([]uint64, occWords)
-		s.cfgColMask[i] = make([]uint64, occWords)
+		s.rowDst[i] = carveIdx()
+		s.colSrc[i] = carveIdx()
+		s.cfgRowMask[i] = carveWords()
+		s.cfgColMask[i] = carveWords()
 	}
 	if p.LatchRequests {
 		s.effBuf = bitmat.NewSquare(p.N)
 	}
-	s.occOut = make([]uint64, occWords)
-	s.occIn = make([]uint64, occWords)
-	s.activeMask = make([]uint64, occWords)
-	s.pendingMask = make([]uint64, occWords)
+	s.occOut = carveWords()
+	s.occIn = carveWords()
+	s.activeMask = carveWords()
+	s.pendingMask = carveWords()
+	// A pass visits at most SLCopies slots and, in each, establishes and
+	// releases at most one connection per input row, so the change buffers
+	// are sized for that once instead of growing through the first passes.
+	changes := p.N * p.SLCopies
+	buf := make([]Change, 2*changes)
+	s.estBuf = buf[:0:changes]
+	s.relBuf = buf[changes:changes]
 	s.wordRowMin = wordRowThreshold(p.N)
 	if p.Memoize {
 		s.cache = newPassCache()

@@ -1,8 +1,9 @@
 package meshnet
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/core"
@@ -335,11 +336,11 @@ func appendSortedConns(dst [][2]int, m map[[2]int]*pathConn) [][2]int {
 	for k := range m {
 		dst = append(dst, k)
 	}
-	sort.Slice(dst, func(i, j int) bool {
-		if dst[i][0] != dst[j][0] {
-			return dst[i][0] < dst[j][0]
+	slices.SortFunc(dst, func(a, b [2]int) int {
+		if c := cmp.Compare(a[0], b[0]); c != 0 {
+			return c
 		}
-		return dst[i][1] < dst[j][1]
+		return cmp.Compare(a[1], b[1])
 	})
 	return dst
 }

@@ -10,7 +10,7 @@ package metrics
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"pmsnet/internal/link"
 	"pmsnet/internal/sim"
@@ -216,7 +216,7 @@ func Compute(network, workload string, n int, lm link.Model, recs []Record, stat
 		res.Efficiency = float64(res.Ideal) / float64(res.Makespan)
 	}
 
-	sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
+	slices.Sort(lat)
 	res.LatencyMean = sim.Time(latSum / int64(len(lat)))
 	res.LatencyP50 = percentile(lat, 50)
 	res.LatencyP95 = percentile(lat, 95)

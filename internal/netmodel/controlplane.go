@@ -119,17 +119,38 @@ func (cp *ControlPlane) sendToken(label, retryLabel string, grant bool, deliver 
 // delay ago — wire semantics. Fault reactions that must take effect
 // immediately (a failed port's requests vanishing with it) clear the view
 // through ClearNow, which keeps the sparse form in sync.
+//
+// Every transition is delayed by the same amount, so the wire's events fire
+// in the order Set scheduled them. The pending writes therefore wait in a
+// FIFO ring, and each event applies the oldest one through a handler cached
+// at construction: a transition allocates nothing once the ring has grown to
+// the wire's peak in-flight count.
 type RequestWire struct {
-	eng   *sim.Engine
-	delay sim.Time
-	label string
-	view  *bitmat.Sparse
+	eng     *sim.Engine
+	delay   sim.Time
+	label   string
+	view    *bitmat.Sparse
+	applyFn sim.Handler
+
+	// ring holds the in-flight writes oldest first, starting at head and
+	// wrapping; its length is zero or a power of two.
+	ring []wireWrite
+	head int
+	size int
+}
+
+// wireWrite is one in-flight transition: the view bit (u, v) becomes val.
+type wireWrite struct {
+	u, v int32
+	val  bool
 }
 
 // NewRequestWire builds an n×n request wire with the given propagation delay
 // and event label.
 func NewRequestWire(eng *sim.Engine, n int, delay sim.Time, label string) *RequestWire {
-	return &RequestWire{eng: eng, delay: delay, label: label, view: bitmat.NewSparse(n, n)}
+	w := &RequestWire{eng: eng, delay: delay, label: label, view: bitmat.NewSparse(n, n)}
+	w.applyFn = w.apply
+	return w
 }
 
 // View returns the delayed request matrix (live; do not retain across runs,
@@ -143,13 +164,33 @@ func (w *RequestWire) ViewSparse() *bitmat.Sparse { return w.view }
 // Set propagates a queue-state transition to the view after the wire delay.
 // The written value is the one sampled now.
 func (w *RequestWire) Set(u, v int, val bool) {
-	w.eng.After(w.delay, w.label, func() {
-		if val {
-			w.view.Set(u, v)
-		} else {
-			w.view.Clear(u, v)
-		}
-	})
+	if w.size == len(w.ring) {
+		w.grow()
+	}
+	w.ring[(w.head+w.size)&(len(w.ring)-1)] = wireWrite{u: int32(u), v: int32(v), val: val}
+	w.size++
+	w.eng.After(w.delay, w.label, w.applyFn)
+}
+
+// grow doubles the ring, unwrapping the pending writes to its front.
+func (w *RequestWire) grow() {
+	ring := make([]wireWrite, max(16, 2*len(w.ring)))
+	n := copy(ring, w.ring[w.head:])
+	copy(ring[n:], w.ring[:w.head])
+	w.ring, w.head = ring, 0
+}
+
+// apply lands the oldest pending write: the event firing now is the one Set
+// scheduled for it.
+func (w *RequestWire) apply() {
+	wr := w.ring[w.head]
+	w.head = (w.head + 1) & (len(w.ring) - 1)
+	w.size--
+	if wr.val {
+		w.view.Set(int(wr.u), int(wr.v))
+	} else {
+		w.view.Clear(int(wr.u), int(wr.v))
+	}
 }
 
 // ClearNow clears a view bit immediately, bypassing the wire delay — the

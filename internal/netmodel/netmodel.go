@@ -66,6 +66,9 @@ type Driver struct {
 	nextID    int
 	remaining int
 	records   []metrics.Record
+	// msgs holds every message the workload will send, one allocation per
+	// run: the send with ID i takes msgs[i].
+	msgs []nic.Message
 	// progIdx is each processor's program counter. Programs are sequential —
 	// at most one continuation per processor is ever outstanding — so one
 	// cursor plus one cached step closure (stepFns) per processor replaces a
@@ -94,13 +97,16 @@ func NewDriver(engine *sim.Engine, lm link.Model, wl *traffic.Workload, hooks Ho
 	if err := lm.Validate(); err != nil {
 		return nil, fmt.Errorf("netmodel: %w", err)
 	}
+	msgs := wl.MessageCount()
 	d := &Driver{
 		Engine:    engine,
 		Link:      lm,
 		Buffers:   make([]*nic.OutBuffer, wl.N),
 		wl:        wl,
 		hooks:     hooks,
-		remaining: wl.MessageCount(),
+		records:   make([]metrics.Record, 0, msgs),
+		msgs:      make([]nic.Message, msgs),
+		remaining: msgs,
 		progIdx:   make([]int, wl.N),
 		stepFns:   make([]func(), wl.N),
 		resume:    make(map[int]int),
@@ -143,7 +149,8 @@ func (d *Driver) step(p int) {
 	op := ops[idx]
 	switch op.Kind {
 	case traffic.OpSend, traffic.OpSendWait:
-		m := &nic.Message{
+		m := &d.msgs[d.nextID]
+		*m = nic.Message{
 			ID:      d.nextID,
 			Src:     p,
 			Dst:     op.Dst,

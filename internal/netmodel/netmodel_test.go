@@ -1,7 +1,9 @@
 package netmodel
 
 import (
+	"cmp"
 	"errors"
+	"slices"
 	"testing"
 
 	"pmsnet/internal/link"
@@ -176,4 +178,80 @@ func TestDoubleDeliverPanics(t *testing.T) {
 		}
 	}()
 	d.Deliver(m)
+}
+
+// TestRequestWireDelaysInOrder drives a wire with random transitions at
+// random instants, sparse at first and then in a dense burst (so the
+// pending-write ring grows while wrapped), and checks after every event
+// that the view equals the written state one wire delay earlier.
+func TestRequestWireDelaysInOrder(t *testing.T) {
+	const n, delay = 4, 25
+	eng := sim.NewEngine()
+	w := NewRequestWire(eng, n, delay, "wire")
+	rng := sim.NewRNG(9, 0)
+	type write struct {
+		at   sim.Time
+		u, v int
+		val  bool
+	}
+	var writes []write
+	for i := 0; i < 400; i++ {
+		at := sim.Time(rng.Intn(1000))
+		if i >= 100 {
+			at = 1000 + sim.Time(rng.Intn(100))
+		}
+		wr := write{at: at, u: rng.Intn(n), v: rng.Intn(n), val: rng.Intn(2) == 0}
+		writes = append(writes, wr)
+		eng.At(at, "write", func() { w.Set(wr.u, wr.v, wr.val) })
+	}
+	// want replays every write made at or before t, in the order made.
+	want := func(t sim.Time) [n][n]bool {
+		var m [n][n]bool
+		var made []write
+		for _, wr := range writes {
+			if wr.at <= t {
+				made = append(made, wr)
+			}
+		}
+		// Writes fire in (at, scheduling order); writes list order is the
+		// scheduling order, so a stable sort by time gives the order made.
+		slices.SortStableFunc(made, func(a, b write) int { return cmp.Compare(a.at, b.at) })
+		for _, wr := range made {
+			m[wr.u][wr.v] = wr.val
+		}
+		return m
+	}
+	for eng.Step() {
+		now := eng.Now()
+		// Check only once every event at this instant has fired.
+		if eng.Pending() > 0 && eng.Run(now) != now {
+			t.Fatal("Run past the current instant")
+		}
+		exp := want(now - delay)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if got := w.ViewSparse().Get(u, v); got != exp[u][v] {
+					t.Fatalf("at %v view(%d,%d) = %v, want %v", now, u, v, got, exp[u][v])
+				}
+			}
+		}
+	}
+}
+
+// TestRequestWireSteadyStateZeroAlloc checks that once the pending-write
+// ring has grown to the peak in-flight count, a transition allocates
+// nothing.
+func TestRequestWireSteadyStateZeroAlloc(t *testing.T) {
+	eng := sim.NewEngine()
+	w := NewRequestWire(eng, 8, 50, "wire")
+	burst := func() {
+		for i := 0; i < 64; i++ {
+			w.Set(i%8, (i+1)%8, i%3 != 0)
+		}
+		eng.RunAll()
+	}
+	burst() // warm up the ring and the engine's event free list
+	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
+		t.Fatalf("steady-state wire transitions allocated %.1f times per burst, want 0", allocs)
+	}
 }

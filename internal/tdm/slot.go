@@ -136,5 +136,8 @@ func (r *run) completeMessage(m *nic.Message, slotStart sim.Time) {
 		}
 	}
 	deliverAt := slotStart + r.cfg.SlotNs + r.cfg.Link.PipeLatency() + nic.RecvOverhead
-	r.eng.At(deliverAt, "tdm-deliver", func() { r.driver.Deliver(m) })
+	r.eng.AtArg(deliverAt, "tdm-deliver", r.deliverFn, m)
 }
+
+// deliver hands a completed message to the driver (see completeMessage).
+func (r *run) deliver(arg any) { r.driver.Deliver(arg.(*nic.Message)) }

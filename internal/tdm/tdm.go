@@ -321,6 +321,9 @@ type run struct {
 	// connsBuf is the reusable slot-connection snapshot of the data-plane
 	// grant loop.
 	connsBuf []core.Change
+	// deliverFn is the cached deliver method value, so scheduling a
+	// message's delivery allocates no closure.
+	deliverFn sim.ArgHandler
 	// pool runs scheduler shards in parallel (nil when sharding is off);
 	// closed when the run finishes.
 	pool *runner.Pool
@@ -454,6 +457,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 		grantAt:   make([][]sim.Time, cfg.N),
 		probe:     cfg.Probe,
 	}
+	r.deliverFn = r.deliver
 	if useWarm {
 		// The journal feeds the warm pass its dirty-row closure; every
 		// request mutation (control wire, completion drops, fault recovery)

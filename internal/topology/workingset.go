@@ -1,8 +1,9 @@
 package topology
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"pmsnet/internal/bitmat"
 )
@@ -62,11 +63,11 @@ func (w *WorkingSet) Conns() []Conn {
 	for c := range w.conns {
 		out = append(out, c)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
+	slices.SortFunc(out, func(a, b Conn) int {
+		if c := cmp.Compare(a.Src, b.Src); c != 0 {
+			return c
 		}
-		return out[i].Dst < out[j].Dst
+		return cmp.Compare(a.Dst, b.Dst)
 	})
 	return out
 }
