@@ -29,21 +29,21 @@ race:
 # iteration and run once either way); BENCHTIME=1x does a fastest-possible
 # smoke pass.
 BENCHTIME ?= 1s
-# BENCHOUT is where the fresh capture lands. The committed captures are
-# historical baselines and stay untouched so runs can diff against them:
-# BENCH_1.json (pre-optimization), BENCH_2.json (post-optimization), and
-# BENCH_3.json (after the control-plane/fabric-backend refactor).
+# BENCHOUT is where the fresh capture lands. The committed captures
+# BENCH_1.json to BENCH_7.json are history and stay untouched so runs can
+# diff against them; BENCH_7.json is the current gate baseline.
 BENCHOUT ?= BENCH_NEW.json
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \
 		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
 
 # Regression gate: rerun the suite and fail if any benchmark got more than
-# 20% worse than the baseline in the gated metrics. BENCH_2.json is the
-# most recent pre-refactor capture. Timing needs the full BENCHTIME to be
-# meaningful; BENCHMETRICS=allocs/op gates allocations alone, which are
-# deterministic even at short benchtimes (CI's smoke setting).
-BASELINE ?= BENCH_2.json
+# 20% worse than the baseline in the gated metrics. BENCH_7.json is the
+# full-suite capture taken once the scheduler was down to one pass path.
+# Timing needs the full BENCHTIME to be meaningful and is measured by
+# perfbench; BENCHMETRICS=allocs/op gates allocations alone, which are
+# deterministic even at short benchtimes (CI's setting).
+BASELINE ?= BENCH_7.json
 BENCHMETRICS ?= ns/op,allocs/op
 bench-compare:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \
@@ -104,17 +104,17 @@ workload-smoke:
 	$(GO) test -race -run TestWorkloadSmoke -count=1 .
 
 # Short fuzzing passes over the text-format parsers, the workload-spec
-# grammar, the scheduling-pass cache, the sparse/dense bitmat parity, the
-# Clos spine router, the incremental time-out predictor's parity with
-# the map-scan reference, and the event engine's fire order against a
-# sort-by-(at, seq) reference.
+# grammar, the sparse/dense bitmat parity, the sparse scheduling pass
+# against the dense oracle under every state mutator, the Clos spine
+# router, the incremental time-out predictor's parity with the map-scan
+# reference, and the event engine's fire order against a sort-by-(at, seq)
+# reference.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/traffic/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzPlan -fuzztime=30s ./internal/fault/
-	$(GO) test -run=NONE -fuzz=FuzzSchedCache -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzSparseParity -fuzztime=30s ./internal/bitmat/
-	$(GO) test -run=NONE -fuzz=FuzzWarmStartParity -fuzztime=30s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzSparseDenseOps -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzClosRoute -fuzztime=30s ./internal/multistage/
 	$(GO) test -run=NONE -fuzz=FuzzDecompose -fuzztime=30s ./internal/multistage/
 	$(GO) test -run=NONE -fuzz=FuzzTimeoutParity -fuzztime=30s ./internal/predictor/

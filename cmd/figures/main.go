@@ -47,7 +47,7 @@ func main() {
 		table3    = flag.Bool("table3", false, "regenerate Table 3")
 		ablations = flag.Bool("ablations", false, "run the ablation studies")
 		faults    = flag.Bool("faults", false, "run the fault-injection robustness sweep")
-		workloads = flag.Bool("workloads", false, "run the workload-family studies (collectives, phased, adversarial)")
+		workloads = flag.Bool("workloads", false, "run the workload-family studies (collectives, phased)")
 		quick     = flag.Bool("quick", false, "reduced sweeps for a fast look")
 		csvDir    = flag.String("csv", "", "also write figure data as CSV files into this directory")
 		seed      = flag.Int64("seed", 1, "workload random seed")
@@ -149,8 +149,7 @@ func main() {
 }
 
 // runWorkloadStudies prints the ROADMAP item-4 workload-family studies: the
-// per-family regime sweep, the phased-program planner demonstration, and the
-// adversarial sched-cache study.
+// per-family regime sweep and the phased-program planner demonstration.
 func runWorkloadStudies(ex experiments.Exec, seed int64) {
 	n := experiments.N
 
@@ -165,12 +164,6 @@ func runWorkloadStudies(ex experiments.Exec, seed int64) {
 		fatal(err)
 	}
 	fmt.Println(experiments.PhasedStudyTable(st))
-
-	adv, err := experiments.AdversarySweepExec(ex, n, seed)
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Println(experiments.AdversaryTable(n, adv))
 }
 
 // Ablation workloads are built through the generator registry (the same

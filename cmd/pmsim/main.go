@@ -8,6 +8,7 @@
 //	pmsim -net wormhole -workload workload.pms
 //	pmsim -net tdm-dynamic -pattern perm-churn:rounds=8 -seeds 16 -parallel 8
 //	pmsim -net tdm-dynamic -pattern random-mesh -trace run.trace.json
+//	pmsim -pattern two-phase -n 128 -write-workload twophase.pms
 //
 // Networks: wormhole, circuit, tdm-dynamic, tdm-preload, tdm-hybrid (and
 // more; `pmsim -net list` prints the full vocabulary).
@@ -21,10 +22,12 @@
 // Fabrics (TDM modes): crossbar, omega, clos, benes (`pmsim -fabric list`).
 // Planners (tdm-preload/tdm-hybrid): static, solstice, bvn
 // (`pmsim -planner list`) pick the offline preload planner.
-// Schedulers (TDM modes): paper, islip, wavefront (`pmsim -sched list`);
-// -shards enables per-leaf sharded scheduling on leafed fabrics and -warm
-// enables warm-started incremental scheduling (paper scheduler only) —
-// both change wall-clock cost only, never the printed metrics.
+// Schedulers (TDM modes): paper, islip, wavefront (`pmsim -sched list`).
+//
+// -write-workload FILE writes the generated workload as a PMSTRACE command
+// file — the per-processor command-file format the paper's simulator is
+// driven by (§5) — and exits without simulating. The file can be edited by
+// hand and replayed with -workload.
 //
 // Multi-run mode (-seeds N) repeats the pattern at seeds seed..seed+N-1 and
 // prints one summary line per seed plus the aggregate. -parallel bounds how
@@ -43,6 +46,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"os"
@@ -58,6 +62,7 @@ func main() {
 		netName  = flag.String("net", "tdm-dynamic", "network: wormhole|circuit|voq-islip|tdm-dynamic|tdm-preload|tdm-hybrid|mesh-wormhole|mesh-tdm")
 		pattern  = flag.String("pattern", "random-mesh", "workload generator spec name[:key=value,...] ('list' prints the full catalog)")
 		workload = flag.String("workload", "", "run a PMSTRACE command file instead of a built-in pattern")
+		writeWl  = flag.String("write-workload", "", "write the workload as a PMSTRACE command file to this path and exit without simulating")
 		tracePth = flag.String("trace", "", "write a Chrome trace-event JSON timeline of the run to this file")
 		n        = flag.Int("n", 128, "processor count")
 		size     = flag.Int("size", 64, "message size in bytes (generators with a bytes parameter)")
@@ -73,8 +78,6 @@ func main() {
 		fabName  = flag.String("fabric", "crossbar", "TDM fabric backend: crossbar|omega|clos|benes ('list' prints the vocabulary)")
 		schedNm  = flag.String("sched", "paper", "TDM scheduling algorithm: paper|islip|wavefront ('list' prints the vocabulary)")
 		planNm   = flag.String("planner", "static", "preload planner (tdm-preload/tdm-hybrid): static|solstice|bvn ('list' prints the vocabulary)")
-		shards   = flag.Int("shards", 0, "per-leaf scheduler shards on leafed fabrics (0 = off; results are identical, only wall-clock changes)")
-		warm     = flag.Bool("warm", false, "warm-start incremental scheduling (paper scheduler only; results are identical, only wall-clock changes)")
 		hist     = flag.Bool("hist", false, "print the latency histogram")
 		faults   = flag.String("faults", "", "fault plan, e.g. 'seed=7,mtbf=1ms,mttr=10us,corrupt=0.001,link=3@50us+20us,xpoint=1:2@80us'")
 		seed     = flag.Int64("seed", 1, "workload random seed")
@@ -141,6 +144,13 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
+	if *writeWl != "" {
+		if err := writeWorkload(*writeWl, wl); err != nil {
+			fatal(err)
+		}
+		fmt.Fprintf(os.Stderr, "wrote workload to %s\n", *writeWl)
+		return
+	}
 	cfg, err := buildConfig(*netName, *eviction, *n, *k, *preload, *timeout)
 	if err != nil {
 		fatal(err)
@@ -155,8 +165,6 @@ func main() {
 	if cfg.Planner, err = pmsnet.ParsePlanner(*planNm); err != nil {
 		fatal(err)
 	}
-	cfg.SchedShards = *shards
-	cfg.SchedWarmStart = *warm
 	cfg.Parallelism = *parallel
 	if *faults != "" {
 		plan, err := pmsnet.ParseFaults(*faults)
@@ -217,10 +225,6 @@ func main() {
 		fmt.Printf("scheduler:   %d passes, %d established, %d released, %d evicted, %d preloads\n",
 			s.Passes, s.Established, s.Released, s.Evictions, s.Preloads)
 		fmt.Printf("hit rate:    %.3f\n", rep.HitRate)
-		if s.WarmHits+s.WarmMisses > 0 {
-			fmt.Printf("warm start:  %d incremental, %d rebuilds, %d rows re-evaluated\n",
-				s.WarmHits, s.WarmMisses, s.DirtyRows)
-		}
 	}
 	if p := rep.Plan; p.Planner != "" {
 		fmt.Printf("planner:     %s — %d configs in %d groups, %d residual conns, drain estimate %d slots\n",
@@ -323,6 +327,25 @@ func buildWorkload(spec *pmsnet.WorkloadSpec, tracePath string, n int, seed int6
 		return pmsnet.ReadTrace(f)
 	}
 	return spec.Generate(n, seed)
+}
+
+// writeWorkload saves wl to path as a PMSTRACE command file, the format
+// buildWorkload reads back for -workload.
+func writeWorkload(path string, wl *pmsnet.Workload) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	bw := bufio.NewWriter(f)
+	if err := pmsnet.WriteTrace(bw, wl); err != nil {
+		f.Close()
+		return err
+	}
+	if err := bw.Flush(); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func buildConfig(netName, eviction string, n, k, preload int, timeout time.Duration) (pmsnet.Config, error) {

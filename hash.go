@@ -18,11 +18,10 @@ import (
 // struct hashing, so equal configs hash equal across processes and restarts.
 //
 // Semantically equal configurations hash equal: defaults are applied first
-// (K=0 hashes like the documented K=4, a nil SchedCache like the enabled
-// default), and an inactive fault plan hashes like no plan at all. Fields
-// that never change the Report are excluded: Parallelism, SchedShards,
-// SchedWarmStart and Probe only affect how a run executes and what observes
-// it, all proven bit-identical by the identity test suites.
+// (K=0 hashes like the documented K=4), and an inactive fault plan hashes
+// like no plan at all. Fields that never change the Report are excluded:
+// Parallelism and Probe only affect how a run executes and what observes it,
+// both proven bit-identical by the identity test suites.
 func (c Config) Hash() uint64 {
 	c = c.withDefaults()
 	h := fnv.New64a()
@@ -43,11 +42,6 @@ func (c Config) Hash() uint64 {
 	word('f', uint64(c.Fabric))
 	word('P', uint64(c.Planner))
 	word('S', uint64(c.Scheduler))
-	if c.SchedCache == nil || *c.SchedCache {
-		word('c', 1)
-	} else {
-		word('c', 0)
-	}
 	hashFaults(word, c.Faults)
 	return h.Sum64()
 }

@@ -35,11 +35,8 @@ func hashBaseConfig() Config {
 			Links:           []fault.LinkFault{{Port: 3, At: 50_000, For: 20_000}},
 			Crosspoints:     []fault.CrosspointFault{{In: 1, Out: 2, At: 80_000}},
 		},
-		SchedCache: boolPtr(false),
 	}
 }
-
-func boolPtr(b bool) *bool { return &b }
 
 func TestConfigHashStableAndEqualForEqualConfigs(t *testing.T) {
 	a, b := hashBaseConfig(), hashBaseConfig()
@@ -54,8 +51,7 @@ func TestConfigHashStableAndEqualForEqualConfigs(t *testing.T) {
 func TestConfigHashSemanticEquivalences(t *testing.T) {
 	// Each pair is semantically identical — same Report, bit for bit — and
 	// must therefore share a hash: documented defaults spelled out vs left
-	// zero, a nil SchedCache vs the enabled default, and an inactive fault
-	// plan vs none.
+	// zero, and an inactive fault plan vs none.
 	cases := []struct {
 		name string
 		a, b Config
@@ -65,11 +61,6 @@ func TestConfigHashSemanticEquivalences(t *testing.T) {
 			Config{Switching: DynamicTDM, N: 16},
 			Config{Switching: DynamicTDM, N: 16, K: 4,
 				EvictionTimeout: 500 * time.Nanosecond, EvictionThreshold: 8},
-		},
-		{
-			"nil SchedCache vs enabled",
-			Config{Switching: DynamicTDM, N: 16},
-			Config{Switching: DynamicTDM, N: 16, SchedCache: boolPtr(true)},
 		},
 		{
 			"inactive fault plan vs none",
@@ -103,7 +94,6 @@ func TestConfigHashFieldSensitivity(t *testing.T) {
 		{"Fabric", func(c *Config) { c.Fabric = FabricBenes }},
 		{"Planner", func(c *Config) { c.Planner = PlannerBvN }},
 		{"Scheduler", func(c *Config) { c.Scheduler = SchedulerWavefront }},
-		{"SchedCache", func(c *Config) { c.SchedCache = boolPtr(true) }},
 		{"Faults.Seed", func(c *Config) { c.Faults.Seed = 10 }},
 		{"Faults.LinkMTBF", func(c *Config) { c.Faults.LinkMTBF = 2_000_000 }},
 		{"Faults.LinkMTTR", func(c *Config) { c.Faults.LinkMTTR = 20_000 }},
@@ -150,16 +140,6 @@ func TestConfigHashIgnoresExecutionOnlyFields(t *testing.T) {
 	withProbe.Probe = NewProbe(NewCounterSink())
 	if base.Hash() != withProbe.Hash() {
 		t.Error("Probe changed the hash; probes are observational only")
-	}
-	withShards := hashBaseConfig()
-	withShards.SchedShards = 4
-	if base.Hash() != withShards.Hash() {
-		t.Error("SchedShards changed the hash; sharded scheduling is bit-identical")
-	}
-	withWarm := hashBaseConfig()
-	withWarm.SchedWarmStart = true
-	if base.Hash() != withWarm.Hash() {
-		t.Error("SchedWarmStart changed the hash; warm-started scheduling is bit-identical")
 	}
 }
 

@@ -457,68 +457,6 @@ func (m *Matrix) OrAndNot(a, b *Matrix) {
 	}
 }
 
-// fnv64 constants (FNV-1a).
-const (
-	fnvOffset = 14695981039346656037
-	fnvPrime  = 1099511628211
-)
-
-// Hash64 returns a 64-bit FNV-1a hash of the matrix contents, folding seed
-// in first. Word positions are implicit (every word is hashed, zeros
-// included), so equal-shape matrices hash equally iff their bits match.
-// Callers that need exact matching (the scheduling cache) must still verify
-// with MatchesPacked or Equal; the hash only buckets.
-func (m *Matrix) Hash64(seed uint64) uint64 {
-	h := uint64(fnvOffset)
-	h = (h ^ seed) * fnvPrime
-	for _, w := range m.bits {
-		h = (h ^ w) * fnvPrime
-	}
-	return h
-}
-
-// AppendPacked appends every set bit as a packed uint32 (i<<16 | j) in
-// row-major order and returns the extended slice — a compact exact
-// fingerprint of a sparse matrix. It panics if either dimension exceeds
-// 65535.
-func (m *Matrix) AppendPacked(dst []uint32) []uint32 {
-	if m.rows > 1<<16 || m.cols > 1<<16 {
-		panic(fmt.Sprintf("bitmat: %dx%d too large to pack into uint32 pairs", m.rows, m.cols))
-	}
-	for i := 0; i < m.rows; i++ {
-		row := m.bits[i*m.wordsPerRow : (i+1)*m.wordsPerRow]
-		for w, word := range row {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				dst = append(dst, uint32(i)<<16|uint32(w*wordBits+b))
-				word &= word - 1
-			}
-		}
-	}
-	return dst
-}
-
-// MatchesPacked reports whether the set bits of m are exactly the packed
-// (i<<16 | j) entries, which must be in row-major order as produced by
-// AppendPacked. It walks m's words and never allocates.
-func (m *Matrix) MatchesPacked(packed []uint32) bool {
-	idx := 0
-	for i := 0; i < m.rows; i++ {
-		row := m.bits[i*m.wordsPerRow : (i+1)*m.wordsPerRow]
-		for w, word := range row {
-			for word != 0 {
-				b := bits.TrailingZeros64(word)
-				if idx >= len(packed) || packed[idx] != uint32(i)<<16|uint32(w*wordBits+b) {
-					return false
-				}
-				idx++
-				word &= word - 1
-			}
-		}
-	}
-	return idx == len(packed)
-}
-
 // ContainedIn reports whether every set bit of m is also set in o.
 func (m *Matrix) ContainedIn(o *Matrix) bool {
 	m.sameShape(o)

@@ -522,67 +522,6 @@ func TestOrAndNotFused(t *testing.T) {
 	}
 }
 
-func TestHash64AndPackedRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 100; trial++ {
-		rows, cols := 1+rng.Intn(40), 1+rng.Intn(150)
-		m := randomMatrix(rng, rows, cols, 0.15)
-		c := m.Clone()
-		if m.Hash64(42) != c.Hash64(42) {
-			t.Fatal("equal matrices hash differently")
-		}
-		if m.Hash64(1) == m.Hash64(2) && !m.IsZero() {
-			// Different seeds should almost surely differ; tolerate the
-			// astronomically unlikely collision only for the zero matrix.
-			t.Fatal("seed does not perturb hash")
-		}
-
-		packed := m.AppendPacked(nil)
-		if len(packed) != m.Count() {
-			t.Fatalf("packed %d entries, Count = %d", len(packed), m.Count())
-		}
-		if !m.MatchesPacked(packed) {
-			t.Fatal("matrix does not match its own packing")
-		}
-		// Any single-bit perturbation must break the match.
-		i, j := rng.Intn(rows), rng.Intn(cols)
-		before := m.Get(i, j)
-		m.Toggle(i, j)
-		if m.MatchesPacked(packed) {
-			t.Fatalf("MatchesPacked true after toggling (%d,%d)", i, j)
-		}
-		m.Toggle(i, j)
-		if m.Get(i, j) != before {
-			t.Fatal("toggle round trip failed")
-		}
-		if !m.MatchesPacked(packed) {
-			t.Fatal("restore did not restore the match")
-		}
-	}
-}
-
-func TestMatchesPackedPrefixAndSuffix(t *testing.T) {
-	m := New(4, 4)
-	m.Set(1, 2)
-	m.Set(3, 0)
-	packed := m.AppendPacked(nil)
-	if !m.MatchesPacked(packed) {
-		t.Fatal("self match failed")
-	}
-	if m.MatchesPacked(packed[:1]) {
-		t.Fatal("matched a strict prefix")
-	}
-	if m.MatchesPacked(append(append([]uint32{}, packed...), 3<<16|3)) {
-		t.Fatal("matched a strict superset")
-	}
-	if m.MatchesPacked(nil) {
-		t.Fatal("non-empty matrix matched empty packing")
-	}
-	if !New(4, 4).MatchesPacked(nil) {
-		t.Fatal("empty matrix should match empty packing")
-	}
-}
-
 func TestOnesWordLevelMatchesGet(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m := randomMatrix(rng, 9, 131, 0.2)

@@ -25,7 +25,6 @@ type Sparse struct {
 	rowMask []uint64  // bit i set when row i has any nonzero
 	rows    [][]int32 // rows[i]: sorted column indices of row i's set bits
 	count   int
-	j       *Journal // delta journal (journal.go); nil unless EnableJournal
 }
 
 // NewSparse returns an all-zero rows x cols sparse matrix.
@@ -74,9 +73,6 @@ func (s *Sparse) Set(i, j int) {
 	s.rows[i] = row
 	s.rowMask[i>>6] |= 1 << (uint(i) & 63)
 	s.count++
-	if s.j != nil {
-		s.j.record(i, j, true)
-	}
 }
 
 // Clear clears bit (i, j). Clearing an already-clear bit is a no-op.
@@ -93,9 +89,6 @@ func (s *Sparse) Clear(i, j int) {
 		s.rowMask[i>>6] &^= 1 << (uint(i) & 63)
 	}
 	s.count--
-	if s.j != nil {
-		s.j.record(i, j, false)
-	}
 }
 
 // Reset clears every bit. Row-list capacity is retained for reuse.
@@ -111,9 +104,6 @@ func (s *Sparse) Reset() {
 		s.rowMask[i] = 0
 	}
 	s.count = 0
-	if s.j != nil {
-		s.j.bulk()
-	}
 }
 
 // CopyFrom overwrites s with src. Shapes must match.
@@ -124,9 +114,6 @@ func (s *Sparse) CopyFrom(src *Sparse) {
 		s.rows[i] = append(s.rows[i][:0], src.rows[i]...)
 	}
 	s.count = src.count
-	if s.j != nil {
-		s.j.bulk()
-	}
 }
 
 // Or sets s to s | o element-wise. Shapes must match. Cost is O(o.Count)

@@ -7,24 +7,21 @@ import (
 	"testing/quick"
 
 	"pmsnet/internal/bitmat"
-	"pmsnet/internal/runner"
 )
 
-// Identity suites for the scale-out machinery of the scheduler: the sparse
-// request path and the per-leaf sharded pass are pure performance features,
-// so the pinned property is bit-identity — same PassResults, same final
-// state — against the dense unsharded scheduler, under every parameter the
-// two paths interact with (rotation, latching, SL copies, the memo cache,
-// and a fabric CanEstablish constraint).
+// Identity suite for the sparse request path: it is a pure performance
+// feature, so the pinned property is bit-identity — same PassResults, same
+// final state — against the dense scheduler, under every parameter the two
+// paths interact with (rotation, latching, SL copies and a fabric
+// CanEstablish constraint).
 
 // drivePair drives two schedulers through the same random request sequence,
-// feeding sched a dense matrix and check the same requests through feed, and
-// fails on the first divergence in PassResult or visible state.
-func drivePair(t errorfer, rng *rand.Rand, n, passes int, dense, other *Scheduler,
-	feed func(s *Scheduler, r *bitmat.Matrix, sp *bitmat.Sparse) PassResult) bool {
+// feeding dense the dense matrix through Pass and other the same requests
+// through PassSparse, and fails on the first divergence in PassResult or
+// visible state.
+func drivePair(t errorfer, rng *rand.Rand, n, passes int, dense, other *Scheduler) bool {
 	r := bitmat.NewSquare(n)
 	sp := bitmat.NewSparse(n, n)
-	sp.EnableJournal() // consumed by the warm feed; inert for the others
 	for pass := 0; pass < passes; pass++ {
 		// Random occupancy per pass, biased low to exercise the sparse
 		// fast path, with occasional dense bursts.
@@ -46,7 +43,7 @@ func drivePair(t errorfer, rng *rand.Rand, n, passes int, dense, other *Schedule
 			}
 		}
 		want := dense.Pass(r)
-		got := feed(other, r, sp)
+		got := other.PassSparse(sp)
 		if !passResultsEqual(want, got) {
 			t.Errorf("pass %d: results diverge:\n dense %+v\n other %+v", pass, want, got)
 			return false
@@ -122,11 +119,7 @@ func schedStatesEqual(t errorfer, a, b *Scheduler) bool {
 			return false
 		}
 	}
-	// Warm counters are pure telemetry, documented to differ between warm-on
-	// and warm-off runs; everything else must match exactly.
 	as, bs := a.Stats(), b.Stats()
-	as.WarmHits, as.WarmMisses, as.DirtyRows = 0, 0, 0
-	bs.WarmHits, bs.WarmMisses, bs.DirtyRows = 0, 0, 0
 	if as != bs {
 		t.Errorf("stats diverged: %+v vs %+v", as, bs)
 		return false
@@ -134,8 +127,7 @@ func schedStatesEqual(t errorfer, a, b *Scheduler) bool {
 	return true
 }
 
-// evenDiagonal is a pure fabric constraint usable under Memoize: it only
-// reads (b, u, v).
+// evenDiagonal is a fabric constraint that reads only (b, u, v).
 func evenDiagonal(b *bitmat.Matrix, u, v int) bool {
 	return (u+v)%4 != 1 || b.RowCount(u%b.Rows()) == 0
 }
@@ -148,7 +140,6 @@ func randomPairParams(rng *rand.Rand) (Params, int) {
 		RotatePriority: rng.Intn(2) == 0,
 		SkipEmptySlots: rng.Intn(2) == 0,
 		LatchRequests:  rng.Intn(3) == 0,
-		Memoize:        rng.Intn(2) == 0,
 	}
 	p.SLCopies = 1 + rng.Intn(p.K)
 	if rng.Intn(3) == 0 {
@@ -159,82 +150,17 @@ func randomPairParams(rng *rand.Rand) (Params, int) {
 
 // TestQuickSparseDenseParity pins the sparse request path to the dense one:
 // same pass results and same scheduler state at every step, across random
-// parameter combinations including the memo cache and a fabric constraint.
+// parameter combinations including a fabric constraint.
 func TestQuickSparseDenseParity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		p, n := randomPairParams(rng)
 		dense := MustScheduler(p)
 		sparse := MustScheduler(p)
-		return drivePair(t, rng, n, 25, dense, sparse,
-			func(s *Scheduler, _ *bitmat.Matrix, sp *bitmat.Sparse) PassResult {
-				return s.PassSparse(sp)
-			})
+		return drivePair(t, rng, n, 25, dense, sparse)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-// randomBounds cuts [0, n) into 2..4 strictly ascending shard ranges.
-func randomBounds(rng *rand.Rand, n int) []int {
-	shards := 2 + rng.Intn(3)
-	if shards > n {
-		shards = n
-	}
-	bounds := []int{0}
-	for i := 1; i < shards; i++ {
-		next := bounds[len(bounds)-1] + 1 + rng.Intn(n-bounds[len(bounds)-1]-(shards-i))
-		bounds = append(bounds, next)
-	}
-	return append(bounds, n)
-}
-
-// TestQuickShardedUnshardedParity pins the sharded sparse pass — serial and
-// on a parallel worker pool — to the plain sparse pass.
-func TestQuickShardedUnshardedParity(t *testing.T) {
-	pool := runner.NewPool(3)
-	defer pool.Close()
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		p, n := randomPairParams(rng)
-		sharded := p
-		sharded.ShardBounds = randomBounds(rng, n)
-		if rng.Intn(2) == 0 {
-			sharded.ShardRun = pool.Run
-		}
-		dense := MustScheduler(p)
-		shardedSched := MustScheduler(sharded)
-		return drivePair(t, rng, n, 25, dense, shardedSched,
-			func(s *Scheduler, _ *bitmat.Matrix, sp *bitmat.Sparse) PassResult {
-				return s.PassSparse(sp)
-			})
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestShardBoundsValidation(t *testing.T) {
-	bad := [][]int{
-		{0},           // too short
-		{1, 8},        // must start at 0
-		{0, 4},        // must end at N
-		{0, 4, 4, 8},  // not strictly ascending
-		{0, 8, 4, 16}, // descending in the middle
-	}
-	for _, b := range bad {
-		p := Params{N: 8, K: 2, ShardBounds: b}
-		if b[len(b)-1] == 16 {
-			p.N = 16
-		}
-		if err := p.withDefaults().Validate(); err == nil {
-			t.Errorf("bounds %v: expected a validation error", b)
-		}
-	}
-	good := Params{N: 8, K: 2, ShardBounds: []int{0, 3, 8}}
-	if err := good.withDefaults().Validate(); err != nil {
-		t.Errorf("bounds %v rejected: %v", good.ShardBounds, err)
 	}
 }
 
@@ -358,22 +284,6 @@ func TestAlgorithmStringAndParse(t *testing.T) {
 	p := Params{N: 4, K: 2, Algorithm: Algorithm(7)}
 	if err := p.withDefaults().Validate(); err == nil {
 		t.Error("unknown algorithm must fail validation")
-	}
-}
-
-// TestNonPaperAlgorithmsDisableMemoize pins the withDefaults guard: the
-// memo-cache key does not cover iSLIP's pointer state, so Memoize must be
-// forced off for the alternative algorithms.
-func TestNonPaperAlgorithmsDisableMemoize(t *testing.T) {
-	for _, alg := range []Algorithm{AlgISLIP, AlgWavefront} {
-		p := Params{N: 8, K: 2, Algorithm: alg, Memoize: true}.withDefaults()
-		if p.Memoize {
-			t.Errorf("%v: Memoize survived withDefaults", alg)
-		}
-	}
-	p := Params{N: 8, K: 2, Algorithm: AlgPaper, Memoize: true}.withDefaults()
-	if !p.Memoize {
-		t.Error("paper algorithm must keep Memoize")
 	}
 }
 

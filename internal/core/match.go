@@ -20,8 +20,7 @@
 // Both reuse the pass structure of the paper algorithm — release connections
 // whose requests vanished, then match pending requests into the slot — so
 // they plug into Pass, latching, eviction and the fabric CanEstablish hook
-// unchanged. Neither is memoized: iSLIP's pointer state lives outside the
-// pass-cache key (withDefaults forces Memoize off for them).
+// unchanged.
 package core
 
 import (

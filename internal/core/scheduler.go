@@ -68,57 +68,17 @@ type Params struct {
 	// fabrics with limited permutation capability — multistage networks —
 	// use this hook (paper §4: "more complicated constraints may be derived
 	// for fabrics that have limited permutation capabilities").
-	//
-	// With Memoize the hook must be a pure function of (b, u, v): cached
-	// passes replay recorded decisions without re-invoking it.
 	CanEstablish func(b *bitmat.Matrix, u, v int) bool
-	// Memoize enables the scheduling-pass cache: passes whose full scheduler
-	// state and request matrix have been seen before replay the recorded
-	// grant set instead of re-running the scheduling array. The cache is
-	// exact (results are bit-identical with and without it) — see
-	// schedcache.go. Only the paper algorithm memoizes: the iSLIP matcher
-	// carries pointer state the cache key does not cover, so withDefaults
-	// forces Memoize off for the alternative algorithms.
-	Memoize bool
 	// Algorithm selects the matching algorithm a pass runs: the paper-exact
 	// Tables 1–2 scheduling array (the default), iSLIP, or wavefront
 	// matching. See match.go for the alternatives' semantics and provenance.
 	Algorithm Algorithm
-	// ShardBounds, when non-nil, splits the rows into contiguous shards for
-	// the paper algorithm's sparse pass: shard i owns rows
-	// [ShardBounds[i], ShardBounds[i+1]). Shards precompute their rows' change
-	// cells independently (possibly in parallel via ShardRun); grants are then
-	// merged serially in the exact rotated row order, so results are
-	// bit-identical to unsharded scheduling. Bounds must start at 0, end at N
-	// and be strictly ascending — callers align them to the fabric's leaf
-	// boundaries.
-	ShardBounds []int
-	// ShardRun executes fn(i) for every shard i in [0, n), returning only
-	// when all calls completed. nil runs the shards serially in the calling
-	// goroutine. A parallel executor (runner.Pool.Run) must keep per-shard
-	// work on distinct goroutines only — the scheduler guarantees shards
-	// touch disjoint state during the parallel phase.
-	ShardRun func(n int, fn func(int))
-	// WarmStart enables the warm-started incremental pass (warmpass.go):
-	// PassWarm seeds each pass from the state the previous pass left behind
-	// and re-evaluates only the dirty-row closure, consuming the request
-	// matrix's delta journal. Bit-identical to the cold pass; paper algorithm
-	// only (withDefaults forces it off otherwise, like Memoize).
-	WarmStart bool
 }
 
 // withDefaults normalizes zero values.
 func (p Params) withDefaults() Params {
 	if p.SLCopies == 0 {
 		p.SLCopies = 1
-	}
-	if p.Algorithm != AlgPaper {
-		// The memo cache key covers (state, cursors, R); iSLIP's grant/accept
-		// pointers live outside it, and wavefront gains little from replay.
-		p.Memoize = false
-		// The warm masks encode the paper's Table 1 terms; the alternative
-		// matchers evaluate the dense request form directly.
-		p.WarmStart = false
 	}
 	return p
 }
@@ -144,17 +104,6 @@ func (p Params) Validate() error {
 	if !known {
 		return fmt.Errorf("core: unknown algorithm %d (valid: %v)", int(p.Algorithm), AlgorithmNames())
 	}
-	if p.ShardBounds != nil {
-		b := p.ShardBounds
-		if len(b) < 2 || b[0] != 0 || b[len(b)-1] != p.N {
-			return fmt.Errorf("core: shard bounds %v must run from 0 to N=%d", b, p.N)
-		}
-		for i := 1; i < len(b); i++ {
-			if b[i] <= b[i-1] {
-				return fmt.Errorf("core: shard bounds %v not strictly ascending", b)
-			}
-		}
-	}
 	return nil
 }
 
@@ -164,10 +113,9 @@ type Change struct {
 	Slot     int
 }
 
-// PassResult summarizes one scheduling pass. Its slices are owned by the
-// Scheduler (scratch buffers on a computed pass, cache entries on a replayed
-// one): they are valid until the next Pass or ScheduleSlot call and must not
-// be mutated or retained by the caller.
+// PassResult summarizes one scheduling pass. Its slices are scheduler-owned
+// scratch buffers: they are valid until the next Pass or ScheduleSlot call
+// and must not be mutated or retained by the caller.
 type PassResult struct {
 	// Slots lists the slot indices the pass scheduled into (SLCopies long,
 	// unless fewer dynamic slots exist).
@@ -184,19 +132,6 @@ type Stats struct {
 	Released    uint64
 	Flushes     uint64
 	Evictions   uint64
-	// CacheHits and CacheMisses count memoized-pass lookups (zero unless
-	// Params.Memoize). They are the only counters allowed to differ between
-	// cache-on and cache-off runs.
-	CacheHits   uint64
-	CacheMisses uint64
-	// WarmHits counts warm passes served incrementally, WarmMisses full mask
-	// rebuilds, and DirtyRows the rows re-evaluated across incremental
-	// passes (zero unless Params.WarmStart). Like the cache counters, they
-	// are pure telemetry: the only counters allowed to differ between
-	// warm-on and warm-off runs.
-	WarmHits   uint64
-	WarmMisses uint64
-	DirtyRows  uint64
 }
 
 // Scheduler is the TDM connection scheduler. It is not safe for concurrent
@@ -211,10 +146,9 @@ type Scheduler struct {
 	// Incrementally-maintained per-pair slot index. Every configuration is a
 	// partial permutation, so a slot holds at most one connection per input
 	// row and per output column; the index stores it directly. All config
-	// mutation funnels through setConn/clearConn (including cache replays and
-	// preloads), which also keep B* current — the former lazy dirty/refresh
-	// cycle is gone, and SlotsOf/slotCountOf/GrantRow drop from O(K·N/64)
-	// word scans to O(K) array reads.
+	// mutation funnels through setConn/clearConn (including preloads), which
+	// also keep B* current, so SlotsOf/slotCountOf/GrantRow are O(K) array
+	// reads instead of O(K·N/64) word scans.
 	rowDst     [][]int32  // [slot][u] = v of the connection u→v, or -1
 	colSrc     [][]int32  // [slot][v] = u of the connection u→v, or -1
 	cfgRowMask [][]uint64 // [slot]: AI bitmask (input u occupied)
@@ -229,17 +163,16 @@ type Scheduler struct {
 
 	// Reusable scratch, sized once at construction so the per-pass hot path
 	// stays allocation-free after warmup.
-	effBuf      *bitmat.Matrix // effectiveRequests result under latching
-	lBuf        *bitmat.Matrix // PreSchedule change matrix
-	occOut      []uint64       // AO bitmask: output v occupied in the slot
-	occIn       []uint64       // AI bitmask: input u occupied in the slot
-	colBuf      []int          // rotated set-column scan of one L row
-	estBuf      []Change       // established changes of the current pass
-	relBuf      []Change       // released changes of the current pass
-	slotsBuf    []int          // slots visited by the current pass
-	latchClrBuf []uint32       // packed latch clears of the current pass
-	fabricBuf   *bitmat.Matrix // NextFabricSlot result
-	invBuf      *bitmat.Matrix // CheckInvariants B* recomputation
+	effBuf    *bitmat.Matrix // effectiveRequests result under latching
+	lBuf      *bitmat.Matrix // PreSchedule change matrix
+	occOut    []uint64       // AO bitmask: output v occupied in the slot
+	occIn     []uint64       // AI bitmask: input u occupied in the slot
+	colBuf    []int          // rotated set-column scan of one L row
+	estBuf    []Change       // established changes of the current pass
+	relBuf    []Change       // released changes of the current pass
+	slotsBuf  []int          // slots visited by the current pass
+	fabricBuf *bitmat.Matrix // NextFabricSlot result
+	invBuf    *bitmat.Matrix // CheckInvariants B* recomputation
 
 	// Sparse-pass scratch (sparsepass.go).
 	activeMask  []uint64 // row mask: rows the sparse pass must visit
@@ -248,17 +181,6 @@ type Scheduler struct {
 	cellBuf     []int32  // one row's change cells, ascending
 	wordRowMin  int      // row nonzeros at which to switch to the word path
 
-	// Shard scratch (non-nil only with Params.ShardBounds): per-shard cell
-	// arenas and the per-row (shard, offset, length) records that resolve a
-	// row's precomputed cells after the parallel phase.
-	shardArena [][]int32
-	rowCellPos []int32
-	rowCellLen []int32
-	rowShard   []int32
-
-	// Warm-start state (warmpass.go); nil unless Params.WarmStart.
-	warm *warmState
-
 	// Alternative-algorithm scratch (match.go); nil for AlgPaper.
 	match *matchState
 
@@ -266,14 +188,6 @@ type Scheduler struct {
 	// events; the scheduler has no clock of its own.
 	probe *probe.Probe
 	now   func() sim.Time
-
-	// Memoized-pass state (nil cache when Params.Memoize is off). stateID
-	// names the current observable scheduler state (configs, latch, pinned);
-	// every mutation mints a fresh ID from nextID, so a recorded transition
-	// keyed on a stateID can never be replayed against a different state.
-	cache   *passCache
-	stateID uint64
-	nextID  uint64
 }
 
 // NewScheduler builds a scheduler. Invalid Params return an error with the
@@ -340,31 +254,6 @@ func NewScheduler(p Params) (*Scheduler, error) {
 	s.estBuf = buf[:0:changes]
 	s.relBuf = buf[changes:changes]
 	s.wordRowMin = wordRowThreshold(p.N)
-	if p.Memoize {
-		s.cache = newPassCache()
-	}
-	if p.ShardBounds != nil {
-		shards := len(p.ShardBounds) - 1
-		s.shardArena = make([][]int32, shards)
-		s.rowCellPos = make([]int32, p.N)
-		s.rowCellLen = make([]int32, p.N)
-		s.rowShard = make([]int32, p.N)
-		for sh := 0; sh < shards; sh++ {
-			for u := p.ShardBounds[sh]; u < p.ShardBounds[sh+1]; u++ {
-				s.rowShard[u] = int32(sh)
-			}
-		}
-	}
-	if p.WarmStart {
-		s.warm = &warmState{
-			pending: make([]uint64, occWords),
-			dirty:   make([]uint64, occWords),
-			stale:   make([][]uint64, p.K),
-		}
-		for i := range s.warm.stale {
-			s.warm.stale[i] = make([]uint64, occWords)
-		}
-	}
 	if p.Algorithm != AlgPaper {
 		s.match = newMatchState(p)
 	}
@@ -385,7 +274,6 @@ func (s *Scheduler) setConn(slot, u, v int) {
 	maskSet(s.cfgColMask[slot], v)
 	s.cfgCount[slot]++
 	s.bstar.Set(u, v)
-	s.warmDirty(u)
 }
 
 // clearConn releases u→v from a slot. The connection must be present there.
@@ -401,21 +289,6 @@ func (s *Scheduler) clearConn(slot, u, v int) {
 	if s.slotCountOf(u, v) == 0 {
 		s.bstar.Clear(u, v)
 	}
-	s.warmDirty(u)
-}
-
-// latchSet and latchClear are the latch-mutation funnels: every latch bit
-// change flows through them (finishSlot, cache replay, evictions) so the
-// warm path sees the row as dirty. Flush paths bulk-reset the latch and
-// call warmInvalidate instead.
-func (s *Scheduler) latchSet(u, v int) {
-	s.latch.Set(u, v)
-	s.warmDirty(u)
-}
-
-func (s *Scheduler) latchClear(u, v int) {
-	s.latch.Clear(u, v)
-	s.warmDirty(u)
 }
 
 // clearSlot releases every connection of a slot through clearConn, in
@@ -666,14 +539,7 @@ func (s *Scheduler) checkShape(m *bitmat.Matrix) {
 func (s *Scheduler) ScheduleSlot(r *bitmat.Matrix, slot int) (established, released []Change) {
 	s.estBuf = s.estBuf[:0]
 	s.relBuf = s.relBuf[:0]
-	s.latchClrBuf = s.latchClrBuf[:0]
 	s.dispatchSlot(r, nil, slot)
-	if len(s.estBuf)+len(s.relBuf) > 0 {
-		// A direct caller mutated scheduler state outside Pass's cache
-		// bookkeeping; retire the current state ID so no stale cached
-		// transition can be replayed against the new state.
-		s.invalidate()
-	}
 	return s.estBuf, s.relBuf
 }
 
@@ -702,9 +568,8 @@ func (s *Scheduler) dispatchSlot(r *bitmat.Matrix, sp *bitmat.Sparse, slot int) 
 }
 
 // scheduleSlot is the allocation-free SL-array evaluation shared by
-// ScheduleSlot and Pass. It appends changes to estBuf/relBuf (without
-// resetting them, so one Pass accumulates across its SLCopies slots) and
-// records latch clears in latchClrBuf for the memo cache.
+// ScheduleSlot and Pass. It appends changes to estBuf/relBuf without
+// resetting them, so one Pass accumulates across its SLCopies slots.
 func (s *Scheduler) scheduleSlot(r *bitmat.Matrix, slot int) {
 	s.checkSlot(slot)
 	if s.pinned[slot] {
@@ -774,14 +639,13 @@ func (s *Scheduler) finishSlot(slot, estStart, relStart int) {
 	released := s.relBuf[relStart:]
 	if s.p.LatchRequests {
 		for _, c := range established {
-			s.latchSet(c.Src, c.Dst)
+			s.latch.Set(c.Src, c.Dst)
 		}
 		for _, c := range released {
 			// Released connections (evicted or flushed) lose their latch if
 			// they are gone from every slot.
 			if s.slotCountOf(c.Src, c.Dst) == 0 {
-				s.latchClear(c.Src, c.Dst)
-				s.latchClrBuf = append(s.latchClrBuf, uint32(c.Src)<<16|uint32(c.Dst))
+				s.latch.Clear(c.Src, c.Dst)
 			}
 		}
 	}
@@ -792,35 +656,29 @@ func (s *Scheduler) finishSlot(slot, estStart, relStart int) {
 // Pass runs one scheduler pass: SLCopies scheduling-logic evaluations on the
 // next dynamic (unpinned) slots in SL-counter order, then advances the
 // priority rotation. It is the unit of work that costs PassLatency() in
-// simulated time. With Params.Memoize a pass whose (state, cursors, request
-// matrix) triple was seen before replays the recorded outcome instead of
-// re-running the array; results are bit-identical either way. The returned
-// slices are scheduler-owned and valid until the next Pass or ScheduleSlot
-// call.
+// simulated time. The returned slices are scheduler-owned and valid until
+// the next Pass or ScheduleSlot call.
 func (s *Scheduler) Pass(r *bitmat.Matrix) PassResult {
-	return s.passProbed(r, nil, false)
+	return s.passProbed(r, nil)
 }
 
 // PassSparse is Pass taking the request matrix in sparse form. For the
 // paper algorithm it runs the sparse-path evaluation — cost proportional to
 // the active rows and their nonzeros instead of N²/64 words — and is
-// bit-identical to Pass over sp's dense form, memo cache included. The
-// alternative algorithms consume the dense backing either way.
+// bit-identical to Pass over sp's dense form. The alternative algorithms
+// consume the dense backing either way.
 func (s *Scheduler) PassSparse(sp *bitmat.Sparse) PassResult {
-	return s.passProbed(sp.Matrix(), sp, false)
+	return s.passProbed(sp.Matrix(), sp)
 }
 
 // passProbed wraps the pass body with probe emission when attached.
-func (s *Scheduler) passProbed(r *bitmat.Matrix, sp *bitmat.Sparse, warm bool) PassResult {
+func (s *Scheduler) passProbed(r *bitmat.Matrix, sp *bitmat.Sparse) PassResult {
 	if s.probe == nil {
-		return s.pass(r, sp, warm)
+		return s.pass(r, sp)
 	}
-	// The wrapper covers all three internal paths (no dynamic slots, cache
-	// replay, computed) identically, so traces match with the memo cache on
-	// or off.
 	now := s.now()
 	s.probe.Emit(probe.Event{Kind: probe.SchedPassBegin, At: now})
-	res := s.pass(r, sp, warm)
+	res := s.pass(r, sp)
 	for _, c := range res.Established {
 		s.probe.Emit(probe.Event{Kind: probe.ConnEstablished, At: now,
 			Src: int32(c.Src), Dst: int32(c.Dst), Slot: int32(c.Slot)})
@@ -835,26 +693,12 @@ func (s *Scheduler) passProbed(r *bitmat.Matrix, sp *bitmat.Sparse, warm bool) P
 }
 
 // pass is the probe-free body of Pass. A non-nil sp must wrap r (sp.Matrix()
-// == r); it selects the sparse-path slot evaluation for the paper algorithm,
-// and warm additionally selects the warm-started mask preparation (tier 2;
-// the memo cache, tier 1, is consulted before either). The memo cache keys
-// on the dense form every way, so hit/miss sequences — and therefore Stats —
-// are identical across the entry points.
-func (s *Scheduler) pass(r *bitmat.Matrix, sp *bitmat.Sparse, warm bool) PassResult {
+// == r); it selects the sparse-path slot evaluation for the paper algorithm.
+func (s *Scheduler) pass(r *bitmat.Matrix, sp *bitmat.Sparse) PassResult {
 	s.stats.Passes++
 	dyn := s.DynamicSlotCount()
 	if dyn == 0 {
 		return PassResult{}
-	}
-
-	var key passKey
-	if s.cache != nil {
-		key = s.passKey(r)
-		if e := s.cache.lookup(key, r); e != nil {
-			s.stats.CacheHits++
-			return s.replay(e)
-		}
-		s.stats.CacheMisses++
 	}
 
 	copies := s.p.SLCopies
@@ -864,14 +708,8 @@ func (s *Scheduler) pass(r *bitmat.Matrix, sp *bitmat.Sparse, warm bool) PassRes
 	s.estBuf = s.estBuf[:0]
 	s.relBuf = s.relBuf[:0]
 	s.slotsBuf = s.slotsBuf[:0]
-	s.latchClrBuf = s.latchClrBuf[:0]
 	if sp != nil && s.p.Algorithm == AlgPaper {
-		if warm && s.warm != nil {
-			s.warmPrepare(sp)
-			s.warm.passActive = true
-		} else {
-			s.computePendingMask(sp)
-		}
+		s.computePendingMask(sp)
 	}
 	for c := 0; c < copies; c++ {
 		// Advance the SL cursor to the next dynamic slot.
@@ -886,24 +724,10 @@ func (s *Scheduler) pass(r *bitmat.Matrix, sp *bitmat.Sparse, warm bool) PassRes
 		s.dispatchSlot(r, sp, slot)
 		s.slotsBuf = append(s.slotsBuf, slot)
 	}
-	if s.warm != nil {
-		s.warm.passActive = false
-	}
 	if s.p.RotatePriority {
 		s.rot = (s.rot + 1) % s.p.N
 	}
-	res := PassResult{Slots: s.slotsBuf, Established: s.estBuf, Released: s.relBuf}
-	if s.cache != nil {
-		if len(s.estBuf)+len(s.relBuf) > 0 {
-			// The pass changed observable state: mint the ID that names the
-			// post-state. A no-change pass keeps its ID (only the cursors
-			// moved, and those are part of the cache key).
-			s.nextID++
-			s.stateID = s.nextID
-		}
-		s.cache.record(key, r, s)
-	}
-	return res
+	return PassResult{Slots: s.slotsBuf, Established: s.estBuf, Released: s.relBuf}
 }
 
 // DynamicSlotCount returns the number of slots available to reactive
@@ -916,18 +740,6 @@ func (s *Scheduler) DynamicSlotCount() int {
 		}
 	}
 	return n
-}
-
-// invalidate retires the current state ID after an out-of-band state
-// mutation (eviction, preload, flush, bandwidth change, direct
-// ScheduleSlot). Cache entries keyed on older IDs can then never match
-// again, so stale grants are structurally unable to replay.
-func (s *Scheduler) invalidate() {
-	if s.cache == nil {
-		return
-	}
-	s.nextID++
-	s.stateID = s.nextID
 }
 
 // --- extensions ---
@@ -950,17 +762,13 @@ func (s *Scheduler) LoadConfig(slot int, cfg *bitmat.Matrix, pin bool) error {
 		return true
 	})
 	s.pinned[slot] = pin
-	s.invalidate()
 	return nil
 }
 
 // PinSlot marks a slot as preloaded so dynamic scheduling leaves it alone.
 func (s *Scheduler) PinSlot(slot int, pin bool) {
 	s.checkSlot(slot)
-	if s.pinned[slot] != pin {
-		s.pinned[slot] = pin
-		s.invalidate()
-	}
+	s.pinned[slot] = pin
 }
 
 // Pinned reports whether a slot is pinned.
@@ -994,9 +802,6 @@ func (s *Scheduler) AddBandwidth(src, dst, extra int) int {
 		s.setConn(slot, src, dst)
 		added++
 	}
-	if added > 0 {
-		s.invalidate()
-	}
 	return added
 }
 
@@ -1019,18 +824,15 @@ func (s *Scheduler) Evict(src, dst int) int {
 	}
 	latched := s.latch.Get(src, dst)
 	if latched {
-		s.latchClear(src, dst)
+		s.latch.Clear(src, dst)
 	}
 	if removed > 0 {
 		s.stats.Evictions += uint64(removed)
 		s.stats.Released += uint64(removed)
 	}
-	if removed > 0 || latched {
-		s.invalidate()
-		if s.probe != nil {
-			s.probe.Emit(probe.Event{Kind: probe.ConnEvicted, At: s.now(),
-				Src: int32(src), Dst: int32(dst), Aux: int64(removed)})
-		}
+	if (removed > 0 || latched) && s.probe != nil {
+		s.probe.Emit(probe.Event{Kind: probe.ConnEvicted, At: s.now(),
+			Src: int32(src), Dst: int32(dst), Aux: int64(removed)})
 	}
 	return removed
 }
@@ -1061,12 +863,11 @@ func (s *Scheduler) EvictPort(p int) []Change {
 		}
 	}
 	for _, ch := range out {
-		s.latchClear(ch.Src, ch.Dst)
+		s.latch.Clear(ch.Src, ch.Dst)
 	}
 	if len(out) > 0 {
 		s.stats.Evictions += uint64(len(out))
 		s.stats.Released += uint64(len(out))
-		s.invalidate()
 		if s.probe != nil {
 			now := s.now()
 			for _, ch := range out {
@@ -1088,9 +889,7 @@ func (s *Scheduler) Flush() {
 		}
 	}
 	s.latch.Reset()
-	s.warmInvalidate()
 	s.stats.Flushes++
-	s.invalidate()
 	if s.probe != nil {
 		s.probe.Emit(probe.Event{Kind: probe.Flush, At: s.now()})
 	}
@@ -1103,9 +902,7 @@ func (s *Scheduler) FlushAll() {
 		s.pinned[slot] = false
 	}
 	s.latch.Reset()
-	s.warmInvalidate()
 	s.stats.Flushes++
-	s.invalidate()
 	if s.probe != nil {
 		s.probe.Emit(probe.Event{Kind: probe.Flush, At: s.now()})
 	}
@@ -1172,5 +969,5 @@ func (s *Scheduler) CheckInvariants() error {
 	if err := s.latch.CheckParity(); err != nil {
 		return fmt.Errorf("core: latch: %w", err)
 	}
-	return s.checkWarmInvariants()
+	return nil
 }

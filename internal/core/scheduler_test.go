@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"pmsnet/internal/bitmat"
-	"pmsnet/internal/runner"
 )
 
 func newTest(n, k int) *Scheduler {
@@ -666,7 +665,7 @@ func BenchmarkPass128Dense(b *testing.B) {
 	}
 }
 
-// --- large-N scaling benches (dense vs sparse vs sharded passes) ---
+// --- large-N scaling benches (dense vs sparse passes) ---
 
 // benchSparseRequests builds the scale-out benchmark pattern: one random
 // destination per source, so the request matrix carries N nonzeros out of
@@ -689,21 +688,10 @@ func benchSparseRequests(n int) (*bitmat.Matrix, *bitmat.Sparse) {
 // benchPassScale measures the steady-state pass over a sparse request set:
 // after a warm-up sweep establishes the working set, each iteration is one
 // full scheduling pass whose cost is pure scanning — the axis the sparse
-// representation attacks. Memoization is off so the scheduling array runs
-// on every iteration in both variants.
-func benchPassScale(b *testing.B, n int, sparse bool, shards int) {
+// representation attacks.
+func benchPassScale(b *testing.B, n int, sparse bool) {
 	b.Helper()
 	p := Params{N: n, K: 4, RotatePriority: true, SkipEmptySlots: true}
-	if shards > 1 {
-		bounds := make([]int, shards+1)
-		for i := 1; i <= shards; i++ {
-			bounds[i] = i * n / shards
-		}
-		p.ShardBounds = bounds
-		pool := runner.NewPool(shards)
-		defer pool.Close()
-		p.ShardRun = pool.Run
-	}
 	s := MustScheduler(p)
 	r, sp := benchSparseRequests(n)
 	for pass := 0; pass < p.K; pass++ {
@@ -724,14 +712,12 @@ func benchPassScale(b *testing.B, n int, sparse bool, shards int) {
 	}
 }
 
-func BenchmarkPass512Dense(b *testing.B)     { benchPassScale(b, 512, false, 0) }
-func BenchmarkPass512Sparse(b *testing.B)    { benchPassScale(b, 512, true, 0) }
-func BenchmarkPass1024Dense(b *testing.B)    { benchPassScale(b, 1024, false, 0) }
-func BenchmarkPass1024Sparse(b *testing.B)   { benchPassScale(b, 1024, true, 0) }
-func BenchmarkPass2048Dense(b *testing.B)    { benchPassScale(b, 2048, false, 0) }
-func BenchmarkPass2048Sparse(b *testing.B)   { benchPassScale(b, 2048, true, 0) }
-func BenchmarkPass1024Sharded8(b *testing.B) { benchPassScale(b, 1024, true, 8) }
-func BenchmarkPass2048Sharded8(b *testing.B) { benchPassScale(b, 2048, true, 8) }
+func BenchmarkPass512Dense(b *testing.B)   { benchPassScale(b, 512, false) }
+func BenchmarkPass512Sparse(b *testing.B)  { benchPassScale(b, 512, true) }
+func BenchmarkPass1024Dense(b *testing.B)  { benchPassScale(b, 1024, false) }
+func BenchmarkPass1024Sparse(b *testing.B) { benchPassScale(b, 1024, true) }
+func BenchmarkPass2048Dense(b *testing.B)  { benchPassScale(b, 2048, false) }
+func BenchmarkPass2048Sparse(b *testing.B) { benchPassScale(b, 2048, true) }
 
 // BenchmarkSlotsOf1024 measures the per-pair slot index (satellite of the
 // scale-out issue): SlotsOf used to rescan all K configuration matrices per

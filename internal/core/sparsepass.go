@@ -12,10 +12,7 @@
 // (latch updates are deferred to the finishSlot epilogue), so when the scan
 // reaches row u, row u of every input matrix still holds its pre-scan value
 // — computing the row's cells lazily at visit time yields exactly the L
-// snapshot the dense path precomputed. The same argument makes the sharded
-// variant exact: shards precompute their rows' cells from the pre-scan state
-// (pure reads, disjoint outputs), and the serial merge applies them in the
-// identical rotated row order with the identical live availability checks.
+// snapshot the dense path precomputed.
 package core
 
 import (
@@ -81,9 +78,7 @@ func (s *Scheduler) computePendingMask(sp *bitmat.Sparse) {
 
 // scheduleSlotSparse is scheduleSlot evaluated from a sparse request matrix:
 // the same Table 1–2 semantics, restricted to the rows that can hold a change
-// cell. It requires the pass to have called computePendingMask first. With
-// Params.ShardBounds the per-row cell computation is precomputed per shard
-// (in parallel under Params.ShardRun) before the serial merge.
+// cell. It requires the pass to have called computePendingMask first.
 func (s *Scheduler) scheduleSlotSparse(sp *bitmat.Sparse, slot int) {
 	s.checkSlot(slot)
 	if s.pinned[slot] {
@@ -94,16 +89,8 @@ func (s *Scheduler) scheduleSlotSparse(sp *bitmat.Sparse, slot int) {
 	// A row can hold an L cell only if it has an unserved request (the
 	// pending mask — a row whose requests are all realized in B* cannot
 	// yield an establish), a latched request, or a connection in this slot.
-	// On a warm-prepared pass the incrementally-maintained masks give the
-	// exact support instead: pending (over Reff, so latch rows are folded
-	// in) plus this slot's stale rows (see warmpass.go).
 	am := s.activeMask
-	if w := s.warm; w != nil && w.passActive {
-		st := w.stale[slot]
-		for k := range am {
-			am[k] = w.pending[k] | st[k]
-		}
-	} else if spMask, cfgMask := s.pendingMask, s.cfgRowMask[slot]; s.p.LatchRequests {
+	if spMask, cfgMask := s.pendingMask, s.cfgRowMask[slot]; s.p.LatchRequests {
 		lm := s.latch.RowMask()
 		for w := range am {
 			am[w] = spMask[w] | lm[w] | cfgMask[w]
@@ -124,53 +111,16 @@ func (s *Scheduler) scheduleSlotSparse(sp *bitmat.Sparse, slot int) {
 	}
 	estStart, relStart := len(s.estBuf), len(s.relBuf)
 	b := s.configs[slot]
-
-	if s.shardArena != nil {
-		// Parallel phase: each shard computes its active rows' cells from the
-		// pre-scan state into its own arena. Pure reads of shared state,
-		// writes only to shard-owned storage and the per-row records of the
-		// shard's own rows — race-free by construction.
-		bounds := s.p.ShardBounds
-		run := s.p.ShardRun
-		if run == nil {
-			run = func(k int, fn func(int)) {
-				for i := 0; i < k; i++ {
-					fn(i)
-				}
-			}
-		}
-		run(len(bounds)-1, func(sh int) {
-			arena := s.shardArena[sh][:0]
-			for u := bounds[sh]; u < bounds[sh+1]; u++ {
-				if !maskTest(am, u) {
-					continue
-				}
-				pos := len(arena)
-				arena = s.appendRowCells(arena, sp, slot, u)
-				s.rowCellPos[u] = int32(pos)
-				s.rowCellLen[u] = int32(len(arena) - pos)
-			}
-			s.shardArena[sh] = arena
-		})
-		// Serial merge: exact rotated row order, live availability checks.
-		for _, u := range s.rowsBuf {
-			arena := s.shardArena[s.rowShard[u]]
-			cells := arena[s.rowCellPos[u] : s.rowCellPos[u]+s.rowCellLen[u]]
-			s.applyRowCells(cells, slot, u, bo, b)
-		}
-	} else {
-		for _, u := range s.rowsBuf {
-			s.cellBuf = s.appendRowCells(s.cellBuf[:0], sp, slot, u)
-			s.applyRowCells(s.cellBuf, slot, u, bo, b)
-		}
+	for _, u := range s.rowsBuf {
+		s.cellBuf = s.appendRowCells(s.cellBuf[:0], sp, slot, u)
+		s.applyRowCells(s.cellBuf, slot, u, bo, b)
 	}
 	s.finishSlot(slot, estStart, relStart)
 }
 
 // appendRowCells appends row u's L cells — ascending column order — to dst
-// and returns the extended slice. It reads only row-u state plus B*'s row u,
-// so it is safe to run for many rows concurrently before any cell is
-// applied. The release cell (the slot's connection, no longer requested) is
+// and returns the extended slice. It reads only row-u state plus B*'s row u.
+// The release cell (the slot's connection, no longer requested) is
 // merged into the establish candidates (requested, realized nowhere) at its
 // column position; the two kinds never collide, since an establish candidate
 // has its B* bit clear and the release cell has it set.

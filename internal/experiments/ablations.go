@@ -37,7 +37,7 @@ type tdmCase struct {
 func runTDMCases(ex Exec, wl *traffic.Workload, cases []tdmCase) ([]NamedResult, error) {
 	return sweep(ex, len(cases), func(i int) (NamedResult, error) {
 		c := cases[i]
-		nw, err := newTDM(c.cfg)
+		nw, err := tdm.New(c.cfg)
 		if err != nil {
 			return NamedResult{}, err
 		}

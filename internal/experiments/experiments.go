@@ -19,23 +19,6 @@ import (
 	"pmsnet/internal/wormhole"
 )
 
-// SchedCacheOverride, when non-nil, forces the scheduler's memoized-pass
-// cache on or off for every TDM network the harnesses build. The cache is
-// exact — results are bit-identical either way — so the override exists for
-// the cache-identity tests and for A/B benchmarking of the raw scheduling
-// array. Set it only between sweeps: the parallel runner reads it from
-// worker goroutines while a sweep is in flight.
-var SchedCacheOverride *bool
-
-// newTDM builds a TDM network, applying SchedCacheOverride.
-func newTDM(cfg tdm.Config) (*tdm.Network, error) {
-	if SchedCacheOverride != nil {
-		v := *SchedCacheOverride
-		cfg.SchedCache = &v
-	}
-	return tdm.New(cfg)
-}
-
 // Published experiment configuration (paper §5).
 const (
 	// N is the simulated processor count.
@@ -115,12 +98,12 @@ func fig4Builders(n int) []func() (netmodel.Network, error) {
 		func() (netmodel.Network, error) { return wormhole.New(wormhole.Config{N: n}) },
 		func() (netmodel.Network, error) { return circuit.New(circuit.Config{N: n}) },
 		func() (netmodel.Network, error) {
-			return newTDM(tdm.Config{
+			return tdm.New(tdm.Config{
 				N: n, K: Fig4K,
 				NewPredictor: func() predictor.Predictor { return predictor.NewTimeout(Fig4Timeout) },
 			})
 		},
-		func() (netmodel.Network, error) { return newTDM(tdm.Config{N: n, K: Fig4K, Mode: tdm.Preload}) },
+		func() (netmodel.Network, error) { return tdm.New(tdm.Config{N: n, K: Fig4K, Mode: tdm.Preload}) },
 	}
 }
 
@@ -221,7 +204,7 @@ type Fig5Row struct {
 func Fig5Networks(n int) ([]netmodel.Network, error) {
 	var out []netmodel.Network
 	for k := 0; k <= 2; k++ {
-		nw, err := newTDM(tdm.Config{
+		nw, err := tdm.New(tdm.Config{
 			N: n, K: Fig5K, Mode: tdm.Hybrid, PreloadSlots: k,
 			NewPredictor: func() predictor.Predictor { return predictor.NewTimeout(Fig5Timeout) },
 		})
@@ -249,7 +232,7 @@ func Fig5Exec(ex Exec, n int, dets []float64, seed int64) ([]Fig5Row, error) {
 	results, err := sweep(ex, len(dets)*netCount, func(i int) (metrics.Result, error) {
 		d, k := dets[i/netCount], i%netCount
 		wl := traffic.Mix(n, Fig5Bytes, Fig5Msgs, d, Fig5Think, seed)
-		nw, err := newTDM(tdm.Config{
+		nw, err := tdm.New(tdm.Config{
 			N: n, K: Fig5K, Mode: tdm.Hybrid, PreloadSlots: k,
 			NewPredictor: func() predictor.Predictor { return predictor.NewTimeout(Fig5Timeout) },
 		})

@@ -216,7 +216,7 @@ func OmegaFabricStudyExec(ex Exec, n int, wls []*traffic.Workload) ([]NamedResul
 	fabrics := []fabric.Kind{fabric.KindCrossbar, fabric.KindOmega}
 	return sweep(ex, len(wls)*len(fabrics), func(i int) (NamedResult, error) {
 		wl, fab := wls[i/len(fabrics)], fabrics[i%len(fabrics)]
-		nw, err := newTDM(tdm.Config{N: n, K: Fig4K, Fabric: fab})
+		nw, err := tdm.New(tdm.Config{N: n, K: Fig4K, Fabric: fab})
 		if err != nil {
 			return NamedResult{}, err
 		}
@@ -252,7 +252,7 @@ func FabricBackendSweepExec(ex Exec, n, bytes int, seed int64) ([]NamedResult, e
 		if err != nil {
 			return NamedResult{}, err
 		}
-		nw, err := newTDM(tdm.Config{N: n, K: Fig4K, Fabric: fab})
+		nw, err := tdm.New(tdm.Config{N: n, K: Fig4K, Fabric: fab})
 		if err != nil {
 			return NamedResult{}, err
 		}
@@ -288,7 +288,7 @@ func SchedulerSweepExec(ex Exec, n, bytes int, seed int64) ([]NamedResult, error
 		if err != nil {
 			return NamedResult{}, err
 		}
-		nw, err := newTDM(tdm.Config{N: n, K: Fig4K, Algorithm: alg})
+		nw, err := tdm.New(tdm.Config{N: n, K: Fig4K, Algorithm: alg})
 		if err != nil {
 			return NamedResult{}, err
 		}

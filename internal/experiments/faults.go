@@ -53,13 +53,13 @@ func faultBuilders(n int, plan *fault.Plan) []func() (netmodel.Network, error) {
 		func() (netmodel.Network, error) { return wormhole.New(wormhole.Config{N: n, Faults: plan}) },
 		func() (netmodel.Network, error) { return circuit.New(circuit.Config{N: n, Faults: plan}) },
 		func() (netmodel.Network, error) {
-			return newTDM(tdm.Config{
+			return tdm.New(tdm.Config{
 				N: n, K: Fig4K, Faults: plan,
 				NewPredictor: func() predictor.Predictor { return predictor.NewTimeout(Fig4Timeout) },
 			})
 		},
 		func() (netmodel.Network, error) {
-			return newTDM(tdm.Config{N: n, K: Fig4K, Mode: tdm.Preload, Faults: plan})
+			return tdm.New(tdm.Config{N: n, K: Fig4K, Mode: tdm.Preload, Faults: plan})
 		},
 	}
 }

@@ -49,7 +49,7 @@ func PlannerSweepExec(ex Exec, n int, wls []*traffic.Workload) ([]NamedResult, e
 	}
 	return sweep(ex, len(wls)*len(cases), func(i int) (NamedResult, error) {
 		wl, c := wls[i/len(cases)], cases[i%len(cases)]
-		nw, err := newTDM(c.cfg)
+		nw, err := tdm.New(c.cfg)
 		if err != nil {
 			return NamedResult{}, err
 		}

@@ -13,7 +13,7 @@ import (
 
 // The workload-family studies: sweeps over the post-paper generator
 // families (collectives, phased programs, arrival-process and adversarial
-// patterns) that ROADMAP item 4 calls for. Three harnesses:
+// patterns) that ROADMAP item 4 calls for. Two harnesses:
 //
 //   - FamilySweep runs every new family under reactive dynamic TDM and a
 //     planned hybrid, so each family's predictor hit rate and planner
@@ -22,9 +22,6 @@ import (
 //     to end: the phased family's program is stripped, re-discovered by the
 //     compiler analysis, and its per-phase demand matrices drive the
 //     Solstice planner.
-//   - AdversarySweep pits the scheduler's memoized-pass cache and
-//     warm-started incremental scheduling against the permutation-churn
-//     adversary, with a stable permutation as the control.
 
 // FamilySpecs lists the post-paper workload families the family sweep
 // covers, as generator specs in the shared registry vocabulary.
@@ -67,7 +64,7 @@ func FamilySweepExec(ex Exec, n int, seed int64) ([]NamedResult, error) {
 		if err != nil {
 			return NamedResult{}, fmt.Errorf("experiments: %w", err)
 		}
-		nw, err := newTDM(c.cfg)
+		nw, err := tdm.New(c.cfg)
 		if err != nil {
 			return NamedResult{}, err
 		}
@@ -140,94 +137,5 @@ func PhasedPlannerStudyExec(ex Exec, n int, spec string, seed int64) (PhasedStud
 func PhasedStudyTable(s PhasedStudy) *metrics.Table {
 	t := AblationTable(fmt.Sprintf("Phased families through the compiler: %s (%d phases discovered, demand %v slots)",
 		s.Spec, s.PhaseCount, s.PhaseDemands), s.Rows)
-	return t
-}
-
-// AdversaryPair holds the sched-cache/warm-start telemetry of one
-// adversary-sweep run.
-type AdversaryPair struct {
-	Label  string
-	Result metrics.Result
-}
-
-// AdversarySweep is the serial reference for AdversarySweepExec.
-func AdversarySweep(n int, seed int64) ([]AdversaryPair, error) {
-	return AdversarySweepExec(Serial, n, seed)
-}
-
-// AdversarySweepExec runs dynamic TDM — memoized-pass cache on, warm-started
-// incremental scheduling on — over a stable permutation (shift, the control)
-// and the permutation-churn adversary. The stable workload repeats one
-// request matrix, so passes replay from the cache and warm passes touch few
-// rows; the churn workload presents a fresh permutation every round, so the
-// cache misses and nearly every row re-evaluates. The Sched telemetry gap
-// between the two rows is the cost of losing predictability.
-//
-// Priority rotation is disabled: the pass cache keys on the full scheduler
-// state including the rotation cursor, so with rotation on no key can recur
-// until N passes have elapsed and short runs at large N would show zero
-// hits for every workload — including perfectly stable ones. A permutation
-// needs no fairness rotation (one requester per output), so turning it off
-// isolates the variable under study.
-func AdversarySweepExec(ex Exec, n int, seed int64) ([]AdversaryPair, error) {
-	// Equal per-connection message counts, so the runs differ only in how
-	// the working set moves: one fixed permutation vs a fresh one per round.
-	specs := []string{
-		"shift:msgs=64",
-		"perm-churn:rounds=16,msgs=4",
-	}
-	norot := false
-	results, err := sweep(ex, len(specs), func(i int) (AdversaryPair, error) {
-		wl, err := traffic.Generate(specs[i], n, seed)
-		if err != nil {
-			return AdversaryPair{}, fmt.Errorf("experiments: %w", err)
-		}
-		cfg := tdm.Config{N: n, K: Fig4K, WarmStart: true, RotatePriority: &norot,
-			NewPredictor: func() predictor.Predictor { return predictor.NewTimeout(Fig4Timeout) }}
-		nw, err := newTDM(cfg)
-		if err != nil {
-			return AdversaryPair{}, err
-		}
-		res, err := nw.Run(wl)
-		if err != nil {
-			return AdversaryPair{}, fmt.Errorf("experiments: adversary %s: %w", specs[i], err)
-		}
-		return AdversaryPair{Label: specs[i], Result: res}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return results, nil
-}
-
-// CacheHitRatio returns the memoized-pass cache hit ratio of a run's
-// scheduler telemetry (0 when the run scheduled nothing).
-func CacheHitRatio(r metrics.Result) float64 {
-	total := r.Stats.SchedCacheHits + r.Stats.SchedCacheMisses
-	if total == 0 {
-		return 0
-	}
-	return float64(r.Stats.SchedCacheHits) / float64(total)
-}
-
-// WarmRowFraction returns the mean fraction of rows re-evaluated per
-// warm-started pass, normalized by the port count (1.0 = every warm pass
-// re-evaluated every row; 0 = warm passes repaired nothing).
-func WarmRowFraction(r metrics.Result, n int) float64 {
-	if r.Stats.SchedWarmHits == 0 {
-		return 0
-	}
-	return float64(r.Stats.SchedDirtyRows) / float64(r.Stats.SchedWarmHits*uint64(n))
-}
-
-// AdversaryTable renders the adversary sweep with the scheduler-economy
-// columns the ablation table flattens away.
-func AdversaryTable(n int, rows []AdversaryPair) *metrics.Table {
-	t := metrics.NewTable("Adversarial traffic vs the scheduler caches (dynamic TDM, warm start on)",
-		"workload", "makespan", "efficiency", "cache hit", "warm dirty-row frac", "evictions")
-	for _, r := range rows {
-		t.AddRowf(r.Label, r.Result.Makespan.String(), r.Result.Efficiency,
-			CacheHitRatio(r.Result), WarmRowFraction(r.Result, n), r.Result.Stats.Evictions)
-	}
 	return t
 }

@@ -91,11 +91,6 @@ type Backend interface {
 	// preload controller: an exact edge coloring on rearrangeable fabrics, a
 	// first-fit under CanRealize on blocking ones.
 	Decompose(ws *topology.WorkingSet) ([]*bitmat.Matrix, error)
-	// Leaves returns the number of input-stage switch elements — the natural
-	// sharding grain for per-leaf parallel scheduling. Ports are assigned to
-	// leaves contiguously (leaf i owns ports [i·N/Leaves, (i+1)·N/Leaves)).
-	// The single-stage crossbar has no leaf seam and reports 1.
-	Leaves() int
 }
 
 // NewBackend builds the backend for a kind and port count. Construction
@@ -113,7 +108,6 @@ func NewBackend(kind Kind, n int) (Backend, error) {
 		return &multistageBackend{
 			Crossbar:   NewCrossbar(n, LVDS, 0),
 			kind:       KindOmega,
-			leaves:     o.Leaves(),
 			canRealize: o.CanRealize,
 			decompose: func(ws *topology.WorkingSet) ([]*bitmat.Matrix, error) {
 				return multistage.DecomposeOmega(ws, o)
@@ -132,7 +126,6 @@ func NewBackend(kind Kind, n int) (Backend, error) {
 			Crossbar:      NewCrossbar(n, LVDS, 0),
 			kind:          KindClos,
 			rearrangeable: c.Rearrangeable(),
-			leaves:        c.Leaves(),
 			canRealize:    canRealize,
 		}
 		if b.rearrangeable {
@@ -152,7 +145,6 @@ func NewBackend(kind Kind, n int) (Backend, error) {
 			Crossbar:      NewCrossbar(n, LVDS, 0),
 			kind:          KindBenes,
 			rearrangeable: true,
-			leaves:        bn.Leaves(),
 			canRealize: func(cfg *bitmat.Matrix) bool {
 				_, err := bn.Route(cfg)
 				return err == nil
@@ -177,7 +169,6 @@ type crossbarBackend struct {
 
 func (b crossbarBackend) Kind() Kind          { return KindCrossbar }
 func (b crossbarBackend) Rearrangeable() bool { return true }
-func (b crossbarBackend) Leaves() int         { return 1 }
 
 func (b crossbarBackend) CanRealize(cfg *bitmat.Matrix) bool {
 	return cfg.Rows() == b.Ports() && cfg.Cols() == b.Ports() && cfg.IsPartialPermutation()
@@ -194,14 +185,12 @@ type multistageBackend struct {
 	*Crossbar
 	kind          Kind
 	rearrangeable bool
-	leaves        int
 	canRealize    func(*bitmat.Matrix) bool
 	decompose     func(*topology.WorkingSet) ([]*bitmat.Matrix, error)
 }
 
 func (b *multistageBackend) Kind() Kind          { return b.kind }
 func (b *multistageBackend) Rearrangeable() bool { return b.rearrangeable }
-func (b *multistageBackend) Leaves() int         { return b.leaves }
 
 func (b *multistageBackend) CanRealize(cfg *bitmat.Matrix) bool { return b.canRealize(cfg) }
 

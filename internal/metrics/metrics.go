@@ -35,20 +35,6 @@ type NetStats struct {
 	// they reached the head of their queue; Misses counts those that had to
 	// wait for scheduling. Their ratio is the connection-cache hit rate.
 	Hits, Misses uint64
-	// SchedCacheHits / SchedCacheMisses count memoized scheduling passes:
-	// hits replayed a recorded grant set, misses ran the scheduling array.
-	// Zero when the pass cache is disabled. These are performance counters,
-	// not model state — every other field is bit-identical whether the
-	// cache is on or off.
-	SchedCacheHits, SchedCacheMisses uint64
-	// SchedWarmHits / SchedWarmMisses count warm-started scheduling passes:
-	// hits repaired the previous pass's masks incrementally from the request
-	// journal, misses rebuilt them from scratch. SchedDirtyRows totals the
-	// rows re-evaluated across incremental passes. Zero unless warm-start
-	// scheduling is enabled; like the cache counters these are pure
-	// performance telemetry — the only fields allowed to differ between
-	// warm-on and warm-off runs.
-	SchedWarmHits, SchedWarmMisses, SchedDirtyRows uint64
 	// SlotsUsed / SlotsTotal measure TDM slot utilization: a used slot
 	// carried at least one byte.
 	SlotsUsed, SlotsTotal uint64

@@ -28,10 +28,6 @@ func (b *Benes) Ports() int { return b.n }
 // Stages returns 2·log2(N)−1.
 func (b *Benes) Stages() int { return 2*(bits.Len(uint(b.n))-1) - 1 }
 
-// Leaves returns the number of input-stage 2x2 switch elements, N/2 — the
-// natural sharding grain of the fabric's input side.
-func (b *Benes) Leaves() int { return b.n / 2 }
-
 // BenesRoute is a routed Benes network: the recursive switch settings
 // produced by the looping algorithm. Eval traces an input to its output.
 type BenesRoute struct {

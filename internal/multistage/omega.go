@@ -51,10 +51,6 @@ func (o *Omega) Stages() int { return o.stages }
 // SwitchesPerStage returns N/2.
 func (o *Omega) SwitchesPerStage() int { return o.n / 2 }
 
-// Leaves returns the number of input-stage 2x2 switch elements, N/2 — the
-// natural sharding grain of the fabric's input side.
-func (o *Omega) Leaves() int { return o.n / 2 }
-
 // Settings holds one switch state per stage and switch: false = through,
 // true = cross. Only switches on active paths are meaningful; the Route
 // simulation treats unconstrained switches as through.
@@ -80,55 +76,79 @@ func (o *Omega) Route(cfg *bitmat.Matrix) (Settings, error) {
 	if !cfg.IsPartialPermutation() {
 		return nil, fmt.Errorf("multistage: configuration is not a partial permutation")
 	}
-	settings := make(Settings, o.stages)
-	constrained := make([][]bool, o.stages)
-	for s := range settings {
-		settings[s] = make([]bool, o.n/2)
-		constrained[s] = make([]bool, o.n/2)
+	half := o.n / 2
+	state := make([]uint8, o.stages*half)
+	if b, ok := o.route(cfg, state); !ok {
+		return nil, fmt.Errorf("multistage: connection %d->%d blocked at stage %d switch %d", b.u, b.v, b.stage, b.sw)
 	}
-	for u := 0; u < o.n; u++ {
-		v := cfg.FirstInRow(u)
-		if v < 0 {
-			continue
-		}
-		if err := o.routeOne(settings, constrained, u, v); err != nil {
-			return nil, err
+	settings := make(Settings, o.stages)
+	for s := range settings {
+		settings[s] = make([]bool, half)
+		for sw := range settings[s] {
+			settings[s][sw] = state[s*half+sw] == switchCross
 		}
 	}
 	return settings, nil
 }
 
-// routeOne threads the unique path from input u to output v, fixing switch
-// states along it.
-func (o *Omega) routeOne(settings, constrained [][]bool, u, v int) error {
-	pos := u
-	for s := 0; s < o.stages; s++ {
-		pos = o.shuffle(pos)
-		sw := pos / 2
-		inLine := pos & 1
-		// Destination-tag routing: stage s consumes the destination's bit
-		// (stages-1-s); the path must exit the switch on that line.
-		outLine := (v >> (o.stages - 1 - s)) & 1
-		cross := inLine != outLine
-		if constrained[s][sw] && settings[s][sw] != cross {
-			return fmt.Errorf("multistage: connection %d->%d blocked at stage %d switch %d", u, v, s, sw)
+// Switch states recorded by route; a switch no path crosses stays free.
+const (
+	switchFree uint8 = iota
+	switchThrough
+	switchCross
+)
+
+// blockedConn names the first connection route could not thread.
+type blockedConn struct{ u, v, stage, sw int }
+
+// route threads every connection of cfg, a partial permutation of the
+// network's shape, along its unique path in ascending input order, fixing
+// state[s*N/2+sw] for each switch it crosses. It reports false with the
+// first connection that needs a switch already fixed the other way.
+func (o *Omega) route(cfg *bitmat.Matrix, state []uint8) (blockedConn, bool) {
+	half := o.n / 2
+	for u := 0; u < o.n; u++ {
+		v := cfg.FirstInRow(u)
+		if v < 0 {
+			continue
 		}
-		settings[s][sw] = cross
-		constrained[s][sw] = true
-		pos = sw*2 + outLine
+		pos := u
+		for s := 0; s < o.stages; s++ {
+			pos = o.shuffle(pos)
+			sw := pos / 2
+			inLine := pos & 1
+			// Destination-tag routing: stage s consumes the destination's
+			// bit (stages-1-s); the path must exit the switch on that line.
+			outLine := (v >> (o.stages - 1 - s)) & 1
+			want := switchThrough
+			if inLine != outLine {
+				want = switchCross
+			}
+			if st := &state[s*half+sw]; *st == switchFree {
+				*st = want
+			} else if *st != want {
+				return blockedConn{u, v, s, sw}, false
+			}
+			pos = sw*2 + outLine
+		}
+		if pos != v {
+			// The destination-tag construction lands on v by construction;
+			// a mismatch means the wiring model is broken.
+			panic(fmt.Sprintf("multistage: path from %d ended at %d, want %d", u, pos, v))
+		}
 	}
-	if pos != v {
-		// The destination-tag construction lands on v by construction; a
-		// mismatch means the wiring model is broken.
-		panic(fmt.Sprintf("multistage: path from %d ended at %d, want %d", u, pos, v))
-	}
-	return nil
+	return blockedConn{}, true
 }
 
-// CanRealize reports whether the configuration is Omega-realizable.
+// CanRealize reports whether the configuration is Omega-realizable. It runs
+// Route's admission without building the settings, so the scheduler's
+// per-establish realizability probe costs one allocation.
 func (o *Omega) CanRealize(cfg *bitmat.Matrix) bool {
-	_, err := o.Route(cfg)
-	return err == nil
+	if cfg.Rows() != o.n || cfg.Cols() != o.n || !cfg.IsPartialPermutation() {
+		return false
+	}
+	_, ok := o.route(cfg, make([]uint8, o.stages*o.n/2))
+	return ok
 }
 
 // Eval traces input u through the settings and returns the output it

@@ -67,11 +67,6 @@ const (
 	// down (or a crosspoint dying) and a link coming back up.
 	FaultInjected
 	FaultRecovered
-	// SchedWarmPass fires once per warm-prepared scheduling pass, between
-	// SchedPassBegin and SchedPassEnd: the warm masks were brought up to
-	// date incrementally (ID=1, Aux = rows re-evaluated) or rebuilt from
-	// scratch (ID=0, Aux=-1).
-	SchedWarmPass
 
 	// KindCount is the number of event kinds; sinks may size arrays with it.
 	KindCount
@@ -110,8 +105,6 @@ func (k Kind) String() string {
 		return "fault-injected"
 	case FaultRecovered:
 		return "fault-recovered"
-	case SchedWarmPass:
-		return "sched-warm-pass"
 	default:
 		return "unknown"
 	}
@@ -137,7 +130,6 @@ func (k Kind) String() string {
 //	MsgDelivered     Src, Dst, ID, Aux (latency ns)
 //	FaultInjected    Src (port or crossbar input), Dst (crossbar output, -1 for a link fault), ID (0 link, 1 crosspoint), Aux (1 when permanent)
 //	FaultRecovered   Src (port)
-//	SchedWarmPass    ID (1 incremental, 0 full rebuild), Aux (dirty rows re-evaluated, -1 on rebuild)
 type Event struct {
 	// At is the simulated timestamp of the event.
 	At sim.Time

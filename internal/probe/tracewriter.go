@@ -145,9 +145,6 @@ func (t *TraceWriter) Handle(ev Event) {
 	case FaultRecovered:
 		t.line(`{"name":"link-up","cat":"fault","ph":"i","s":"g","ts":%s,"pid":1,"tid":%d,"args":{"port":%d}}`,
 			us(ev.At), tidFaults, ev.Src)
-	case SchedWarmPass:
-		t.line(`{"name":"warm-dirty-rows","cat":"sched","ph":"C","ts":%s,"pid":1,"tid":%d,"args":{"dirty":%d,"rebuild":%d}}`,
-			us(ev.At), tidSched, ev.Aux, 1-ev.ID)
 	}
 }
 

@@ -45,19 +45,13 @@ type ConfigSpec struct {
 	AmplifyBytes      int    `json:"amplify_bytes,omitempty"`
 	Fabric            string `json:"fabric,omitempty"`
 	// Faults is a fault-plan spec in the pmsnet.ParseFaults syntax.
-	Faults     string `json:"faults,omitempty"`
-	SchedCache *bool  `json:"sched_cache,omitempty"`
+	Faults string `json:"faults,omitempty"`
 	// Scheduler selects the TDM scheduling algorithm (paper, islip,
 	// wavefront); empty means the paper scheduler.
 	Scheduler string `json:"scheduler,omitempty"`
 	// Planner selects the preload planner for tdm-preload/tdm-hybrid
 	// (static, solstice, bvn); empty means the static decomposition.
 	Planner string `json:"planner,omitempty"`
-	// SchedShards and SchedWarmStart are the execution-only scheduler
-	// knobs: bit-identical results, wall-clock cost only. They do not
-	// fragment the result cache (excluded from Config.Hash).
-	SchedShards    int  `json:"sched_shards,omitempty"`
-	SchedWarmStart bool `json:"sched_warm_start,omitempty"`
 }
 
 // WorkloadSpec selects a workload from the shared generator registry (the
@@ -268,9 +262,6 @@ func buildConfig(spec ConfigSpec) (pmsnet.Config, error) {
 		EvictionTimeout:   time.Duration(spec.EvictionTimeoutNS),
 		EvictionThreshold: spec.EvictionThreshold,
 		AmplifyBytes:      spec.AmplifyBytes,
-		SchedCache:        spec.SchedCache,
-		SchedShards:       spec.SchedShards,
-		SchedWarmStart:    spec.SchedWarmStart,
 		Parallelism:       1, // each job owns exactly one worker
 	}
 	var err error

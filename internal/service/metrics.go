@@ -58,17 +58,10 @@ type metrics struct {
 	cancelled   atomic.Uint64 // StateCancelled
 	inFlight    atomic.Int64  // jobs currently on a worker
 
-	// Scheduler activity aggregated from every report of every freshly
-	// completed job (cache replays don't re-run the simulation, so they
-	// add nothing here).
-	schedCacheHits   atomic.Uint64
-	schedCacheMisses atomic.Uint64
-	schedWarmHits    atomic.Uint64
-	schedWarmMisses  atomic.Uint64
-	schedDirtyRows   atomic.Uint64
-
-	// Preload-planner activity aggregated the same way: runs whose config
-	// selected a planner, and the schedule shapes those plans produced.
+	// Preload-planner activity aggregated from every report of every
+	// freshly completed job (cache replays don't re-run the simulation, so
+	// they add nothing here): runs whose config selected a planner, and the
+	// schedule shapes those plans produced.
 	plannedRuns       atomic.Uint64
 	planConfigs       atomic.Uint64
 	planResidualConns atomic.Uint64
@@ -98,17 +91,8 @@ type MetricsSnapshot struct {
 	Deadlines     uint64  `json:"deadlines"`
 	Cancelled     uint64  `json:"cancelled"`
 
-	// Scheduler counters summed over the reports of completed jobs: the
-	// memo-cache and warm-start activity of the simulations themselves
-	// (as opposed to the service's own result cache above).
-	SchedCacheHits   uint64 `json:"sched_cache_hits"`
-	SchedCacheMisses uint64 `json:"sched_cache_misses"`
-	SchedWarmHits    uint64 `json:"sched_warm_hits"`
-	SchedWarmMisses  uint64 `json:"sched_warm_misses"`
-	SchedDirtyRows   uint64 `json:"sched_dirty_rows"`
-
-	// Preload-planner counters summed the same way: how many completed
-	// runs carried a planned schedule, and that schedule's shape.
+	// Preload-planner counters summed over the reports of completed jobs:
+	// how many runs carried a planned schedule, and that schedule's shape.
 	PlannedRuns       uint64 `json:"planned_runs"`
 	PlanConfigs       uint64 `json:"plan_configs"`
 	PlanResidualConns uint64 `json:"plan_residual_conns"`
@@ -133,12 +117,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		Deadlines:   m.deadlines.Load(),
 		Cancelled:   m.cancelled.Load(),
 
-		SchedCacheHits:   m.schedCacheHits.Load(),
-		SchedCacheMisses: m.schedCacheMisses.Load(),
-		SchedWarmHits:    m.schedWarmHits.Load(),
-		SchedWarmMisses:  m.schedWarmMisses.Load(),
-		SchedDirtyRows:   m.schedDirtyRows.Load(),
-
 		PlannedRuns:       m.plannedRuns.Load(),
 		PlanConfigs:       m.planConfigs.Load(),
 		PlanResidualConns: m.planResidualConns.Load(),
@@ -150,16 +128,6 @@ func (m *metrics) snapshot() MetricsSnapshot {
 		s.CacheHitRate = float64(hits) / float64(hits+misses)
 	}
 	return s
-}
-
-// recordSched folds one completed report's scheduler counters into the
-// aggregate /metrics view.
-func (m *metrics) recordSched(hits, misses, warmHits, warmMisses, dirtyRows uint64) {
-	m.schedCacheHits.Add(hits)
-	m.schedCacheMisses.Add(misses)
-	m.schedWarmHits.Add(warmHits)
-	m.schedWarmMisses.Add(warmMisses)
-	m.schedDirtyRows.Add(dirtyRows)
 }
 
 // recordPlan folds one completed report's preload-planner counters into the

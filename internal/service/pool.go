@@ -151,8 +151,6 @@ func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
 		return nil, err
 	}
 	for _, rep := range reports {
-		s.metrics.recordSched(rep.Sched.CacheHits, rep.Sched.CacheMisses,
-			rep.Sched.WarmHits, rep.Sched.WarmMisses, rep.Sched.DirtyRows)
 		s.metrics.recordPlan(rep.Plan.Planner, rep.Plan.Configs, rep.Plan.ResidualConns)
 	}
 	return json.Marshal(JobResult{Reports: reports})

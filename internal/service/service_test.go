@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 )
@@ -598,38 +599,55 @@ func TestJobRegistryPrunesTerminalJobs(t *testing.T) {
 	_ = fmt.Sprintf("%s", firstID)
 }
 
-// TestMetricsAggregateSchedCounters pins the /metrics scheduler aggregation:
-// a freshly completed warm-start job contributes its report's sched-cache and
-// warm-start counters, and a cached replay of the same job contributes
-// nothing (the simulation never re-ran).
-func TestMetricsAggregateSchedCounters(t *testing.T) {
+// TestRemovedSchedFieldsRejected pins the API removal of the scheduler's
+// execution-only knobs: the strict decoder answers a job spec that still
+// carries sched_cache, sched_shards or sched_warm_start with a 400 naming
+// the field, and /metrics reports no sched_* aggregates after a completed
+// TDM job.
+func TestRemovedSchedFieldsRejected(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	spec := JobSpec{
-		Config:   ConfigSpec{Switching: "tdm-dynamic", N: 16, SchedWarmStart: true},
-		Workload: WorkloadSpec{Pattern: "random-mesh", Msgs: 20, Seed: 3},
+	for _, field := range []struct{ name, value string }{
+		{"sched_cache", "false"},
+		{"sched_shards", "4"},
+		{"sched_warm_start", "true"},
+	} {
+		field := field
+		t.Run(field.name, func(t *testing.T) {
+			body := `{"config": {"switching": "tdm-dynamic", "n": 16, "` + field.name + `": ` + field.value + `},
+				"workload": {"pattern": "random-mesh", "msgs": 5, "seed": 3}}`
+			resp, err := http.Post(ts.URL+"/jobs?wait=1", "application/json", strings.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			b, err := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(b), field.name) {
+				t.Errorf("status %d body %s, want a 400 naming the field", resp.StatusCode, b)
+			}
+		})
 	}
-	if resp, body := post(t, ts, spec, true); resp.StatusCode != http.StatusOK {
-		t.Fatalf("warm job: status %d: %s", resp.StatusCode, body)
-	}
-	m := fetchMetrics(t, ts)
-	if m.SchedCacheHits+m.SchedCacheMisses == 0 {
-		t.Error("sched cache counters stayed zero after a completed TDM job")
-	}
-	if m.SchedWarmHits+m.SchedWarmMisses == 0 {
-		t.Error("warm counters stayed zero after a completed warm-start job")
-	}
-	// The replay is a service-cache hit: aggregates must not move.
-	if resp, body := post(t, ts, spec, true); resp.StatusCode != http.StatusOK {
-		t.Fatalf("replay: status %d: %s", resp.StatusCode, body)
-	}
-	m2 := fetchMetrics(t, ts)
-	if m2.CacheHits != m.CacheHits+1 {
-		t.Fatalf("replay was not a cache hit: %+v -> %+v", m, m2)
-	}
-	if m2.SchedWarmHits != m.SchedWarmHits || m2.SchedCacheMisses != m.SchedCacheMisses ||
-		m2.SchedDirtyRows != m.SchedDirtyRows {
-		t.Errorf("cached replay moved the sched aggregates: %+v -> %+v", m, m2)
-	}
+	t.Run("metrics", func(t *testing.T) {
+		if resp, body := post(t, ts, simSpec(3), true); resp.StatusCode != http.StatusOK {
+			t.Fatalf("sim job: status %d: %s", resp.StatusCode, body)
+		}
+		resp, err := http.Get(ts.URL + "/metrics")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var m map[string]any
+		if err := json.NewDecoder(resp.Body).Decode(&m); err != nil {
+			t.Fatal(err)
+		}
+		for key := range m {
+			if strings.HasPrefix(key, "sched_") {
+				t.Errorf("/metrics still reports %q", key)
+			}
+		}
+	})
 }
 
 func TestMetricsAggregatePlanCounters(t *testing.T) {

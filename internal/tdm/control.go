@@ -100,18 +100,7 @@ func (r *run) onSLPass() {
 		r.reqMerge.Or(r.specReq)
 		req = r.reqMerge
 	}
-	var res core.PassResult
-	switch {
-	case r.useWarm:
-		// A merge pass hands the scheduler reqMerge instead of the journaled
-		// reqView; PassWarm detects the swap and rebuilds its masks for that
-		// pass, staying bit-identical.
-		res = r.sched.PassWarm(req)
-	case r.useSparse:
-		res = r.sched.PassSparse(req)
-	default:
-		res = r.sched.Pass(req.Matrix())
-	}
+	res := r.sched.PassSparse(req)
 	for _, c := range res.Established {
 		r.deliverGrant(c.Src, c.Dst, 0)
 		r.specReq.Clear(c.Src, c.Dst)

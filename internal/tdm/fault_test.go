@@ -278,3 +278,48 @@ func TestFaultRunsDeterministic(t *testing.T) {
 		t.Fatalf("two identical faulty runs diverged:\n  a: %+v\n  b: %+v", a, b)
 	}
 }
+
+// TestFaultRecoveryAcrossFamilies runs the transient fault cocktail on every
+// registered workload family under dynamic TDM. Link churn evicts
+// connections through EvictPort in the middle of the families' request
+// patterns (permutations, collectives, incast, flush-separated phases); every
+// message must still arrive, the accounting must reconcile, and the run must
+// stay deterministic.
+func TestFaultRecoveryAcrossFamilies(t *testing.T) {
+	cfg := Config{
+		N: 16, K: 4,
+		Faults: &fault.Plan{
+			Seed:            11,
+			CorruptProb:     0.02,
+			RequestLossProb: 0.02,
+			GrantLossProb:   0.02,
+			LinkMTBF:        100 * sim.Microsecond,
+			LinkMTTR:        2 * sim.Microsecond,
+		},
+	}
+	var linkFailures, retries uint64
+	for _, name := range traffic.Names() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			wl, err := traffic.Generate(name, cfg.N, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a := faultRun(t, cfg, wl)
+			if a.Messages != wl.MessageCount() || a.Stats.Faults.Dropped != 0 {
+				t.Fatalf("delivered %d of %d (dropped %d): transient faults must not lose traffic",
+					a.Messages, wl.MessageCount(), a.Stats.Faults.Dropped)
+			}
+			b := faultRun(t, cfg, wl)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("faulty run not deterministic:\n  a: %+v\n  b: %+v", a, b)
+			}
+			linkFailures += a.Stats.Faults.LinkFailures
+			retries += a.Stats.Faults.Retries
+		})
+	}
+	if linkFailures == 0 || retries == 0 {
+		t.Fatalf("cocktail fired %d link failures and %d retries over all families, want both > 0",
+			linkFailures, retries)
+	}
+}

@@ -1,19 +1,12 @@
 package tdm
 
 import (
-	"reflect"
 	"testing"
 
 	"pmsnet/internal/core"
-	"pmsnet/internal/fabric"
 	"pmsnet/internal/metrics"
 	"pmsnet/internal/traffic"
 )
-
-// Identity suites for the scale-out execution knobs: the sparse request
-// path and per-leaf sharded scheduling are performance features, so the
-// pinned property is a bit-identical metrics.Result against the dense,
-// unsharded run — in every mode, with the self-check armed.
 
 func identityRun(t *testing.T, cfg Config, wl *traffic.Workload) metrics.Result {
 	t.Helper()
@@ -30,74 +23,6 @@ func identityWorkloads() map[string]*traffic.Workload {
 		"random-mesh": traffic.RandomMesh(16, 64, 8, 3),
 		"all-to-all":  traffic.AllToAll(16, 64),
 		"two-phase":   traffic.TwoPhase(16, 32, 5),
-	}
-}
-
-// TestSparseDenseReportBitIdentical pins the sparse request path: turning
-// Sparse off must not change a single field of the Result, across modes and
-// fabrics, with and without the scheduler cache.
-func TestSparseDenseReportBitIdentical(t *testing.T) {
-	off, on := false, true
-	configs := map[string]Config{
-		"dynamic":          {N: 16, K: 4},
-		"hybrid":           {N: 16, K: 4, Mode: Hybrid, PreloadSlots: 1},
-		"dynamic/no-cache": {N: 16, K: 4, SchedCache: &off},
-		"dynamic/benes":    {N: 16, K: 4, Fabric: fabric.KindBenes},
-		"dynamic/omega":    {N: 16, K: 4, Fabric: fabric.KindOmega},
-	}
-	for mode, cfg := range configs {
-		for wname, wl := range identityWorkloads() {
-			sparse := cfg
-			sparse.Sparse = &on
-			dense := cfg
-			dense.Sparse = &off
-			want := identityRun(t, sparse, wl)
-			got := identityRun(t, dense, wl)
-			if !reflect.DeepEqual(want, got) {
-				t.Errorf("%s/%s: dense path drifted from sparse:\n sparse: %+v\n dense:  %+v",
-					mode, wname, want, got)
-			}
-		}
-	}
-}
-
-// TestShardedReportBitIdentical pins per-leaf sharded scheduling: any shard
-// count — including counts above the leaf count, which clamp — must produce
-// the same Result as the unsharded run on every leafed fabric.
-func TestShardedReportBitIdentical(t *testing.T) {
-	for _, fab := range []fabric.Kind{fabric.KindClos, fabric.KindBenes, fabric.KindOmega} {
-		for wname, wl := range identityWorkloads() {
-			base := identityRun(t, Config{N: 16, K: 4, Fabric: fab}, wl)
-			for _, shards := range []int{2, 4, 64} {
-				got := identityRun(t, Config{N: 16, K: 4, Fabric: fab, Shards: shards}, wl)
-				if !reflect.DeepEqual(base, got) {
-					t.Errorf("%s/%s: %d shards drifted from unsharded:\n base: %+v\n got:  %+v",
-						fab, wname, shards, base, got)
-				}
-			}
-		}
-	}
-}
-
-// TestShardingDisengagesCleanly pins the gating: sharding only engages for
-// the paper algorithm on the sparse path over a leafed fabric; every other
-// combination silently runs unsharded and must stay bit-identical.
-func TestShardingDisengagesCleanly(t *testing.T) {
-	off := false
-	wl := traffic.RandomMesh(16, 64, 6, 1)
-	cases := map[string]Config{
-		"crossbar has one leaf": {N: 16, K: 4, Shards: 4},
-		"dense path":            {N: 16, K: 4, Fabric: fabric.KindClos, Shards: 4, Sparse: &off},
-		"islip":                 {N: 16, K: 4, Fabric: fabric.KindClos, Shards: 4, Algorithm: core.AlgISLIP},
-	}
-	for name, cfg := range cases {
-		unsharded := cfg
-		unsharded.Shards = 0
-		want := identityRun(t, unsharded, wl)
-		got := identityRun(t, cfg, wl)
-		if !reflect.DeepEqual(want, got) {
-			t.Errorf("%s: shard request changed the report:\n want: %+v\n got:  %+v", name, want, got)
-		}
 	}
 }
 

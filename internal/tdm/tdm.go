@@ -32,7 +32,6 @@ package tdm
 
 import (
 	"fmt"
-	"runtime"
 
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/core"
@@ -44,7 +43,6 @@ import (
 	"pmsnet/internal/plan"
 	"pmsnet/internal/predictor"
 	"pmsnet/internal/probe"
-	"pmsnet/internal/runner"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/traffic"
 )
@@ -113,12 +111,6 @@ type Config struct {
 	RotatePriority *bool
 	// SkipEmptySlots enables TDM-counter empty-slot skipping (default on).
 	SkipEmptySlots *bool
-	// SchedCache enables the scheduler's memoized-pass cache (default on):
-	// passes repeating a previously seen (state, request-matrix) pair replay
-	// the recorded grant set instead of re-running the scheduling array.
-	// Results are bit-identical either way; turn it off to benchmark the
-	// raw array or to bisect a suspected cache defect.
-	SchedCache *bool
 	// SLCopies is the number of scheduling-logic units (extension 1);
 	// zero means 1.
 	SLCopies int
@@ -132,28 +124,8 @@ type Config struct {
 	// Algorithm selects the scheduler's matching algorithm (default: the
 	// paper-exact Tables 1–2 array). The alternatives (iSLIP, wavefront) are
 	// comparison baselines; only the paper algorithm is bit-pinned by the
-	// golden reports and memoized.
+	// golden reports.
 	Algorithm core.Algorithm
-	// Sparse selects the sparse request-matrix path (default on): request
-	// wires and scheduling passes carry per-row nonzero lists alongside the
-	// dense words, so low-occupancy passes skip the dense word scans. Results
-	// are bit-identical either way; turn it off to benchmark the dense path
-	// or bisect a suspected sparsity defect.
-	Sparse *bool
-	// Shards caps the number of per-leaf scheduler shards for the paper
-	// algorithm's sparse pass: the pass precomputes change cells in parallel
-	// across leaf-aligned row shards, then merges grants serially in priority
-	// order, so results stay bit-identical to unsharded scheduling. Zero
-	// disables sharding. Sharding engages only on fabrics with a leaf seam
-	// (Leaves() > 1) under the paper algorithm with the sparse path on.
-	Shards int
-	// WarmStart enables warm-started incremental scheduling for the paper
-	// algorithm's sparse pass: the request wire carries a delta journal and
-	// each pass re-evaluates only the rows that changed since the previous
-	// one. Results are bit-identical to cold scheduling; like Shards, the
-	// knob engages only for the paper algorithm with the sparse path on and
-	// silently runs cold otherwise.
-	WarmStart bool
 	// Horizon bounds simulated time; zero means netmodel.DefaultHorizon.
 	Horizon sim.Time
 	// Faults, when non-nil and active, injects link failures, corrupted
@@ -188,14 +160,8 @@ func (c Config) withDefaults() Config {
 	if c.SkipEmptySlots == nil {
 		c.SkipEmptySlots = boolPtr(true)
 	}
-	if c.SchedCache == nil {
-		c.SchedCache = boolPtr(true)
-	}
 	if c.SLCopies == 0 {
 		c.SLCopies = 1
-	}
-	if c.Sparse == nil {
-		c.Sparse = boolPtr(true)
 	}
 	if c.Horizon == 0 {
 		c.Horizon = netmodel.DefaultHorizon
@@ -222,9 +188,6 @@ func (c Config) Validate() error {
 	}
 	if c.AmplifyBytes < 0 {
 		return fmt.Errorf("tdm: negative amplification threshold %d", c.AmplifyBytes)
-	}
-	if c.Shards < 0 {
-		return fmt.Errorf("tdm: negative scheduler shard count %d", c.Shards)
 	}
 	if _, err := fabric.NewBackend(c.Fabric, c.N); err != nil {
 		return err
@@ -313,20 +276,12 @@ type run struct {
 	// reqMerge is the reusable scratch for reqView|specReq so the per-pass
 	// merge does not allocate.
 	reqMerge *bitmat.Sparse
-	// useSparse selects PassSparse over Pass (Config.Sparse); results are
-	// bit-identical either way. useWarm additionally selects PassWarm
-	// (Config.WarmStart; implies useSparse).
-	useSparse bool
-	useWarm   bool
 	// connsBuf is the reusable slot-connection snapshot of the data-plane
 	// grant loop.
 	connsBuf []core.Change
 	// deliverFn is the cached deliver method value, so scheduling a
 	// message's delivery allocates no closure.
 	deliverFn sim.ArgHandler
-	// pool runs scheduler shards in parallel (nil when sharding is off);
-	// closed when the run finishes.
-	pool *runner.Pool
 	// queued counts messages pending per (src, dst) pair.
 	queued *netmodel.PairQueues
 	// grantAt[u][v] is the earliest time NIC u may use a dynamically
@@ -380,9 +335,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 	}
 	var canEstablish func(b *bitmat.Matrix, u, v int) bool
 	if !fab.Rearrangeable() {
-		// One reusable trial matrix: the hook stays a pure function of
-		// (b, u, v) — required by the scheduler's memoized-pass cache —
-		// while avoiding a clone per realizability probe.
+		// One reusable trial matrix avoids a clone per realizability probe.
 		trial := bitmat.NewSquare(cfg.N)
 		canEstablish = func(b *bitmat.Matrix, u, v int) bool {
 			trial.CopyFrom(b)
@@ -390,38 +343,6 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 			return fab.CanRealize(trial)
 		}
 	}
-	// Per-leaf scheduler sharding engages only where it can help and cannot
-	// change results: the paper algorithm's sparse pass, on a fabric with a
-	// leaf seam. Shard bounds align to leaf boundaries (contiguous port
-	// ranges per leaf), and the shards run on a persistent worker pool.
-	var shardBounds []int
-	var shardRun func(int, func(int))
-	var pool *runner.Pool
-	if shards := cfg.Shards; shards > 1 && cfg.Algorithm == core.AlgPaper && *cfg.Sparse {
-		if leaves := fab.Leaves(); leaves > 1 {
-			if shards > leaves {
-				shards = leaves
-			}
-			portsPerLeaf := cfg.N / leaves
-			shardBounds = make([]int, shards+1)
-			for i := 1; i < shards; i++ {
-				shardBounds[i] = (i * leaves / shards) * portsPerLeaf
-			}
-			shardBounds[shards] = cfg.N
-			workers := shards
-			if g := runtime.GOMAXPROCS(0); workers > g {
-				workers = g
-			}
-			pool = runner.NewPool(workers)
-			shardRun = pool.Run
-		}
-	}
-	if pool != nil {
-		defer pool.Close()
-	}
-	// Warm-started scheduling has the same engagement rule as sharding:
-	// paper algorithm, sparse path. Anything else runs cold, bit-identically.
-	useWarm := cfg.WarmStart && cfg.Algorithm == core.AlgPaper && *cfg.Sparse
 	sched, err := core.NewScheduler(core.Params{
 		N:              cfg.N,
 		K:              cfg.K,
@@ -430,40 +351,27 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 		SLCopies:       cfg.SLCopies,
 		LatchRequests:  pred != nil,
 		CanEstablish:   canEstablish,
-		Memoize:        *cfg.SchedCache,
 		Algorithm:      cfg.Algorithm,
-		ShardBounds:    shardBounds,
-		ShardRun:       shardRun,
-		WarmStart:      useWarm,
 	})
 	if err != nil {
 		return metrics.Result{}, err
 	}
 	reqWire := netmodel.NewRequestWire(eng, cfg.N, cfg.Link.ControlDelay(), "request-wire")
 	r := &run{
-		cfg:       cfg,
-		eng:       eng,
-		fab:       fab,
-		sched:     sched,
-		pred:      pred,
-		reqWire:   reqWire,
-		reqView:   reqWire.ViewSparse(),
-		specReq:   bitmat.NewSparse(cfg.N, cfg.N),
-		reqMerge:  bitmat.NewSparse(cfg.N, cfg.N),
-		useSparse: *cfg.Sparse,
-		useWarm:   useWarm,
-		pool:      pool,
-		queued:    netmodel.NewPairQueues(cfg.N),
-		grantAt:   make([][]sim.Time, cfg.N),
-		probe:     cfg.Probe,
+		cfg:      cfg,
+		eng:      eng,
+		fab:      fab,
+		sched:    sched,
+		pred:     pred,
+		reqWire:  reqWire,
+		reqView:  reqWire.ViewSparse(),
+		specReq:  bitmat.NewSparse(cfg.N, cfg.N),
+		reqMerge: bitmat.NewSparse(cfg.N, cfg.N),
+		queued:   netmodel.NewPairQueues(cfg.N),
+		grantAt:  make([][]sim.Time, cfg.N),
+		probe:    cfg.Probe,
 	}
 	r.deliverFn = r.deliver
-	if useWarm {
-		// The journal feeds the warm pass its dirty-row closure; every
-		// request mutation (control wire, completion drops, fault recovery)
-		// funnels through the Sparse mutators and lands in it.
-		r.reqView.EnableJournal()
-	}
 	if cfg.Probe != nil {
 		sched.SetProbe(cfg.Probe, eng.Now)
 	}
@@ -541,11 +449,6 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 	r.stats.Released = st.Released
 	r.stats.Evictions = st.Evictions
 	r.stats.Flushes = st.Flushes
-	r.stats.SchedCacheHits = st.CacheHits
-	r.stats.SchedCacheMisses = st.CacheMisses
-	r.stats.SchedWarmHits = st.WarmHits
-	r.stats.SchedWarmMisses = st.WarmMisses
-	r.stats.SchedDirtyRows = st.DirtyRows
 	if r.inj != nil {
 		fs := driver.FaultStats()
 		fs.Reschedules = r.reschedules

@@ -13,12 +13,11 @@ import (
 // any cache can amortize it; Incast starves one output port; Bursty breaks
 // the smooth-arrival assumption the time-out predictor relies on.
 
-// PermChurn builds the scheduler-cache adversary: `rounds` rounds, each a
-// fresh seeded random permutation, each connection carrying `msgs` messages
-// of `bytes` bytes before the permutation changes. Every round presents the
-// scheduler with an unseen request matrix, so the memoized-pass cache never
-// hits warm state and warm-started scheduling re-evaluates nearly every
-// row — the measurable degradation the adversary sweep pins down.
+// PermChurn builds the working-set adversary: `rounds` rounds, each a fresh
+// seeded random permutation, each connection carrying `msgs` messages of
+// `bytes` bytes before the permutation changes. Every round presents the
+// scheduler with an unseen request matrix, so the connections established
+// for one round are of no use to the next.
 func PermChurn(n, bytes, msgs, rounds int, seed int64) *Workload {
 	checkSize(n, bytes)
 	if msgs <= 0 || rounds <= 0 {

@@ -224,7 +224,7 @@ func init() {
 	})
 	Register(&Generator{
 		Name: "perm-churn",
-		Doc:  "fresh random permutation every round — defeats sched-cache/warm-start",
+		Doc:  "fresh random permutation every round — the working set never settles",
 		Params: []Param{
 			{Name: "rounds", Kind: KindInt, Default: "16", Doc: "permutation rounds"},
 			{Name: "bytes", Kind: KindInt, Default: "64", Doc: "message size"},

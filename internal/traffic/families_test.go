@@ -179,7 +179,7 @@ func TestPermChurnRotatesPermutations(t *testing.T) {
 	const n, rounds, msgs = 16, 4, 2
 	wl := PermChurn(n, 64, msgs, rounds, 1)
 	// The union working set must be much wider than any single permutation:
-	// that width is what defeats the scheduling caches.
+	// that width is what keeps the working set from settling.
 	if deg := wl.ConnSet().Degree(); deg < 2 {
 		t.Errorf("union working-set degree = %d, want >= 2 (distinct permutations)", deg)
 	}

@@ -467,25 +467,6 @@ type Config struct {
 	// reports; the alternatives are comparison baselines. The non-TDM
 	// baselines ignore the field.
 	Scheduler Scheduler
-	// SchedShards caps the number of per-leaf scheduler shards for the TDM
-	// modes: scheduling passes precompute change cells in parallel across
-	// leaf-aligned port shards, then merge grants serially in priority
-	// order, so results are bit-identical to unsharded scheduling (the
-	// Report does not change; only wall-clock cost does, which is why the
-	// field is excluded from Config.Hash). Zero disables sharding. Sharding
-	// engages only on fabrics with a leaf seam (Clos, Omega, Benes) under
-	// the paper scheduler.
-	SchedShards int
-	// SchedWarmStart enables warm-started incremental scheduling for the
-	// TDM modes: the request matrix keeps a delta journal, and each
-	// scheduling pass seeds itself from the previous pass's configuration
-	// state, re-evaluating only the rows whose requests or connections
-	// changed. Results are bit-identical to cold scheduling (the Report
-	// does not change beyond the Sched.Warm* telemetry counters; only
-	// wall-clock cost does, which is why the field is excluded from
-	// Config.Hash). Warm starting engages only under the paper scheduler;
-	// combining it with another Scheduler fails Validate.
-	SchedWarmStart bool
 	// Faults, when non-nil and active, injects faults per the plan: link
 	// failures (MTBF/MTTR or scripted), corrupted payloads caught by the
 	// receiving NIC's CRC, lost scheduler request/grant tokens and dead
@@ -502,15 +483,6 @@ type Config struct {
 	// reproducible; parallelism comes from running independent simulations
 	// concurrently, with results always in input order.
 	Parallelism int
-	// SchedCache controls the TDM scheduler's memoized-pass cache: passes
-	// repeating a previously seen (scheduler state, request matrix) pair
-	// replay the recorded grant set instead of re-running the scheduling
-	// array. nil (the default) enables it. Results are bit-identical with
-	// the cache on or off — only the Report's Sched.CacheHits/CacheMisses
-	// counters and the wall-clock cost differ — so disabling it is only
-	// useful for benchmarking the raw array or bisecting a suspected cache
-	// defect. Ignored by the non-TDM baselines.
-	SchedCache *bool
 	// Probe, when non-nil, streams typed simulation events (slot, scheduler,
 	// connection, message and fault lifecycle) to the probe's sinks during
 	// the run. Probes are purely observational: the Report is bit-identical
@@ -631,30 +603,10 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "Scheduler", Value: int(c.Scheduler),
 			Reason: fmt.Sprintf("unknown scheduler (valid: %s)", strings.Join(SchedulerNames(), ", "))}
 	}
-	if c.SchedShards < 0 {
-		return &ConfigError{Field: "SchedShards", Value: c.SchedShards, Reason: "must not be negative"}
-	}
 	switch c.Switching {
 	case DynamicTDM, PreloadTDM, HybridTDM:
-		be, err := fabric.NewBackend(fabricKinds[c.Fabric], c.N)
-		if err != nil {
+		if _, err := fabric.NewBackend(fabricKinds[c.Fabric], c.N); err != nil {
 			return &ConfigError{Field: "Fabric", Value: c.Fabric.String(), Reason: err.Error()}
-		}
-		// Sharding and warm starting are paper-scheduler features: both
-		// lean on the Tables 1–2 pass structure (leaf-aligned change cells,
-		// rotated-row re-evaluation). Asking for them elsewhere is a
-		// misconfiguration, not something to ignore silently.
-		if c.SchedShards > 1 && c.Scheduler != SchedulerPaper {
-			return &ConfigError{Field: "SchedShards", Value: c.SchedShards,
-				Reason: fmt.Sprintf("sharding requires the paper scheduler, not %s", c.Scheduler)}
-		}
-		if c.SchedShards > 1 && be.Leaves() < 2 {
-			return &ConfigError{Field: "SchedShards", Value: c.SchedShards,
-				Reason: fmt.Sprintf("fabric %s has a single leaf, no seam to shard on", c.Fabric)}
-		}
-		if c.SchedWarmStart && c.Scheduler != SchedulerPaper {
-			return &ConfigError{Field: "SchedWarmStart", Value: c.Scheduler.String(),
-				Reason: "warm-start scheduling requires the paper scheduler"}
 		}
 	}
 	if c.Parallelism < 0 {
@@ -721,11 +673,9 @@ func (c Config) network() (netmodel.Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := tdm.Config{N: c.N, K: c.K, NewPredictor: pf, AmplifyBytes: c.AmplifyBytes, Faults: c.Faults, SchedCache: c.SchedCache, Probe: c.Probe}
+		cfg := tdm.Config{N: c.N, K: c.K, NewPredictor: pf, AmplifyBytes: c.AmplifyBytes, Faults: c.Faults, Probe: c.Probe}
 		cfg.Fabric = fabricKinds[c.Fabric]
 		cfg.Algorithm = schedulerAlgs[c.Scheduler]
-		cfg.Shards = c.SchedShards
-		cfg.WarmStart = c.SchedWarmStart
 		switch c.Switching {
 		case PreloadTDM:
 			cfg.Mode = tdm.Preload
@@ -802,7 +752,7 @@ type Report struct {
 
 // SchedReport groups the scheduler-activity counters of the TDM modes,
 // formerly flat Report fields (SchedulerPasses, Established, Released,
-// Evictions, Preloads, SchedCacheHits, SchedCacheMisses).
+// Evictions, Preloads).
 type SchedReport struct {
 	// Passes counts scheduling passes (one per slot-window arbitration).
 	Passes uint64
@@ -812,21 +762,6 @@ type SchedReport struct {
 	Evictions   uint64
 	// Preloads counts preloaded configuration groups (PreloadTDM/HybridTDM).
 	Preloads uint64
-	// CacheHits / CacheMisses count memoized scheduling passes
-	// (Config.SchedCache): hits replayed a recorded grant set instead of
-	// re-running the scheduling array. Performance counters only — all
-	// other Report fields are bit-identical with the cache on or off.
-	CacheHits   uint64
-	CacheMisses uint64
-	// WarmHits / WarmMisses count warm-started scheduling passes
-	// (Config.SchedWarmStart): hits repaired the previous pass's masks
-	// incrementally from the request journal, misses rebuilt them. DirtyRows
-	// totals the rows re-evaluated across incremental passes. Performance
-	// counters only — the only Report fields allowed to differ between
-	// warm-on and warm-off runs.
-	WarmHits   uint64
-	WarmMisses uint64
-	DirtyRows  uint64
 }
 
 // PlanReport describes the preload planner's offline schedule: which planner
@@ -902,11 +837,6 @@ func toReport(r metrics.Result) Report {
 			Released:    r.Stats.Released,
 			Evictions:   r.Stats.Evictions,
 			Preloads:    r.Stats.Preloads,
-			CacheHits:   r.Stats.SchedCacheHits,
-			CacheMisses: r.Stats.SchedCacheMisses,
-			WarmHits:    r.Stats.SchedWarmHits,
-			WarmMisses:  r.Stats.SchedWarmMisses,
-			DirtyRows:   r.Stats.SchedDirtyRows,
 		},
 		Plan: PlanReport{
 			Planner:       r.Stats.Planner,

@@ -139,39 +139,6 @@ func TestSchedulerConfigValidation(t *testing.T) {
 	if _, err := Run(Config{Switching: DynamicTDM, N: 8, Scheduler: Scheduler(9)}, wl); !errors.As(err, &cerr) {
 		t.Errorf("unknown scheduler: got %v, want a *ConfigError", err)
 	}
-	if _, err := Run(Config{Switching: DynamicTDM, N: 8, SchedShards: -1}, wl); !errors.As(err, &cerr) {
-		t.Errorf("negative SchedShards: got %v, want a *ConfigError", err)
-	}
-	// Sharding and warm starting are paper-scheduler features; asking for
-	// them under other schedulers or shard-less fabrics is rejected rather
-	// than silently ignored.
-	if _, err := Run(Config{Switching: DynamicTDM, N: 8,
-		Scheduler: SchedulerISLIP, SchedShards: 4, Fabric: FabricClos}, wl); !errors.As(err, &cerr) {
-		t.Errorf("shards + islip: got %v, want a *ConfigError", err)
-	} else if cerr.Field != "SchedShards" {
-		t.Errorf("shards + islip: field %q, want SchedShards", cerr.Field)
-	}
-	if _, err := Run(Config{Switching: DynamicTDM, N: 8, SchedShards: 4}, wl); !errors.As(err, &cerr) {
-		t.Errorf("shards + crossbar: got %v, want a *ConfigError", err)
-	} else if cerr.Field != "SchedShards" {
-		t.Errorf("shards + crossbar: field %q, want SchedShards", cerr.Field)
-	}
-	if _, err := Run(Config{Switching: DynamicTDM, N: 8,
-		Scheduler: SchedulerWavefront, SchedWarmStart: true}, wl); !errors.As(err, &cerr) {
-		t.Errorf("warm + wavefront: got %v, want a *ConfigError", err)
-	} else if cerr.Field != "SchedWarmStart" {
-		t.Errorf("warm + wavefront: field %q, want SchedWarmStart", cerr.Field)
-	}
-	// The supported combinations still validate.
-	if err := (Config{Switching: DynamicTDM, N: 8, SchedShards: 4, Fabric: FabricClos}).Validate(); err != nil {
-		t.Errorf("shards + clos: %v", err)
-	}
-	if err := (Config{Switching: DynamicTDM, N: 8, SchedWarmStart: true}).Validate(); err != nil {
-		t.Errorf("warm + paper + crossbar: %v", err)
-	}
-	if err := (Config{Switching: DynamicTDM, N: 8, SchedShards: 1}).Validate(); err != nil {
-		t.Errorf("SchedShards=1 (serial) must stay valid on any fabric: %v", err)
-	}
 }
 
 func TestRunSchedulerAlgorithms(t *testing.T) {
