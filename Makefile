@@ -30,20 +30,21 @@ race:
 # smoke pass.
 BENCHTIME ?= 1s
 # BENCHOUT is where the fresh capture lands. The committed captures
-# BENCH_1.json to BENCH_7.json are history and stay untouched so runs can
-# diff against them; BENCH_7.json is the current gate baseline.
+# BENCH_1.json to BENCH_8.json are history and stay untouched so runs can
+# diff against them; BENCH_8.json is the current gate baseline.
 BENCHOUT ?= BENCH_NEW.json
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \
 		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
 
 # Regression gate: rerun the suite and fail if any benchmark got more than
-# 20% worse than the baseline in the gated metrics. BENCH_7.json is the
-# full-suite capture taken once the scheduler was down to one pass path.
+# 20% worse than the baseline in the gated metrics. BENCH_8.json is the
+# full-suite capture taken once per-pair NIC state was sized by traffic
+# instead of N-squared.
 # Timing needs the full BENCHTIME to be meaningful and is measured by
 # perfbench; BENCHMETRICS=allocs/op gates allocations alone, which are
 # deterministic even at short benchtimes (CI's setting).
-BASELINE ?= BENCH_7.json
+BASELINE ?= BENCH_8.json
 BENCHMETRICS ?= ns/op,allocs/op
 bench-compare:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \
@@ -107,8 +108,9 @@ workload-smoke:
 # grammar, the sparse/dense bitmat parity, the sparse scheduling pass
 # against the dense oracle under every state mutator, the Clos spine
 # router, the incremental time-out predictor's parity with the map-scan
-# reference, and the event engine's fire order against a sort-by-(at, seq)
-# reference.
+# reference, the event engine's fire order against a sort-by-(at, seq)
+# reference, and the NIC output buffer's parity with the
+# slice-per-destination reference.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/traffic/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
@@ -119,6 +121,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecompose -fuzztime=30s ./internal/multistage/
 	$(GO) test -run=NONE -fuzz=FuzzTimeoutParity -fuzztime=30s ./internal/predictor/
 	$(GO) test -run=NONE -fuzz=FuzzEngineOrder -fuzztime=30s ./internal/sim/
+	$(GO) test -run=NONE -fuzz=FuzzOutBufferParity -fuzztime=30s ./internal/nic/
 
 figures:
 	$(GO) run ./cmd/figures

@@ -1,9 +1,11 @@
 package meshnet
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"pmsnet/internal/fault"
 	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 )
@@ -189,6 +191,36 @@ func TestMeshModelsCompleteAllWorkloads(t *testing.T) {
 		}
 		if rw.Messages != wl.MessageCount() || rt.Messages != wl.MessageCount() {
 			t.Fatalf("%s: conservation violated", wl.Name)
+		}
+	}
+}
+
+// TestTDMMeshSelfCheck runs the TDM mesh with the NIC-buffer self-check
+// armed, fault-free and with corrupted payloads (whose end-to-end
+// retransmissions re-enter the buffers), and checks that arming it does not
+// change the report.
+func TestTDMMeshSelfCheck(t *testing.T) {
+	for _, plan := range []*fault.Plan{nil, {Seed: 3, CorruptProb: 0.1}} {
+		for _, wl := range []*traffic.Workload{
+			traffic.RandomMesh(16, 200, 12, 2),
+			traffic.Transpose(16, 130, 4),
+		} {
+			plain, _ := NewTDM(TDMConfig{N: 16, K: 4, Faults: plan})
+			checked, _ := NewTDM(TDMConfig{N: 16, K: 4, Faults: plan, SelfCheck: true})
+			want, err := plain.Run(wl)
+			if err != nil {
+				t.Fatalf("%s: %v", wl.Name, err)
+			}
+			got, err := checked.Run(wl)
+			if err != nil {
+				t.Fatalf("%s with self-check: %v", wl.Name, err)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("%s: self-check changed the report", wl.Name)
+			}
+			if plan != nil && got.Stats.Faults.Retries == 0 {
+				t.Fatalf("%s: no retransmission at 10%% corruption", wl.Name)
+			}
 		}
 	}
 }

@@ -37,6 +37,9 @@ type TDMConfig struct {
 	Faults *fault.Plan
 	// Probe, when non-nil, receives the run's observability event stream.
 	Probe *probe.Probe
+	// SelfCheck checks every NIC buffer's queue bookkeeping after every
+	// simulation event (the engine debug mode). Expensive; meant for tests.
+	SelfCheck bool
 }
 
 func (c TDMConfig) withDefaults() TDMConfig {
@@ -106,7 +109,6 @@ type tdmRun struct {
 	// crossbar switch.
 	reqWire *netmodel.RequestWire
 	reqView *bitmat.Matrix
-	queued  *netmodel.PairQueues
 	// occupied[s] holds the links reserved in slot s; estab[s] the circuits.
 	occupied []map[Hop]bool
 	estab    []map[[2]int]*pathConn
@@ -135,7 +137,6 @@ func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 		cfg:      t.cfg,
 		reqWire:  reqWire,
 		reqView:  reqWire.View(),
-		queued:   netmodel.NewPairQueues(t.cfg.N),
 		occupied: make([]map[Hop]bool, t.cfg.K),
 		estab:    make([]map[[2]int]*pathConn, t.cfg.K),
 		slotOf:   make(map[[2]int]int),
@@ -159,6 +160,9 @@ func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 	if t.cfg.Probe != nil {
 		driver.SetProbe(t.cfg.Probe)
 	}
+	if t.cfg.SelfCheck {
+		eng.SetInvariantCheck(driver.CheckBuffers)
+	}
 	inj, err := fault.NewInjector(t.cfg.Faults, eng, t.cfg.N)
 	if err != nil {
 		return metrics.Result{}, err
@@ -180,7 +184,8 @@ func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 
 func (r *tdmRun) onEnqueue(m *nic.Message) {
 	u, v := m.Src, m.Dst
-	if r.queued.Inc(u, v) {
+	if r.driver.Buffers[u].CountFor(v) == 1 {
+		// The driver has already queued m: the queue's 0→1 transition.
 		if _, ok := r.slotOf[[2]int{u, v}]; ok {
 			r.stats.Hits++
 		} else {
@@ -306,7 +311,7 @@ func (r *tdmRun) onSlot() {
 						Src: int32(h.Src), Dst: int32(h.Dst), ID: int64(h.ID)})
 				}
 			}
-			if r.queued.Dec(pc.src, pc.dst) {
+			if !r.driver.Buffers[pc.src].HasFor(pc.dst) {
 				r.reqWire.Set(pc.src, pc.dst, false)
 			}
 			// End-to-end analog pipe: serialize once, one wire delay per

@@ -2,8 +2,9 @@
 // request→grant→transfer handshake over out-of-band control links: tokens
 // that take one control delay to propagate and (under fault injection) can be
 // lost and re-sent after an exponential backoff; request wires that sample
-// NIC queue state one control delay late; per-port source processes that
-// serialize a NIC's output; and per-pair queue-depth counters. These types
+// NIC queue state one control delay late; and per-port source processes that
+// serialize a NIC's output. The per-pair queue depths behind the request
+// wires are the NIC buffers' own counts (nic.OutBuffer.CountFor). These types
 // extract that machinery so the models keep only their paradigm-specific
 // scheduling logic.
 package netmodel
@@ -193,6 +194,10 @@ func (w *RequestWire) apply() {
 	}
 }
 
+// InFlight returns the number of transitions written by Set that the view
+// does not show yet.
+func (w *RequestWire) InFlight() int { return w.size }
+
 // ClearNow clears a view bit immediately, bypassing the wire delay — the
 // fault path where a failed port's requests vanish with the port.
 func (w *RequestWire) ClearNow(u, v int) {
@@ -233,68 +238,6 @@ func (pe *PortEngine) Next(src int) {
 		return
 	}
 	pe.start(src, m)
-}
-
-// PairQueues counts messages pending per (src, dst) pair — the NIC-side queue
-// bookkeeping behind the request wires.
-type PairQueues struct {
-	count [][]int
-}
-
-// NewPairQueues builds an n×n counter matrix.
-func NewPairQueues(n int) *PairQueues {
-	q := &PairQueues{count: make([][]int, n)}
-	for u := range q.count {
-		q.count[u] = make([]int, n)
-	}
-	return q
-}
-
-// Count returns the pending count for the pair.
-func (q *PairQueues) Count(u, v int) int { return q.count[u][v] }
-
-// Inc counts one more pending message and reports whether the queue was
-// empty before (the 0→1 transition that raises the request wire).
-func (q *PairQueues) Inc(u, v int) bool {
-	q.count[u][v]++
-	return q.count[u][v] == 1
-}
-
-// Dec retires one pending message and reports whether the queue drained (the
-// 1→0 transition that clears the request wire).
-func (q *PairQueues) Dec(u, v int) bool {
-	q.count[u][v]--
-	return q.count[u][v] == 0
-}
-
-// Remove retires n pending messages at once (the bulk-drop fault path). It
-// reports whether the queue drained, and whether the removal underflowed —
-// bookkeeping corruption the caller should surface; the count is clamped to
-// zero and the drain transition suppressed in that case. Removing from an
-// already-empty queue is a no-op.
-func (q *PairQueues) Remove(u, v, n int) (drained, underflow bool) {
-	if n == 0 || q.count[u][v] == 0 {
-		return false, false
-	}
-	q.count[u][v] -= n
-	if q.count[u][v] < 0 {
-		q.count[u][v] = 0
-		return false, true
-	}
-	return q.count[u][v] == 0, false
-}
-
-// Negative returns the first negative counter in row-major order, for
-// invariant checks. ok is false when every counter is non-negative.
-func (q *PairQueues) Negative() (u, v, n int, ok bool) {
-	for u := range q.count {
-		for v, c := range q.count[u] {
-			if c < 0 {
-				return u, v, c, true
-			}
-		}
-	}
-	return 0, 0, 0, false
 }
 
 // HeadUntransmitted returns the head of the u→v queue iff none of its bytes

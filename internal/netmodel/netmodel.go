@@ -101,7 +101,7 @@ func NewDriver(engine *sim.Engine, lm link.Model, wl *traffic.Workload, hooks Ho
 	d := &Driver{
 		Engine:    engine,
 		Link:      lm,
-		Buffers:   make([]*nic.OutBuffer, wl.N),
+		Buffers:   nic.NewOutBuffers(wl.N, destinationCounts(wl)),
 		wl:        wl,
 		hooks:     hooks,
 		records:   make([]metrics.Record, 0, msgs),
@@ -112,11 +112,27 @@ func NewDriver(engine *sim.Engine, lm link.Model, wl *traffic.Workload, hooks Ho
 		resume:    make(map[int]int),
 	}
 	for p := 0; p < wl.N; p++ {
-		d.Buffers[p] = nic.NewOutBuffer(p, wl.N)
 		p := p
 		d.stepFns[p] = func() { d.step(p) }
 	}
 	return d, nil
+}
+
+// destinationCounts returns, per processor, how many distinct destinations
+// its program sends to: the number of logical queues its NIC will use.
+func destinationCounts(wl *traffic.Workload) []int {
+	counts := make([]int, wl.N)
+	// seen[v] == p+1 once processor p's program has sent to v.
+	seen := make([]int32, wl.N)
+	for p, prog := range wl.Programs {
+		for _, op := range prog.Ops {
+			if (op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait) && seen[op.Dst] != int32(p+1) {
+				seen[op.Dst] = int32(p + 1)
+				counts[p]++
+			}
+		}
+	}
+	return counts
 }
 
 // SetProbe attaches an observability probe for message lifecycle events
@@ -297,6 +313,17 @@ func (d *Driver) Arrive(m *nic.Message) {
 		return
 	}
 	d.Deliver(m)
+}
+
+// CheckBuffers runs every NIC output buffer's bookkeeping check
+// (nic.OutBuffer.Check); models call it from their self-check hook.
+func (d *Driver) CheckBuffers() error {
+	for _, b := range d.Buffers {
+		if err := b.Check(); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Remaining returns the number of undelivered messages.

@@ -24,9 +24,8 @@ func TestEnqueueAndRequestBits(t *testing.T) {
 	if !b.HasFor(2) || !b.HasFor(3) || b.HasFor(1) {
 		t.Fatal("request bits wrong")
 	}
-	dsts := b.PendingDsts()
-	if len(dsts) != 2 || dsts[0] != 2 || dsts[1] != 3 {
-		t.Fatalf("PendingDsts = %v, want [2 3]", dsts)
+	if b.CountFor(2) != 2 || b.CountFor(3) != 1 || b.CountFor(1) != 0 {
+		t.Fatalf("CountFor = %d %d %d, want 2 1 0", b.CountFor(2), b.CountFor(3), b.CountFor(1))
 	}
 	if b.Head(2).ID != 1 || b.Head(3).ID != 3 || b.Head(1) != nil {
 		t.Fatal("Head wrong")

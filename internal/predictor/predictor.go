@@ -100,7 +100,7 @@ type Timeout struct {
 	timeout sim.Time
 	now     sim.Time // latest time seen; calls must not go back
 
-	index      map[topology.Conn]int32
+	index      map[uint64]int32 // by topology.Conn.Key
 	nodes      []lruNode
 	free       int32 // free-node list through lruNode.next; none when < 0
 	head, tail int32 // live list, oldest first; empty when < 0
@@ -126,7 +126,7 @@ func NewTimeout(timeout sim.Time) *Timeout {
 	}
 	return &Timeout{
 		timeout: timeout,
-		index:   make(map[topology.Conn]int32),
+		index:   make(map[uint64]int32),
 		free:    -1,
 		head:    -1,
 		tail:    -1,
@@ -144,12 +144,13 @@ func (p *Timeout) OnUse(c topology.Conn, now sim.Time) { p.touch(c, now) }
 
 // OnRelease implements Predictor.
 func (p *Timeout) OnRelease(c topology.Conn) {
-	i, ok := p.index[c]
+	key := c.Key()
+	i, ok := p.index[key]
 	if !ok {
 		return
 	}
 	p.detach(i)
-	delete(p.index, c)
+	delete(p.index, key)
 	p.nodes[i].next = p.free
 	p.free = i
 }
@@ -211,7 +212,8 @@ func (p *Timeout) advance(now sim.Time) {
 // never goes backwards.
 func (p *Timeout) touch(c topology.Conn, now sim.Time) {
 	p.advance(now)
-	i, ok := p.index[c]
+	key := c.Key()
+	i, ok := p.index[key]
 	if ok {
 		p.detach(i)
 	} else {
@@ -223,7 +225,7 @@ func (p *Timeout) touch(c topology.Conn, now sim.Time) {
 			p.nodes = append(p.nodes, lruNode{})
 		}
 		p.nodes[i] = lruNode{c: c}
-		p.index[c] = i
+		p.index[key] = i
 	}
 	n := &p.nodes[i]
 	n.last, n.prev, n.next = now, p.tail, -1

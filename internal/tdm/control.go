@@ -12,7 +12,8 @@ import (
 )
 
 // onEnqueue tracks queue transitions, drives the delayed request wire and
-// counts connection-cache hits and misses.
+// counts connection-cache hits and misses. The driver has already queued m,
+// so a u->v count of one is the queue's 0→1 transition.
 func (r *run) onEnqueue(m *nic.Message) {
 	u, v := m.Src, m.Dst
 	if r.inj != nil && r.inj.PairBlocked(u, v) {
@@ -23,7 +24,7 @@ func (r *run) onEnqueue(m *nic.Message) {
 		}
 		return
 	}
-	if r.queued.Inc(u, v) {
+	if r.driver.Buffers[u].CountFor(v) == 1 {
 		// The queue was empty: this message must wait for a connection
 		// unless one is already cached — the working-set hit/miss the paper
 		// discusses.
@@ -51,7 +52,7 @@ func (r *run) onEnqueue(m *nic.Message) {
 func (r *run) raiseRequest(u, v, attempt int) {
 	if r.cp.RequestTokenLost() {
 		r.cp.RetryAfter(attempt, "request-retry", func() {
-			if r.queued.Count(u, v) > 0 && !r.sched.Connected(u, v) &&
+			if r.driver.Buffers[u].HasFor(v) && !r.sched.Connected(u, v) &&
 				!(r.inj.PairBlocked(u, v)) {
 				r.driver.CountRetry()
 				r.raiseRequest(u, v, attempt+1)
@@ -119,7 +120,7 @@ func (r *run) onSLPass() {
 		for _, c := range r.pred.Evictions(now, r.sched.BStarView()) {
 			// Never evict a connection that still has traffic queued; the
 			// predictor only sees usage, not queue occupancy.
-			if r.queued.Count(c.Src, c.Dst) == 0 {
+			if !r.driver.Buffers[c.Src].HasFor(c.Dst) {
 				r.sched.Evict(c.Src, c.Dst)
 				r.pred.OnRelease(c)
 			}
@@ -135,7 +136,7 @@ func (r *run) onSLPass() {
 func (r *run) deliverGrant(u, v, attempt int) {
 	if r.cp.GrantTokenLost() {
 		// The NIC must not use the connection until a grant arrives.
-		r.grantAt[u][v] = sim.MaxTime
+		r.grantAt[topology.Conn{Src: u, Dst: v}.Key()] = sim.MaxTime
 		r.cp.RetryAfter(attempt, "grant-retry", func() {
 			if r.sched.Connected(u, v) {
 				r.driver.CountRetry()
@@ -144,5 +145,5 @@ func (r *run) deliverGrant(u, v, attempt int) {
 		})
 		return
 	}
-	r.grantAt[u][v] = r.eng.Now() + r.cp.Delay()
+	r.grantAt[topology.Conn{Src: u, Dst: v}.Key()] = r.eng.Now() + r.cp.Delay()
 }

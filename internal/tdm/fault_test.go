@@ -7,6 +7,7 @@ import (
 	"pmsnet/internal/fabric"
 	"pmsnet/internal/fault"
 	"pmsnet/internal/metrics"
+	"pmsnet/internal/predictor"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/traffic"
 )
@@ -321,5 +322,68 @@ func TestFaultRecoveryAcrossFamilies(t *testing.T) {
 	if linkFailures == 0 || retries == 0 {
 		t.Fatalf("cocktail fired %d link failures and %d retries over all families, want both > 0",
 			linkFailures, retries)
+	}
+}
+
+// TestPermanentPortDownRetiresEachPairOnce fails a hybrid run's port for good
+// while its NIC holds several messages per destination. The failure drains
+// every queue from and toward the port, and each drained (src, dst) pair must
+// be retired once: one request-wire clear per pair, not one per message. The
+// self-check recounts the preloader's pending counts from the buffers after
+// every event, and every drained message must be dropped exactly once.
+func TestPermanentPortDownRetiresEachPairOnce(t *testing.T) {
+	const n, port = 8, 2
+	const failAt = 400 * sim.Nanosecond
+	wl := traffic.OrderedMesh(n, 256, 20)
+	net := mustNew(t, Config{
+		N: n, K: 4, Mode: Hybrid, PreloadSlots: 2,
+		NewPredictor: func() predictor.Predictor { return predictor.NewTimeout(500) },
+		Faults:       &fault.Plan{Links: []fault.LinkFault{{Port: port, At: failAt}}},
+		SelfCheck:    true,
+	})
+	r, err := net.start(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var pairs, drained, deepPairs int
+	onPortDown := r.inj.OnPortDown
+	r.inj.OnPortDown = func(p int, permanent bool) {
+		for x := 0; x < n; x++ {
+			if c := r.driver.Buffers[p].CountFor(x); c > 0 {
+				pairs++
+				drained += c
+				if c >= 2 {
+					deepPairs++
+				}
+			}
+			if x != p && r.driver.Buffers[x].HasFor(p) {
+				pairs++
+				drained += r.driver.Buffers[x].CountFor(p)
+			}
+		}
+		wire, dropped := r.reqWire.InFlight(), r.driver.FaultStats().Dropped
+		onPortDown(p, permanent)
+		if got := r.reqWire.InFlight() - wire; got != pairs {
+			t.Errorf("the failure wrote %d request-wire clears for %d drained pairs", got, pairs)
+		}
+		if got := r.driver.FaultStats().Dropped - dropped; got != uint64(drained) {
+			t.Errorf("the failure dropped %d messages, %d were queued", got, drained)
+		}
+	}
+	res, err := r.finish(net.Name())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if deepPairs < 2 {
+		t.Fatalf("%d of port %d's queues held two or more messages at the failure; the test needs two", deepPairs, port)
+	}
+	f := res.Stats.Faults
+	if f.LinkFailures != 1 || f.PreloadFallbacks == 0 {
+		t.Fatalf("failures = %d, preload fallbacks = %d; want one failure that breaks preloaded entries",
+			f.LinkFailures, f.PreloadFallbacks)
+	}
+	if f.Dropped < uint64(drained) || !f.Reconciles() {
+		t.Fatalf("dropped %d (%d drained at the failure): %d injected, %d delivered",
+			f.Dropped, drained, f.Injected, f.Delivered)
 	}
 }

@@ -194,6 +194,32 @@ func (p *preloader) pendingDown(c topology.Conn) {
 	}
 }
 
+// checkPending recounts the pending counts from the NIC buffers: a
+// connection is pending while its queue is non-empty.
+func (p *preloader) checkPending() error {
+	inGroup := make([]int, len(p.groups))
+	static := 0
+	for c, gs := range p.groupsOf {
+		if len(gs) == 0 || !p.r.driver.Buffers[c.Src].HasFor(c.Dst) {
+			continue
+		}
+		for _, g := range gs {
+			inGroup[g]++
+		}
+		static++
+	}
+	if static != p.pendingStatic {
+		return fmt.Errorf("tdm: preloader counts %d pending connections, buffers hold %d", p.pendingStatic, static)
+	}
+	for g, n := range inGroup {
+		if n != p.pendingInGroup[g] {
+			return fmt.Errorf("tdm: preloader counts %d pending connections in group %d, buffers hold %d",
+				p.pendingInGroup[g], g, n)
+		}
+	}
+	return nil
+}
+
 // maybeAdvance swaps the loaded group when another group serves
 // substantially more pending traffic than the current one. The 2x hysteresis
 // keeps the controller from thrashing between comparably-loaded groups
@@ -244,7 +270,7 @@ func (p *preloader) breakConn(c topology.Conn) bool {
 	if len(gs) == 0 {
 		return false
 	}
-	if p.r.queued.Count(c.Src, c.Dst) > 0 {
+	if p.r.driver.Buffers[c.Src].HasFor(c.Dst) {
 		// Retire c's pending contribution while its group membership still
 		// exists; the eventual real pendingDown will then be a no-op.
 		p.pendingDown(c)

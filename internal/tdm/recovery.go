@@ -3,11 +3,7 @@ package tdm
 // Fault-reaction handlers: link failures and repairs, dead crosspoints, and
 // the queue/preload bookkeeping they unwind.
 
-import (
-	"fmt"
-
-	"pmsnet/internal/topology"
-)
+import "pmsnet/internal/topology"
 
 // onPortDown is the injector's link-failure callback. The scheduler evicts
 // every dynamic connection touching the port (its cached TDM configurations
@@ -40,8 +36,17 @@ func (r *run) onPortDown(p int, permanent bool) {
 		}
 	}
 	if permanent {
-		for _, m := range r.driver.Buffers[p].DrainAll() {
-			r.retireQueued(m.Src, m.Dst, 1)
+		msgs := r.driver.Buffers[p].DrainAll()
+		// Each p->dst queue is retired once, at its last drained message:
+		// the point where it drained when messages left one at a time.
+		lastOf := make(map[int]int)
+		for i, m := range msgs {
+			lastOf[m.Dst] = i
+		}
+		for i, m := range msgs {
+			if lastOf[m.Dst] == i {
+				r.retirePair(p, m.Dst)
+			}
 			r.driver.Drop(m)
 		}
 		for u := 0; u < r.cfg.N; u++ {
@@ -62,10 +67,10 @@ func (r *run) onPortUp(p int) {
 		if x == p {
 			continue
 		}
-		if r.queued.Count(p, x) > 0 {
+		if r.driver.Buffers[p].HasFor(x) {
 			r.raiseRequest(p, x, 0)
 		}
-		if r.queued.Count(x, p) > 0 {
+		if r.driver.Buffers[x].HasFor(p) {
 			r.raiseRequest(x, p, 0)
 		}
 	}
@@ -94,20 +99,13 @@ func (r *run) onCrosspointDead(in, out int) {
 	r.dropPair(in, out)
 }
 
-// retireQueued unwinds the queue bookkeeping for n messages leaving the
-// u->v queue without delivery; when the queue drains it clears the request
-// wire and the preloader's pending count, exactly as completeMessage does.
-func (r *run) retireQueued(u, v, n int) {
-	drained, underflow := r.queued.Remove(u, v, n)
-	if underflow {
-		r.fail(fmt.Errorf("tdm: queue count for %d->%d went negative", u, v))
-		return
-	}
-	if drained {
-		r.reqWire.Set(u, v, false)
-		if r.pre != nil {
-			r.pre.pendingDown(topology.Conn{Src: u, Dst: v})
-		}
+// retirePair unwinds the queue bookkeeping of a u->v queue just emptied
+// without delivery: it clears the request wire and the preloader's pending
+// count, exactly as completeMessage does when a queue drains.
+func (r *run) retirePair(u, v int) {
+	r.reqWire.Set(u, v, false)
+	if r.pre != nil {
+		r.pre.pendingDown(topology.Conn{Src: u, Dst: v})
 	}
 }
 
@@ -118,7 +116,7 @@ func (r *run) dropPair(u, v int) {
 	if len(msgs) == 0 {
 		return
 	}
-	r.retireQueued(u, v, len(msgs))
+	r.retirePair(u, v)
 	for _, m := range msgs {
 		r.driver.Drop(m)
 	}

@@ -48,10 +48,17 @@ func (r *run) onSlot() {
 	r.connsBuf = r.sched.AppendSlotConns(r.connsBuf[:0], slot)
 	for _, conn := range r.connsBuf {
 		u, v := conn.Src, conn.Dst
-		if r.grantAt[u][v] > slotStart {
-			// The grant for this freshly established connection has not
-			// reached the NIC yet; the slot passes unused for this port.
-			continue
+		if len(r.grantAt) > 0 {
+			key := topology.Conn{Src: u, Dst: v}.Key()
+			if at, ok := r.grantAt[key]; ok {
+				if at > slotStart {
+					// The grant for this freshly established connection has
+					// not reached the NIC yet; the slot passes unused for
+					// this port.
+					continue
+				}
+				delete(r.grantAt, key)
+			}
 		}
 		if r.inj != nil {
 			if r.inj.PairDown(u, v) {
@@ -129,7 +136,7 @@ func (r *run) completeMessage(m *nic.Message, slotStart sim.Time) {
 				Src: int32(h.Src), Dst: int32(h.Dst), ID: int64(h.ID)})
 		}
 	}
-	if r.queued.Dec(u, v) {
+	if !r.driver.Buffers[u].HasFor(v) {
 		r.reqWire.Set(u, v, false)
 		if r.pre != nil {
 			r.pre.pendingDown(topology.Conn{Src: u, Dst: v})

@@ -282,14 +282,15 @@ type run struct {
 	// deliverFn is the cached deliver method value, so scheduling a
 	// message's delivery allocates no closure.
 	deliverFn sim.ArgHandler
-	// queued counts messages pending per (src, dst) pair.
-	queued *netmodel.PairQueues
-	// grantAt[u][v] is the earliest time NIC u may use a dynamically
-	// established connection to v: the grant line takes one control delay
-	// to reach the NIC, so a slot that starts earlier cannot carry data on
-	// a connection established this recently. Preloaded configurations are
-	// known to the NICs from load time and have no such penalty.
-	grantAt [][]sim.Time
+	// grantAt holds, keyed by topology.Conn.Key, the earliest time NIC u
+	// may use a dynamically established connection to v: the grant line
+	// takes one control delay to reach the NIC, so a slot that starts
+	// earlier cannot carry data on a connection established this recently.
+	// Preloaded configurations are known to the NICs from load time and
+	// have no such penalty. An entry lives only while its grant is in
+	// flight (sim.MaxTime while a lost grant awaits its re-send): the first
+	// slot at or after the grant time drops it, since time never goes back.
+	grantAt map[uint64]sim.Time
 
 	pre        *preloader
 	slotTicker *sim.Ticker
@@ -322,6 +323,15 @@ func (r *run) fail(err error) {
 
 // Run implements netmodel.Network.
 func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
+	r, err := n.start(wl)
+	if err != nil {
+		return metrics.Result{}, err
+	}
+	return r.finish(n.Name())
+}
+
+// start builds a run of the workload and schedules its first events.
+func (n *Network) start(wl *traffic.Workload) (*run, error) {
 	cfg := n.cfg
 	eng := sim.NewEngine()
 
@@ -331,7 +341,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 	}
 	fab, err := fabric.NewBackend(cfg.Fabric, cfg.N)
 	if err != nil {
-		return metrics.Result{}, err
+		return nil, err
 	}
 	var canEstablish func(b *bitmat.Matrix, u, v int) bool
 	if !fab.Rearrangeable() {
@@ -354,7 +364,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 		Algorithm:      cfg.Algorithm,
 	})
 	if err != nil {
-		return metrics.Result{}, err
+		return nil, err
 	}
 	reqWire := netmodel.NewRequestWire(eng, cfg.N, cfg.Link.ControlDelay(), "request-wire")
 	r := &run{
@@ -367,16 +377,12 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 		reqView:  reqWire.ViewSparse(),
 		specReq:  bitmat.NewSparse(cfg.N, cfg.N),
 		reqMerge: bitmat.NewSparse(cfg.N, cfg.N),
-		queued:   netmodel.NewPairQueues(cfg.N),
-		grantAt:  make([][]sim.Time, cfg.N),
+		grantAt:  make(map[uint64]sim.Time),
 		probe:    cfg.Probe,
 	}
 	r.deliverFn = r.deliver
 	if cfg.Probe != nil {
 		sched.SetProbe(cfg.Probe, eng.Now)
-	}
-	for u := range r.grantAt {
-		r.grantAt[u] = make([]sim.Time, cfg.N)
 	}
 
 	driver, err := netmodel.NewDriver(eng, cfg.Link, wl, netmodel.Hooks{
@@ -385,7 +391,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 		OnIdle:    r.onIdle,
 	})
 	if err != nil {
-		return metrics.Result{}, err
+		return nil, err
 	}
 	r.driver = driver
 	if cfg.Probe != nil {
@@ -394,7 +400,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 
 	inj, err := fault.NewInjector(cfg.Faults, eng, cfg.N)
 	if err != nil {
-		return metrics.Result{}, err
+		return nil, err
 	}
 	if inj != nil {
 		r.inj = inj
@@ -417,7 +423,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 		}
 		pre, err := newPreloader(r, wl, slots)
 		if err != nil {
-			return metrics.Result{}, err
+			return nil, err
 		}
 		r.pre = pre
 	}
@@ -435,7 +441,12 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 		inj.Start()
 	}
 	driver.Start()
-	res, err := driver.Finish(n.Name(), cfg.Horizon, metrics.NetStats{})
+	return r, nil
+}
+
+// finish simulates the run to completion and assembles its result.
+func (r *run) finish(name string) (metrics.Result, error) {
+	res, err := r.driver.Finish(name, r.cfg.Horizon, metrics.NetStats{})
 	if r.err != nil {
 		return metrics.Result{}, r.err
 	}
@@ -450,7 +461,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 	r.stats.Evictions = st.Evictions
 	r.stats.Flushes = st.Flushes
 	if r.inj != nil {
-		fs := driver.FaultStats()
+		fs := r.driver.FaultStats()
 		fs.Reschedules = r.reschedules
 		fs.PreloadFallbacks = r.preloadFallbacks
 		fs.MaskedGrants = r.maskedGrants
@@ -461,7 +472,8 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 }
 
 // checkInvariants is the engine debug hook (Config.SelfCheck): scheduler
-// state consistency plus the run's own queue bookkeeping.
+// state consistency, the NIC buffers' queue bookkeeping and the preloader's
+// pending counts derived from it.
 func (r *run) checkInvariants() error {
 	if err := r.sched.CheckInvariants(); err != nil {
 		return err
@@ -472,8 +484,11 @@ func (r *run) checkInvariants() error {
 	if err := r.specReq.CheckParity(); err != nil {
 		return fmt.Errorf("tdm: speculative requests: %w", err)
 	}
-	if u, v, q, bad := r.queued.Negative(); bad {
-		return fmt.Errorf("tdm: negative queue count %d for %d->%d", q, u, v)
+	if err := r.driver.CheckBuffers(); err != nil {
+		return err
+	}
+	if r.pre != nil {
+		return r.pre.checkPending()
 	}
 	return nil
 }

@@ -409,3 +409,21 @@ func BenchmarkDecomposeAllToAll128(b *testing.B) {
 		}
 	}
 }
+
+// TestConnKeyIsInjective checks that packed keys of distinct connections
+// never collide, so maps keyed by Conn.Key keep one entry per connection.
+func TestConnKeyIsInjective(t *testing.T) {
+	seen := make(map[uint64]Conn)
+	for _, src := range []int{0, 1, 2, 63, 64, 1023, 1 << 20} {
+		for _, dst := range []int{0, 1, 2, 63, 64, 1023, 1 << 20} {
+			c := Conn{Src: src, Dst: dst}
+			if prev, ok := seen[c.Key()]; ok {
+				t.Fatalf("%v and %v share key %#x", prev, c, c.Key())
+			}
+			seen[c.Key()] = c
+		}
+	}
+	if got := (Conn{Src: 3, Dst: 5}).Key(); got != 3<<32|5 {
+		t.Fatalf("Key(3->5) = %#x, want src in the high word", got)
+	}
+}

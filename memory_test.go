@@ -1,0 +1,42 @@
+package pmsnet
+
+import (
+	"runtime"
+	"testing"
+	"time"
+)
+
+// runAllocBoundMB bounds the host memory one light dynamic-TDM run allocates
+// at N=2048. Such a run allocates about 13 MB: the scheduler's bit matrices
+// plus state sized by the traffic. A per-(src, dst) table of machine words
+// is 32 MB on its own at this N, and N-squared NIC queue headers, pair
+// counters and grant times together are ~170 MB, so the bound catches
+// N-squared state coming back into the data path.
+const runAllocBoundMB = 24
+
+func TestRunAllocationIsNotQuadratic(t *testing.T) {
+	const n = 2048
+	wl, err := GenerateWorkload("random-mesh:bytes=64,msgs=4", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Switching: DynamicTDM, N: n, K: 4,
+		Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := Run(cfg, wl)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Messages != wl.Messages() {
+		t.Fatalf("delivered %d of %d messages", rep.Messages, wl.Messages())
+	}
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("one N=%d run allocated %.1f MB", n, mb)
+	if mb > runAllocBoundMB {
+		t.Fatalf("one N=%d run allocated %.1f MB, bound %d MB: is per-pair state sized N-squared again?",
+			n, mb, runAllocBoundMB)
+	}
+}
