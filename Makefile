@@ -109,8 +109,9 @@ workload-smoke:
 # against the dense oracle under every state mutator, the Clos spine
 # router, the incremental time-out predictor's parity with the map-scan
 # reference, the event engine's fire order against a sort-by-(at, seq)
-# reference, and the NIC output buffer's parity with the
-# slice-per-destination reference.
+# reference, the NIC output buffer's parity with the
+# slice-per-destination reference, and NewRNG's draw-for-draw parity with
+# math/rand.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/traffic/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
@@ -122,6 +123,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzTimeoutParity -fuzztime=30s ./internal/predictor/
 	$(GO) test -run=NONE -fuzz=FuzzEngineOrder -fuzztime=30s ./internal/sim/
 	$(GO) test -run=NONE -fuzz=FuzzOutBufferParity -fuzztime=30s ./internal/nic/
+	$(GO) test -run=NONE -fuzz=FuzzNewRNGParity -fuzztime=30s ./internal/sim/
 
 figures:
 	$(GO) run ./cmd/figures

@@ -21,8 +21,9 @@
 // 429 + Retry-After when the bounded queue is full, bounded by per-job
 // deadlines (504), isolated from panics (500 with the stack, the pool
 // self-heals), and deduplicated through a deterministic result cache keyed
-// on (config hash, workload hash) — simulations are bit-reproducible, so a
-// cache hit is byte-identical to a fresh run. SIGINT/SIGTERM triggers a
+// on the config hash and the resolved workload request — simulations are
+// bit-reproducible, so a cache hit is byte-identical to a fresh run and
+// builds no workload. SIGINT/SIGTERM triggers a
 // graceful drain: admission stops, in-flight jobs get -drain to finish,
 // stragglers are cancelled.
 package main

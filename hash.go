@@ -12,8 +12,8 @@ import (
 
 // Hash returns a stable 64-bit fingerprint of every Config field that can
 // influence a Report. Because runs are deterministic, (Config.Hash,
-// Workload.Hash) identifies a simulation outcome exactly — it is the result
-// cache key of the pmsd service and safe to persist: the encoding is
+// Workload.Hash) identifies a simulation outcome exactly; Config.Hash is half
+// of the pmsd result cache key and safe to persist: the encoding is
 // FNV-1a over a tagged canonical serialization, not Go's per-process map or
 // struct hashing, so equal configs hash equal across processes and restarts.
 //

@@ -3,11 +3,11 @@
 // robustness envelope a shared long-lived process needs — admission
 // validation, a bounded job queue with explicit backpressure, a worker pool
 // with per-job deadlines, cancellation and panic isolation, a deterministic
-// result cache keyed on (config hash, workload hash), and graceful drain on
-// shutdown. The same disciplines the simulated switch applies to keep a
-// shared fabric stable under offered load beyond capacity (bounded VOQs,
-// arbitration, degradation instead of collapse) applied to the system that
-// runs the simulations.
+// result cache keyed on (config hash, workload request hash), and graceful
+// drain on shutdown. The same disciplines the simulated switch applies to
+// keep a shared fabric stable under offered load beyond capacity (bounded
+// VOQs, arbitration, degradation instead of collapse) applied to the system
+// that runs the simulations.
 package service
 
 import (
@@ -116,8 +116,9 @@ const (
 func (s State) Terminal() bool { return s != StateQueued && s != StateRunning }
 
 // cacheKey identifies a deterministic simulation outcome: the config
-// fingerprint and the workload fingerprint (which covers the seed). Two
-// jobs with equal keys are bit-reproducible replays of each other.
+// fingerprint and the workload request's fingerprint (workloadRequest.hash,
+// which covers the seeds). Two jobs with equal keys are bit-reproducible
+// replays of each other.
 type cacheKey struct {
 	config   uint64
 	workload uint64
@@ -125,15 +126,14 @@ type cacheKey struct {
 
 // Job is one admitted simulation request moving through the queue and pool.
 type Job struct {
-	ID   string
-	Spec JobSpec
+	ID string
 
 	cfg      pmsnet.Config
-	wls      []*pmsnet.Workload
 	key      cacheKey
 	deadline time.Duration
 	// testPattern is "panic" or "sleep" on test-pattern jobs, else "".
 	testPattern string
+	sleep       time.Duration // the "sleep" test pattern's duration
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -141,7 +141,12 @@ type Job struct {
 	submitted time.Time
 	done      chan struct{} // closed on the terminal transition
 
-	mu       sync.Mutex
+	mu sync.Mutex
+	// wls holds the generated workloads of a cache miss from admission to
+	// the terminal transition, where finish drops them; a run in progress
+	// keeps its own reference. Cache hits never generate, so no terminal or
+	// cached job holds workloads.
+	wls      []*pmsnet.Workload
 	state    State
 	started  time.Time
 	finished time.Time
@@ -158,18 +163,18 @@ func (j *Job) snapshot() (State, time.Time, time.Time, []byte, bool, string, str
 	return j.state, j.started, j.finished, j.result, j.cached, j.errMsg, j.stack
 }
 
-// markRunning claims the job for a worker. It fails when the job was
-// cancelled while queued, which is how a queued-then-DELETEd job is skipped
-// instead of executed.
-func (j *Job) markRunning(at time.Time) bool {
+// markRunning claims the job for a worker and returns its workloads for
+// the run. It fails when the job was cancelled while queued, which is how a
+// queued-then-DELETEd job is skipped instead of executed.
+func (j *Job) markRunning(at time.Time) ([]*pmsnet.Workload, bool) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state != StateQueued {
-		return false
+		return nil, false
 	}
 	j.state = StateRunning
 	j.started = at
-	return true
+	return j.wls, true
 }
 
 // finish moves the job to a terminal state exactly once; later calls are
@@ -177,7 +182,8 @@ func (j *Job) markRunning(at time.Time) bool {
 // job, for example). It returns whether this call performed the transition,
 // which is what keeps the terminal metrics exactly-once under cancel/worker
 // races. The job's context is released on the way out so the server's base
-// context does not accumulate dead children.
+// context does not accumulate dead children, and so are the job's
+// workloads.
 func (j *Job) finish(state State, result []byte, errMsg, stack string) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -189,6 +195,7 @@ func (j *Job) finish(state State, result []byte, errMsg, stack string) bool {
 	j.result = result
 	j.errMsg = errMsg
 	j.stack = stack
+	j.wls = nil
 	close(j.done)
 	if j.cancel != nil {
 		j.cancel()
@@ -196,15 +203,17 @@ func (j *Job) finish(state State, result []byte, errMsg, stack string) bool {
 	return true
 }
 
-// buildJob validates and compiles a spec into an executable job. Every
-// rejection is an *AdmissionError (HTTP 400).
-func (s *Server) buildJob(spec JobSpec) (*Job, error) {
+// buildJob validates a spec and compiles it into a job plus its workload
+// request, resolved but not generated: the job's cache key is known without
+// building a workload, so a cache hit never builds one. The request is nil
+// for test patterns. Every rejection is an *AdmissionError (HTTP 400).
+func (s *Server) buildJob(spec JobSpec) (*Job, *workloadRequest, error) {
 	cfg, err := buildConfig(spec.Config)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if spec.DeadlineMS < 0 {
-		return nil, &AdmissionError{Field: "deadline_ms", Reason: "must not be negative"}
+		return nil, nil, &AdmissionError{Field: "deadline_ms", Reason: "must not be negative"}
 	}
 	deadline := s.cfg.DefaultDeadline
 	if spec.DeadlineMS > 0 {
@@ -215,7 +224,6 @@ func (s *Server) buildJob(spec JobSpec) (*Job, error) {
 	}
 
 	j := &Job{
-		Spec:     spec,
 		cfg:      cfg,
 		deadline: deadline,
 		state:    StateQueued,
@@ -223,34 +231,30 @@ func (s *Server) buildJob(spec JobSpec) (*Job, error) {
 	}
 	if s.cfg.TestPatterns && (spec.Workload.Pattern == "panic" || spec.Workload.Pattern == "sleep") {
 		j.testPattern = spec.Workload.Pattern
-		if spec.Workload.Pattern == "sleep" && spec.Workload.SleepMS <= 0 {
-			return nil, &AdmissionError{Field: "workload.sleep_ms", Reason: "sleep pattern needs a positive duration"}
+		if spec.Workload.Pattern == "sleep" {
+			if spec.Workload.SleepMS <= 0 {
+				return nil, nil, &AdmissionError{Field: "workload.sleep_ms", Reason: "sleep pattern needs a positive duration"}
+			}
+			j.sleep = time.Duration(spec.Workload.SleepMS) * time.Millisecond
 		}
 		// Test patterns are deliberately uncacheable: give each a unique key.
 		j.key = cacheKey{config: cfg.Hash(), workload: s.nextID.Add(1) | 1<<63}
-		return j, nil
+		return j, nil, nil
 	}
 
 	if err := cfg.Validate(); err != nil {
 		var ce *pmsnet.ConfigError
 		if errors.As(err, &ce) {
-			return nil, &AdmissionError{Field: "config." + strings.ToLower(ce.Field), Reason: ce.Reason}
+			return nil, nil, &AdmissionError{Field: "config." + strings.ToLower(ce.Field), Reason: ce.Reason}
 		}
-		return nil, &AdmissionError{Field: "config", Reason: err.Error()}
+		return nil, nil, &AdmissionError{Field: "config", Reason: err.Error()}
 	}
-	wls, err := buildWorkloads(cfg, spec.Workload)
+	req, err := resolveWorkload(cfg, spec.Workload)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	j.wls = wls
-	// The cache key covers every workload in the job: equal only when the
-	// whole (config, workload list) pair replays bit-identically.
-	wh, err := combinedWorkloadHash(wls)
-	if err != nil {
-		return nil, &AdmissionError{Field: "workload", Reason: err.Error()}
-	}
-	j.key = cacheKey{config: cfg.Hash(), workload: wh}
-	return j, nil
+	j.key = cacheKey{config: cfg.Hash(), workload: req.hash()}
+	return j, req, nil
 }
 
 // buildConfig maps the string-vocabulary spec onto a pmsnet.Config.
@@ -298,102 +302,123 @@ func buildConfig(spec ConfigSpec) (pmsnet.Config, error) {
 	return cfg, nil
 }
 
-// buildWorkloads compiles the workload spec: one workload per seed. The
-// pattern constructors enforce their contracts (perfect-square N for
-// transpose, power-of-two N for bit-reverse, N >= 2, ...) by panicking;
-// admission must stay panic-free, so those contract violations are caught
-// here and surfaced as 400s.
-func buildWorkloads(cfg pmsnet.Config, spec WorkloadSpec) (wls []*pmsnet.Workload, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			wls, err = nil, &AdmissionError{Field: "workload", Reason: fmt.Sprint(r)}
-		}
-	}()
-	return buildWorkloadList(cfg, spec)
+// workloadRequest is a job's workload spec with every default applied: all
+// that determines the workloads the job runs, short of generating them.
+type workloadRequest struct {
+	gen   *pmsnet.WorkloadSpec // the generator; nil for a trace job
+	trace string               // a trace job's inline PMSTRACE program
+	n     int
+	seed  int64 // the first seed; workload i uses seed+i
+	seeds int
 }
 
-func buildWorkloadList(cfg pmsnet.Config, spec WorkloadSpec) ([]*pmsnet.Workload, error) {
-	n := spec.N
-	if n == 0 {
-		n = cfg.N
+// resolveWorkload applies the workload spec's defaults and checks what can
+// be checked without generating: the seed count, the pattern name and
+// parameters, and that a trace job carries a program.
+func resolveWorkload(cfg pmsnet.Config, spec WorkloadSpec) (*workloadRequest, error) {
+	req := &workloadRequest{n: spec.N, seed: spec.Seed, seeds: spec.Seeds}
+	if req.n == 0 {
+		req.n = cfg.N
 	}
-	seed := spec.Seed
-	if seed == 0 {
-		seed = 1
+	if req.seed == 0 {
+		req.seed = 1
 	}
-	seeds := spec.Seeds
-	if seeds == 0 {
-		seeds = 1
+	if req.seeds == 0 {
+		req.seeds = 1
 	}
-	if seeds < 0 || seeds > 1024 {
+	if req.seeds < 0 || req.seeds > 1024 {
 		return nil, &AdmissionError{Field: "workload.seeds", Reason: "must be within [1, 1024]"}
 	}
 
-	one := func(seed int64) (*pmsnet.Workload, error) {
-		if spec.Pattern == "trace" {
-			if spec.Trace == "" {
-				return nil, &AdmissionError{Field: "workload.trace", Reason: "pattern \"trace\" needs an inline PMSTRACE program"}
-			}
-			wl, err := pmsnet.ReadTrace(strings.NewReader(spec.Trace))
-			if err != nil {
-				return nil, &AdmissionError{Field: "workload.trace", Reason: err.Error()}
-			}
-			return wl, nil
+	if spec.Pattern == "trace" {
+		if spec.Trace == "" {
+			return nil, &AdmissionError{Field: "workload.trace", Reason: "pattern \"trace\" needs an inline PMSTRACE program"}
 		}
-		ws, err := pmsnet.ParseWorkloadSpec(spec.Pattern)
-		if err != nil {
-			// The parse error names the whole registered vocabulary, so a
-			// typo'd pattern 400 tells the client what is valid.
-			return nil, &AdmissionError{Field: "workload.pattern", Reason: err.Error()}
-		}
-		// Fold the flat JSON fields in under the spec: only fields the client
-		// set (non-zero), only parameters the family has, spec values win.
-		for _, o := range []struct{ key, value, field string }{
-			{"bytes", strconv.Itoa(spec.Size), "size"},
-			{"msgs", strconv.Itoa(spec.Msgs), "msgs"},
-			{"rounds", strconv.Itoa(spec.Rounds), "rounds"},
-			{"distance", strconv.Itoa(spec.Distance), "distance"},
-			{"determinism", strconv.FormatFloat(spec.Determinism, 'g', -1, 64), "determinism"},
-			{"think", time.Duration(spec.ThinkNS).String(), "think_ns"},
-		} {
-			if o.value == "0" || o.value == "0s" {
-				continue
-			}
-			if err := ws.Default(o.key, o.value); err != nil {
-				return nil, &AdmissionError{Field: "workload." + o.field, Reason: err.Error()}
-			}
-		}
-		wl, err := ws.Generate(n, seed)
-		if err != nil {
-			return nil, &AdmissionError{Field: "workload", Reason: err.Error()}
-		}
-		return wl, nil
+		req.trace = spec.Trace
+		return req, nil
 	}
-
-	wls := make([]*pmsnet.Workload, seeds)
-	for i := range wls {
-		wl, err := one(seed + int64(i))
-		if err != nil {
-			return nil, err
-		}
-		wls[i] = wl
+	ws, err := pmsnet.ParseWorkloadSpec(spec.Pattern)
+	if err != nil {
+		// The parse error names the whole registered vocabulary, so a
+		// typo'd pattern 400 tells the client what is valid.
+		return nil, &AdmissionError{Field: "workload.pattern", Reason: err.Error()}
 	}
-	return wls, nil
+	// Fold the flat JSON fields in under the spec: only fields the client
+	// set (non-zero), only parameters the family has, spec values win.
+	for _, o := range []struct{ key, value, field string }{
+		{"bytes", strconv.Itoa(spec.Size), "size"},
+		{"msgs", strconv.Itoa(spec.Msgs), "msgs"},
+		{"rounds", strconv.Itoa(spec.Rounds), "rounds"},
+		{"distance", strconv.Itoa(spec.Distance), "distance"},
+		{"determinism", strconv.FormatFloat(spec.Determinism, 'g', -1, 64), "determinism"},
+		{"think", time.Duration(spec.ThinkNS).String(), "think_ns"},
+	} {
+		if o.value == "0" || o.value == "0s" {
+			continue
+		}
+		if err := ws.Default(o.key, o.value); err != nil {
+			return nil, &AdmissionError{Field: "workload." + o.field, Reason: err.Error()}
+		}
+	}
+	req.gen = ws
+	return req, nil
 }
 
-// combinedWorkloadHash folds the per-workload fingerprints of a multi-seed
-// job into one, order-sensitively.
-func combinedWorkloadHash(wls []*pmsnet.Workload) (uint64, error) {
-	var h uint64 = 1469598103934665603 // FNV-64a offset basis
-	for _, wl := range wls {
-		wh, err := wl.Hash()
-		if err != nil {
-			return 0, err
-		}
+// hash fingerprints the request with FNV-64a over N, the first seed, the
+// seed count and then the canonical generator spec (or a trace job's
+// text). Generation is a pure function of these, so equal hashes mean
+// bit-identical workloads; the canonical spec makes "random-mesh:bytes=64"
+// and "random-mesh" with size 64 one request. The fixed-width words come
+// first and the text last, so distinct requests encode distinctly.
+func (r *workloadRequest) hash() uint64 {
+	h := uint64(fnvOffset64)
+	for _, w := range []uint64{uint64(r.n), uint64(r.seed), uint64(r.seeds)} {
 		for shift := 0; shift < 64; shift += 8 {
-			h ^= (wh >> shift) & 0xff
-			h *= 1099511628211
+			h = fnvByte(h, byte(w>>shift))
 		}
 	}
-	return h, nil
+	text := r.trace
+	if r.gen == nil {
+		h = fnvByte(h, 't')
+	} else {
+		h = fnvByte(h, 's')
+		text = r.gen.String()
+	}
+	for i := 0; i < len(text); i++ {
+		h = fnvByte(h, text[i])
+	}
+	return h
+}
+
+const (
+	fnvOffset64 = 14695981039346656037
+	fnvPrime64  = 1099511628211
+)
+
+func fnvByte(h uint64, b byte) uint64 { return (h ^ uint64(b)) * fnvPrime64 }
+
+// generate builds the request's workloads, one per seed. The pattern
+// constructors enforce their contracts (perfect-square N for transpose,
+// power-of-two N for bit-reverse, N >= 2, ...); admission must stay
+// panic-free, so any contract violation, returned or panicked, is surfaced
+// as a 400.
+func (r *workloadRequest) generate() (wls []*pmsnet.Workload, err error) {
+	defer func() {
+		if p := recover(); p != nil {
+			wls, err = nil, &AdmissionError{Field: "workload", Reason: fmt.Sprint(p)}
+		}
+	}()
+	wls = make([]*pmsnet.Workload, r.seeds)
+	for i := range wls {
+		if r.gen == nil {
+			if wls[i], err = pmsnet.ReadTrace(strings.NewReader(r.trace)); err != nil {
+				return nil, &AdmissionError{Field: "workload.trace", Reason: err.Error()}
+			}
+			continue
+		}
+		if wls[i], err = r.gen.Generate(r.n, r.seed+int64(i)); err != nil {
+			return nil, &AdmissionError{Field: "workload", Reason: err.Error()}
+		}
+	}
+	return wls, nil
 }

@@ -43,9 +43,12 @@ func (s *Server) startWorkers() {
 // discarded (bounded by one simulation's runtime — acceptable because
 // simulations are CPU-bounded and deadlines exist precisely to cap them).
 // The recover sits inside the child goroutine, where the panic would
-// otherwise crash the whole process.
+// otherwise crash the whole process. The run goroutine gets the workloads
+// as an argument, and finish drops the job's reference at the terminal
+// transition, so they are garbage once the run ends, even an abandoned one.
 func (s *Server) runJob(j *Job) {
-	if !j.markRunning(time.Now()) {
+	wls, ok := j.markRunning(time.Now())
+	if !ok {
 		// Cancelled while queued (DELETE or shutdown abort): nothing ran,
 		// the terminal transition already happened.
 		return
@@ -76,7 +79,7 @@ func (s *Server) runJob(j *Job) {
 				}
 			}
 		}()
-		payload, err := s.execute(ctx, j)
+		payload, err := s.execute(ctx, j, wls)
 		ch <- outcome{payload: payload, err: err}
 	}()
 
@@ -131,21 +134,21 @@ func (s *Server) runJob(j *Job) {
 // one job never occupies more than its one worker — so cancellation and
 // deadlines take effect between seeds even though a single simulation,
 // once started, runs to completion in the abandoned goroutine.
-func (s *Server) execute(ctx context.Context, j *Job) ([]byte, error) {
+func (s *Server) execute(ctx context.Context, j *Job, wls []*pmsnet.Workload) ([]byte, error) {
 	switch j.testPattern {
 	case "panic":
 		panic("injected test panic (pattern \"panic\")")
 	case "sleep":
 		select {
-		case <-time.After(time.Duration(j.Spec.Workload.SleepMS) * time.Millisecond):
+		case <-time.After(j.sleep):
 			return json.Marshal(JobResult{})
 		case <-ctx.Done():
 			return nil, ctx.Err()
 		}
 	}
-	reports, err := runner.MapCtx(ctx, runner.Options{Parallelism: 1}, len(j.wls),
+	reports, err := runner.MapCtx(ctx, runner.Options{Parallelism: 1}, len(wls),
 		func(i int) (pmsnet.Report, error) {
-			return pmsnet.Run(j.cfg, j.wls[i])
+			return pmsnet.Run(j.cfg, wls[i])
 		})
 	if err != nil {
 		return nil, err

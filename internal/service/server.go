@@ -284,9 +284,10 @@ func (s *Server) writeBackoff(w http.ResponseWriter, status int, msg string) {
 	writeJSON(w, status, errorBody{Error: msg})
 }
 
-// handleSubmit is the admission path: validate, consult the cache, enqueue
-// with backpressure. `?wait=1` blocks until the job is terminal and maps
-// its state to a status code; otherwise submission is asynchronous (202).
+// handleSubmit is the admission path: validate, consult the cache, generate
+// the workloads on a miss, enqueue with backpressure. `?wait=1` blocks until
+// the job is terminal and maps its state to a status code; otherwise
+// submission is asynchronous (202).
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	s.metrics.submitted.Add(1)
 	if s.draining.Load() {
@@ -302,20 +303,16 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusBadRequest, errorBody{Error: "invalid job spec: " + err.Error()})
 		return
 	}
-	j, err := s.buildJob(spec)
+	j, req, err := s.buildJob(spec)
 	if err != nil {
-		s.metrics.rejected400.Add(1)
-		var ae *AdmissionError
-		if errors.As(err, &ae) {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: ae.Error(), Field: ae.Field})
-		} else {
-			writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
-		}
+		s.rejectAdmission(w, err)
 		return
 	}
 
-	// Deterministic replay: a cached result needs no queue slot and no
-	// worker — the stored bytes are byte-identical to a fresh run's.
+	// Deterministic replay: a cached result needs no workload, no queue
+	// slot and no worker — the stored bytes are byte-identical to a fresh
+	// run's. The key comes from the resolved spec, so a hit generates
+	// nothing.
 	if payload, ok := s.cache.get(j.key); ok {
 		s.metrics.cacheHits.Add(1)
 		s.register(j)
@@ -328,6 +325,15 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Cache", "hit")
 		writeJSON(w, http.StatusOK, s.status(j))
 		return
+	}
+	// A miss generates here, at admission, so a spec that violates its
+	// generator's contract is still a 400 and never reaches a worker. A
+	// rejected key is never cached, so the lookup above cannot admit one.
+	if req != nil {
+		if j.wls, err = req.generate(); err != nil {
+			s.rejectAdmission(w, err)
+			return
+		}
 	}
 	s.metrics.cacheMisses.Add(1)
 
@@ -362,6 +368,18 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		// Client went away mid-wait. The job keeps running (another GET can
 		// still fetch it); there is nobody left to answer.
 	}
+}
+
+// rejectAdmission answers a spec refused at admission with a 400 naming the
+// offending field when known.
+func (s *Server) rejectAdmission(w http.ResponseWriter, err error) {
+	s.metrics.rejected400.Add(1)
+	var ae *AdmissionError
+	if errors.As(err, &ae) {
+		writeJSON(w, http.StatusBadRequest, errorBody{Error: ae.Error(), Field: ae.Field})
+		return
+	}
+	writeJSON(w, http.StatusBadRequest, errorBody{Error: err.Error()})
 }
 
 // submitStatusCode maps a terminal state onto the synchronous-submit HTTP
