@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet race fuzz bench bench-compare trace-smoke service-smoke plan-smoke workload-smoke figures clean
+.PHONY: all build test check vet race fuzz bench bench-compare trace-smoke service-smoke plan-smoke figures clean
 
 all: build test
 
@@ -97,12 +97,6 @@ plan-smoke:
 	$(GO) run ./cmd/pmsopt -planner bvn -pattern skewed -n 16 \
 		-o /tmp/pmsnet-plan-smoke.json > /dev/null
 	@test -s /tmp/pmsnet-plan-smoke.json
-
-# Workload-registry gate: every registered generator family runs under both
-# dynamic and hybrid TDM with the race detector on. New families cannot land
-# without passing this.
-workload-smoke:
-	$(GO) test -race -run TestWorkloadSmoke -count=1 .
 
 # Short fuzzing passes over the text-format parsers, the workload-spec
 # grammar, the sparse/dense bitmat parity, the sparse scheduling pass

@@ -313,7 +313,7 @@ func runAblations(ex experiments.Exec, seed int64) {
 // slot-utilization and queue-depth curves — the timeline view of a run that
 // the aggregate tables flatten away.
 func runTimeline(netName string, interval time.Duration, seed int64) error {
-	sw, err := pmsnet.ParseSwitching(netName)
+	sw, err := pmsnet.Switchings.Parse(netName)
 	if err != nil {
 		return err
 	}

@@ -19,10 +19,9 @@
 // Parameters given in the spec win; the classic flags (-size, -msgs,
 // -rounds, -determinism, -think) fill in any parameter the spec leaves
 // unset, for families that have it.
-// Fabrics (TDM modes): crossbar, omega, clos, benes (`pmsim -fabric list`).
-// Planners (tdm-preload/tdm-hybrid): static, solstice, bvn
-// (`pmsim -planner list`) pick the offline preload planner.
-// Schedulers (TDM modes): paper, islip, wavefront (`pmsim -sched list`).
+// Eviction policies (`pmsim -eviction list`), fabrics (`pmsim -fabric list`),
+// schedulers (`pmsim -sched list`) and preload planners (`pmsim -planner
+// list`) print their vocabularies the same way.
 //
 // -write-workload FILE writes the generated workload as a PMSTRACE command
 // file — the per-processor command-file format the paper's simulator is
@@ -49,17 +48,19 @@ import (
 	"bufio"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"runtime/pprof"
 	"strconv"
+	"strings"
 	"time"
 
 	"pmsnet"
 )
 
 func main() {
+	netFlag, evictionFlag, fabricFlag, schedFlag, plannerFlag := vocabFlags(flag.CommandLine)
 	var (
-		netName  = flag.String("net", "tdm-dynamic", "network: wormhole|circuit|voq-islip|tdm-dynamic|tdm-preload|tdm-hybrid|mesh-wormhole|mesh-tdm")
 		pattern  = flag.String("pattern", "random-mesh", "workload generator spec name[:key=value,...] ('list' prints the full catalog)")
 		workload = flag.String("workload", "", "run a PMSTRACE command file instead of a built-in pattern")
 		writeWl  = flag.String("write-workload", "", "write the workload as a PMSTRACE command file to this path and exit without simulating")
@@ -73,11 +74,7 @@ func main() {
 		det      = flag.Float64("determinism", 0.85, "statically-known traffic fraction (mix)")
 		think    = flag.Duration("think", 150*time.Nanosecond, "compute time between sends (mix)")
 		timeout  = flag.Duration("timeout", 500*time.Nanosecond, "eviction timeout (dynamic/hybrid TDM)")
-		eviction = flag.String("eviction", "timeout", "eviction policy: reactive|timeout|counter|never|markov")
 		amplify  = flag.Int("amplify", 0, "bandwidth-amplification threshold in bytes (0 = off)")
-		fabName  = flag.String("fabric", "crossbar", "TDM fabric backend: crossbar|omega|clos|benes ('list' prints the vocabulary)")
-		schedNm  = flag.String("sched", "paper", "TDM scheduling algorithm: paper|islip|wavefront ('list' prints the vocabulary)")
-		planNm   = flag.String("planner", "static", "preload planner (tdm-preload/tdm-hybrid): static|solstice|bvn ('list' prints the vocabulary)")
 		hist     = flag.Bool("hist", false, "print the latency histogram")
 		faults   = flag.String("faults", "", "fault plan, e.g. 'seed=7,mtbf=1ms,mttr=10us,corrupt=0.001,link=3@50us+20us,xpoint=1:2@80us'")
 		seed     = flag.Int64("seed", 1, "workload random seed")
@@ -97,32 +94,12 @@ func main() {
 		}()
 	}
 
-	// `-net list` / `-fabric list` / `-sched list` / `-planner list` print
-	// the canonical vocabulary, one name per line, and exit — the
-	// machine-readable form for scripts. `-pattern list` prints the generator
-	// catalog with schemas; its first column is the bare vocabulary.
-	if *netName == "list" {
-		for _, name := range pmsnet.SwitchingNames() {
-			fmt.Println(name)
-		}
-		return
-	}
-	if *fabName == "list" {
-		for _, name := range pmsnet.FabricNames() {
-			fmt.Println(name)
-		}
-		return
-	}
-	if *schedNm == "list" {
-		for _, name := range pmsnet.SchedulerNames() {
-			fmt.Println(name)
-		}
-		return
-	}
-	if *planNm == "list" {
-		for _, name := range pmsnet.PlannerNames() {
-			fmt.Println(name)
-		}
+	// `-net list`, `-eviction list`, `-fabric list`, `-sched list` and
+	// `-planner list` print the canonical vocabulary, one name per line, and
+	// exit — the machine-readable form for scripts. `-pattern list` prints
+	// the generator catalog with schemas; its first column is the bare
+	// vocabulary.
+	if printList(os.Stdout, netFlag, evictionFlag, fabricFlag, schedFlag, plannerFlag) {
 		return
 	}
 	if *pattern == "list" {
@@ -151,21 +128,23 @@ func main() {
 		fmt.Fprintf(os.Stderr, "wrote workload to %s\n", *writeWl)
 		return
 	}
-	cfg, err := buildConfig(*netName, *eviction, *n, *k, *preload, *timeout)
-	if err != nil {
+	cfg := pmsnet.Config{N: *n, K: *k, PreloadSlots: *preload, EvictionTimeout: *timeout,
+		AmplifyBytes: *amplify, Parallelism: *parallel}
+	if cfg.Switching, err = pmsnet.Switchings.Parse(*netFlag.value); err != nil {
 		fatal(err)
 	}
-	cfg.AmplifyBytes = *amplify
-	if cfg.Fabric, err = pmsnet.ParseFabric(*fabName); err != nil {
+	if cfg.Eviction, err = pmsnet.Evictions.Parse(*evictionFlag.value); err != nil {
 		fatal(err)
 	}
-	if cfg.Scheduler, err = pmsnet.ParseScheduler(*schedNm); err != nil {
+	if cfg.Fabric, err = pmsnet.Fabrics.Parse(*fabricFlag.value); err != nil {
 		fatal(err)
 	}
-	if cfg.Planner, err = pmsnet.ParsePlanner(*planNm); err != nil {
+	if cfg.Scheduler, err = pmsnet.Schedulers.Parse(*schedFlag.value); err != nil {
 		fatal(err)
 	}
-	cfg.Parallelism = *parallel
+	if cfg.Planner, err = pmsnet.Planners.Parse(*plannerFlag.value); err != nil {
+		fatal(err)
+	}
 	if *faults != "" {
 		plan, err := pmsnet.ParseFaults(*faults)
 		if err != nil {
@@ -348,16 +327,41 @@ func writeWorkload(path string, wl *pmsnet.Workload) error {
 	return f.Close()
 }
 
-func buildConfig(netName, eviction string, n, k, preload int, timeout time.Duration) (pmsnet.Config, error) {
-	cfg := pmsnet.Config{N: n, K: k, PreloadSlots: preload, EvictionTimeout: timeout}
-	var err error
-	if cfg.Switching, err = pmsnet.ParseSwitching(netName); err != nil {
-		return cfg, err
+// vocabFlag is a flag whose value is one name of a vocabulary table.
+type vocabFlag struct {
+	value *string
+	names []string
+}
+
+// newVocabFlag registers a vocabulary flag on fs; its help text lists the
+// table's names.
+func newVocabFlag(fs *flag.FlagSet, name, value, usage string, names []string) vocabFlag {
+	usage = fmt.Sprintf("%s: %s ('list' prints the vocabulary)", usage, strings.Join(names, "|"))
+	return vocabFlag{fs.String(name, value, usage), names}
+}
+
+// vocabFlags registers the five vocabulary flags on fs: -net, -eviction,
+// -fabric, -sched and -planner.
+func vocabFlags(fs *flag.FlagSet) (net, eviction, fabric, sched, planner vocabFlag) {
+	return newVocabFlag(fs, "net", "tdm-dynamic", "network", pmsnet.Switchings.Names()),
+		newVocabFlag(fs, "eviction", "timeout", "eviction policy (dynamic/hybrid TDM)", pmsnet.Evictions.Names()),
+		newVocabFlag(fs, "fabric", "crossbar", "TDM fabric backend", pmsnet.Fabrics.Names()),
+		newVocabFlag(fs, "sched", "paper", "TDM scheduling algorithm", pmsnet.Schedulers.Names()),
+		newVocabFlag(fs, "planner", "static", "preload planner (tdm-preload/tdm-hybrid)", pmsnet.Planners.Names())
+}
+
+// printList prints the names of the first flag set to "list", one per line,
+// and reports whether there was one.
+func printList(w io.Writer, flags ...vocabFlag) bool {
+	for _, f := range flags {
+		if *f.value == "list" {
+			for _, name := range f.names {
+				fmt.Fprintln(w, name)
+			}
+			return true
+		}
 	}
-	if cfg.Eviction, err = pmsnet.ParseEviction(eviction); err != nil {
-		return cfg, err
-	}
-	return cfg, nil
+	return false
 }
 
 func fatal(err error) {

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -55,5 +56,39 @@ func TestWriteWorkloadRoundTrip(t *testing.T) {
 				t.Errorf("replayed report differs from the generated run:\n got  %+v\n want %+v", gotRep, wantRep)
 			}
 		})
+	}
+}
+
+// TestVocabularyLists drives `-FLAG list` for each of the five vocabulary
+// flags through real flag parsing: each prints its table's names, in
+// order, one per line.
+func TestVocabularyLists(t *testing.T) {
+	for _, tc := range []struct {
+		flag  string
+		names []string
+	}{
+		{"net", pmsnet.Switchings.Names()},
+		{"eviction", pmsnet.Evictions.Names()},
+		{"fabric", pmsnet.Fabrics.Names()},
+		{"sched", pmsnet.Schedulers.Names()},
+		{"planner", pmsnet.Planners.Names()},
+	} {
+		fs := flag.NewFlagSet("pmsim", flag.ContinueOnError)
+		net, eviction, fabric, sched, planner := vocabFlags(fs)
+		if err := fs.Parse([]string{"-" + tc.flag, "list"}); err != nil {
+			t.Fatal(err)
+		}
+		var out strings.Builder
+		if !printList(&out, net, eviction, fabric, sched, planner) {
+			t.Fatalf("-%s list printed nothing", tc.flag)
+		}
+		if want := strings.Join(tc.names, "\n") + "\n"; out.String() != want {
+			t.Errorf("-%s list printed %q, want %q", tc.flag, out.String(), want)
+		}
+	}
+	fs := flag.NewFlagSet("pmsim", flag.ContinueOnError)
+	net, eviction, fabric, sched, planner := vocabFlags(fs)
+	if printList(new(strings.Builder), net, eviction, fabric, sched, planner) {
+		t.Error("printList fired with no flag set to list")
 	}
 }

@@ -44,7 +44,7 @@ import (
 
 func main() {
 	var (
-		planName = flag.String("planner", "solstice", "preload planner: static|solstice|bvn ('list' prints the vocabulary)")
+		planName = flag.String("planner", "solstice", "preload planner: "+strings.Join(plan.Kinds.Names(), "|")+" ('list' prints the vocabulary)")
 		pattern  = flag.String("pattern", "", "workload generator spec name[:key=value,...] ('list' prints the full catalog)")
 		wlPath   = flag.String("workload", "", "plan a PMSTRACE command file")
 		dmPath   = flag.String("demand", "", "plan an explicit demand matrix (CSV, one row per source, slots per connection)")
@@ -66,7 +66,7 @@ func main() {
 	flag.Parse()
 
 	if *planName == "list" {
-		for _, name := range plan.Names() {
+		for _, name := range plan.Kinds.Names() {
 			fmt.Println(name)
 		}
 		return
@@ -77,7 +77,7 @@ func main() {
 		}
 		return
 	}
-	kind, err := plan.Parse(*planName)
+	kind, err := plan.Kinds.Parse(*planName)
 	if err != nil {
 		fatal(err)
 	}

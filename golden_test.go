@@ -77,7 +77,8 @@ var familyOrder = []string{
 func runGoldenMatrix(t *testing.T, wls map[string]*Workload, order []string) map[string]Report {
 	t.Helper()
 	got := make(map[string]Report)
-	for _, sw := range switchingValues {
+	for i := range Switchings.Names() {
+		sw := Switching(i)
 		for _, wname := range order {
 			wl := wls[wname]
 			if sw == PreloadTDM || sw == HybridTDM {

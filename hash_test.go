@@ -127,6 +127,51 @@ func TestConfigHashFieldSensitivity(t *testing.T) {
 	}
 }
 
+// TestConfigHashPinned pins literal Config.Hash values: the base config and
+// one config per value of each of the five enum fields. Config.Hash is
+// persisted as half of the pmsd result-cache key, so these literals must
+// never change; the sensitivity tests above only prove that hashes differ,
+// not that an enum value kept its integer.
+func TestConfigHashPinned(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Config)
+		want uint64
+	}{
+		{"base", func(*Config) {}, 0x0fa520614ec0f794},
+		{"Switching=wormhole", func(c *Config) { c.Switching = Wormhole }, 0x7ee7c4927a3090a8},
+		{"Switching=circuit", func(c *Config) { c.Switching = CircuitSwitching }, 0x0ed3f6edc354c47d},
+		{"Switching=tdm-dynamic", func(c *Config) { c.Switching = DynamicTDM }, 0x8179faa5b5d7e7f2},
+		{"Switching=tdm-preload", func(c *Config) { c.Switching = PreloadTDM }, 0xeb6661a3504e409f},
+		{"Switching=tdm-hybrid", func(c *Config) { c.Switching = HybridTDM }, 0x0fa520614ec0f794},
+		{"Switching=voq-islip", func(c *Config) { c.Switching = VOQISLIP }, 0xfd0a1e7357beb879},
+		{"Switching=mesh-wormhole", func(c *Config) { c.Switching = MeshWormhole }, 0x54b4a9ab7ee4723e},
+		{"Switching=mesh-tdm", func(c *Config) { c.Switching = MeshTDM }, 0xbf7f800afa59549b},
+		{"Eviction=reactive", func(c *Config) { c.Eviction = ReleaseOnEmpty }, 0x5b75137191dd1976},
+		{"Eviction=timeout", func(c *Config) { c.Eviction = TimeoutEviction }, 0xc634e14df89b643b},
+		{"Eviction=counter", func(c *Config) { c.Eviction = CounterEviction }, 0x0fa520614ec0f794},
+		{"Eviction=never", func(c *Config) { c.Eviction = NeverEvict }, 0xc5cdd7d813135a79},
+		{"Eviction=markov", func(c *Config) { c.Eviction = MarkovPrefetch }, 0x4eb0f0e5efb93782},
+		{"Fabric=crossbar", func(c *Config) { c.Fabric = FabricCrossbar }, 0x4400950c07e52906},
+		{"Fabric=omega", func(c *Config) { c.Fabric = FabricOmega }, 0x8b82d715c9bb70e3},
+		{"Fabric=clos", func(c *Config) { c.Fabric = FabricClos }, 0x0fa520614ec0f794},
+		{"Fabric=benes", func(c *Config) { c.Fabric = FabricBenes }, 0x1819b16b8f2c4c21},
+		{"Scheduler=paper", func(c *Config) { c.Scheduler = SchedulerPaper }, 0xf3c09b3ebb8d4b65},
+		{"Scheduler=islip", func(c *Config) { c.Scheduler = SchedulerISLIP }, 0x0fa520614ec0f794},
+		{"Scheduler=wavefront", func(c *Config) { c.Scheduler = SchedulerWavefront }, 0x3807d4a1a02ee8d7},
+		{"Planner=static", func(c *Config) { c.Planner = PlannerStatic }, 0x1358c1b8e858d21b},
+		{"Planner=solstice", func(c *Config) { c.Planner = PlannerSolstice }, 0x0fa520614ec0f794},
+		{"Planner=bvn", func(c *Config) { c.Planner = PlannerBvN }, 0xbb28d94d8ca3b671},
+	}
+	for _, tc := range cases {
+		c := hashBaseConfig()
+		tc.mut(&c)
+		if got := c.Hash(); got != tc.want {
+			t.Errorf("%s: Hash() = %#016x, want %#016x", tc.name, got, tc.want)
+		}
+	}
+}
+
 func TestConfigHashIgnoresExecutionOnlyFields(t *testing.T) {
 	// Parallelism and Probe never change a Report (the identity suites pin
 	// that), so they must not fragment the result cache.

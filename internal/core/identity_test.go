@@ -264,23 +264,9 @@ func TestAlternativeAlgorithmsRespectCanEstablish(t *testing.T) {
 	}
 }
 
-func TestAlgorithmStringAndParse(t *testing.T) {
-	for _, alg := range algorithmValues {
-		got, err := ParseAlgorithm(alg.String())
-		if err != nil || got != alg {
-			t.Errorf("round trip %v: got %v, err %v", alg, got, err)
-		}
-	}
-	if _, err := ParseAlgorithm("nope"); err == nil {
-		t.Error("expected an error for an unknown algorithm name")
-	}
-	if got := Algorithm(99).String(); got != "Algorithm(99)" {
-		t.Errorf("out-of-range String() = %q", got)
-	}
-	names := AlgorithmNames()
-	if len(names) != len(algorithmValues) {
-		t.Fatalf("AlgorithmNames() = %v, want %d names", names, len(algorithmValues))
-	}
+// TestUnknownAlgorithmFailsValidation: Params.Validate checks the algorithm
+// against its table (the table itself is tested in internal/vocab).
+func TestUnknownAlgorithmFailsValidation(t *testing.T) {
 	p := Params{N: 4, K: 2, Algorithm: Algorithm(7)}
 	if err := p.withDefaults().Validate(); err == nil {
 		t.Error("unknown algorithm must fail validation")

@@ -26,9 +26,9 @@ package core
 import (
 	"fmt"
 	"math/bits"
-	"strings"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/vocab"
 )
 
 // Algorithm selects the matching algorithm a scheduling pass runs. The zero
@@ -47,37 +47,12 @@ const (
 	AlgWavefront
 )
 
-// algorithmNames holds the canonical lower-case names, indexed by Algorithm.
-var algorithmNames = [...]string{"paper", "islip", "wavefront"}
-
-// algorithmValues lists every valid Algorithm, for validation.
-var algorithmValues = [...]Algorithm{AlgPaper, AlgISLIP, AlgWavefront}
+// Algorithms is the algorithm vocabulary (the pmsim -sched flag), indexed
+// by Algorithm.
+var Algorithms = vocab.New[Algorithm]("scheduling algorithm", "paper", "islip", "wavefront")
 
 // String implements fmt.Stringer.
-func (a Algorithm) String() string {
-	if a >= 0 && int(a) < len(algorithmNames) {
-		return algorithmNames[a]
-	}
-	return fmt.Sprintf("Algorithm(%d)", int(a))
-}
-
-// AlgorithmNames returns the canonical algorithm vocabulary in declaration
-// order.
-func AlgorithmNames() []string {
-	out := make([]string, len(algorithmNames))
-	copy(out, algorithmNames[:])
-	return out
-}
-
-// ParseAlgorithm is the inverse of Algorithm.String.
-func ParseAlgorithm(s string) (Algorithm, error) {
-	for i, name := range algorithmNames {
-		if s == name {
-			return Algorithm(i), nil
-		}
-	}
-	return 0, fmt.Errorf("core: unknown algorithm %q (valid: %s)", s, strings.Join(algorithmNames[:], ", "))
-}
+func (a Algorithm) String() string { return Algorithms.Name(a) }
 
 // matchState holds the alternative matchers' persistent pointers and
 // per-evaluation scratch; nil on AlgPaper schedulers.

@@ -94,15 +94,8 @@ func (p Params) Validate() error {
 	if p.SLCopies < 1 || p.SLCopies > p.K {
 		return fmt.Errorf("core: SLCopies=%d must be in [1,%d]", p.SLCopies, p.K)
 	}
-	known := false
-	for _, a := range algorithmValues {
-		if p.Algorithm == a {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return fmt.Errorf("core: unknown algorithm %d (valid: %v)", int(p.Algorithm), AlgorithmNames())
+	if !Algorithms.Valid(p.Algorithm) {
+		return fmt.Errorf("core: unknown algorithm %d (valid: %v)", int(p.Algorithm), Algorithms.Names())
 	}
 	return nil
 }

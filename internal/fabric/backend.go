@@ -2,11 +2,11 @@ package fabric
 
 import (
 	"fmt"
-	"strings"
 
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/multistage"
 	"pmsnet/internal/topology"
+	"pmsnet/internal/vocab"
 )
 
 // Kind identifies a switching-fabric backend. The zero value is the paper's
@@ -35,33 +35,11 @@ const (
 	KindBenes
 )
 
-// kindNames holds the canonical lower-case names, indexed by Kind.
-var kindNames = [...]string{"crossbar", "omega", "clos", "benes"}
+// Kinds is the fabric vocabulary (the pmsim -fabric flag), indexed by Kind.
+var Kinds = vocab.New[Kind]("fabric", "crossbar", "omega", "clos", "benes")
 
 // String implements fmt.Stringer.
-func (k Kind) String() string {
-	if k >= 0 && int(k) < len(kindNames) {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("Kind(%d)", int(k))
-}
-
-// KindNames returns the canonical fabric vocabulary in declaration order.
-func KindNames() []string {
-	out := make([]string, len(kindNames))
-	copy(out, kindNames[:])
-	return out
-}
-
-// ParseKind is the inverse of Kind.String.
-func ParseKind(s string) (Kind, error) {
-	for i, name := range kindNames {
-		if s == name {
-			return Kind(i), nil
-		}
-	}
-	return 0, fmt.Errorf("fabric: unknown fabric %q (valid: %s)", s, strings.Join(kindNames[:], ", "))
-}
+func (k Kind) String() string { return Kinds.Name(k) }
 
 // Backend is a pluggable switching fabric: a configuration register the
 // scheduler writes at every slot boundary, plus the routing/blocking

@@ -36,6 +36,7 @@ import (
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
+	"pmsnet/internal/vocab"
 )
 
 // Demand is a non-negative integer N×N demand matrix: entry (u,v) is the
@@ -300,30 +301,12 @@ const (
 	KindBvN
 )
 
-var kindNames = []string{"static", "solstice", "bvn"}
+// Kinds is the planner vocabulary (the pmsim -planner flag), indexed by
+// Kind.
+var Kinds = vocab.New[Kind]("planner", "static", "solstice", "bvn")
 
 // String implements fmt.Stringer.
-func (k Kind) String() string {
-	if k < 0 || int(k) >= len(kindNames) {
-		return fmt.Sprintf("Kind(%d)", int(k))
-	}
-	return kindNames[k]
-}
-
-// Names returns the parseable planner names in declaration order.
-func Names() []string {
-	return append([]string(nil), kindNames...)
-}
-
-// Parse is the inverse of Kind.String.
-func Parse(name string) (Kind, error) {
-	for i, n := range kindNames {
-		if n == name {
-			return Kind(i), nil
-		}
-	}
-	return 0, fmt.Errorf("plan: unknown planner %q (valid: %v)", name, kindNames)
-}
+func (k Kind) String() string { return Kinds.Name(k) }
 
 // New builds the planner for a kind.
 func New(k Kind) Planner {

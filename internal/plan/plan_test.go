@@ -72,24 +72,13 @@ func checkSchedule(t *testing.T, s *Schedule, d *Demand) {
 	}
 }
 
-func TestParseRoundTrip(t *testing.T) {
+// TestNewNamesItsKind: each planner reports the name its kind parses from
+// (the table itself is tested in internal/vocab).
+func TestNewNamesItsKind(t *testing.T) {
 	for _, k := range []Kind{KindStatic, KindSolstice, KindBvN} {
-		got, err := Parse(k.String())
-		if err != nil {
-			t.Fatalf("Parse(%q): %v", k.String(), err)
-		}
-		if got != k {
-			t.Fatalf("Parse(%q) = %v, want %v", k.String(), got, k)
-		}
 		if New(k).Name() != k.String() {
 			t.Fatalf("New(%v).Name() = %q, want %q", k, New(k).Name(), k.String())
 		}
-	}
-	if _, err := Parse("greedy"); err == nil {
-		t.Fatal("Parse should reject unknown planners")
-	}
-	if len(Names()) != 3 {
-		t.Fatalf("Names() = %v, want 3 planners", Names())
 	}
 }
 

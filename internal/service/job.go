@@ -269,26 +269,26 @@ func buildConfig(spec ConfigSpec) (pmsnet.Config, error) {
 		Parallelism:       1, // each job owns exactly one worker
 	}
 	var err error
-	if cfg.Switching, err = pmsnet.ParseSwitching(spec.Switching); err != nil {
+	if cfg.Switching, err = pmsnet.Switchings.Parse(spec.Switching); err != nil {
 		return cfg, &AdmissionError{Field: "config.switching", Reason: err.Error()}
 	}
 	if spec.Scheduler != "" {
-		if cfg.Scheduler, err = pmsnet.ParseScheduler(spec.Scheduler); err != nil {
+		if cfg.Scheduler, err = pmsnet.Schedulers.Parse(spec.Scheduler); err != nil {
 			return cfg, &AdmissionError{Field: "config.scheduler", Reason: err.Error()}
 		}
 	}
 	if spec.Planner != "" {
-		if cfg.Planner, err = pmsnet.ParsePlanner(spec.Planner); err != nil {
+		if cfg.Planner, err = pmsnet.Planners.Parse(spec.Planner); err != nil {
 			return cfg, &AdmissionError{Field: "config.planner", Reason: err.Error()}
 		}
 	}
 	if spec.Eviction != "" {
-		if cfg.Eviction, err = pmsnet.ParseEviction(spec.Eviction); err != nil {
+		if cfg.Eviction, err = pmsnet.Evictions.Parse(spec.Eviction); err != nil {
 			return cfg, &AdmissionError{Field: "config.eviction", Reason: err.Error()}
 		}
 	}
 	if spec.Fabric != "" {
-		if cfg.Fabric, err = pmsnet.ParseFabric(spec.Fabric); err != nil {
+		if cfg.Fabric, err = pmsnet.Fabrics.Parse(spec.Fabric); err != nil {
 			return cfg, &AdmissionError{Field: "config.fabric", Reason: err.Error()}
 		}
 	}

@@ -192,8 +192,8 @@ func (c Config) Validate() error {
 	if _, err := fabric.NewBackend(c.Fabric, c.N); err != nil {
 		return err
 	}
-	if _, err := core.ParseAlgorithm(c.Algorithm.String()); err != nil {
-		return err
+	if !core.Algorithms.Valid(c.Algorithm) {
+		return fmt.Errorf("tdm: unknown scheduling algorithm %s", c.Algorithm)
 	}
 	switch c.Mode {
 	case Dynamic:

@@ -9,74 +9,6 @@ import (
 	"time"
 )
 
-func TestSwitchingParseRoundTrip(t *testing.T) {
-	for _, s := range []Switching{
-		Wormhole, CircuitSwitching, DynamicTDM, PreloadTDM, HybridTDM,
-		VOQISLIP, MeshWormhole, MeshTDM,
-	} {
-		got, err := ParseSwitching(s.String())
-		if err != nil {
-			t.Fatalf("ParseSwitching(%q): %v", s.String(), err)
-		}
-		if got != s {
-			t.Fatalf("ParseSwitching(%q) = %v, want %v", s.String(), got, s)
-		}
-	}
-	if _, err := ParseSwitching("crossbar"); err == nil {
-		t.Fatal("ParseSwitching should reject unknown names")
-	} else {
-		for _, name := range SwitchingNames() {
-			if !strings.Contains(err.Error(), name) {
-				t.Fatalf("error %q should list valid name %q", err, name)
-			}
-		}
-	}
-}
-
-func TestEvictionParseRoundTrip(t *testing.T) {
-	for _, p := range []EvictionPolicy{
-		ReleaseOnEmpty, TimeoutEviction, CounterEviction, NeverEvict, MarkovPrefetch,
-	} {
-		got, err := ParseEviction(p.String())
-		if err != nil {
-			t.Fatalf("ParseEviction(%q): %v", p.String(), err)
-		}
-		if got != p {
-			t.Fatalf("ParseEviction(%q) = %v, want %v", p.String(), got, p)
-		}
-	}
-	if _, err := ParseEviction("lru"); err == nil {
-		t.Fatal("ParseEviction should reject unknown names")
-	} else {
-		for _, name := range EvictionNames() {
-			if !strings.Contains(err.Error(), name) {
-				t.Fatalf("error %q should list valid name %q", err, name)
-			}
-		}
-	}
-}
-
-func TestPlannerParseRoundTrip(t *testing.T) {
-	for _, p := range []Planner{PlannerStatic, PlannerSolstice, PlannerBvN} {
-		got, err := ParsePlanner(p.String())
-		if err != nil {
-			t.Fatalf("ParsePlanner(%q): %v", p.String(), err)
-		}
-		if got != p {
-			t.Fatalf("ParsePlanner(%q) = %v, want %v", p.String(), got, p)
-		}
-	}
-	if _, err := ParsePlanner("greedy"); err == nil {
-		t.Fatal("ParsePlanner should reject unknown names")
-	} else {
-		for _, name := range PlannerNames() {
-			if !strings.Contains(err.Error(), name) {
-				t.Fatalf("error %q should list valid name %q", err, name)
-			}
-		}
-	}
-}
-
 func TestConfigValidate(t *testing.T) {
 	base := Config{Switching: DynamicTDM, N: 16}
 	if err := base.Validate(); err != nil {

@@ -53,6 +53,7 @@ import (
 	"pmsnet/internal/tdm"
 	"pmsnet/internal/trace"
 	"pmsnet/internal/traffic"
+	"pmsnet/internal/vocab"
 	"pmsnet/internal/voq"
 	"pmsnet/internal/wormhole"
 )
@@ -86,58 +87,14 @@ const (
 	MeshTDM
 )
 
+// Switchings is the paradigm vocabulary (the cmd/pmsim -net flag and the
+// pmsd "switching" field), indexed by Switching.
+var Switchings = vocab.New[Switching]("switching paradigm",
+	"wormhole", "circuit", "tdm-dynamic", "tdm-preload", "tdm-hybrid",
+	"voq-islip", "mesh-wormhole", "mesh-tdm")
+
 // String implements fmt.Stringer.
-func (s Switching) String() string {
-	switch s {
-	case Wormhole:
-		return "wormhole"
-	case CircuitSwitching:
-		return "circuit"
-	case DynamicTDM:
-		return "tdm-dynamic"
-	case PreloadTDM:
-		return "tdm-preload"
-	case HybridTDM:
-		return "tdm-hybrid"
-	case VOQISLIP:
-		return "voq-islip"
-	case MeshWormhole:
-		return "mesh-wormhole"
-	case MeshTDM:
-		return "mesh-tdm"
-	default:
-		return fmt.Sprintf("Switching(%d)", int(s))
-	}
-}
-
-// switchingValues lists every valid paradigm, in flag-name order.
-var switchingValues = []Switching{
-	Wormhole, CircuitSwitching, DynamicTDM, PreloadTDM, HybridTDM,
-	VOQISLIP, MeshWormhole, MeshTDM,
-}
-
-// SwitchingNames returns the canonical names accepted by ParseSwitching, in
-// a stable order — the vocabulary of the cmd/pmsim -net flag.
-func SwitchingNames() []string {
-	out := make([]string, len(switchingValues))
-	for i, v := range switchingValues {
-		out[i] = v.String()
-	}
-	return out
-}
-
-// ParseSwitching is the inverse of Switching.String: it maps a canonical
-// paradigm name ("wormhole", "tdm-dynamic", ...) back to its value. Unknown
-// names produce an error listing every valid name.
-func ParseSwitching(name string) (Switching, error) {
-	for _, v := range switchingValues {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("pmsnet: unknown switching paradigm %q (valid: %s)",
-		name, strings.Join(SwitchingNames(), ", "))
-}
+func (s Switching) String() string { return Switchings.Name(s) }
 
 // EvictionPolicy selects the connection-eviction predictor for the TDM
 // modes (paper §3.2).
@@ -162,199 +119,73 @@ const (
 	MarkovPrefetch
 )
 
-// String implements fmt.Stringer with the cmd/pmsim -eviction vocabulary.
-func (p EvictionPolicy) String() string {
-	switch p {
-	case ReleaseOnEmpty:
-		return "reactive"
-	case TimeoutEviction:
-		return "timeout"
-	case CounterEviction:
-		return "counter"
-	case NeverEvict:
-		return "never"
-	case MarkovPrefetch:
-		return "markov"
-	default:
-		return fmt.Sprintf("EvictionPolicy(%d)", int(p))
-	}
-}
+// Evictions is the policy vocabulary (the cmd/pmsim -eviction flag and the
+// pmsd "eviction" field), indexed by EvictionPolicy.
+var Evictions = vocab.New[EvictionPolicy]("eviction policy",
+	"reactive", "timeout", "counter", "never", "markov")
 
-// evictionValues lists every valid policy, in flag-name order.
-var evictionValues = []EvictionPolicy{
-	ReleaseOnEmpty, TimeoutEviction, CounterEviction, NeverEvict, MarkovPrefetch,
-}
-
-// EvictionNames returns the canonical names accepted by ParseEviction, in a
-// stable order — the vocabulary of the cmd/pmsim -eviction flag.
-func EvictionNames() []string {
-	out := make([]string, len(evictionValues))
-	for i, v := range evictionValues {
-		out[i] = v.String()
-	}
-	return out
-}
-
-// ParseEviction is the inverse of EvictionPolicy.String: it maps a canonical
-// policy name ("reactive", "timeout", ...) back to its value. Unknown names
-// produce an error listing every valid name.
-func ParseEviction(name string) (EvictionPolicy, error) {
-	for _, v := range evictionValues {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("pmsnet: unknown eviction policy %q (valid: %s)",
-		name, strings.Join(EvictionNames(), ", "))
-}
+// String implements fmt.Stringer.
+func (p EvictionPolicy) String() string { return Evictions.Name(p) }
 
 // Fabric selects the switching-fabric backend for the TDM modes. The
-// baselines model their own data paths and ignore it.
-type Fabric int
+// baselines model their own data paths and ignore it. It is the backend's
+// own kind, so a Config's fabric reaches the TDM network unconverted.
+type Fabric = fabric.Kind
 
 // Fabric backends.
 const (
 	// FabricCrossbar is the paper's baseline single-stage crosspoint fabric,
 	// where every partial permutation is realizable.
-	FabricCrossbar Fabric = iota
+	FabricCrossbar = fabric.KindCrossbar
 	// FabricOmega is a blocking log2(N)-stage Omega network: the scheduler
 	// only establishes connections that keep each slot Omega-realizable, and
 	// the preload controller decomposes working sets under the same
 	// constraint. N must be a power of two.
-	FabricOmega
+	FabricOmega = fabric.KindOmega
 	// FabricClos is a three-stage Clos network in its canonical m = n
 	// factoring — rearrangeably non-blocking, so every slot configuration
 	// routes, at a fraction of the crossbar's crosspoint count.
-	FabricClos
+	FabricClos = fabric.KindClos
 	// FabricBenes is the 2·log2(N)−1-stage Benes network, rearrangeably
 	// non-blocking via the looping algorithm. N must be a power of two.
-	FabricBenes
+	FabricBenes = fabric.KindBenes
 )
 
-// String implements fmt.Stringer with the cmd/pmsim -fabric vocabulary.
-func (f Fabric) String() string {
-	switch f {
-	case FabricCrossbar:
-		return "crossbar"
-	case FabricOmega:
-		return "omega"
-	case FabricClos:
-		return "clos"
-	case FabricBenes:
-		return "benes"
-	default:
-		return fmt.Sprintf("Fabric(%d)", int(f))
-	}
-}
-
-// fabricValues lists every valid fabric, in flag-name order.
-var fabricValues = []Fabric{FabricCrossbar, FabricOmega, FabricClos, FabricBenes}
-
-// FabricNames returns the canonical names accepted by ParseFabric, in a
-// stable order — the vocabulary of the cmd/pmsim -fabric flag.
-func FabricNames() []string {
-	out := make([]string, len(fabricValues))
-	for i, v := range fabricValues {
-		out[i] = v.String()
-	}
-	return out
-}
-
-// ParseFabric is the inverse of Fabric.String: it maps a canonical fabric
-// name ("crossbar", "omega", "clos", "benes") back to its value. Unknown
-// names produce an error listing every valid name.
-func ParseFabric(name string) (Fabric, error) {
-	for _, v := range fabricValues {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("pmsnet: unknown fabric %q (valid: %s)",
-		name, strings.Join(FabricNames(), ", "))
-}
-
-// fabricKinds maps the public Fabric vocabulary onto the internal backend
-// kinds, indexed by Fabric value.
-var fabricKinds = [...]fabric.Kind{
-	FabricCrossbar: fabric.KindCrossbar,
-	FabricOmega:    fabric.KindOmega,
-	FabricClos:     fabric.KindClos,
-	FabricBenes:    fabric.KindBenes,
-}
+// Fabrics is the fabric vocabulary (the cmd/pmsim -fabric flag and the pmsd
+// "fabric" field), indexed by Fabric.
+var Fabrics = fabric.Kinds
 
 // Scheduler selects the matching algorithm the TDM scheduler runs each pass.
-// The baselines model their own arbitration and ignore it.
-type Scheduler int
+// The baselines model their own arbitration and ignore it. It is the
+// scheduler core's own algorithm type.
+type Scheduler = core.Algorithm
 
 // Scheduling algorithms.
 const (
 	// SchedulerPaper is the paper-exact Tables 1–2 scheduling array (the
 	// default): the change matrix L resolved by the N×N scheduling-logic
 	// cells against the propagating port-availability signals.
-	SchedulerPaper Scheduler = iota
+	SchedulerPaper = core.AlgPaper
 	// SchedulerISLIP is iSLIP (McKeown 1999, the Tiny Tera scheduler):
 	// iterative request–grant–accept matching with desynchronizing
 	// round-robin pointers, ~log2(N) iterations per pass.
-	SchedulerISLIP
+	SchedulerISLIP = core.AlgISLIP
 	// SchedulerWavefront is wavefront matching (after Tamir & Chi's
 	// symmetric crossbar arbiters): requests resolved along conflict-free
 	// anti-diagonals swept in rotated order.
-	SchedulerWavefront
+	SchedulerWavefront = core.AlgWavefront
 )
 
-// String implements fmt.Stringer with the cmd/pmsim -sched vocabulary.
-func (s Scheduler) String() string {
-	switch s {
-	case SchedulerPaper:
-		return "paper"
-	case SchedulerISLIP:
-		return "islip"
-	case SchedulerWavefront:
-		return "wavefront"
-	default:
-		return fmt.Sprintf("Scheduler(%d)", int(s))
-	}
-}
-
-// schedulerValues lists every valid scheduler, in flag-name order.
-var schedulerValues = []Scheduler{SchedulerPaper, SchedulerISLIP, SchedulerWavefront}
-
-// SchedulerNames returns the canonical names accepted by ParseScheduler, in a
-// stable order — the vocabulary of the cmd/pmsim -sched flag.
-func SchedulerNames() []string {
-	out := make([]string, len(schedulerValues))
-	for i, v := range schedulerValues {
-		out[i] = v.String()
-	}
-	return out
-}
-
-// ParseScheduler is the inverse of Scheduler.String: it maps a canonical
-// algorithm name ("paper", "islip", "wavefront") back to its value. Unknown
-// names produce an error listing every valid name.
-func ParseScheduler(name string) (Scheduler, error) {
-	for _, v := range schedulerValues {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("pmsnet: unknown scheduler %q (valid: %s)",
-		name, strings.Join(SchedulerNames(), ", "))
-}
-
-// schedulerAlgs maps the public Scheduler vocabulary onto the internal
-// algorithm values, indexed by Scheduler value.
-var schedulerAlgs = [...]core.Algorithm{
-	SchedulerPaper:     core.AlgPaper,
-	SchedulerISLIP:     core.AlgISLIP,
-	SchedulerWavefront: core.AlgWavefront,
-}
+// Schedulers is the algorithm vocabulary (the cmd/pmsim -sched flag and the
+// pmsd "scheduler" field), indexed by Scheduler.
+var Schedulers = core.Algorithms
 
 // Planner selects the offline preload planner for PreloadTDM/HybridTDM: the
 // algorithm that turns each static phase's per-connection demand into the
 // configuration groups pinned into the preloaded slots. The reactive modes
 // and the baselines have no preloads to plan and reject a non-default value.
-type Planner int
+// It is the planner package's own kind.
+type Planner = plan.Kind
 
 // Preload planners.
 const (
@@ -362,67 +193,23 @@ const (
 	// phase's working set is edge-colored into conflict-free configurations
 	// and chunked into groups in order, one slot register each. It is
 	// demand-blind and bit-identical to the pre-planner behaviour.
-	PlannerStatic Planner = iota
+	PlannerStatic = plan.KindStatic
 	// PlannerSolstice is the Solstice-style greedy hybrid planner: repeated
 	// heaviest-edge-first matchings cover the demand, registers are shared
 	// in proportion to per-configuration demand, reconfigurations are
 	// charged at the control plane's delay, and connections too light to
 	// pay for a pinned register spill to the dynamic slots (HybridTDM).
-	PlannerSolstice
+	PlannerSolstice = plan.KindSolstice
 	// PlannerBvN is the Birkhoff–von-Neumann planner: the demand matrix is
 	// decomposed exactly into weighted partial permutations, so the planned
 	// slot budget per connection equals its demand — the natural input for
 	// the schedule-slack eviction signal.
-	PlannerBvN
+	PlannerBvN = plan.KindBvN
 )
 
-// String implements fmt.Stringer with the cmd/pmsim -planner vocabulary.
-func (p Planner) String() string {
-	switch p {
-	case PlannerStatic:
-		return "static"
-	case PlannerSolstice:
-		return "solstice"
-	case PlannerBvN:
-		return "bvn"
-	default:
-		return fmt.Sprintf("Planner(%d)", int(p))
-	}
-}
-
-// plannerValues lists every valid planner, in flag-name order.
-var plannerValues = []Planner{PlannerStatic, PlannerSolstice, PlannerBvN}
-
-// PlannerNames returns the canonical names accepted by ParsePlanner, in a
-// stable order — the vocabulary of the cmd/pmsim -planner flag.
-func PlannerNames() []string {
-	out := make([]string, len(plannerValues))
-	for i, v := range plannerValues {
-		out[i] = v.String()
-	}
-	return out
-}
-
-// ParsePlanner is the inverse of Planner.String: it maps a canonical planner
-// name ("static", "solstice", "bvn") back to its value. Unknown names produce
-// an error listing every valid name.
-func ParsePlanner(name string) (Planner, error) {
-	for _, v := range plannerValues {
-		if v.String() == name {
-			return v, nil
-		}
-	}
-	return 0, fmt.Errorf("pmsnet: unknown planner %q (valid: %s)",
-		name, strings.Join(PlannerNames(), ", "))
-}
-
-// plannerKinds maps the public Planner vocabulary onto the internal planner
-// kinds, indexed by Planner value.
-var plannerKinds = [...]plan.Kind{
-	PlannerStatic:   plan.KindStatic,
-	PlannerSolstice: plan.KindSolstice,
-	PlannerBvN:      plan.KindBvN,
-}
+// Planners is the planner vocabulary (the cmd/pmsim -planner flag and the
+// pmsd "planner" field), indexed by Planner.
+var Planners = plan.Kinds
 
 // Config selects and parameterizes a network.
 type Config struct {
@@ -459,7 +246,7 @@ type Config struct {
 	// bit-identical to the pre-planner behaviour), the Solstice-style greedy
 	// hybrid planner, or the Birkhoff–von-Neumann optimizer. A non-default
 	// planner on any other switching paradigm fails Validate — there are no
-	// preloads to plan. Parse flag vocabulary with ParsePlanner.
+	// preloads to plan. Parse flag vocabulary with Planners.Parse.
 	Planner Planner
 	// Scheduler selects the matching algorithm for the TDM modes: the
 	// paper-exact scheduling array (the zero value), iSLIP, or wavefront
@@ -519,16 +306,8 @@ func (e *ConfigError) Error() string {
 // defaults (K, EvictionTimeout, ...) pass.
 func (c Config) Validate() error {
 	c = c.withDefaults()
-	known := false
-	for _, v := range switchingValues {
-		if c.Switching == v {
-			known = true
-			break
-		}
-	}
-	if !known {
-		return &ConfigError{Field: "Switching", Value: int(c.Switching),
-			Reason: fmt.Sprintf("unknown paradigm (valid: %s)", strings.Join(SwitchingNames(), ", "))}
+	if err := checkEnum("Switching", "paradigm", Switchings, c.Switching); err != nil {
+		return err
 	}
 	if c.N < 2 {
 		return &ConfigError{Field: "N", Value: c.N, Reason: "need at least 2 processors"}
@@ -538,16 +317,8 @@ func (c Config) Validate() error {
 	}
 	switch c.Switching {
 	case DynamicTDM, PreloadTDM, HybridTDM:
-		knownEv := false
-		for _, v := range evictionValues {
-			if c.Eviction == v {
-				knownEv = true
-				break
-			}
-		}
-		if !knownEv {
-			return &ConfigError{Field: "Eviction", Value: int(c.Eviction),
-				Reason: fmt.Sprintf("unknown policy (valid: %s)", strings.Join(EvictionNames(), ", "))}
+		if err := checkEnum("Eviction", "policy", Evictions, c.Eviction); err != nil {
+			return err
 		}
 	}
 	if c.Switching == HybridTDM && (c.PreloadSlots < 0 || c.PreloadSlots > c.K) {
@@ -557,27 +328,11 @@ func (c Config) Validate() error {
 	if c.AmplifyBytes < 0 {
 		return &ConfigError{Field: "AmplifyBytes", Value: c.AmplifyBytes, Reason: "must not be negative"}
 	}
-	knownFab := false
-	for _, v := range fabricValues {
-		if c.Fabric == v {
-			knownFab = true
-			break
-		}
+	if err := checkEnum("Fabric", "fabric", Fabrics, c.Fabric); err != nil {
+		return err
 	}
-	if !knownFab {
-		return &ConfigError{Field: "Fabric", Value: int(c.Fabric),
-			Reason: fmt.Sprintf("unknown fabric (valid: %s)", strings.Join(FabricNames(), ", "))}
-	}
-	knownPlanner := false
-	for _, v := range plannerValues {
-		if c.Planner == v {
-			knownPlanner = true
-			break
-		}
-	}
-	if !knownPlanner {
-		return &ConfigError{Field: "Planner", Value: int(c.Planner),
-			Reason: fmt.Sprintf("unknown planner (valid: %s)", strings.Join(PlannerNames(), ", "))}
+	if err := checkEnum("Planner", "planner", Planners, c.Planner); err != nil {
+		return err
 	}
 	if c.Planner != PlannerStatic {
 		switch c.Switching {
@@ -592,20 +347,12 @@ func (c Config) Validate() error {
 				Reason: fmt.Sprintf("preload planning needs preloaded slots; %s has none", c.Switching)}
 		}
 	}
-	knownSched := false
-	for _, v := range schedulerValues {
-		if c.Scheduler == v {
-			knownSched = true
-			break
-		}
-	}
-	if !knownSched {
-		return &ConfigError{Field: "Scheduler", Value: int(c.Scheduler),
-			Reason: fmt.Sprintf("unknown scheduler (valid: %s)", strings.Join(SchedulerNames(), ", "))}
+	if err := checkEnum("Scheduler", "scheduler", Schedulers, c.Scheduler); err != nil {
+		return err
 	}
 	switch c.Switching {
 	case DynamicTDM, PreloadTDM, HybridTDM:
-		if _, err := fabric.NewBackend(fabricKinds[c.Fabric], c.N); err != nil {
+		if _, err := fabric.NewBackend(c.Fabric, c.N); err != nil {
 			return &ConfigError{Field: "Fabric", Value: c.Fabric.String(), Reason: err.Error()}
 		}
 	}
@@ -616,6 +363,16 @@ func (c Config) Validate() error {
 		return &ConfigError{Field: "Faults", Reason: err.Error()}
 	}
 	return nil
+}
+
+// checkEnum rejects an enum field whose value is outside its vocabulary
+// table, naming the field and listing the valid names.
+func checkEnum[T ~int](field, noun string, t vocab.Table[T], v T) error {
+	if t.Valid(v) {
+		return nil
+	}
+	return &ConfigError{Field: field, Value: int(v),
+		Reason: fmt.Sprintf("unknown %s (valid: %s)", noun, strings.Join(t.Names(), ", "))}
 }
 
 func (c Config) withDefaults() Config {
@@ -673,9 +430,8 @@ func (c Config) network() (netmodel.Network, error) {
 		if err != nil {
 			return nil, err
 		}
-		cfg := tdm.Config{N: c.N, K: c.K, NewPredictor: pf, AmplifyBytes: c.AmplifyBytes, Faults: c.Faults, Probe: c.Probe}
-		cfg.Fabric = fabricKinds[c.Fabric]
-		cfg.Algorithm = schedulerAlgs[c.Scheduler]
+		cfg := tdm.Config{N: c.N, K: c.K, NewPredictor: pf, AmplifyBytes: c.AmplifyBytes,
+			Fabric: c.Fabric, Algorithm: c.Scheduler, Faults: c.Faults, Probe: c.Probe}
 		switch c.Switching {
 		case PreloadTDM:
 			cfg.Mode = tdm.Preload
@@ -685,7 +441,7 @@ func (c Config) network() (netmodel.Network, error) {
 			cfg.PreloadSlots = c.PreloadSlots
 		}
 		if c.Planner != PlannerStatic {
-			cfg.Planner = plan.New(plannerKinds[c.Planner])
+			cfg.Planner = plan.New(c.Planner)
 		}
 		return tdm.New(cfg)
 	default:

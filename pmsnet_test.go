@@ -8,21 +8,28 @@ import (
 	"time"
 )
 
-func TestSwitchingStrings(t *testing.T) {
-	names := map[Switching]string{
-		Wormhole:         "wormhole",
-		CircuitSwitching: "circuit",
-		DynamicTDM:       "tdm-dynamic",
-		PreloadTDM:       "tdm-preload",
-		HybridTDM:        "tdm-hybrid",
-	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want)
+// TestVocabularies pins each enum vocabulary's exact ordered name list. The
+// names are the wire vocabulary (pmsim flags, pmsd JSON fields), and a
+// name's position is its integer value, which Config.Hash persists: an
+// entry may be appended, never renamed, removed or reordered.
+// TestConfigHashPinned pins each constant's integer value, and
+// internal/vocab tests the table mechanics (round trip, fallback names,
+// errors).
+func TestVocabularies(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		names []string
+		want  string
+	}{
+		{"Switchings", Switchings.Names(), "wormhole circuit tdm-dynamic tdm-preload tdm-hybrid voq-islip mesh-wormhole mesh-tdm"},
+		{"Evictions", Evictions.Names(), "reactive timeout counter never markov"},
+		{"Fabrics", Fabrics.Names(), "crossbar omega clos benes"},
+		{"Schedulers", Schedulers.Names(), "paper islip wavefront"},
+		{"Planners", Planners.Names(), "static solstice bvn"},
+	} {
+		if got := strings.Join(tc.names, " "); got != tc.want {
+			t.Errorf("%s = %q, want %q", tc.name, got, tc.want)
 		}
-	}
-	if Switching(99).String() == "" {
-		t.Error("unknown switching should render")
 	}
 }
 
@@ -75,61 +82,6 @@ func TestEvictionPolicies(t *testing.T) {
 		if rep.Messages != wl.Messages() {
 			t.Fatalf("policy %d: lost messages", int(ev))
 		}
-	}
-}
-
-func TestFabricStringsAndParse(t *testing.T) {
-	names := map[Fabric]string{
-		FabricCrossbar: "crossbar",
-		FabricOmega:    "omega",
-		FabricClos:     "clos",
-		FabricBenes:    "benes",
-	}
-	for f, want := range names {
-		if f.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(f), f.String(), want)
-		}
-		got, err := ParseFabric(want)
-		if err != nil || got != f {
-			t.Errorf("ParseFabric(%q) = %v, %v; want %v", want, got, err, f)
-		}
-	}
-	if Fabric(99).String() == "" {
-		t.Error("unknown fabric should render")
-	}
-	if _, err := ParseFabric("banyan"); err == nil ||
-		!strings.Contains(err.Error(), "crossbar, omega, clos, benes") {
-		t.Errorf("ParseFabric should list the vocabulary, got %v", err)
-	}
-	if got := strings.Join(FabricNames(), ","); got != "crossbar,omega,clos,benes" {
-		t.Errorf("FabricNames() = %q", got)
-	}
-}
-
-func TestSchedulerStringsAndParse(t *testing.T) {
-	names := map[Scheduler]string{
-		SchedulerPaper:     "paper",
-		SchedulerISLIP:     "islip",
-		SchedulerWavefront: "wavefront",
-	}
-	for s, want := range names {
-		if s.String() != want {
-			t.Errorf("%d.String() = %q, want %q", int(s), s.String(), want)
-		}
-		got, err := ParseScheduler(want)
-		if err != nil || got != s {
-			t.Errorf("ParseScheduler(%q) = %v, %v; want %v", want, got, err, s)
-		}
-	}
-	if Scheduler(99).String() == "" {
-		t.Error("unknown scheduler should render")
-	}
-	if _, err := ParseScheduler("pim"); err == nil ||
-		!strings.Contains(err.Error(), "paper, islip, wavefront") {
-		t.Errorf("ParseScheduler should list the vocabulary, got %v", err)
-	}
-	if got := strings.Join(SchedulerNames(), ","); got != "paper,islip,wavefront" {
-		t.Errorf("SchedulerNames() = %q", got)
 	}
 }
 

@@ -6,10 +6,9 @@ import (
 )
 
 // TestWorkloadSmoke runs every registered generator family, at its schema
-// defaults, through the two scheduler-exercising TDM modes. It is the
-// `make workload-smoke` gate (run there under -race): a new family cannot
-// land without surviving dynamic arbitration and hybrid preload planning
-// end to end.
+// defaults, through the two scheduler-exercising TDM modes. `make check`
+// runs it under -race: a new family cannot land without surviving dynamic
+// arbitration and hybrid preload planning end to end.
 func TestWorkloadSmoke(t *testing.T) {
 	configs := []struct {
 		label string
