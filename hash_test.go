@@ -20,7 +20,7 @@ func hashBaseConfig() Config {
 		EvictionTimeout:   750 * time.Nanosecond,
 		EvictionThreshold: 12,
 		AmplifyBytes:      256,
-		Fabric:            FabricClos,
+		Fabric:            FabricOmega,
 		Planner:           PlannerSolstice,
 		Scheduler:         SchedulerISLIP,
 		Faults: &fault.Plan{
@@ -91,7 +91,7 @@ func TestConfigHashFieldSensitivity(t *testing.T) {
 		{"EvictionTimeout", func(c *Config) { c.EvictionTimeout = time.Microsecond }},
 		{"EvictionThreshold", func(c *Config) { c.EvictionThreshold = 13 }},
 		{"AmplifyBytes", func(c *Config) { c.AmplifyBytes = 512 }},
-		{"Fabric", func(c *Config) { c.Fabric = FabricBenes }},
+		{"Fabric", func(c *Config) { c.Fabric = FabricCrossbar }},
 		{"Planner", func(c *Config) { c.Planner = PlannerBvN }},
 		{"Scheduler", func(c *Config) { c.Scheduler = SchedulerWavefront }},
 		{"Faults.Seed", func(c *Config) { c.Faults.Seed = 10 }},
@@ -138,30 +138,28 @@ func TestConfigHashPinned(t *testing.T) {
 		mut  func(*Config)
 		want uint64
 	}{
-		{"base", func(*Config) {}, 0x0fa520614ec0f794},
-		{"Switching=wormhole", func(c *Config) { c.Switching = Wormhole }, 0x7ee7c4927a3090a8},
-		{"Switching=circuit", func(c *Config) { c.Switching = CircuitSwitching }, 0x0ed3f6edc354c47d},
-		{"Switching=tdm-dynamic", func(c *Config) { c.Switching = DynamicTDM }, 0x8179faa5b5d7e7f2},
-		{"Switching=tdm-preload", func(c *Config) { c.Switching = PreloadTDM }, 0xeb6661a3504e409f},
-		{"Switching=tdm-hybrid", func(c *Config) { c.Switching = HybridTDM }, 0x0fa520614ec0f794},
-		{"Switching=voq-islip", func(c *Config) { c.Switching = VOQISLIP }, 0xfd0a1e7357beb879},
-		{"Switching=mesh-wormhole", func(c *Config) { c.Switching = MeshWormhole }, 0x54b4a9ab7ee4723e},
-		{"Switching=mesh-tdm", func(c *Config) { c.Switching = MeshTDM }, 0xbf7f800afa59549b},
-		{"Eviction=reactive", func(c *Config) { c.Eviction = ReleaseOnEmpty }, 0x5b75137191dd1976},
-		{"Eviction=timeout", func(c *Config) { c.Eviction = TimeoutEviction }, 0xc634e14df89b643b},
-		{"Eviction=counter", func(c *Config) { c.Eviction = CounterEviction }, 0x0fa520614ec0f794},
-		{"Eviction=never", func(c *Config) { c.Eviction = NeverEvict }, 0xc5cdd7d813135a79},
-		{"Eviction=markov", func(c *Config) { c.Eviction = MarkovPrefetch }, 0x4eb0f0e5efb93782},
+		{"base", func(*Config) {}, 0x8b82d715c9bb70e3},
+		{"Switching=wormhole", func(c *Config) { c.Switching = Wormhole }, 0xff7328a58f64dec7},
+		{"Switching=circuit", func(c *Config) { c.Switching = CircuitSwitching }, 0x11edc7771250c5f2},
+		{"Switching=tdm-dynamic", func(c *Config) { c.Switching = DynamicTDM }, 0x7e602a1c66dbe67d},
+		{"Switching=tdm-preload", func(c *Config) { c.Switching = PreloadTDM }, 0xb89e914b6ddc0a60},
+		{"Switching=tdm-hybrid", func(c *Config) { c.Switching = HybridTDM }, 0x8b82d715c9bb70e3},
+		{"Switching=voq-islip", func(c *Config) { c.Switching = VOQISLIP }, 0x2a1c9efc06d7877e},
+		{"Switching=mesh-wormhole", func(c *Config) { c.Switching = MeshWormhole }, 0xa9ea3111193c4439},
+		{"Switching=mesh-tdm", func(c *Config) { c.Switching = MeshTDM }, 0x164ac723e4c55e0c},
+		{"Eviction=reactive", func(c *Config) { c.Eviction = ReleaseOnEmpty }, 0xe74b62b806ac1f11},
+		{"Eviction=timeout", func(c *Config) { c.Eviction = TimeoutEviction }, 0xb24f6bf868d6b3ac},
+		{"Eviction=counter", func(c *Config) { c.Eviction = CounterEviction }, 0x8b82d715c9bb70e3},
+		{"Eviction=never", func(c *Config) { c.Eviction = NeverEvict }, 0xf2e05860c22c297e},
+		{"Eviction=markov", func(c *Config) { c.Eviction = MarkovPrefetch }, 0xabcdc82bab1474cd},
 		{"Fabric=crossbar", func(c *Config) { c.Fabric = FabricCrossbar }, 0x4400950c07e52906},
 		{"Fabric=omega", func(c *Config) { c.Fabric = FabricOmega }, 0x8b82d715c9bb70e3},
-		{"Fabric=clos", func(c *Config) { c.Fabric = FabricClos }, 0x0fa520614ec0f794},
-		{"Fabric=benes", func(c *Config) { c.Fabric = FabricBenes }, 0x1819b16b8f2c4c21},
-		{"Scheduler=paper", func(c *Config) { c.Scheduler = SchedulerPaper }, 0xf3c09b3ebb8d4b65},
-		{"Scheduler=islip", func(c *Config) { c.Scheduler = SchedulerISLIP }, 0x0fa520614ec0f794},
-		{"Scheduler=wavefront", func(c *Config) { c.Scheduler = SchedulerWavefront }, 0x3807d4a1a02ee8d7},
-		{"Planner=static", func(c *Config) { c.Planner = PlannerStatic }, 0x1358c1b8e858d21b},
-		{"Planner=solstice", func(c *Config) { c.Planner = PlannerSolstice }, 0x0fa520614ec0f794},
-		{"Planner=bvn", func(c *Config) { c.Planner = PlannerBvN }, 0xbb28d94d8ca3b671},
+		{"Scheduler=paper", func(c *Config) { c.Scheduler = SchedulerPaper }, 0x97c9d1eda6fc434a},
+		{"Scheduler=islip", func(c *Config) { c.Scheduler = SchedulerISLIP }, 0x8b82d715c9bb70e3},
+		{"Scheduler=wavefront", func(c *Config) { c.Scheduler = SchedulerWavefront }, 0x7892a38e51121b70},
+		{"Planner=static", func(c *Config) { c.Planner = PlannerStatic }, 0x235c879f2c974f1c},
+		{"Planner=solstice", func(c *Config) { c.Planner = PlannerSolstice }, 0x8b82d715c9bb70e3},
+		{"Planner=bvn", func(c *Config) { c.Planner = PlannerBvN }, 0xcc1b76c99135a152},
 	}
 	for _, tc := range cases {
 		c := hashBaseConfig()

@@ -231,12 +231,10 @@ func OmegaFabricStudyExec(ex Exec, n int, wls []*traffic.Workload) ([]NamedResul
 	})
 }
 
-// FabricBackendSweep runs dynamic TDM end-to-end on every fabric backend —
-// crossbar, Omega, Clos, and Benes — over the paper's four Figure 4 traffic
-// patterns. The rearrangeable fabrics (crossbar, Clos, Benes) realize every
-// scheduler configuration and so report identical figures; the blocking
-// Omega pays extra TDM slots whenever a pass conflicts in its single-path
-// routing.
+// FabricBackendSweep runs dynamic TDM end-to-end on both fabric backends —
+// crossbar and Omega — over the paper's four Figure 4 traffic patterns. The
+// blocking Omega pays extra TDM slots whenever a pass conflicts in its
+// single-path routing.
 func FabricBackendSweep(n, bytes int, seed int64) ([]NamedResult, error) {
 	return FabricBackendSweepExec(Serial, n, bytes, seed)
 }
@@ -245,7 +243,7 @@ func FabricBackendSweep(n, bytes int, seed int64) ([]NamedResult, error) {
 // each (pattern, fabric) pair is one sweep point.
 func FabricBackendSweepExec(ex Exec, n, bytes int, seed int64) ([]NamedResult, error) {
 	panels := Panels()
-	fabrics := []fabric.Kind{fabric.KindCrossbar, fabric.KindOmega, fabric.KindClos, fabric.KindBenes}
+	fabrics := []fabric.Kind{fabric.KindCrossbar, fabric.KindOmega}
 	return sweep(ex, len(panels)*len(fabrics), func(i int) (NamedResult, error) {
 		p, fab := panels[i/len(fabrics)], fabrics[i%len(fabrics)]
 		wl, err := p.Workload(n, bytes, seed)
@@ -363,8 +361,9 @@ func MultiHopStudyExec(ex Exec, n int, wls []*traffic.Workload) ([]NamedResult, 
 
 // FabricRow compares fabric families on one working set: the slots a
 // crossbar needs (the degree-optimal decomposition), the slots an Omega
-// network needs under its blocking constraints, and the Benes network's
-// stage cost for the same capability as the crossbar.
+// network needs under its blocking constraints, and the stage cost of a
+// rearrangeably non-blocking Benes network, 2·log2(N) − 1, for the same
+// capability as the crossbar.
 type FabricRow struct {
 	Workload      string
 	Degree        int
@@ -394,10 +393,6 @@ func FabricComparisonExec(ex Exec, n int, wls []*traffic.Workload) ([]FabricRow,
 		if err != nil {
 			return FabricRow{}, err
 		}
-		benes, err := multistage.NewBenes(n)
-		if err != nil {
-			return FabricRow{}, err
-		}
 		ws := wl.ConnSet()
 		oc, err := multistage.DecomposeOmega(ws, omega)
 		if err != nil {
@@ -409,7 +404,7 @@ func FabricComparisonExec(ex Exec, n int, wls []*traffic.Workload) ([]FabricRow,
 			CrossbarSlots: len(topology.Decompose(ws)),
 			OmegaSlots:    len(oc),
 			OmegaStages:   omega.Stages(),
-			BenesStages:   benes.Stages(),
+			BenesStages:   2*omega.Stages() - 1,
 		}, nil
 	})
 }

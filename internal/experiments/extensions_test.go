@@ -183,18 +183,13 @@ func TestFabricBackendSweepCoversPanelsAndFabrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rows) != 16 {
-		t.Fatalf("rows = %d, want 4 panels x 4 fabrics", len(rows))
+	if len(rows) != 8 {
+		t.Fatalf("rows = %d, want 4 panels x 2 fabrics", len(rows))
 	}
-	// Rows are grouped per panel: crossbar, omega, clos, benes. The
-	// rearrangeable fabrics must reproduce the crossbar's figures exactly;
-	// the blocking omega may only be slower.
-	for p := 0; p < len(rows); p += 4 {
-		xbar, omega, clos, benes := rows[p], rows[p+1], rows[p+2], rows[p+3]
-		if clos.Result.Makespan != xbar.Result.Makespan || benes.Result.Makespan != xbar.Result.Makespan {
-			t.Fatalf("%s: rearrangeable fabrics diverge from crossbar (%v / %v / %v)",
-				xbar.Label, xbar.Result.Makespan, clos.Result.Makespan, benes.Result.Makespan)
-		}
+	// Rows are grouped per panel: crossbar, omega. The blocking omega may
+	// only be slower.
+	for p := 0; p < len(rows); p += 2 {
+		xbar, omega := rows[p], rows[p+1]
 		if omega.Result.Makespan < xbar.Result.Makespan {
 			t.Fatalf("%s: blocking omega (%v) beats the crossbar (%v)",
 				omega.Label, omega.Result.Makespan, xbar.Result.Makespan)

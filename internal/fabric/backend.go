@@ -24,19 +24,10 @@ const (
 	// under the same constraint (paper §4's "fabrics that have limited
 	// permutation capabilities"). Requires N to be a power of two.
 	KindOmega
-	// KindClos is a three-stage Clos network in its canonical m = n
-	// factoring: rearrangeably non-blocking (Clos 1953), so every slot
-	// configuration routes, at a fraction of the crossbar's crosspoint count.
-	// Requires N to have a divisor d with d*d >= N (always true).
-	KindClos
-	// KindBenes is the 2·log2(N)−1-stage Benes network: rearrangeably
-	// non-blocking via the looping algorithm, accepting every crossbar
-	// configuration. Requires N to be a power of two.
-	KindBenes
 )
 
 // Kinds is the fabric vocabulary (the pmsim -fabric flag), indexed by Kind.
-var Kinds = vocab.New[Kind]("fabric", "crossbar", "omega", "clos", "benes")
+var Kinds = vocab.New[Kind]("fabric", "crossbar", "omega")
 
 // String implements fmt.Stringer.
 func (k Kind) String() string { return Kinds.Name(k) }
@@ -71,73 +62,36 @@ type Backend interface {
 	Decompose(ws *topology.WorkingSet) ([]*bitmat.Matrix, error)
 }
 
-// NewBackend builds the backend for a kind and port count. Construction
-// errors surface the underlying fabric's constraint (e.g. the power-of-two
-// requirement of Omega and Benes networks).
-func NewBackend(kind Kind, n int) (Backend, error) {
+// Check reports the error NewBackend(kind, n) would return, without building
+// the backend: it allocates nothing on success, so a configuration check can
+// vet a fabric at any N.
+func Check(kind Kind, n int) error {
 	switch kind {
 	case KindCrossbar:
-		return crossbarBackend{NewCrossbar(n, LVDS, 0)}, nil
+		if n <= 0 {
+			return fmt.Errorf("fabric: invalid port count %d", n)
+		}
+		return nil
 	case KindOmega:
-		o, err := multistage.NewOmega(n)
-		if err != nil {
-			return nil, err
-		}
-		return &multistageBackend{
-			Crossbar:   NewCrossbar(n, LVDS, 0),
-			kind:       KindOmega,
-			canRealize: o.CanRealize,
-			decompose: func(ws *topology.WorkingSet) ([]*bitmat.Matrix, error) {
-				return multistage.DecomposeOmega(ws, o)
-			},
-		}, nil
-	case KindClos:
-		c, err := multistage.DefaultClos(n)
-		if err != nil {
-			return nil, err
-		}
-		canRealize := func(cfg *bitmat.Matrix) bool {
-			_, err := c.Route(cfg)
-			return err == nil
-		}
-		b := &multistageBackend{
-			Crossbar:      NewCrossbar(n, LVDS, 0),
-			kind:          KindClos,
-			rearrangeable: c.Rearrangeable(),
-			canRealize:    canRealize,
-		}
-		if b.rearrangeable {
-			b.decompose = decomposeExact
-		} else {
-			b.decompose = func(ws *topology.WorkingSet) ([]*bitmat.Matrix, error) {
-				return multistage.DecomposeRealizable(ws, c.Ports(), "clos", canRealize)
-			}
-		}
-		return b, nil
-	case KindBenes:
-		bn, err := multistage.NewBenes(n)
-		if err != nil {
-			return nil, err
-		}
-		return &multistageBackend{
-			Crossbar:      NewCrossbar(n, LVDS, 0),
-			kind:          KindBenes,
-			rearrangeable: true,
-			canRealize: func(cfg *bitmat.Matrix) bool {
-				_, err := bn.Route(cfg)
-				return err == nil
-			},
-			decompose: decomposeExact,
-		}, nil
+		return multistage.CheckOmega(n)
 	default:
-		return nil, fmt.Errorf("fabric: unknown fabric kind %d", int(kind))
+		return fmt.Errorf("fabric: unknown fabric kind %d", int(kind))
 	}
 }
 
-// decomposeExact is the rearrangeable-fabric decomposition: the exact
-// bipartite edge coloring, identical to the crossbar's.
-func decomposeExact(ws *topology.WorkingSet) ([]*bitmat.Matrix, error) {
-	return topology.Decompose(ws), nil
+// NewBackend builds the backend for a kind and port count. Construction
+// errors are Check's: they surface the underlying fabric's constraint (e.g.
+// the power-of-two requirement of the Omega network).
+func NewBackend(kind Kind, n int) (Backend, error) {
+	if err := Check(kind, n); err != nil {
+		return nil, err
+	}
+	xbar := NewCrossbar(n, LVDS, 0)
+	if kind == KindOmega {
+		o, _ := multistage.NewOmega(n) // Check accepted n
+		return omegaBackend{xbar, o}, nil
+	}
+	return crossbarBackend{xbar}, nil
 }
 
 // crossbarBackend adapts the baseline Crossbar to the Backend interface.
@@ -152,38 +106,36 @@ func (b crossbarBackend) CanRealize(cfg *bitmat.Matrix) bool {
 	return cfg.Rows() == b.Ports() && cfg.Cols() == b.Ports() && cfg.IsPartialPermutation()
 }
 
+// Decompose is the exact bipartite edge coloring: the working set's degree
+// in configurations.
 func (b crossbarBackend) Decompose(ws *topology.WorkingSet) ([]*bitmat.Matrix, error) {
-	return decomposeExact(ws)
+	return topology.Decompose(ws), nil
 }
 
-// multistageBackend wraps a multistage network behind a crossbar-style
+// omegaBackend is the blocking Omega network behind a crossbar-style
 // configuration register: Apply validates the partial permutation through the
-// register, then (on blocking fabrics) routes it through the stage model.
-type multistageBackend struct {
+// register, then routes it through the stages.
+type omegaBackend struct {
 	*Crossbar
-	kind          Kind
-	rearrangeable bool
-	canRealize    func(*bitmat.Matrix) bool
-	decompose     func(*topology.WorkingSet) ([]*bitmat.Matrix, error)
+	o *multistage.Omega
 }
 
-func (b *multistageBackend) Kind() Kind          { return b.kind }
-func (b *multistageBackend) Rearrangeable() bool { return b.rearrangeable }
+func (b omegaBackend) Kind() Kind          { return KindOmega }
+func (b omegaBackend) Rearrangeable() bool { return false }
 
-func (b *multistageBackend) CanRealize(cfg *bitmat.Matrix) bool { return b.canRealize(cfg) }
+func (b omegaBackend) CanRealize(cfg *bitmat.Matrix) bool { return b.o.CanRealize(cfg) }
 
-func (b *multistageBackend) Apply(cfg *bitmat.Matrix) error {
+func (b omegaBackend) Apply(cfg *bitmat.Matrix) error {
 	if err := b.Crossbar.Apply(cfg); err != nil {
 		return err
 	}
-	// Rearrangeable stages realize every partial permutation, which the
-	// register just validated; only blocking fabrics need the routing check.
-	if !b.rearrangeable && !b.canRealize(cfg) {
-		return fmt.Errorf("fabric: configuration is not realizable on the %s fabric", b.kind)
+	if !b.o.CanRealize(cfg) {
+		return fmt.Errorf("fabric: configuration is not realizable on the omega fabric")
 	}
 	return nil
 }
 
-func (b *multistageBackend) Decompose(ws *topology.WorkingSet) ([]*bitmat.Matrix, error) {
-	return b.decompose(ws)
+// Decompose is the first-fit under the Omega's realizability check.
+func (b omegaBackend) Decompose(ws *topology.WorkingSet) ([]*bitmat.Matrix, error) {
+	return multistage.DecomposeOmega(ws, b.o)
 }

@@ -1,11 +1,15 @@
 package fabric
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/multistage"
+	"pmsnet/internal/topology"
 )
 
 func TestTechnologyDelays(t *testing.T) {
@@ -147,5 +151,111 @@ func TestQuickApplyPermutationsAlwaysSucceed(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+func TestCheckErrors(t *testing.T) {
+	for _, tc := range []struct {
+		kind Kind
+		n    int
+		want string // "" means valid
+	}{
+		{KindCrossbar, 3, ""},
+		{KindCrossbar, 0, "invalid port count 0"},
+		{KindOmega, 16, ""},
+		{KindOmega, 12, "omega size 12 must be a power of two >= 2"},
+		{KindOmega, 1, "omega size 1 must be a power of two >= 2"},
+		{Kind(9), 16, "unknown fabric kind 9"},
+	} {
+		t.Run(fmt.Sprintf("%v/n=%d", tc.kind, tc.n), func(t *testing.T) {
+			err := Check(tc.kind, tc.n)
+			if (err == nil) != (tc.want == "") || (err != nil && !strings.Contains(err.Error(), tc.want)) {
+				t.Errorf("Check(%v, %d) = %v, want %q", tc.kind, tc.n, err, tc.want)
+			}
+			b, nerr := NewBackend(tc.kind, tc.n)
+			if (nerr == nil) != (err == nil) || (err != nil && nerr.Error() != err.Error()) {
+				t.Errorf("NewBackend(%v, %d) = %v, Check = %v", tc.kind, tc.n, nerr, err)
+			}
+			if nerr == nil && (b.Kind() != tc.kind || b.Ports() != tc.n) {
+				t.Errorf("NewBackend(%v, %d) built a %v backend with %d ports", tc.kind, tc.n, b.Kind(), b.Ports())
+			}
+		})
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = Check(KindOmega, 1<<15) }); n != 0 {
+		t.Errorf("Check allocated %v times, want 0", n)
+	}
+}
+
+// TestBackendsFollowTheirFabric drives each backend with random partial
+// permutations and working sets: CanRealize and Apply must follow the fabric
+// model behind the register (every partial permutation on the crossbar, the
+// Omega network's routing on the Omega), and Decompose must cover the working
+// set with configurations the backend accepts.
+func TestBackendsFollowTheirFabric(t *testing.T) {
+	const n = 16
+	o, _ := multistage.NewOmega(n)
+	for _, tc := range []struct {
+		kind          Kind
+		rearrangeable bool
+		realizes      func(*bitmat.Matrix) bool
+	}{
+		{KindCrossbar, true, func(*bitmat.Matrix) bool { return true }},
+		{KindOmega, false, o.CanRealize},
+	} {
+		t.Run(tc.kind.String(), func(t *testing.T) {
+			b, err := NewBackend(tc.kind, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if b.Rearrangeable() != tc.rearrangeable {
+				t.Fatalf("Rearrangeable() = %v, want %v", b.Rearrangeable(), tc.rearrangeable)
+			}
+			rng := rand.New(rand.NewSource(3))
+			blocked := 0
+			for trial := 0; trial < 200; trial++ {
+				cfg := bitmat.NewSquare(n)
+				for u, v := range rng.Perm(n) {
+					if rng.Intn(2) == 0 {
+						cfg.Set(u, v)
+					}
+				}
+				want := tc.realizes(cfg)
+				if !want {
+					blocked++
+				}
+				if got := b.CanRealize(cfg); got != want {
+					t.Fatalf("trial %d: CanRealize = %v, fabric says %v", trial, got, want)
+				}
+				if err := b.Apply(cfg); (err == nil) != want {
+					t.Fatalf("trial %d: Apply = %v, fabric realizes it: %v", trial, err, want)
+				}
+			}
+			if tc.rearrangeable != (blocked == 0) {
+				t.Fatalf("%d of 200 random partial permutations blocked", blocked)
+			}
+			ws := topology.NewWorkingSet(n)
+			for ws.Len() < 3*n {
+				if u, v := rng.Intn(n), rng.Intn(n); u != v {
+					ws.Add(topology.Conn{Src: u, Dst: v})
+				}
+			}
+			configs, err := b.Decompose(ws)
+			if err != nil {
+				t.Fatal(err)
+			}
+			union := bitmat.NewSquare(n)
+			for i, cfg := range configs {
+				if !b.CanRealize(cfg) {
+					t.Fatalf("decomposed config %d is not realizable", i)
+				}
+				union.Or(cfg)
+			}
+			if !union.Equal(ws.Matrix()) {
+				t.Fatal("decomposition does not cover the working set exactly")
+			}
+			if tc.rearrangeable && len(configs) != len(topology.Decompose(ws)) {
+				t.Fatalf("crossbar decomposition uses %d configs, edge coloring %d", len(configs), len(topology.Decompose(ws)))
+			}
+		})
 	}
 }

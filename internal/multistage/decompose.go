@@ -4,49 +4,42 @@ import (
 	"fmt"
 
 	"pmsnet/internal/bitmat"
-	"pmsnet/internal/topology"
 )
 
-// DecomposeRealizable splits a working set into configurations that each
-// satisfy a fabric's realizability oracle, by first-fit: a connection joins
-// the first configuration that stays realizable with it, opening a new
-// configuration otherwise. The union of the result equals the working set.
+// FirstFit splits the connections of set, a square connection matrix, into
+// configurations that each satisfy a fabric's realizability oracle.
+// Connections are taken row-major; each joins the first configuration that
+// stays realizable with it, opening a new configuration otherwise. The union
+// of the result equals set, which is not modified.
 //
 // Because a blocking fabric realizes fewer permutations than a crossbar, the
 // result can need more configurations than the crossbar's optimal (the
 // working set's degree) — quantifying the extra multiplexing degree a
-// predictive multiplexed switch pays on that fabric. fabricName labels errors
-// ("omega", "clos", ...).
-func DecomposeRealizable(ws *topology.WorkingSet, ports int, fabricName string, canRealize func(*bitmat.Matrix) bool) ([]*bitmat.Matrix, error) {
-	if ws.Ports() != ports {
-		return nil, fmt.Errorf("multistage: working set spans %d ports, %s has %d", ws.Ports(), fabricName, ports)
-	}
+// predictive multiplexed switch pays on that fabric.
+func FirstFit(set *bitmat.Matrix, canRealize func(*bitmat.Matrix) bool) []*bitmat.Matrix {
 	var configs []*bitmat.Matrix
-	for _, c := range ws.Conns() {
-		placed := false
+	set.Ones(func(u, v int) bool {
 		for _, cfg := range configs {
-			if cfg.RowAny(c.Src) || cfg.ColAny(c.Dst) {
+			if cfg.RowAny(u) || cfg.ColAny(v) {
 				continue
 			}
-			cfg.Set(c.Src, c.Dst)
+			cfg.Set(u, v)
 			if canRealize(cfg) {
-				placed = true
-				break
+				return true
 			}
-			cfg.Clear(c.Src, c.Dst)
+			cfg.Clear(u, v)
 		}
-		if !placed {
-			cfg := bitmat.NewSquare(ports)
-			cfg.Set(c.Src, c.Dst)
-			if !canRealize(cfg) {
-				// A single connection is always realizable; anything else
-				// is a wiring-model bug.
-				panic(fmt.Sprintf("multistage: single connection %v unroutable", c))
-			}
-			configs = append(configs, cfg)
+		cfg := bitmat.NewSquare(set.Rows())
+		cfg.Set(u, v)
+		if !canRealize(cfg) {
+			// A single connection is always realizable; anything else is a
+			// wiring-model bug.
+			panic(fmt.Sprintf("multistage: single connection %d->%d unroutable", u, v))
 		}
-	}
-	return configs, nil
+		configs = append(configs, cfg)
+		return true
+	})
+	return configs
 }
 
 // Weighted is one term of a Birkhoff–von-Neumann-style decomposition: a

@@ -1,8 +1,12 @@
 package multistage
 
 import (
+	"fmt"
 	"math/rand"
+	"strings"
 	"testing"
+
+	"pmsnet/internal/bitmat"
 )
 
 // checkBvN asserts the decomposition invariants for a demand matrix: every
@@ -135,4 +139,91 @@ func TestDecomposeBvNErrors(t *testing.T) {
 	if _, err := DecomposeBvN(4, func(u, v int) int64 { return -1 }); err == nil {
 		t.Error("negative demand should error")
 	}
+}
+
+// checkFirstFit asserts FirstFit's contract: every configuration is a
+// nonempty partial permutation the oracle accepts, no connection lands in two
+// configurations, and together they are exactly set.
+func checkFirstFit(t *testing.T, set *bitmat.Matrix, configs []*bitmat.Matrix, canRealize func(*bitmat.Matrix) bool) {
+	t.Helper()
+	union := bitmat.NewSquare(set.Rows())
+	total := 0
+	for i, cfg := range configs {
+		if cfg.IsZero() || !cfg.IsPartialPermutation() || !canRealize(cfg) {
+			t.Fatalf("config %d is empty, conflicting or unrealizable", i)
+		}
+		total += cfg.Count()
+		union.Or(cfg)
+	}
+	if total != set.Count() || !union.Equal(set) {
+		t.Fatalf("configs hold %d connections covering %d, set has %d", total, union.Count(), set.Count())
+	}
+}
+
+func TestFirstFit(t *testing.T) {
+	always := func(*bitmat.Matrix) bool { return true }
+	t.Run("empty", func(t *testing.T) {
+		if configs := FirstFit(bitmat.NewSquare(8), always); len(configs) != 0 {
+			t.Fatalf("empty set gave %d configurations", len(configs))
+		}
+	})
+	t.Run("row-major", func(t *testing.T) {
+		// (0,0) opens c0; (0,1) conflicts with c0 on row 0 and opens c1;
+		// (1,0) conflicts with c0 on column 0 and joins c1; (1,1) joins c0;
+		// (2,2) fits both and joins the first, c0.
+		set := bitmat.NewSquare(3)
+		set.Set(0, 0)
+		set.Set(0, 1)
+		set.Set(1, 0)
+		set.Set(1, 1)
+		set.Set(2, 2)
+		configs := FirstFit(set, always)
+		if len(configs) != 2 {
+			t.Fatalf("got %d configurations, want 2", len(configs))
+		}
+		if !configs[0].Get(0, 0) || !configs[0].Get(1, 1) || !configs[0].Get(2, 2) || !configs[1].Get(0, 1) || !configs[1].Get(1, 0) {
+			t.Fatalf("configurations %v / %v are not the row-major first fit", configs[0], configs[1])
+		}
+		checkFirstFit(t, set, configs, always)
+	})
+	t.Run("oracle-bounds-each-config", func(t *testing.T) {
+		single := func(cfg *bitmat.Matrix) bool { return cfg.Count() <= 1 }
+		set := bitmat.Identity(6)
+		configs := FirstFit(set, single)
+		if len(configs) != 6 {
+			t.Fatalf("got %d configurations, want one per connection", len(configs))
+		}
+		for i, cfg := range configs {
+			if !cfg.Get(i, i) {
+				t.Fatalf("config %d does not hold connection %d->%d: order is not row-major", i, i, i)
+			}
+		}
+		checkFirstFit(t, set, configs, single)
+	})
+	t.Run("omega", func(t *testing.T) {
+		o, _ := NewOmega(16)
+		rng := rand.New(rand.NewSource(11))
+		for trial := 0; trial < 50; trial++ {
+			set := bitmat.NewSquare(16)
+			for i := 0; i < 48; i++ {
+				set.Set(rng.Intn(16), rng.Intn(16))
+			}
+			before := set.Clone()
+			configs := FirstFit(set, o.CanRealize)
+			if !set.Equal(before) {
+				t.Fatal("FirstFit modified its input")
+			}
+			checkFirstFit(t, set, configs, o.CanRealize)
+		}
+	})
+	t.Run("unroutable-connection-panics", func(t *testing.T) {
+		set := bitmat.NewSquare(4)
+		set.Set(2, 3)
+		defer func() {
+			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "single connection 2->3 unroutable") {
+				t.Fatalf("recovered %v, want the unroutable-connection panic", r)
+			}
+		}()
+		FirstFit(set, func(*bitmat.Matrix) bool { return false })
+	})
 }

@@ -1,61 +1,6 @@
 package multistage
 
-import (
-	"testing"
-
-	"pmsnet/internal/bitmat"
-)
-
-// FuzzClosRoute feeds arbitrary (n, m, r) geometries and partial
-// permutations to the Kempe-chain router and checks the two contracts the
-// TDM fabric backends rely on: Route never fails on a rearrangeable network
-// (m >= n, Clos's theorem), and every route it does produce uses each
-// leaf<->spine link at most once (ClosRoute.Validate).
-func FuzzClosRoute(f *testing.F) {
-	f.Add(uint8(4), uint8(4), uint8(4), []byte{0x01, 0x42, 0x10})
-	f.Add(uint8(2), uint8(1), uint8(3), []byte{0xff, 0x00, 0x7f})
-	f.Add(uint8(3), uint8(5), uint8(2), []byte("kempe chains"))
-	f.Fuzz(func(t *testing.T, nb, mb, rb uint8, tape []byte) {
-		n, m, r := 1+int(nb%6), 1+int(mb%8), 1+int(rb%6)
-		c, err := NewClos(n, m, r)
-		if err != nil {
-			t.Fatalf("NewClos(%d,%d,%d): %v", n, m, r, err)
-		}
-		total := c.Ports()
-
-		// Build a partial permutation from the tape: each byte pair proposes
-		// a (src, dst) connection, skipped when either side is taken.
-		cfg := bitmat.NewSquare(total)
-		srcUsed := make([]bool, total)
-		dstUsed := make([]bool, total)
-		for i := 0; i+1 < len(tape); i += 2 {
-			u, v := int(tape[i])%total, int(tape[i+1])%total
-			if srcUsed[u] || dstUsed[v] {
-				continue
-			}
-			srcUsed[u], dstUsed[v] = true, true
-			cfg.Set(u, v)
-		}
-
-		route, err := c.Route(cfg)
-		if err != nil {
-			if c.Rearrangeable() {
-				t.Fatalf("Route failed on rearrangeable clos(%d,%d,%d): %v", n, m, r, err)
-			}
-			return // blocking geometry may legitimately reject the demand
-		}
-		if err := route.Validate(); err != nil {
-			t.Fatalf("routed configuration violates link capacity on clos(%d,%d,%d): %v", n, m, r, err)
-		}
-		// The route must cover exactly the configured connections.
-		for u := 0; u < total; u++ {
-			v := cfg.FirstInRow(u)
-			if s := route.Spine(u); (v >= 0) != (s >= 0) {
-				t.Fatalf("port %d: configured dst %d but spine %d", u, v, s)
-			}
-		}
-	})
-}
+import "testing"
 
 // FuzzDecompose feeds arbitrary demand matrices to the BvN decomposition and
 // checks its library contract: the result is a set of conflict-free partial

@@ -1,7 +1,10 @@
 package multistage
 
 import (
+	"fmt"
+	"math/bits"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -159,124 +162,6 @@ func TestQuickOmegaRouteMatchesEval(t *testing.T) {
 	}
 }
 
-func TestNewBenesValidation(t *testing.T) {
-	for _, n := range []int{0, 1, 3, 12} {
-		if _, err := NewBenes(n); err == nil {
-			t.Errorf("NewBenes(%d) should fail", n)
-		}
-	}
-	b, err := NewBenes(8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Ports() != 8 || b.Stages() != 5 {
-		t.Fatalf("benes geometry wrong: %+v", b)
-	}
-	if b2, _ := NewBenes(2); b2.Stages() != 1 {
-		t.Fatal("2-port benes is a single switch")
-	}
-}
-
-func TestBenesRoutesEveryPermutation8(t *testing.T) {
-	// Exhaustive over all 8!/(nothing) is 40320 — too many; use all 4! on a
-	// 4-port network exhaustively, then random checks at 8.
-	b4, _ := NewBenes(4)
-	var gen func(cur []int, used int)
-	count := 0
-	gen = func(cur []int, used int) {
-		if len(cur) == 4 {
-			cfg := bitmat.FromPermutation(cur)
-			r, err := b4.Route(cfg)
-			if err != nil {
-				t.Fatalf("benes failed to route %v: %v", cur, err)
-			}
-			if !r.Realizes(cfg) {
-				t.Fatalf("benes misrouted %v", cur)
-			}
-			count++
-			return
-		}
-		for v := 0; v < 4; v++ {
-			if used&(1<<v) == 0 {
-				gen(append(cur, v), used|1<<v)
-			}
-		}
-	}
-	gen(nil, 0)
-	if count != 24 {
-		t.Fatalf("checked %d permutations, want 24", count)
-	}
-}
-
-func TestQuickBenesRearrangeable(t *testing.T) {
-	// Any permutation on any power-of-two size up to 128 must route.
-	f := func(seed int64, rawK uint8) bool {
-		k := 1 + int(rawK)%7 // 2..128 ports
-		n := 1 << k
-		b, err := NewBenes(n)
-		if err != nil {
-			return false
-		}
-		rng := rand.New(rand.NewSource(seed))
-		cfg := bitmat.FromPermutation(rng.Perm(n))
-		r, err := b.Route(cfg)
-		if err != nil {
-			return false
-		}
-		return r.Realizes(cfg)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestQuickBenesPartialPermutations(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 1 << (2 + rng.Intn(4)) // 4..32
-		b, _ := NewBenes(n)
-		perm := rng.Perm(n)
-		for i := range perm {
-			if rng.Float64() < 0.5 {
-				perm[i] = -1
-			}
-		}
-		cfg := bitmat.FromPermutation(perm)
-		r, err := b.Route(cfg)
-		if err != nil {
-			return false
-		}
-		return r.Realizes(cfg)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestBenesRejectsBadConfigs(t *testing.T) {
-	b, _ := NewBenes(8)
-	if _, err := b.Route(bitmat.NewSquare(4)); err == nil {
-		t.Error("wrong shape should fail")
-	}
-	bad := bitmat.NewSquare(8)
-	bad.Set(0, 1)
-	bad.Set(2, 1)
-	if _, err := b.Route(bad); err == nil {
-		t.Error("non-permutation should fail")
-	}
-}
-
-func TestBenesEvalPanics(t *testing.T) {
-	b, _ := NewBenes(4)
-	r, _ := b.Route(bitmat.Identity(4))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	r.Eval(9)
-}
-
 func TestDecomposeOmegaCoversAndRealizes(t *testing.T) {
 	o, _ := NewOmega(16)
 	rng := rand.New(rand.NewSource(5))
@@ -371,5 +256,133 @@ func TestDecomposeOmegaShapeMismatch(t *testing.T) {
 	o, _ := NewOmega(8)
 	if _, err := DecomposeOmega(topology.NewWorkingSet(4), o); err == nil {
 		t.Fatal("port mismatch should error")
+	}
+}
+
+func TestCheckOmega(t *testing.T) {
+	for _, tc := range []struct {
+		n      int
+		stages int // 0 means invalid
+	}{
+		{-2, 0}, {0, 0}, {1, 0}, {2, 1}, {3, 0}, {6, 0}, {8, 3}, {100, 0}, {1024, 10},
+	} {
+		t.Run(fmt.Sprintf("n=%d", tc.n), func(t *testing.T) {
+			err := CheckOmega(tc.n)
+			o, nerr := NewOmega(tc.n)
+			if (err == nil) != (nerr == nil) {
+				t.Fatalf("CheckOmega = %v, NewOmega = %v: they must agree", err, nerr)
+			}
+			if tc.stages == 0 {
+				want := fmt.Sprintf("omega size %d must be a power of two >= 2", tc.n)
+				if err == nil || !strings.Contains(err.Error(), want) {
+					t.Fatalf("CheckOmega = %v, want an error containing %q", err, want)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("CheckOmega = %v, want nil", err)
+			}
+			if o.Stages() != tc.stages {
+				t.Fatalf("Stages() = %d, want %d", o.Stages(), tc.stages)
+			}
+		})
+	}
+	if n := testing.AllocsPerRun(10, func() { _ = CheckOmega(1 << 20) }); n != 0 {
+		t.Errorf("CheckOmega allocated %v times, want 0", n)
+	}
+}
+
+// TestOmegaRealizesEveryShift checks the classic Omega property that every
+// uniform cyclic shift u -> u+k mod N routes in one pass.
+func TestOmegaRealizesEveryShift(t *testing.T) {
+	for _, n := range []int{2, 4, 8, 16, 32} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			o, _ := NewOmega(n)
+			for k := 0; k < n; k++ {
+				perm := make([]int, n)
+				for u := range perm {
+					perm[u] = (u + k) % n
+				}
+				settings, err := o.Route(bitmat.FromPermutation(perm))
+				if err != nil {
+					t.Fatalf("shift by %d: %v", k, err)
+				}
+				for u, v := range perm {
+					if got := o.Eval(settings, u); got != v {
+						t.Fatalf("shift by %d: Eval(%d) = %d, want %d", k, u, got, v)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestOmegaBlocksBitReverse checks that the bit-reversal permutation, the
+// pattern on which the Omega fabric loses most of its efficiency, does not
+// route in one pass and first-fits into more than one configuration.
+func TestOmegaBlocksBitReverse(t *testing.T) {
+	for _, n := range []int{8, 16, 64} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			o, _ := NewOmega(n)
+			perm := make([]int, n)
+			for u := range perm {
+				perm[u] = int(bits.Reverse(uint(u)) >> (bits.UintSize - o.Stages()))
+			}
+			set := bitmat.FromPermutation(perm)
+			if o.CanRealize(set) {
+				t.Fatalf("bit reverse %v routed in one pass", perm)
+			}
+			if _, err := o.Route(set); err == nil {
+				t.Fatal("Route accepted a configuration CanRealize rejects")
+			}
+			if configs := FirstFit(set, o.CanRealize); len(configs) < 2 {
+				t.Fatalf("bit reverse first-fits into %d configurations, want at least 2", len(configs))
+			}
+		})
+	}
+}
+
+// TestOmegaRealizableCount enumerates every full permutation of small Omega
+// networks. The path from each input to each output is unique, so each of
+// the 2^(N/2 * log2 N) switch settings realizes a distinct permutation:
+// exactly that many permutations must route, and Route must agree with
+// CanRealize and Eval on every one.
+func TestOmegaRealizableCount(t *testing.T) {
+	for _, n := range []int{4, 8} {
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			o, _ := NewOmega(n)
+			realizable := 0
+			perm := make([]int, n)
+			var gen func(i, used int)
+			gen = func(i, used int) {
+				if i == n {
+					cfg := bitmat.FromPermutation(perm)
+					settings, err := o.Route(cfg)
+					if (err == nil) != o.CanRealize(cfg) {
+						t.Fatalf("%v: Route error %v disagrees with CanRealize", perm, err)
+					}
+					if err != nil {
+						return
+					}
+					realizable++
+					for u, v := range perm {
+						if got := o.Eval(settings, u); got != v {
+							t.Fatalf("%v: Eval(%d) = %d, want %d", perm, u, got, v)
+						}
+					}
+					return
+				}
+				for v := 0; v < n; v++ {
+					if used&(1<<v) == 0 {
+						perm[i] = v
+						gen(i+1, used|1<<v)
+					}
+				}
+			}
+			gen(0, 0)
+			if want := 1 << (o.SwitchesPerStage() * o.Stages()); realizable != want {
+				t.Fatalf("%d permutations route, want %d", realizable, want)
+			}
+		})
 	}
 }

@@ -1,22 +1,19 @@
-// Package multistage models multistage interconnection fabrics — the
-// "fabrics with limited permutation capabilities" of paper §4, and the
-// extension direction named in its conclusions ("we are also working on
-// extending the design to switching fabrics other than crossbars").
+// Package multistage models the Omega network, a multistage fabric with the
+// "limited permutation capabilities" of paper §4 — the extension direction
+// named in its conclusions ("we are also working on extending the design to
+// switching fabrics other than crossbars").
 //
-// Two classic fabrics are implemented:
+// An Omega network is log2(N) stages of 2x2 switches behind perfect-shuffle
+// wiring. It is self-routing and cheap, but blocking: only a fraction of the
+// partial permutations a crossbar realizes are Omega-realizable.
+// Configurations destined for an Omega fabric must respect these constraints
+// — which is exactly where TDM helps: a working set that does not fit one
+// Omega pass decomposes into several Omega-realizable configurations
+// multiplexed over time (DecomposeOmega, built on FirstFit).
 //
-//   - Omega: log2(N) stages of 2x2 switches behind perfect-shuffle wiring.
-//     Self-routing and cheap, but blocking: only a fraction of the partial
-//     permutations a crossbar realizes are Omega-realizable. Configurations
-//     destined for an Omega fabric must respect these constraints — which is
-//     exactly where TDM helps: a working set that does not fit one Omega
-//     pass decomposes into several Omega-realizable configurations
-//     multiplexed over time (DecomposeOmega).
-//
-//   - Benes: the 2·log2(N)−1-stage rearrangeably non-blocking network. The
-//     looping algorithm routes any full or partial permutation, so a Benes
-//     fabric accepts every crossbar configuration at about twice the stage
-//     count.
+// Rearrangeably non-blocking multistage fabrics (Clos with m >= n, Benes)
+// realize every crossbar configuration, so as a TDM backend they behave
+// exactly like the crossbar and are not modelled.
 package multistage
 
 import (
@@ -34,10 +31,19 @@ type Omega struct {
 	stages int
 }
 
-// NewOmega builds an Omega network; n must be a power of two, at least 2.
-func NewOmega(n int) (*Omega, error) {
+// CheckOmega reports whether n is a valid Omega network size: a power of
+// two, at least 2. It is NewOmega's check, without building the network.
+func CheckOmega(n int) error {
 	if n < 2 || n&(n-1) != 0 {
-		return nil, fmt.Errorf("multistage: omega size %d must be a power of two >= 2", n)
+		return fmt.Errorf("multistage: omega size %d must be a power of two >= 2", n)
+	}
+	return nil
+}
+
+// NewOmega builds an Omega network; n must pass CheckOmega.
+func NewOmega(n int) (*Omega, error) {
+	if err := CheckOmega(n); err != nil {
+		return nil, err
 	}
 	return &Omega{n: n, stages: bits.Len(uint(n)) - 1}, nil
 }
@@ -179,7 +185,10 @@ func (o *Omega) Eval(settings Settings, u int) int {
 }
 
 // DecomposeOmega splits a working set into Omega-realizable configurations —
-// DecomposeRealizable under the Omega network's realizability oracle.
+// FirstFit under the Omega network's realizability oracle.
 func DecomposeOmega(ws *topology.WorkingSet, o *Omega) ([]*bitmat.Matrix, error) {
-	return DecomposeRealizable(ws, o.n, "omega", o.CanRealize)
+	if ws.Ports() != o.n {
+		return nil, fmt.Errorf("multistage: working set spans %d ports, omega has %d", ws.Ports(), o.n)
+	}
+	return FirstFit(ws.Matrix(), o.CanRealize), nil
 }

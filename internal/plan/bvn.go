@@ -73,30 +73,11 @@ func (BvN) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, error)
 }
 
 // splitRealizable returns cfg itself when the fabric can route it, or splits
-// it first-fit into realizable sub-configurations (mirroring
-// multistage.DecomposeRealizable) when it cannot. A single connection is
-// always realizable, so the split terminates.
+// it into realizable sub-configurations by multistage.FirstFit when it
+// cannot.
 func splitRealizable(cfg *bitmat.Matrix, canRealize func(*bitmat.Matrix) bool) []*bitmat.Matrix {
 	if canRealize == nil || canRealize(cfg) {
 		return []*bitmat.Matrix{cfg}
 	}
-	n := cfg.Rows()
-	var parts []*bitmat.Matrix
-	cfg.Ones(func(u, v int) bool {
-		for _, p := range parts {
-			if p.RowAny(u) || p.ColAny(v) {
-				continue
-			}
-			p.Set(u, v)
-			if canRealize(p) {
-				return true
-			}
-			p.Clear(u, v)
-		}
-		p := bitmat.NewSquare(n)
-		p.Set(u, v)
-		parts = append(parts, p)
-		return true
-	})
-	return parts
+	return multistage.FirstFit(cfg, canRealize)
 }

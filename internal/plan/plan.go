@@ -181,9 +181,8 @@ type Options struct {
 	// the dynamic slots.
 	CoverAll bool
 	// CanRealize, when non-nil, restricts configurations to those the
-	// fabric backend can route (blocking multistage fabrics). Nil means
-	// every partial permutation is realizable (crossbar, rearrangeable
-	// fabrics).
+	// fabric backend can route (the blocking Omega). Nil means every
+	// partial permutation is realizable (the crossbar).
 	CanRealize func(*bitmat.Matrix) bool
 	// Decompose overrides the static planner's decomposition (defaults to
 	// the exact edge coloring). The tdm preloader passes the fabric

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/multistage"
 	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 )
@@ -273,4 +274,36 @@ func TestEmptyDemandPlansEmpty(t *testing.T) {
 			t.Errorf("%s planned %d configs for empty demand", p.Name(), s.NumConfigs())
 		}
 	}
+}
+
+func TestSplitRealizable(t *testing.T) {
+	o, _ := multistage.NewOmega(8)
+	t.Run("no-oracle", func(t *testing.T) {
+		cfg := bitmat.FromPermutation([]int{3, 2, 1, 0, 7, 6, 5, 4})
+		if got := splitRealizable(cfg, nil); len(got) != 1 || got[0] != cfg {
+			t.Fatal("without an oracle the configuration must come back as is")
+		}
+	})
+	t.Run("realizable", func(t *testing.T) {
+		cfg := bitmat.FromPermutation([]int{1, 2, 3, 4, 5, 6, 7, 0}) // a shift routes on an Omega
+		if got := splitRealizable(cfg, o.CanRealize); len(got) != 1 || got[0] != cfg {
+			t.Fatal("a realizable configuration must come back as is")
+		}
+	})
+	t.Run("blocked", func(t *testing.T) {
+		cfg := bitmat.FromPermutation([]int{0, 4, 2, 6, 1, 5, 3, 7}) // bit reverse is Omega-blocked
+		if o.CanRealize(cfg) {
+			t.Fatal("bit reverse routed on the Omega")
+		}
+		got := splitRealizable(cfg, o.CanRealize)
+		want := multistage.FirstFit(cfg, o.CanRealize)
+		if len(got) < 2 || len(got) != len(want) {
+			t.Fatalf("split into %d configurations, FirstFit gives %d", len(got), len(want))
+		}
+		for i := range got {
+			if !got[i].Equal(want[i]) || !o.CanRealize(got[i]) {
+				t.Fatalf("piece %d differs from FirstFit or is unrealizable", i)
+			}
+		}
+	})
 }

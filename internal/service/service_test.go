@@ -122,21 +122,25 @@ func TestAdmissionRejectsInvalidSpecs(t *testing.T) {
 		name      string
 		spec      JobSpec
 		wantField string
+		// wantError, when set, must appear in the error message.
+		wantError string
 	}{
 		{"unknown switching", JobSpec{Config: ConfigSpec{Switching: "warp-drive", N: 16},
-			Workload: WorkloadSpec{Pattern: "scatter"}}, "config.switching"},
+			Workload: WorkloadSpec{Pattern: "scatter"}}, "config.switching", ""},
 		{"bad N", JobSpec{Config: ConfigSpec{Switching: "tdm-dynamic", N: 1},
-			Workload: WorkloadSpec{Pattern: "scatter"}}, "config.n"},
+			Workload: WorkloadSpec{Pattern: "scatter"}}, "config.n", ""},
 		{"unknown pattern", JobSpec{Config: ConfigSpec{Switching: "tdm-dynamic", N: 16},
-			Workload: WorkloadSpec{Pattern: "nonsense"}}, "workload.pattern"},
+			Workload: WorkloadSpec{Pattern: "nonsense"}}, "workload.pattern", ""},
 		{"bad fabric", JobSpec{Config: ConfigSpec{Switching: "tdm-dynamic", N: 16, Fabric: "torus"},
-			Workload: WorkloadSpec{Pattern: "scatter"}}, "config.fabric"},
+			Workload: WorkloadSpec{Pattern: "scatter"}}, "config.fabric", ""},
+		{"removed fabric", JobSpec{Config: ConfigSpec{Switching: "tdm-dynamic", N: 16, Fabric: "clos"},
+			Workload: WorkloadSpec{Pattern: "scatter"}}, "config.fabric", "crossbar, omega"},
 		{"bad planner", JobSpec{Config: ConfigSpec{Switching: "tdm-preload", N: 16, Planner: "greedy"},
-			Workload: WorkloadSpec{Pattern: "two-phase"}}, "config.planner"},
+			Workload: WorkloadSpec{Pattern: "two-phase"}}, "config.planner", ""},
 		{"planner on reactive mode", JobSpec{Config: ConfigSpec{Switching: "tdm-dynamic", N: 16, Planner: "solstice"},
-			Workload: WorkloadSpec{Pattern: "scatter"}}, "config.planner"},
+			Workload: WorkloadSpec{Pattern: "scatter"}}, "config.planner", ""},
 		{"negative deadline", JobSpec{Config: ConfigSpec{Switching: "tdm-dynamic", N: 16},
-			Workload: WorkloadSpec{Pattern: "scatter"}, DeadlineMS: -1}, "deadline_ms"},
+			Workload: WorkloadSpec{Pattern: "scatter"}, DeadlineMS: -1}, "deadline_ms", ""},
 	}
 	for _, tc := range cases {
 		resp, body := post(t, ts, tc.spec, true)
@@ -150,6 +154,9 @@ func TestAdmissionRejectsInvalidSpecs(t *testing.T) {
 		}
 		if eb.Field != tc.wantField {
 			t.Errorf("%s: field %q, want %q", tc.name, eb.Field, tc.wantField)
+		}
+		if !strings.Contains(eb.Error, tc.wantError) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, eb.Error, tc.wantError)
 		}
 	}
 	if m := fetchMetrics(t, ts); m.Rejected400 != uint64(len(cases)) {

@@ -27,9 +27,9 @@ func plannerWorkloads() map[string]*traffic.Workload {
 // run's only planner-aware telemetry, so they are aligned before comparing.
 func TestStaticPlannerMatchesUnplannedPath(t *testing.T) {
 	configs := map[string]Config{
-		"preload":      {N: 16, K: 4, Mode: Preload},
-		"hybrid":       {N: 16, K: 4, Mode: Hybrid, PreloadSlots: 2},
-		"preload/clos": {N: 16, K: 4, Mode: Preload, Fabric: fabric.KindClos},
+		"preload":       {N: 16, K: 4, Mode: Preload},
+		"hybrid":        {N: 16, K: 4, Mode: Hybrid, PreloadSlots: 2},
+		"preload/omega": {N: 16, K: 4, Mode: Preload, Fabric: fabric.KindOmega},
 	}
 	for mode, cfg := range configs {
 		for wname, wl := range plannerWorkloads() {

@@ -17,8 +17,7 @@
 //     K−k slots are scheduled reactively (Figure 5).
 //
 // The fabric the slots are realized on is pluggable (fabric.Backend): the
-// baseline crossbar, the blocking Omega network, or the rearrangeably
-// non-blocking Clos and Benes networks. On a blocking fabric the scheduler
+// baseline crossbar or the blocking Omega network. On the Omega the scheduler
 // only establishes connections that keep each slot's configuration
 // realizable, and the preload controller decomposes working sets under the
 // same constraint.
@@ -189,7 +188,7 @@ func (c Config) Validate() error {
 	if c.AmplifyBytes < 0 {
 		return fmt.Errorf("tdm: negative amplification threshold %d", c.AmplifyBytes)
 	}
-	if _, err := fabric.NewBackend(c.Fabric, c.N); err != nil {
+	if err := fabric.Check(c.Fabric, c.N); err != nil {
 		return err
 	}
 	if !core.Algorithms.Valid(c.Algorithm) {

@@ -514,36 +514,12 @@ func TestOmegaFabricValidation(t *testing.T) {
 	}
 }
 
-func TestRearrangeableFabricsMatchCrossbar(t *testing.T) {
-	// Clos (m = n) and Benes are rearrangeably non-blocking: the scheduler
-	// runs unconstrained, so every mode must produce the crossbar's exact
-	// Result on these fabrics.
-	wl := traffic.OrderedMesh(16, 64, 5)
-	for _, mode := range []Mode{Dynamic, Preload} {
-		base := mustNew(t, Config{N: 16, K: 4, Mode: mode})
-		want, err := base.Run(wl)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, kind := range []fabric.Kind{fabric.KindClos, fabric.KindBenes} {
-			nw := mustNew(t, Config{N: 16, K: 4, Mode: mode, Fabric: kind})
-			got, err := nw.Run(wl)
-			if err != nil {
-				t.Fatalf("%s/%s: %v", mode, kind, err)
-			}
-			if got.Makespan != want.Makespan || got.Messages != want.Messages ||
-				got.Stats != want.Stats {
-				t.Fatalf("%s/%s diverged from the crossbar: makespan %v vs %v",
-					mode, kind, got.Makespan, want.Makespan)
-			}
-		}
-	}
-}
-
 func TestFabricNamesInNetworkName(t *testing.T) {
-	for _, kind := range []fabric.Kind{fabric.KindClos, fabric.KindBenes} {
+	for kind, want := range map[fabric.Kind]string{
+		fabric.KindCrossbar: "tdm-dynamic/k=4",
+		fabric.KindOmega:    "tdm-dynamic/k=4/omega",
+	} {
 		nw := mustNew(t, Config{N: 16, K: 4, Fabric: kind})
-		want := "tdm-dynamic/k=4/" + kind.String()
 		if nw.Name() != want {
 			t.Fatalf("Name = %q, want %q", nw.Name(), want)
 		}

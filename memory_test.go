@@ -40,3 +40,25 @@ func TestRunAllocationIsNotQuadratic(t *testing.T) {
 			n, mb, runAllocBoundMB)
 	}
 }
+
+// TestValidateDoesNotBuildTheFabric bounds what Validate allocates for a TDM
+// config at N = 1<<15. Building the fabric to vet it would allocate the N×N
+// configuration register, 128 MB at this N; pmsd validates every submitted
+// job, so the check must stay allocation-free.
+func TestValidateDoesNotBuildTheFabric(t *testing.T) {
+	const n = 1 << 15
+	for _, f := range []Fabric{FabricCrossbar, FabricOmega} {
+		cfg := Config{Switching: DynamicTDM, N: n, Fabric: f}
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		err := cfg.Validate()
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%v: %v", f, err)
+		}
+		if b := after.TotalAlloc - before.TotalAlloc; b >= 1<<20 {
+			t.Fatalf("%v: Validate at N=%d allocated %d bytes, want under 1 MB", f, n, b)
+		}
+	}
+}

@@ -116,7 +116,7 @@ func TestProbeBitIdentity(t *testing.T) {
 // fabric backends: a probed dynamic-TDM run on each fabric must match its
 // bare twin field for field.
 func TestProbeBitIdentityAcrossFabrics(t *testing.T) {
-	for _, f := range []Fabric{FabricCrossbar, FabricOmega, FabricClos, FabricBenes} {
+	for _, f := range []Fabric{FabricCrossbar, FabricOmega} {
 		t.Run(f.String(), func(t *testing.T) {
 			wl := RandomMesh(16, 64, 5, 2)
 			cfg := Config{Switching: DynamicTDM, N: 16, K: 4, Fabric: f}

@@ -142,13 +142,6 @@ const (
 	// the preload controller decomposes working sets under the same
 	// constraint. N must be a power of two.
 	FabricOmega = fabric.KindOmega
-	// FabricClos is a three-stage Clos network in its canonical m = n
-	// factoring — rearrangeably non-blocking, so every slot configuration
-	// routes, at a fraction of the crossbar's crosspoint count.
-	FabricClos = fabric.KindClos
-	// FabricBenes is the 2·log2(N)−1-stage Benes network, rearrangeably
-	// non-blocking via the looping algorithm. N must be a power of two.
-	FabricBenes = fabric.KindBenes
 )
 
 // Fabrics is the fabric vocabulary (the cmd/pmsim -fabric flag and the pmsd
@@ -236,10 +229,9 @@ type Config struct {
 	// design). Zero disables amplification.
 	AmplifyBytes int
 	// Fabric selects the switching-fabric backend for the TDM modes: the
-	// baseline crossbar (the zero value), the blocking Omega network, or
-	// the rearrangeably non-blocking Clos and Benes networks. The scheduler
-	// and preload controller adapt to the fabric's blocking constraints
-	// automatically; the baselines ignore the field.
+	// baseline crossbar (the zero value) or the blocking Omega network. The
+	// scheduler and preload controller adapt to the Omega's blocking
+	// constraints automatically; the baselines ignore the field.
 	Fabric Fabric
 	// Planner selects the offline preload planner for PreloadTDM and
 	// HybridTDM: the default hand-written decomposition (the zero value,
@@ -352,7 +344,7 @@ func (c Config) Validate() error {
 	}
 	switch c.Switching {
 	case DynamicTDM, PreloadTDM, HybridTDM:
-		if _, err := fabric.NewBackend(c.Fabric, c.N); err != nil {
+		if err := fabric.Check(c.Fabric, c.N); err != nil {
 			return &ConfigError{Field: "Fabric", Value: c.Fabric.String(), Reason: err.Error()}
 		}
 	}

@@ -23,7 +23,7 @@ func TestVocabularies(t *testing.T) {
 	}{
 		{"Switchings", Switchings.Names(), "wormhole circuit tdm-dynamic tdm-preload tdm-hybrid voq-islip mesh-wormhole mesh-tdm"},
 		{"Evictions", Evictions.Names(), "reactive timeout counter never markov"},
-		{"Fabrics", Fabrics.Names(), "crossbar omega clos benes"},
+		{"Fabrics", Fabrics.Names(), "crossbar omega"},
 		{"Schedulers", Schedulers.Names(), "paper islip wavefront"},
 		{"Planners", Planners.Names(), "static solstice bvn"},
 	} {
@@ -117,13 +117,11 @@ func TestRunSchedulerAlgorithms(t *testing.T) {
 }
 
 func TestRunDynamicTDMAllFabrics(t *testing.T) {
-	// End-to-end dynamic TDM through the facade on every fabric backend.
-	// The rearrangeable fabrics (crossbar, clos, benes) realize any
-	// crossbar configuration and must agree bit-for-bit; the blocking
-	// Omega fabric spreads conflicting connections over extra slots.
+	// End-to-end dynamic TDM through the facade on every fabric backend:
+	// the crossbar and the blocking Omega, which spreads conflicting
+	// connections over extra slots.
 	wl := OrderedMesh(16, 64, 5)
-	reports := make(map[Fabric]Report)
-	for _, f := range []Fabric{FabricCrossbar, FabricOmega, FabricClos, FabricBenes} {
+	for _, f := range []Fabric{FabricCrossbar, FabricOmega} {
 		rep, err := Run(Config{Switching: DynamicTDM, N: 16, K: 4, Fabric: f}, wl)
 		if err != nil {
 			t.Fatalf("%v: %v", f, err)
@@ -140,21 +138,7 @@ func TestRunDynamicTDMAllFabrics(t *testing.T) {
 		if rep.Network != wantName {
 			t.Fatalf("%v: network name %q, want %q", f, rep.Network, wantName)
 		}
-		reports[f] = rep
 	}
-	for _, f := range []Fabric{FabricClos, FabricBenes} {
-		if reports[f] != recolor(reports[f], reports[FabricCrossbar]) {
-			t.Fatalf("%v report diverges from crossbar: %+v vs %+v",
-				f, reports[f], reports[FabricCrossbar])
-		}
-	}
-}
-
-// recolor returns b with a's Network name, so rearrangeable-fabric reports
-// can be compared to the crossbar's apart from the label.
-func recolor(a, b Report) Report {
-	b.Network = a.Network
-	return b
 }
 
 // TestPlannerStaticMatchesDefault pins the facade-level A/B contract: an
