@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check vet race fuzz bench bench-compare trace-smoke service-smoke plan-smoke figures clean
+.PHONY: all build test check fmt vet race fuzz bench bench-compare trace-smoke service-smoke plan-smoke figures clean
 
 all: build test
 
@@ -13,8 +13,12 @@ build:
 test:
 	$(GO) test ./...
 
-# Stricter CI tier: static analysis plus the race detector.
-check: vet race
+# Stricter CI tier: formatting, static analysis and the race detector.
+check: fmt vet race
+
+# Fails listing the files gofmt would rewrite.
+fmt:
+	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
 vet:
 	$(GO) vet ./...
@@ -104,8 +108,9 @@ plan-smoke:
 # decomposition, the incremental time-out predictor's parity with the map-scan
 # reference, the event engine's fire order against a sort-by-(at, seq)
 # reference, the NIC output buffer's parity with the
-# slice-per-destination reference, and NewRNG's draw-for-draw parity with
-# math/rand.
+# slice-per-destination reference, NewRNG's draw-for-draw parity with
+# math/rand, and the Solstice planner's parity with its rescan-every-round
+# oracle.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/traffic/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
@@ -117,6 +122,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzEngineOrder -fuzztime=30s ./internal/sim/
 	$(GO) test -run=NONE -fuzz=FuzzOutBufferParity -fuzztime=30s ./internal/nic/
 	$(GO) test -run=NONE -fuzz=FuzzNewRNGParity -fuzztime=30s ./internal/sim/
+	$(GO) test -run=NONE -fuzz=FuzzSolsticeParity -fuzztime=30s ./internal/plan/
 
 figures:
 	$(GO) run ./cmd/figures

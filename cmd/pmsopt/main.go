@@ -275,8 +275,8 @@ type entryJS struct {
 }
 
 type connJS struct {
-	Src int `json:"src"`
-	Dst int `json:"dst"`
+	Src int   `json:"src"`
+	Dst int   `json:"dst"`
 	W   int64 `json:"w,omitempty"`
 }
 

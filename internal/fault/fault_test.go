@@ -88,8 +88,8 @@ func TestValidateRejections(t *testing.T) {
 		{RequestLossProb: 2},
 		{GrantLossProb: -1},
 		{LinkMTBF: -5, LinkMTTR: 5},
-		{LinkMTBF: 100},              // MTBF without MTTR
-		{LinkMTTR: 100},              // MTTR without MTBF
+		{LinkMTBF: 100},                 // MTBF without MTTR
+		{LinkMTTR: 100},                 // MTTR without MTBF
 		{RetryBase: 500, RetryCap: 100}, // cap below base
 		{Links: []LinkFault{{Port: -1, At: 0}}},
 		{Crosspoints: []CrosspointFault{{In: -1, Out: 0, At: 0}}},
@@ -371,18 +371,18 @@ func TestParseValues(t *testing.T) {
 
 func TestParseRejections(t *testing.T) {
 	bad := []string{
-		"bogus",               // not key=value
-		"speed=1",             // unknown key
-		"seed=abc",            // bad int
-		"corrupt=lots",        // bad float
-		"corrupt=1.5",         // fails validation
-		"mtbf=50us",           // MTBF without MTTR
-		"retry=-5",            // negative duration
-		"link=3",              // missing @AT
-		"link=x@10",           // bad port
-		"link=3@10+0",         // zero-duration transient
-		"xpoint=2@1us",        // missing :OUT
-		"xpoint=a:b@1us",      // bad ports
+		"bogus",                  // not key=value
+		"speed=1",                // unknown key
+		"seed=abc",               // bad int
+		"corrupt=lots",           // bad float
+		"corrupt=1.5",            // fails validation
+		"mtbf=50us",              // MTBF without MTTR
+		"retry=-5",               // negative duration
+		"link=3",                 // missing @AT
+		"link=x@10",              // bad port
+		"link=3@10+0",            // zero-duration transient
+		"xpoint=2@1us",           // missing :OUT
+		"xpoint=a:b@1us",         // bad ports
 		"retry=500,retrycap=100", // cap below base
 	}
 	for _, spec := range bad {

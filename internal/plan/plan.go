@@ -31,7 +31,6 @@ package plan
 
 import (
 	"fmt"
-	"sort"
 
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/topology"
@@ -340,58 +339,15 @@ type weightedEdge struct {
 	w    int64
 }
 
-// heaviestMatching greedily extracts a conflict-free configuration from the
-// remaining demand, heaviest edges first (ties break on (src,dst) so the
-// result is deterministic). When canRealize is non-nil every tentative edge
-// addition is checked against the fabric. It returns the configuration, the
-// heaviest single connection in it, and the total demand it covers; the
-// configuration is nil when rem is zero.
-func heaviestMatching(rem *Demand, canRealize func(*bitmat.Matrix) bool) (cfg *bitmat.Matrix, maxConn, covered int64) {
-	var edges []weightedEdge
-	n := rem.N()
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if w := rem.At(u, v); w > 0 {
-				edges = append(edges, weightedEdge{u, v, w})
-			}
+// edges lists the connections with positive demand in row-major order.
+func (d *Demand) edges() []weightedEdge {
+	edges := make([]weightedEdge, 0, d.Conns())
+	for i, w := range d.d {
+		if w > 0 {
+			edges = append(edges, weightedEdge{i / d.n, i % d.n, w})
 		}
 	}
-	if len(edges) == 0 {
-		return nil, 0, 0
-	}
-	sort.SliceStable(edges, func(i, j int) bool {
-		if edges[i].w != edges[j].w {
-			return edges[i].w > edges[j].w
-		}
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	cfg = bitmat.NewSquare(n)
-	rowUsed := make([]bool, n)
-	colUsed := make([]bool, n)
-	for _, e := range edges {
-		if rowUsed[e.u] || colUsed[e.v] {
-			continue
-		}
-		cfg.Set(e.u, e.v)
-		if canRealize != nil && !canRealize(cfg) {
-			cfg.Clear(e.u, e.v)
-			continue
-		}
-		rowUsed[e.u], colUsed[e.v] = true, true
-		covered += e.w
-		if e.w > maxConn {
-			maxConn = e.w
-		}
-	}
-	if cfg.IsZero() {
-		// Nothing realizable — should not happen (a single edge is always a
-		// valid partial permutation), but guard against a hostile oracle.
-		return nil, 0, 0
-	}
-	return cfg, maxConn, covered
+	return edges
 }
 
 // assignShares distributes exactly `slots` registers over the group's

@@ -1,5 +1,12 @@
 package plan
 
+import (
+	"cmp"
+	"slices"
+
+	"pmsnet/internal/bitmat"
+)
+
 // Solstice plans by greedy cover, after "Costly Circuits, Submodular
 // Schedules" (Liu et al., CoNEXT'15): each round extracts the conflict-free
 // configuration covering the most remaining demand (heaviest-edge-first
@@ -28,26 +35,64 @@ type Solstice struct{}
 func (Solstice) Name() string { return "solstice" }
 
 // Plan implements Planner.
+//
+// The positive-demand edges are listed and sorted once, heaviest first with
+// ties on (src, dst). Each round runs the greedy matching over the list,
+// compacting in place the edges it skipped (row or column already used, or
+// refused by CanRealize) and dropping the ones it covered. A covered
+// connection's demand drops straight to zero and every other weight is
+// untouched, so the survivors are exactly the next round's sorted edge list.
 func (Solstice) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, error) {
 	if err := checkPlanArgs(d, k, preloadSlots); err != nil {
 		return nil, err
 	}
-	rem := d.Clone()
+	n := d.N()
+	edges := d.edges()
+	slices.SortFunc(edges, func(a, b weightedEdge) int {
+		if c := cmp.Compare(b.w, a.w); c != 0 {
+			return c
+		}
+		if c := cmp.Compare(a.u, b.u); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.v, b.v)
+	})
+	rowUsed := make([]bool, n)
+	colUsed := make([]bool, n)
 	var entries []Entry
-	for !rem.IsZero() {
-		cfg, maxConn, covered := heaviestMatching(rem, opts.CanRealize)
-		if cfg == nil {
+	for len(edges) > 0 {
+		cfg := bitmat.NewSquare(n)
+		var maxConn, covered int64
+		skipped := edges[:0]
+		for _, e := range edges {
+			if rowUsed[e.u] || colUsed[e.v] {
+				skipped = append(skipped, e)
+				continue
+			}
+			cfg.Set(e.u, e.v)
+			if opts.CanRealize != nil && !opts.CanRealize(cfg) {
+				cfg.Clear(e.u, e.v)
+				skipped = append(skipped, e)
+				continue
+			}
+			rowUsed[e.u], colUsed[e.v] = true, true
+			covered += e.w
+			maxConn = max(maxConn, e.w)
+		}
+		if covered == 0 {
+			// Nothing realizable — should not happen (a single edge is
+			// always a valid partial permutation), but guard against a
+			// hostile oracle.
 			break
 		}
 		entries = append(entries, Entry{Config: cfg, Demand: maxConn, Covered: covered})
-		cfg.Ones(func(u, v int) bool {
-			rem.Set(u, v, 0)
-			return true
-		})
+		edges = skipped
+		clear(rowUsed)
+		clear(colUsed)
 	}
 	s := &Schedule{
 		Planner:      "solstice",
-		N:            d.N(),
+		N:            n,
 		K:            k,
 		PreloadSlots: preloadSlots,
 	}

@@ -12,7 +12,7 @@ import (
 // "JSON Array Format"), loadable in Perfetto / chrome://tracing. One event is
 // written per line, so the output doubles as JSONL with array brackets.
 //
-// Layout: everything runs in one process (pid 1) split across five pseudo
+// Layout: everything runs in one process (pid 1) split across six pseudo
 // threads so the viewer groups related activity on one track each:
 //
 //	tid 1 "slots"        — complete (X) events, one per configured TDM slot
@@ -21,6 +21,8 @@ import (
 //	tid 4 "messages"     — async (b/e) spans keyed by message id, create→deliver,
 //	                       with instant head-of-queue/injected marks in between
 //	tid 5 "faults"       — instant (i) events for fault injection and recovery
+//	tid 6 "control"      — duration (B/E) pair around the preload controller's
+//	                       planning before the first slot
 //
 // Timestamps are microseconds (the format's unit); the simulation's
 // nanosecond clock is written with 3 decimal places, so nothing is rounded
@@ -38,6 +40,7 @@ const (
 	tidConns
 	tidMsgs
 	tidFaults
+	tidControl
 )
 
 // NewTraceWriter starts a trace on w: it writes the opening bracket and the
@@ -57,6 +60,7 @@ func NewTraceWriter(w io.Writer) *TraceWriter {
 		{tidConns, "connections"},
 		{tidMsgs, "messages"},
 		{tidFaults, "faults"},
+		{tidControl, "control"},
 	} {
 		t.line(`{"name":"thread_name","ph":"M","pid":1,"tid":%d,"args":{"name":%q}}`, th.tid, th.name)
 	}
@@ -145,6 +149,12 @@ func (t *TraceWriter) Handle(ev Event) {
 	case FaultRecovered:
 		t.line(`{"name":"link-up","cat":"fault","ph":"i","s":"g","ts":%s,"pid":1,"tid":%d,"args":{"port":%d}}`,
 			us(ev.At), tidFaults, ev.Src)
+	case PlanBegin:
+		t.line(`{"name":"plan","cat":"control","ph":"B","ts":%s,"pid":1,"tid":%d}`,
+			us(ev.At), tidControl)
+	case PlanEnd:
+		t.line(`{"name":"plan","cat":"control","ph":"E","ts":%s,"pid":1,"tid":%d,"args":{"groups":%d}}`,
+			us(ev.At), tidControl, ev.Aux)
 	}
 }
 

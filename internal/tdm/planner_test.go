@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pmsnet/internal/bitmat"
 	"pmsnet/internal/fabric"
 	"pmsnet/internal/plan"
 	"pmsnet/internal/predictor"
@@ -154,5 +155,37 @@ func TestScheduleSlackPredictorRuns(t *testing.T) {
 	}
 	if res.Stats.Evictions == 0 {
 		t.Fatal("schedule-slack predictor never evicted on a skewed workload")
+	}
+}
+
+// TestIndexGroupsRecordsEachGroupOnce pins groupsOf's contract: a connection
+// maps to every group holding it, in group order, once per group even when a
+// configuration repeats within the group (a register share) or two of the
+// group's configurations overlap (BvN terms can).
+func TestIndexGroupsRecordsEachGroupOnce(t *testing.T) {
+	cfg := func(conns ...topology.Conn) *bitmat.Matrix {
+		m := bitmat.NewSquare(4)
+		for _, c := range conns {
+			m.Set(c.Src, c.Dst)
+		}
+		return m
+	}
+	a := topology.Conn{Src: 0, Dst: 1}
+	b := topology.Conn{Src: 1, Dst: 2}
+	c := topology.Conn{Src: 2, Dst: 3}
+	shared := cfg(a, b)
+	p := &preloader{r: &run{cfg: Config{N: 4}}, groups: [][]*bitmat.Matrix{
+		{shared, shared},    // a register share
+		{cfg(b), cfg(b, c)}, // overlapping configurations
+		{cfg(c), cfg(a)},
+	}}
+	p.indexGroups()
+	want := map[uint64][]int32{
+		a.Key(): {0, 2},
+		b.Key(): {0, 1},
+		c.Key(): {1, 2},
+	}
+	if !reflect.DeepEqual(p.groupsOf, want) {
+		t.Fatalf("groupsOf = %v, want %v", p.groupsOf, want)
 	}
 }

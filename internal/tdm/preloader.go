@@ -3,7 +3,7 @@ package tdm
 import (
 	"fmt"
 	"math"
-	"sort"
+	"slices"
 
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/plan"
@@ -26,8 +26,9 @@ type preloader struct {
 	slots int
 	// groups holds the configuration groups in phase order.
 	groups [][]*bitmat.Matrix
-	// groupsOf maps a connection to every group containing it.
-	groupsOf map[topology.Conn][]int
+	// groupsOf maps a connection's Conn.Key to every group containing it,
+	// in group order. All lists share one backing array (indexGroups).
+	groupsOf map[uint64][]int32
 	// pendingInGroup counts pending connections per group;
 	// pendingStatic counts pending connections covered by any group.
 	pendingInGroup []int
@@ -46,39 +47,23 @@ func newPreloader(r *run, wl *traffic.Workload, slots int) (*preloader, error) {
 	if len(wl.StaticPhases) == 0 {
 		return nil, fmt.Errorf("tdm: %s mode needs static phases in the workload", r.cfg.Mode)
 	}
-	p := &preloader{
-		r:        r,
-		slots:    slots,
-		groupsOf: make(map[topology.Conn][]int),
+	p := &preloader{r: r, slots: slots}
+	if r.probe != nil {
+		r.probe.Emit(probe.Event{Kind: probe.PlanBegin, At: r.eng.Now()})
 	}
-	if r.cfg.Planner != nil {
-		if err := p.planPhases(wl); err != nil {
-			return nil, err
-		}
-	} else {
-		for _, phase := range wl.StaticPhases {
-			configs, err := r.fab.Decompose(phase)
-			if err != nil {
-				return nil, fmt.Errorf("tdm: %w", err)
-			}
-			for start := 0; start < len(configs); start += slots {
-				end := start + slots
-				if end > len(configs) {
-					end = len(configs)
-				}
-				gi := len(p.groups)
-				group := configs[start:end]
-				p.groups = append(p.groups, group)
-				p.indexGroup(gi, group)
-			}
-		}
+	if err := p.buildGroups(wl); err != nil {
+		return nil, err
 	}
+	if r.probe != nil {
+		r.probe.Emit(probe.Event{Kind: probe.PlanEnd, At: r.eng.Now(), Aux: int64(len(p.groups))})
+	}
+	p.indexGroups()
 	p.pendingInGroup = make([]int, len(p.groups))
 
 	if r.cfg.Mode == Preload {
 		// Every connection the programs use must be statically covered.
 		for _, c := range wl.ConnSet().Conns() {
-			if len(p.groupsOf[c]) == 0 {
+			if len(p.groupsOf[c.Key()]) == 0 {
 				return nil, fmt.Errorf("tdm: preload mode cannot serve %v: not in any static phase", c)
 			}
 		}
@@ -89,23 +74,63 @@ func newPreloader(r *run, wl *traffic.Workload, slots int) (*preloader, error) {
 	return p, nil
 }
 
-// indexGroup records group membership for every connection in the group. A
-// planned configuration can occupy several of the group's slot registers
-// (register shares), so the same matrix — and thus the same connection — may
-// repeat within a group; membership is recorded once per (connection, group)
-// so the pending accounting weighs each group by distinct waiting
-// connections, exactly as on the unplanned path.
-func (p *preloader) indexGroup(gi int, group []*bitmat.Matrix) {
-	for _, cfg := range group {
-		cfg.Ones(func(u, v int) bool {
-			c := topology.Conn{Src: u, Dst: v}
-			gs := p.groupsOf[c]
-			if len(gs) == 0 || gs[len(gs)-1] != gi {
-				p.groupsOf[c] = append(gs, gi)
-			}
-			return true
-		})
+// buildGroups fills p.groups in phase order, through the configured planner
+// or, without one, by chunking each phase's fabric decomposition into groups
+// of p.slots configurations.
+func (p *preloader) buildGroups(wl *traffic.Workload) error {
+	if p.r.cfg.Planner != nil {
+		return p.planPhases(wl)
 	}
+	for _, phase := range wl.StaticPhases {
+		configs, err := p.r.fab.Decompose(phase)
+		if err != nil {
+			return fmt.Errorf("tdm: %w", err)
+		}
+		for start := 0; start < len(configs); start += p.slots {
+			end := min(start+p.slots, len(configs))
+			p.groups = append(p.groups, configs[start:end])
+		}
+	}
+	return nil
+}
+
+// indexGroups builds groupsOf once every group exists. A planned
+// configuration can occupy several of the group's slot registers (register
+// shares), and a connection can sit in several of a group's configurations,
+// so each group's configurations are first merged into one union matrix:
+// membership is recorded once per (connection, group) and the pending
+// accounting weighs each group by distinct waiting connections. A counting
+// pass sizes the map and one backing array that every list is cut from.
+func (p *preloader) indexGroups() {
+	union := bitmat.NewSquare(p.r.cfg.N)
+	members := func(fn func(key uint64, g int32)) {
+		for gi, group := range p.groups {
+			union.Reset()
+			for _, cfg := range group {
+				union.Or(cfg)
+			}
+			union.Ones(func(u, v int) bool {
+				fn(topology.Conn{Src: u, Dst: v}.Key(), int32(gi))
+				return true
+			})
+		}
+	}
+	counts := make(map[uint64]int32)
+	total := 0
+	members(func(key uint64, _ int32) {
+		counts[key]++
+		total++
+	})
+	backing := make([]int32, total)
+	p.groupsOf = make(map[uint64][]int32, len(counts))
+	off := 0
+	for key, n := range counts {
+		p.groupsOf[key] = backing[off : off : off+int(n)]
+		off += int(n)
+	}
+	members(func(key uint64, g int32) {
+		p.groupsOf[key] = append(p.groupsOf[key], g)
+	})
 }
 
 // planPhases builds the groups through the configured planner instead of the
@@ -131,11 +156,7 @@ func (p *preloader) planPhases(wl *traffic.Workload) error {
 		if err != nil {
 			return fmt.Errorf("tdm: %s planner: %w", cfg.Planner.Name(), err)
 		}
-		for _, group := range sched.Configs() {
-			gi := len(p.groups)
-			p.groups = append(p.groups, group)
-			p.indexGroup(gi, group)
-		}
+		p.groups = append(p.groups, sched.Configs()...)
 		p.r.stats.PlanConfigs += uint64(sched.NumConfigs())
 		p.r.stats.PlanGroups += uint64(len(sched.Groups))
 		p.r.stats.PlanResidualConns += uint64(sched.Residual.Conns())
@@ -174,7 +195,7 @@ func (p *preloader) load(gi int) error {
 
 // pendingUp records that connection c now has traffic queued.
 func (p *preloader) pendingUp(c topology.Conn) {
-	gs := p.groupsOf[c]
+	gs := p.groupsOf[c.Key()]
 	for _, g := range gs {
 		p.pendingInGroup[g]++
 	}
@@ -185,7 +206,7 @@ func (p *preloader) pendingUp(c topology.Conn) {
 
 // pendingDown records that connection c's queue drained.
 func (p *preloader) pendingDown(c topology.Conn) {
-	gs := p.groupsOf[c]
+	gs := p.groupsOf[c.Key()]
 	for _, g := range gs {
 		p.pendingInGroup[g]--
 	}
@@ -199,7 +220,8 @@ func (p *preloader) pendingDown(c topology.Conn) {
 func (p *preloader) checkPending() error {
 	inGroup := make([]int, len(p.groups))
 	static := 0
-	for c, gs := range p.groupsOf {
+	for key, gs := range p.groupsOf {
+		c := topology.ConnOfKey(key)
 		if len(gs) == 0 || !p.r.driver.Buffers[c.Src].HasFor(c.Dst) {
 			continue
 		}
@@ -266,7 +288,7 @@ func (p *preloader) maybeAdvance() bool {
 // affected. From here on c's traffic is served only by dynamic slots. It
 // reports whether any preloaded entry was broken.
 func (p *preloader) breakConn(c topology.Conn) bool {
-	gs := p.groupsOf[c]
+	gs := p.groupsOf[c.Key()]
 	if len(gs) == 0 {
 		return false
 	}
@@ -275,7 +297,7 @@ func (p *preloader) breakConn(c topology.Conn) bool {
 		// exists; the eventual real pendingDown will then be a no-op.
 		p.pendingDown(c)
 	}
-	delete(p.groupsOf, c)
+	delete(p.groupsOf, c.Key())
 	reload := false
 	for _, g := range gs {
 		for _, cfg := range p.groups[g] {
@@ -283,7 +305,7 @@ func (p *preloader) breakConn(c topology.Conn) bool {
 				cfg.Clear(c.Src, c.Dst)
 			}
 		}
-		if g == p.cur {
+		if int(g) == p.cur {
 			reload = true
 		}
 	}
@@ -298,21 +320,17 @@ func (p *preloader) breakConn(c topology.Conn) bool {
 // breakPort invalidates every preloaded entry whose connection uses port and
 // returns how many were broken.
 func (p *preloader) breakPort(port int) int {
-	var broken []topology.Conn
-	for c := range p.groupsOf {
-		if c.Src == port || c.Dst == port {
-			broken = append(broken, c)
+	var broken []uint64
+	for key := range p.groupsOf {
+		if c := topology.ConnOfKey(key); c.Src == port || c.Dst == port {
+			broken = append(broken, key)
 		}
 	}
 	// Map iteration order is random; sort so the run stays deterministic.
-	sort.Slice(broken, func(i, j int) bool {
-		if broken[i].Src != broken[j].Src {
-			return broken[i].Src < broken[j].Src
-		}
-		return broken[i].Dst < broken[j].Dst
-	})
-	for _, c := range broken {
-		p.breakConn(c)
+	// Src sits in the key's high bits, so key order is (Src, Dst) order.
+	slices.Sort(broken)
+	for _, key := range broken {
+		p.breakConn(topology.ConnOfKey(key))
 	}
 	return len(broken)
 }

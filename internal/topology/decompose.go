@@ -34,6 +34,8 @@ func Decompose(w *WorkingSet) []*bitmat.Matrix {
 		colorAtDst[i] = newFilled(delta, -1)
 	}
 
+	// One path buffer serves every Kempe-chain flip.
+	var path []pathEdge
 	for _, e := range w.Conns() {
 		a := firstFree(colorAtSrc[e.Src])
 		b := firstFree(colorAtDst[e.Dst])
@@ -54,7 +56,7 @@ func Decompose(w *WorkingSet) []*bitmat.Matrix {
 		// argument: it would have to arrive via a b-colored edge, making the
 		// path a cycle back through e.Dst, impossible since b is free
 		// there), so afterwards a is free at both endpoints.
-		flipAlternatingPath(colorAtSrc, colorAtDst, e.Dst, a, b)
+		path = flipAlternatingPath(colorAtSrc, colorAtDst, path[:0], e.Dst, a, b)
 		if colorAtDst[e.Dst][a] != -1 || colorAtSrc[e.Src][a] != -1 {
 			panic(fmt.Sprintf("topology: alternating-path flip failed to free color %d for %v", a, e))
 		}
@@ -93,14 +95,15 @@ func firstFree(slots []int) int {
 	return -1
 }
 
+// pathEdge is one edge u→v of an alternating path and its current color.
+type pathEdge struct{ u, v, color int }
+
 // flipAlternatingPath swaps colors a and b along the maximal alternating
 // path that starts at destination vertex start with its a-colored edge:
-// start -(a)- u1 -(b)- v1 -(a)- u2 -(b)- ... The walk is collected first and
+// start -(a)- u1 -(b)- v1 -(a)- u2 -(b)- ... The walk is collected into path
+// (passed empty, returned grown so the caller can reuse its storage) and
 // recolored in a second phase so intermediate states never alias.
-func flipAlternatingPath(colorAtSrc, colorAtDst [][]int, start, a, b int) {
-	type pathEdge struct{ u, v, color int }
-	var path []pathEdge
-
+func flipAlternatingPath(colorAtSrc, colorAtDst [][]int, path []pathEdge, start, a, b int) []pathEdge {
 	other := func(c int) int {
 		if c == a {
 			return b
@@ -134,6 +137,7 @@ func flipAlternatingPath(colorAtSrc, colorAtDst [][]int, start, a, b int) {
 		colorAtSrc[e.u][nc] = e.v
 		colorAtDst[e.v][nc] = e.u
 	}
+	return path
 }
 
 // GreedyDecompose is the first-fit alternative decomposer: each connection

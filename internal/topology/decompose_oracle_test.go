@@ -1,0 +1,167 @@
+package topology_test
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"pmsnet/internal/bitmat"
+	"pmsnet/internal/topology"
+	"pmsnet/internal/traffic"
+)
+
+// referenceDecompose is the König edge coloring as it stood before its
+// Kempe-chain flips shared one path buffer: every flip collects its walk
+// into a fresh slice. Decompose must match it configuration for
+// configuration.
+func referenceDecompose(w *topology.WorkingSet) []*bitmat.Matrix {
+	n := w.Ports()
+	delta := w.Degree()
+	if delta == 0 {
+		return nil
+	}
+	colorAtSrc := make([][]int, n)
+	colorAtDst := make([][]int, n)
+	for i := 0; i < n; i++ {
+		colorAtSrc[i] = filled(delta, -1)
+		colorAtDst[i] = filled(delta, -1)
+	}
+	for _, e := range w.Conns() {
+		a := free(colorAtSrc[e.Src])
+		b := free(colorAtDst[e.Dst])
+		if a == -1 || b == -1 {
+			panic(fmt.Sprintf("no free color for %v", e))
+		}
+		if colorAtDst[e.Dst][a] != -1 {
+			referenceFlip(colorAtSrc, colorAtDst, e.Dst, a, b)
+		}
+		colorAtSrc[e.Src][a] = e.Dst
+		colorAtDst[e.Dst][a] = e.Src
+	}
+	configs := make([]*bitmat.Matrix, delta)
+	for c := range configs {
+		configs[c] = bitmat.NewSquare(n)
+	}
+	for u := 0; u < n; u++ {
+		for c := 0; c < delta; c++ {
+			if v := colorAtSrc[u][c]; v != -1 {
+				configs[c].Set(u, v)
+			}
+		}
+	}
+	return configs
+}
+
+// referenceFlip is the pre-buffer flipAlternatingPath.
+func referenceFlip(colorAtSrc, colorAtDst [][]int, start, a, b int) {
+	type pathEdge struct{ u, v, color int }
+	var path []pathEdge
+
+	other := func(c int) int {
+		if c == a {
+			return b
+		}
+		return a
+	}
+
+	v, color := start, a
+	for {
+		u := colorAtDst[v][color]
+		if u == -1 {
+			break
+		}
+		path = append(path, pathEdge{u: u, v: v, color: color})
+		color = other(color)
+		nv := colorAtSrc[u][color]
+		if nv == -1 {
+			break
+		}
+		path = append(path, pathEdge{u: u, v: nv, color: color})
+		v = nv
+		color = other(color)
+	}
+
+	for _, e := range path {
+		colorAtSrc[e.u][e.color] = -1
+		colorAtDst[e.v][e.color] = -1
+	}
+	for _, e := range path {
+		nc := other(e.color)
+		colorAtSrc[e.u][nc] = e.v
+		colorAtDst[e.v][nc] = e.u
+	}
+}
+
+func filled(n, v int) []int {
+	s := make([]int, n)
+	for i := range s {
+		s[i] = v
+	}
+	return s
+}
+
+func free(slots []int) int {
+	for c, occ := range slots {
+		if occ == -1 {
+			return c
+		}
+	}
+	return -1
+}
+
+func assertSameConfigs(t *testing.T, what string, got, want []*bitmat.Matrix) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d configurations, reference has %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if !got[i].Equal(want[i]) {
+			t.Fatalf("%s: configuration %d differs from the reference", what, i)
+		}
+	}
+}
+
+// TestDecomposeMatchesReferenceTwoPhase128 checks every static phase of the
+// Fig-4 two-phase workload at N=128, the decomposition every preload run of
+// it repeats.
+func TestDecomposeMatchesReferenceTwoPhase128(t *testing.T) {
+	wl := traffic.TwoPhase(128, 64, 1)
+	if len(wl.StaticPhases) == 0 {
+		t.Fatal("two-phase workload has no static phases")
+	}
+	for i, phase := range wl.StaticPhases {
+		assertSameConfigs(t, fmt.Sprintf("phase %d", i), topology.Decompose(phase), referenceDecompose(phase))
+	}
+}
+
+// TestDecomposeMatchesReferenceRandom checks random working sets of varied
+// size and density, dense enough that many flips reuse the path buffer.
+func TestDecomposeMatchesReferenceRandom(t *testing.T) {
+	rng := rand.New(rand.NewSource(22))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(48)
+		w := topology.NewWorkingSet(n)
+		for e := rng.Intn(n*n + 1); e > 0; e-- {
+			if c := (topology.Conn{Src: rng.Intn(n), Dst: rng.Intn(n)}); c.Src != c.Dst {
+				w.Add(c)
+			}
+		}
+		assertSameConfigs(t, fmt.Sprintf("trial %d (n=%d, %d conns)", trial, n, w.Len()),
+			topology.Decompose(w), referenceDecompose(w))
+	}
+}
+
+// BenchmarkDecomposeTwoPhase128 decomposes both static phases of the
+// two-phase workload at N=128, as every preload run of it does.
+func BenchmarkDecomposeTwoPhase128(b *testing.B) {
+	wl := traffic.TwoPhase(128, 64, 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, phase := range wl.StaticPhases {
+			if len(topology.Decompose(phase)) != phase.Degree() {
+				b.Fatal("wrong decomposition")
+			}
+		}
+	}
+}

@@ -411,7 +411,8 @@ func BenchmarkDecomposeAllToAll128(b *testing.B) {
 }
 
 // TestConnKeyIsInjective checks that packed keys of distinct connections
-// never collide, so maps keyed by Conn.Key keep one entry per connection.
+// never collide, so maps keyed by Conn.Key keep one entry per connection,
+// and that ConnOfKey unpacks every key back to its connection.
 func TestConnKeyIsInjective(t *testing.T) {
 	seen := make(map[uint64]Conn)
 	for _, src := range []int{0, 1, 2, 63, 64, 1023, 1 << 20} {
@@ -421,6 +422,9 @@ func TestConnKeyIsInjective(t *testing.T) {
 				t.Fatalf("%v and %v share key %#x", prev, c, c.Key())
 			}
 			seen[c.Key()] = c
+			if back := ConnOfKey(c.Key()); back != c {
+				t.Fatalf("ConnOfKey(%#x) = %v, want %v", c.Key(), back, c)
+			}
 		}
 	}
 	if got := (Conn{Src: 3, Dst: 5}).Key(); got != 3<<32|5 {

@@ -20,6 +20,9 @@ func (c Conn) String() string { return fmt.Sprintf("%d->%d", c.Src, c.Dst) }
 // 8-byte map key that hashes faster than the 16-byte struct.
 func (c Conn) Key() uint64 { return uint64(uint32(c.Src))<<32 | uint64(uint32(c.Dst)) }
 
+// ConnOfKey unpacks a Conn.Key.
+func ConnOfKey(k uint64) Conn { return Conn{Src: int(int32(k >> 32)), Dst: int(int32(k))} }
+
 // WorkingSet is a communication working set W(j): the set of connections a
 // program phase uses (paper §2). It deduplicates connections and tracks the
 // port count so it can be rendered as a request matrix.

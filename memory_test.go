@@ -41,6 +41,49 @@ func TestRunAllocationIsNotQuadratic(t *testing.T) {
 	}
 }
 
+// TestPlannedRunAllocation bounds the host memory one run of the Fig-4
+// two-phase workload at N=128 allocates, in perfbench's two configurations,
+// with its static phases planned inside the run. Decomposing and planning
+// both phases used to allocate a fresh path slice per Kempe-chain flip and a
+// re-sorted N-squared edge list per Solstice round: 61.2 MB for the preload
+// run and 127.4 MB for the hybrid one. Lean planning allocates about 9 and
+// 12 MB.
+func TestPlannedRunAllocation(t *testing.T) {
+	const n = 128
+	wl, err := GenerateWorkload("two-phase:bytes=64", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		cfg     Config
+		boundMB float64
+	}{
+		{"tdm-preload", Config{Switching: PreloadTDM, N: n, K: 4, Parallelism: 1}, 16},
+		{"tdm-hybrid-solstice", Config{Switching: HybridTDM, N: n, K: 4,
+			PreloadSlots: 2, Planner: PlannerSolstice,
+			Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}, 24},
+	} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		rep, err := Run(tc.cfg, wl)
+		runtime.ReadMemStats(&after)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		if rep.Messages != wl.Messages() {
+			t.Fatalf("%s: delivered %d of %d messages", tc.name, rep.Messages, wl.Messages())
+		}
+		mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+		t.Logf("%s: one N=%d two-phase run allocated %.1f MB", tc.name, n, mb)
+		if mb > tc.boundMB {
+			t.Errorf("%s: one N=%d two-phase run allocated %.1f MB, bound %.0f MB: does in-run planning churn again?",
+				tc.name, n, mb, tc.boundMB)
+		}
+	}
+}
+
 // TestValidateDoesNotBuildTheFabric bounds what Validate allocates for a TDM
 // config at N = 1<<15. Building the fabric to vet it would allocate the N×N
 // configuration register, 128 MB at this N; pmsd validates every submitted

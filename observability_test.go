@@ -7,6 +7,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"pmsnet/internal/probe"
 )
 
 func TestConfigValidate(t *testing.T) {
@@ -135,6 +137,65 @@ func TestProbeBitIdentityAcrossFabrics(t *testing.T) {
 			}
 			if counter.Total() == 0 {
 				t.Fatal("probe saw no events")
+			}
+		})
+	}
+}
+
+// eventLog is a probe sink that keeps every event.
+type eventLog []ProbeEvent
+
+func (l *eventLog) Handle(ev ProbeEvent) { *l = append(*l, ev) }
+
+// TestProbePlanSpan checks that a preload controller's planning shows up as
+// exactly one PlanBegin/PlanEnd pair ahead of the first slot, whose PlanEnd
+// counts the groups the run can load, and that a dynamic run emits none.
+func TestProbePlanSpan(t *testing.T) {
+	an, _, err := AnalyzeWorkload(RandomMesh(16, 64, 5, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name  string
+		cfg   Config
+		pairs int
+	}{
+		{"preload", Config{Switching: PreloadTDM, N: 16, K: 4}, 1},
+		{"hybrid-solstice", Config{Switching: HybridTDM, N: 16, K: 4, PreloadSlots: 2, Planner: PlannerSolstice}, 1},
+		{"dynamic", Config{Switching: DynamicTDM, N: 16, K: 4}, 0},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var log eventLog
+			tc.cfg.Probe = NewProbe(&log)
+			if _, err := Run(tc.cfg, an); err != nil {
+				t.Fatal(err)
+			}
+			var begins, ends []int
+			for i, ev := range log {
+				switch ev.Kind {
+				case probe.PlanBegin:
+					begins = append(begins, i)
+				case probe.PlanEnd:
+					ends = append(ends, i)
+				}
+			}
+			if len(begins) != tc.pairs || len(ends) != tc.pairs {
+				t.Fatalf("got %d PlanBegin / %d PlanEnd, want %d each", len(begins), len(ends), tc.pairs)
+			}
+			if tc.pairs == 0 {
+				return
+			}
+			if begins[0] != 0 || ends[0] != 1 {
+				t.Fatalf("plan span at events %d..%d, want it to open the run at 0..1", begins[0], ends[0])
+			}
+			end := log[ends[0]]
+			if end.At != 0 || end.Aux < 1 {
+				t.Fatalf("PlanEnd = %+v, want At 0 and at least one group", end)
+			}
+			for _, ev := range log {
+				if ev.Kind == probe.Preload && int64(ev.Slot) >= end.Aux {
+					t.Fatalf("loaded group %d, but PlanEnd counts %d groups", ev.Slot, end.Aux)
+				}
 			}
 		})
 	}

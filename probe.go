@@ -18,7 +18,7 @@ type Probe = probe.Probe
 type ProbeEvent = probe.Event
 
 // ProbeKind discriminates ProbeEvent payloads (slot, scheduler, connection,
-// message and fault lifecycle).
+// message and fault lifecycle, and the preload controller's planning).
 type ProbeKind = probe.Kind
 
 // ProbeSink consumes probe events. Sinks run synchronously on the
