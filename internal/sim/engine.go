@@ -12,6 +12,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"math/bits"
 )
 
 // Time is a simulation timestamp in nanoseconds.
@@ -59,8 +60,17 @@ type event struct {
 	arg     any
 	label   string
 	gen     uint64 // recycling generation, invalidates stale EventIDs
-	index   int    // queue index, -1 when not queued
+	at      Time   // scheduled time
+	index   int    // far-heap index, inWheel, or notQueued
+	next    *event // wheel bucket links, nil outside the wheel
+	prev    *event
 }
+
+// Values of event.index for an event that is not in the far heap.
+const (
+	notQueued = -1
+	inWheel   = -2
+)
 
 // fire runs the event's callback, whichever form it carries.
 func (ev *event) fire() {
@@ -96,11 +106,11 @@ func (a entry) before(b entry) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
-// eventQueue is a 4-ary min-heap of entries. Four children per node halve
-// the depth of a binary heap, and the children of a node share one or two
-// cache lines, so a pop does half the sift levels for a few more compares
-// per level. Every move writes the event's index so Cancel can remove it in
-// place.
+// eventQueue is a 4-ary min-heap of entries, the store for events beyond the
+// timing wheel's span. Four children per node halve the depth of a binary
+// heap, and the children of a node share one or two cache lines, so a pop
+// does half the sift levels for a few more compares per level. Every move
+// writes the event's index so Cancel can remove it in place.
 type eventQueue []entry
 
 func (q eventQueue) up(i int) {
@@ -163,8 +173,83 @@ func (q *eventQueue) remove(i int) *event {
 	if i < last && !q.down(i) {
 		q.up(i)
 	}
-	ev.index = -1
+	ev.index = notQueued
 	return ev
+}
+
+// The timing wheel holds every queued event due in [base, base+wheelSpan),
+// one bucket per nanosecond. A bucket therefore holds a single timestamp, and
+// its FIFO list keeps those events in scheduling order. Events due later wait
+// in the far heap and move into the wheel once base comes within wheelSpan
+// of them.
+const (
+	wheelSpan  = 1024
+	wheelMask  = wheelSpan - 1
+	wheelWords = wheelSpan / 64
+)
+
+// wheel is a ring of per-nanosecond FIFO buckets with an occupancy bitmap.
+// Each bucket is a circular doubly-linked list reached through its head, so
+// head.prev is the tail. Only a pop advances base, to the popped event's
+// time, so base ≤ Now() ≤ the time of every event scheduled afterwards.
+type wheel struct {
+	base Time
+	n    int
+	occ  [wheelWords]uint64
+	head [wheelSpan]*event
+}
+
+// push appends ev, due in [base, base+wheelSpan), to its bucket.
+func (w *wheel) push(ev *event) {
+	b := int(ev.at) & wheelMask
+	ev.index = inWheel
+	if h := w.head[b]; h == nil {
+		w.head[b] = ev
+		ev.next, ev.prev = ev, ev
+		w.occ[b>>6] |= 1 << (b & 63)
+	} else {
+		t := h.prev
+		ev.next, ev.prev = h, t
+		t.next = ev
+		h.prev = ev
+	}
+	w.n++
+}
+
+// remove unlinks ev from its bucket and marks it no longer queued.
+func (w *wheel) remove(ev *event) {
+	b := int(ev.at) & wheelMask
+	if ev.next == ev {
+		w.head[b] = nil
+		w.occ[b>>6] &^= 1 << (b & 63)
+	} else {
+		ev.prev.next = ev.next
+		ev.next.prev = ev.prev
+		if w.head[b] == ev {
+			w.head[b] = ev.next
+		}
+	}
+	ev.next, ev.prev = nil, nil
+	ev.index = notQueued
+	w.n--
+}
+
+// first returns the head of the earliest non-empty bucket. The wheel must
+// not be empty. Bucket base&wheelMask holds the earliest time, so the scan
+// starts there and wraps once round the ring.
+func (w *wheel) first() *event {
+	b := int(w.base) & wheelMask
+	i := b >> 6
+	if m := w.occ[i] >> (b & 63); m != 0 {
+		return w.head[(b+bits.TrailingZeros64(m))&wheelMask]
+	}
+	for k := 1; k <= wheelWords; k++ {
+		j := (i + k) & (wheelWords - 1)
+		if m := w.occ[j]; m != 0 {
+			return w.head[(j<<6+bits.TrailingZeros64(m))&wheelMask]
+		}
+	}
+	panic("sim: timing wheel count and bitmap disagree")
 }
 
 // Engine is a single-threaded discrete-event simulator. It is not safe for
@@ -174,8 +259,9 @@ func (q *eventQueue) remove(i int) *event {
 type Engine struct {
 	now       Time
 	seq       uint64
-	queue     eventQueue
-	free      []*event // recycled event structs; the schedule/fire hot path is amortized zero-alloc
+	wheel     wheel      // events due within wheelSpan of the wheel's base
+	far       eventQueue // events due later, in (at, seq) order
+	free      []*event   // recycled event structs; the schedule/fire hot path is amortized zero-alloc
 	processed uint64
 	stopped   bool
 	check     func() error
@@ -195,7 +281,7 @@ func (e *Engine) Processed() uint64 { return e.processed }
 
 // Pending returns the number of events still queued. Cancelled events are
 // removed from the queue eagerly, so this is O(1).
-func (e *Engine) Pending() int { return len(e.queue) }
+func (e *Engine) Pending() int { return e.wheel.n + len(e.far) }
 
 // At schedules handler to run at absolute time at. Scheduling in the past
 // panics: it would silently corrupt causality in a model.
@@ -252,8 +338,49 @@ func (e *Engine) alloc(label string) *event {
 // enqueue queues ev at time at behind every event already queued for the
 // same instant.
 func (e *Engine) enqueue(at Time, ev *event) {
-	e.queue.push(entry{at: at, seq: e.seq, ev: ev})
+	ev.at = at
+	if at-e.wheel.base < wheelSpan {
+		e.wheel.push(ev)
+	} else {
+		e.far.push(entry{at: at, seq: e.seq, ev: ev})
+	}
 	e.seq++
+}
+
+// first returns the earliest queued event, or nil. Every wheel event is due
+// before every far one, so the far heap matters only when the wheel is empty.
+func (e *Engine) first() *event {
+	if e.wheel.n > 0 {
+		return e.wheel.first()
+	}
+	if len(e.far) > 0 {
+		return e.far[0].ev
+	}
+	return nil
+}
+
+// pop dequeues ev, which first returned, and advances the wheel to its time.
+// Far events that come within the span move into the wheel in (at, seq)
+// order; no event for those times was pushed directly, because they lay
+// beyond the span until now, so their buckets are empty and stay FIFO.
+func (e *Engine) pop(ev *event) {
+	e.dequeue(ev)
+	if ev.at == e.wheel.base {
+		return
+	}
+	e.wheel.base = ev.at
+	for len(e.far) > 0 && e.far[0].at-ev.at < wheelSpan {
+		e.wheel.push(e.far.remove(0))
+	}
+}
+
+// dequeue takes a queued event out of the wheel or the far heap.
+func (e *Engine) dequeue(ev *event) {
+	if ev.index == inWheel {
+		e.wheel.remove(ev)
+	} else {
+		e.far.remove(ev.index)
+	}
 }
 
 // release recycles a fired or cancelled event. Bumping the generation
@@ -279,10 +406,12 @@ func (e *Engine) After(d Time, label string, handler Handler) EventID {
 // runs that cancel many timers never accumulate dead entries). Cancelling an
 // already-fired or already-cancelled event is a no-op and reports false.
 func (e *Engine) Cancel(id EventID) bool {
-	if id.ev == nil || id.gen != id.ev.gen || id.ev.index < 0 {
+	ev := id.ev
+	if ev == nil || id.gen != ev.gen || ev.index == notQueued {
 		return false
 	}
-	e.release(e.queue.remove(id.ev.index))
+	e.dequeue(ev)
+	e.release(ev)
 	return true
 }
 
@@ -315,19 +444,24 @@ func (e *Engine) afterEvent(ev *event) {
 	}
 }
 
-// Run executes events in timestamp order until the queue drains, the horizon
-// is passed, or Stop is called. It returns the time of the last executed
-// event (or the current time if nothing ran). Events scheduled exactly at the
-// horizon still run.
+// Run executes events in timestamp order until the queue drains, the next
+// event lies beyond the horizon, or Stop is called, and returns Now().
+// Events scheduled exactly at the horizon still run. When the queue drains or
+// Stop is called, the clock stays at the last executed event (or where it
+// was, if nothing ran). When the next event lies beyond the horizon, it stays
+// queued for a later call and the clock advances to the horizon itself.
 func (e *Engine) Run(horizon Time) Time {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if e.queue[0].at > horizon {
-			// Leave it queued for a later Run call with a larger horizon.
-			e.now = horizon
-			return e.now
+	for !e.stopped {
+		ev := e.first()
+		if ev == nil {
+			break
 		}
-		e.fireNext()
+		if ev.at > horizon {
+			e.now = horizon
+			break
+		}
+		e.fire(ev)
 	}
 	return e.now
 }
@@ -337,17 +471,18 @@ func (e *Engine) RunAll() Time { return e.Run(MaxTime) }
 
 // Step executes exactly one event and reports whether one was available.
 func (e *Engine) Step() bool {
-	if len(e.queue) == 0 {
+	ev := e.first()
+	if ev == nil {
 		return false
 	}
-	e.fireNext()
+	e.fire(ev)
 	return true
 }
 
-// fireNext pops the earliest event, advances the clock to it and runs it.
-func (e *Engine) fireNext() {
-	e.now = e.queue[0].at
-	ev := e.queue.remove(0)
+// fire pops ev, the earliest event, advances the clock to it and runs it.
+func (e *Engine) fire(ev *event) {
+	e.pop(ev)
+	e.now = ev.at
 	e.processed++
 	ev.fire()
 	e.afterEvent(ev)

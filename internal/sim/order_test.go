@@ -127,12 +127,26 @@ func (r *refEngine) stop()             { r.stopped = true }
 func (r *refEngine) pending() int      { return len(r.queue) }
 func (r *refEngine) processed() uint64 { return r.fired }
 
-// driveOrder interprets prog as a sequence of engine operations and returns
-// the log of everything observable. Each scheduled event gets an action,
-// decided at scheduling time, that its handler performs when it fires:
-// nothing, cancel itself, cancel an earlier event (often a stale ID),
-// schedule a child, or stop the engine.
+// orderScales are the delay multipliers a program's first byte picks from.
+// At scale 1 every delay is a few nanoseconds, so the FIFO tie-break carries
+// much of the order. The larger scales carry delays (up to 15 units) and run
+// horizons (up to 23 units) across several wheel spans, through the far heap
+// and its migration into the wheel. Timestamps stay on the scale's grid, so
+// far and wheel events still share instants.
+var orderScales = [...]Time{1, 100, 341, wheelSpan}
+
+// driveOrder interprets prog as a delay scale (its first byte) followed by a
+// sequence of engine operations, and returns the log of everything
+// observable. Each scheduled event gets an action, decided at scheduling
+// time, that its handler performs when it fires: nothing, cancel itself,
+// cancel an earlier event (often a stale ID), schedule a child, or stop the
+// engine.
 func driveOrder(api orderAPI, prog []byte) []string {
+	scale := orderScales[0]
+	if len(prog) > 0 {
+		scale = orderScales[int(prog[0])%len(orderScales)]
+		prog = prog[1:]
+	}
 	var log []string
 	var cancels []func() bool
 	var schedule func(d Time, withArg bool, action, target byte)
@@ -149,7 +163,7 @@ func driveOrder(api orderAPI, prog []byte) []string {
 				log = append(log, fmt.Sprintf("cancel %d from %d %v", t, id, cancels[t]()))
 			case 3:
 				if id < 2000 {
-					schedule(Time(target%5), target&1 == 0, target/5, target*7)
+					schedule(scale*Time(target%5), target&1 == 0, target/5, target*7)
 				}
 			case 4:
 				api.stop()
@@ -161,9 +175,8 @@ func driveOrder(api orderAPI, prog []byte) []string {
 		op, a, b := prog[i], prog[i+1], prog[i+2]
 		switch op % 6 {
 		case 0, 1:
-			// Small delays make equal timestamps common, so the FIFO
-			// tie-break carries much of the order.
-			schedule(Time(a%16), op%6 == 1, b, a^b)
+			// Few distinct delays make equal timestamps common.
+			schedule(scale*Time(a%16), op%6 == 1, b, a^b)
 		case 2:
 			if len(cancels) > 0 {
 				t := int(a)<<8 | int(b)
@@ -173,7 +186,7 @@ func driveOrder(api orderAPI, prog []byte) []string {
 		case 3:
 			log = append(log, fmt.Sprintf("step %v", api.step()))
 		case 4:
-			log = append(log, fmt.Sprintf("run %d", api.run(api.now()+Time(a%24))))
+			log = append(log, fmt.Sprintf("run %d", api.run(api.now()+scale*Time(a%24))))
 		case 5:
 			log = append(log, fmt.Sprintf("run-all %d", api.run(MaxTime)))
 		}
@@ -202,15 +215,16 @@ func checkEngineOrder(t *testing.T, prog []byte) {
 }
 
 // TestEngineOrderMatchesReference runs seeded random programs, long enough
-// to push the queue several levels deep, through the engine and the
-// reference.
+// to fill the queue, through the engine and the reference, at every delay
+// scale in turn.
 func TestEngineOrderMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for i := 0; i < 300; i++ {
-		prog := make([]byte, 3*(1+rng.Intn(400)))
+	for i := 0; i < 400; i++ {
+		prog := make([]byte, 1+3*(1+rng.Intn(400)))
 		rng.Read(prog)
-		// Bias toward scheduling so the queue grows past a few levels.
-		for j := 0; j < len(prog); j += 3 {
+		prog[0] = byte(i % len(orderScales))
+		// Bias toward scheduling so the queue grows.
+		for j := 1; j < len(prog); j += 3 {
 			if rng.Intn(3) > 0 {
 				prog[j] %= 2
 			}
@@ -220,9 +234,11 @@ func TestEngineOrderMatchesReference(t *testing.T) {
 }
 
 func FuzzEngineOrder(f *testing.F) {
-	f.Add([]byte{0, 3, 1, 0, 3, 2, 1, 3, 0, 5, 0, 0})
-	f.Add([]byte{0, 9, 1, 1, 2, 2, 2, 0, 0, 4, 5, 0, 0, 1, 3, 3, 0, 0})
-	f.Add([]byte{1, 0, 3, 1, 0, 3, 0, 0, 4, 3, 0, 0, 2, 0, 1, 5, 0, 0})
+	f.Add([]byte{0, 0, 3, 1, 0, 3, 2, 1, 3, 0, 5, 0, 0})
+	f.Add([]byte{0, 0, 9, 1, 1, 2, 2, 2, 0, 0, 4, 5, 0, 0, 1, 3, 3, 0, 0})
+	f.Add([]byte{0, 1, 0, 3, 1, 0, 3, 0, 0, 4, 3, 0, 0, 2, 0, 1, 5, 0, 0})
+	f.Add([]byte{1, 0, 15, 1, 0, 3, 2, 1, 2, 0, 4, 12, 0, 0, 1, 3, 0, 0, 5, 0, 0})
+	f.Add([]byte{3, 0, 1, 3, 0, 2, 0, 1, 1, 1, 4, 1, 0, 0, 2, 0, 1, 0, 5, 0, 0})
 	f.Fuzz(func(t *testing.T, prog []byte) {
 		checkEngineOrder(t, prog)
 	})
