@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test check fmt vet race fuzz bench bench-compare trace-smoke service-smoke plan-smoke figures clean
+.PHONY: all build test check fmt inline vet race fuzz bench bench-compare trace-smoke service-smoke plan-smoke figures clean
 
 all: build test
 
@@ -13,12 +13,26 @@ build:
 test:
 	$(GO) test ./...
 
-# Stricter CI tier: formatting, static analysis and the race detector.
-check: fmt vet race
+# Stricter CI tier: formatting, the inlining guard, static analysis and the
+# race detector.
+check: fmt inline vet race
 
 # Fails listing the files gofmt would rewrite.
 fmt:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
+
+# Fails unless the compiler can inline bitmat's bit probes. The scheduler,
+# request wire and preloader probe single bits in their hot loops; a probe
+# pushed back over the inliner's budget costs two calls per bit (~5% of a
+# dynamic-TDM run) and shows in no test.
+INLINE_PROBES = '(*Matrix).Get' '(*Matrix).Set' '(*Matrix).Clear' '(*Matrix).RowWords' '(*Matrix).check' '(*Sparse).Get'
+inline:
+	@inlined=$$($(GO) build -gcflags=-m ./internal/bitmat 2>&1 | sed -n 's/.*: can inline //p'); \
+	status=0; \
+	for f in $(INLINE_PROBES); do \
+		echo "$$inlined" | grep -qxF "$$f" || { echo "bitmat: $$f no longer inlines"; status=1; }; \
+	done; \
+	exit $$status
 
 vet:
 	$(GO) vet ./...
@@ -109,8 +123,9 @@ plan-smoke:
 # reference, the event engine's fire order against a sort-by-(at, seq)
 # reference, the NIC output buffer's parity with the
 # slice-per-destination reference, NewRNG's draw-for-draw parity with
-# math/rand, and the Solstice planner's parity with its rescan-every-round
-# oracle.
+# math/rand, the Solstice planner's parity with its rescan-every-round
+# oracle, and both fabric backends' connection-list loads against the
+# partial-permutation and Omega-routing references.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/traffic/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
@@ -123,6 +138,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzOutBufferParity -fuzztime=30s ./internal/nic/
 	$(GO) test -run=NONE -fuzz=FuzzNewRNGParity -fuzztime=30s ./internal/sim/
 	$(GO) test -run=NONE -fuzz=FuzzSolsticeParity -fuzztime=30s ./internal/plan/
+	$(GO) test -run=NONE -fuzz=FuzzFabricApply -fuzztime=30s ./internal/fabric/
 
 figures:
 	$(GO) run ./cmd/figures

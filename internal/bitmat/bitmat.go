@@ -110,9 +110,28 @@ func (m *Matrix) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *Matrix) Cols() int { return m.cols }
 
+// indexError is the panic value of an out-of-range bit index; rowError is
+// that of an out-of-range row. They are small values formatted only when
+// printed, which keeps check, RowWords and the bit probes built on them
+// under the Go inliner's budget: a fmt.Sprintf call in the failure branch
+// alone costs more than the whole probe.
+type indexError struct{ i, j, rows, cols int }
+
+func (e indexError) Error() string {
+	return fmt.Sprintf("bitmat: index (%d,%d) out of range %dx%d", e.i, e.j, e.rows, e.cols)
+}
+
+type rowError struct{ i, rows, cols int }
+
+func (e rowError) Error() string {
+	return fmt.Sprintf("bitmat: row %d out of range %dx%d", e.i, e.rows, e.cols)
+}
+
+// check panics unless (i, j) is inside the matrix. The unsigned compares
+// also reject negative indices.
 func (m *Matrix) check(i, j int) {
-	if i < 0 || i >= m.rows || j < 0 || j >= m.cols {
-		panic(fmt.Sprintf("bitmat: index (%d,%d) out of range %dx%d", i, j, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
+		panic(indexError{i, j, m.rows, m.cols})
 	}
 }
 
@@ -121,8 +140,8 @@ func (m *Matrix) check(i, j int) {
 // exists for word-parallel row computations (the scheduler's adaptive
 // dense-row fallback) that per-bit Get calls would dominate.
 func (m *Matrix) RowWords(i int) []uint64 {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("bitmat: row %d out of range %dx%d", i, m.rows, m.cols))
+	if uint(i) >= uint(m.rows) {
+		panic(rowError{i, m.rows, m.cols})
 	}
 	return m.bits[i*m.wordsPerRow : (i+1)*m.wordsPerRow]
 }

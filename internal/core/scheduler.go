@@ -35,6 +35,7 @@ import (
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/probe"
 	"pmsnet/internal/sim"
+	"pmsnet/internal/topology"
 )
 
 // Params configures a Scheduler.
@@ -156,16 +157,15 @@ type Scheduler struct {
 
 	// Reusable scratch, sized once at construction so the per-pass hot path
 	// stays allocation-free after warmup.
-	effBuf    *bitmat.Matrix // effectiveRequests result under latching
-	lBuf      *bitmat.Matrix // PreSchedule change matrix
-	occOut    []uint64       // AO bitmask: output v occupied in the slot
-	occIn     []uint64       // AI bitmask: input u occupied in the slot
-	colBuf    []int          // rotated set-column scan of one L row
-	estBuf    []Change       // established changes of the current pass
-	relBuf    []Change       // released changes of the current pass
-	slotsBuf  []int          // slots visited by the current pass
-	fabricBuf *bitmat.Matrix // NextFabricSlot result
-	invBuf    *bitmat.Matrix // CheckInvariants B* recomputation
+	effBuf   *bitmat.Matrix // effectiveRequests result under latching
+	lBuf     *bitmat.Matrix // PreSchedule change matrix
+	occOut   []uint64       // AO bitmask: output v occupied in the slot
+	occIn    []uint64       // AI bitmask: input u occupied in the slot
+	colBuf   []int          // rotated set-column scan of one L row
+	estBuf   []Change       // established changes of the current pass
+	relBuf   []Change       // released changes of the current pass
+	slotsBuf []int          // slots visited by the current pass
+	invBuf   *bitmat.Matrix // CheckInvariants B* recomputation
 
 	// Sparse-pass scratch (sparsepass.go).
 	activeMask  []uint64 // row mask: rows the sparse pass must visit
@@ -419,17 +419,17 @@ func (s *Scheduler) ActiveSlotCount() int {
 }
 
 // AppendSlotConns appends every connection of a slot to dst in ascending
-// row order and returns the extended slice — the data-plane grant snapshot,
-// read straight from the slot index in O(connections) instead of N
-// first-in-row word scans.
-func (s *Scheduler) AppendSlotConns(dst []Change, slot int) []Change {
+// row order and returns the extended slice — the list the fabric register
+// is loaded with and the data-plane grant snapshot, read straight from the
+// slot index in O(connections) instead of N first-in-row word scans.
+func (s *Scheduler) AppendSlotConns(dst []topology.Conn, slot int) []topology.Conn {
 	s.checkSlot(slot)
 	mask := s.cfgRowMask[slot]
 	for w, word := range mask {
 		for word != 0 {
 			u := w*64 + bits.TrailingZeros64(word)
 			word &= word - 1
-			dst = append(dst, Change{Src: u, Dst: int(s.rowDst[slot][u]), Slot: slot})
+			dst = append(dst, topology.Conn{Src: u, Dst: int(s.rowDst[slot][u])})
 		}
 	}
 	return dst
@@ -450,25 +450,20 @@ func (s *Scheduler) checkPort(u int) {
 // --- TDM counter (fabric side) ---
 
 // NextFabricSlot advances the TDM counter and returns the slot whose
-// configuration should be copied to the fabric for the next time slot. With
-// SkipEmptySlots it skips all-zero configurations (paper §4, Figure 2); if
-// every configuration is empty it reports ok=false and the fabric stays
-// idle. The returned matrix is a scheduler-owned scratch copy: it is valid
-// until the next NextFabricSlot call and must not be mutated or retained.
-func (s *Scheduler) NextFabricSlot() (slot int, cfg *bitmat.Matrix, ok bool) {
+// configuration the fabric carries for the next time slot; the caller loads
+// the fabric from AppendSlotConns(slot). With SkipEmptySlots it skips
+// all-zero configurations (paper §4, Figure 2); if every configuration is
+// empty it reports ok=false and the fabric stays idle.
+func (s *Scheduler) NextFabricSlot() (slot int, ok bool) {
 	for tried := 0; tried < s.p.K; tried++ {
 		t := s.tdmCursor
 		s.tdmCursor = (s.tdmCursor + 1) % s.p.K
 		if s.p.SkipEmptySlots && s.cfgCount[t] == 0 {
 			continue
 		}
-		if s.fabricBuf == nil {
-			s.fabricBuf = bitmat.NewSquare(s.p.N)
-		}
-		s.fabricBuf.CopyFrom(s.configs[t])
-		return t, s.fabricBuf, true
+		return t, true
 	}
-	return -1, nil, false
+	return -1, false
 }
 
 // GrantRow returns the grant signal G_u for NIC u in the given slot: the

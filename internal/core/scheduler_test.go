@@ -2,10 +2,12 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/topology"
 )
 
 func newTest(n, k int) *Scheduler {
@@ -291,12 +293,12 @@ func TestTDMCounterSkipsEmptySlots(t *testing.T) {
 	}
 	// Only slot 2 is non-empty: the TDM counter must return it every time.
 	for i := 0; i < 5; i++ {
-		slot, got, ok := s.NextFabricSlot()
+		slot, ok := s.NextFabricSlot()
 		if !ok || slot != 2 {
 			t.Fatalf("iteration %d: slot=%d ok=%v, want slot 2", i, slot, ok)
 		}
-		if !got.Get(1, 2) {
-			t.Fatal("returned config should contain the connection")
+		if got := s.AppendSlotConns(nil, slot); len(got) != 1 || got[0] != (topology.Conn{Src: 1, Dst: 2}) {
+			t.Fatalf("slot connections = %v, want [1->2]", got)
 		}
 	}
 	if got := s.ActiveSlots(); len(got) != 1 || got[0] != 2 {
@@ -306,7 +308,7 @@ func TestTDMCounterSkipsEmptySlots(t *testing.T) {
 
 func TestTDMCounterAllEmpty(t *testing.T) {
 	s := newTest(4, 3)
-	if _, _, ok := s.NextFabricSlot(); ok {
+	if _, ok := s.NextFabricSlot(); ok {
 		t.Fatal("all-empty scheduler should report no fabric slot")
 	}
 }
@@ -321,9 +323,16 @@ func TestTDMCounterWithoutSkipping(t *testing.T) {
 	}
 	var slots []int
 	for i := 0; i < 6; i++ {
-		slot, _, ok := s.NextFabricSlot()
+		slot, ok := s.NextFabricSlot()
 		if !ok {
 			t.Fatal("non-skipping counter should always return a slot")
+		}
+		var want []topology.Conn
+		if slot == 1 {
+			want = []topology.Conn{{Src: 0, Dst: 1}}
+		}
+		if got := s.AppendSlotConns(nil, slot); !slices.Equal(got, want) {
+			t.Fatalf("slot %d connections = %v, want %v", slot, got, want)
 		}
 		slots = append(slots, slot)
 	}

@@ -219,9 +219,10 @@ func (s *Scheduler) applyRowCells(cells []int32, slot, u, bo int, b *bitmat.Matr
 // the dense scheduleSlot inner loop: the slot occupancy masks maintained by
 // setConn/clearConn are the live AO/AI signals.
 func (s *Scheduler) applyCells(cells []int32, slot, u int, b *bitmat.Matrix) {
+	rowDst := s.rowDst[slot] // B(slot)'s bit (u, v) is rowDst[u] == v
 	for _, vv := range cells {
 		v := int(vv)
-		if b.Get(u, v) {
+		if rowDst[u] == vv {
 			s.clearConn(slot, u, v)
 			s.relBuf = append(s.relBuf, Change{Src: u, Dst: v, Slot: slot})
 		} else if !maskTest(s.cfgColMask[slot], v) && !maskTest(s.cfgRowMask[slot], u) {

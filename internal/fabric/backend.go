@@ -32,12 +32,12 @@ var Kinds = vocab.New[Kind]("fabric", "crossbar", "omega")
 // String implements fmt.Stringer.
 func (k Kind) String() string { return Kinds.Name(k) }
 
-// Backend is a pluggable switching fabric: a configuration register the
-// scheduler writes at every slot boundary, plus the routing/blocking
-// semantics of the technology behind it. The TDM network drives any Backend;
-// the scheduler consults CanRealize (through its CanEstablish hook) on
-// blocking fabrics so it never produces a configuration the fabric cannot
-// carry.
+// Backend is a pluggable switching fabric: a configuration register loaded
+// with the slot's connection list at every slot boundary, plus the
+// routing/blocking semantics of the technology behind it. The TDM network
+// drives any Backend; the scheduler consults CanRealize (through its
+// CanEstablish hook) on blocking fabrics so it never produces a
+// configuration the fabric cannot carry.
 type Backend interface {
 	// Kind identifies the backend.
 	Kind() Kind
@@ -50,10 +50,13 @@ type Backend interface {
 	// CanRealize reports whether the configuration routes through the fabric
 	// — the blocking check.
 	CanRealize(cfg *bitmat.Matrix) bool
-	// Apply loads the configuration into the register for the next slot,
-	// routing it through the fabric. It fails on a malformed configuration or
-	// one the fabric cannot realize — a scheduler bug either way.
-	Apply(cfg *bitmat.Matrix) error
+	// Apply loads a slot's connections, in ascending source order, into the
+	// register for the next slot, routing them through the fabric. It fails
+	// on a list that is not a partial permutation of the ports or that the
+	// fabric cannot realize — a scheduler bug either way — and then leaves
+	// the register unchanged. Every load is checked, in O(connections) on
+	// the crossbar.
+	Apply(conns []topology.Conn) error
 	// Applied returns how many configurations have been loaded so far.
 	Applied() int
 	// Decompose splits a working set into realizable configurations for the
@@ -89,7 +92,7 @@ func NewBackend(kind Kind, n int) (Backend, error) {
 	xbar := NewCrossbar(n, LVDS, 0)
 	if kind == KindOmega {
 		o, _ := multistage.NewOmega(n) // Check accepted n
-		return omegaBackend{xbar, o}, nil
+		return omegaBackend{xbar, o, make([]uint8, o.Stages()*o.SwitchesPerStage())}, nil
 	}
 	return crossbarBackend{xbar}, nil
 }
@@ -113,11 +116,12 @@ func (b crossbarBackend) Decompose(ws *topology.WorkingSet) ([]*bitmat.Matrix, e
 }
 
 // omegaBackend is the blocking Omega network behind a crossbar-style
-// configuration register: Apply validates the partial permutation through the
-// register, then routes it through the stages.
+// configuration register: Apply checks the partial permutation through the
+// register, routes the list through the stages, and only then loads it.
 type omegaBackend struct {
 	*Crossbar
-	o *multistage.Omega
+	o     *multistage.Omega
+	state []uint8 // Apply's switch-state scratch, reused every slot
 }
 
 func (b omegaBackend) Kind() Kind          { return KindOmega }
@@ -125,13 +129,14 @@ func (b omegaBackend) Rearrangeable() bool { return false }
 
 func (b omegaBackend) CanRealize(cfg *bitmat.Matrix) bool { return b.o.CanRealize(cfg) }
 
-func (b omegaBackend) Apply(cfg *bitmat.Matrix) error {
-	if err := b.Crossbar.Apply(cfg); err != nil {
+func (b omegaBackend) Apply(conns []topology.Conn) error {
+	if err := b.validate(conns); err != nil {
 		return err
 	}
-	if !b.o.CanRealize(cfg) {
+	if !b.o.CanRealizeConns(conns, b.state) {
 		return fmt.Errorf("fabric: configuration is not realizable on the omega fabric")
 	}
+	b.commit(conns)
 	return nil
 }
 

@@ -2,6 +2,8 @@ package fabric
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"strings"
 	"testing"
@@ -36,13 +38,35 @@ func TestUnknownTechnologyPanics(t *testing.T) {
 	Technology(99).TraversalDelay()
 }
 
+// permConns is the connection list of a permutation with -1 for an idle
+// input, in ascending source order.
+func permConns(perm []int) []topology.Conn {
+	var conns []topology.Conn
+	for u, v := range perm {
+		if v >= 0 {
+			conns = append(conns, topology.Conn{Src: u, Dst: v})
+		}
+	}
+	return conns
+}
+
+// connsMatrix is the n x n configuration matrix of a connection list whose
+// ports are in range.
+func connsMatrix(n int, conns []topology.Conn) *bitmat.Matrix {
+	m := bitmat.NewSquare(n)
+	for _, c := range conns {
+		m.Set(c.Src, c.Dst)
+	}
+	return m
+}
+
 func TestApplyAndQuery(t *testing.T) {
 	c := NewCrossbar(4, LVDS, 0)
 	if c.Ports() != 4 || c.Technology() != LVDS || c.ReconfigTime() != 0 {
 		t.Fatal("constructor fields wrong")
 	}
-	cfg := bitmat.FromPermutation([]int{2, -1, 0, 3})
-	if err := c.Apply(cfg); err != nil {
+	perm := []int{2, -1, 0, 3}
+	if err := c.Apply(permConns(perm)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Applied() != 1 {
@@ -51,40 +75,132 @@ func TestApplyAndQuery(t *testing.T) {
 	if c.OutputFor(0) != 2 || c.OutputFor(1) != -1 {
 		t.Fatal("OutputFor wrong")
 	}
-	if !c.Connected(3, 3) || c.Connected(3, 0) {
+	if !c.Connected(3, 3) || c.Connected(3, 0) || c.Connected(3, 7) {
 		t.Fatal("Connected wrong")
 	}
 	if c.Connections() != 3 {
 		t.Fatalf("Connections = %d, want 3", c.Connections())
 	}
 	got := c.Config()
-	if !got.Equal(cfg) {
-		t.Fatal("Config copy should equal applied configuration")
+	if !got.Equal(bitmat.FromPermutation(perm)) {
+		t.Fatal("Config should equal the applied configuration")
 	}
 	// Returned config is a copy; mutating it must not affect the fabric.
 	got.Reset()
 	if c.Connections() != 3 {
 		t.Fatal("Config must return a copy, not an alias")
 	}
+	// A second load replaces the first completely.
+	if err := c.Apply(permConns([]int{-1, 2, -1, -1})); err != nil {
+		t.Fatal(err)
+	}
+	if c.OutputFor(0) != -1 || c.OutputFor(1) != 2 || c.OutputFor(3) != -1 || c.Connections() != 1 || c.Applied() != 2 {
+		t.Fatalf("second load left %v", c.Config())
+	}
+}
+
+// TestApplyAcrossStampWrap loads a list, winds the validation generation
+// to its last value and loads the same list again: when the generation
+// wraps, the stamps the first load left must be forgotten, not read as
+// duplicates.
+func TestApplyAcrossStampWrap(t *testing.T) {
+	c := NewCrossbar(4, LVDS, 0)
+	conns := permConns([]int{1, 2, 3, 0})
+	if err := c.Apply(conns); err != nil {
+		t.Fatal(err)
+	}
+	c.gen = math.MaxUint32
+	for i := 0; i < 3; i++ {
+		if err := c.Apply(conns); err != nil {
+			t.Fatalf("load %d after the wrap: %v", i, err)
+		}
+	}
+	if err := c.Apply([]topology.Conn{{Src: 0, Dst: 1}, {Src: 0, Dst: 2}}); err == nil {
+		t.Fatal("duplicate input accepted after the wrap")
+	}
 }
 
 func TestApplyRejectsNonPermutation(t *testing.T) {
 	c := NewCrossbar(3, Digital, 10)
-	bad := bitmat.NewSquare(3)
-	bad.Set(0, 1)
-	bad.Set(2, 1) // two inputs to one output
+	bad := []topology.Conn{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}} // two inputs to one output
 	if err := c.Apply(bad); err == nil {
 		t.Fatal("expected error for conflicting configuration")
 	}
-	if c.Connections() != 0 {
+	if c.Connections() != 0 || c.Applied() != 0 {
 		t.Fatal("failed Apply must leave register unchanged")
 	}
 }
 
-func TestApplyRejectsWrongShape(t *testing.T) {
-	c := NewCrossbar(3, Digital, 10)
-	if err := c.Apply(bitmat.NewSquare(4)); err == nil {
-		t.Fatal("expected error for wrong-shaped configuration")
+// TestRejectedApplyLeavesRegister loads a valid configuration on each
+// backend, then offers lists the backend must refuse: a refused load may
+// change nothing the register reports.
+func TestRejectedApplyLeavesRegister(t *testing.T) {
+	const n = 8
+	o, _ := multistage.NewOmega(n)
+	// The bit-reversal permutation is a partial permutation the Omega
+	// network cannot route in one pass.
+	reverse := make([]int, n)
+	for u := range reverse {
+		reverse[u] = int(bits.Reverse8(uint8(u)) >> 5)
+	}
+	if o.CanRealize(bitmat.FromPermutation(reverse)) {
+		t.Fatal("bit reversal should be blocked on the omega network")
+	}
+	loaded := []topology.Conn{{Src: 0, Dst: 0}, {Src: 3, Dst: 3}, {Src: 5, Dst: 5}}
+	bad := map[string][]topology.Conn{
+		"duplicate input":  {{Src: 1, Dst: 1}, {Src: 1, Dst: 2}},
+		"duplicate output": {{Src: 1, Dst: 4}, {Src: 2, Dst: 4}},
+		"input past N":     {{Src: 1, Dst: 1}, {Src: n, Dst: 2}},
+		"negative output":  {{Src: 2, Dst: -1}},
+	}
+	for _, kind := range []Kind{KindCrossbar, KindOmega} {
+		t.Run(kind.String(), func(t *testing.T) {
+			b, err := NewBackend(kind, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := b.Apply(loaded); err != nil {
+				t.Fatal(err)
+			}
+			cases := bad
+			if kind == KindOmega {
+				cases = map[string][]topology.Conn{"omega-blocked": permConns(reverse)}
+				for name, conns := range bad {
+					cases[name] = conns
+				}
+			}
+			for name, conns := range cases {
+				if err := b.Apply(conns); err == nil {
+					t.Fatalf("%s: Apply(%v) accepted", name, conns)
+				}
+				assertRegister(t, name, b, n, loaded, 1)
+			}
+			if err := b.Apply(nil); err != nil {
+				t.Fatal(err)
+			}
+			assertRegister(t, "empty load", b, n, nil, 2)
+		})
+	}
+}
+
+// assertRegister fails unless the backend's register holds exactly conns
+// after applied successful loads.
+func assertRegister(t *testing.T, what string, b Backend, n int, conns []topology.Conn, applied int) {
+	t.Helper()
+	reg := b.(interface {
+		OutputFor(u int) int
+		Connections() int
+		Config() *bitmat.Matrix
+	})
+	want := connsMatrix(n, conns)
+	for u := 0; u < n; u++ {
+		if got := reg.OutputFor(u); got != want.FirstInRow(u) {
+			t.Fatalf("%s: OutputFor(%d) = %d, want %d", what, u, got, want.FirstInRow(u))
+		}
+	}
+	if reg.Connections() != len(conns) || b.Applied() != applied || !reg.Config().Equal(want) {
+		t.Fatalf("%s: register holds %d connections after %d loads, want %d after %d",
+			what, reg.Connections(), b.Applied(), len(conns), applied)
 	}
 }
 
@@ -134,8 +250,7 @@ func TestQuickApplyPermutationsAlwaysSucceed(t *testing.T) {
 				perm[i] = -1
 			}
 		}
-		cfg := bitmat.FromPermutation(perm)
-		if err := c.Apply(cfg); err != nil {
+		if err := c.Apply(permConns(perm)); err != nil {
 			return false
 		}
 		// Every connection in the permutation must be realized.
@@ -187,7 +302,8 @@ func TestCheckErrors(t *testing.T) {
 }
 
 // TestBackendsFollowTheirFabric drives each backend with random partial
-// permutations and working sets: CanRealize and Apply must follow the fabric
+// permutations (as matrices for CanRealize, as lists for Apply) and working
+// sets: CanRealize and Apply must follow the fabric
 // model behind the register (every partial permutation on the crossbar, the
 // Omega network's routing on the Omega), and Decompose must cover the working
 // set with configurations the backend accepts.
@@ -213,12 +329,13 @@ func TestBackendsFollowTheirFabric(t *testing.T) {
 			rng := rand.New(rand.NewSource(3))
 			blocked := 0
 			for trial := 0; trial < 200; trial++ {
-				cfg := bitmat.NewSquare(n)
+				var conns []topology.Conn
 				for u, v := range rng.Perm(n) {
 					if rng.Intn(2) == 0 {
-						cfg.Set(u, v)
+						conns = append(conns, topology.Conn{Src: u, Dst: v})
 					}
 				}
+				cfg := connsMatrix(n, conns)
 				want := tc.realizes(cfg)
 				if !want {
 					blocked++
@@ -226,7 +343,7 @@ func TestBackendsFollowTheirFabric(t *testing.T) {
 				if got := b.CanRealize(cfg); got != want {
 					t.Fatalf("trial %d: CanRealize = %v, fabric says %v", trial, got, want)
 				}
-				if err := b.Apply(cfg); (err == nil) != want {
+				if err := b.Apply(conns); (err == nil) != want {
 					t.Fatalf("trial %d: Apply = %v, fabric realizes it: %v", trial, err, want)
 				}
 			}

@@ -84,7 +84,7 @@ func (o *Omega) Route(cfg *bitmat.Matrix) (Settings, error) {
 	}
 	half := o.n / 2
 	state := make([]uint8, o.stages*half)
-	if b, ok := o.route(cfg, state); !ok {
+	if b, ok := o.route(o.n, func(u int) (int, int) { return u, cfg.FirstInRow(u) }, state); !ok {
 		return nil, fmt.Errorf("multistage: connection %d->%d blocked at stage %d switch %d", b.u, b.v, b.stage, b.sw)
 	}
 	settings := make(Settings, o.stages)
@@ -107,14 +107,16 @@ const (
 // blockedConn names the first connection route could not thread.
 type blockedConn struct{ u, v, stage, sw int }
 
-// route threads every connection of cfg, a partial permutation of the
-// network's shape, along its unique path in ascending input order, fixing
-// state[s*N/2+sw] for each switch it crosses. It reports false with the
-// first connection that needs a switch already fixed the other way.
-func (o *Omega) route(cfg *bitmat.Matrix, state []uint8) (blockedConn, bool) {
+// route threads count connections along their unique paths in sequence
+// order, fixing state[s*N/2+sw] for each switch a path crosses; state starts
+// all switchFree. at(i) gives the i-th connection as input u and output v
+// (v < 0: none); together they must form a partial permutation of the
+// network's ports. route reports false with the first connection that needs
+// a switch already fixed the other way.
+func (o *Omega) route(count int, at func(i int) (u, v int), state []uint8) (blockedConn, bool) {
 	half := o.n / 2
-	for u := 0; u < o.n; u++ {
-		v := cfg.FirstInRow(u)
+	for i := 0; i < count; i++ {
+		u, v := at(i)
 		if v < 0 {
 			continue
 		}
@@ -153,7 +155,19 @@ func (o *Omega) CanRealize(cfg *bitmat.Matrix) bool {
 	if cfg.Rows() != o.n || cfg.Cols() != o.n || !cfg.IsPartialPermutation() {
 		return false
 	}
-	_, ok := o.route(cfg, make([]uint8, o.stages*o.n/2))
+	_, ok := o.route(o.n, func(u int) (int, int) { return u, cfg.FirstInRow(u) }, make([]uint8, o.stages*o.n/2))
+	return ok
+}
+
+// CanRealizeConns is CanRealize for a configuration given as its connection
+// list, which must already be a partial permutation of the network's ports
+// (distinct inputs, distinct outputs, all in range — the crossbar register's
+// check). state is switch-state scratch of Stages()*SwitchesPerStage()
+// entries; it is cleared and overwritten, so passing the same slice every
+// call keeps the check allocation-free.
+func (o *Omega) CanRealizeConns(conns []topology.Conn, state []uint8) bool {
+	clear(state)
+	_, ok := o.route(len(conns), func(i int) (int, int) { return conns[i].Src, conns[i].Dst }, state)
 	return ok
 }
 

@@ -6,6 +6,7 @@ package tdm
 import (
 	"fmt"
 
+	"pmsnet/internal/bitmat"
 	"pmsnet/internal/netmodel"
 	"pmsnet/internal/nic"
 	"pmsnet/internal/predictor"
@@ -14,8 +15,9 @@ import (
 	"pmsnet/internal/topology"
 )
 
-// onSlot is the slot-boundary handler: pick the next configuration, copy it
-// to the fabric, and let every granted NIC transmit one slot payload.
+// onSlot is the slot-boundary handler: pick the next configuration, load
+// its connection list into the fabric, and let every granted NIC transmit
+// one slot payload.
 func (r *run) onSlot() {
 	r.stats.SlotsTotal++
 	if r.pre != nil {
@@ -24,7 +26,7 @@ func (r *run) onSlot() {
 		// boundary without stealing fabric time.
 		r.pre.maybeAdvance()
 	}
-	slot, cfg, ok := r.sched.NextFabricSlot()
+	slot, ok := r.sched.NextFabricSlot()
 	if r.probe != nil {
 		s := int32(-1)
 		if ok {
@@ -36,20 +38,26 @@ func (r *run) onSlot() {
 		netmodel.EmitSlotEnd(r.probe, r.eng.Now(), -1, false)
 		return
 	}
-	if err := r.fab.Apply(cfg); err != nil {
+	// The slot's connections, read from the scheduler's slot index in
+	// ascending source order in O(connections): the list the fabric is
+	// loaded with and the grants the transmit loop below serves.
+	r.connsBuf = r.sched.AppendSlotConns(r.connsBuf[:0], slot)
+	if r.cfg.SelfCheck {
+		if err := checkSlotConns(r.sched.Config(slot), r.connsBuf); err != nil {
+			r.fail(fmt.Errorf("tdm: slot %d: %w", slot, err))
+			return
+		}
+	}
+	if err := r.fab.Apply(r.connsBuf); err != nil {
 		r.fail(fmt.Errorf("tdm: scheduler produced unrealizable configuration for slot %d: %w", slot, err))
 		return
 	}
 	slotStart := r.eng.Now()
 	used := false
-	// Snapshot the slot's connections from the scheduler's slot index —
-	// O(connections), in the same ascending-row order as the former
-	// first-in-row scan over all N rows.
-	r.connsBuf = r.sched.AppendSlotConns(r.connsBuf[:0], slot)
 	for _, conn := range r.connsBuf {
 		u, v := conn.Src, conn.Dst
 		if len(r.grantAt) > 0 {
-			key := topology.Conn{Src: u, Dst: v}.Key()
+			key := conn.Key()
 			if at, ok := r.grantAt[key]; ok {
 				if at > slotStart {
 					// The grant for this freshly established connection has
@@ -92,7 +100,7 @@ func (r *run) onSlot() {
 			// signal that the connection is squatting on a slot others need.
 			if obs, ok := r.pred.(predictor.IdleGrantObserver); ok &&
 				r.driver.Buffers[u].Len() > 0 {
-				obs.OnIdleGrant(topology.Conn{Src: u, Dst: v}, slotStart)
+				obs.OnIdleGrant(conn, slotStart)
 			}
 			continue
 		}
@@ -102,7 +110,7 @@ func (r *run) onSlot() {
 				Src: int32(u), Dst: int32(v), ID: int64(injected.ID)})
 		}
 		if r.pred != nil {
-			r.pred.OnUse(topology.Conn{Src: u, Dst: v}, slotStart)
+			r.pred.OnUse(conn, slotStart)
 		}
 		if done != nil {
 			r.completeMessage(done, slotStart)
@@ -120,6 +128,33 @@ func (r *run) onSlot() {
 		r.stats.SlotsUsed++
 	}
 	netmodel.EmitSlotEnd(r.probe, slotStart, int32(slot), used)
+}
+
+// checkSlotConns is the self-check's matrix-level cross-check of a slot's
+// connection list against the slot's configuration matrix B(slot): the list
+// must run in strictly ascending source order, each row's first set column
+// must be its list entry (or -1 for a row the list skips), and the matrix
+// may hold no other bit. With the fabric's own check on the list, this is
+// the full partial-permutation check of B(slot), at O(N²/64) per slot.
+func checkSlotConns(cfg *bitmat.Matrix, conns []topology.Conn) error {
+	if got := cfg.Count(); got != len(conns) {
+		return fmt.Errorf("configuration holds %d connections, its list %d", got, len(conns))
+	}
+	next := 0
+	for u := 0; u < cfg.Rows(); u++ {
+		want := -1
+		if next < len(conns) && conns[next].Src == u {
+			want = conns[next].Dst
+			next++
+		}
+		if got := cfg.FirstInRow(u); got != want {
+			return fmt.Errorf("row %d connects to %d, its list entry to %d", u, got, want)
+		}
+	}
+	if next != len(conns) {
+		return fmt.Errorf("list entry %v is out of ascending source order", conns[next])
+	}
+	return nil
 }
 
 // completeMessage retires a message whose last payload was granted in the

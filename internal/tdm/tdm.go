@@ -43,6 +43,7 @@ import (
 	"pmsnet/internal/predictor"
 	"pmsnet/internal/probe"
 	"pmsnet/internal/sim"
+	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 )
 
@@ -275,9 +276,9 @@ type run struct {
 	// reqMerge is the reusable scratch for reqView|specReq so the per-pass
 	// merge does not allocate.
 	reqMerge *bitmat.Sparse
-	// connsBuf is the reusable slot-connection snapshot of the data-plane
-	// grant loop.
-	connsBuf []core.Change
+	// connsBuf is the reusable slot-connection list: the fabric's load and
+	// the data-plane grant loop's snapshot.
+	connsBuf []topology.Conn
 	// deliverFn is the cached deliver method value, so scheduling a
 	// message's delivery allocates no closure.
 	deliverFn sim.ArgHandler
