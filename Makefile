@@ -119,7 +119,8 @@ plan-smoke:
 # Short fuzzing passes over the text-format parsers, the workload-spec
 # grammar, the sparse/dense bitmat parity, the sparse scheduling pass
 # against the dense oracle under every state mutator, the BvN
-# decomposition, the incremental time-out predictor's parity with the map-scan
+# decomposition, the König decomposition's in-place Kempe flips against
+# the path-buffer reference, the incremental time-out predictor's parity with the map-scan
 # reference, the event engine's fire order against a sort-by-(at, seq)
 # reference, the NIC output buffer's parity with the
 # slice-per-destination reference, NewRNG's draw-for-draw parity with
@@ -133,6 +134,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSparseParity -fuzztime=30s ./internal/bitmat/
 	$(GO) test -run=NONE -fuzz=FuzzSparseDenseOps -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzDecompose -fuzztime=30s ./internal/multistage/
+	$(GO) test -run=NONE -fuzz=FuzzDecomposeParity -fuzztime=30s ./internal/topology/
 	$(GO) test -run=NONE -fuzz=FuzzTimeoutParity -fuzztime=30s ./internal/predictor/
 	$(GO) test -run=NONE -fuzz=FuzzEngineOrder -fuzztime=30s ./internal/sim/
 	$(GO) test -run=NONE -fuzz=FuzzOutBufferParity -fuzztime=30s ./internal/nic/

@@ -428,9 +428,17 @@ func (m *Matrix) ColCount(j int) int {
 // IsPartialPermutation reports whether m has at most one set bit per row and
 // per column — the crossbar-realizability constraint on a configuration.
 // It runs in O(rows x words-per-row): each row must hold at most one bit,
-// and the running OR of previous rows detects any column reuse.
+// and the running OR of previous rows detects any column reuse. Up to 1024
+// columns the running OR lives on the stack, so the check does not
+// allocate.
 func (m *Matrix) IsPartialPermutation() bool {
-	seen := make([]uint64, m.wordsPerRow)
+	var stack [16]uint64
+	var seen []uint64
+	if m.wordsPerRow <= len(stack) {
+		seen = stack[:m.wordsPerRow]
+	} else {
+		seen = make([]uint64, m.wordsPerRow)
+	}
 	for i := 0; i < m.rows; i++ {
 		row := m.bits[i*m.wordsPerRow : (i+1)*m.wordsPerRow]
 		ones := 0

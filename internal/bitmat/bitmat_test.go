@@ -547,3 +547,31 @@ func TestOnesWordLevelMatchesGet(t *testing.T) {
 		}
 	}
 }
+
+// TestPartialPermutationEitherSideOfStackBuffer checks the column-reuse
+// test both where the running OR fits the stack buffer (1024 columns) and
+// where it spills to the heap (1088), with the reuse in the last word, and
+// that the stack side does not allocate.
+func TestPartialPermutationEitherSideOfStackBuffer(t *testing.T) {
+	for _, n := range []int{1024, 1088} {
+		m := FromPermutation(rand.New(rand.NewSource(int64(n))).Perm(n))
+		if !m.IsPartialPermutation() {
+			t.Fatalf("n=%d: a permutation is a partial permutation", n)
+		}
+		row := -1
+		for i := 0; i < n && row < 0; i++ {
+			if m.FirstInRow(i) != n-1 {
+				row = i
+			}
+		}
+		m.Clear(row, m.FirstInRow(row))
+		m.Set(row, n-1)
+		if m.IsPartialPermutation() {
+			t.Fatalf("n=%d: column %d used twice, still a partial permutation", n, n-1)
+		}
+	}
+	m := Identity(1024)
+	if allocs := testing.AllocsPerRun(10, func() { m.IsPartialPermutation() }); allocs != 0 {
+		t.Errorf("IsPartialPermutation at 1024 columns allocates %.0f times, want 0", allocs)
+	}
+}

@@ -76,7 +76,6 @@ type run struct {
 	cfg      Config
 	eng      *sim.Engine
 	driver   *netmodel.Driver
-	xbar     *fabric.Crossbar
 	cp       *netmodel.ControlPlane
 	ports    *netmodel.PortEngine
 	schedNs  sim.Time
@@ -109,7 +108,6 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 	r := &run{
 		cfg:     n.cfg,
 		eng:     eng,
-		xbar:    fabric.NewCrossbar(n.cfg.N, fabric.LVDS, 0),
 		schedNs: core.ASICLatency(n.cfg.N),
 		// Source serdes + wire to switch + (LVDS switch: 0) + wire to
 		// destination + destination serdes: 30+20+20+30.

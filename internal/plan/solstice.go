@@ -48,15 +48,9 @@ func (Solstice) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, e
 	}
 	n := d.N()
 	edges := d.edges()
-	slices.SortFunc(edges, func(a, b weightedEdge) int {
-		if c := cmp.Compare(b.w, a.w); c != 0 {
-			return c
-		}
-		if c := cmp.Compare(a.u, b.u); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.v, b.v)
-	})
+	// edges lists row-major, so a stable sort by weight keeps equal weights
+	// in (u, v) order.
+	slices.SortStableFunc(edges, func(a, b weightedEdge) int { return cmp.Compare(b.w, a.w) })
 	rowUsed := make([]bool, n)
 	colUsed := make([]bool, n)
 	var entries []Entry

@@ -67,12 +67,10 @@ const (
 	// down (or a crosspoint dying) and a link coming back up.
 	FaultInjected
 	FaultRecovered
-	// PlanBegin/PlanEnd bracket the preload controller's planning before
-	// the first slot: every static phase decomposed or planned into
-	// configuration groups. Planning takes no simulated time, so both carry
-	// the same timestamp.
-	PlanBegin
-	PlanEnd
+	// Plan fires once the preload controller has planned every static
+	// phase into configuration groups and indexed them, before it pins the
+	// first group. Planning takes no simulated time, so it is an instant.
+	Plan
 
 	// KindCount is the number of event kinds; sinks may size arrays with it.
 	KindCount
@@ -111,10 +109,8 @@ func (k Kind) String() string {
 		return "fault-injected"
 	case FaultRecovered:
 		return "fault-recovered"
-	case PlanBegin:
-		return "plan-begin"
-	case PlanEnd:
-		return "plan-end"
+	case Plan:
+		return "plan"
 	default:
 		return "unknown"
 	}
@@ -140,8 +136,7 @@ func (k Kind) String() string {
 //	MsgDelivered     Src, Dst, ID, Aux (latency ns)
 //	FaultInjected    Src (port or crossbar input), Dst (crossbar output, -1 for a link fault), ID (0 link, 1 crosspoint), Aux (1 when permanent)
 //	FaultRecovered   Src (port)
-//	PlanBegin        —
-//	PlanEnd          Aux (configuration groups built)
+//	Plan             Aux (configuration groups built)
 type Event struct {
 	// At is the simulated timestamp of the event.
 	At sim.Time

@@ -115,8 +115,7 @@ func emitOneOfEach(s Sink) {
 	s.Handle(Event{Kind: FaultInjected, At: 600, Src: 2, Dst: -1, ID: 0, Aux: 0})
 	s.Handle(Event{Kind: FaultInjected, At: 610, Src: 2, Dst: 3, ID: 1, Aux: 1})
 	s.Handle(Event{Kind: FaultRecovered, At: 700, Src: 2})
-	s.Handle(Event{Kind: PlanBegin, At: 0})
-	s.Handle(Event{Kind: PlanEnd, At: 0, Aux: 3})
+	s.Handle(Event{Kind: Plan, At: 0, Aux: 3})
 }
 
 func TestTraceWriterProducesValidJSON(t *testing.T) {
@@ -131,9 +130,9 @@ func TestTraceWriterProducesValidJSON(t *testing.T) {
 	if err := json.Unmarshal(buf.Bytes(), &events); err != nil {
 		t.Fatalf("output is not a JSON array: %v\n%s", err, buf.String())
 	}
-	// 7 metadata + 18 event lines (the idle SlotStart is suppressed).
-	if len(events) != 25 {
-		t.Fatalf("got %d events, want 25", len(events))
+	// 7 metadata + 17 event lines (the idle SlotStart is suppressed).
+	if len(events) != 24 {
+		t.Fatalf("got %d events, want 24", len(events))
 	}
 	phases := map[string]int{}
 	for i, ev := range events {
@@ -159,7 +158,7 @@ func TestTraceWriterProducesValidJSON(t *testing.T) {
 	for _, want := range []struct {
 		ph string
 		n  int
-	}{{"M", 7}, {"X", 1}, {"C", 1}, {"B", 2}, {"E", 2}, {"b", 2}, {"e", 3}, {"n", 2}, {"i", 5}} {
+	}{{"M", 7}, {"X", 1}, {"C", 1}, {"B", 1}, {"E", 1}, {"b", 2}, {"e", 3}, {"n", 2}, {"i", 6}} {
 		if phases[want.ph] != want.n {
 			t.Errorf("phase %q count = %d, want %d (all: %v)", want.ph, phases[want.ph], want.n, phases)
 		}

@@ -21,8 +21,8 @@ import (
 //	tid 4 "messages"     — async (b/e) spans keyed by message id, create→deliver,
 //	                       with instant head-of-queue/injected marks in between
 //	tid 5 "faults"       — instant (i) events for fault injection and recovery
-//	tid 6 "control"      — duration (B/E) pair around the preload controller's
-//	                       planning before the first slot
+//	tid 6 "control"      — instant (i) event when the preload controller has
+//	                       planned its groups, before the first slot
 //
 // Timestamps are microseconds (the format's unit); the simulation's
 // nanosecond clock is written with 3 decimal places, so nothing is rounded
@@ -149,11 +149,8 @@ func (t *TraceWriter) Handle(ev Event) {
 	case FaultRecovered:
 		t.line(`{"name":"link-up","cat":"fault","ph":"i","s":"g","ts":%s,"pid":1,"tid":%d,"args":{"port":%d}}`,
 			us(ev.At), tidFaults, ev.Src)
-	case PlanBegin:
-		t.line(`{"name":"plan","cat":"control","ph":"B","ts":%s,"pid":1,"tid":%d}`,
-			us(ev.At), tidControl)
-	case PlanEnd:
-		t.line(`{"name":"plan","cat":"control","ph":"E","ts":%s,"pid":1,"tid":%d,"args":{"groups":%d}}`,
+	case Plan:
+		t.line(`{"name":"plan","cat":"control","ph":"i","s":"t","ts":%s,"pid":1,"tid":%d,"args":{"groups":%d}}`,
 			us(ev.At), tidControl, ev.Aux)
 	}
 }

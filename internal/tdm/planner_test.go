@@ -180,12 +180,17 @@ func TestIndexGroupsRecordsEachGroupOnce(t *testing.T) {
 		{cfg(c), cfg(a)},
 	}}
 	p.indexGroups()
-	want := map[uint64][]int32{
-		a.Key(): {0, 2},
-		b.Key(): {0, 1},
-		c.Key(): {1, 2},
+	want := map[topology.Conn][]int32{
+		a: {0, 2},
+		b: {0, 1},
+		c: {1, 2},
 	}
-	if !reflect.DeepEqual(p.groupsOf, want) {
-		t.Fatalf("groupsOf = %v, want %v", p.groupsOf, want)
+	for u := 0; u < 4; u++ {
+		for v := 0; v < 4; v++ {
+			conn := topology.Conn{Src: u, Dst: v}
+			if got := p.groupsOf(conn); !reflect.DeepEqual(got, want[conn]) {
+				t.Errorf("groupsOf(%v) = %v, want %v", conn, got, want[conn])
+			}
+		}
 	}
 }

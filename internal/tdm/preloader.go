@@ -3,6 +3,7 @@ package tdm
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"slices"
 
 	"pmsnet/internal/bitmat"
@@ -26,9 +27,11 @@ type preloader struct {
 	slots int
 	// groups holds the configuration groups in phase order.
 	groups [][]*bitmat.Matrix
-	// groupsOf maps a connection's Conn.Key to every group containing it,
-	// in group order. All lists share one backing array (indexGroups).
-	groupsOf map[uint64][]int32
+	// index lists every connection some group holds (indexGroups).
+	index connIndex
+	// empty is the all-zero configuration pinned into every managed slot a
+	// group leaves unused; LoadConfig copies it, so one serves every slot.
+	empty *bitmat.Matrix
 	// pendingInGroup counts pending connections per group;
 	// pendingStatic counts pending connections covered by any group.
 	pendingInGroup []int
@@ -47,26 +50,21 @@ func newPreloader(r *run, wl *traffic.Workload, slots int) (*preloader, error) {
 	if len(wl.StaticPhases) == 0 {
 		return nil, fmt.Errorf("tdm: %s mode needs static phases in the workload", r.cfg.Mode)
 	}
-	p := &preloader{r: r, slots: slots}
-	if r.probe != nil {
-		r.probe.Emit(probe.Event{Kind: probe.PlanBegin, At: r.eng.Now()})
-	}
+	p := &preloader{r: r, slots: slots, empty: bitmat.NewSquare(r.cfg.N)}
 	if err := p.buildGroups(wl); err != nil {
 		return nil, err
-	}
-	if r.probe != nil {
-		r.probe.Emit(probe.Event{Kind: probe.PlanEnd, At: r.eng.Now(), Aux: int64(len(p.groups))})
 	}
 	p.indexGroups()
 	p.pendingInGroup = make([]int, len(p.groups))
 
 	if r.cfg.Mode == Preload {
 		// Every connection the programs use must be statically covered.
-		for _, c := range wl.ConnSet().Conns() {
-			if len(p.groupsOf[c.Key()]) == 0 {
-				return nil, fmt.Errorf("tdm: preload mode cannot serve %v: not in any static phase", c)
-			}
+		if c, ok := p.firstUncovered(wl); ok {
+			return nil, fmt.Errorf("tdm: preload mode cannot serve %v: not in any static phase", c)
 		}
+	}
+	if r.probe != nil {
+		r.probe.Emit(probe.Event{Kind: probe.Plan, At: r.eng.Now(), Aux: int64(len(p.groups))})
 	}
 	if err := p.load(0); err != nil {
 		return nil, err
@@ -94,43 +92,127 @@ func (p *preloader) buildGroups(wl *traffic.Workload) error {
 	return nil
 }
 
-// indexGroups builds groupsOf once every group exists. A planned
+// connIndex lists every connection that some group holds, with the groups
+// holding it. Row u's entries are rowStart[u] to rowStart[u+1]-1 with their
+// destinations ascending in dst, so the entries run in (Src, Dst) order.
+// Entry i's groups are groups[i], in group order; breakConn empties a list.
+// rowStart, dst and every list are cut from one backing array.
+type connIndex struct {
+	rowStart []int32
+	dst      []int32
+	groups   [][]int32
+}
+
+// indexGroups builds the index once every group exists. A planned
 // configuration can occupy several of the group's slot registers (register
 // shares), and a connection can sit in several of a group's configurations,
-// so each group's configurations are first merged into one union matrix:
-// membership is recorded once per (connection, group) and the pending
-// accounting weighs each group by distinct waiting connections. A counting
-// pass sizes the map and one backing array that every list is cut from.
+// so each group's row is the OR of its configurations' rows: membership is
+// recorded once per (connection, group) and the pending accounting weighs
+// each group by distinct waiting connections. A counting pass sizes the
+// backing array; the filling pass lists each row's (dst, group) pairs,
+// packed into one word with dst in the high half, and sorts them, which
+// orders the row by dst and keeps each list in group order.
 func (p *preloader) indexGroups() {
-	union := bitmat.NewSquare(p.r.cfg.N)
-	members := func(fn func(key uint64, g int32)) {
-		for gi, group := range p.groups {
-			union.Reset()
-			for _, cfg := range group {
-				union.Or(cfg)
+	n := p.r.cfg.N
+	words := (n + 63) / 64
+	union := make([]uint64, 2*words)
+	union, all := union[:words], union[words:]
+	conns, members, widest := 0, 0, 0
+	for u := 0; u < n; u++ {
+		clear(all)
+		row := 0
+		for _, group := range p.groups {
+			rowUnion(union, group, u)
+			for w, word := range union {
+				row += bits.OnesCount64(word)
+				all[w] |= word
 			}
-			union.Ones(func(u, v int) bool {
-				fn(topology.Conn{Src: u, Dst: v}.Key(), int32(gi))
-				return true
-			})
+		}
+		for _, word := range all {
+			conns += bits.OnesCount64(word)
+		}
+		members += row
+		widest = max(widest, row)
+	}
+
+	backing := make([]int32, n+1+conns+members)
+	ix := &p.index
+	ix.rowStart = backing[: n+1 : n+1]
+	ix.dst = backing[n+1 : n+1+conns : n+1+conns]
+	lists := backing[n+1+conns:]
+	ix.groups = make([][]int32, conns)
+	pairs := make([]uint64, 0, widest)
+	e, m := 0, 0
+	for u := 0; u < n; u++ {
+		pairs = pairs[:0]
+		for gi, group := range p.groups {
+			rowUnion(union, group, u)
+			for w, word := range union {
+				for ; word != 0; word &= word - 1 {
+					v := w*64 + bits.TrailingZeros64(word)
+					pairs = append(pairs, uint64(v)<<32|uint64(gi))
+				}
+			}
+		}
+		slices.Sort(pairs)
+		for i := 0; i < len(pairs); e++ {
+			start, dst := m, pairs[i]>>32
+			for ; i < len(pairs) && pairs[i]>>32 == dst; i++ {
+				lists[m] = int32(uint32(pairs[i]))
+				m++
+			}
+			ix.dst[e] = int32(dst)
+			ix.groups[e] = lists[start:m:m]
+		}
+		ix.rowStart[u+1] = int32(e)
+	}
+}
+
+// rowUnion sets union to the OR of row u over the group's configurations.
+func rowUnion(union []uint64, group []*bitmat.Matrix, u int) {
+	clear(union)
+	for _, cfg := range group {
+		for w, word := range cfg.RowWords(u) {
+			union[w] |= word
 		}
 	}
-	counts := make(map[uint64]int32)
-	total := 0
-	members(func(key uint64, _ int32) {
-		counts[key]++
-		total++
-	})
-	backing := make([]int32, total)
-	p.groupsOf = make(map[uint64][]int32, len(counts))
-	off := 0
-	for key, n := range counts {
-		p.groupsOf[key] = backing[off : off : off+int(n)]
-		off += int(n)
+}
+
+// entry returns c's index entry, or -1 when no group holds c.
+func (p *preloader) entry(c topology.Conn) int {
+	ix := &p.index
+	lo, hi := ix.rowStart[c.Src], ix.rowStart[c.Src+1]
+	if i, ok := slices.BinarySearch(ix.dst[lo:hi], int32(c.Dst)); ok {
+		return int(lo) + i
 	}
-	members(func(key uint64, g int32) {
-		p.groupsOf[key] = append(p.groupsOf[key], g)
-	})
+	return -1
+}
+
+// groupsOf returns every group holding c, in group order.
+func (p *preloader) groupsOf(c topology.Conn) []int32 {
+	if i := p.entry(c); i >= 0 {
+		return p.index.groups[i]
+	}
+	return nil
+}
+
+// firstUncovered returns the smallest (Src, Dst) connection the programs
+// send on that no group holds.
+func (p *preloader) firstUncovered(wl *traffic.Workload) (topology.Conn, bool) {
+	for src, prog := range wl.Programs {
+		miss := -1
+		for _, op := range prog.Ops {
+			if (op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait) &&
+				(miss == -1 || op.Dst < miss) &&
+				len(p.groupsOf(topology.Conn{Src: src, Dst: op.Dst})) == 0 {
+				miss = op.Dst
+			}
+		}
+		if miss != -1 {
+			return topology.Conn{Src: src, Dst: miss}, true
+		}
+	}
+	return topology.Conn{}, false
 }
 
 // planPhases builds the groups through the configured planner instead of the
@@ -173,7 +255,7 @@ func (p *preloader) load(gi int) error {
 	p.slotsSinceLoad = 0
 	group := p.groups[gi]
 	for i := 0; i < p.slots; i++ {
-		cfg := bitmat.NewSquare(p.r.cfg.N)
+		cfg := p.empty
 		if i < len(group) {
 			cfg = group[i]
 		}
@@ -195,7 +277,7 @@ func (p *preloader) load(gi int) error {
 
 // pendingUp records that connection c now has traffic queued.
 func (p *preloader) pendingUp(c topology.Conn) {
-	gs := p.groupsOf[c.Key()]
+	gs := p.groupsOf(c)
 	for _, g := range gs {
 		p.pendingInGroup[g]++
 	}
@@ -206,7 +288,7 @@ func (p *preloader) pendingUp(c topology.Conn) {
 
 // pendingDown records that connection c's queue drained.
 func (p *preloader) pendingDown(c topology.Conn) {
-	gs := p.groupsOf[c.Key()]
+	gs := p.groupsOf(c)
 	for _, g := range gs {
 		p.pendingInGroup[g]--
 	}
@@ -220,15 +302,18 @@ func (p *preloader) pendingDown(c topology.Conn) {
 func (p *preloader) checkPending() error {
 	inGroup := make([]int, len(p.groups))
 	static := 0
-	for key, gs := range p.groupsOf {
-		c := topology.ConnOfKey(key)
-		if len(gs) == 0 || !p.r.driver.Buffers[c.Src].HasFor(c.Dst) {
-			continue
+	ix := &p.index
+	for u := 0; u < p.r.cfg.N; u++ {
+		for i := ix.rowStart[u]; i < ix.rowStart[u+1]; i++ {
+			gs := ix.groups[i]
+			if len(gs) == 0 || !p.r.driver.Buffers[u].HasFor(int(ix.dst[i])) {
+				continue
+			}
+			for _, g := range gs {
+				inGroup[g]++
+			}
+			static++
 		}
-		for _, g := range gs {
-			inGroup[g]++
-		}
-		static++
 	}
 	if static != p.pendingStatic {
 		return fmt.Errorf("tdm: preloader counts %d pending connections, buffers hold %d", p.pendingStatic, static)
@@ -288,8 +373,8 @@ func (p *preloader) maybeAdvance() bool {
 // affected. From here on c's traffic is served only by dynamic slots. It
 // reports whether any preloaded entry was broken.
 func (p *preloader) breakConn(c topology.Conn) bool {
-	gs := p.groupsOf[c.Key()]
-	if len(gs) == 0 {
+	i := p.entry(c)
+	if i < 0 || len(p.index.groups[i]) == 0 {
 		return false
 	}
 	if p.r.driver.Buffers[c.Src].HasFor(c.Dst) {
@@ -297,7 +382,8 @@ func (p *preloader) breakConn(c topology.Conn) bool {
 		// exists; the eventual real pendingDown will then be a no-op.
 		p.pendingDown(c)
 	}
-	delete(p.groupsOf, c.Key())
+	gs := p.index.groups[i]
+	p.index.groups[i] = nil
 	reload := false
 	for _, g := range gs {
 		for _, cfg := range p.groups[g] {
@@ -318,21 +404,19 @@ func (p *preloader) breakConn(c topology.Conn) bool {
 }
 
 // breakPort invalidates every preloaded entry whose connection uses port and
-// returns how many were broken.
+// returns how many were broken. The index runs in (Src, Dst) order, so the
+// entries break in that order.
 func (p *preloader) breakPort(port int) int {
-	var broken []uint64
-	for key := range p.groupsOf {
-		if c := topology.ConnOfKey(key); c.Src == port || c.Dst == port {
-			broken = append(broken, key)
+	ix := &p.index
+	broken := 0
+	for u := 0; u < p.r.cfg.N; u++ {
+		for i := ix.rowStart[u]; i < ix.rowStart[u+1]; i++ {
+			if v := int(ix.dst[i]); (u == port || v == port) && p.breakConn(topology.Conn{Src: u, Dst: v}) {
+				broken++
+			}
 		}
 	}
-	// Map iteration order is random; sort so the run stays deterministic.
-	// Src sits in the key's high bits, so key order is (Src, Dst) order.
-	slices.Sort(broken)
-	for _, key := range broken {
-		p.breakConn(topology.ConnOfKey(key))
-	}
-	return len(broken)
+	return broken
 }
 
 // releaseSlot hands the highest managed slot back to the dynamic scheduler:
@@ -345,7 +429,7 @@ func (p *preloader) releaseSlot() bool {
 		return false
 	}
 	p.slots--
-	if err := p.r.sched.LoadConfig(p.slots, bitmat.NewSquare(p.r.cfg.N), false); err != nil {
+	if err := p.r.sched.LoadConfig(p.slots, p.empty, false); err != nil {
 		p.r.fail(err)
 		return false
 	}

@@ -25,43 +25,39 @@ func Decompose(w *WorkingSet) []*bitmat.Matrix {
 		return nil
 	}
 
-	// colorAtSrc[u][c] = output port of the edge at input u colored c, or -1.
-	// colorAtDst[v][c] = input port of the edge at output v colored c, or -1.
-	colorAtSrc := make([][]int, n)
-	colorAtDst := make([][]int, n)
-	for i := 0; i < n; i++ {
-		colorAtSrc[i] = newFilled(delta, -1)
-		colorAtDst[i] = newFilled(delta, -1)
+	// atSrc[u*delta+c] = output port of the edge at input u colored c, or -1.
+	// atDst[v*delta+c] = input port of the edge at output v colored c, or -1.
+	tables := make([]int32, 2*n*delta)
+	for i := range tables {
+		tables[i] = -1
 	}
+	atSrc, atDst := tables[:n*delta:n*delta], tables[n*delta:]
 
-	// One path buffer serves every Kempe-chain flip.
-	var path []pathEdge
 	for _, e := range w.Conns() {
-		a := firstFree(colorAtSrc[e.Src])
-		b := firstFree(colorAtDst[e.Dst])
+		src := atSrc[e.Src*delta : (e.Src+1)*delta]
+		dst := atDst[e.Dst*delta : (e.Dst+1)*delta]
+		a := firstFree(src)
+		b := firstFree(dst)
 		if a == -1 || b == -1 {
 			// Impossible: at most delta edges touch each port.
 			panic(fmt.Sprintf("topology: no free color for %v with degree %d", e, delta))
 		}
-		if colorAtDst[e.Dst][a] == -1 {
-			// Color a is free at both endpoints; take it.
-			colorAtSrc[e.Src][a] = e.Dst
-			colorAtDst[e.Dst][a] = e.Src
-			continue
+		if dst[a] != -1 {
+			// a is free at the source but taken at the destination, and b
+			// is free at the destination. Swap colors a and b along the
+			// maximal alternating path that starts with the destination's
+			// a-colored edge. The path cannot reach e.Src (the standard
+			// Kempe-chain argument: it would have to arrive via a b-colored
+			// edge, making the path a cycle back through e.Dst, impossible
+			// since b is free there), so afterwards a is free at both
+			// endpoints.
+			flipAlternatingPath(atSrc, atDst, delta, e.Dst, a, b)
+			if dst[a] != -1 || src[a] != -1 {
+				panic(fmt.Sprintf("topology: alternating-path flip failed to free color %d for %v", a, e))
+			}
 		}
-		// a is free at the source but taken at the destination, and b is
-		// free at the destination. Swap colors a and b along the maximal
-		// alternating path that starts with the destination's a-colored
-		// edge. The path cannot reach e.Src (the standard Kempe-chain
-		// argument: it would have to arrive via a b-colored edge, making the
-		// path a cycle back through e.Dst, impossible since b is free
-		// there), so afterwards a is free at both endpoints.
-		path = flipAlternatingPath(colorAtSrc, colorAtDst, path[:0], e.Dst, a, b)
-		if colorAtDst[e.Dst][a] != -1 || colorAtSrc[e.Src][a] != -1 {
-			panic(fmt.Sprintf("topology: alternating-path flip failed to free color %d for %v", a, e))
-		}
-		colorAtSrc[e.Src][a] = e.Dst
-		colorAtDst[e.Dst][a] = e.Src
+		src[a] = int32(e.Dst)
+		dst[a] = int32(e.Src)
 	}
 
 	configs := make([]*bitmat.Matrix, delta)
@@ -69,24 +65,16 @@ func Decompose(w *WorkingSet) []*bitmat.Matrix {
 		configs[c] = bitmat.NewSquare(n)
 	}
 	for u := 0; u < n; u++ {
-		for c := 0; c < delta; c++ {
-			if v := colorAtSrc[u][c]; v != -1 {
-				configs[c].Set(u, v)
+		for c, v := range atSrc[u*delta : (u+1)*delta] {
+			if v != -1 {
+				configs[c].Set(u, int(v))
 			}
 		}
 	}
 	return configs
 }
 
-func newFilled(n, v int) []int {
-	s := make([]int, n)
-	for i := range s {
-		s[i] = v
-	}
-	return s
-}
-
-func firstFree(slots []int) int {
+func firstFree(slots []int32) int {
 	for c, occ := range slots {
 		if occ == -1 {
 			return c
@@ -95,49 +83,32 @@ func firstFree(slots []int) int {
 	return -1
 }
 
-// pathEdge is one edge u→v of an alternating path and its current color.
-type pathEdge struct{ u, v, color int }
-
 // flipAlternatingPath swaps colors a and b along the maximal alternating
 // path that starts at destination vertex start with its a-colored edge:
-// start -(a)- u1 -(b)- v1 -(a)- u2 -(b)- ... The walk is collected into path
-// (passed empty, returned grown so the caller can reuse its storage) and
-// recolored in a second phase so intermediate states never alias.
-func flipAlternatingPath(colorAtSrc, colorAtDst [][]int, path []pathEdge, start, a, b int) []pathEdge {
-	other := func(c int) int {
-		if c == a {
-			return b
-		}
-		return a
-	}
-
+// start -(a)- u1 -(b)- v1 -(a)- u2 -(b)- ... Every vertex on the path holds
+// its path edges in colors a and b (an end vertex holds one and has the
+// other free), so swapping the two entries of each vertex's table recolors
+// the path in one walk. The walk reads the next vertex before it swaps, and
+// a path visits no vertex twice.
+func flipAlternatingPath(atSrc, atDst []int32, delta, start, a, b int) {
 	v, color := start, a
 	for {
-		u := colorAtDst[v][color]
+		dst := atDst[v*delta : (v+1)*delta]
+		u := dst[color]
+		dst[a], dst[b] = dst[b], dst[a]
 		if u == -1 {
-			break
+			return
 		}
-		path = append(path, pathEdge{u: u, v: v, color: color})
-		color = other(color)
-		nv := colorAtSrc[u][color]
+		color ^= a ^ b
+		src := atSrc[int(u)*delta : (int(u)+1)*delta]
+		nv := src[color]
+		src[a], src[b] = src[b], src[a]
 		if nv == -1 {
-			break
+			return
 		}
-		path = append(path, pathEdge{u: u, v: nv, color: color})
-		v = nv
-		color = other(color)
+		v = int(nv)
+		color ^= a ^ b
 	}
-
-	for _, e := range path {
-		colorAtSrc[e.u][e.color] = -1
-		colorAtDst[e.v][e.color] = -1
-	}
-	for _, e := range path {
-		nc := other(e.color)
-		colorAtSrc[e.u][nc] = e.v
-		colorAtDst[e.v][nc] = e.u
-	}
-	return path
 }
 
 // GreedyDecompose is the first-fit alternative decomposer: each connection

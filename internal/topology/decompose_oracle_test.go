@@ -165,3 +165,48 @@ func BenchmarkDecomposeTwoPhase128(b *testing.B) {
 		}
 	}
 }
+
+// FuzzDecomposeParity decodes a working set from the input (N from the
+// first byte, then one connection per byte pair, duplicates kept) and
+// checks that Decompose matches referenceDecompose and returns Δ partial
+// permutations, pairwise disjoint, whose union is the set.
+func FuzzDecomposeParity(f *testing.F) {
+	f.Add([]byte{3, 0, 1, 1, 2, 2, 0, 0, 1})
+	f.Add([]byte{7, 0, 1, 0, 2, 0, 3, 1, 0, 2, 0, 3, 0, 4, 5, 5, 6, 6, 4})
+	dense := []byte{15}
+	for u := byte(0); u < 16; u++ {
+		for v := byte(0); v < 16; v++ {
+			dense = append(dense, u, v, v, u)
+		}
+	}
+	f.Add(dense)
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) == 0 {
+			return
+		}
+		n := 1 + int(data[0])%64
+		w := topology.NewWorkingSet(n)
+		for i := 1; i+1 < len(data); i += 2 {
+			if c := (topology.Conn{Src: int(data[i]) % n, Dst: int(data[i+1]) % n}); c.Src != c.Dst {
+				w.Add(c)
+			}
+		}
+		got := topology.Decompose(w)
+		assertSameConfigs(t, "fuzz", got, referenceDecompose(w))
+		if len(got) != w.Degree() {
+			t.Fatalf("%d configurations, degree %d", len(got), w.Degree())
+		}
+		union := bitmat.NewSquare(n)
+		count := 0
+		for i, cfg := range got {
+			if !cfg.IsPartialPermutation() {
+				t.Fatalf("configuration %d is not a partial permutation", i)
+			}
+			union.Or(cfg)
+			count += cfg.Count()
+		}
+		if !union.Equal(w.Matrix()) || count != w.Len() {
+			t.Fatalf("configurations cover %d entries (union equal %v), set has %d", count, union.Equal(w.Matrix()), w.Len())
+		}
+	})
+}

@@ -1,7 +1,6 @@
 package topology
 
 import (
-	"cmp"
 	"fmt"
 	"slices"
 
@@ -26,9 +25,14 @@ func ConnOfKey(k uint64) Conn { return Conn{Src: int(int32(k >> 32)), Dst: int(i
 // WorkingSet is a communication working set W(j): the set of connections a
 // program phase uses (paper §2). It deduplicates connections and tracks the
 // port count so it can be rendered as a request matrix.
+//
+// The connections are held as Conn.Key words: a map for deduplication and
+// membership, and a slice in insertion order that every listing walks, so
+// no operation iterates the map.
 type WorkingSet struct {
-	n     int
-	conns map[Conn]struct{}
+	n    int
+	seen map[uint64]struct{}
+	keys []uint64
 }
 
 // NewWorkingSet creates an empty working set over n ports.
@@ -36,7 +40,7 @@ func NewWorkingSet(n int) *WorkingSet {
 	if n <= 0 {
 		panic(fmt.Sprintf("topology: invalid port count %d", n))
 	}
-	return &WorkingSet{n: n, conns: make(map[Conn]struct{})}
+	return &WorkingSet{n: n, seen: make(map[uint64]struct{})}
 }
 
 // Ports returns the port count N.
@@ -51,31 +55,40 @@ func (w *WorkingSet) Add(c Conn) {
 	if c.Src == c.Dst {
 		panic(fmt.Sprintf("topology: self-connection %v", c))
 	}
-	w.conns[c] = struct{}{}
+	w.addKey(c.Key())
 }
 
-// Contains reports whether the set holds c.
+func (w *WorkingSet) addKey(k uint64) {
+	if _, ok := w.seen[k]; !ok {
+		w.seen[k] = struct{}{}
+		w.keys = append(w.keys, k)
+	}
+}
+
+// Contains reports whether the set holds c. A connection outside the ports
+// is never held; checking first keeps its key from aliasing a held one.
 func (w *WorkingSet) Contains(c Conn) bool {
-	_, ok := w.conns[c]
+	if c.Src < 0 || c.Src >= w.n || c.Dst < 0 || c.Dst >= w.n {
+		return false
+	}
+	_, ok := w.seen[c.Key()]
 	return ok
 }
 
 // Len returns the number of distinct connections.
-func (w *WorkingSet) Len() int { return len(w.conns) }
+func (w *WorkingSet) Len() int { return len(w.keys) }
 
 // Conns returns the connections sorted by (Src, Dst) for deterministic
-// iteration.
+// iteration. Src sits in a key's high bits, so key order is (Src, Dst)
+// order. It sorts a copy and never mutates the set, so a set shared by
+// concurrent runs stays safe to read.
 func (w *WorkingSet) Conns() []Conn {
-	out := make([]Conn, 0, len(w.conns))
-	for c := range w.conns {
-		out = append(out, c)
+	keys := slices.Clone(w.keys)
+	slices.Sort(keys)
+	out := make([]Conn, len(keys))
+	for i, k := range keys {
+		out[i] = ConnOfKey(k)
 	}
-	slices.SortFunc(out, func(a, b Conn) int {
-		if c := cmp.Compare(a.Src, b.Src); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.Dst, b.Dst)
-	})
 	return out
 }
 
@@ -85,11 +98,11 @@ func (w *WorkingSet) Union(o *WorkingSet) *WorkingSet {
 		panic(fmt.Sprintf("topology: union of working sets over %d and %d ports", w.n, o.n))
 	}
 	u := NewWorkingSet(w.n)
-	for c := range w.conns {
-		u.conns[c] = struct{}{}
+	for _, k := range w.keys {
+		u.addKey(k)
 	}
-	for c := range o.conns {
-		u.conns[c] = struct{}{}
+	for _, k := range o.keys {
+		u.addKey(k)
 	}
 	return u
 }
@@ -98,7 +111,8 @@ func (w *WorkingSet) Union(o *WorkingSet) *WorkingSet {
 // in which every connection of the set is requested).
 func (w *WorkingSet) Matrix() *bitmat.Matrix {
 	m := bitmat.NewSquare(w.n)
-	for c := range w.conns {
+	for _, k := range w.keys {
+		c := ConnOfKey(k)
 		m.Set(c.Src, c.Dst)
 	}
 	return m
@@ -113,7 +127,8 @@ func (w *WorkingSet) Degree() int {
 	out := make([]int, w.n)
 	in := make([]int, w.n)
 	max := 0
-	for c := range w.conns {
+	for _, k := range w.keys {
+		c := ConnOfKey(k)
 		out[c.Src]++
 		in[c.Dst]++
 		if out[c.Src] > max {

@@ -113,7 +113,6 @@ type run struct {
 	cfg    Config
 	eng    *sim.Engine
 	driver *netmodel.Driver
-	xbar   *fabric.Crossbar
 
 	outQueue [][]*worm
 	outBusy  []bool
@@ -149,7 +148,6 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 	r := &run{
 		cfg:            n.cfg,
 		eng:            eng,
-		xbar:           fabric.NewCrossbar(n.cfg.N, fabric.Digital, 0),
 		outQueue:       make([][]*worm, n.cfg.N),
 		outBusy:        make([]bool, n.cfg.N),
 		inBusy:         make([]bool, n.cfg.N),
@@ -306,7 +304,7 @@ func (r *run) kickOutput(v int) {
 	r.conditionMet(w) // traversal begins: the source input buffer frees
 	// Scheduling the head flit (80 ns) + one switch traversal per flit.
 	flits := (w.bytes + FlitBytes - 1) / FlitBytes
-	xfer := ArbitrationNs + sim.Time(flits)*r.xbar.TraversalDelay()
+	xfer := ArbitrationNs + sim.Time(flits)*fabric.Digital.TraversalDelay()
 	r.eng.AfterArg(xfer, "worm-through-switch", r.throughFn, w)
 }
 

@@ -148,8 +148,9 @@ type eventLog []ProbeEvent
 func (l *eventLog) Handle(ev ProbeEvent) { *l = append(*l, ev) }
 
 // TestProbePlanSpan checks that a preload controller's planning shows up as
-// exactly one PlanBegin/PlanEnd pair ahead of the first slot, whose PlanEnd
-// counts the groups the run can load, and that a dynamic run emits none.
+// exactly one Plan event that opens the run, right before the first group
+// is pinned, and counts the groups the run can load, and that a dynamic run
+// emits none.
 func TestProbePlanSpan(t *testing.T) {
 	an, _, err := AnalyzeWorkload(RandomMesh(16, 64, 5, 2))
 	if err != nil {
@@ -158,7 +159,7 @@ func TestProbePlanSpan(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		cfg   Config
-		pairs int
+		plans int
 	}{
 		{"preload", Config{Switching: PreloadTDM, N: 16, K: 4}, 1},
 		{"hybrid-solstice", Config{Switching: HybridTDM, N: 16, K: 4, PreloadSlots: 2, Planner: PlannerSolstice}, 1},
@@ -170,31 +171,28 @@ func TestProbePlanSpan(t *testing.T) {
 			if _, err := Run(tc.cfg, an); err != nil {
 				t.Fatal(err)
 			}
-			var begins, ends []int
+			var plans []int
 			for i, ev := range log {
-				switch ev.Kind {
-				case probe.PlanBegin:
-					begins = append(begins, i)
-				case probe.PlanEnd:
-					ends = append(ends, i)
+				if ev.Kind == probe.Plan {
+					plans = append(plans, i)
 				}
 			}
-			if len(begins) != tc.pairs || len(ends) != tc.pairs {
-				t.Fatalf("got %d PlanBegin / %d PlanEnd, want %d each", len(begins), len(ends), tc.pairs)
+			if len(plans) != tc.plans {
+				t.Fatalf("got %d Plan events, want %d", len(plans), tc.plans)
 			}
-			if tc.pairs == 0 {
+			if tc.plans == 0 {
 				return
 			}
-			if begins[0] != 0 || ends[0] != 1 {
-				t.Fatalf("plan span at events %d..%d, want it to open the run at 0..1", begins[0], ends[0])
+			if plans[0] != 0 || len(log) < 2 || log[1].Kind != probe.Preload || log[1].Slot != 0 {
+				t.Fatalf("Plan at event %d, want it to open the run right before group 0 is pinned", plans[0])
 			}
-			end := log[ends[0]]
-			if end.At != 0 || end.Aux < 1 {
-				t.Fatalf("PlanEnd = %+v, want At 0 and at least one group", end)
+			plan := log[plans[0]]
+			if plan.At != 0 || plan.Aux < 1 {
+				t.Fatalf("Plan = %+v, want At 0 and at least one group", plan)
 			}
 			for _, ev := range log {
-				if ev.Kind == probe.Preload && int64(ev.Slot) >= end.Aux {
-					t.Fatalf("loaded group %d, but PlanEnd counts %d groups", ev.Slot, end.Aux)
+				if ev.Kind == probe.Preload && int64(ev.Slot) >= plan.Aux {
+					t.Fatalf("loaded group %d, but Plan counts %d groups", ev.Slot, plan.Aux)
 				}
 			}
 		})
