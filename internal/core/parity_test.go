@@ -373,14 +373,22 @@ func runWorkloadTwin(t *testing.T, tw *twin, wl *traffic.Workload) {
 
 // FuzzSparseDenseOps feeds the twin fuzzer-chosen operation tapes: request
 // churn, passes, evictions, port evictions, bandwidth amplification,
-// preloads and flushes, in lockstep with the dense oracle.
+// preloads and flushes, in lockstep with the dense oracle. N reaches 161, so
+// rows span up to three words and the rotation origin falls mid-word and
+// wraps; one flag bit installs a CanEstablish hook that refuses every
+// connection whose ports sum to an even number.
 func FuzzSparseDenseOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 40, 5, 6, 0x80, 9}, uint8(12), uint8(3), uint8(0))
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f, 0x22, 0x11}, uint8(20), uint8(4), uint8(7))
 	f.Add([]byte("steady state then evict"), uint8(4), uint8(1), uint8(22))
+	f.Add([]byte("wide rows, a refusing hook and a rotation that wraps mid-word"), uint8(150), uint8(202), uint8(36))
 	f.Fuzz(func(t *testing.T, ops []byte, n8, k8, flags uint8) {
-		n := 2 + int(n8)%30
+		n := 2 + int(n8)%160
 		k := 1 + int(k8)%4
+		var hook func(b *bitmat.Matrix, u, v int) bool
+		if flags&32 != 0 {
+			hook = func(_ *bitmat.Matrix, u, v int) bool { return (u+v)%2 != 0 }
+		}
 		tw := newTwin(t, Params{
 			N:              n,
 			K:              k,
@@ -388,7 +396,10 @@ func FuzzSparseDenseOps(f *testing.F) {
 			RotatePriority: flags&4 != 0,
 			SkipEmptySlots: flags&8 != 0,
 			LatchRequests:  flags&16 != 0,
+			CanEstablish:   hook,
 		})
+		// k8's upper six bits place the first rotation origin across the row.
+		tw.each(func(s *Scheduler) { s.rot = int(k8>>2) * n / 64 })
 		for i := 0; i+2 < len(ops); i += 3 {
 			u, v := int(ops[i])%n, int(ops[i+1])%n
 			switch op := ops[i+2] % 16; {

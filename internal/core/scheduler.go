@@ -171,7 +171,6 @@ type Scheduler struct {
 	activeMask  []uint64 // row mask: rows the sparse pass must visit
 	pendingMask []uint64 // per-pass row mask: rows with a request not in B*
 	rowsBuf     []int    // rotated active-row iteration order
-	cellBuf     []int32  // one row's change cells, ascending
 	wordRowMin  int      // row nonzeros at which to switch to the word path
 
 	// Alternative-algorithm scratch (match.go); nil for AlgPaper.

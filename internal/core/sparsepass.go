@@ -2,34 +2,47 @@
 //
 // The dense path (scheduleSlot) materializes the full change matrix L and
 // scans all N²/64 words of it per slot; at N ≥ 512 that scan dominates pass
-// cost even when almost every word is zero. The sparse path computes the
-// same L cells row by row, on the fly, touching only the rows that can hold
-// one — cost proportional to the active rows and their nonzeros.
+// cost even when almost every word is zero. The sparse path visits only the
+// rows that can hold an L cell, and in each row does only the work that can
+// change B(slot): cost proportional to the active rows and the candidates
+// they scan before their first establish. Two arguments make it
+// bit-identical to the dense path.
 //
-// Bit-identity with the dense path rests on row locality. L's row u is a
-// function of row u of B(slot), Reff and B* only. During a slot scan the
-// only mutations are setConn/clearConn on cells of the row being visited
-// (latch updates are deferred to the finishSlot epilogue), so when the scan
-// reaches row u, row u of every input matrix still holds its pre-scan value
-// — computing the row's cells lazily at visit time yields exactly the L
-// snapshot the dense path precomputed.
+// Row locality. L's row u is a function of row u of B(slot), Reff and B*
+// only. During a slot scan the only mutations are setConn/clearConn on cells
+// of the row being visited (latch updates are deferred to the finishSlot
+// epilogue), so when the scan reaches row u, row u of every input matrix
+// still holds its pre-scan value — reading the row's inputs live at visit
+// time sees exactly the L snapshot the dense path precomputed.
+//
+// AI is held for the whole visit, or until the row's first establish. A
+// Table 2 cell establishes only where its input port (AI) and output port
+// (AO) are both free. A row whose slot connection u→v0 is still in Reff has
+// no release cell, so AI stays set and no cell of the row can act: the row
+// is skipped. A row whose u→v0 has left Reff releases it at v0; the cells
+// before v0 in rotated column order met a busy AI, so the establish search
+// starts just after v0. Once a row establishes, AI is set for the rest of
+// the row, so the search is a first-fit scan in rotated column order that
+// stops at the first candidate — in Reff, not in B*, its output free — that
+// the CanEstablish hook accepts; the hook sees the same calls, in the same
+// order, as in the dense path.
 package core
 
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"pmsnet/internal/bitmat"
 )
 
 // wordRowThreshold is the adaptive row-occupancy cutoff: a row whose request
-// (+latch) lists hold at least this many nonzeros computes its change cells
-// with the dense word formula instead of per-cell probes. Per-cell costs one
-// B* bit probe per nonzero; the word path costs N/64 word operations for the
-// whole row regardless of occupancy — so dense rows (all-to-all phases) pay
-// word-scan prices while genuinely sparse rows never touch a full word scan.
-// The cutoff returns max(8, N/64): at least the break-even probe count, and
-// proportional to the row's word count at large N.
+// (+latch) lists hold at least this many nonzeros scans for its first
+// establish with word operations, at most N/64 of them whatever its
+// occupancy, instead of probing B* and AO per nonzero. Dense rows (all-to-all
+// phases) pay word-scan prices; sparse rows never scan a full row. The cutoff
+// is max(8, N/64): at least the break-even probe count, and proportional to
+// the row's word count at large N.
 func wordRowThreshold(n int) int {
 	if t := n / 64; t > 8 {
 		return t
@@ -110,41 +123,48 @@ func (s *Scheduler) scheduleSlotSparse(sp *bitmat.Sparse, slot int) {
 		return
 	}
 	estStart, relStart := len(s.estBuf), len(s.relBuf)
-	b := s.configs[slot]
+	rowDst := s.rowDst[slot] // B(slot)'s row u is the one connection u→rowDst[u], if any
 	for _, u := range s.rowsBuf {
-		s.cellBuf = s.appendRowCells(s.cellBuf[:0], sp, slot, u)
-		s.applyRowCells(s.cellBuf, slot, u, bo, b)
+		from := bo
+		if v0 := int(rowDst[u]); v0 >= 0 {
+			if sp.Get(u, v0) || (s.p.LatchRequests && s.latch.Get(u, v0)) {
+				continue // no release cell: AI is held for the whole visit
+			}
+			s.clearConn(slot, u, v0)
+			s.relBuf = append(s.relBuf, Change{Src: u, Dst: v0, Slot: slot})
+			if v0 < bo {
+				s.establishFirst(sp, slot, u, v0+1, bo)
+				continue
+			}
+			from = v0 + 1
+		}
+		if !s.establishFirst(sp, slot, u, from, n) {
+			s.establishFirst(sp, slot, u, 0, bo)
+		}
 	}
 	s.finishSlot(slot, estStart, relStart)
 }
 
-// appendRowCells appends row u's L cells — ascending column order — to dst
-// and returns the extended slice. It reads only row-u state plus B*'s row u.
-// The release cell (the slot's connection, no longer requested) is
-// merged into the establish candidates (requested, realized nowhere) at its
-// column position; the two kinds never collide, since an establish candidate
-// has its B* bit clear and the release cell has it set.
-func (s *Scheduler) appendRowCells(dst []int32, sp *bitmat.Sparse, slot, u int) []int32 {
-	nnz := len(sp.Row(u))
-	if s.p.LatchRequests {
-		nnz += len(s.latch.Row(u))
-	}
-	if nnz >= s.wordRowMin {
-		return s.appendRowCellsWords(dst, sp, slot, u)
-	}
-	rel := int32(-1)
-	if v := s.rowDst[slot][u]; v >= 0 {
-		vv := int(v)
-		if !sp.Get(u, vv) && !(s.p.LatchRequests && s.latch.Get(u, vv)) {
-			rel = v
-		}
+// establishFirst establishes row u's first candidate in columns [lo, hi),
+// ascending, and reports whether it found one. A candidate is in Reff, not
+// in B* and has its output column free in the slot; the CanEstablish hook
+// may refuse it, and the scan moves on. Rows with wordRowMin or more request
+// (+latch) nonzeros scan whole words; sparser rows walk their merged lists.
+func (s *Scheduler) establishFirst(sp *bitmat.Sparse, slot, u, lo, hi int) bool {
+	if lo >= hi {
+		return false
 	}
 	reqRow := sp.Row(u)
 	var latchRow []int32
 	if s.p.LatchRequests {
 		latchRow = s.latch.Row(u)
 	}
-	i, j := 0, 0
+	if len(reqRow)+len(latchRow) >= s.wordRowMin {
+		return s.establishFirstWords(sp, slot, u, lo, hi)
+	}
+	colMask := s.cfgColMask[slot]
+	i, _ := slices.BinarySearch(reqRow, int32(lo))
+	j, _ := slices.BinarySearch(latchRow, int32(lo))
 	for i < len(reqRow) || j < len(latchRow) {
 		var v int32
 		if j >= len(latchRow) || (i < len(reqRow) && reqRow[i] <= latchRow[j]) {
@@ -157,80 +177,59 @@ func (s *Scheduler) appendRowCells(dst []int32, sp *bitmat.Sparse, slot, u int) 
 			v = latchRow[j]
 			j++
 		}
-		if rel >= 0 && rel < v {
-			dst = append(dst, rel)
-			rel = -1
+		if int(v) >= hi {
+			return false
 		}
-		if !s.bstar.Get(u, int(v)) {
-			dst = append(dst, v)
+		if !s.bstar.Get(u, int(v)) && !maskTest(colMask, int(v)) && s.tryEstablish(slot, u, int(v)) {
+			return true
 		}
 	}
-	if rel >= 0 {
-		dst = append(dst, rel)
-	}
-	return dst
+	return false
 }
 
-// appendRowCellsWords is appendRowCells for high-occupancy rows: it computes
-// row u of the paper's change matrix L = (B(s) &^ Reff) | (Reff &^ B*) with
-// word operations on the dense backings — exactly the dense path's formula,
-// restricted to one row — and extracts the set bits in ascending column
-// order. The release cell (B(s) minus Reff) and the establish candidates
-// (Reff minus B*) are disjoint bit sets, so the word OR yields the same
-// merged, ascending cell sequence the list merge produces.
-func (s *Scheduler) appendRowCellsWords(dst []int32, sp *bitmat.Sparse, slot, u int) []int32 {
-	bRow := s.configs[slot].RowWords(u)
+// establishFirstWords is establishFirst for high-occupancy rows: the
+// candidates of each word are Reff &^ B* &^ AO, masked to [lo, hi).
+func (s *Scheduler) establishFirstWords(sp *bitmat.Sparse, slot, u, lo, hi int) bool {
 	reqRow := sp.Matrix().RowWords(u)
 	bsRow := s.bstar.RowWords(u)
+	colMask := s.cfgColMask[slot]
 	var latchRow []uint64
 	if s.p.LatchRequests {
 		latchRow = s.latch.Matrix().RowWords(u)
 	}
-	for w, eff := range reqRow {
+	first, last := lo>>6, (hi-1)>>6
+	for w := first; w <= last; w++ {
+		c := reqRow[w]
 		if latchRow != nil {
-			eff |= latchRow[w]
+			c |= latchRow[w]
 		}
-		l := (bRow[w] &^ eff) | (eff &^ bsRow[w])
-		for l != 0 {
-			b := bits.TrailingZeros64(l)
-			dst = append(dst, int32(w*64+b))
-			l &= l - 1
+		c &^= bsRow[w] | colMask[w]
+		if w == first {
+			c &^= 1<<(uint(lo)&63) - 1
 		}
-	}
-	return dst
-}
-
-// applyRowCells applies one row's cells in rotated column order — columns
-// [bo, N) then [0, bo), matching the dense path's AppendRowOnesFrom scan —
-// with the live Table 2 availability logic.
-func (s *Scheduler) applyRowCells(cells []int32, slot, u, bo int, b *bitmat.Matrix) {
-	split := len(cells)
-	for k, v := range cells {
-		if int(v) >= bo {
-			split = k
-			break
+		if w == last && hi&63 != 0 {
+			c &= 1<<(uint(hi)&63) - 1
 		}
-	}
-	s.applyCells(cells[split:], slot, u, b)
-	s.applyCells(cells[:split], slot, u, b)
-}
-
-// applyCells is the sparse path's Table 2 cell loop, identical in effect to
-// the dense scheduleSlot inner loop: the slot occupancy masks maintained by
-// setConn/clearConn are the live AO/AI signals.
-func (s *Scheduler) applyCells(cells []int32, slot, u int, b *bitmat.Matrix) {
-	rowDst := s.rowDst[slot] // B(slot)'s bit (u, v) is rowDst[u] == v
-	for _, vv := range cells {
-		v := int(vv)
-		if rowDst[u] == vv {
-			s.clearConn(slot, u, v)
-			s.relBuf = append(s.relBuf, Change{Src: u, Dst: v, Slot: slot})
-		} else if !maskTest(s.cfgColMask[slot], v) && !maskTest(s.cfgRowMask[slot], u) {
-			if s.p.CanEstablish != nil && !s.p.CanEstablish(b, u, v) {
-				continue
+		for c != 0 {
+			v := w*64 + bits.TrailingZeros64(c)
+			c &= c - 1
+			if s.tryEstablish(slot, u, v) {
+				return true
 			}
-			s.setConn(slot, u, v)
-			s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot})
 		}
 	}
+	return false
+}
+
+// tryEstablish is Table 2's establish row (L=1, A=0, D=0) for a cell whose
+// ports are free: unless the CanEstablish hook refuses it — the connection
+// would make the slot's configuration unrealizable, a conflict like a busy
+// port — it sets u→v in the slot and records the change.
+func (s *Scheduler) tryEstablish(slot, u, v int) bool {
+	if s.p.CanEstablish != nil && !s.p.CanEstablish(s.configs[slot], u, v) {
+		return false
+	}
+	s.setConn(slot, u, v)
+	s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot})
+	return true
 }

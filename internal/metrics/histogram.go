@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"fmt"
+	"math/bits"
 	"strings"
 
 	"pmsnet/internal/sim"
@@ -28,10 +29,7 @@ func (h *Histogram) Add(l sim.Time) {
 	if l < 0 {
 		panic(fmt.Sprintf("metrics: negative latency %v", l))
 	}
-	b := 0
-	for v := l; v > 1; v >>= 1 {
-		b++
-	}
+	b := bits.Len64(uint64(l) >> 1) // floor(log2 l), and 0 for l < 2
 	if b >= len(h.buckets) {
 		b = len(h.buckets) - 1
 	}

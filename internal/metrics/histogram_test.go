@@ -47,3 +47,25 @@ func TestLatencyHistogramFromRecords(t *testing.T) {
 		t.Fatalf("histogram = count %d min %v max %v", h.Count(), h.Min(), h.Max())
 	}
 }
+
+// TestHistogramBucketMatchesShiftLoop checks Add's bits.Len64 bucket against
+// the halving loop it replaced, at every power-of-two edge and past the last
+// bucket.
+func TestHistogramBucketMatchesShiftLoop(t *testing.T) {
+	for i := 0; i < 63; i++ {
+		for _, l := range []int64{1<<i - 1, 1 << i, 1<<i + 1} {
+			want := 0
+			for v := l; v > 1; v >>= 1 {
+				want++
+			}
+			if want > 39 {
+				want = 39
+			}
+			h := NewHistogram()
+			h.Add(sim.Time(l))
+			if h.buckets[want] != 1 {
+				t.Fatalf("latency %d not in bucket %d: %v", l, want, h.buckets)
+			}
+		}
+	}
+}

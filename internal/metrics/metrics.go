@@ -10,7 +10,6 @@ package metrics
 
 import (
 	"fmt"
-	"slices"
 
 	"pmsnet/internal/link"
 	"pmsnet/internal/sim"
@@ -167,6 +166,8 @@ func Compute(network, workload string, n int, lm link.Model, recs []Record, stat
 
 	outBytes := make([]int64, n)
 	inBytes := make([]int64, n)
+	srcLatSums := make([]int64, n) // per-source latency sums and counts for Jain's index
+	srcCounts := make([]int64, n)
 	lat := make([]sim.Time, 0, len(recs))
 	var latSum int64
 	for _, r := range recs {
@@ -186,6 +187,11 @@ func Compute(network, workload string, n int, lm link.Model, recs []Record, stat
 		l := r.Delivered - r.Created
 		lat = append(lat, l)
 		latSum += int64(l)
+		if l > res.LatencyMax {
+			res.LatencyMax = l
+		}
+		srcLatSums[r.Src] += int64(l)
+		srcCounts[r.Src]++
 	}
 
 	var maxPortBytes int64
@@ -202,27 +208,23 @@ func Compute(network, workload string, n int, lm link.Model, recs []Record, stat
 		res.Efficiency = float64(res.Ideal) / float64(res.Makespan)
 	}
 
-	slices.Sort(lat)
 	res.LatencyMean = sim.Time(latSum / int64(len(lat)))
-	res.LatencyP50 = percentile(lat, 50)
-	res.LatencyP95 = percentile(lat, 95)
-	res.LatencyMax = lat[len(lat)-1]
-	res.FairnessJain = jainIndex(recs, n)
+	// Select p95 first: it leaves the smallest r95 latencies in lat[:r95],
+	// and p50 is the same order statistic of that prefix.
+	r50, r95 := nearestRank(50, len(lat)), nearestRank(95, len(lat))
+	res.LatencyP95 = selectNth(lat, r95-1)
+	res.LatencyP50 = selectNth(lat[:r95], r50-1)
+	res.FairnessJain = jainIndex(srcLatSums, srcCounts)
 	res.Latencies = LatencyHistogram(recs)
 	return res
 }
 
-// jainIndex computes Jain's fairness index over per-source mean latencies.
-func jainIndex(recs []Record, n int) float64 {
-	sums := make([]int64, n)
-	counts := make([]int64, n)
-	for _, r := range recs {
-		sums[r.Src] += int64(r.Delivered - r.Created)
-		counts[r.Src]++
-	}
+// jainIndex computes Jain's fairness index over per-source mean latencies,
+// given each source's latency sum and message count.
+func jainIndex(sums, counts []int64) float64 {
 	var sum, sumSq float64
 	sources := 0
-	for p := 0; p < n; p++ {
+	for p := range counts {
 		if counts[p] == 0 {
 			continue
 		}
@@ -237,20 +239,46 @@ func jainIndex(recs []Record, n int) float64 {
 	return sum * sum / (float64(sources) * sumSq)
 }
 
-// percentile returns the nearest-rank percentile of a sorted slice.
-func percentile(sorted []sim.Time, p int) sim.Time {
-	if len(sorted) == 0 {
-		return 0
+// nearestRank returns the 1-based nearest rank of percentile p among n
+// samples: ceil(p/100 · n), clamped to [1, n].
+func nearestRank(p, n int) int {
+	return min(max((p*n+99)/100, 1), n)
+}
+
+// selectNth reorders a in place so that a[k] holds the value a sorted copy
+// would hold there, with no larger value before it and no smaller one after,
+// and returns it. It is quickselect with a median-of-three pivot and a
+// three-way partition, so runs of equal latencies cost one pass.
+func selectNth(a []sim.Time, k int) sim.Time {
+	lo, hi := 0, len(a)-1
+	for lo < hi {
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi]
+		if x > y {
+			x, y = y, x
+		}
+		pivot := min(max(x, z), y) // median of the three
+		lt, i, gt := lo, lo, hi
+		for i <= gt {
+			switch {
+			case a[i] < pivot:
+				a[lt], a[i] = a[i], a[lt]
+				lt++
+				i++
+			case a[i] > pivot:
+				a[i], a[gt] = a[gt], a[i]
+				gt--
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt - 1
+		case k > gt:
+			lo = gt + 1
+		default:
+			return a[k]
+		}
 	}
-	if p <= 0 {
-		return sorted[0]
-	}
-	if p >= 100 {
-		return sorted[len(sorted)-1]
-	}
-	rank := (p*len(sorted) + 99) / 100 // ceil(p/100 * len)
-	if rank < 1 {
-		rank = 1
-	}
-	return sorted[rank-1]
+	return a[k]
 }

@@ -1,6 +1,8 @@
 package metrics
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -171,5 +173,110 @@ func TestTablePanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// percentile is the reference nearest-rank percentile of a sorted slice,
+// the oracle for Compute's in-place selection.
+func percentile(sorted []sim.Time, p int) sim.Time {
+	if len(sorted) == 0 {
+		return 0
+	}
+	if p <= 0 {
+		return sorted[0]
+	}
+	if p >= 100 {
+		return sorted[len(sorted)-1]
+	}
+	rank := (p*len(sorted) + 99) / 100 // ceil(p/100 * len)
+	if rank < 1 {
+		rank = 1
+	}
+	return sorted[rank-1]
+}
+
+// TestSelectNthMatchesSortedPercentile checks selection against
+// slices.Sort + percentile: random latencies with many duplicates, one
+// sample, all samples equal, already sorted and reversed inputs, at the
+// percentiles Compute and the reports use.
+func TestSelectNthMatchesSortedPercentile(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	var inputs [][]sim.Time
+	for _, n := range []int{1, 2, 3, 7, 64, 100, 1000} {
+		for _, spread := range []int64{1, 3, 50, 1 << 40} {
+			a := make([]sim.Time, n)
+			for i := range a {
+				a[i] = sim.Time(rng.Int63n(spread))
+			}
+			inputs = append(inputs, a)
+		}
+		asc, desc := make([]sim.Time, n), make([]sim.Time, n)
+		for i := range asc {
+			asc[i], desc[i] = sim.Time(i), sim.Time(n-i)
+		}
+		inputs = append(inputs, asc, desc)
+	}
+	for _, in := range inputs {
+		sorted := slices.Clone(in)
+		slices.Sort(sorted)
+		for _, p := range []int{1, 50, 95, 99} {
+			a := slices.Clone(in)
+			k := nearestRank(p, len(a)) - 1
+			if got, want := selectNth(a, k), percentile(sorted, p); got != want {
+				t.Fatalf("n=%d p=%d: selectNth = %v, sorted percentile = %v", len(in), p, got, want)
+			}
+			for i := range a {
+				if (i < k && a[i] > a[k]) || (i > k && a[i] < a[k]) {
+					t.Fatalf("n=%d p=%d: a[%d]=%v on the wrong side of a[%d]=%v", len(in), p, i, a[i], k, a[k])
+				}
+			}
+			slices.Sort(a)
+			if !slices.Equal(a, sorted) {
+				t.Fatalf("n=%d p=%d: selection lost or duplicated a sample", len(in), p)
+			}
+		}
+	}
+}
+
+// TestComputeMatchesSortReference checks Compute's selected p50/p95, its
+// scanned max and its folded Jain index against the sort-based computation
+// on random records.
+func TestComputeMatchesSortReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 50; trial++ {
+		n := 1 + rng.Intn(16)
+		recs := make([]Record, 1+rng.Intn(300))
+		for i := range recs {
+			c := sim.Time(rng.Int63n(1000))
+			recs[i] = Record{Src: rng.Intn(n), Dst: rng.Intn(n), Bytes: 8, Created: c,
+				Delivered: c + sim.Time(rng.Int63n(1+int64(trial)*10))}
+		}
+		lat := make([]sim.Time, len(recs))
+		sums, counts := make([]int64, n), make([]int64, n)
+		for i, r := range recs {
+			lat[i] = r.Delivered - r.Created
+			sums[r.Src] += int64(lat[i])
+			counts[r.Src]++
+		}
+		slices.Sort(lat)
+		var sum, sumSq float64
+		sources := 0
+		for p := range counts {
+			if counts[p] > 0 {
+				mean := float64(sums[p]) / float64(counts[p])
+				sum, sumSq, sources = sum+mean, sumSq+mean*mean, sources+1
+			}
+		}
+		jain := 1.0
+		if sumSq != 0 {
+			jain = sum * sum / (float64(sources) * sumSq)
+		}
+		r := Compute("n", "w", n, link.Paper(), recs, NetStats{})
+		if r.LatencyP50 != percentile(lat, 50) || r.LatencyP95 != percentile(lat, 95) ||
+			r.LatencyMax != lat[len(lat)-1] || r.FairnessJain != jain {
+			t.Fatalf("trial %d: p50=%v p95=%v max=%v jain=%v, want %v %v %v %v", trial,
+				r.LatencyP50, r.LatencyP95, r.LatencyMax, r.FairnessJain,
+				percentile(lat, 50), percentile(lat, 95), lat[len(lat)-1], jain)
+		}
 	}
 }

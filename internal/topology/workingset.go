@@ -36,11 +36,15 @@ type WorkingSet struct {
 }
 
 // NewWorkingSet creates an empty working set over n ports.
-func NewWorkingSet(n int) *WorkingSet {
+func NewWorkingSet(n int) *WorkingSet { return NewWorkingSetSized(n, 0) }
+
+// NewWorkingSetSized creates an empty working set over n ports with room for
+// conns connections, for callers that know how many they will add.
+func NewWorkingSetSized(n, conns int) *WorkingSet {
 	if n <= 0 {
 		panic(fmt.Sprintf("topology: invalid port count %d", n))
 	}
-	return &WorkingSet{n: n, seen: make(map[uint64]struct{})}
+	return &WorkingSet{n: n, seen: make(map[uint64]struct{}, conns), keys: make([]uint64, 0, conns)}
 }
 
 // Ports returns the port count N.

@@ -117,11 +117,11 @@ func TwoPhase(n, bytes int, seed int64) *Workload {
 	const nnRounds = 16
 	mesh := topology.MeshFor(n, false)
 	w := &Workload{Name: fmt.Sprintf("two-phase/%dB", bytes), N: n, Programs: make([]Program, n)}
-	global := topology.NewWorkingSet(n)
-	local := topology.NewWorkingSet(n)
+	global := topology.NewWorkingSetSized(n, n*(n-1))
+	local := topology.NewWorkingSetSized(n, 4*n) // at most four mesh neighbours each
 	for p := 0; p < n; p++ {
 		rng := sim.NewRNG(seed, uint64(p))
-		var ops []Op
+		ops := make([]Op, 0, n+nnRounds+2)
 		ops = append(ops, Phase(0))
 		for step := 1; step < n; step++ {
 			d := (p + step) % n

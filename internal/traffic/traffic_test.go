@@ -433,3 +433,12 @@ func TestConcatEmptyPanics(t *testing.T) {
 	}()
 	Concat("empty")
 }
+
+// BenchmarkGenTwoPhase128 measures generating the Figure 4 two-phase
+// workload at N=128: the op slices and both static working sets.
+func BenchmarkGenTwoPhase128(b *testing.B) {
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		TwoPhase(128, 64, int64(i))
+	}
+}
