@@ -125,7 +125,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 	r.resendRequestFn = r.resendRequest
 	r.resendGrantFn = r.resendGrant
 	driver, err := netmodel.NewDriver(eng, lm, wl, netmodel.Hooks{
-		OnEnqueue: func(m *nic.Message) { r.ports.Kick(m.Src) },
+		OnEnqueue: func(m *nic.Message) { r.ports.Kick(int(m.Src)) },
 	})
 	if err != nil {
 		return metrics.Result{}, err
@@ -178,7 +178,7 @@ func (r *run) resendRequest(arg any, attempt int) {
 func (r *run) requestArrived(arg any) {
 	m := arg.(*nic.Message)
 	r.outQueue[m.Dst] = append(r.outQueue[m.Dst], m)
-	r.kickOutput(m.Dst)
+	r.kickOutput(int(m.Dst))
 }
 
 // kickOutput grants the circuit for the next queued request once the output
@@ -196,7 +196,7 @@ func (r *run) kickOutput(v int) {
 		now := r.eng.Now()
 		r.probe.Emit(probe.Event{Kind: probe.SchedPassBegin, At: now})
 		r.probe.Emit(probe.Event{Kind: probe.ConnEstablished, At: now,
-			Src: int32(m.Src), Dst: int32(v)})
+			Src: m.Src, Dst: int32(v)})
 		r.probe.Emit(probe.Event{Kind: probe.SchedPassEnd, At: now, Aux: 1})
 	}
 	// 80 ns to schedule, then the grant token travels back to the NIC.
@@ -229,9 +229,9 @@ func (r *run) grantArrived(arg any) {
 	m := arg.(*nic.Message)
 	if r.probe != nil {
 		r.probe.Emit(probe.Event{Kind: probe.MsgInjected, At: r.eng.Now(),
-			Src: int32(m.Src), Dst: int32(m.Dst), ID: int64(m.ID)})
+			Src: m.Src, Dst: m.Dst, ID: int64(m.ID)})
 	}
-	ser := r.cfg.Link.SerializationTime(m.Bytes)
+	ser := r.cfg.Link.SerializationTime(int(m.Bytes))
 	// The last byte leaves the source at +ser and reaches the destination
 	// NIC one data-pipe latency later.
 	r.eng.AfterArg(ser+r.dataPipe+nic.RecvOverhead, "deliver", r.deliverFn, m)
@@ -249,16 +249,16 @@ func (r *run) deliver(arg any) {
 
 func (r *run) teardown(arg any) {
 	m := arg.(*nic.Message)
-	v := m.Dst
+	v := int(m.Dst)
 	r.stats.Released++
 	if r.probe != nil {
 		r.probe.Emit(probe.Event{Kind: probe.ConnReleased, At: r.eng.Now(),
-			Src: int32(m.Src), Dst: int32(v)})
+			Src: m.Src, Dst: int32(v)})
 	}
 	r.outBusy[v] = false
 	r.kickOutput(v)
 }
 
 func (r *run) sourceNext(arg any) {
-	r.ports.Next(arg.(*nic.Message).Src)
+	r.ports.Next(int(arg.(*nic.Message).Src))
 }

@@ -183,7 +183,7 @@ func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 }
 
 func (r *tdmRun) onEnqueue(m *nic.Message) {
-	u, v := m.Src, m.Dst
+	u, v := int(m.Src), int(m.Dst)
 	if r.driver.Buffers[u].CountFor(v) == 1 {
 		// The driver has already queued m: the queue's 0→1 transition.
 		if _, ok := r.slotOf[[2]int{u, v}]; ok {
@@ -308,7 +308,7 @@ func (r *tdmRun) onSlot() {
 			if r.probe != nil {
 				if h := r.driver.Buffers[pc.src].Head(pc.dst); h != nil {
 					r.probe.Emit(probe.Event{Kind: probe.MsgHeadOfQueue, At: slotStart,
-						Src: int32(h.Src), Dst: int32(h.Dst), ID: int64(h.ID)})
+						Src: h.Src, Dst: h.Dst, ID: int64(h.ID)})
 				}
 			}
 			if !r.driver.Buffers[pc.src].HasFor(pc.dst) {

@@ -105,7 +105,7 @@ func (w *Wormhole) Run(wl *traffic.Workload) (metrics.Result, error) {
 		probe:   w.cfg.Probe,
 	}
 	driver, err := netmodel.NewDriver(eng, w.cfg.Link, wl, netmodel.Hooks{
-		OnEnqueue: func(m *nic.Message) { r.ports.Kick(m.Src) },
+		OnEnqueue: func(m *nic.Message) { r.ports.Kick(int(m.Src)) },
 	})
 	if err != nil {
 		return metrics.Result{}, err
@@ -131,7 +131,7 @@ func (w *Wormhole) Run(wl *traffic.Workload) (metrics.Result, error) {
 // startMessage segments a freshly popped message into worms; the port
 // engine serializes calls per source.
 func (r *wormholeRun) startMessage(s int, m *nic.Message) {
-	r.sendWorm(s, m, splitWorms(m.Bytes), 0)
+	r.sendWorm(s, m, splitWorms(int(m.Bytes)), 0)
 }
 
 func splitWorms(bytes int) []int {
@@ -154,7 +154,7 @@ func splitWorms(bytes int) []int {
 func (r *wormholeRun) sendWorm(s int, m *nic.Message, worms []int, i int) {
 	if i == 0 && r.probe != nil {
 		r.probe.Emit(probe.Event{Kind: probe.MsgInjected, At: r.eng.Now(),
-			Src: int32(m.Src), Dst: int32(m.Dst), ID: int64(m.ID)})
+			Src: m.Src, Dst: m.Dst, ID: int64(m.ID)})
 	}
 	bytes := worms[i]
 	serDone := r.eng.Now() + r.cfg.Link.SerializationTime(bytes)
@@ -162,7 +162,7 @@ func (r *wormholeRun) sendWorm(s int, m *nic.Message, worms []int, i int) {
 
 	// The worm's resource path ends with the destination's ejection link,
 	// which serializes concurrent arrivals from different mesh directions.
-	path := append(r.grid.Path(m.Src, m.Dst), Hop{From: m.Dst, Dir: DirEject})
+	path := append(r.grid.Path(int(m.Src), int(m.Dst)), Hop{From: int(m.Dst), Dir: DirEject})
 	pending := 2
 	var readyAt sim.Time
 	conditionMet := func() {

@@ -85,12 +85,3 @@ func (h *Histogram) String() string {
 	}
 	return sb.String()
 }
-
-// LatencyHistogram builds a histogram from delivery records.
-func LatencyHistogram(recs []Record) *Histogram {
-	h := NewHistogram()
-	for _, r := range recs {
-		h.Add(r.Delivered - r.Created)
-	}
-	return h
-}

@@ -153,14 +153,27 @@ func (r Result) String() string {
 		r.Network, r.Workload, r.Messages, r.Bytes, r.Makespan, r.Efficiency, r.Stats.HitRate())
 }
 
-// Compute assembles a Result from delivered-message records.
-//
-// It panics if any record is undelivered (Delivered before Created) — a
-// model that loses messages is broken, and silently computing an efficiency
-// for it would hide the bug.
+// Compute assembles a Result from delivered-message records. It is the
+// slice form of ComputeEach.
 func Compute(network, workload string, n int, lm link.Model, recs []Record, stats NetStats) Result {
-	res := Result{Network: network, Workload: workload, N: n, Messages: len(recs), Stats: stats}
-	if len(recs) == 0 {
+	return ComputeEach(network, workload, n, lm, len(recs), func(add func(Record)) {
+		for _, r := range recs {
+			add(r)
+		}
+	}, stats)
+}
+
+// ComputeEach assembles a Result from the count delivered messages that each
+// passes to add, one call per message. The order does not matter: every
+// statistic is a sum, an extreme, an order statistic or a histogram, so any
+// order of the same messages gives the same Result.
+//
+// It panics if any record is undelivered (Delivered before Created) or if
+// each passes other than count records — a model that loses messages is
+// broken, and silently computing an efficiency for it would hide the bug.
+func ComputeEach(network, workload string, n int, lm link.Model, count int, each func(add func(Record)), stats NetStats) Result {
+	res := Result{Network: network, Workload: workload, N: n, Messages: count, Stats: stats}
+	if count == 0 {
 		return res
 	}
 
@@ -168,9 +181,10 @@ func Compute(network, workload string, n int, lm link.Model, recs []Record, stat
 	inBytes := make([]int64, n)
 	srcLatSums := make([]int64, n) // per-source latency sums and counts for Jain's index
 	srcCounts := make([]int64, n)
-	lat := make([]sim.Time, 0, len(recs))
+	lat := make([]sim.Time, 0, count)
+	hist := NewHistogram()
 	var latSum int64
-	for _, r := range recs {
+	each(func(r Record) {
 		if r.Delivered < r.Created {
 			panic(fmt.Sprintf("metrics: message %d->%d delivered at %v before created at %v",
 				r.Src, r.Dst, r.Delivered, r.Created))
@@ -192,6 +206,10 @@ func Compute(network, workload string, n int, lm link.Model, recs []Record, stat
 		}
 		srcLatSums[r.Src] += int64(l)
 		srcCounts[r.Src]++
+		hist.Add(l)
+	})
+	if len(lat) != count {
+		panic(fmt.Sprintf("metrics: %d records for %d delivered messages", len(lat), count))
 	}
 
 	var maxPortBytes int64
@@ -215,7 +233,7 @@ func Compute(network, workload string, n int, lm link.Model, recs []Record, stat
 	res.LatencyP95 = selectNth(lat, r95-1)
 	res.LatencyP50 = selectNth(lat[:r95], r50-1)
 	res.FairnessJain = jainIndex(srcLatSums, srcCounts)
-	res.Latencies = LatencyHistogram(recs)
+	res.Latencies = hist
 	return res
 }
 

@@ -244,7 +244,7 @@ func (pe *PortEngine) Next(src int) {
 // have been transmitted yet — the message whose first byte enters the network
 // in the current slot. Probe emission helper for the slotted models.
 func (d *Driver) HeadUntransmitted(u, v int) *nic.Message {
-	if h := d.Buffers[u].Head(v); h != nil && h.Remaining() == h.Bytes {
+	if h := d.Buffers[u].Head(v); h != nil && h.Remaining() == int(h.Bytes) {
 		return h
 	}
 	return nil

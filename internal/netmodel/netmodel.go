@@ -13,6 +13,7 @@ package netmodel
 import (
 	"errors"
 	"fmt"
+	"math"
 
 	"pmsnet/internal/fault"
 	"pmsnet/internal/link"
@@ -54,8 +55,9 @@ type Hooks struct {
 	OnIdle func()
 }
 
-// Driver executes workload programs against NIC output buffers and collects
-// delivery records.
+// Driver executes workload programs against NIC output buffers. Its message
+// array is the run's only per-message state: the models stamp each message's
+// delivery time in place, and Finish computes the run's statistics from it.
 type Driver struct {
 	Engine  *sim.Engine
 	Link    link.Model
@@ -65,7 +67,6 @@ type Driver struct {
 	hooks     Hooks
 	nextID    int
 	remaining int
-	records   []metrics.Record
 	// msgs holds every message the workload will send, one allocation per
 	// run: the send with ID i takes msgs[i].
 	msgs []nic.Message
@@ -75,9 +76,6 @@ type Driver struct {
 	// closure allocation per executed op.
 	progIdx []int
 	stepFns []func()
-	// resume maps a blocking message's ID to the processor whose program
-	// continues when it is delivered.
-	resume map[int]int
 
 	// inj is the run's fault injector (nil for fault-free runs); retries and
 	// dropped tally the driver-level recovery accounting.
@@ -98,24 +96,35 @@ func NewDriver(engine *sim.Engine, lm link.Model, wl *traffic.Workload, hooks Ho
 		return nil, fmt.Errorf("netmodel: %w", err)
 	}
 	msgs := wl.MessageCount()
+	if err := checkMessageCount(wl.Name, msgs); err != nil {
+		return nil, err
+	}
 	d := &Driver{
 		Engine:    engine,
 		Link:      lm,
 		Buffers:   nic.NewOutBuffers(wl.N, destinationCounts(wl)),
 		wl:        wl,
 		hooks:     hooks,
-		records:   make([]metrics.Record, 0, msgs),
 		msgs:      make([]nic.Message, msgs),
 		remaining: msgs,
 		progIdx:   make([]int, wl.N),
 		stepFns:   make([]func(), wl.N),
-		resume:    make(map[int]int),
 	}
 	for p := 0; p < wl.N; p++ {
 		p := p
 		d.stepFns[p] = func() { d.step(p) }
 	}
 	return d, nil
+}
+
+// checkMessageCount refuses a workload with more messages than a message's
+// 32-bit ID can number.
+func checkMessageCount(name string, msgs int) error {
+	if msgs > math.MaxInt32 {
+		return fmt.Errorf("netmodel: workload %q sends %d messages, more than the %d a run can hold",
+			name, msgs, math.MaxInt32)
+	}
+	return nil
 }
 
 // destinationCounts returns, per processor, how many distinct destinations
@@ -167,25 +176,26 @@ func (d *Driver) step(p int) {
 	case traffic.OpSend, traffic.OpSendWait:
 		m := &d.msgs[d.nextID]
 		*m = nic.Message{
-			ID:      d.nextID,
-			Src:     p,
-			Dst:     op.Dst,
-			Bytes:   op.Bytes,
+			ID:      int32(d.nextID),
+			Src:     int32(p),
+			Dst:     int32(op.Dst),
+			Bytes:   int32(op.Bytes),
 			Created: d.Engine.Now(),
 		}
 		d.nextID++
 		d.Buffers[p].Enqueue(m)
 		if d.probe != nil {
 			d.probe.Emit(probe.Event{Kind: probe.MsgCreated, At: m.Created,
-				Src: int32(m.Src), Dst: int32(m.Dst), ID: int64(m.ID), Aux: int64(m.Bytes)})
-			if d.Buffers[p].Head(m.Dst) == m {
+				Src: m.Src, Dst: m.Dst, ID: int64(m.ID), Aux: int64(m.Bytes)})
+			if d.Buffers[p].Head(op.Dst) == m {
 				d.probe.Emit(probe.Event{Kind: probe.MsgHeadOfQueue, At: m.Created,
-					Src: int32(m.Src), Dst: int32(m.Dst), ID: int64(m.ID)})
+					Src: m.Src, Dst: m.Dst, ID: int64(m.ID)})
 			}
 		}
 		if op.Kind == traffic.OpSendWait {
-			// Block: the program continues when the message is delivered.
-			d.resume[m.ID] = p
+			// Block: the program continues when the message is delivered
+			// or dropped.
+			m.MarkBlocking()
 		}
 		if d.hooks.OnEnqueue != nil {
 			d.hooks.OnEnqueue(m)
@@ -223,9 +233,9 @@ func (d *Driver) Faults() *fault.Injector { return d.inj }
 // timers) report through it so the accounting lives in one place.
 func (d *Driver) CountRetry() { d.retries++ }
 
-// Deliver records a completed message. Models call it exactly once per
-// message, at the simulated instant the last byte enters the destination
-// NIC.
+// Deliver stamps a completed message's delivery time. Models call it exactly
+// once per message, at the simulated instant the last byte enters the
+// destination NIC.
 func (d *Driver) Deliver(m *nic.Message) {
 	if m.Delivered != 0 {
 		panic(fmt.Sprintf("netmodel: message %d delivered twice", m.ID))
@@ -236,17 +246,12 @@ func (d *Driver) Deliver(m *nic.Message) {
 	m.Delivered = d.Engine.Now()
 	if d.probe != nil {
 		d.probe.Emit(probe.Event{Kind: probe.MsgDelivered, At: m.Delivered,
-			Src: int32(m.Src), Dst: int32(m.Dst), ID: int64(m.ID),
+			Src: m.Src, Dst: m.Dst, ID: int64(m.ID),
 			Aux: int64(m.Delivered - m.Created)})
 	}
-	d.records = append(d.records, metrics.Record{
-		Src: m.Src, Dst: m.Dst, Bytes: m.Bytes,
-		Created: m.Created, Delivered: m.Delivered,
-	})
 	d.remaining--
-	if p, ok := d.resume[m.ID]; ok {
-		delete(d.resume, m.ID)
-		d.advance(p, nic.SendOverhead)
+	if m.Blocking() {
+		d.advance(int(m.Src), nic.SendOverhead)
 	}
 	if d.remaining == 0 && d.hooks.OnIdle != nil {
 		d.hooks.OnIdle()
@@ -256,16 +261,16 @@ func (d *Driver) Deliver(m *nic.Message) {
 // Drop retires a message the fault layer declared undeliverable (dead
 // crosspoint or permanently failed link). The message counts toward the
 // run's completion — Injected == Delivered + Dropped — and a blocked sender
-// waiting on it is resumed, but no delivery record is produced.
+// waiting on it is resumed, but the message adds nothing to the run's
+// latency and throughput statistics.
 func (d *Driver) Drop(m *nic.Message) {
 	if err := m.MarkDropped(); err != nil {
 		panic(fmt.Sprintf("netmodel: %v", err))
 	}
 	d.dropped++
 	d.remaining--
-	if p, ok := d.resume[m.ID]; ok {
-		delete(d.resume, m.ID)
-		d.advance(p, nic.SendOverhead)
+	if m.Blocking() {
+		d.advance(int(m.Src), nic.SendOverhead)
 	}
 	if d.remaining == 0 && d.hooks.OnIdle != nil {
 		d.hooks.OnIdle()
@@ -290,22 +295,23 @@ func (d *Driver) Arrive(m *nic.Message) {
 		d.Deliver(m)
 		return
 	}
-	if d.inj.PairBlocked(m.Src, m.Dst) {
+	src, dst := int(m.Src), int(m.Dst)
+	if d.inj.PairBlocked(src, dst) {
 		d.Drop(m)
 		return
 	}
-	if !d.inj.PortUp(m.Src) || !d.inj.PortUp(m.Dst) || d.inj.DrawCorrupt() {
-		delay := d.inj.RetryDelay(m.Retries)
-		m.Retries++
+	if !d.inj.PortUp(src) || !d.inj.PortUp(dst) || d.inj.DrawCorrupt() {
+		delay := d.inj.RetryDelay(int(m.Retries))
+		m.NoteRetry()
 		d.retries++
 		d.Engine.After(delay, "fault-retransmit", func() {
 			// The pair may have become permanently unreachable while the
 			// retry timer ran.
-			if d.inj.PairBlocked(m.Src, m.Dst) {
+			if d.inj.PairBlocked(src, dst) {
 				d.Drop(m)
 				return
 			}
-			d.Buffers[m.Src].Enqueue(m)
+			d.Buffers[src].Enqueue(m)
 			if d.hooks.OnEnqueue != nil {
 				d.hooks.OnEnqueue(m)
 			}
@@ -329,8 +335,8 @@ func (d *Driver) CheckBuffers() error {
 // Remaining returns the number of undelivered messages.
 func (d *Driver) Remaining() int { return d.remaining }
 
-// Records returns the delivery records collected so far.
-func (d *Driver) Records() []metrics.Record { return d.records }
+// delivered returns the number of messages delivered so far.
+func (d *Driver) delivered() int { return len(d.msgs) - d.remaining - int(d.dropped) }
 
 // ProgressWindow is the stall-detection granularity: if a full window of
 // simulated time passes without a single delivery while messages remain,
@@ -378,7 +384,17 @@ func (d *Driver) Finish(name string, horizon sim.Time, stats metrics.NetStats) (
 		base.MaskedGrants = stats.Faults.MaskedGrants
 		stats.Faults = base
 	}
-	return metrics.Compute(name, d.wl.Name, d.wl.N, d.Link, d.records, stats), nil
+	msgs := d.msgs[:d.nextID]
+	return metrics.ComputeEach(name, d.wl.Name, d.wl.N, d.Link, d.delivered(), func(add func(metrics.Record)) {
+		for i := range msgs {
+			m := &msgs[i]
+			if m.Delivered == 0 {
+				continue // dropped: never delivered
+			}
+			add(metrics.Record{Src: int(m.Src), Dst: int(m.Dst), Bytes: int(m.Bytes),
+				Created: m.Created, Delivered: m.Delivered})
+		}
+	}, stats), nil
 }
 
 // FaultStats assembles the driver's share of the fault accounting: injector
@@ -400,7 +416,7 @@ func (d *Driver) FaultStats() metrics.FaultStats {
 		GrantsLost:       c.GrantsLost,
 		Retries:          d.retries,
 		Injected:         uint64(d.wl.MessageCount()),
-		Delivered:        uint64(len(d.records)),
+		Delivered:        uint64(d.delivered()),
 		Dropped:          d.dropped,
 		DegradedTime:     d.inj.DegradedTime(),
 	}

@@ -3,7 +3,9 @@ package netmodel
 import (
 	"cmp"
 	"errors"
+	"math"
 	"slices"
+	"strings"
 	"testing"
 
 	"pmsnet/internal/link"
@@ -107,6 +109,73 @@ func TestDriverRejectsInvalidWorkload(t *testing.T) {
 	}
 	if _, err := NewDriver(eng, link.Model{}, twoNodeWorkload(), Hooks{}); err == nil {
 		t.Fatal("expected link validation error")
+	}
+}
+
+// TestDriverRefusesTooManyMessages checks the message-count guard NewDriver
+// applies: a message's ID is 32 bits, so a workload may send at most
+// math.MaxInt32 messages. A workload that large cannot be built in a test, so
+// the rows drive the guard itself.
+func TestDriverRefusesTooManyMessages(t *testing.T) {
+	for _, tc := range []struct {
+		msgs int
+		ok   bool
+	}{
+		{0, true},
+		{1, true},
+		{math.MaxInt32, true},
+		{math.MaxInt32 + 1, false},
+		{math.MaxInt64, false},
+	} {
+		err := checkMessageCount("big", tc.msgs)
+		if (err == nil) != tc.ok {
+			t.Fatalf("%d messages: err = %v, want ok = %v", tc.msgs, err, tc.ok)
+		}
+		if err != nil && !strings.Contains(err.Error(), `workload "big"`) {
+			t.Fatalf("%d messages: error %q does not name the workload", tc.msgs, err)
+		}
+	}
+}
+
+// TestDriverResumesBlockedSender checks that a SEND_WAIT holds its program
+// until the message is delivered or dropped, that the program then continues
+// one NIC send overhead later, and that Finish counts only delivered
+// messages.
+func TestDriverResumesBlockedSender(t *testing.T) {
+	for _, drop := range []bool{false, true} {
+		eng := sim.NewEngine()
+		var enq []sim.Time
+		var d *Driver
+		wl := twoNodeWorkload(traffic.SendWait(1, 8), traffic.Send(1, 8))
+		d, err := NewDriver(eng, link.Paper(), wl, Hooks{
+			OnEnqueue: func(m *nic.Message) {
+				enq = append(enq, eng.Now())
+				eng.After(1000, "fake-arrive", func() {
+					d.Buffers[0].PopFIFO()
+					if drop && m.Blocking() {
+						d.Drop(m)
+					} else {
+						d.Deliver(m)
+					}
+				})
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		d.Start()
+		eng.RunAll()
+		if want := []sim.Time{0, 1000 + nic.SendOverhead}; !slices.Equal(enq, want) {
+			t.Fatalf("drop=%v: enqueues at %v, want %v", drop, enq, want)
+		}
+		res, err := d.Finish("fake", DefaultHorizon, metrics.NetStats{})
+		if err != nil {
+			t.Fatalf("drop=%v: %v", drop, err)
+		}
+		// A dropped message is left out of the statistics.
+		if want := map[bool]int{false: 2, true: 1}[drop]; res.Messages != want || res.Bytes != int64(8*want) {
+			t.Fatalf("drop=%v: %d messages, %d bytes; want %d messages", drop, res.Messages, res.Bytes, want)
+		}
 	}
 }
 

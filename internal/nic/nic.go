@@ -18,6 +18,7 @@ package nic
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
 
 	"pmsnet/internal/sim"
@@ -32,32 +33,47 @@ const (
 
 // Message is one in-flight message. A Message is created when the program's
 // SEND op executes and retired when the last byte reaches the destination
-// NIC.
+// NIC. It is also the run's record of the message: the network model stamps
+// Delivered, and the run's statistics are computed from the messages
+// themselves.
+//
+// A Message is one 64-byte cache line: the identity and size fields are
+// 32-bit (a workload holds at most math.MaxInt32 messages of at most
+// math.MaxInt32 bytes each) and the state bits share one byte.
 type Message struct {
-	ID      int
-	Src     int
-	Dst     int
-	Bytes   int
+	ID      int32
+	Src     int32
+	Dst     int32
+	Bytes   int32
 	Created sim.Time
 	// Delivered is set by the network model when the message completes.
 	Delivered sim.Time
-	// Retries counts how many times the message (or a part of it) was
-	// retransmitted after a fault; it doubles as the backoff exponent of the
-	// next retry timer.
-	Retries int
-
-	remaining int
-	queued    bool
-	dropped   bool
 
 	// next links the message to its successor in its destination queue;
 	// prev and after link it into the buffer's global arrival order.
 	next, prev, after *Message
+
+	remaining int32
+	// Retries counts how many times the message (or a part of it) was
+	// retransmitted after a fault; it doubles as the backoff exponent of the
+	// next retry timer. It saturates rather than wraps (see NoteRetry).
+	Retries uint16
+	flags   uint8
 }
+
+// Message state bits.
+const (
+	// flagQueued: the message is in an output buffer.
+	flagQueued uint8 = 1 << iota
+	// flagDropped: the fault layer dropped the message.
+	flagDropped
+	// flagBlocking: the sender's program waits for the message (SEND_WAIT).
+	flagBlocking
+)
 
 // Dropped reports whether the message was explicitly dropped by the fault
 // layer instead of delivered.
-func (m *Message) Dropped() bool { return m.dropped }
+func (m *Message) Dropped() bool { return m.flags&flagDropped != 0 }
 
 // MarkDropped records the drop; a message cannot be dropped twice or after
 // delivery.
@@ -65,15 +81,30 @@ func (m *Message) MarkDropped() error {
 	if m.Delivered != 0 {
 		return fmt.Errorf("nic: message %d dropped after delivery", m.ID)
 	}
-	if m.dropped {
+	if m.Dropped() {
 		return fmt.Errorf("nic: message %d dropped twice", m.ID)
 	}
-	m.dropped = true
+	m.flags |= flagDropped
 	return nil
 }
 
+// Blocking reports whether the sender's program waits for this message to be
+// delivered or dropped before it continues.
+func (m *Message) Blocking() bool { return m.flags&flagBlocking != 0 }
+
+// MarkBlocking records that the sender waits for the message (a SEND_WAIT).
+func (m *Message) MarkBlocking() { m.flags |= flagBlocking }
+
+// NoteRetry counts one retransmission. The count saturates at
+// math.MaxUint16: as a backoff exponent it has long reached the retry cap.
+func (m *Message) NoteRetry() {
+	if m.Retries < math.MaxUint16 {
+		m.Retries++
+	}
+}
+
 // Remaining returns the bytes not yet transmitted.
-func (m *Message) Remaining() int { return m.remaining }
+func (m *Message) Remaining() int { return int(m.remaining) }
 
 // OutBuffer is a NIC's output buffer: one logical queue per destination plus
 // the global arrival order.
@@ -214,21 +245,21 @@ func (b *OutBuffer) slot(dst int) *dstQueue {
 
 // Enqueue admits a message into its destination's logical queue.
 func (b *OutBuffer) Enqueue(m *Message) {
-	if m.Src != b.id {
+	if int(m.Src) != b.id {
 		panic(fmt.Sprintf("nic %d: enqueue of message from %d", b.id, m.Src))
 	}
-	if m.Dst < 0 || m.Dst >= b.n || m.Dst == b.id {
+	if m.Dst < 0 || int(m.Dst) >= b.n || int(m.Dst) == b.id {
 		panic(fmt.Sprintf("nic %d: bad destination %d", b.id, m.Dst))
 	}
 	if m.Bytes <= 0 {
 		panic(fmt.Sprintf("nic %d: message size %d", b.id, m.Bytes))
 	}
-	if m.queued {
+	if m.flags&flagQueued != 0 {
 		panic(fmt.Sprintf("nic %d: message %d enqueued twice", b.id, m.ID))
 	}
 	m.remaining = m.Bytes
-	m.queued = true
-	q := b.record(m.Dst)
+	m.flags |= flagQueued
+	q := b.record(int(m.Dst))
 	m.next = nil
 	if q.tail != nil {
 		q.tail.next = m
@@ -298,8 +329,8 @@ func (b *OutBuffer) TransmitTo(dst, maxBytes int) (sent int, completed *Message)
 		return 0, nil
 	}
 	m := q.head
-	sent = min(maxBytes, m.remaining)
-	m.remaining -= sent
+	sent = min(maxBytes, int(m.remaining))
+	m.remaining -= int32(sent)
 	b.bytesPending -= int64(sent)
 	if m.remaining == 0 {
 		b.popHead(q)
@@ -339,7 +370,7 @@ func (b *OutBuffer) retire(m *Message) {
 	b.pending--
 	b.bytesPending -= int64(m.remaining)
 	m.remaining = 0
-	m.queued = false
+	m.flags &^= flagQueued
 	m.next, m.prev, m.after = nil, nil, nil
 }
 
@@ -356,7 +387,7 @@ func (b *OutBuffer) PopFIFO() *Message {
 	}
 	// Every destination queue is its messages in arrival order, so the
 	// oldest message overall heads its own queue.
-	b.popHead(b.find(m.Dst))
+	b.popHead(b.find(int(m.Dst)))
 	return m
 }
 
@@ -416,7 +447,7 @@ func (b *OutBuffer) Check() error {
 		var n int32
 		var last *Message
 		for m := q.head; m != nil; m = m.next {
-			if m.Dst != dst || !m.queued {
+			if int(m.Dst) != dst || m.flags&flagQueued == 0 {
 				return fmt.Errorf("nic %d: message %d misplaced in the queue toward %d", b.id, m.ID, dst)
 			}
 			n++
@@ -441,7 +472,7 @@ func (b *OutBuffer) Check() error {
 		if m.prev != prev {
 			return fmt.Errorf("nic %d: arrival order broken at message %d", b.id, m.ID)
 		}
-		q := b.find(m.Dst)
+		q := b.find(int(m.Dst))
 		if q == nil || cursor[q] != m {
 			return fmt.Errorf("nic %d: message %d out of order in its queue toward %d", b.id, m.ID, m.Dst)
 		}

@@ -1,13 +1,71 @@
 package nic
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
+	"unsafe"
 )
 
 func msg(id, src, dst, bytes int) *Message {
-	return &Message{ID: id, Src: src, Dst: dst, Bytes: bytes}
+	return &Message{ID: int32(id), Src: int32(src), Dst: int32(dst), Bytes: int32(bytes)}
+}
+
+// TestMessageLayout pins a Message to one 64-byte cache line. A run holds
+// one Message per simulated message and nothing else per message, so a field
+// added here costs every run its size times the message count.
+func TestMessageLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Message{}); size != 64 {
+		t.Fatalf("unsafe.Sizeof(Message{}) = %d bytes, want 64: a new field must fit the cache line", size)
+	}
+}
+
+// TestMessageFlags checks that the state bits sharing one byte stay apart:
+// queueing, retiring, dropping and blocking each touch only their own bit.
+func TestMessageFlags(t *testing.T) {
+	b := NewOutBuffer(0, 4)
+	m := msg(1, 0, 2, 64)
+	m.MarkBlocking()
+	b.Enqueue(m)
+	if !m.Blocking() || m.Dropped() {
+		t.Fatal("enqueue changed the blocking or dropped bit")
+	}
+	if drained := b.DrainFor(2); len(drained) != 1 || drained[0] != m {
+		t.Fatalf("DrainFor = %v", drained)
+	}
+	if err := m.MarkDropped(); err != nil {
+		t.Fatal(err)
+	}
+	if !m.Blocking() || !m.Dropped() {
+		t.Fatal("drop cleared the blocking bit")
+	}
+	if err := m.MarkDropped(); err == nil {
+		t.Fatal("second drop accepted")
+	}
+	b.Enqueue(m) // a retired message may be queued again (retransmission)
+	if b.Len() != 1 || !m.Blocking() {
+		t.Fatal("re-enqueue after retire failed")
+	}
+	if msg(2, 0, 3, 8).Blocking() {
+		t.Fatal("a fresh message is blocking")
+	}
+}
+
+// TestNoteRetrySaturates checks that the 16-bit retry count stops at its
+// maximum instead of wrapping to a zero backoff exponent.
+func TestNoteRetrySaturates(t *testing.T) {
+	m := msg(1, 0, 2, 64)
+	m.NoteRetry()
+	if m.Retries != 1 {
+		t.Fatalf("Retries = %d after one retry", m.Retries)
+	}
+	m.Retries = math.MaxUint16 - 1
+	m.NoteRetry()
+	m.NoteRetry()
+	if m.Retries != math.MaxUint16 {
+		t.Fatalf("Retries = %d, want saturation at %d", m.Retries, math.MaxUint16)
+	}
 }
 
 func TestEnqueueAndRequestBits(t *testing.T) {

@@ -44,8 +44,8 @@ func (b *refBuffer) transmitTo(dst, maxBytes int) (int, *Message) {
 		return 0, nil
 	}
 	m := q[0]
-	sent := min(maxBytes, m.remaining)
-	m.remaining -= sent
+	sent := min(maxBytes, int(m.remaining))
+	m.remaining -= int32(sent)
 	b.bytesPending -= int64(sent)
 	if m.remaining > 0 {
 		return sent, nil
@@ -116,12 +116,12 @@ func parityOps(t *testing.T, n int, tape []byte) {
 	const src = 0
 	b, ref := NewOutBuffer(src, n), newRefBuffer(n)
 	var pool [][2]*Message // (indexed, reference) pairs out of the buffer
-	nextID := 0
+	var nextID int32
 	id := func(m *Message) int {
 		if m == nil {
 			return -1
 		}
-		return m.ID
+		return int(m.ID)
 	}
 	release := func(op string, got, want []*Message) {
 		if len(got) != len(want) {
@@ -141,8 +141,8 @@ func parityOps(t *testing.T, n int, tape []byte) {
 		case 0, 1, 2: // enqueue a new message
 			size := 1 + arg*7%200
 			nextID++
-			b.Enqueue(&Message{ID: nextID, Src: src, Dst: dst, Bytes: size})
-			ref.enqueue(&Message{ID: nextID, Src: src, Dst: dst, Bytes: size})
+			b.Enqueue(&Message{ID: nextID, Src: src, Dst: int32(dst), Bytes: int32(size)})
+			ref.enqueue(&Message{ID: nextID, Src: src, Dst: int32(dst), Bytes: int32(size)})
 		case 3: // retransmit a message that left the buffer
 			if len(pool) == 0 {
 				continue

@@ -15,7 +15,7 @@ import (
 // counts connection-cache hits and misses. The driver has already queued m,
 // so a u->v count of one is the queue's 0→1 transition.
 func (r *run) onEnqueue(m *nic.Message) {
-	u, v := m.Src, m.Dst
+	u, v := int(m.Src), int(m.Dst)
 	if r.inj != nil && r.inj.PairBlocked(u, v) {
 		// A dead crosspoint or permanently failed endpoint link: no route
 		// will ever exist, so the message is dropped at the source NIC.
@@ -68,7 +68,8 @@ func (r *run) raiseRequest(u, v, attempt int) {
 func (r *run) onFlush(int) {
 	r.cp.After("flush", func() {
 		if r.pred != nil {
-			for _, c := range bstarConns(r.sched) {
+			r.flushBuf = appendBStarConns(r.flushBuf[:0], r.sched)
+			for _, c := range r.flushBuf {
 				r.pred.OnRelease(c)
 			}
 		}
@@ -76,9 +77,9 @@ func (r *run) onFlush(int) {
 	})
 }
 
-func bstarConns(s *core.Scheduler) []topology.Conn {
-	var out []topology.Conn
-	s.BStar().Ones(func(u, v int) bool {
+// appendBStarConns appends B*'s connections to out in (Src, Dst) order.
+func appendBStarConns(out []topology.Conn, s *core.Scheduler) []topology.Conn {
+	s.BStarView().Ones(func(u, v int) bool {
 		out = append(out, topology.Conn{Src: u, Dst: v})
 		return true
 	})

@@ -41,11 +41,11 @@ func (r *run) onPortDown(p int, permanent bool) {
 		// the point where it drained when messages left one at a time.
 		lastOf := make(map[int]int)
 		for i, m := range msgs {
-			lastOf[m.Dst] = i
+			lastOf[int(m.Dst)] = i
 		}
 		for i, m := range msgs {
-			if lastOf[m.Dst] == i {
-				r.retirePair(p, m.Dst)
+			if lastOf[int(m.Dst)] == i {
+				r.retirePair(p, int(m.Dst))
 			}
 			r.driver.Drop(m)
 		}

@@ -80,7 +80,7 @@ func (r *run) onSlot() {
 				// bytes stay queued and go out again in the next granted
 				// slot — a slot-granularity retransmission.
 				if m := r.driver.Buffers[u].Head(v); m != nil {
-					m.Retries++
+					m.NoteRetry()
 				}
 				r.driver.CountRetry()
 				continue
@@ -162,13 +162,13 @@ func checkSlotConns(cfg *bitmat.Matrix, conns []topology.Conn) error {
 // the link latency later, then the destination NIC spends its receive
 // overhead.
 func (r *run) completeMessage(m *nic.Message, slotStart sim.Time) {
-	u, v := m.Src, m.Dst
+	u, v := int(m.Src), int(m.Dst)
 	if r.probe != nil {
 		// TransmitTo already dequeued m, so the current head is its successor
 		// reaching the front of the u→v queue.
 		if h := r.driver.Buffers[u].Head(v); h != nil {
 			r.probe.Emit(probe.Event{Kind: probe.MsgHeadOfQueue, At: slotStart,
-				Src: int32(h.Src), Dst: int32(h.Dst), ID: int64(h.ID)})
+				Src: h.Src, Dst: h.Dst, ID: int64(h.ID)})
 		}
 	}
 	if !r.driver.Buffers[u].HasFor(v) {

@@ -279,6 +279,9 @@ type run struct {
 	// connsBuf is the reusable slot-connection list: the fabric's load and
 	// the data-plane grant loop's snapshot.
 	connsBuf []topology.Conn
+	// flushBuf is the reusable list of the connections a FLUSH releases,
+	// handed to the predictor one by one.
+	flushBuf []topology.Conn
 	// deliverFn is the cached deliver method value, so scheduling a
 	// message's delivery allocates no closure.
 	deliverFn sim.ArgHandler

@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -155,6 +156,7 @@ func TestReadErrors(t *testing.T) {
 		"unknown directive":    "PMSTRACE v1\nN 2\nWIBBLE\n",
 		"negative N":           "PMSTRACE v1\nN -3\n",
 		"self-send (validate)": "PMSTRACE v1\nN 2\nPROC 0\nSEND 0 8\n",
+		"oversize send":        "PMSTRACE v1\nN 2\nPROC 0\nSEND 1 2147483648\n",
 		"flush with args":      "PMSTRACE v1\nN 2\nPROC 0\nFLUSH now\n",
 		"phasehint no phases":  "PMSTRACE v1\nN 2\nPROC 0\nPHASEHINT 0\n",
 	}
@@ -162,6 +164,23 @@ func TestReadErrors(t *testing.T) {
 		if _, err := Read(strings.NewReader(src)); err == nil {
 			t.Errorf("%s: expected parse error", name)
 		}
+	}
+}
+
+// TestReadRejectsOversizeSend checks that a send larger than a simulated
+// message's 32-bit size is refused by name when the file is read, and that
+// the largest representable send is accepted.
+func TestReadRejectsOversizeSend(t *testing.T) {
+	_, err := Read(strings.NewReader("PMSTRACE v1\nN 2\nPROC 0\nSEND 1 2147483648\n"))
+	if err == nil || !strings.Contains(err.Error(), "exceeds the 2147483647-byte message limit") {
+		t.Fatalf("oversize send: err = %v, want the message-limit error", err)
+	}
+	wl, err := Read(strings.NewReader("PMSTRACE v1\nN 2\nPROC 0\nSEND 1 2147483647\n"))
+	if err != nil {
+		t.Fatalf("largest send refused: %v", err)
+	}
+	if wl.TotalBytes() != math.MaxInt32 {
+		t.Fatalf("largest send read as %d bytes", wl.TotalBytes())
 	}
 }
 

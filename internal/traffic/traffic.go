@@ -13,6 +13,7 @@ package traffic
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"pmsnet/internal/sim"
@@ -132,6 +133,10 @@ func (w *Workload) Validate() error {
 				}
 				if op.Bytes <= 0 {
 					return fmt.Errorf("traffic: proc %d op %d: size %d", p, i, op.Bytes)
+				}
+				if op.Bytes > math.MaxInt32 {
+					return fmt.Errorf("traffic: proc %d op %d: size %d exceeds the %d-byte message limit",
+						p, i, op.Bytes, math.MaxInt32)
 				}
 			case OpDelay:
 				if op.Delay < 0 {

@@ -1,6 +1,7 @@
 package traffic
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
@@ -29,7 +30,7 @@ func TestOpConstructorsAndKindString(t *testing.T) {
 }
 
 func TestValidateCatchesBadWorkloads(t *testing.T) {
-	good := &Workload{Name: "x", N: 2, Programs: []Program{{Ops: []Op{Send(1, 8)}}, {}}}
+	good := &Workload{Name: "x", N: 2, Programs: []Program{{Ops: []Op{Send(1, 8), Send(1, math.MaxInt32)}}, {}}}
 	if err := good.Validate(); err != nil {
 		t.Fatalf("good workload rejected: %v", err)
 	}
@@ -39,6 +40,8 @@ func TestValidateCatchesBadWorkloads(t *testing.T) {
 		{Name: "dst", N: 2, Programs: []Program{{Ops: []Op{Send(2, 8)}}, {}}},
 		{Name: "self", N: 2, Programs: []Program{{Ops: []Op{Send(0, 8)}}, {}}},
 		{Name: "size", N: 2, Programs: []Program{{Ops: []Op{Send(1, 0)}}, {}}},
+		{Name: "oversize", N: 2, Programs: []Program{{Ops: []Op{Send(1, math.MaxInt32+1)}}, {}}},
+		{Name: "oversize-wait", N: 2, Programs: []Program{{Ops: []Op{SendWait(1, math.MaxInt32+1)}}, {}}},
 		{Name: "delay", N: 2, Programs: []Program{{Ops: []Op{Delay(-1)}}, {}}},
 		{Name: "phase", N: 2, Programs: []Program{{Ops: []Op{Phase(0)}}, {}}},
 		{Name: "kind", N: 2, Programs: []Program{{Ops: []Op{{Kind: OpKind(9)}}}, {}}},

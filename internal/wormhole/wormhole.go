@@ -164,7 +164,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 	r.deliverFn = r.deliver
 
 	driver, err := netmodel.NewDriver(eng, lm, wl, netmodel.Hooks{
-		OnEnqueue: func(m *nic.Message) { r.ports.Kick(m.Src) },
+		OnEnqueue: func(m *nic.Message) { r.ports.Kick(int(m.Src)) },
 	})
 	if err != nil {
 		return metrics.Result{}, err
@@ -239,15 +239,15 @@ func (r *run) freeWorm(w *worm) {
 func (r *run) sendWorm(s int, m *nic.Message, i int) {
 	if i == 0 && r.probe != nil {
 		r.probe.Emit(probe.Event{Kind: probe.MsgInjected, At: r.eng.Now(),
-			Src: int32(m.Src), Dst: int32(m.Dst), ID: int64(m.ID)})
+			Src: m.Src, Dst: m.Dst, ID: int64(m.ID)})
 	}
-	bytes := wormBytes(m.Bytes, i)
+	bytes := wormBytes(int(m.Bytes), i)
 	serDone := r.eng.Now() + r.cfg.Link.SerializationTime(bytes)
 	headArrives := r.eng.Now() + r.inputPipe
 
 	w := r.newWorm()
 	w.bytes, w.msg, w.idx = bytes, m, i
-	w.last = i == wormCount(m.Bytes)-1
+	w.last = i == wormCount(int(m.Bytes))-1
 	w.pending, w.readyAt = 2, 0
 	r.eng.AtArg(serDone, "worm-serialized", r.condMetFn, w)
 	r.eng.AtArg(headArrives, "worm-at-switch", r.atSwitchFn, w)
@@ -271,10 +271,10 @@ func (r *run) conditionMet(arg any) {
 func (r *run) wormNext(arg any) {
 	w := arg.(*worm)
 	m := w.msg
-	if w.idx+1 < wormCount(m.Bytes) {
-		r.sendWorm(m.Src, m, w.idx+1)
+	if w.idx+1 < wormCount(int(m.Bytes)) {
+		r.sendWorm(int(m.Src), m, w.idx+1)
 	} else {
-		r.ports.Next(m.Src)
+		r.ports.Next(int(m.Src))
 	}
 }
 
@@ -282,7 +282,7 @@ func (r *run) wormNext(arg any) {
 func (r *run) atSwitch(arg any) {
 	w := arg.(*worm)
 	r.outQueue[w.msg.Dst] = append(r.outQueue[w.msg.Dst], w)
-	r.kickOutput(w.msg.Dst)
+	r.kickOutput(int(w.msg.Dst))
 }
 
 // kickOutput serves the next waiting worm on an idle output port. The worm
@@ -314,7 +314,7 @@ func (r *run) kickOutput(v int) {
 // so the struct returns to the pool here.
 func (r *run) throughSwitch(arg any) {
 	w := arg.(*worm)
-	u, v := w.msg.Src, w.msg.Dst
+	u, v := int(w.msg.Src), int(w.msg.Dst)
 	r.outBusy[v] = false
 	r.inBusy[u] = false
 	if w.last {

@@ -41,6 +41,41 @@ func TestRunAllocationIsNotQuadratic(t *testing.T) {
 	}
 }
 
+// runAllocPerMessageBoundMB bounds the host memory one Figure-4 dynamic-TDM
+// run of random-mesh at N=128 (6,400 messages of 64 bytes) allocates. Such a
+// run allocates about 0.75 MB, of which the message array, one 64-byte Message
+// per message, is 0.4 MB. A second per-message array (a 40-byte delivery
+// record appended per delivery) or a Message grown to 96 bytes took it to
+// 1.19 MB.
+const runAllocPerMessageBoundMB = 0.9
+
+func TestRunAllocationPerMessage(t *testing.T) {
+	const n = 128
+	wl, err := GenerateWorkload("random-mesh:bytes=64,msgs=50", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Switching: DynamicTDM, N: n, K: 4,
+		Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	rep, err := Run(cfg, wl)
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rep.Messages != wl.Messages() {
+		t.Fatalf("delivered %d of %d messages", rep.Messages, wl.Messages())
+	}
+	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	t.Logf("one N=%d run of %d messages allocated %.2f MB", n, rep.Messages, mb)
+	if mb > runAllocPerMessageBoundMB {
+		t.Fatalf("one N=%d run of %d messages allocated %.2f MB, bound %.2f MB: is there per-message state besides the message array?",
+			n, rep.Messages, mb, runAllocPerMessageBoundMB)
+	}
+}
+
 // TestPlannedRunAllocation bounds the host memory one run of the Fig-4
 // two-phase workload at N=128 allocates, in perfbench's two configurations,
 // with its static phases planned inside the run. Decomposing and planning
@@ -49,7 +84,9 @@ func TestRunAllocationIsNotQuadratic(t *testing.T) {
 // run and 127.4 MB for the hybrid one. Lean planning with a map-keyed group
 // index and a fresh empty matrix per unused slot on every group load
 // allocated 9.2 and 12.1 MB; with in-place flips, the per-source index and
-// one shared empty matrix it allocates about 5.0 and 9.9 MB.
+// one shared empty matrix, 5.0 and 9.9 MB. With the message array as the only
+// per-message state and a FLUSH that lists B* into a reused buffer without
+// copying it, about 3.8 and 7.4 MB.
 func TestPlannedRunAllocation(t *testing.T) {
 	const n = 128
 	wl, err := GenerateWorkload("two-phase:bytes=64", n, 1)
@@ -61,10 +98,10 @@ func TestPlannedRunAllocation(t *testing.T) {
 		cfg     Config
 		boundMB float64
 	}{
-		{"tdm-preload", Config{Switching: PreloadTDM, N: n, K: 4, Parallelism: 1}, 7},
+		{"tdm-preload", Config{Switching: PreloadTDM, N: n, K: 4, Parallelism: 1}, 5.8},
 		{"tdm-hybrid-solstice", Config{Switching: HybridTDM, N: n, K: 4,
 			PreloadSlots: 2, Planner: PlannerSolstice,
-			Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}, 11.5},
+			Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}, 9.0},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()
