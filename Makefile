@@ -45,24 +45,27 @@ race:
 # the usual text output. The default 1s benchtime gives the engine
 # microbenches real iteration counts (the harness benches exceed it in one
 # iteration and run once either way); BENCHTIME=1x does a fastest-possible
-# smoke pass.
+# smoke pass. GOFLAGS=-count=N runs the suite N times; benchjson records
+# each metric's median and interquartile range over the runs.
 BENCHTIME ?= 1s
 # BENCHOUT is where the fresh capture lands. The committed captures
-# BENCH_1.json to BENCH_8.json are history and stay untouched so runs can
-# diff against them; BENCH_8.json is the current gate baseline.
+# BENCH_1.json to BENCH_9.json are history and stay untouched so runs can
+# diff against them; BENCH_9.json is the current gate baseline.
 BENCHOUT ?= BENCH_NEW.json
 bench:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \
 		| $(GO) run ./cmd/benchjson -o $(BENCHOUT)
 
-# Regression gate: rerun the suite and fail if any benchmark got more than
-# 20% worse than the baseline in the gated metrics. BENCH_8.json is the
-# full-suite capture taken once per-pair NIC state was sized by traffic
-# instead of N-squared.
+# Regression gate: rerun the suite and fail if any benchmark got worse than
+# the baseline in the gated metrics: ns/op by more than 20% or the
+# baseline's IQR, allocs/op by more than 2%. BENCH_9.json is the capture
+# `make bench BENCHOUT=BENCH_9.json BENCHTIME=100x GOFLAGS=-count=5`, taken
+# once every layer indexed its per-connection state by the run's connection
+# table.
 # Timing needs the full BENCHTIME to be meaningful and is measured by
 # perfbench; BENCHMETRICS=allocs/op gates allocations alone, which are
 # deterministic even at short benchtimes (CI's setting).
-BASELINE ?= BENCH_8.json
+BASELINE ?= BENCH_9.json
 BENCHMETRICS ?= ns/op,allocs/op
 bench-compare:
 	$(GO) test -run '^$$' -bench . -benchmem -benchtime $(BENCHTIME) ./... \

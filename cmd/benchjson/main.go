@@ -9,12 +9,18 @@
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson -o BENCH_1.json
 //
+// A benchmark that appears several times (`go test -count N`) is recorded
+// once, with the median of each metric over its runs, the interquartile
+// range (IQR) in "iqr" and the run count in "samples".
+//
 // With -compare BASELINE.json it additionally diffs the fresh run against a
 // previously captured JSON document, printing one line per shared benchmark
 // and watched metric with its percent delta and an ok/improved/REGRESSION
-// verdict, and exits non-zero when any benchmark regressed by more than
-// -threshold percent (default 20) in ns/op or allocs/op — the regression
-// gate behind `make bench-compare`.
+// verdict, and exits non-zero when any benchmark regressed — the regression
+// gate behind `make bench-compare`. ns/op regresses when its median grows by
+// more than -threshold percent (default 20) or the baseline's IQR, whichever
+// is larger; allocs/op, which is deterministic, by more than 2%; any other
+// watched unit by more than -threshold.
 package main
 
 import (
@@ -25,6 +31,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 )
@@ -36,8 +43,12 @@ type Benchmark struct {
 	Name       string `json:"name"`
 	Iterations int64  `json:"iterations"`
 	// Metrics maps unit → value: "ns/op", "B/op", "allocs/op" and any
-	// custom ReportMetric units.
+	// custom ReportMetric units. Over several runs it is the median.
 	Metrics map[string]float64 `json:"metrics"`
+	// Samples counts the runs aggregated, and IQR maps each unit to the
+	// interquartile range over them; both are absent for a single run.
+	Samples int                `json:"samples,omitempty"`
+	IQR     map[string]float64 `json:"iqr,omitempty"`
 }
 
 func main() {
@@ -49,10 +60,11 @@ func main() {
 	flag.Parse()
 	comparedMetrics = strings.Split(*metrics, ",")
 
-	benches, err := parse(os.Stdin, os.Stdout)
+	runs, err := parse(os.Stdin, os.Stdout)
 	if err != nil {
 		fatal(err)
 	}
+	benches := aggregate(runs)
 	if *out != "" || *compareWith == "" {
 		doc, err := json.MarshalIndent(map[string]any{"benchmarks": benches}, "", "  ")
 		if err != nil {
@@ -102,9 +114,17 @@ func loadBaseline(path string) ([]Benchmark, error) {
 // costs, so they are reported informally but never gate.
 var comparedMetrics = []string{"ns/op", "allocs/op"}
 
+// allocThreshold is the allocs/op regression threshold in percent. Three
+// single captures of one tree differed from its -count 5 capture by at
+// most 0.1% in every benchmark's allocs/op.
+const allocThreshold = 2.0
+
 // compare diffs the fresh run against the baseline: every shared benchmark
 // gets one line per watched metric with its percent delta and a verdict —
-// "ok" within the threshold, "improved" below it, "REGRESSION" above it.
+// "ok" within the metric's limit, "improved" below it, "REGRESSION" above
+// it. The limit is threshold, or for allocs/op allocThreshold; for ns/op it
+// widens to the baseline's IQR when that is larger, so a noisy benchmark
+// gates at its own spread.
 // It returns the number of regressed (benchmark, metric) pairs. Benchmarks
 // present on only one side are noted but never count as regressions —
 // renames and new benchmarks must not break the gate.
@@ -130,12 +150,21 @@ func compare(baseline, fresh []Benchmark, threshold float64, w io.Writer) int {
 				continue
 			}
 			pct := deltaPercent(old, now)
+			limit := threshold
+			switch unit {
+			case "allocs/op":
+				limit = allocThreshold
+			case "ns/op":
+				if iqr := b.IQR[unit]; old > 0 {
+					limit = max(limit, iqr/old*100)
+				}
+			}
 			verdict := "ok"
 			switch {
-			case pct > threshold:
+			case pct > limit:
 				regressions++
 				verdict = "REGRESSION"
-			case pct < -threshold:
+			case pct < -limit:
 				verdict = "improved"
 			}
 			fmt.Fprintf(w, "  %-10s %s %s: %s -> %s (%+.1f%%)\n",
@@ -216,6 +245,56 @@ func parseLine(line string) (Benchmark, bool) {
 		b.Metrics[fields[i+1]] = v
 	}
 	return b, true
+}
+
+// aggregate merges repeated runs of a benchmark into one entry, in order of
+// first appearance: each metric's median over the runs, and with more than
+// one run the sample count and each metric's IQR.
+func aggregate(runs []Benchmark) []Benchmark {
+	var out []Benchmark
+	byName := map[string][]Benchmark{}
+	for _, b := range runs {
+		if byName[b.Name] == nil {
+			out = append(out, Benchmark{Name: b.Name})
+		}
+		byName[b.Name] = append(byName[b.Name], b)
+	}
+	for i := range out {
+		rs := byName[out[i].Name]
+		values := map[string][]float64{}
+		var iters []float64
+		for _, r := range rs {
+			iters = append(iters, float64(r.Iterations))
+			for unit, v := range r.Metrics {
+				values[unit] = append(values[unit], v)
+			}
+		}
+		out[i].Iterations = int64(quantile(iters, 0.5))
+		out[i].Metrics = map[string]float64{}
+		for unit, vs := range values {
+			out[i].Metrics[unit] = quantile(vs, 0.5)
+		}
+		if len(rs) > 1 {
+			out[i].Samples = len(rs)
+			out[i].IQR = map[string]float64{}
+			for unit, vs := range values {
+				out[i].IQR[unit] = quantile(vs, 0.75) - quantile(vs, 0.25)
+			}
+		}
+	}
+	return out
+}
+
+// quantile returns the q-quantile of vs by linear interpolation between
+// the order statistics; it sorts vs.
+func quantile(vs []float64, q float64) float64 {
+	slices.Sort(vs)
+	h := q * float64(len(vs)-1)
+	lo := int(h)
+	if lo+1 >= len(vs) {
+		return vs[lo]
+	}
+	return vs[lo] + (h-float64(lo))*(vs[lo+1]-vs[lo])
 }
 
 // stripProcs removes the trailing -N GOMAXPROCS suffix the testing package

@@ -141,3 +141,70 @@ func TestParseLineRejectsMalformed(t *testing.T) {
 		}
 	}
 }
+
+func TestAggregateCountRuns(t *testing.T) {
+	in := `BenchmarkX-2   	 100	        10 ns/op	      5 allocs/op
+BenchmarkY-2   	   7	        42 ns/op
+BenchmarkX-2   	 100	        12 ns/op	      5 allocs/op
+BenchmarkX-2   	 120	        11 ns/op	      5 allocs/op
+BenchmarkX-2   	 100	        30 ns/op	      5 allocs/op
+BenchmarkX-2   	  90	        13 ns/op	      5 allocs/op
+`
+	runs, err := parse(strings.NewReader(in), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	benches := aggregate(runs)
+	if len(benches) != 2 || benches[0].Name != "BenchmarkX" || benches[1].Name != "BenchmarkY" {
+		t.Fatalf("aggregate = %+v, want X then Y", benches)
+	}
+	x := benches[0]
+	// ns/op sorted: 10 11 12 13 30 — median 12, quartiles 11 and 13.
+	if x.Samples != 5 || x.Iterations != 100 || x.Metrics["ns/op"] != 12 || x.IQR["ns/op"] != 2 {
+		t.Errorf("X = %+v, want 5 samples, 100 iterations, median 12 ns/op, IQR 2", x)
+	}
+	if x.Metrics["allocs/op"] != 5 || x.IQR["allocs/op"] != 0 {
+		t.Errorf("X allocs/op median %v IQR %v, want 5 and 0", x.Metrics["allocs/op"], x.IQR["allocs/op"])
+	}
+	if y := benches[1]; y.Samples != 0 || y.IQR != nil || y.Metrics["ns/op"] != 42 {
+		t.Errorf("single run Y = %+v, want its value and no samples or IQR", y)
+	}
+	if got := quantile([]float64{4, 1, 3, 2}, 0.5); got != 2.5 {
+		t.Errorf("median of 1..4 = %v, want 2.5", got)
+	}
+}
+
+func TestCompareGatesNsAtBaselineIQR(t *testing.T) {
+	for _, tc := range []struct {
+		iqr, now float64
+		want     int
+	}{
+		{30, 125, 0}, // within the 30% spread of a noisy baseline
+		{30, 135, 1}, // beyond it
+		{5, 125, 1},  // a quiet baseline gates at the 20% threshold
+		{0, 115, 0},
+	} {
+		base := []Benchmark{{Name: "BenchmarkN", Metrics: map[string]float64{"ns/op": 100},
+			IQR: map[string]float64{"ns/op": tc.iqr}}}
+		fresh := []Benchmark{{Name: "BenchmarkN", Metrics: map[string]float64{"ns/op": tc.now}}}
+		var report strings.Builder
+		if got := compare(base, fresh, 20, &report); got != tc.want {
+			t.Errorf("IQR %v, 100 -> %v ns/op: %d regressions, want %d\n%s", tc.iqr, tc.now, got, tc.want, report.String())
+		}
+	}
+}
+
+func TestCompareGatesAllocsTightly(t *testing.T) {
+	for _, tc := range []struct {
+		now  float64
+		want int
+	}{{101, 0}, {102, 0}, {103, 1}, {110, 1}} {
+		base := []Benchmark{{Name: "BenchmarkA", Metrics: map[string]float64{"allocs/op": 100},
+			IQR: map[string]float64{"allocs/op": 40}}}
+		fresh := []Benchmark{{Name: "BenchmarkA", Metrics: map[string]float64{"allocs/op": tc.now}}}
+		var report strings.Builder
+		if got := compare(base, fresh, 20, &report); got != tc.want {
+			t.Errorf("100 -> %v allocs/op: %d regressions, want %d\n%s", tc.now, got, tc.want, report.String())
+		}
+	}
+}

@@ -125,7 +125,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 	r.resendRequestFn = r.resendRequest
 	r.resendGrantFn = r.resendGrant
 	driver, err := netmodel.NewDriver(eng, lm, wl, netmodel.Hooks{
-		OnEnqueue: func(m *nic.Message) { r.ports.Kick(int(m.Src)) },
+		OnEnqueue: func(m *nic.Message, _ int32, _ bool) { r.ports.Kick(int(m.Src)) },
 	})
 	if err != nil {
 		return metrics.Result{}, err

@@ -94,8 +94,8 @@ func (s *Scheduler) releaseVanished(eff *bitmat.Matrix, slot int) {
 			word &= word - 1
 			v := int(s.rowDst[slot][u])
 			if !eff.Get(u, v) {
-				s.clearConn(slot, u, v)
-				s.relBuf = append(s.relBuf, Change{Src: u, Dst: v, Slot: slot})
+				id := s.clearConn(slot, u, v)
+				s.relBuf = append(s.relBuf, Change{Src: u, Dst: v, Slot: slot, ID: id})
 			}
 		}
 	}
@@ -165,8 +165,8 @@ func (s *Scheduler) scheduleSlotISLIP(r *bitmat.Matrix, slot int) {
 				// the request for another slot.
 				continue
 			}
-			s.setConn(slot, u, acc)
-			s.estBuf = append(s.estBuf, Change{Src: u, Dst: acc, Slot: slot})
+			id := s.setConn(slot, u, acc)
+			s.estBuf = append(s.estBuf, Change{Src: u, Dst: acc, Slot: slot, ID: id})
 			accepted = true
 			if it == 0 {
 				m.grantPtr[acc] = (u + 1) % n
@@ -215,8 +215,8 @@ func (s *Scheduler) scheduleSlotWavefront(r *bitmat.Matrix, slot int) {
 			if s.p.CanEstablish != nil && !s.p.CanEstablish(b, u, v) {
 				continue
 			}
-			s.setConn(slot, u, v)
-			s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot})
+			id := s.setConn(slot, u, v)
+			s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot, ID: id})
 		}
 	}
 	s.finishSlot(slot, estStart, relStart)

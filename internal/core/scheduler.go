@@ -24,8 +24,7 @@
 // All five extensions listed in §4 are implemented: multiple SL copies
 // (Params.SLCopies), multi-slot connections (AddBandwidth), request latching
 // with explicit eviction (Params.LatchRequests, Evict), flush (Flush), and
-// preloaded pinned configurations with dynamic coexistence (LoadConfig,
-// PinSlot).
+// preloaded pinned configurations with dynamic coexistence (LoadConfig).
 package core
 
 import (
@@ -74,6 +73,11 @@ type Params struct {
 	// Tables 1–2 scheduling array (the default), iSLIP, or wavefront
 	// matching. See match.go for the alternatives' semantics and provenance.
 	Algorithm Algorithm
+	// Conns, when non-nil, is the run's connection table: the slot index
+	// keeps each connection's id next to its destination, resolved once per
+	// establish, and Changes and AppendSlotConns hand it out. Without a
+	// table every id is -1.
+	Conns *topology.ConnTable
 }
 
 // withDefaults normalizes zero values.
@@ -101,10 +105,12 @@ func (p Params) Validate() error {
 	return nil
 }
 
-// Change records one connection established or released by a pass.
+// Change records one connection established or released by a pass, with
+// its id in Params.Conns.
 type Change struct {
 	Src, Dst int
 	Slot     int
+	ID       int32
 }
 
 // PassResult summarizes one scheduling pass. Its slices are scheduler-owned
@@ -136,14 +142,17 @@ type Scheduler struct {
 	pinned  []bool
 	latch   *bitmat.Sparse
 	bstar   *bitmat.Matrix
+	// heldIDs is B* as a bitset over Params.Conns ids (nil without a table).
+	heldIDs []uint64
 
 	// Incrementally-maintained per-pair slot index. Every configuration is a
 	// partial permutation, so a slot holds at most one connection per input
 	// row and per output column; the index stores it directly. All config
 	// mutation funnels through setConn/clearConn (including preloads), which
-	// also keep B* current, so SlotsOf/slotCountOf/GrantRow are O(K) array
-	// reads instead of O(K·N/64) word scans.
+	// also keep B* current, so the per-pair queries are O(K) array reads
+	// instead of O(K·N/64) word scans.
 	rowDst     [][]int32  // [slot][u] = v of the connection u→v, or -1
+	rowID      [][]int32  // [slot][u] = Params.Conns id of u→rowDst, or -1
 	colSrc     [][]int32  // [slot][v] = u of the connection u→v, or -1
 	cfgRowMask [][]uint64 // [slot]: AI bitmask (input u occupied)
 	cfgColMask [][]uint64 // [slot]: AO bitmask (output v occupied)
@@ -199,6 +208,7 @@ func NewScheduler(p Params) (*Scheduler, error) {
 		bstar:      bitmat.NewSquare(p.N),
 		lBuf:       bitmat.NewSquare(p.N),
 		rowDst:     make([][]int32, p.K),
+		rowID:      make([][]int32, p.K),
 		colSrc:     make([][]int32, p.K),
 		cfgRowMask: make([][]uint64, p.K),
 		cfgColMask: make([][]uint64, p.K),
@@ -209,7 +219,7 @@ func NewScheduler(p Params) (*Scheduler, error) {
 	// capacity, so an append that outgrows a piece reallocates instead of
 	// spilling into its neighbour.
 	occWords := (p.N + 63) / 64
-	idx := make([]int32, 2*p.K*p.N)
+	idx := make([]int32, 3*p.K*p.N)
 	for j := range idx {
 		idx[j] = -1
 	}
@@ -227,12 +237,16 @@ func NewScheduler(p Params) (*Scheduler, error) {
 	for i := range s.configs {
 		s.configs[i] = bitmat.NewSquare(p.N)
 		s.rowDst[i] = carveIdx()
+		s.rowID[i] = carveIdx()
 		s.colSrc[i] = carveIdx()
 		s.cfgRowMask[i] = carveWords()
 		s.cfgColMask[i] = carveWords()
 	}
 	if p.LatchRequests {
 		s.effBuf = bitmat.NewSquare(p.N)
+	}
+	if p.Conns != nil {
+		s.heldIDs = make([]uint64, (p.Conns.Len()+63)/64)
 	}
 	s.occOut = carveWords()
 	s.occIn = carveWords()
@@ -255,32 +269,47 @@ func NewScheduler(p Params) (*Scheduler, error) {
 // --- per-pair slot index ---
 
 // setConn establishes u→v in a slot, updating the configuration matrix, the
-// slot index, the per-slot occupancy masks and B* together. The caller must
-// have verified the slot's row u and column v are free (partial-permutation
-// discipline); every establish path does.
-func (s *Scheduler) setConn(slot, u, v int) {
+// slot index, the per-slot occupancy masks and B* together, and returns the
+// connection's id. The caller must have verified the slot's row u and column
+// v are free (partial-permutation discipline); every establish path does.
+func (s *Scheduler) setConn(slot, u, v int) int32 {
+	id := int32(-1)
+	if s.p.Conns != nil {
+		id = s.p.Conns.ID(u, v)
+	}
 	s.configs[slot].Set(u, v)
 	s.rowDst[slot][u] = int32(v)
+	s.rowID[slot][u] = id
 	s.colSrc[slot][v] = int32(u)
 	maskSet(s.cfgRowMask[slot], u)
 	maskSet(s.cfgColMask[slot], v)
 	s.cfgCount[slot]++
 	s.bstar.Set(u, v)
+	if id >= 0 {
+		maskSet(s.heldIDs, int(id))
+	}
+	return id
 }
 
-// clearConn releases u→v from a slot. The connection must be present there.
-// B* drops the bit only when the pair is gone from every slot (AddBandwidth
-// can hold it in several).
-func (s *Scheduler) clearConn(slot, u, v int) {
+// clearConn releases u→v from a slot and returns its id. The connection
+// must be present there. B* drops the bit only when the pair is gone from
+// every slot (AddBandwidth can hold it in several).
+func (s *Scheduler) clearConn(slot, u, v int) int32 {
+	id := s.rowID[slot][u]
 	s.configs[slot].Clear(u, v)
 	s.rowDst[slot][u] = -1
+	s.rowID[slot][u] = -1
 	s.colSrc[slot][v] = -1
 	maskClear(s.cfgRowMask[slot], u)
 	maskClear(s.cfgColMask[slot], v)
 	s.cfgCount[slot]--
 	if s.slotCountOf(u, v) == 0 {
 		s.bstar.Clear(u, v)
+		if id >= 0 {
+			maskClear(s.heldIDs, int(id))
+		}
 	}
+	return id
 }
 
 // clearSlot releases every connection of a slot through clearConn, in
@@ -333,41 +362,19 @@ func (s *Scheduler) Config(slot int) *bitmat.Matrix {
 	return s.configs[slot].Clone()
 }
 
-// BStar returns a copy of B*, the OR of all configuration matrices: every
-// connection currently established in any slot. B* is maintained
-// incrementally by the connection index, so this is just a copy.
-func (s *Scheduler) BStar() *bitmat.Matrix {
-	return s.bstar.Clone()
-}
-
 // BStarView returns B* itself, without the copy BStar makes. The matrix is
 // live and read-only for callers: every establish, eviction and flush
 // changes it.
 func (s *Scheduler) BStarView() *bitmat.Matrix { return s.bstar }
 
+// HeldIDs returns B* as a bitset over the ids of Params.Conns, nil without
+// a table. Like BStarView it is live and read-only for callers.
+func (s *Scheduler) HeldIDs() []uint64 { return s.heldIDs }
+
 // Connected reports whether the connection src→dst is established in any
 // slot (the B* bit).
 func (s *Scheduler) Connected(src, dst int) bool {
 	return s.bstar.Get(src, dst)
-}
-
-// SlotsOf returns the slots in which src→dst is established (more than one
-// under AddBandwidth).
-func (s *Scheduler) SlotsOf(src, dst int) []int {
-	return s.AppendSlotsOf(nil, src, dst)
-}
-
-// AppendSlotsOf appends the slots in which src→dst is established to dst
-// and returns the extended slice — the allocation-free variant of SlotsOf
-// for hot paths that hold a reusable buffer. The slot index makes this O(K)
-// array reads instead of K row-word scans.
-func (s *Scheduler) AppendSlotsOf(dst []int, src, dstPort int) []int {
-	for i := 0; i < s.p.K; i++ {
-		if s.rowDst[i][src] == int32(dstPort) {
-			dst = append(dst, i)
-		}
-	}
-	return dst
 }
 
 // slotCountOf returns the number of slots holding src→dst without
@@ -387,41 +394,12 @@ func (s *Scheduler) Connections() int {
 	return s.bstar.Count()
 }
 
-// ActiveSlots returns the indices of slots with a non-empty configuration —
-// the effective multiplexing degree the TDM counter cycles through when
-// empty-slot skipping is on.
-func (s *Scheduler) ActiveSlots() []int {
-	return s.AppendActiveSlots(nil)
-}
-
-// AppendActiveSlots appends the active slot indices to dst and returns the
-// extended slice — the allocation-free variant of ActiveSlots.
-func (s *Scheduler) AppendActiveSlots(dst []int) []int {
-	for i, n := range s.cfgCount {
-		if n > 0 {
-			dst = append(dst, i)
-		}
-	}
-	return dst
-}
-
-// ActiveSlotCount returns the number of non-empty slots without
-// materializing the index list.
-func (s *Scheduler) ActiveSlotCount() int {
-	n := 0
-	for _, c := range s.cfgCount {
-		if c > 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// AppendSlotConns appends every connection of a slot to dst in ascending
-// row order and returns the extended slice — the list the fabric register
-// is loaded with and the data-plane grant snapshot, read straight from the
-// slot index in O(connections) instead of N first-in-row word scans.
-func (s *Scheduler) AppendSlotConns(dst []topology.Conn, slot int) []topology.Conn {
+// AppendSlotConns appends every connection of a slot to dst, and its id to
+// ids, in ascending row order and returns the extended slices — the list the
+// fabric register is loaded with and the data-plane grant snapshot, read
+// straight from the slot index in O(connections) instead of N first-in-row
+// word scans.
+func (s *Scheduler) AppendSlotConns(dst []topology.Conn, ids []int32, slot int) ([]topology.Conn, []int32) {
 	s.checkSlot(slot)
 	mask := s.cfgRowMask[slot]
 	for w, word := range mask {
@@ -429,9 +407,10 @@ func (s *Scheduler) AppendSlotConns(dst []topology.Conn, slot int) []topology.Co
 			u := w*64 + bits.TrailingZeros64(word)
 			word &= word - 1
 			dst = append(dst, topology.Conn{Src: u, Dst: int(s.rowDst[slot][u])})
+			ids = append(ids, s.rowID[slot][u])
 		}
 	}
-	return dst
+	return dst, ids
 }
 
 func (s *Scheduler) checkSlot(slot int) {
@@ -463,16 +442,6 @@ func (s *Scheduler) NextFabricSlot() (slot int, ok bool) {
 		return t, true
 	}
 	return -1, false
-}
-
-// GrantRow returns the grant signal G_u for NIC u in the given slot: the
-// output port u may send to during that slot, or -1 when u has no grant.
-// At most one bit of a configuration row is set, so the grant is a single
-// port.
-func (s *Scheduler) GrantRow(slot, u int) int {
-	s.checkSlot(slot)
-	s.checkPort(u)
-	return int(s.rowDst[slot][u])
 }
 
 // --- scheduling logic (SL side) ---
@@ -595,10 +564,10 @@ func (s *Scheduler) scheduleSlot(r *bitmat.Matrix, slot int) {
 			// whose ports happen to be busy.
 			if b.Get(u, v) {
 				// Table 2 row (L=1, A=1, D=1): release, ports become free.
-				s.clearConn(slot, u, v)
+				id := s.clearConn(slot, u, v)
 				maskClear(s.occOut, v)
 				maskClear(s.occIn, u)
-				s.relBuf = append(s.relBuf, Change{Src: u, Dst: v, Slot: slot})
+				s.relBuf = append(s.relBuf, Change{Src: u, Dst: v, Slot: slot, ID: id})
 			} else if !maskTest(s.occOut, v) && !maskTest(s.occIn, u) {
 				if s.p.CanEstablish != nil && !s.p.CanEstablish(b, u, v) {
 					// Fabric constraint: the connection would make this
@@ -607,10 +576,10 @@ func (s *Scheduler) scheduleSlot(r *bitmat.Matrix, slot int) {
 					continue
 				}
 				// Table 2 row (L=1, A=0, D=0): establish, ports become busy.
-				s.setConn(slot, u, v)
+				id := s.setConn(slot, u, v)
 				maskSet(s.occOut, v)
 				maskSet(s.occIn, u)
-				s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot})
+				s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot, ID: id})
 			}
 			// Mixed availability (Table 2 middle rows): no change; the
 			// signals pass through unchanged.
@@ -733,8 +702,8 @@ func (s *Scheduler) DynamicSlotCount() int {
 
 // LoadConfig loads a predefined configuration into a slot (extension 5,
 // compiled communication). The configuration must be a partial permutation.
-// If pin is true the slot is excluded from dynamic scheduling until
-// UnpinSlot or FlushAll.
+// If pin is true the slot is excluded from dynamic scheduling until a later
+// LoadConfig unpins it.
 func (s *Scheduler) LoadConfig(slot int, cfg *bitmat.Matrix, pin bool) error {
 	s.checkSlot(slot)
 	if cfg.Rows() != s.p.N || cfg.Cols() != s.p.N {
@@ -750,18 +719,6 @@ func (s *Scheduler) LoadConfig(slot int, cfg *bitmat.Matrix, pin bool) error {
 	})
 	s.pinned[slot] = pin
 	return nil
-}
-
-// PinSlot marks a slot as preloaded so dynamic scheduling leaves it alone.
-func (s *Scheduler) PinSlot(slot int, pin bool) {
-	s.checkSlot(slot)
-	s.pinned[slot] = pin
-}
-
-// Pinned reports whether a slot is pinned.
-func (s *Scheduler) Pinned(slot int) bool {
-	s.checkSlot(slot)
-	return s.pinned[slot]
 }
 
 // AddBandwidth tries to insert the established connection src→dst into up to
@@ -841,12 +798,12 @@ func (s *Scheduler) EvictPort(p int) []Change {
 		// A self-loop p→p clears colSrc[p] with the row entry, so it is not
 		// reported twice.
 		if v := s.rowDst[slot][p]; v >= 0 {
-			s.clearConn(slot, p, int(v))
-			out = append(out, Change{Src: p, Dst: int(v), Slot: slot})
+			id := s.clearConn(slot, p, int(v))
+			out = append(out, Change{Src: p, Dst: int(v), Slot: slot, ID: id})
 		}
 		if u := s.colSrc[slot][p]; u >= 0 {
-			s.clearConn(slot, int(u), p)
-			out = append(out, Change{Src: int(u), Dst: p, Slot: slot})
+			id := s.clearConn(slot, int(u), p)
+			out = append(out, Change{Src: int(u), Dst: p, Slot: slot, ID: id})
 		}
 	}
 	for _, ch := range out {
@@ -882,24 +839,6 @@ func (s *Scheduler) Flush() {
 	}
 }
 
-// FlushAll clears everything, including pinned slots, and unpins them.
-func (s *Scheduler) FlushAll() {
-	for slot := 0; slot < s.p.K; slot++ {
-		s.clearSlot(slot)
-		s.pinned[slot] = false
-	}
-	s.latch.Reset()
-	s.stats.Flushes++
-	if s.probe != nil {
-		s.probe.Emit(probe.Event{Kind: probe.Flush, At: s.now()})
-	}
-}
-
-// Latched reports whether a dropped request for src→dst is being held.
-func (s *Scheduler) Latched(src, dst int) bool {
-	return s.latch.Get(src, dst)
-}
-
 // CheckInvariants verifies the structural invariants of the scheduler state:
 // every configuration is a partial permutation, B* equals the OR of the
 // configurations, the per-pair slot index (rowDst/colSrc, occupancy masks,
@@ -923,6 +862,21 @@ func (s *Scheduler) CheckInvariants() error {
 	if !s.bstar.Equal(want) {
 		return fmt.Errorf("core: B* out of sync with configurations")
 	}
+	if t := s.p.Conns; t != nil {
+		held := 0
+		for id := int32(0); id < int32(t.Len()); id++ {
+			c := t.Conn(id)
+			if maskTest(s.heldIDs, int(id)) != s.bstar.Get(c.Src, c.Dst) {
+				return fmt.Errorf("core: held id %d (%v) out of sync with B*", id, c)
+			}
+			if s.bstar.Get(c.Src, c.Dst) {
+				held++
+			}
+		}
+		if held != s.bstar.Count() {
+			return fmt.Errorf("core: B* holds %d connections, %d of them in the table", s.bstar.Count(), held)
+		}
+	}
 	for i, c := range s.configs {
 		count := 0
 		for u := 0; u < s.p.N; u++ {
@@ -932,6 +886,13 @@ func (s *Scheduler) CheckInvariants() error {
 			}
 			if maskTest(s.cfgRowMask[i], u) != (v >= 0) {
 				return fmt.Errorf("core: slot %d row mask out of sync at input %d", i, u)
+			}
+			want := int32(-1)
+			if v >= 0 && s.p.Conns != nil {
+				want = s.p.Conns.ID(u, v)
+			}
+			if s.rowID[i][u] != want {
+				return fmt.Errorf("core: slot %d rowID[%d]=%d, want %d", i, u, s.rowID[i][u], want)
 			}
 			if v >= 0 {
 				count++

@@ -131,7 +131,7 @@ func TestSLModuleTable2(t *testing.T) {
 		}
 		// No request for (u,v): release it.
 		est, rel := s.ScheduleSlot(bitmat.NewSquare(n), 0)
-		if len(est) != 0 || len(rel) != 1 || rel[0] != (Change{u, v, 0}) {
+		if len(est) != 0 || len(rel) != 1 || rel[0] != (Change{u, v, 0, -1}) {
 			t.Fatalf("est=%v rel=%v, want single release of %d->%d", est, rel, u, v)
 		}
 		if s.Connected(u, v) {
@@ -169,7 +169,7 @@ func TestSLModuleTable2(t *testing.T) {
 	t.Run("L=1 A=0 D=0 establish", func(t *testing.T) {
 		s := newTest(n, 1)
 		est, rel := s.ScheduleSlot(req(n, [2]int{u, v}), 0)
-		if len(rel) != 0 || len(est) != 1 || est[0] != (Change{u, v, 0}) {
+		if len(rel) != 0 || len(est) != 1 || est[0] != (Change{u, v, 0, -1}) {
 			t.Fatalf("est=%v rel=%v, want single establish of %d->%d", est, rel, u, v)
 		}
 		if !s.Connected(u, v) {
@@ -212,10 +212,10 @@ func TestReleaseFreesPortsForLaterCellInSamePass(t *testing.T) {
 	// Request (1,2): output 2 is busy until (0,2) is released, which happens
 	// earlier in the row scan (row 0 before row 1).
 	est, rel := s.ScheduleSlot(req(n, [2]int{1, 2}), 0)
-	if len(rel) != 1 || rel[0] != (Change{0, 2, 0}) {
+	if len(rel) != 1 || rel[0] != (Change{0, 2, 0, -1}) {
 		t.Fatalf("rel=%v, want release of 0->2", rel)
 	}
-	if len(est) != 1 || est[0] != (Change{1, 2, 0}) {
+	if len(est) != 1 || est[0] != (Change{1, 2, 0, -1}) {
 		t.Fatalf("est=%v, want establish of 1->2 in the same pass", est)
 	}
 }
@@ -297,7 +297,7 @@ func TestTDMCounterSkipsEmptySlots(t *testing.T) {
 		if !ok || slot != 2 {
 			t.Fatalf("iteration %d: slot=%d ok=%v, want slot 2", i, slot, ok)
 		}
-		if got := s.AppendSlotConns(nil, slot); len(got) != 1 || got[0] != (topology.Conn{Src: 1, Dst: 2}) {
+		if got, _ := s.AppendSlotConns(nil, nil, slot); len(got) != 1 || got[0] != (topology.Conn{Src: 1, Dst: 2}) {
 			t.Fatalf("slot connections = %v, want [1->2]", got)
 		}
 	}
@@ -331,7 +331,7 @@ func TestTDMCounterWithoutSkipping(t *testing.T) {
 		if slot == 1 {
 			want = []topology.Conn{{Src: 0, Dst: 1}}
 		}
-		if got := s.AppendSlotConns(nil, slot); !slices.Equal(got, want) {
+		if got, _ := s.AppendSlotConns(nil, nil, slot); !slices.Equal(got, want) {
 			t.Fatalf("slot %d connections = %v, want %v", slot, got, want)
 		}
 		slots = append(slots, slot)
@@ -749,5 +749,54 @@ func BenchmarkSlotsOf1024(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := pairs[i%len(pairs)]
 		buf = s.AppendSlotsOf(buf[:0], p[0], p[1])
+	}
+}
+
+// TestSlotIndexCarriesTableIDs checks that with a connection table every
+// connection a pass, a preload or a port eviction reports, and every entry
+// AppendSlotConns lists, carries the table's id for its pair.
+func TestSlotIndexCarriesTableIDs(t *testing.T) {
+	const n = 8
+	conns := topology.NewConnTable(n, func(src int, add func(dst int)) {
+		add((src + 1) % n)
+		add((src + 3) % n)
+	})
+	s := MustScheduler(Params{N: n, K: 2, Conns: conns})
+	cfg := bitmat.NewSquare(n)
+	cfg.Set(2, 5)
+	if err := s.LoadConfig(1, cfg, true); err != nil {
+		t.Fatal(err)
+	}
+	req := bitmat.NewSquare(n)
+	for u := 0; u < n; u++ {
+		req.Set(u, (u+1)%n)
+	}
+	res := s.Pass(req)
+	if len(res.Established) == 0 {
+		t.Fatal("the pass established nothing")
+	}
+	for _, c := range res.Established {
+		if want := conns.ID(c.Src, c.Dst); c.ID != want || want < 0 {
+			t.Fatalf("established %d->%d with id %d, table says %d", c.Src, c.Dst, c.ID, want)
+		}
+	}
+	for slot := 0; slot < 2; slot++ {
+		list, ids := s.AppendSlotConns(nil, nil, slot)
+		if len(list) != len(ids) {
+			t.Fatalf("slot %d: %d connections, %d ids", slot, len(list), len(ids))
+		}
+		for i, c := range list {
+			if ids[i] != conns.ID(c.Src, c.Dst) {
+				t.Fatalf("slot %d lists %v with id %d, table says %d", slot, c, ids[i], conns.ID(c.Src, c.Dst))
+			}
+		}
+	}
+	for _, c := range s.EvictPort(3) {
+		if c.ID != conns.ID(c.Src, c.Dst) {
+			t.Fatalf("evicted %d->%d with id %d, table says %d", c.Src, c.Dst, c.ID, conns.ID(c.Src, c.Dst))
+		}
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -130,8 +130,8 @@ func (s *Scheduler) scheduleSlotSparse(sp *bitmat.Sparse, slot int) {
 			if sp.Get(u, v0) || (s.p.LatchRequests && s.latch.Get(u, v0)) {
 				continue // no release cell: AI is held for the whole visit
 			}
-			s.clearConn(slot, u, v0)
-			s.relBuf = append(s.relBuf, Change{Src: u, Dst: v0, Slot: slot})
+			id := s.clearConn(slot, u, v0)
+			s.relBuf = append(s.relBuf, Change{Src: u, Dst: v0, Slot: slot, ID: id})
 			if v0 < bo {
 				s.establishFirst(sp, slot, u, v0+1, bo)
 				continue
@@ -229,7 +229,7 @@ func (s *Scheduler) tryEstablish(slot, u, v int) bool {
 	if s.p.CanEstablish != nil && !s.p.CanEstablish(s.configs[slot], u, v) {
 		return false
 	}
-	s.setConn(slot, u, v)
-	s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot})
+	id := s.setConn(slot, u, v)
+	s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot, ID: id})
 	return true
 }

@@ -14,7 +14,7 @@ import (
 func TestSparseRowVisitCases(t *testing.T) {
 	const n = 160
 	oddOnly := func(_ *bitmat.Matrix, u, v int) bool { return (u+v)%2 != 0 }
-	ch := func(u, v int) Change { return Change{Src: u, Dst: v, Slot: 0} }
+	ch := func(u, v int) Change { return Change{Src: u, Dst: v, Slot: 0, ID: -1} }
 	// latchThenDrop establishes 9→50 with a request, then drops the request.
 	latchThenDrop := func(tw *twin) {
 		tw.request(9, 50, true)

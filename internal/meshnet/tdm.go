@@ -182,10 +182,10 @@ func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 	return driver.Finish(t.Name(), t.cfg.Horizon, r.stats)
 }
 
-func (r *tdmRun) onEnqueue(m *nic.Message) {
+func (r *tdmRun) onEnqueue(m *nic.Message, _ int32, first bool) {
 	u, v := int(m.Src), int(m.Dst)
-	if r.driver.Buffers[u].CountFor(v) == 1 {
-		// The driver has already queued m: the queue's 0→1 transition.
+	if first {
+		// The queue's 0→1 transition.
 		if _, ok := r.slotOf[[2]int{u, v}]; ok {
 			r.stats.Hits++
 		} else {

@@ -105,7 +105,7 @@ func (w *Wormhole) Run(wl *traffic.Workload) (metrics.Result, error) {
 		probe:   w.cfg.Probe,
 	}
 	driver, err := netmodel.NewDriver(eng, w.cfg.Link, wl, netmodel.Hooks{
-		OnEnqueue: func(m *nic.Message) { r.ports.Kick(int(m.Src)) },
+		OnEnqueue: func(m *nic.Message, _ int32, _ bool) { r.ports.Kick(int(m.Src)) },
 	})
 	if err != nil {
 		return metrics.Result{}, err

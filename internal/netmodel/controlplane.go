@@ -3,8 +3,9 @@
 // that take one control delay to propagate and (under fault injection) can be
 // lost and re-sent after an exponential backoff; request wires that sample
 // NIC queue state one control delay late; and per-port source processes that
-// serialize a NIC's output. The per-pair queue depths behind the request
-// wires are the NIC buffers' own counts (nic.OutBuffer.CountFor). These types
+// serialize a NIC's output. The per-pair queue states behind the request
+// wires are the NIC buffers' own (nic.OutBuffer.Enqueue reports each queue's
+// 0→1 transition). These types
 // extract that machinery so the models keep only their paradigm-specific
 // scheduling logic.
 package netmodel

@@ -21,6 +21,7 @@ import (
 	"pmsnet/internal/nic"
 	"pmsnet/internal/probe"
 	"pmsnet/internal/sim"
+	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 )
 
@@ -44,8 +45,10 @@ const DefaultHorizon = 10 * sim.Second
 
 // Hooks are the model callbacks the driver invokes as programs execute.
 type Hooks struct {
-	// OnEnqueue fires after a message enters its source NIC's output buffer.
-	OnEnqueue func(m *nic.Message)
+	// OnEnqueue fires after a message enters its source NIC's output buffer,
+	// with the message's connection id and whether its queue was empty
+	// before (nic.OutBuffer.Enqueue).
+	OnEnqueue func(m *nic.Message, id int32, first bool)
 	// OnFlush fires when a program executes FLUSH (nil = ignore).
 	OnFlush func(proc int)
 	// OnPhase fires when a program executes a phase hint (nil = ignore).
@@ -58,10 +61,13 @@ type Hooks struct {
 // Driver executes workload programs against NIC output buffers. Its message
 // array is the run's only per-message state: the models stamp each message's
 // delivery time in place, and Finish computes the run's statistics from it.
+// Its connection table is the run's only per-connection numbering: the NIC
+// queues and every model's per-connection state are indexed by its ids.
 type Driver struct {
 	Engine  *sim.Engine
 	Link    link.Model
 	Buffers []*nic.OutBuffer
+	Conns   *topology.ConnTable
 
 	wl        *traffic.Workload
 	hooks     Hooks
@@ -99,10 +105,12 @@ func NewDriver(engine *sim.Engine, lm link.Model, wl *traffic.Workload, hooks Ho
 	if err := checkMessageCount(wl.Name, msgs); err != nil {
 		return nil, err
 	}
+	conns := wl.ConnTable()
 	d := &Driver{
 		Engine:    engine,
 		Link:      lm,
-		Buffers:   nic.NewOutBuffers(wl.N, destinationCounts(wl)),
+		Buffers:   nic.NewOutBuffers(conns),
+		Conns:     conns,
 		wl:        wl,
 		hooks:     hooks,
 		msgs:      make([]nic.Message, msgs),
@@ -125,23 +133,6 @@ func checkMessageCount(name string, msgs int) error {
 			name, msgs, math.MaxInt32)
 	}
 	return nil
-}
-
-// destinationCounts returns, per processor, how many distinct destinations
-// its program sends to: the number of logical queues its NIC will use.
-func destinationCounts(wl *traffic.Workload) []int {
-	counts := make([]int, wl.N)
-	// seen[v] == p+1 once processor p's program has sent to v.
-	seen := make([]int32, wl.N)
-	for p, prog := range wl.Programs {
-		for _, op := range prog.Ops {
-			if (op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait) && seen[op.Dst] != int32(p+1) {
-				seen[op.Dst] = int32(p + 1)
-				counts[p]++
-			}
-		}
-	}
-	return counts
 }
 
 // SetProbe attaches an observability probe for message lifecycle events
@@ -183,11 +174,11 @@ func (d *Driver) step(p int) {
 			Created: d.Engine.Now(),
 		}
 		d.nextID++
-		d.Buffers[p].Enqueue(m)
+		id, first := d.Buffers[p].Enqueue(m)
 		if d.probe != nil {
 			d.probe.Emit(probe.Event{Kind: probe.MsgCreated, At: m.Created,
 				Src: m.Src, Dst: m.Dst, ID: int64(m.ID), Aux: int64(m.Bytes)})
-			if d.Buffers[p].Head(op.Dst) == m {
+			if first {
 				d.probe.Emit(probe.Event{Kind: probe.MsgHeadOfQueue, At: m.Created,
 					Src: m.Src, Dst: m.Dst, ID: int64(m.ID)})
 			}
@@ -198,7 +189,7 @@ func (d *Driver) step(p int) {
 			m.MarkBlocking()
 		}
 		if d.hooks.OnEnqueue != nil {
-			d.hooks.OnEnqueue(m)
+			d.hooks.OnEnqueue(m, id, first)
 		}
 		if op.Kind == traffic.OpSend {
 			d.advance(p, nic.SendOverhead)
@@ -311,9 +302,9 @@ func (d *Driver) Arrive(m *nic.Message) {
 				d.Drop(m)
 				return
 			}
-			d.Buffers[src].Enqueue(m)
+			id, first := d.Buffers[src].Enqueue(m)
 			if d.hooks.OnEnqueue != nil {
-				d.hooks.OnEnqueue(m)
+				d.hooks.OnEnqueue(m, id, first)
 			}
 		})
 		return

@@ -28,7 +28,7 @@ func TestDriverExecutesSendsWithNICOverhead(t *testing.T) {
 	var enq []sim.Time
 	wl := twoNodeWorkload(traffic.Send(1, 8), traffic.Send(1, 8), traffic.Send(1, 8))
 	d, err := NewDriver(eng, link.Paper(), wl, Hooks{
-		OnEnqueue: func(m *nic.Message) { enq = append(enq, eng.Now()) },
+		OnEnqueue: func(m *nic.Message, _ int32, _ bool) { enq = append(enq, eng.Now()) },
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -148,7 +148,7 @@ func TestDriverResumesBlockedSender(t *testing.T) {
 		var d *Driver
 		wl := twoNodeWorkload(traffic.SendWait(1, 8), traffic.Send(1, 8))
 		d, err := NewDriver(eng, link.Paper(), wl, Hooks{
-			OnEnqueue: func(m *nic.Message) {
+			OnEnqueue: func(m *nic.Message, _ int32, _ bool) {
 				enq = append(enq, eng.Now())
 				eng.After(1000, "fake-arrive", func() {
 					d.Buffers[0].PopFIFO()
@@ -185,7 +185,7 @@ func TestDeliverAndFinish(t *testing.T) {
 	var d *Driver
 	idleFired := false
 	d, err := NewDriver(eng, link.Paper(), wl, Hooks{
-		OnEnqueue: func(m *nic.Message) {
+		OnEnqueue: func(m *nic.Message, _ int32, _ bool) {
 			eng.After(1000, "fake-deliver", func() {
 				d.Buffers[0].PopFIFO()
 				d.Deliver(m)

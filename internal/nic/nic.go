@@ -7,10 +7,9 @@
 // circuit switching send whole messages one at a time), while the TDM
 // network drains per-destination queues a slot's payload at a time.
 //
-// Storage is sized by traffic, not by N: a buffer holds a record only for
-// the destinations it has queued toward, in a small open-addressed hash
-// table, and every queue is an intrusive list threaded through the messages
-// themselves.
+// Storage is sized by the run's connections, not by N: all NICs share one
+// queue array indexed by the run's connection ids (topology.ConnTable), and
+// every queue is an intrusive list threaded through the messages themselves.
 //
 // The NIC hardware cost is the paper's synthesized figure: a single-cycle
 // 10 ns delay to send or receive data.
@@ -19,9 +18,10 @@ package nic
 import (
 	"fmt"
 	"math"
-	"math/bits"
+	"slices"
 
 	"pmsnet/internal/sim"
+	"pmsnet/internal/topology"
 )
 
 // Paper §5 NIC timing: "requires a single-cycle delay of 10 ns to send or
@@ -111,12 +111,13 @@ func (m *Message) Remaining() int { return int(m.remaining) }
 type OutBuffer struct {
 	id int
 	n  int
-	// table holds one record per destination ever queued toward, found by
-	// open addressing with linear probing: a power-of-two length, at most
-	// half full. Records are never removed.
-	table []dstQueue
-	used  int   // records in table
-	shift uint8 // 32 - log2(len(table))
+	// base is the id of the NIC's first connection in the run's table; dst
+	// lists the row's destinations, ascending, and q their queues: the
+	// queue of connection id is q[id-base]. q is a window of the run's one
+	// queue array.
+	base int32
+	dst  []int32
+	q    []dstQueue
 	// first and last are the oldest and newest queued messages.
 	first, last *Message
 	// pending counts queued messages; bytesPending counts their unsent bytes.
@@ -124,127 +125,59 @@ type OutBuffer struct {
 	bytesPending int64
 }
 
-// dstQueue is one destination's logical queue, oldest message at head. key
-// is the destination plus one; zero marks an empty table slot.
+// dstQueue is one connection's logical queue, oldest message at head: 16
+// bytes per connection of the run.
 type dstQueue struct {
 	head, tail *Message
-	count      int32
-	key        int32
 }
 
-// NewOutBuffer creates the output buffer of NIC `id` in an N-processor
-// system.
-func NewOutBuffer(id, n int) *OutBuffer {
-	if n <= 0 || id < 0 || id >= n {
-		panic(fmt.Sprintf("nic: invalid NIC id %d for %d processors", id, n))
-	}
-	return &OutBuffer{id: id, n: n}
-}
-
-// NewOutBuffers creates the output buffers of all n NICs of a run, NIC p
-// with room for dsts[p] destination queues. The buffers and their tables
-// are carved from two shared allocations; a NIC that queues toward more
-// destinations than reserved grows its own table.
-func NewOutBuffers(n int, dsts []int) []*OutBuffer {
-	if len(dsts) != n {
-		panic(fmt.Sprintf("nic: %d destination counts for %d processors", len(dsts), n))
-	}
-	var slots int
-	for _, k := range dsts {
-		slots += tableSize(k)
-	}
+// NewOutBuffers creates the output buffers of all NICs of a run, one queue
+// per connection of its table: NIC p queues toward the destinations of row
+// p. The buffers and all queues are two shared allocations.
+func NewOutBuffers(t *topology.ConnTable) []*OutBuffer {
+	n := t.Ports()
 	bufs := make([]OutBuffer, n)
-	tables := make([]dstQueue, slots)
+	queues := make([]dstQueue, t.Len())
 	out := make([]*OutBuffer, n)
-	for p, k := range dsts {
+	for p := range bufs {
 		b := &bufs[p]
-		b.id, b.n = p, n
-		if size := tableSize(k); size > 0 {
-			b.setTable(tables[:size:size])
-			tables = tables[size:]
-		}
+		lo, hi := t.Row(p)
+		b.id, b.n, b.base = p, n, lo
+		b.dst, b.q = t.RowDsts(p), queues[lo:hi:hi]
 		out[p] = b
 	}
 	return out
 }
 
-// tableSize is the table length that holds k records: zero for none,
-// otherwise a power of two, at least eight, at most half full.
-func tableSize(k int) int {
-	if k == 0 {
-		return 0
-	}
-	size := 8
-	for size < 2*k {
-		size *= 2
-	}
-	return size
-}
-
 // ID returns the NIC's processor id.
 func (b *OutBuffer) ID() int { return b.id }
 
-// setTable installs an empty table of power-of-two length.
-func (b *OutBuffer) setTable(t []dstQueue) {
-	b.table = t
-	b.shift = uint8(32 - bits.TrailingZeros(uint(len(t))))
+// Conn returns the id of the connection toward dst, or -1 when the NIC has
+// no queue toward it. It searches the NIC's row; the per-message paths take
+// the id Enqueue returned instead.
+func (b *OutBuffer) Conn(dst int) int32 {
+	b.checkDst(dst)
+	if i, ok := slices.BinarySearch(b.dst, int32(dst)); ok {
+		return b.base + int32(i)
+	}
+	return -1
 }
 
-// home is dst's first probe position: Fibonacci hashing spreads the
-// destinations over the table.
-func (b *OutBuffer) home(dst int) int { return int(uint32(dst) * 0x9E3779B9 >> b.shift) }
-
-// find returns dst's record, or nil if the buffer never queued toward dst.
-// The pointer is valid until the next record is created.
+// find returns dst's queue, or nil if the NIC has none toward dst.
 func (b *OutBuffer) find(dst int) *dstQueue {
-	if len(b.table) == 0 {
-		return nil
+	if id := b.Conn(dst); id >= 0 {
+		return &b.q[id-b.base]
 	}
-	key := int32(dst + 1)
-	mask := len(b.table) - 1
-	for i := b.home(dst); ; i = (i + 1) & mask {
-		q := &b.table[i]
-		if q.key == key {
-			return q
-		}
-		if q.key == 0 {
-			return nil
-		}
-	}
+	return nil
 }
 
-// record returns dst's record, creating it on first use.
-func (b *OutBuffer) record(dst int) *dstQueue {
-	if q := b.find(dst); q != nil {
-		return q
-	}
-	if tableSize(b.used+1) > len(b.table) {
-		old := b.table
-		b.setTable(make([]dstQueue, tableSize(b.used+1)))
-		for i := range old {
-			if old[i].key != 0 {
-				*b.slot(int(old[i].key - 1)) = old[i]
-			}
-		}
-	}
-	b.used++
-	q := b.slot(dst)
-	q.key = int32(dst + 1)
-	return q
-}
+// queue returns connection id's queue; id must be in the NIC's row.
+func (b *OutBuffer) queue(id int32) *dstQueue { return &b.q[id-b.base] }
 
-// slot returns the empty table slot where dst's record goes.
-func (b *OutBuffer) slot(dst int) *dstQueue {
-	mask := len(b.table) - 1
-	i := b.home(dst)
-	for b.table[i].key != 0 {
-		i = (i + 1) & mask
-	}
-	return &b.table[i]
-}
-
-// Enqueue admits a message into its destination's logical queue.
-func (b *OutBuffer) Enqueue(m *Message) {
+// Enqueue admits a message into its destination's logical queue. It returns
+// the message's connection id and whether the queue was empty before: the
+// 0→1 transition that raises the request bit.
+func (b *OutBuffer) Enqueue(m *Message) (id int32, first bool) {
 	if int(m.Src) != b.id {
 		panic(fmt.Sprintf("nic %d: enqueue of message from %d", b.id, m.Src))
 	}
@@ -257,17 +190,21 @@ func (b *OutBuffer) Enqueue(m *Message) {
 	if m.flags&flagQueued != 0 {
 		panic(fmt.Sprintf("nic %d: message %d enqueued twice", b.id, m.ID))
 	}
+	id = b.Conn(int(m.Dst))
+	if id < 0 {
+		panic(fmt.Sprintf("nic %d: no queue toward %d: the connection is outside the run's table", b.id, m.Dst))
+	}
 	m.remaining = m.Bytes
 	m.flags |= flagQueued
-	q := b.record(int(m.Dst))
+	q := b.queue(id)
 	m.next = nil
-	if q.tail != nil {
-		q.tail.next = m
-	} else {
+	first = q.tail == nil
+	if first {
 		q.head = m
+	} else {
+		q.tail.next = m
 	}
 	q.tail = m
-	q.count++
 	m.prev, m.after = b.last, nil
 	if b.last != nil {
 		b.last.after = m
@@ -277,6 +214,7 @@ func (b *OutBuffer) Enqueue(m *Message) {
 	b.last = m
 	b.pending++
 	b.bytesPending += int64(m.Bytes)
+	return id, first
 }
 
 // Len returns the number of queued messages.
@@ -287,21 +225,24 @@ func (b *OutBuffer) BytesPending() int64 { return b.bytesPending }
 
 // HasFor reports whether the logical queue toward dst is non-empty — the
 // R_{u,dst} request bit.
-func (b *OutBuffer) HasFor(dst int) bool { return b.CountFor(dst) > 0 }
+func (b *OutBuffer) HasFor(dst int) bool { return b.Head(dst) != nil }
 
 // CountFor returns the number of messages queued toward dst.
 func (b *OutBuffer) CountFor(dst int) int {
-	b.checkDst(dst)
-	if q := b.find(dst); q != nil {
-		return int(q.count)
+	n := 0
+	for m := b.Head(dst); m != nil; m = m.next {
+		n++
 	}
-	return 0
+	return n
 }
 
-// BytesFor returns the unsent bytes queued toward dst.
-func (b *OutBuffer) BytesFor(dst int) int64 {
+// Has reports whether connection id's queue is non-empty.
+func (b *OutBuffer) Has(id int32) bool { return b.queue(id).head != nil }
+
+// Bytes returns the unsent bytes queued on connection id.
+func (b *OutBuffer) Bytes(id int32) int64 {
 	var n int64
-	for m := b.Head(dst); m != nil; m = m.next {
+	for m := b.queue(id).head; m != nil; m = m.next {
 		n += int64(m.remaining)
 	}
 	return n
@@ -309,34 +250,52 @@ func (b *OutBuffer) BytesFor(dst int) int64 {
 
 // Head returns the oldest message queued toward dst, or nil.
 func (b *OutBuffer) Head(dst int) *Message {
-	b.checkDst(dst)
 	if q := b.find(dst); q != nil {
 		return q.head
 	}
 	return nil
 }
 
-// TransmitTo sends up to maxBytes of the head message toward dst (the TDM
-// per-slot transfer). It returns the bytes sent and, when the message
-// finished, the completed message (already removed from the buffer).
+// HeadOf returns the oldest message queued on connection id, or nil.
+func (b *OutBuffer) HeadOf(id int32) *Message { return b.queue(id).head }
+
+// TransmitTo sends up to maxBytes of the head message toward dst; see
+// Transmit, which takes the connection id instead of searching for it.
 func (b *OutBuffer) TransmitTo(dst, maxBytes int) (sent int, completed *Message) {
-	b.checkDst(dst)
-	if maxBytes <= 0 {
-		panic(fmt.Sprintf("nic %d: non-positive transfer budget %d", b.id, maxBytes))
-	}
-	q := b.find(dst)
-	if q == nil || q.head == nil {
+	id := b.Conn(dst)
+	if id < 0 {
+		b.checkBudget(maxBytes)
 		return 0, nil
 	}
+	sent, completed, _ = b.Transmit(id, maxBytes)
+	return sent, completed
+}
+
+// Transmit sends up to maxBytes of connection id's head message (the TDM
+// per-slot transfer). It returns the bytes sent and, when the message
+// finished, the completed message (already removed from the buffer), and
+// whether that emptied the queue.
+func (b *OutBuffer) Transmit(id int32, maxBytes int) (sent int, completed *Message, drained bool) {
+	b.checkBudget(maxBytes)
+	q := b.queue(id)
 	m := q.head
+	if m == nil {
+		return 0, nil, false
+	}
 	sent = min(maxBytes, int(m.remaining))
 	m.remaining -= int32(sent)
 	b.bytesPending -= int64(sent)
 	if m.remaining == 0 {
 		b.popHead(q)
-		completed = m
+		return sent, m, q.head == nil
 	}
-	return sent, completed
+	return sent, nil, false
+}
+
+func (b *OutBuffer) checkBudget(maxBytes int) {
+	if maxBytes <= 0 {
+		panic(fmt.Sprintf("nic %d: non-positive transfer budget %d", b.id, maxBytes))
+	}
 }
 
 // popHead removes q's head message, unsent bytes included, from the buffer.
@@ -346,7 +305,6 @@ func (b *OutBuffer) popHead(q *dstQueue) {
 	if q.head == nil {
 		q.tail = nil
 	}
-	q.count--
 	b.unlinkArrival(m)
 	b.retire(m)
 }
@@ -374,10 +332,6 @@ func (b *OutBuffer) retire(m *Message) {
 	m.next, m.prev, m.after = nil, nil, nil
 }
 
-// NextFIFO returns the oldest queued message across all destinations, or
-// nil. Wormhole and circuit switching serve messages in this order.
-func (b *OutBuffer) NextFIFO() *Message { return b.first }
-
 // PopFIFO removes and returns the oldest queued message; the caller becomes
 // responsible for transmitting it. It returns nil when the buffer is empty.
 func (b *OutBuffer) PopFIFO() *Message {
@@ -395,12 +349,11 @@ func (b *OutBuffer) PopFIFO() *Message {
 // layer's bulk-drop path when dst becomes unreachable. The returned messages
 // are no longer queued; the caller owns their accounting.
 func (b *OutBuffer) DrainFor(dst int) []*Message {
-	b.checkDst(dst)
 	q := b.find(dst)
 	if q == nil || q.head == nil {
 		return nil
 	}
-	out := make([]*Message, 0, q.count)
+	var out []*Message
 	for q.head != nil {
 		out = append(out, q.head)
 		b.popHead(q)
@@ -418,49 +371,35 @@ func (b *OutBuffer) DrainAll() []*Message {
 	for _, m := range out {
 		b.retire(m)
 	}
-	for i := range b.table {
-		q := &b.table[i]
-		q.head, q.tail, q.count = nil, nil, 0
-	}
+	clear(b.q)
 	b.first, b.last = nil, nil
 	return out
 }
 
-// Check verifies the buffer's bookkeeping: Len is the sum of the
-// per-destination counts, BytesPending the sum of the queued messages'
-// remaining bytes, every destination queue is exactly its messages of the
-// global arrival order, in that order, and every record is found by its
-// destination. It is the invariant hook of the simulators' self-check mode.
+// Check verifies the buffer's bookkeeping: Len is the number of messages in
+// the destination queues, BytesPending the sum of the queued messages'
+// remaining bytes, and every destination queue is exactly its messages of
+// the global arrival order, in that order. It is the invariant hook of the
+// simulators' self-check mode.
 func (b *OutBuffer) Check() error {
-	// cursor walks each destination's list alongside the arrival order.
-	cursor := make(map[*dstQueue]*Message, b.used)
+	// cursor[i] walks queue i's list alongside the arrival order.
+	cursor := make([]*Message, len(b.q))
 	var count int
-	for i := range b.table {
-		q := &b.table[i]
-		if q.key == 0 {
-			continue
-		}
-		dst := int(q.key - 1)
-		if b.find(dst) != q {
-			return fmt.Errorf("nic %d: the record of destination %d is not found by it", b.id, dst)
-		}
-		var n int32
+	for i := range b.q {
+		q := &b.q[i]
+		dst := int(b.dst[i])
 		var last *Message
 		for m := q.head; m != nil; m = m.next {
 			if int(m.Dst) != dst || m.flags&flagQueued == 0 {
 				return fmt.Errorf("nic %d: message %d misplaced in the queue toward %d", b.id, m.ID, dst)
 			}
-			n++
+			count++
 			last = m
 		}
-		if n != q.count || last != q.tail {
-			return fmt.Errorf("nic %d: queue toward %d holds %d messages, counted %d", b.id, dst, n, q.count)
+		if last != q.tail {
+			return fmt.Errorf("nic %d: the queue toward %d does not end at its tail", b.id, dst)
 		}
-		cursor[q] = q.head
-		count += int(n)
-	}
-	if len(cursor) != b.used {
-		return fmt.Errorf("nic %d: %d records in the table, %d counted", b.id, len(cursor), b.used)
+		cursor[i] = q.head
 	}
 	if count != b.pending {
 		return fmt.Errorf("nic %d: Len %d but destination queues hold %d", b.id, b.pending, count)
@@ -472,11 +411,11 @@ func (b *OutBuffer) Check() error {
 		if m.prev != prev {
 			return fmt.Errorf("nic %d: arrival order broken at message %d", b.id, m.ID)
 		}
-		q := b.find(int(m.Dst))
-		if q == nil || cursor[q] != m {
+		id := b.Conn(int(m.Dst))
+		if id < 0 || cursor[id-b.base] != m {
 			return fmt.Errorf("nic %d: message %d out of order in its queue toward %d", b.id, m.ID, m.Dst)
 		}
-		cursor[q] = m.next
+		cursor[id-b.base] = m.next
 		n++
 		bytes += int64(m.remaining)
 		prev = m

@@ -3,6 +3,8 @@ package nic
 import (
 	"fmt"
 	"testing"
+
+	"pmsnet/internal/topology"
 )
 
 // refBuffer is the slice-per-destination output buffer the indexed one
@@ -107,15 +109,54 @@ func (b *refBuffer) removeFromFIFO(m *Message) {
 	panic(fmt.Sprintf("reference: message %d missing from FIFO", m.ID))
 }
 
-// parityOps replays an op tape against the indexed buffer and the reference
-// and compares every observable after each op. Each op takes two bytes: the
-// op and its argument. Both sides hold their own copies of each message, so
-// messages are compared by ID. Completed and drained messages go to a
-// retransmit pool and may be enqueued again, as a fault retransmission does.
-func parityOps(t *testing.T, n int, tape []byte) {
-	const src = 0
-	b, ref := NewOutBuffer(src, n), newRefBuffer(n)
-	var pool [][2]*Message // (indexed, reference) pairs out of the buffer
+// parityRows draws each source's destination list: a random subset of the
+// other processors, possibly empty. Source 0 always has one, so every tape
+// has something to queue on.
+func parityRows(n int, seed uint32) [][]int {
+	x := seed | 1
+	rows := make([][]int, n)
+	for u := range rows {
+		for v := 0; v < n; v++ {
+			x ^= x << 13
+			x ^= x >> 17
+			x ^= x << 5
+			if v != u && x%3 != 0 {
+				rows[u] = append(rows[u], v)
+			}
+		}
+	}
+	if len(rows[0]) == 0 {
+		rows[0] = []int{1}
+	}
+	return rows
+}
+
+// parityOps replays an op tape against the buffers of one run's connection
+// table, drawn by parityRows, and against one reference per source, and
+// compares every observable of the op's buffer after each op, and of every
+// buffer every 32 ops and at the end: the buffers share one queue array, so
+// an op on one source must leave the others as they were. Each op takes two bytes: the op and its argument, which picks
+// the source and one of its destinations. Both sides hold their own copies
+// of each message, so messages are compared by ID. Completed and drained
+// messages go to a retransmit pool and may be enqueued again, as a fault
+// retransmission does.
+func parityOps(t *testing.T, n int, seed uint32, tape []byte) {
+	rows := parityRows(n, seed)
+	table := topology.NewConnTable(n, func(src int, add func(dst int)) {
+		for _, v := range rows[src] {
+			add(v)
+		}
+	})
+	bufs := NewOutBuffers(table)
+	refs := make([]*refBuffer, n)
+	var srcs []int
+	for u := range refs {
+		refs[u] = newRefBuffer(n)
+		if len(rows[u]) > 0 {
+			srcs = append(srcs, u)
+		}
+	}
+	var pool [][2]*Message // (indexed, reference) pairs out of the buffers
 	var nextID int32
 	id := func(m *Message) int {
 		if m == nil {
@@ -134,38 +175,58 @@ func parityOps(t *testing.T, n int, tape []byte) {
 			pool = append(pool, [2]*Message{got[i], want[i]})
 		}
 	}
+	enqueue := func(m, rm *Message) {
+		wantFirst := len(refs[m.Src].queues[m.Dst]) == 0
+		conn, first := bufs[m.Src].Enqueue(m)
+		refs[m.Src].enqueue(rm)
+		if conn != table.ID(int(m.Src), int(m.Dst)) || first != wantFirst {
+			t.Fatalf("Enqueue(%d->%d) = %d, %v; want %d, %v", m.Src, m.Dst, conn, first,
+				table.ID(int(m.Src), int(m.Dst)), wantFirst)
+		}
+	}
 	for step := 0; step+1 < len(tape); step += 2 {
 		op, arg := tape[step]%8, int(tape[step+1])
-		dst := 1 + arg%(n-1)
+		src := srcs[arg%len(srcs)]
+		dst := rows[src][arg/len(srcs)%len(rows[src])]
+		b, ref := bufs[src], refs[src]
 		switch op {
 		case 0, 1, 2: // enqueue a new message
 			size := 1 + arg*7%200
 			nextID++
-			b.Enqueue(&Message{ID: nextID, Src: src, Dst: int32(dst), Bytes: int32(size)})
-			ref.enqueue(&Message{ID: nextID, Src: src, Dst: int32(dst), Bytes: int32(size)})
-		case 3: // retransmit a message that left the buffer
+			enqueue(&Message{ID: nextID, Src: int32(src), Dst: int32(dst), Bytes: int32(size)},
+				&Message{ID: nextID, Src: int32(src), Dst: int32(dst), Bytes: int32(size)})
+		case 3: // retransmit a message that left its buffer
 			if len(pool) == 0 {
 				continue
 			}
 			i := arg % len(pool)
 			p := pool[i]
 			pool = append(pool[:i], pool[i+1:]...)
-			b.Enqueue(p[0])
-			ref.enqueue(p[1])
-		case 4, 5: // one slot's payload
+			enqueue(p[0], p[1])
+		case 4, 5: // one slot's payload, by id or by destination
 			budget := 1 + arg%80
-			sent, done := b.TransmitTo(dst, budget)
+			var sent int
+			var done *Message
+			drained := false
+			if op == 4 {
+				sent, done, drained = b.Transmit(b.Conn(dst), budget)
+			} else {
+				sent, done = b.TransmitTo(dst, budget)
+			}
 			rsent, rdone := ref.transmitTo(dst, budget)
 			if sent != rsent || id(done) != id(rdone) {
-				t.Fatalf("TransmitTo(%d, %d) = %d, %d; reference %d, %d", dst, budget, sent, id(done), rsent, id(rdone))
+				t.Fatalf("transmit %d->%d, %d = %d, %d; reference %d, %d", src, dst, budget, sent, id(done), rsent, id(rdone))
+			}
+			if op == 4 && drained != (rdone != nil && len(ref.queues[dst]) == 0) {
+				t.Fatalf("Transmit %d->%d reports drained = %v", src, dst, drained)
 			}
 			if done != nil {
-				release("TransmitTo", []*Message{done}, []*Message{rdone})
+				release("transmit", []*Message{done}, []*Message{rdone})
 			}
 		case 6:
 			m, rm := b.PopFIFO(), ref.popFIFO()
 			if id(m) != id(rm) {
-				t.Fatalf("PopFIFO = %d, reference %d", id(m), id(rm))
+				t.Fatalf("PopFIFO(%d) = %d, reference %d", src, id(m), id(rm))
 			}
 			if m != nil {
 				release("PopFIFO", []*Message{m}, []*Message{rm})
@@ -174,40 +235,65 @@ func parityOps(t *testing.T, n int, tape []byte) {
 			if arg%4 == 0 {
 				release("DrainAll", b.DrainAll(), ref.drainAll())
 			} else {
-				release(fmt.Sprintf("DrainFor(%d)", dst), b.DrainFor(dst), ref.drainFor(dst))
+				release(fmt.Sprintf("DrainFor(%d->%d)", src, dst), b.DrainFor(dst), ref.drainFor(dst))
 			}
 		}
-		if err := b.Check(); err != nil {
-			t.Fatalf("step %d: %v", step/2, err)
-		}
-		if b.Len() != len(ref.fifo) || b.BytesPending() != ref.bytesPending {
-			t.Fatalf("step %d: Len %d BytesPending %d; reference %d, %d",
-				step/2, b.Len(), b.BytesPending(), len(ref.fifo), ref.bytesPending)
-		}
-		var rnext *Message
-		if len(ref.fifo) > 0 {
-			rnext = ref.fifo[0]
-		}
-		if id(b.NextFIFO()) != id(rnext) {
-			t.Fatalf("step %d: NextFIFO %d, reference %d", step/2, id(b.NextFIFO()), id(rnext))
-		}
-		for d := 0; d < n; d++ {
-			if id(b.Head(d)) != id(ref.head(d)) || b.HasFor(d) != (len(ref.queues[d]) > 0) ||
-				b.CountFor(d) != len(ref.queues[d]) || b.BytesFor(d) != ref.bytesFor(d) {
-				t.Fatalf("step %d, dst %d: Head %d HasFor %v CountFor %d BytesFor %d; reference %d %v %d %d",
-					step/2, d, id(b.Head(d)), b.HasFor(d), b.CountFor(d), b.BytesFor(d),
-					id(ref.head(d)), len(ref.queues[d]) > 0, len(ref.queues[d]), ref.bytesFor(d))
+		checkParity(t, step/2, b, ref, table)
+		if step%64 == 0 {
+			for u, b := range bufs {
+				checkParity(t, step/2, b, refs[u], table)
 			}
-			if h := b.Head(d); h != nil && h.Remaining() != ref.head(d).Remaining() {
-				t.Fatalf("step %d, dst %d: head remaining %d, reference %d", step/2, d, h.Remaining(), ref.head(d).Remaining())
-			}
+		}
+	}
+	for u, b := range bufs {
+		checkParity(t, len(tape)/2, b, refs[u], table)
+	}
+}
+
+// checkParity compares every observable of one buffer with its reference.
+func checkParity(t *testing.T, step int, b *OutBuffer, ref *refBuffer, table *topology.ConnTable) {
+	t.Helper()
+	id := func(m *Message) int {
+		if m == nil {
+			return -1
+		}
+		return int(m.ID)
+	}
+	if err := b.Check(); err != nil {
+		t.Fatalf("step %d: %v", step, err)
+	}
+	if b.Len() != len(ref.fifo) || b.BytesPending() != ref.bytesPending {
+		t.Fatalf("step %d, nic %d: Len %d BytesPending %d; reference %d, %d",
+			step, b.ID(), b.Len(), b.BytesPending(), len(ref.fifo), ref.bytesPending)
+	}
+	var rnext *Message
+	if len(ref.fifo) > 0 {
+		rnext = ref.fifo[0]
+	}
+	if id(b.NextFIFO()) != id(rnext) {
+		t.Fatalf("step %d, nic %d: NextFIFO %d, reference %d", step, b.ID(), id(b.NextFIFO()), id(rnext))
+	}
+	for d := range ref.queues {
+		if id(b.Head(d)) != id(ref.head(d)) || b.HasFor(d) != (len(ref.queues[d]) > 0) ||
+			b.CountFor(d) != len(ref.queues[d]) || b.BytesFor(d) != ref.bytesFor(d) {
+			t.Fatalf("step %d, %d->%d: Head %d HasFor %v CountFor %d BytesFor %d; reference %d %v %d %d",
+				step, b.ID(), d, id(b.Head(d)), b.HasFor(d), b.CountFor(d), b.BytesFor(d),
+				id(ref.head(d)), len(ref.queues[d]) > 0, len(ref.queues[d]), ref.bytesFor(d))
+		}
+		if h := b.Head(d); h != nil && h.Remaining() != ref.head(d).Remaining() {
+			t.Fatalf("step %d, %d->%d: head remaining %d, reference %d", step, b.ID(), d, h.Remaining(), ref.head(d).Remaining())
+		}
+		if c := table.ID(b.ID(), d); c != b.Conn(d) {
+			t.Fatalf("step %d: Conn(%d->%d) = %d, table %d", step, b.ID(), d, b.Conn(d), c)
+		} else if c >= 0 && (b.HeadOf(c) != b.Head(d) || b.Has(c) != b.HasFor(d) || b.Bytes(c) != b.BytesFor(d)) {
+			t.Fatalf("step %d, %d->%d: the by-id queries disagree with the by-destination ones", step, b.ID(), d)
 		}
 	}
 }
 
-// FuzzOutBufferParity checks the indexed buffer against the
-// slice-per-destination reference on random op sequences. The first tape
-// byte picks N, so index growth past its first eight slots is covered.
+// FuzzOutBufferParity checks the id-indexed buffers against the
+// slice-per-destination reference on random op sequences over random
+// per-source destination lists. The first tape byte picks N and the table.
 func FuzzOutBufferParity(f *testing.F) {
 	f.Add([]byte{40, 0, 3, 1, 9, 4, 3, 6, 0, 7, 1})
 	f.Add([]byte{2, 0, 1, 0, 1, 4, 200, 6, 0, 3, 0, 7, 0})
@@ -217,7 +303,7 @@ func FuzzOutBufferParity(f *testing.F) {
 		if len(tape) == 0 || len(tape) > 4096 {
 			return
 		}
-		parityOps(t, 2+int(tape[0])%62, tape[1:])
+		parityOps(t, 2+int(tape[0])%62, uint32(tape[0]), tape[1:])
 	})
 }
 
@@ -233,6 +319,6 @@ func TestOutBufferParitySeeds(t *testing.T) {
 			x ^= x << 5
 			tape[i] = byte(x)
 		}
-		t.Run(fmt.Sprint(seed), func(t *testing.T) { parityOps(t, 2+int(tape[0])%62, tape[1:]) })
+		t.Run(fmt.Sprint(seed), func(t *testing.T) { parityOps(t, 2+int(tape[0])%62, seed, tape[1:]) })
 	}
 }

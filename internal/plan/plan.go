@@ -260,23 +260,6 @@ func (s *Schedule) NumConfigs() int {
 	return n
 }
 
-// PlannedUses returns the planner's per-connection service budget in slots —
-// the demand it planned to serve through the pinned registers. This is the
-// slack signal predictor.ScheduleSlack consumes: once a connection has used
-// its budget, the plan says it is done and its cache entry can be evicted.
-func (s *Schedule) PlannedUses() map[topology.Conn]uint64 {
-	uses := make(map[topology.Conn]uint64)
-	n := s.Covered.N()
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if w := s.Covered.At(u, v); w > 0 {
-				uses[topology.Conn{Src: u, Dst: v}] += uint64(w)
-			}
-		}
-	}
-	return uses
-}
-
 // Planner computes a preload schedule from a demand matrix. k is the TDM
 // frame size (slot registers per port) and preloadSlots how many of them are
 // pinned; 0 < preloadSlots ≤ k.

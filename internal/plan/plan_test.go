@@ -198,13 +198,11 @@ func TestBvNExactCover(t *testing.T) {
 	d := skewedDemand(12, 40, 3, 1, 3, 5)
 	s := planOrDie(t, BvN{}, d, 4, 4, Options{ReconfigSlots: 0.8, CoverAll: true})
 	checkSchedule(t, s, d)
-	// With CoverAll, the planned per-connection budget is exactly the demand.
-	uses := s.PlannedUses()
+	// With CoverAll, the covered demand is exactly the demand.
 	for u := 0; u < d.N(); u++ {
 		for v := 0; v < d.N(); v++ {
-			want := uint64(d.At(u, v))
-			if got := uses[topology.Conn{Src: u, Dst: v}]; got != want {
-				t.Fatalf("planned uses (%d,%d) = %d, want %d", u, v, got, want)
+			if got, want := s.Covered.At(u, v), d.At(u, v); got != want {
+				t.Fatalf("covered (%d,%d) = %d, want %d", u, v, got, want)
 			}
 		}
 	}

@@ -1,9 +1,10 @@
 package predictor
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
 )
@@ -61,12 +62,15 @@ func (m *Markov) Name() string {
 	return fmt.Sprintf("markov(%v,%d)", m.Timeout.timeout, m.MinSupport)
 }
 
+// Start implements Predictor.
+func (m *Markov) Start(t *topology.ConnTable) { m.Timeout.Start(t) }
+
 // OnEstablish implements Predictor.
-func (m *Markov) OnEstablish(c topology.Conn, now sim.Time) { m.Timeout.OnEstablish(c, now) }
+func (m *Markov) OnEstablish(c Conn, now sim.Time) { m.Timeout.OnEstablish(c, now) }
 
 // OnUse implements Predictor. It learns the destination transition and
 // prepares the next prediction for the source.
-func (m *Markov) OnUse(c topology.Conn, now sim.Time) {
+func (m *Markov) OnUse(c Conn, now sim.Time) {
 	m.Timeout.OnUse(c, now)
 	if prev, ok := m.last[c.Src]; ok && prev != c.Dst {
 		byPrev, ok := m.trans[c.Src]
@@ -106,10 +110,10 @@ func (m *Markov) predictNext(src, dst int) (int, bool) {
 }
 
 // OnRelease implements Predictor.
-func (m *Markov) OnRelease(c topology.Conn) { m.Timeout.OnRelease(c) }
+func (m *Markov) OnRelease(c Conn) { m.Timeout.OnRelease(c) }
 
 // Evictions implements Predictor.
-func (m *Markov) Evictions(now sim.Time, held *bitmat.Matrix) []topology.Conn {
+func (m *Markov) Evictions(now sim.Time, held []uint64) []Conn {
 	return m.Timeout.Evictions(now, held)
 }
 
@@ -124,7 +128,8 @@ func (m *Markov) Prefetch(sim.Time) []topology.Conn {
 		out = append(out, c)
 	}
 	m.pending = make(map[int]topology.Conn)
-	sortConns(out)
+	// One prediction per source, so source order is (Src, Dst) order.
+	slices.SortFunc(out, func(a, b topology.Conn) int { return cmp.Compare(a.Src, b.Src) })
 	return out
 }
 

@@ -3,17 +3,22 @@ package predictor
 import (
 	"testing"
 
+	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
 )
 
+func newMarkov(timeout sim.Time, minSupport int) *Markov {
+	m := NewMarkov(timeout, minSupport)
+	m.Start(table)
+	return m
+}
+
 func TestMarkovLearnsCycle(t *testing.T) {
-	m := NewMarkov(1000, 1)
+	m := newMarkov(1000, 1)
 	if m.Name() == "" {
 		t.Fatal("name empty")
 	}
-	a := topology.Conn{Src: 0, Dst: 1}
-	b := topology.Conn{Src: 0, Dst: 2}
-	c := topology.Conn{Src: 0, Dst: 3}
+	a, b, c := conn(0, 1), conn(0, 2), conn(0, 3)
 	// Teach the cycle a -> b -> c -> a twice.
 	for i := 0; i < 2; i++ {
 		m.OnUse(a, 0)
@@ -23,7 +28,7 @@ func TestMarkovLearnsCycle(t *testing.T) {
 	// After using a again, the prediction must be b.
 	m.OnUse(a, 0)
 	got := m.Prefetch(0)
-	if len(got) != 1 || got[0] != b {
+	if len(got) != 1 || got[0] != b.Conn {
 		t.Fatalf("Prefetch = %v, want [%v]", got, b)
 	}
 	// Prefetch drains: a second call returns nothing until the next use.
@@ -33,9 +38,8 @@ func TestMarkovLearnsCycle(t *testing.T) {
 }
 
 func TestMarkovNeedsSupport(t *testing.T) {
-	m := NewMarkov(1000, 2)
-	a := topology.Conn{Src: 0, Dst: 1}
-	b := topology.Conn{Src: 0, Dst: 2}
+	m := newMarkov(1000, 2)
+	a, b := conn(0, 1), conn(0, 2)
 	m.OnUse(a, 0)
 	m.OnUse(b, 0) // one a->b observation: below support 2
 	m.OnUse(a, 0)
@@ -44,16 +48,14 @@ func TestMarkovNeedsSupport(t *testing.T) {
 	}
 	m.OnUse(b, 0) // second observation
 	m.OnUse(a, 0)
-	if got := m.Prefetch(0); len(got) != 1 || got[0] != b {
+	if got := m.Prefetch(0); len(got) != 1 || got[0] != b.Conn {
 		t.Fatalf("Prefetch = %v, want [%v] at support 2", got, b)
 	}
 }
 
 func TestMarkovPicksMostFrequentSuccessor(t *testing.T) {
-	m := NewMarkov(1000, 1)
-	a := topology.Conn{Src: 0, Dst: 1}
-	b := topology.Conn{Src: 0, Dst: 2}
-	c := topology.Conn{Src: 0, Dst: 3}
+	m := newMarkov(1000, 1)
+	a, b, c := conn(0, 1), conn(0, 2), conn(0, 3)
 	m.OnUse(a, 0)
 	m.OnUse(b, 0)
 	m.OnUse(a, 0)
@@ -62,17 +64,17 @@ func TestMarkovPicksMostFrequentSuccessor(t *testing.T) {
 	m.OnUse(c, 0)
 	m.OnUse(a, 0)
 	// a -> c seen twice, a -> b once.
-	if got := m.Prefetch(0); len(got) != 1 || got[0] != c {
+	if got := m.Prefetch(0); len(got) != 1 || got[0] != c.Conn {
 		t.Fatalf("Prefetch = %v, want [%v]", got, c)
 	}
 }
 
 func TestMarkovSourcesIndependent(t *testing.T) {
-	m := NewMarkov(1000, 1)
-	m.OnUse(topology.Conn{Src: 0, Dst: 1}, 0)
-	m.OnUse(topology.Conn{Src: 1, Dst: 2}, 0) // a different source in between
-	m.OnUse(topology.Conn{Src: 0, Dst: 3}, 0) // source 0: 1 -> 3
-	m.OnUse(topology.Conn{Src: 0, Dst: 1}, 0)
+	m := newMarkov(1000, 1)
+	m.OnUse(conn(0, 1), 0)
+	m.OnUse(conn(1, 2), 0) // a different source in between
+	m.OnUse(conn(0, 3), 0) // source 0: 1 -> 3
+	m.OnUse(conn(0, 1), 0)
 	got := m.Prefetch(0)
 	// Source 0 predicts 3 after 1; source 1 has no transition history.
 	want := topology.Conn{Src: 0, Dst: 3}
@@ -91,8 +93,8 @@ func TestMarkovSourcesIndependent(t *testing.T) {
 }
 
 func TestMarkovEvictionDelegatesToTimeout(t *testing.T) {
-	m := NewMarkov(100, 1)
-	c := topology.Conn{Src: 0, Dst: 1}
+	m := newMarkov(100, 1)
+	c := conn(0, 1)
 	m.OnEstablish(c, 0)
 	if got := m.Evictions(99, all); len(got) != 0 {
 		t.Fatalf("premature eviction %v", got)

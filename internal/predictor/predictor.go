@@ -23,6 +23,13 @@ import (
 	"pmsnet/internal/topology"
 )
 
+// Conn is a connection as the network reports it to a predictor: its port
+// pair and its id in the run's connection table.
+type Conn struct {
+	topology.Conn
+	ID int32
+}
+
 // Predictor decides when established connections should be evicted from the
 // network's configuration registers. Implementations are not safe for
 // concurrent use.
@@ -34,25 +41,30 @@ import (
 type Predictor interface {
 	// Name identifies the predictor in results.
 	Name() string
+	// Start hands the predictor the run's connection table before any
+	// other call: every connection passed in later is in it, with its id
+	// there, so per-connection state can be sized once.
+	Start(t *topology.ConnTable)
 	// OnEstablish tells the predictor a connection entered the working set.
-	OnEstablish(c topology.Conn, now sim.Time)
+	OnEstablish(c Conn, now sim.Time)
 	// OnUse tells the predictor a connection carried traffic.
-	OnUse(c topology.Conn, now sim.Time)
+	OnUse(c Conn, now sim.Time)
 	// OnRelease tells the predictor a connection left the working set for
 	// any reason (eviction it requested, a flush, or a scheduler release),
 	// so it can drop its state.
-	OnRelease(c topology.Conn)
+	OnRelease(c Conn)
 	// Evictions returns, in (Src, Dst) order and without duplicates, the
-	// connections that should be evicted now and are set in held — the
-	// scheduler's B*, the connections currently established. The caller is
-	// expected to evict them and then call OnRelease for each. The slice is
-	// reused by the next Evictions call; OnRelease leaves it intact.
-	Evictions(now sim.Time, held *bitmat.Matrix) []topology.Conn
+	// connections that should be evicted now and whose id is set in held —
+	// the scheduler's B*, the connections currently established, as a
+	// bitset over connection ids. The caller is expected to evict them and
+	// then call OnRelease for each. The slice is reused by the next
+	// Evictions call; OnRelease leaves it intact.
+	Evictions(now sim.Time, held []uint64) []Conn
 }
 
 // sortConns orders connections for deterministic eviction order.
-func sortConns(cs []topology.Conn) {
-	slices.SortFunc(cs, func(a, b topology.Conn) int {
+func sortConns(cs []Conn) {
+	slices.SortFunc(cs, func(a, b Conn) int {
 		if c := cmp.Compare(a.Src, b.Src); c != 0 {
 			return c
 		}
@@ -72,17 +84,20 @@ func NewNever() *Never { return &Never{} }
 // Name implements Predictor.
 func (*Never) Name() string { return "never" }
 
+// Start implements Predictor.
+func (*Never) Start(*topology.ConnTable) {}
+
 // OnEstablish implements Predictor.
-func (*Never) OnEstablish(topology.Conn, sim.Time) {}
+func (*Never) OnEstablish(Conn, sim.Time) {}
 
 // OnUse implements Predictor.
-func (*Never) OnUse(topology.Conn, sim.Time) {}
+func (*Never) OnUse(Conn, sim.Time) {}
 
 // OnRelease implements Predictor.
-func (*Never) OnRelease(topology.Conn) {}
+func (*Never) OnRelease(Conn) {}
 
 // Evictions implements Predictor.
-func (*Never) Evictions(sim.Time, *bitmat.Matrix) []topology.Conn { return nil }
+func (*Never) Evictions(sim.Time, []uint64) []Conn { return nil }
 
 // --- Timeout ---
 
@@ -90,105 +105,84 @@ func (*Never) Evictions(sim.Time, *bitmat.Matrix) []topology.Conn { return nil }
 // the predictor used in the paper's experiments ("a connection is removed if
 // it is not used for a certain period of time").
 //
-// The sweep is incremental. Live connections sit in an intrusive list in
-// last-use order, oldest first, so a sweep pops only the ones that just
-// passed the timeout. Those move into an expired bitset indexed [Src][Dst]
-// and stay there until they are used again or released. Evictions ANDs the
-// expired rows with the held matrix word by word; walking the result in
-// row-major order yields (Src, Dst) order without a sort.
+// Its state is sized once, at Start, from the run's connection table: one
+// 16-byte node per connection id. The sweep is incremental. Live
+// connections sit in an intrusive list through the nodes in last-use order,
+// oldest first, so a sweep pops only the ones that just passed the timeout.
+// Those move into an expired bitset over ids and stay there until they are
+// used again or released. Evictions ANDs the expired set with the held set
+// word by word; id order is (Src, Dst) order, so the result needs no sort.
 type Timeout struct {
 	timeout sim.Time
 	now     sim.Time // latest time seen; calls must not go back
 
-	index      map[uint64]int32 // by topology.Conn.Key
-	nodes      []lruNode
-	free       int32 // free-node list through lruNode.next; none when < 0
-	head, tail int32 // live list, oldest first; empty when < 0
-
-	expired     [][]uint64 // expired[src] is a bitset over dst
-	expiredRows []uint64   // bitset over src: rows that may hold expired bits
-	out         []topology.Conn
+	conns      *topology.ConnTable
+	nodes      []lruNode // by connection id
+	tracked    int
+	head, tail int32    // live list, oldest first; empty when < 0
+	expired    []uint64 // bitset over connection ids
+	out        []Conn
 }
 
-// lruNode is one tracked connection. A node is either on the live list or
-// expired (its bit set in Timeout.expired); free nodes chain through next.
+// lruNode is one connection's state: its last use and, while it is live,
+// its list links. A node off the list has prev == offList; it is tracked
+// while its expired bit is set.
 type lruNode struct {
-	c          topology.Conn
 	last       sim.Time
 	prev, next int32
-	expired    bool
 }
+
+// offList marks a node that is not on the live list.
+const offList = -2
 
 // NewTimeout builds a time-out predictor. timeout must be positive.
 func NewTimeout(timeout sim.Time) *Timeout {
 	if timeout <= 0 {
 		panic(fmt.Sprintf("predictor: timeout %v must be positive", timeout))
 	}
-	return &Timeout{
-		timeout: timeout,
-		index:   make(map[uint64]int32),
-		free:    -1,
-		head:    -1,
-		tail:    -1,
-	}
+	return &Timeout{timeout: timeout, head: -1, tail: -1}
 }
 
 // Name implements Predictor.
 func (p *Timeout) Name() string { return fmt.Sprintf("timeout(%v)", p.timeout) }
 
+// Start implements Predictor: one node and one expired bit per connection.
+func (p *Timeout) Start(t *topology.ConnTable) {
+	p.conns = t
+	p.nodes = make([]lruNode, t.Len())
+	for i := range p.nodes {
+		p.nodes[i].prev = offList
+	}
+	p.expired = make([]uint64, (t.Len()+63)/64)
+	p.tracked, p.head, p.tail = 0, -1, -1
+}
+
 // OnEstablish implements Predictor.
-func (p *Timeout) OnEstablish(c topology.Conn, now sim.Time) { p.touch(c, now) }
+func (p *Timeout) OnEstablish(c Conn, now sim.Time) { p.touch(c.ID, now) }
 
 // OnUse implements Predictor.
-func (p *Timeout) OnUse(c topology.Conn, now sim.Time) { p.touch(c, now) }
+func (p *Timeout) OnUse(c Conn, now sim.Time) { p.touch(c.ID, now) }
 
 // OnRelease implements Predictor.
-func (p *Timeout) OnRelease(c topology.Conn) {
-	key := c.Key()
-	i, ok := p.index[key]
-	if !ok {
-		return
+func (p *Timeout) OnRelease(c Conn) {
+	if p.detach(c.ID) {
+		p.tracked--
 	}
-	p.detach(i)
-	delete(p.index, key)
-	p.nodes[i].next = p.free
-	p.free = i
 }
 
 // Evictions implements Predictor.
-func (p *Timeout) Evictions(now sim.Time, held *bitmat.Matrix) []topology.Conn {
+func (p *Timeout) Evictions(now sim.Time, held []uint64) []Conn {
 	p.advance(now)
 	for p.head >= 0 && now-p.nodes[p.head].last >= p.timeout {
-		n := &p.nodes[p.head]
-		p.unlink(p.head)
-		n.expired = true
-		if n.c.Src >= len(p.expired) {
-			p.expired = append(p.expired, make([][]uint64, n.c.Src+1-len(p.expired))...)
-		}
-		p.expired[n.c.Src] = setGrow(p.expired[n.c.Src], n.c.Dst)
-		p.expiredRows = setGrow(p.expiredRows, n.c.Src)
+		i := p.head
+		p.unlink(i)
+		bitmat.MaskSet(p.expired, int(i))
 	}
 	out := p.out[:0]
-	for rw, rows := range p.expiredRows {
-		for rows != 0 {
-			src := rw<<6 | bits.TrailingZeros64(rows)
-			rows &= rows - 1
-			row, live := p.expired[src], false
-			hw := held.RowWords(src)
-			for w, x := range row {
-				if x == 0 {
-					continue
-				}
-				live = true
-				for x &= hw[w]; x != 0; x &= x - 1 {
-					out = append(out, topology.Conn{Src: src, Dst: w<<6 | bits.TrailingZeros64(x)})
-				}
-			}
-			if !live {
-				// Rows are marked eagerly and unmarked here, once a sweep
-				// finds them empty.
-				bitmat.MaskClear(p.expiredRows, src)
-			}
+	for w, x := range p.expired {
+		for x &= held[w]; x != 0; x &= x - 1 {
+			id := int32(w<<6 | bits.TrailingZeros64(x))
+			out = append(out, Conn{Conn: p.conns.Conn(id), ID: id})
 		}
 	}
 	p.out = out
@@ -196,7 +190,7 @@ func (p *Timeout) Evictions(now sim.Time, held *bitmat.Matrix) []topology.Conn {
 }
 
 // Tracked returns the number of connections under observation.
-func (p *Timeout) Tracked() int { return len(p.index) }
+func (p *Timeout) Tracked() int { return p.tracked }
 
 // advance enforces the monotone-time contract of Predictor.
 func (p *Timeout) advance(now sim.Time) {
@@ -207,45 +201,36 @@ func (p *Timeout) advance(now sim.Time) {
 	p.now = now
 }
 
-// touch records a use of c at now, tracking it if it is new: the node moves
-// to the tail of the live list, which stays in last-use order because time
-// never goes backwards.
-func (p *Timeout) touch(c topology.Conn, now sim.Time) {
+// touch records a use of connection id at now, tracking it if it is new:
+// the node moves to the tail of the live list, which stays in last-use
+// order because time never goes backwards.
+func (p *Timeout) touch(id int32, now sim.Time) {
 	p.advance(now)
-	key := c.Key()
-	i, ok := p.index[key]
-	if ok {
-		p.detach(i)
-	} else {
-		if p.free >= 0 {
-			i = p.free
-			p.free = p.nodes[i].next
-		} else {
-			i = int32(len(p.nodes))
-			p.nodes = append(p.nodes, lruNode{})
-		}
-		p.nodes[i] = lruNode{c: c}
-		p.index[key] = i
+	if !p.detach(id) {
+		p.tracked++
 	}
-	n := &p.nodes[i]
+	n := &p.nodes[id]
 	n.last, n.prev, n.next = now, p.tail, -1
 	if p.tail >= 0 {
-		p.nodes[p.tail].next = i
+		p.nodes[p.tail].next = id
 	} else {
-		p.head = i
+		p.head = id
 	}
-	p.tail = i
+	p.tail = id
 }
 
-// detach takes node i off the live list or out of the expired bitset.
-func (p *Timeout) detach(i int32) {
-	n := &p.nodes[i]
-	if n.expired {
-		n.expired = false
-		bitmat.MaskClear(p.expired[n.c.Src], n.c.Dst)
-		return
+// detach takes node id off the live list or out of the expired set and
+// reports whether it was tracked.
+func (p *Timeout) detach(id int32) bool {
+	if p.nodes[id].prev != offList {
+		p.unlink(id)
+		return true
 	}
-	p.unlink(i)
+	if bitmat.MaskTest(p.expired, int(id)) {
+		bitmat.MaskClear(p.expired, int(id))
+		return true
+	}
+	return false
 }
 
 // unlink removes live node i from the list.
@@ -261,15 +246,7 @@ func (p *Timeout) unlink(i int32) {
 	} else {
 		p.tail = n.prev
 	}
-}
-
-// setGrow sets bit i of mask, growing the mask to hold it.
-func setGrow(mask []uint64, i int) []uint64 {
-	if w := i >> 6; w >= len(mask) {
-		mask = append(mask, make([]uint64, w+1-len(mask))...)
-	}
-	bitmat.MaskSet(mask, i)
-	return mask
+	n.prev = offList
 }
 
 // --- Counter ---
@@ -283,7 +260,7 @@ func setGrow(mask []uint64, i int) []uint64 {
 // traffic forever.
 type IdleGrantObserver interface {
 	// OnIdleGrant reports one wasted slot grant for connection c.
-	OnIdleGrant(c topology.Conn, now sim.Time)
+	OnIdleGrant(c Conn, now sim.Time)
 }
 
 // Counter is the paper's alternative predictor: each connection has a
@@ -301,9 +278,9 @@ type IdleGrantObserver interface {
 type Counter struct {
 	threshold uint64
 	totalUses uint64
-	atLastUse map[topology.Conn]uint64
-	idle      map[topology.Conn]uint64
-	out       []topology.Conn
+	atLastUse map[Conn]uint64
+	idle      map[Conn]uint64
+	out       []Conn
 }
 
 // NewCounter builds a counter predictor. threshold must be positive.
@@ -313,44 +290,47 @@ func NewCounter(threshold uint64) *Counter {
 	}
 	return &Counter{
 		threshold: threshold,
-		atLastUse: make(map[topology.Conn]uint64),
-		idle:      make(map[topology.Conn]uint64),
+		atLastUse: make(map[Conn]uint64),
+		idle:      make(map[Conn]uint64),
 	}
 }
 
 // Name implements Predictor.
 func (p *Counter) Name() string { return fmt.Sprintf("counter(%d)", p.threshold) }
 
+// Start implements Predictor.
+func (*Counter) Start(*topology.ConnTable) {}
+
 // OnEstablish implements Predictor.
-func (p *Counter) OnEstablish(c topology.Conn, _ sim.Time) { p.atLastUse[c] = p.totalUses }
+func (p *Counter) OnEstablish(c Conn, _ sim.Time) { p.atLastUse[c] = p.totalUses }
 
 // OnUse implements Predictor.
-func (p *Counter) OnUse(c topology.Conn, _ sim.Time) {
+func (p *Counter) OnUse(c Conn, _ sim.Time) {
 	p.totalUses++
 	p.atLastUse[c] = p.totalUses
 	delete(p.idle, c)
 }
 
 // OnIdleGrant implements IdleGrantObserver.
-func (p *Counter) OnIdleGrant(c topology.Conn, _ sim.Time) {
+func (p *Counter) OnIdleGrant(c Conn, _ sim.Time) {
 	p.idle[c]++
 }
 
 // OnRelease implements Predictor.
-func (p *Counter) OnRelease(c topology.Conn) {
+func (p *Counter) OnRelease(c Conn) {
 	delete(p.atLastUse, c)
 	delete(p.idle, c)
 }
 
 // Evictions implements Predictor.
-func (p *Counter) Evictions(_ sim.Time, held *bitmat.Matrix) []topology.Conn {
+func (p *Counter) Evictions(_ sim.Time, held []uint64) []Conn {
 	out := p.out[:0]
 	for c, at := range p.atLastUse {
 		// Uses by other connections since c's last use (c's own last use is
 		// included in totalUses and in at, so the difference counts exactly
 		// the *other* uses since then) plus the slot grants c wasted while
 		// other traffic waited.
-		if p.totalUses-at+p.idle[c] >= p.threshold && held.Get(c.Src, c.Dst) {
+		if p.totalUses-at+p.idle[c] >= p.threshold && bitmat.MaskTest(held, int(c.ID)) {
 			out = append(out, c)
 		}
 	}
@@ -370,8 +350,8 @@ type Oracle struct {
 	remaining map[topology.Conn]int
 	// done counts each nominated connection's pending nominations; an
 	// OnRelease retires one.
-	done map[topology.Conn]int
-	out  []topology.Conn
+	done map[Conn]int
+	out  []Conn
 }
 
 // NewOracle builds an oracle from the per-connection total use counts of the
@@ -384,15 +364,18 @@ func NewOracle(uses map[topology.Conn]int) *Oracle {
 		}
 		rem[c] = n
 	}
-	return &Oracle{remaining: rem, done: make(map[topology.Conn]int)}
+	return &Oracle{remaining: rem, done: make(map[Conn]int)}
 }
 
 // Name implements Predictor.
 func (*Oracle) Name() string { return "oracle" }
 
+// Start implements Predictor.
+func (*Oracle) Start(*topology.ConnTable) {}
+
 // OnEstablish implements Predictor.
-func (p *Oracle) OnEstablish(c topology.Conn, _ sim.Time) {
-	if _, ok := p.remaining[c]; !ok {
+func (p *Oracle) OnEstablish(c Conn, _ sim.Time) {
+	if _, ok := p.remaining[c.Conn]; !ok {
 		// A connection the oracle never saw in the plan has zero future
 		// uses; evict as soon as possible.
 		p.done[c]++
@@ -400,21 +383,21 @@ func (p *Oracle) OnEstablish(c topology.Conn, _ sim.Time) {
 }
 
 // OnUse implements Predictor.
-func (p *Oracle) OnUse(c topology.Conn, _ sim.Time) {
-	n, ok := p.remaining[c]
+func (p *Oracle) OnUse(c Conn, _ sim.Time) {
+	n, ok := p.remaining[c.Conn]
 	if !ok {
 		return
 	}
 	n--
-	p.remaining[c] = n
+	p.remaining[c.Conn] = n
 	if n <= 0 {
 		p.done[c]++
-		delete(p.remaining, c)
+		delete(p.remaining, c.Conn)
 	}
 }
 
 // OnRelease implements Predictor.
-func (p *Oracle) OnRelease(c topology.Conn) {
+func (p *Oracle) OnRelease(c Conn) {
 	if n := p.done[c]; n > 1 {
 		p.done[c] = n - 1
 	} else {
@@ -423,10 +406,10 @@ func (p *Oracle) OnRelease(c topology.Conn) {
 }
 
 // Evictions implements Predictor.
-func (p *Oracle) Evictions(_ sim.Time, held *bitmat.Matrix) []topology.Conn {
+func (p *Oracle) Evictions(_ sim.Time, held []uint64) []Conn {
 	out := p.out[:0]
 	for c := range p.done {
-		if held.Get(c.Src, c.Dst) {
+		if bitmat.MaskTest(held, int(c.ID)) {
 			out = append(out, c)
 		}
 	}

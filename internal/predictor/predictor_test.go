@@ -13,19 +13,54 @@ import (
 	"pmsnet/internal/topology"
 )
 
-var (
-	c01 = topology.Conn{Src: 0, Dst: 1}
-	c12 = topology.Conn{Src: 1, Dst: 2}
-	c23 = topology.Conn{Src: 2, Dst: 3}
+// table is the connection table the unit tests run over: every pair of
+// distinct ports below tableN.
+const tableN = 70
 
-	// all holds every connection the unit tests use, so Evictions filters
-	// nothing out.
-	all = func() *bitmat.Matrix {
-		m := bitmat.NewSquare(8)
-		m.SetAll()
+var (
+	table = topology.NewConnTable(tableN, func(src int, add func(dst int)) {
+		for v := 0; v < tableN; v++ {
+			if v != src {
+				add(v)
+			}
+		}
+	})
+
+	c01 = conn(0, 1)
+	c12 = conn(1, 2)
+	c23 = conn(2, 3)
+
+	// all holds every connection of the table, so Evictions filters nothing
+	// out.
+	all = func() []uint64 {
+		m := make([]uint64, (table.Len()+63)/64)
+		for i := range m {
+			m[i] = ^uint64(0)
+		}
 		return m
 	}()
 )
+
+// conn returns src→dst with its id in table.
+func conn(src, dst int) Conn {
+	return Conn{Conn: topology.Conn{Src: src, Dst: dst}, ID: table.ID(src, dst)}
+}
+
+// heldSet returns the held bitset holding exactly cs.
+func heldSet(cs ...Conn) []uint64 {
+	m := make([]uint64, (table.Len()+63)/64)
+	for _, c := range cs {
+		bitmat.MaskSet(m, int(c.ID))
+	}
+	return m
+}
+
+// newTimeout returns a time-out predictor started on table.
+func newTimeout(timeout sim.Time) *Timeout {
+	p := NewTimeout(timeout)
+	p.Start(table)
+	return p
+}
 
 func TestNever(t *testing.T) {
 	p := NewNever()
@@ -41,7 +76,7 @@ func TestNever(t *testing.T) {
 }
 
 func TestTimeoutEvictsIdleConnections(t *testing.T) {
-	p := NewTimeout(100)
+	p := newTimeout(100)
 	p.OnEstablish(c01, 0)
 	p.OnEstablish(c12, 0)
 	p.OnUse(c01, 50)
@@ -67,7 +102,7 @@ func TestTimeoutEvictsIdleConnections(t *testing.T) {
 }
 
 func TestTimeoutExactBoundary(t *testing.T) {
-	p := NewTimeout(100)
+	p := newTimeout(100)
 	p.OnEstablish(c01, 0)
 	if got := p.Evictions(99, all); len(got) != 0 {
 		t.Fatal("must not evict before the timeout")
@@ -112,7 +147,7 @@ func TestCounterDoesNotEvictDuringComputePhase(t *testing.T) {
 	if got := p.Evictions(1<<40, all); len(got) != 0 {
 		t.Fatalf("counter predictor evicted %v with no intervening uses", got)
 	}
-	tp := NewTimeout(100)
+	tp := newTimeout(100)
 	tp.OnEstablish(c01, 0)
 	tp.OnUse(c01, 1)
 	if got := tp.Evictions(1<<40, all); len(got) != 1 {
@@ -146,7 +181,7 @@ func TestCounterPanicsOnZeroThreshold(t *testing.T) {
 }
 
 func TestOracleEvictsAfterLastUse(t *testing.T) {
-	p := NewOracle(map[topology.Conn]int{c01: 2, c12: 1})
+	p := NewOracle(map[topology.Conn]int{c01.Conn: 2, c12.Conn: 1})
 	p.OnEstablish(c01, 0)
 	p.OnEstablish(c12, 0)
 	p.OnUse(c01, 1)
@@ -167,7 +202,7 @@ func TestOracleEvictsAfterLastUse(t *testing.T) {
 }
 
 func TestOracleUnplannedConnectionEvictedImmediately(t *testing.T) {
-	p := NewOracle(map[topology.Conn]int{c01: 1})
+	p := NewOracle(map[topology.Conn]int{c01.Conn: 1})
 	p.OnEstablish(c23, 0) // never in the plan
 	got := p.Evictions(0, all)
 	if len(got) != 1 || got[0] != c23 {
@@ -181,7 +216,7 @@ func TestOraclePanicsOnNegativeUses(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewOracle(map[topology.Conn]int{c01: -1})
+	NewOracle(map[topology.Conn]int{c01.Conn: -1})
 }
 
 func TestNamesAreDistinct(t *testing.T) {
@@ -199,12 +234,12 @@ func TestNamesAreDistinct(t *testing.T) {
 func TestQuickTimeoutNeverEvictsRecentlyUsed(t *testing.T) {
 	f := func(events []uint16, window uint8) bool {
 		timeout := sim.Time(int64(window)%500 + 1)
-		p := NewTimeout(timeout)
-		last := map[topology.Conn]sim.Time{}
+		p := newTimeout(timeout)
+		last := map[Conn]sim.Time{}
 		now := sim.Time(0)
 		for _, e := range events {
 			now += sim.Time(e % 50)
-			c := topology.Conn{Src: int(e % 4), Dst: int(e%4) + 1}
+			c := conn(int(e%4), int(e%4)+1)
 			p.OnUse(c, now)
 			last[c] = now
 		}
@@ -226,10 +261,10 @@ func TestQuickCounterMatchesNaive(t *testing.T) {
 	f := func(events []uint8, rawThreshold uint8) bool {
 		threshold := uint64(rawThreshold)%10 + 1
 		p := NewCounter(threshold)
-		var log []topology.Conn
-		seen := map[topology.Conn]bool{}
+		var log []Conn
+		seen := map[Conn]bool{}
 		for _, e := range events {
-			c := topology.Conn{Src: int(e % 5), Dst: int(e%5) + 1}
+			c := conn(int(e%5), int(e%5)+1)
 			if !seen[c] {
 				p.OnEstablish(c, 0)
 				seen[c] = true
@@ -237,7 +272,7 @@ func TestQuickCounterMatchesNaive(t *testing.T) {
 			p.OnUse(c, 0)
 			log = append(log, c)
 		}
-		evicted := map[topology.Conn]bool{}
+		evicted := map[Conn]bool{}
 		for _, c := range p.Evictions(0, all) {
 			evicted[c] = true
 		}
@@ -291,20 +326,18 @@ func TestCounterIdleGrants(t *testing.T) {
 }
 
 func TestEvictionsFilterByHeld(t *testing.T) {
-	held := bitmat.NewSquare(8)
-	held.Set(c12.Src, c12.Dst)
+	held := heldSet(c12)
 	// Each predictor establishes c01 and c12 at 0; after uses at 1, both are
 	// due at now.
 	for _, tc := range []struct {
 		p    Predictor
-		uses []topology.Conn
+		uses []Conn
 		now  sim.Time
 	}{
-		{NewTimeout(100), nil, 100},
-		{NewMarkov(100, 1), nil, 100},
-		{NewCounter(1), []topology.Conn{c23}, 1},
+		{newTimeout(100), nil, 100},
+		{newMarkov(100, 1), nil, 100},
+		{NewCounter(1), []Conn{c23}, 1},
 		{NewOracle(nil), nil, 1},
-		{NewScheduleSlack(map[topology.Conn]uint64{c01: 1, c12: 1}, 1000), []topology.Conn{c01, c12}, 1},
 	} {
 		tc.p.OnEstablish(c01, 0)
 		tc.p.OnEstablish(c12, 0)
@@ -346,7 +379,7 @@ func TestTimeoutPanicsWhenTimeGoesBackwards(t *testing.T) {
 		"Evictions":   func(p *Timeout) { p.Evictions(5, all) },
 	} {
 		t.Run(name, func(t *testing.T) {
-			p := NewTimeout(100)
+			p := newTimeout(100)
 			p.OnUse(c01, 10)
 			p.Evictions(10, all) // equal times are fine
 			defer func() {
@@ -365,17 +398,17 @@ func TestTimeoutPanicsWhenTimeGoesBackwards(t *testing.T) {
 // Timeout to it.
 type refTimeout struct {
 	timeout sim.Time
-	lastUse map[topology.Conn]sim.Time
+	lastUse map[Conn]sim.Time
 }
 
-func (p *refTimeout) touch(c topology.Conn, now sim.Time) { p.lastUse[c] = now }
+func (p *refTimeout) touch(c Conn, now sim.Time) { p.lastUse[c] = now }
 
-func (p *refTimeout) release(c topology.Conn) { delete(p.lastUse, c) }
+func (p *refTimeout) release(c Conn) { delete(p.lastUse, c) }
 
-func (p *refTimeout) evictions(now sim.Time, held *bitmat.Matrix) []topology.Conn {
-	var out []topology.Conn
+func (p *refTimeout) evictions(now sim.Time, held []uint64) []Conn {
+	var out []Conn
 	for c, last := range p.lastUse {
-		if now-last >= p.timeout && held.Get(c.Src, c.Dst) {
+		if now-last >= p.timeout && bitmat.MaskTest(held, int(c.ID)) {
 			out = append(out, c)
 		}
 	}
@@ -388,13 +421,15 @@ func (p *refTimeout) evictions(now sim.Time, held *bitmat.Matrix) []topology.Con
 	return out
 }
 
-// parityN spans two bitset words per row and two words of rows; the parity
-// sequences draw from a 12x12 grid of its ports so that calls revisit the
-// same connections often.
-const parityN = 70
-
-func parityConn(a, b int) topology.Conn {
-	return topology.Conn{Src: a % 12 * 6, Dst: b % 12 * 6}
+// The parity sequences draw from a 12x12 grid of the table's ports, spread
+// over its 70, so that calls revisit the same connections often; a
+// self-pair is moved one column on.
+func parityConn(a, b int) Conn {
+	src, dst := a%12, b%12
+	if dst == src {
+		dst = (dst + 1) % 12
+	}
+	return conn(src*6, dst*6)
 }
 
 // checkTimeoutParity decodes data into a sequence of establish, use,
@@ -406,9 +441,9 @@ func checkTimeoutParity(t *testing.T, data []byte) {
 		return
 	}
 	timeout := sim.Time(data[0]%100) + 1
-	p := NewTimeout(timeout)
-	ref := &refTimeout{timeout: timeout, lastUse: map[topology.Conn]sim.Time{}}
-	held := bitmat.NewSquare(parityN)
+	p := newTimeout(timeout)
+	ref := &refTimeout{timeout: timeout, lastUse: map[Conn]sim.Time{}}
+	held := heldSet()
 	now := sim.Time(0)
 	for i := 1; i+3 < len(data); i += 4 {
 		op, a, b, dt := data[i], int(data[i+1]), int(data[i+2]), sim.Time(data[i+3]%32)
@@ -418,7 +453,7 @@ func checkTimeoutParity(t *testing.T, data []byte) {
 		case 0, 1:
 			p.OnEstablish(c, now)
 			ref.touch(c, now)
-			held.Set(c.Src, c.Dst)
+			bitmat.MaskSet(held, int(c.ID))
 		case 2, 3:
 			p.OnUse(c, now)
 			ref.touch(c, now)
@@ -426,12 +461,12 @@ func checkTimeoutParity(t *testing.T, data []byte) {
 			p.OnRelease(c)
 			ref.release(c)
 		case 5:
-			held.Toggle(c.Src, c.Dst)
+			held[c.ID>>6] ^= 1 << (uint(c.ID) & 63)
 		case 6:
 			if a&1 == 0 {
-				held.Reset()
+				clear(held)
 			} else {
-				held.SetAll()
+				copy(held, all)
 			}
 		case 7:
 			got, want := p.Evictions(now, held), ref.evictions(now, held)
@@ -441,7 +476,7 @@ func checkTimeoutParity(t *testing.T, data []byte) {
 			if b&1 == 0 {
 				// The tdm caller's loop: evict, then release.
 				for _, c := range want {
-					held.Clear(c.Src, c.Dst)
+					bitmat.MaskClear(held, int(c.ID))
 					p.OnRelease(c)
 					ref.release(c)
 				}
@@ -476,23 +511,32 @@ func TestTimeoutParitySeeded(t *testing.T) {
 // idle in B* (expired and nominated every pass, but left in place because
 // their queues are not empty). sweep advances time by one pass, touches the
 // busy ones and runs Evictions.
-func timeoutSteadyState() (sweep func() []topology.Conn) {
+func timeoutSteadyState() (sweep func() []Conn) {
 	const n, tracked, busy, idle = 128, 6000, 80, 20
 	const timeout = sim.Time(500)
+	full := topology.NewConnTable(n, func(src int, add func(dst int)) {
+		for v := 0; v < n; v++ {
+			if v != src {
+				add(v)
+			}
+		}
+	})
 	p := NewTimeout(timeout)
-	held := bitmat.NewSquare(n)
-	conns := make([]topology.Conn, tracked)
+	p.Start(full)
+	held := make([]uint64, (full.Len()+63)/64)
+	conns := make([]Conn, tracked)
 	for k := range conns {
-		conns[k] = topology.Conn{Src: k % n, Dst: k / n}
+		src, dst := k%n, (k%n+k/n+1)%n
+		conns[k] = Conn{Conn: topology.Conn{Src: src, Dst: dst}, ID: full.ID(src, dst)}
 		p.OnEstablish(conns[k], 0)
 	}
 	hot := conns[tracked-busy-idle:]
 	for _, c := range hot {
-		held.Set(c.Src, c.Dst)
+		bitmat.MaskSet(held, int(c.ID))
 	}
 	hot = hot[:busy]
 	now := sim.Time(0)
-	sweep = func() []topology.Conn {
+	sweep = func() []Conn {
 		now += timeout / 4
 		for _, c := range hot {
 			p.OnUse(c, now)
@@ -523,5 +567,64 @@ func BenchmarkTimeoutEvictions(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sweep()
+	}
+}
+
+// TestTimeoutEvictionsInConnOrder walks connections through expire, reuse
+// and release cycles in an order unrelated to their pairs and checks that
+// every Evictions result lists exactly the expired held connections in
+// (Src, Dst) order: id order is that order, so no sort is needed.
+func TestTimeoutEvictionsInConnOrder(t *testing.T) {
+	const timeout = 10
+	p := newTimeout(timeout)
+	conns := []Conn{conn(5, 0), conn(0, 9), conn(3, 4), conn(0, 2), conn(69, 68), conn(3, 1), conn(12, 40)}
+	last := map[Conn]sim.Time{}
+	now := sim.Time(0)
+	check := func(what string) {
+		t.Helper()
+		got := p.Evictions(now, all)
+		var want []Conn
+		for _, c := range conns {
+			if at, ok := last[c]; ok && now-at >= timeout {
+				want = append(want, c)
+			}
+		}
+		sortConns(want)
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s at t=%v: Evictions = %v, want %v", what, now, got, want)
+		}
+	}
+	for cycle := 0; cycle < 6; cycle++ {
+		// Touch in a rotating order, so list order and pair order differ.
+		for i := range conns {
+			c := conns[(i*3+cycle)%len(conns)]
+			p.OnUse(c, now)
+			last[c] = now
+			now += 2
+		}
+		check("after touches")
+		now += timeout
+		check("all expired")
+		// Reuse every other connection, release every third.
+		for i, c := range conns {
+			switch {
+			case i%3 == cycle%3:
+				p.OnRelease(c)
+				delete(last, c)
+			case i%2 == 0:
+				p.OnUse(c, now)
+				last[c] = now
+			}
+		}
+		check("after reuse and release")
+		now += timeout
+		check("reused expired again")
+		for _, c := range conns {
+			p.OnRelease(c)
+			delete(last, c)
+		}
+		if p.Tracked() != 0 {
+			t.Fatalf("cycle %d: %d tracked after releasing all", cycle, p.Tracked())
+		}
 	}
 }

@@ -2,12 +2,12 @@ package tdm
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/fabric"
 	"pmsnet/internal/plan"
-	"pmsnet/internal/predictor"
 	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 )
@@ -134,30 +134,6 @@ func TestPlannerValidation(t *testing.T) {
 	}
 }
 
-// TestScheduleSlackPredictorRuns drives the planner-fed eviction signal
-// through a dynamic run: plan the workload offline, feed the planned
-// per-connection budgets to predictor.ScheduleSlack, and check the run
-// completes with eviction activity.
-func TestScheduleSlackPredictorRuns(t *testing.T) {
-	wl := traffic.Skewed("skewed", 16, 64, 3, 8, []int{1, 2, 3, 4, 5, 6, 7, 8})
-	d := plan.FromWorkload(wl, 64)
-	sched, err := plan.Solstice{}.Plan(d, 4, 4, plan.Options{ReconfigSlots: 0.8, CoverAll: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	planned := sched.PlannedUses()
-	cfg := Config{N: 16, K: 4, NewPredictor: func() predictor.Predictor {
-		return predictor.NewScheduleSlack(planned, 500)
-	}}
-	res := identityRun(t, cfg, wl)
-	if res.Messages != wl.MessageCount() {
-		t.Fatalf("delivered %d of %d messages", res.Messages, wl.MessageCount())
-	}
-	if res.Stats.Evictions == 0 {
-		t.Fatal("schedule-slack predictor never evicted on a skewed workload")
-	}
-}
-
 // TestIndexGroupsRecordsEachGroupOnce pins groupsOf's contract: a connection
 // maps to every group holding it, in group order, once per group even when a
 // configuration repeats within the group (a register share) or two of the
@@ -174,23 +150,40 @@ func TestIndexGroupsRecordsEachGroupOnce(t *testing.T) {
 	b := topology.Conn{Src: 1, Dst: 2}
 	c := topology.Conn{Src: 2, Dst: 3}
 	shared := cfg(a, b)
-	p := &preloader{r: &run{cfg: Config{N: 4}}, groups: [][]*bitmat.Matrix{
+	// The run's table holds every pair, so most connections are in no group.
+	conns := topology.NewConnTable(4, func(src int, add func(dst int)) {
+		for v := 0; v < 4; v++ {
+			if v != src {
+				add(v)
+			}
+		}
+	})
+	p := &preloader{r: &run{cfg: Config{N: 4}, conns: conns}, groups: [][]*bitmat.Matrix{
 		{shared, shared},    // a register share
 		{cfg(b), cfg(b, c)}, // overlapping configurations
 		{cfg(c), cfg(a)},
 	}}
-	p.indexGroups()
+	if err := p.indexGroups(); err != nil {
+		t.Fatal(err)
+	}
 	want := map[topology.Conn][]int32{
 		a: {0, 2},
 		b: {0, 1},
 		c: {1, 2},
 	}
-	for u := 0; u < 4; u++ {
-		for v := 0; v < 4; v++ {
-			conn := topology.Conn{Src: u, Dst: v}
-			if got := p.groupsOf(conn); !reflect.DeepEqual(got, want[conn]) {
-				t.Errorf("groupsOf(%v) = %v, want %v", conn, got, want[conn])
-			}
+	for id := int32(0); id < int32(conns.Len()); id++ {
+		conn := conns.Conn(id)
+		if got := p.groupsOf(id); len(got) != len(want[conn]) || (len(got) > 0 && !reflect.DeepEqual(got, want[conn])) {
+			t.Errorf("groupsOf(%v) = %v, want %v", conn, got, want[conn])
 		}
+	}
+	// A group connection outside the table is refused, by name.
+	p.r.conns = topology.NewConnTable(4, func(src int, add func(dst int)) {
+		if src != 2 {
+			add((src + 1) % 4)
+		}
+	})
+	if err := p.indexGroups(); err == nil || !strings.Contains(err.Error(), "2->3") {
+		t.Fatalf("indexGroups with 2->3 outside the table: %v", err)
 	}
 }

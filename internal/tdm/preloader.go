@@ -27,8 +27,14 @@ type preloader struct {
 	slots int
 	// groups holds the configuration groups in phase order.
 	groups [][]*bitmat.Matrix
-	// index lists every connection some group holds (indexGroups).
-	index connIndex
+	// groupStart and groupList list the groups holding each connection of
+	// the run's table, in group order: connection id's groups are
+	// groupList[groupStart[id]:groupStart[id+1]] (indexGroups). broken is a
+	// bitset over ids that breakConn sets to empty a connection's list; nil
+	// until a fault breaks one.
+	groupStart []int32
+	groupList  []int32
+	broken     []uint64
 	// empty is the all-zero configuration pinned into every managed slot a
 	// group leaves unused; LoadConfig copies it, so one serves every slot.
 	empty *bitmat.Matrix
@@ -54,7 +60,9 @@ func newPreloader(r *run, wl *traffic.Workload, slots int) (*preloader, error) {
 	if err := p.buildGroups(wl); err != nil {
 		return nil, err
 	}
-	p.indexGroups()
+	if err := p.indexGroups(); err != nil {
+		return nil, err
+	}
 	p.pendingInGroup = make([]int, len(p.groups))
 
 	if r.cfg.Mode == Preload {
@@ -92,57 +100,36 @@ func (p *preloader) buildGroups(wl *traffic.Workload) error {
 	return nil
 }
 
-// connIndex lists every connection that some group holds, with the groups
-// holding it. Row u's entries are rowStart[u] to rowStart[u+1]-1 with their
-// destinations ascending in dst, so the entries run in (Src, Dst) order.
-// Entry i's groups are groups[i], in group order; breakConn empties a list.
-// rowStart, dst and every list are cut from one backing array.
-type connIndex struct {
-	rowStart []int32
-	dst      []int32
-	groups   [][]int32
-}
-
-// indexGroups builds the index once every group exists. A planned
+// indexGroups builds the group lists once every group exists. A planned
 // configuration can occupy several of the group's slot registers (register
 // shares), and a connection can sit in several of a group's configurations,
 // so each group's row is the OR of its configurations' rows: membership is
 // recorded once per (connection, group) and the pending accounting weighs
 // each group by distinct waiting connections. A counting pass sizes the
-// backing array; the filling pass lists each row's (dst, group) pairs,
-// packed into one word with dst in the high half, and sorts them, which
-// orders the row by dst and keeps each list in group order.
-func (p *preloader) indexGroups() {
+// lists; the filling pass lists each row's (dst, group) pairs, packed into
+// one word with dst in the high half, and sorts them, which orders the row
+// by dst, as the table's row is, and keeps each list in group order.
+func (p *preloader) indexGroups() error {
 	n := p.r.cfg.N
+	conns := p.r.conns
 	words := (n + 63) / 64
-	union := make([]uint64, 2*words)
-	union, all := union[:words], union[words:]
-	conns, members, widest := 0, 0, 0
+	union := make([]uint64, words)
+	members, widest := 0, 0
 	for u := 0; u < n; u++ {
-		clear(all)
 		row := 0
 		for _, group := range p.groups {
 			rowUnion(union, group, u)
-			for w, word := range union {
+			for _, word := range union {
 				row += bits.OnesCount64(word)
-				all[w] |= word
 			}
-		}
-		for _, word := range all {
-			conns += bits.OnesCount64(word)
 		}
 		members += row
 		widest = max(widest, row)
 	}
 
-	backing := make([]int32, n+1+conns+members)
-	ix := &p.index
-	ix.rowStart = backing[: n+1 : n+1]
-	ix.dst = backing[n+1 : n+1+conns : n+1+conns]
-	lists := backing[n+1+conns:]
-	ix.groups = make([][]int32, conns)
+	p.groupStart = make([]int32, conns.Len()+1)
+	p.groupList = make([]int32, 0, members)
 	pairs := make([]uint64, 0, widest)
-	e, m := 0, 0
 	for u := 0; u < n; u++ {
 		pairs = pairs[:0]
 		for gi, group := range p.groups {
@@ -155,17 +142,21 @@ func (p *preloader) indexGroups() {
 			}
 		}
 		slices.Sort(pairs)
-		for i := 0; i < len(pairs); e++ {
-			start, dst := m, pairs[i]>>32
-			for ; i < len(pairs) && pairs[i]>>32 == dst; i++ {
-				lists[m] = int32(uint32(pairs[i]))
-				m++
+		lo, hi := conns.Row(u)
+		i := 0
+		for id := lo; id < hi; id++ {
+			p.groupStart[id] = int32(len(p.groupList))
+			for ; i < len(pairs) && int(pairs[i]>>32) == conns.Dst(id); i++ {
+				p.groupList = append(p.groupList, int32(uint32(pairs[i])))
 			}
-			ix.dst[e] = int32(dst)
-			ix.groups[e] = lists[start:m:m]
 		}
-		ix.rowStart[u+1] = int32(e)
+		if i < len(pairs) {
+			return fmt.Errorf("tdm: preloaded connection %v is outside the run's table",
+				topology.Conn{Src: u, Dst: int(pairs[i] >> 32)})
+		}
 	}
+	p.groupStart[conns.Len()] = int32(len(p.groupList))
+	return nil
 }
 
 // rowUnion sets union to the OR of row u over the group's configurations.
@@ -178,22 +169,12 @@ func rowUnion(union []uint64, group []*bitmat.Matrix, u int) {
 	}
 }
 
-// entry returns c's index entry, or -1 when no group holds c.
-func (p *preloader) entry(c topology.Conn) int {
-	ix := &p.index
-	lo, hi := ix.rowStart[c.Src], ix.rowStart[c.Src+1]
-	if i, ok := slices.BinarySearch(ix.dst[lo:hi], int32(c.Dst)); ok {
-		return int(lo) + i
+// groupsOf returns every group holding connection id, in group order.
+func (p *preloader) groupsOf(id int32) []int32 {
+	if p.broken != nil && bitmat.MaskTest(p.broken, int(id)) {
+		return nil
 	}
-	return -1
-}
-
-// groupsOf returns every group holding c, in group order.
-func (p *preloader) groupsOf(c topology.Conn) []int32 {
-	if i := p.entry(c); i >= 0 {
-		return p.index.groups[i]
-	}
-	return nil
+	return p.groupList[p.groupStart[id]:p.groupStart[id+1]]
 }
 
 // firstUncovered returns the smallest (Src, Dst) connection the programs
@@ -204,7 +185,7 @@ func (p *preloader) firstUncovered(wl *traffic.Workload) (topology.Conn, bool) {
 		for _, op := range prog.Ops {
 			if (op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait) &&
 				(miss == -1 || op.Dst < miss) &&
-				len(p.groupsOf(topology.Conn{Src: src, Dst: op.Dst})) == 0 {
+				len(p.groupsOf(p.r.conns.ID(src, op.Dst))) == 0 {
 				miss = op.Dst
 			}
 		}
@@ -275,9 +256,9 @@ func (p *preloader) load(gi int) error {
 	return nil
 }
 
-// pendingUp records that connection c now has traffic queued.
-func (p *preloader) pendingUp(c topology.Conn) {
-	gs := p.groupsOf(c)
+// pendingUp records that connection id now has traffic queued.
+func (p *preloader) pendingUp(id int32) {
+	gs := p.groupsOf(id)
 	for _, g := range gs {
 		p.pendingInGroup[g]++
 	}
@@ -286,9 +267,9 @@ func (p *preloader) pendingUp(c topology.Conn) {
 	}
 }
 
-// pendingDown records that connection c's queue drained.
-func (p *preloader) pendingDown(c topology.Conn) {
-	gs := p.groupsOf(c)
+// pendingDown records that connection id's queue drained.
+func (p *preloader) pendingDown(id int32) {
+	gs := p.groupsOf(id)
 	for _, g := range gs {
 		p.pendingInGroup[g]--
 	}
@@ -302,11 +283,11 @@ func (p *preloader) pendingDown(c topology.Conn) {
 func (p *preloader) checkPending() error {
 	inGroup := make([]int, len(p.groups))
 	static := 0
-	ix := &p.index
 	for u := 0; u < p.r.cfg.N; u++ {
-		for i := ix.rowStart[u]; i < ix.rowStart[u+1]; i++ {
-			gs := ix.groups[i]
-			if len(gs) == 0 || !p.r.driver.Buffers[u].HasFor(int(ix.dst[i])) {
+		lo, hi := p.r.conns.Row(u)
+		for id := lo; id < hi; id++ {
+			gs := p.groupsOf(id)
+			if len(gs) == 0 || !p.r.driver.Buffers[u].Has(id) {
 				continue
 			}
 			for _, g := range gs {
@@ -366,24 +347,27 @@ func (p *preloader) maybeAdvance() bool {
 }
 
 // breakConn invalidates every preloaded configuration entry carrying
-// connection c after a fault (dead crosspoint or failed endpoint link). The
+// connection id after a fault (dead crosspoint or failed endpoint link). The
 // entry is removed from its group matrices for the rest of the run — the
 // compiled schedule is not revalidated at run time, so a repaired link does
 // not restore it — and the currently loaded group is re-pinned if it was
-// affected. From here on c's traffic is served only by dynamic slots. It
+// affected. From here on its traffic is served only by dynamic slots. It
 // reports whether any preloaded entry was broken.
-func (p *preloader) breakConn(c topology.Conn) bool {
-	i := p.entry(c)
-	if i < 0 || len(p.index.groups[i]) == 0 {
+func (p *preloader) breakConn(id int32) bool {
+	gs := p.groupsOf(id)
+	if len(gs) == 0 {
 		return false
 	}
-	if p.r.driver.Buffers[c.Src].HasFor(c.Dst) {
-		// Retire c's pending contribution while its group membership still
+	c := p.r.conns.Conn(id)
+	if p.r.driver.Buffers[c.Src].Has(id) {
+		// Retire the pending contribution while the group membership still
 		// exists; the eventual real pendingDown will then be a no-op.
-		p.pendingDown(c)
+		p.pendingDown(id)
 	}
-	gs := p.index.groups[i]
-	p.index.groups[i] = nil
+	if p.broken == nil {
+		p.broken = make([]uint64, (p.r.conns.Len()+63)/64)
+	}
+	bitmat.MaskSet(p.broken, int(id))
 	reload := false
 	for _, g := range gs {
 		for _, cfg := range p.groups[g] {
@@ -404,14 +388,14 @@ func (p *preloader) breakConn(c topology.Conn) bool {
 }
 
 // breakPort invalidates every preloaded entry whose connection uses port and
-// returns how many were broken. The index runs in (Src, Dst) order, so the
+// returns how many were broken. Id order is (Src, Dst) order, so the
 // entries break in that order.
 func (p *preloader) breakPort(port int) int {
-	ix := &p.index
 	broken := 0
 	for u := 0; u < p.r.cfg.N; u++ {
-		for i := ix.rowStart[u]; i < ix.rowStart[u+1]; i++ {
-			if v := int(ix.dst[i]); (u == port || v == port) && p.breakConn(topology.Conn{Src: u, Dst: v}) {
+		lo, hi := p.r.conns.Row(u)
+		for id := lo; id < hi; id++ {
+			if (u == port || p.r.conns.Dst(id) == port) && p.breakConn(id) {
 				broken++
 			}
 		}

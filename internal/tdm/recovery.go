@@ -3,8 +3,6 @@ package tdm
 // Fault-reaction handlers: link failures and repairs, dead crosspoints, and
 // the queue/preload bookkeeping they unwind.
 
-import "pmsnet/internal/topology"
-
 // onPortDown is the injector's link-failure callback. The scheduler evicts
 // every dynamic connection touching the port (its cached TDM configurations
 // are stale) and forgets the port's pending requests; preloaded
@@ -17,7 +15,7 @@ func (r *run) onPortDown(p int, permanent bool) {
 	r.reschedules += uint64(len(changes))
 	if r.pred != nil {
 		for _, c := range changes {
-			r.pred.OnRelease(topology.Conn{Src: c.Src, Dst: c.Dst})
+			r.pred.OnRelease(changeConn(c))
 		}
 	}
 	for x := 0; x < r.cfg.N; x++ {
@@ -36,16 +34,21 @@ func (r *run) onPortDown(p int, permanent bool) {
 		}
 	}
 	if permanent {
-		msgs := r.driver.Buffers[p].DrainAll()
+		buf := r.driver.Buffers[p]
+		msgs := buf.DrainAll()
 		// Each p->dst queue is retired once, at its last drained message:
 		// the point where it drained when messages left one at a time.
-		lastOf := make(map[int]int)
+		// lastOf is indexed by p's row of the connection table.
+		lo, hi := r.conns.Row(p)
+		lastOf := make([]int, hi-lo)
+		ids := make([]int32, len(msgs))
 		for i, m := range msgs {
-			lastOf[int(m.Dst)] = i
+			ids[i] = buf.Conn(int(m.Dst))
+			lastOf[ids[i]-lo] = i
 		}
 		for i, m := range msgs {
-			if lastOf[int(m.Dst)] == i {
-				r.retirePair(p, int(m.Dst))
+			if lastOf[ids[i]-lo] == i {
+				r.retirePair(p, int(m.Dst), ids[i])
 			}
 			r.driver.Drop(m)
 		}
@@ -81,17 +84,20 @@ func (r *run) onPortUp(p int) {
 // preloaded configurations using the crosspoint are invalidated and the
 // pair's queued traffic is dropped.
 func (r *run) onCrosspointDead(in, out int) {
+	// Every connection in B* or the preloaded groups is in the table; a
+	// pair outside it has nothing to invalidate but its requests.
+	id := r.conns.ID(in, out)
 	if r.sched.Connected(in, out) {
 		r.sched.Evict(in, out)
 		r.reschedules++
 		if r.pred != nil {
-			r.pred.OnRelease(topology.Conn{Src: in, Dst: out})
+			r.pred.OnRelease(r.predConn(id))
 		}
 	}
 	r.reqWire.ClearNow(in, out)
 	r.specReq.Clear(in, out)
-	if r.pre != nil {
-		if r.pre.breakConn(topology.Conn{Src: in, Dst: out}) {
+	if r.pre != nil && id >= 0 {
+		if r.pre.breakConn(id) {
 			r.preloadFallbacks++
 			r.ensureDynamicFallback()
 		}
@@ -99,13 +105,14 @@ func (r *run) onCrosspointDead(in, out int) {
 	r.dropPair(in, out)
 }
 
-// retirePair unwinds the queue bookkeeping of a u->v queue just emptied
-// without delivery: it clears the request wire and the preloader's pending
-// count, exactly as completeMessage does when a queue drains.
-func (r *run) retirePair(u, v int) {
+// retirePair unwinds the queue bookkeeping of the u->v queue (connection
+// id) just emptied without delivery: it clears the request wire and the
+// preloader's pending count, exactly as completeMessage does when a queue
+// drains.
+func (r *run) retirePair(u, v int, id int32) {
 	r.reqWire.Set(u, v, false)
 	if r.pre != nil {
-		r.pre.pendingDown(topology.Conn{Src: u, Dst: v})
+		r.pre.pendingDown(id)
 	}
 }
 
@@ -116,7 +123,7 @@ func (r *run) dropPair(u, v int) {
 	if len(msgs) == 0 {
 		return
 	}
-	r.retirePair(u, v)
+	r.retirePair(u, v, r.conns.ID(u, v))
 	for _, m := range msgs {
 		r.driver.Drop(m)
 	}

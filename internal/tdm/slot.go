@@ -38,10 +38,12 @@ func (r *run) onSlot() {
 		netmodel.EmitSlotEnd(r.probe, r.eng.Now(), -1, false)
 		return
 	}
-	// The slot's connections, read from the scheduler's slot index in
-	// ascending source order in O(connections): the list the fabric is
-	// loaded with and the grants the transmit loop below serves.
-	r.connsBuf = r.sched.AppendSlotConns(r.connsBuf[:0], slot)
+	// The slot's connections and their ids, read from the scheduler's slot
+	// index in ascending source order in O(connections): the list the
+	// fabric is loaded with and the grants the transmit loop below serves.
+	// From here on each connection is served by its id; nothing is looked
+	// up.
+	r.connsBuf, r.idsBuf = r.sched.AppendSlotConns(r.connsBuf[:0], r.idsBuf[:0], slot)
 	if r.cfg.SelfCheck {
 		if err := checkSlotConns(r.sched.Config(slot), r.connsBuf); err != nil {
 			r.fail(fmt.Errorf("tdm: slot %d: %w", slot, err))
@@ -53,21 +55,20 @@ func (r *run) onSlot() {
 		return
 	}
 	slotStart := r.eng.Now()
+	r.grants.arrive(slotStart)
 	used := false
-	for _, conn := range r.connsBuf {
-		u, v := conn.Src, conn.Dst
-		if len(r.grantAt) > 0 {
-			key := conn.Key()
-			if at, ok := r.grantAt[key]; ok {
-				if at > slotStart {
-					// The grant for this freshly established connection has
-					// not reached the NIC yet; the slot passes unused for
-					// this port.
-					continue
-				}
-				delete(r.grantAt, key)
-			}
+	for i, conn := range r.connsBuf {
+		u, v, id := conn.Src, conn.Dst, r.idsBuf[i]
+		if id < 0 {
+			r.fail(fmt.Errorf("tdm: slot %d carries %v, a connection outside the run's table", slot, conn))
+			return
 		}
+		if r.grants.waiting(id) {
+			// The grant for this freshly established connection has not
+			// reached the NIC yet; the slot passes unused for this port.
+			continue
+		}
+		buf := r.driver.Buffers[u]
 		if r.inj != nil {
 			if r.inj.PairDown(u, v) {
 				// The pair's link is down or its crosspoint is dead: the
@@ -75,13 +76,11 @@ func (r *run) onSlot() {
 				r.maskedGrants++
 				continue
 			}
-			if r.driver.Buffers[u].HasFor(v) && r.inj.DrawCorrupt() {
+			if buf.Has(id) && r.inj.DrawCorrupt() {
 				// The slot payload fails the destination NIC's CRC; the
 				// bytes stay queued and go out again in the next granted
 				// slot — a slot-granularity retransmission.
-				if m := r.driver.Buffers[u].Head(v); m != nil {
-					m.NoteRetry()
-				}
+				buf.HeadOf(id).NoteRetry()
 				r.driver.CountRetry()
 				continue
 			}
@@ -90,17 +89,18 @@ func (r *run) onSlot() {
 		if r.probe != nil {
 			// The head message's first byte enters the network this slot iff
 			// nothing of it has been transmitted yet.
-			injected = r.driver.HeadUntransmitted(u, v)
+			if h := buf.HeadOf(id); h != nil && h.Remaining() == int(h.Bytes) {
+				injected = h
+			}
 		}
-		sent, done := r.driver.Buffers[u].TransmitTo(v, r.cfg.PayloadBytes)
+		sent, done, drained := buf.Transmit(id, r.cfg.PayloadBytes)
 		if sent == 0 {
 			// A wasted grant: the connection is established but has nothing
 			// to send. If its source NIC is holding traffic for other
 			// destinations, tell idle-grant-aware predictors — this is the
 			// signal that the connection is squatting on a slot others need.
-			if obs, ok := r.pred.(predictor.IdleGrantObserver); ok &&
-				r.driver.Buffers[u].Len() > 0 {
-				obs.OnIdleGrant(conn, slotStart)
+			if obs, ok := r.pred.(predictor.IdleGrantObserver); ok && buf.Len() > 0 {
+				obs.OnIdleGrant(predictor.Conn{Conn: conn, ID: id}, slotStart)
 			}
 			continue
 		}
@@ -110,13 +110,12 @@ func (r *run) onSlot() {
 				Src: int32(u), Dst: int32(v), ID: int64(injected.ID)})
 		}
 		if r.pred != nil {
-			r.pred.OnUse(conn, slotStart)
+			r.pred.OnUse(predictor.Conn{Conn: conn, ID: id}, slotStart)
 		}
 		if done != nil {
-			r.completeMessage(done, slotStart)
+			r.completeMessage(done, id, drained, slotStart)
 		}
-		if r.cfg.AmplifyBytes > 0 &&
-			r.driver.Buffers[u].BytesFor(v) > int64(r.cfg.AmplifyBytes) {
+		if r.cfg.AmplifyBytes > 0 && buf.Bytes(id) > int64(r.cfg.AmplifyBytes) {
 			// The backlog outruns one slot per cycle: give the connection
 			// another slot if ports are free somewhere (extension 2).
 			if added := r.sched.AddBandwidth(u, v, 1); added > 0 {
@@ -158,23 +157,23 @@ func checkSlotConns(cfg *bitmat.Matrix, conns []topology.Conn) error {
 }
 
 // completeMessage retires a message whose last payload was granted in the
-// slot starting at slotStart: the last byte clears the pipe one slot plus
-// the link latency later, then the destination NIC spends its receive
-// overhead.
-func (r *run) completeMessage(m *nic.Message, slotStart sim.Time) {
+// slot starting at slotStart, on connection id, whose queue that drained
+// when drained is set: the last byte clears the pipe one slot plus the link
+// latency later, then the destination NIC spends its receive overhead.
+func (r *run) completeMessage(m *nic.Message, id int32, drained bool, slotStart sim.Time) {
 	u, v := int(m.Src), int(m.Dst)
 	if r.probe != nil {
-		// TransmitTo already dequeued m, so the current head is its successor
+		// Transmit already dequeued m, so the current head is its successor
 		// reaching the front of the u→v queue.
-		if h := r.driver.Buffers[u].Head(v); h != nil {
+		if h := r.driver.Buffers[u].HeadOf(id); h != nil {
 			r.probe.Emit(probe.Event{Kind: probe.MsgHeadOfQueue, At: slotStart,
 				Src: h.Src, Dst: h.Dst, ID: int64(h.ID)})
 		}
 	}
-	if !r.driver.Buffers[u].HasFor(v) {
+	if drained {
 		r.reqWire.Set(u, v, false)
 		if r.pre != nil {
-			r.pre.pendingDown(topology.Conn{Src: u, Dst: v})
+			r.pre.pendingDown(id)
 		}
 	}
 	deliverAt := slotStart + r.cfg.SlotNs + r.cfg.Link.PipeLatency() + nic.RecvOverhead

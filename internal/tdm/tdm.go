@@ -276,24 +276,18 @@ type run struct {
 	// reqMerge is the reusable scratch for reqView|specReq so the per-pass
 	// merge does not allocate.
 	reqMerge *bitmat.Sparse
-	// connsBuf is the reusable slot-connection list: the fabric's load and
-	// the data-plane grant loop's snapshot.
+	// conns is the run's connection table (the driver's): every
+	// per-connection structure of the run is indexed by its ids.
+	conns *topology.ConnTable
+	// connsBuf and idsBuf are the reusable slot-connection list and its
+	// ids: the fabric's load and the data-plane grant loop's snapshot.
 	connsBuf []topology.Conn
-	// flushBuf is the reusable list of the connections a FLUSH releases,
-	// handed to the predictor one by one.
-	flushBuf []topology.Conn
+	idsBuf   []int32
 	// deliverFn is the cached deliver method value, so scheduling a
 	// message's delivery allocates no closure.
 	deliverFn sim.ArgHandler
-	// grantAt holds, keyed by topology.Conn.Key, the earliest time NIC u
-	// may use a dynamically established connection to v: the grant line
-	// takes one control delay to reach the NIC, so a slot that starts
-	// earlier cannot carry data on a connection established this recently.
-	// Preloaded configurations are known to the NICs from load time and
-	// have no such penalty. An entry lives only while its grant is in
-	// flight (sim.MaxTime while a lost grant awaits its re-send): the first
-	// slot at or after the grant time drops it, since time never goes back.
-	grantAt map[uint64]sim.Time
+	// grants tracks the grant signals in flight toward the NICs.
+	grants grantLine
 
 	pre        *preloader
 	slotTicker *sim.Ticker
@@ -356,37 +350,19 @@ func (n *Network) start(wl *traffic.Workload) (*run, error) {
 			return fab.CanRealize(trial)
 		}
 	}
-	sched, err := core.NewScheduler(core.Params{
-		N:              cfg.N,
-		K:              cfg.K,
-		RotatePriority: *cfg.RotatePriority,
-		SkipEmptySlots: *cfg.SkipEmptySlots,
-		SLCopies:       cfg.SLCopies,
-		LatchRequests:  pred != nil,
-		CanEstablish:   canEstablish,
-		Algorithm:      cfg.Algorithm,
-	})
-	if err != nil {
-		return nil, err
-	}
 	reqWire := netmodel.NewRequestWire(eng, cfg.N, cfg.Link.ControlDelay(), "request-wire")
 	r := &run{
 		cfg:      cfg,
 		eng:      eng,
 		fab:      fab,
-		sched:    sched,
 		pred:     pred,
 		reqWire:  reqWire,
 		reqView:  reqWire.ViewSparse(),
 		specReq:  bitmat.NewSparse(cfg.N, cfg.N),
 		reqMerge: bitmat.NewSparse(cfg.N, cfg.N),
-		grantAt:  make(map[uint64]sim.Time),
 		probe:    cfg.Probe,
 	}
 	r.deliverFn = r.deliver
-	if cfg.Probe != nil {
-		sched.SetProbe(cfg.Probe, eng.Now)
-	}
 
 	driver, err := netmodel.NewDriver(eng, cfg.Link, wl, netmodel.Hooks{
 		OnEnqueue: r.onEnqueue,
@@ -396,9 +372,30 @@ func (n *Network) start(wl *traffic.Workload) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	r.driver = driver
+	r.driver, r.conns = driver, driver.Conns
+	r.grants.init(r.conns.Len())
 	if cfg.Probe != nil {
 		driver.SetProbe(cfg.Probe)
+	}
+	if pred != nil {
+		pred.Start(r.conns)
+	}
+	r.sched, err = core.NewScheduler(core.Params{
+		N:              cfg.N,
+		K:              cfg.K,
+		RotatePriority: *cfg.RotatePriority,
+		SkipEmptySlots: *cfg.SkipEmptySlots,
+		SLCopies:       cfg.SLCopies,
+		LatchRequests:  pred != nil,
+		CanEstablish:   canEstablish,
+		Algorithm:      cfg.Algorithm,
+		Conns:          r.conns,
+	})
+	if err != nil {
+		return nil, err
+	}
+	if cfg.Probe != nil {
+		r.sched.SetProbe(cfg.Probe, eng.Now)
 	}
 
 	inj, err := fault.NewInjector(cfg.Faults, eng, cfg.N)

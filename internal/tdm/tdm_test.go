@@ -8,6 +8,7 @@ import (
 	"pmsnet/internal/fabric"
 	"pmsnet/internal/predictor"
 	"pmsnet/internal/sim"
+	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 )
 
@@ -629,5 +630,46 @@ func TestQuickEfficiencyRespectsPayloadBound(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// strayPrefetcher is a time-out predictor that also nominates, once the run
+// is under way, a connection no program sends on and no static phase holds.
+type strayPrefetcher struct {
+	*predictor.Timeout
+	stray topology.Conn
+}
+
+func (p *strayPrefetcher) Prefetch(now sim.Time) []topology.Conn {
+	if now < 200 {
+		return nil
+	}
+	return []topology.Conn{p.stray}
+}
+
+// TestPrefetchOutsideTableFailsRun checks that a prefetch of a connection
+// outside the run's connection table fails the run with an error naming
+// it, without a panic and without the table growing.
+func TestPrefetchOutsideTableFailsRun(t *testing.T) {
+	wl := traffic.Scatter(8, 64) // only processor 0 sends
+	stray := topology.Conn{Src: 3, Dst: 5}
+	nw := mustNew(t, Config{N: 8, K: 2, NewPredictor: func() predictor.Predictor {
+		return &strayPrefetcher{Timeout: predictor.NewTimeout(500), stray: stray}
+	}})
+	r, err := nw.start(wl)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conns := r.conns.Len()
+	if conns != wl.ConnTable().Len() || r.conns.ID(stray.Src, stray.Dst) >= 0 {
+		t.Fatalf("the run's table holds %d connections (3->5: id %d), the workload's %d",
+			conns, r.conns.ID(stray.Src, stray.Dst), wl.ConnTable().Len())
+	}
+	_, err = r.finish(nw.Name())
+	if err == nil || !strings.Contains(err.Error(), "prefetched 3->5, a connection outside the run's table") {
+		t.Fatalf("err = %v, want the stray prefetch named", err)
+	}
+	if r.conns.Len() != conns {
+		t.Fatalf("the table grew from %d to %d connections", conns, r.conns.Len())
 	}
 }

@@ -33,7 +33,8 @@ func Decompose(w *WorkingSet) []*bitmat.Matrix {
 	}
 	atSrc, atDst := tables[:n*delta:n*delta], tables[n*delta:]
 
-	for _, e := range w.Conns() {
+	for _, k := range w.keys {
+		e := ConnOfKey(k)
 		src := atSrc[e.Src*delta : (e.Src+1)*delta]
 		dst := atDst[e.Dst*delta : (e.Dst+1)*delta]
 		a := firstFree(src)
@@ -120,7 +121,8 @@ func flipAlternatingPath(atSrc, atDst []int32, delta, start, a, b int) {
 func GreedyDecompose(w *WorkingSet) []*bitmat.Matrix {
 	n := w.Ports()
 	var configs []*bitmat.Matrix
-	for _, e := range w.Conns() {
+	for _, k := range w.keys {
+		e := ConnOfKey(k)
 		placed := false
 		for _, cfg := range configs {
 			if !cfg.RowAny(e.Src) && !cfg.ColAny(e.Dst) {

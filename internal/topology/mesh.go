@@ -18,14 +18,6 @@ type Mesh struct {
 	Wrap       bool
 }
 
-// NewMesh returns a cols x rows mesh. Both dimensions must be positive.
-func NewMesh(cols, rows int, wrap bool) Mesh {
-	if cols <= 0 || rows <= 0 {
-		panic(fmt.Sprintf("topology: invalid mesh %dx%d", cols, rows))
-	}
-	return Mesh{Cols: cols, Rows: rows, Wrap: wrap}
-}
-
 // MeshFor returns a near-square mesh for n processors: the widest cols x rows
 // factorization of n with cols >= rows. For n = 128 this is the paper's 16x8
 // grid. It panics if n is not factorable into a grid (n <= 0).

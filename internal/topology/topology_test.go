@@ -431,3 +431,59 @@ func TestConnKeyIsInjective(t *testing.T) {
 		t.Fatalf("Key(3->5) = %#x, want src in the high word", got)
 	}
 }
+
+// TestConnTableNumbersInConnOrder builds tables from random rows with
+// duplicates and empty rows and checks that ids are dense, in (Src, Dst)
+// order, and that ID, Conn and RowDsts agree with each other.
+func TestConnTableNumbersInConnOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(31))
+	for trial := 0; trial < 200; trial++ {
+		n := 1 + rng.Intn(40)
+		rows := make([][]int, n)
+		want := map[Conn]bool{}
+		for u := range rows {
+			if rng.Intn(3) == 0 {
+				continue // an empty row
+			}
+			for k := rng.Intn(2 * n); k > 0; k-- {
+				if v := rng.Intn(n); v != u {
+					rows[u] = append(rows[u], v, v) // duplicates collapse
+					want[Conn{u, v}] = true
+				}
+			}
+		}
+		tab := NewConnTable(n, func(src int, add func(dst int)) {
+			for _, v := range rows[src] {
+				add(v)
+			}
+		})
+		if tab.Len() != len(want) || tab.Ports() != n {
+			t.Fatalf("n=%d: Len %d Ports %d, want %d and %d", n, tab.Len(), tab.Ports(), len(want), n)
+		}
+		prev := Conn{-1, -1}
+		for id := int32(0); id < int32(tab.Len()); id++ {
+			c := tab.Conn(id)
+			if !want[c] || tab.ID(c.Src, c.Dst) != id || tab.Dst(id) != c.Dst {
+				t.Fatalf("n=%d: id %d is %v, ID maps it to %d", n, id, c, tab.ID(c.Src, c.Dst))
+			}
+			if c.Src < prev.Src || (c.Src == prev.Src && c.Dst <= prev.Dst) {
+				t.Fatalf("n=%d: id %d (%v) follows %v", n, id, c, prev)
+			}
+			lo, hi := tab.Row(c.Src)
+			if id < lo || id >= hi || int(tab.RowDsts(c.Src)[id-lo]) != c.Dst {
+				t.Fatalf("n=%d: id %d outside its row [%d,%d)", n, id, lo, hi)
+			}
+			prev = c
+		}
+		for u := 0; u < n; u++ {
+			for v := -1; v <= n; v++ {
+				if id := tab.ID(u, v); (id >= 0) != want[Conn{u, v}] {
+					t.Fatalf("n=%d: ID(%d, %d) = %d", n, u, v, id)
+				}
+			}
+		}
+		if tab.ID(-1, 0) != -1 || tab.ID(n, 0) != -1 {
+			t.Fatalf("n=%d: a source outside the ports has an id", n)
+		}
+	}
+}

@@ -15,8 +15,8 @@ type Conn struct {
 // String implements fmt.Stringer.
 func (c Conn) String() string { return fmt.Sprintf("%d->%d", c.Src, c.Dst) }
 
-// Key packs the connection into one word, Src in the high 32 bits: an
-// 8-byte map key that hashes faster than the 16-byte struct.
+// Key packs the connection into one word, Src in the high 32 bits, so key
+// order is (Src, Dst) order.
 func (c Conn) Key() uint64 { return uint64(uint32(c.Src))<<32 | uint64(uint32(c.Dst)) }
 
 // ConnOfKey unpacks a Conn.Key.
@@ -26,12 +26,11 @@ func ConnOfKey(k uint64) Conn { return Conn{Src: int(int32(k >> 32)), Dst: int(i
 // program phase uses (paper §2). It deduplicates connections and tracks the
 // port count so it can be rendered as a request matrix.
 //
-// The connections are held as Conn.Key words: a map for deduplication and
-// membership, and a slice in insertion order that every listing walks, so
-// no operation iterates the map.
+// The connections are held as Conn.Key words in one slice kept sorted and
+// distinct on every write, so every read is a walk or a binary search that
+// writes nothing, and a set shared by concurrent runs stays safe to read.
 type WorkingSet struct {
 	n    int
-	seen map[uint64]struct{}
 	keys []uint64
 }
 
@@ -44,28 +43,47 @@ func NewWorkingSetSized(n, conns int) *WorkingSet {
 	if n <= 0 {
 		panic(fmt.Sprintf("topology: invalid port count %d", n))
 	}
-	return &WorkingSet{n: n, seen: make(map[uint64]struct{}, conns), keys: make([]uint64, 0, conns)}
+	return &WorkingSet{n: n, keys: make([]uint64, 0, conns)}
+}
+
+// NewWorkingSetOfRows builds the working set whose row src holds the
+// destinations rows(src, add) adds, duplicates allowed. The rows are built in
+// (Src, Dst) order, so the set is sorted as it is built.
+func NewWorkingSetOfRows(n int, rows func(src int, add func(dst int))) *WorkingSet {
+	w := NewWorkingSet(n)
+	b := newRowBuilder(n)
+	for u := 0; u < n; u++ {
+		for _, v := range b.row(u, rows) {
+			w.keys = append(w.keys, Conn{Src: u, Dst: int(v)}.Key())
+		}
+	}
+	return w
 }
 
 // Ports returns the port count N.
 func (w *WorkingSet) Ports() int { return w.n }
 
 // Add inserts a connection; duplicates are ignored. Self-connections and
-// out-of-range ports panic: they cannot exist on the crossbar.
+// out-of-range ports panic: they cannot exist on the crossbar. Adds in
+// (Src, Dst) order append; others shift the keys after their place.
 func (w *WorkingSet) Add(c Conn) {
+	w.check(c)
+	k := c.Key()
+	if last := len(w.keys) - 1; last < 0 || w.keys[last] < k {
+		w.keys = append(w.keys, k)
+		return
+	}
+	if i, ok := slices.BinarySearch(w.keys, k); !ok {
+		w.keys = slices.Insert(w.keys, i, k)
+	}
+}
+
+func (w *WorkingSet) check(c Conn) {
 	if c.Src < 0 || c.Src >= w.n || c.Dst < 0 || c.Dst >= w.n {
 		panic(fmt.Sprintf("topology: connection %v outside %d ports", c, w.n))
 	}
 	if c.Src == c.Dst {
 		panic(fmt.Sprintf("topology: self-connection %v", c))
-	}
-	w.addKey(c.Key())
-}
-
-func (w *WorkingSet) addKey(k uint64) {
-	if _, ok := w.seen[k]; !ok {
-		w.seen[k] = struct{}{}
-		w.keys = append(w.keys, k)
 	}
 }
 
@@ -75,25 +93,8 @@ func (w *WorkingSet) Contains(c Conn) bool {
 	if c.Src < 0 || c.Src >= w.n || c.Dst < 0 || c.Dst >= w.n {
 		return false
 	}
-	_, ok := w.seen[c.Key()]
+	_, ok := slices.BinarySearch(w.keys, c.Key())
 	return ok
-}
-
-// Len returns the number of distinct connections.
-func (w *WorkingSet) Len() int { return len(w.keys) }
-
-// Conns returns the connections sorted by (Src, Dst) for deterministic
-// iteration. Src sits in a key's high bits, so key order is (Src, Dst)
-// order. It sorts a copy and never mutates the set, so a set shared by
-// concurrent runs stays safe to read.
-func (w *WorkingSet) Conns() []Conn {
-	keys := slices.Clone(w.keys)
-	slices.Sort(keys)
-	out := make([]Conn, len(keys))
-	for i, k := range keys {
-		out[i] = ConnOfKey(k)
-	}
-	return out
 }
 
 // Union returns a new working set containing both sets' connections.
@@ -101,14 +102,34 @@ func (w *WorkingSet) Union(o *WorkingSet) *WorkingSet {
 	if w.n != o.n {
 		panic(fmt.Sprintf("topology: union of working sets over %d and %d ports", w.n, o.n))
 	}
-	u := NewWorkingSet(w.n)
-	for _, k := range w.keys {
-		u.addKey(k)
+	keys := append(slices.Clone(w.keys), o.keys...)
+	slices.Sort(keys)
+	return &WorkingSet{n: w.n, keys: slices.Compact(keys)}
+}
+
+// Len returns the number of distinct connections.
+func (w *WorkingSet) Len() int { return len(w.keys) }
+
+// Conns returns the connections in (Src, Dst) order.
+func (w *WorkingSet) Conns() []Conn {
+	out := make([]Conn, len(w.keys))
+	for i, k := range w.keys {
+		out[i] = ConnOfKey(k)
 	}
-	for _, k := range o.keys {
-		u.addKey(k)
+	return out
+}
+
+// EachDst calls f on the destination of every connection from src, in
+// ascending order.
+func (w *WorkingSet) EachDst(src int, f func(dst int)) {
+	lo, _ := slices.BinarySearch(w.keys, Conn{Src: src}.Key())
+	for _, k := range w.keys[lo:] {
+		c := ConnOfKey(k)
+		if c.Src != src {
+			return
+		}
+		f(c.Dst)
 	}
-	return u
 }
 
 // Matrix renders the working set as an NxN boolean matrix (a request matrix

@@ -3,6 +3,7 @@ package trace
 import (
 	"bytes"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -134,8 +135,8 @@ PHASEHINT 1
 	if len(wl.StaticPhases) != 2 {
 		t.Fatalf("phases = %d, want 2", len(wl.StaticPhases))
 	}
-	if !wl.StaticPhases[0].Contains(topology.Conn{Src: 0, Dst: 1}) ||
-		!wl.StaticPhases[1].Contains(topology.Conn{Src: 2, Dst: 3}) {
+	if !slices.Contains(wl.StaticPhases[0].Conns(), topology.Conn{Src: 0, Dst: 1}) ||
+		!slices.Contains(wl.StaticPhases[1].Conns(), topology.Conn{Src: 2, Dst: 3}) {
 		t.Fatal("phase contents wrong")
 	}
 }

@@ -189,15 +189,27 @@ func (w *Workload) TotalBytes() int64 {
 // ConnSet returns the working set of the whole workload: every (src, dst)
 // pair that carries at least one message.
 func (w *Workload) ConnSet() *topology.WorkingSet {
-	ws := topology.NewWorkingSet(w.N)
-	for p, prog := range w.Programs {
-		for _, op := range prog.Ops {
-			if op.Kind == OpSend || op.Kind == OpSendWait {
-				ws.Add(topology.Conn{Src: p, Dst: op.Dst})
-			}
+	return topology.NewWorkingSetOfRows(w.N, w.addSends)
+}
+
+// ConnTable numbers the connections a run of the workload can use: every
+// pair a program sends on and every pair of a static phase.
+func (w *Workload) ConnTable() *topology.ConnTable {
+	return topology.NewConnTable(w.N, func(src int, add func(dst int)) {
+		w.addSends(src, add)
+		for _, ph := range w.StaticPhases {
+			ph.EachDst(src, add)
+		}
+	})
+}
+
+// addSends adds the destination of every send in src's program.
+func (w *Workload) addSends(src int, add func(dst int)) {
+	for _, op := range w.Programs[src].Ops {
+		if op.Kind == OpSend || op.Kind == OpSendWait {
+			add(op.Dst)
 		}
 	}
-	return ws
 }
 
 // Concat joins workloads into one multi-phase program: every processor runs

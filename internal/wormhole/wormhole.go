@@ -164,7 +164,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 	r.deliverFn = r.deliver
 
 	driver, err := netmodel.NewDriver(eng, lm, wl, netmodel.Hooks{
-		OnEnqueue: func(m *nic.Message) { r.ports.Kick(int(m.Src)) },
+		OnEnqueue: func(m *nic.Message, _ int32, _ bool) { r.ports.Kick(int(m.Src)) },
 	})
 	if err != nil {
 		return metrics.Result{}, err

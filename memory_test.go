@@ -86,7 +86,10 @@ func TestRunAllocationPerMessage(t *testing.T) {
 // allocated 9.2 and 12.1 MB; with in-place flips, the per-source index and
 // one shared empty matrix, 5.0 and 9.9 MB. With the message array as the only
 // per-message state and a FLUSH that lists B* into a reused buffer without
-// copying it, about 3.8 and 7.4 MB.
+// copying it, 3.8 and 7.4 MB. With one connection table per run, whose ids
+// index the NIC queues, the time-out predictor's state, grant times and the
+// preloader's group lists instead of per-layer hashed copies, about 2.6 and
+// 4.4 MB; the bounds keep the headroom they had.
 func TestPlannedRunAllocation(t *testing.T) {
 	const n = 128
 	wl, err := GenerateWorkload("two-phase:bytes=64", n, 1)
@@ -98,10 +101,10 @@ func TestPlannedRunAllocation(t *testing.T) {
 		cfg     Config
 		boundMB float64
 	}{
-		{"tdm-preload", Config{Switching: PreloadTDM, N: n, K: 4, Parallelism: 1}, 5.8},
+		{"tdm-preload", Config{Switching: PreloadTDM, N: n, K: 4, Parallelism: 1}, 4.6},
 		{"tdm-hybrid-solstice", Config{Switching: HybridTDM, N: n, K: 4,
 			PreloadSlots: 2, Planner: PlannerSolstice,
-			Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}, 9.0},
+			Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}, 6.0},
 	} {
 		var before, after runtime.MemStats
 		runtime.GC()
