@@ -21,16 +21,18 @@ check: fmt inline vet race
 fmt:
 	@files=$$(gofmt -l .); if [ -n "$$files" ]; then echo "gofmt needed:"; echo "$$files"; exit 1; fi
 
-# Fails unless the compiler can inline bitmat's bit probes. The scheduler,
-# request wire and preloader probe single bits in their hot loops; a probe
+# Fails unless the compiler can inline the bit probes of bitmat's matrices
+# and of topology's connection ids. The scheduler pass, request wire and
+# preloader probe single bits and resolve ids in their hot loops; a probe
 # pushed back over the inliner's budget costs two calls per bit (~5% of a
 # dynamic-TDM run) and shows in no test.
-INLINE_PROBES = '(*Matrix).Get' '(*Matrix).Set' '(*Matrix).Clear' '(*Matrix).RowWords' '(*Matrix).check' '(*Sparse).Get'
+INLINE_PROBES = '(*Matrix).Get' '(*Matrix).Set' '(*Matrix).Clear' '(*Matrix).RowWords' '(*Matrix).check' \
+	'(*IDSet).Has' '(*ConnTable).Row' '(*ConnTable).Dst'
 inline:
-	@inlined=$$($(GO) build -gcflags=-m ./internal/bitmat 2>&1 | sed -n 's/.*: can inline //p'); \
+	@inlined=$$($(GO) build -gcflags=-m ./internal/bitmat ./internal/topology 2>&1 | sed -n 's/.*: can inline //p'); \
 	status=0; \
 	for f in $(INLINE_PROBES); do \
-		echo "$$inlined" | grep -qxF "$$f" || { echo "bitmat: $$f no longer inlines"; status=1; }; \
+		echo "$$inlined" | grep -qxF "$$f" || { echo "inline: $$f no longer inlines"; status=1; }; \
 	done; \
 	exit $$status
 
@@ -120,8 +122,8 @@ plan-smoke:
 	@test -s /tmp/pmsnet-plan-smoke.json
 
 # Short fuzzing passes over the text-format parsers, the workload-spec
-# grammar, the sparse/dense bitmat parity, the sparse scheduling pass
-# against the dense oracle under every state mutator, the BvN
+# grammar, the connection-id set against a map model, the sparse scheduling
+# pass against the dense oracle under every state mutator, the BvN
 # decomposition, the König decomposition's in-place Kempe flips against
 # the path-buffer reference, the incremental time-out predictor's parity with the map-scan
 # reference, the event engine's fire order against a sort-by-(at, seq)
@@ -134,7 +136,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/traffic/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
 	$(GO) test -run=NONE -fuzz=FuzzPlan -fuzztime=30s ./internal/fault/
-	$(GO) test -run=NONE -fuzz=FuzzSparseParity -fuzztime=30s ./internal/bitmat/
+	$(GO) test -run=NONE -fuzz=FuzzIDSet -fuzztime=30s ./internal/topology/
 	$(GO) test -run=NONE -fuzz=FuzzSparseDenseOps -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzDecompose -fuzztime=30s ./internal/multistage/
 	$(GO) test -run=NONE -fuzz=FuzzDecomposeParity -fuzztime=30s ./internal/topology/

@@ -224,14 +224,6 @@ func (m *Matrix) AndNot(o *Matrix) {
 	}
 }
 
-// And sets m to m & o element-wise. Shapes must match.
-func (m *Matrix) And(o *Matrix) {
-	m.sameShape(o)
-	for i := range m.bits {
-		m.bits[i] &= o.bits[i]
-	}
-}
-
 // RowAny reports whether any bit in row i is set. For a configuration matrix
 // this is the paper's AI(i): input port i is occupied in this slot.
 func (m *Matrix) RowAny(i int) bool {
@@ -261,24 +253,6 @@ func (m *Matrix) ColAny(j int) bool {
 	return false
 }
 
-// AppendRowOnes appends the column indices of set bits in row i to dst,
-// ascending, and returns the extended slice. Hot paths pass a reusable
-// buffer (dst[:0]) so the call allocates nothing.
-func (m *Matrix) AppendRowOnes(dst []int, i int) []int {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("bitmat: row %d out of range %d", i, m.rows))
-	}
-	row := m.bits[i*m.wordsPerRow : (i+1)*m.wordsPerRow]
-	for w, word := range row {
-		for word != 0 {
-			b := bits.TrailingZeros64(word)
-			dst = append(dst, w*wordBits+b)
-			word &= word - 1
-		}
-	}
-	return dst
-}
-
 // AppendRowOnesFrom appends the set columns of row i to dst in rotated
 // order: columns [from, cols) ascending, then [0, from) ascending. This is
 // the scheduling array's rotated-priority column scan done word-at-a-time
@@ -306,30 +280,6 @@ func (m *Matrix) FirstInRow(i int) int {
 		}
 	}
 	return -1
-}
-
-// RowCount returns the number of set bits in row i.
-func (m *Matrix) RowCount(i int) int {
-	if i < 0 || i >= m.rows {
-		panic(fmt.Sprintf("bitmat: row %d out of range %d", i, m.rows))
-	}
-	n := 0
-	for _, w := range m.bits[i*m.wordsPerRow : (i+1)*m.wordsPerRow] {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
-// ColCount returns the number of set bits in column j.
-func (m *Matrix) ColCount(j int) int {
-	word, mask := j/wordBits, uint64(1)<<(uint(j)%wordBits)
-	n := 0
-	for i := 0; i < m.rows; i++ {
-		if m.bits[i*m.wordsPerRow+word]&mask != 0 {
-			n++
-		}
-	}
-	return n
 }
 
 // IsPartialPermutation reports whether m has at most one set bit per row and

@@ -7,6 +7,7 @@ import (
 	"testing/quick"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/topology"
 )
 
 // Identity suite for the sparse request path: it is a pure performance
@@ -15,13 +16,26 @@ import (
 // paths interact with (rotation, latching, SL copies and a fabric
 // CanEstablish constraint).
 
+// setRequest adds (on) or removes u→v in a request set; a pair outside the
+// set's table, a self-connection, is no request and is skipped.
+func setRequest(sp *topology.IDSet, u, v int, on bool) {
+	id := sp.Table().ID(u, v)
+	switch {
+	case id < 0:
+	case on:
+		sp.Add(u, id)
+	default:
+		sp.Remove(u, id)
+	}
+}
+
 // drivePair drives two schedulers through the same random request sequence,
 // feeding dense the dense matrix through Pass and other the same requests
 // through PassSparse, and fails on the first divergence in PassResult or
 // visible state.
 func drivePair(t errorfer, rng *rand.Rand, n, passes int, dense, other *Scheduler) bool {
 	r := bitmat.NewSquare(n)
-	sp := bitmat.NewSparse(n, n)
+	sp := topology.NewIDSet(other.Params().Conns)
 	for pass := 0; pass < passes; pass++ {
 		// Random occupancy per pass, biased low to exercise the sparse
 		// fast path, with occasional dense bursts.
@@ -36,10 +50,10 @@ func drivePair(t errorfer, rng *rand.Rand, n, passes int, dense, other *Schedule
 			}
 			if rng.Intn(5) == 0 {
 				r.Clear(u, v)
-				sp.Clear(u, v)
+				setRequest(sp, u, v, false)
 			} else {
 				r.Set(u, v)
-				sp.Set(u, v)
+				setRequest(sp, u, v, true)
 			}
 		}
 		want := dense.Pass(r)
@@ -59,7 +73,7 @@ func drivePair(t errorfer, rng *rand.Rand, n, passes int, dense, other *Schedule
 				dense.Evict(u, v)
 				other.Evict(u, v)
 				r.Clear(u, v)
-				sp.Clear(u, v)
+				setRequest(sp, u, v, false)
 			}
 		}
 		if rng.Intn(7) == 0 {
@@ -69,8 +83,8 @@ func drivePair(t errorfer, rng *rand.Rand, n, passes int, dense, other *Schedule
 			for q := 0; q < n; q++ {
 				r.Clear(p, q)
 				r.Clear(q, p)
-				sp.Clear(p, q)
-				sp.Clear(q, p)
+				setRequest(sp, p, q, false)
+				setRequest(sp, q, p, false)
 			}
 		}
 		if err := other.CheckInvariants(); err != nil {
@@ -127,9 +141,9 @@ func schedStatesEqual(t errorfer, a, b *Scheduler) bool {
 	return true
 }
 
-// evenDiagonal is a fabric constraint that reads only (b, u, v).
-func evenDiagonal(b *bitmat.Matrix, u, v int) bool {
-	return (u+v)%4 != 1 || b.RowCount(u%b.Rows()) == 0
+// evenDiagonal is a fabric constraint that reads only (cfg, u, v).
+func evenDiagonal(cfg []int32, u, v int) bool {
+	return (u+v)%4 != 1 || cfg[u%len(cfg)] < 0
 }
 
 func randomPairParams(rng *rand.Rand) (Params, int) {
@@ -247,7 +261,7 @@ func TestAlternativeAlgorithmsRespectCanEstablish(t *testing.T) {
 	for _, alg := range []Algorithm{AlgISLIP, AlgWavefront} {
 		s := MustScheduler(Params{
 			N: 8, K: 2, Algorithm: alg,
-			CanEstablish: func(b *bitmat.Matrix, u, v int) bool { return false },
+			CanEstablish: func([]int32, int, int) bool { return false },
 		})
 		r := bitmat.NewSquare(8)
 		for u := 0; u < 8; u++ {

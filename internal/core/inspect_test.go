@@ -3,15 +3,40 @@ package core
 // Scheduler queries and controls that only the tests use.
 
 import (
+	"math/bits"
+
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/probe"
 )
 
-// BStar returns a copy of B*, the OR of all configuration matrices: every
-// connection currently established in any slot. B* is maintained
-// incrementally by the connection index, so this is just a copy.
+// BStar returns B*, the connections established in any slot, as a matrix
+// built from the held ids.
 func (s *Scheduler) BStar() *bitmat.Matrix {
-	return s.bstar.Clone()
+	m := bitmat.NewSquare(s.p.N)
+	s.setIDs(m, s.held)
+	return m
+}
+
+// Config returns configuration B(slot) as a matrix built from the slot
+// index.
+func (s *Scheduler) Config(slot int) *bitmat.Matrix {
+	s.checkSlot(slot)
+	m := bitmat.NewSquare(s.p.N)
+	for u, v := range s.rowDst[slot] {
+		if v >= 0 {
+			m.Set(u, int(v))
+		}
+	}
+	return m
+}
+
+// Connections returns the number of distinct established connections.
+func (s *Scheduler) Connections() int {
+	n := 0
+	for _, x := range s.held {
+		n += bits.OnesCount64(x)
+	}
+	return n
 }
 
 // FlushAll clears everything, including pinned slots, and unpins them.
@@ -88,5 +113,6 @@ func (s *Scheduler) Pinned(slot int) bool {
 
 // Latched reports whether a dropped request for src→dst is being held.
 func (s *Scheduler) Latched(src, dst int) bool {
-	return s.latch.Get(src, dst)
+	id := s.conns.ID(src, dst)
+	return id >= 0 && s.latch.Has(id)
 }

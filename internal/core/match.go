@@ -101,13 +101,23 @@ func (s *Scheduler) releaseVanished(eff *bitmat.Matrix, slot int) {
 	}
 }
 
+// pendingCells returns the slot's pending cells after releaseVanished:
+// Reff &^ B*, in dense scratch. A cell the evaluation establishes takes its
+// row, so later cells of the row fail the row-occupancy test and the
+// snapshot stays exact without being updated.
+func (s *Scheduler) pendingCells(eff *bitmat.Matrix) *bitmat.Matrix {
+	pend := s.denseMats().l
+	pend.CopyFrom(eff)
+	pend.AndNot(s.bstarMatrix())
+	return pend
+}
+
 // candidate reports whether u→v is pending for this slot: effectively
 // requested, realized in no slot, with both ports free here. The slot
 // occupancy masks are maintained live by setConn, so the test stays correct
 // as the match grows.
-func (s *Scheduler) candidate(eff *bitmat.Matrix, slot, u, v int) bool {
-	return !maskTest(s.cfgRowMask[slot], u) && !maskTest(s.cfgColMask[slot], v) &&
-		eff.Get(u, v) && !s.bstar.Get(u, v)
+func (s *Scheduler) candidate(pend *bitmat.Matrix, slot, u, v int) bool {
+	return !maskTest(s.cfgRowMask[slot], u) && !maskTest(s.cfgColMask[slot], v) && pend.Get(u, v)
 }
 
 // scheduleSlotISLIP is one slot evaluation under iSLIP.
@@ -119,9 +129,10 @@ func (s *Scheduler) scheduleSlotISLIP(r *bitmat.Matrix, slot int) {
 	eff := s.effectiveRequests(r)
 	estStart, relStart := len(s.estBuf), len(s.relBuf)
 	s.releaseVanished(eff, slot)
+	pend := s.pendingCells(eff)
 
 	m := s.match
-	b := s.configs[slot]
+	cfg := s.rowDst[slot]
 	n := s.p.N
 	for it := 0; it < m.maxIter; it++ {
 		// Grant: each free output offers to the requesting free input closest
@@ -134,7 +145,7 @@ func (s *Scheduler) scheduleSlotISLIP(r *bitmat.Matrix, slot int) {
 			p := m.grantPtr[v]
 			for k := 0; k < n; k++ {
 				u := (p + k) % n
-				if s.candidate(eff, slot, u, v) {
+				if s.candidate(pend, slot, u, v) {
 					m.grantOf[v] = int32(u)
 					break
 				}
@@ -159,13 +170,14 @@ func (s *Scheduler) scheduleSlotISLIP(r *bitmat.Matrix, slot int) {
 			if acc < 0 {
 				continue
 			}
-			if s.p.CanEstablish != nil && !s.p.CanEstablish(b, u, acc) {
+			if s.p.CanEstablish != nil && !s.p.CanEstablish(cfg, u, acc) {
 				// Fabric constraint: the accept would make the slot
 				// unrealizable; drop it without moving the pointers, leaving
 				// the request for another slot.
 				continue
 			}
-			id := s.setConn(slot, u, acc)
+			id := s.idOf(u, acc)
+			s.setConn(slot, u, acc, id)
 			s.estBuf = append(s.estBuf, Change{Src: u, Dst: acc, Slot: slot, ID: id})
 			accepted = true
 			if it == 0 {
@@ -192,8 +204,9 @@ func (s *Scheduler) scheduleSlotWavefront(r *bitmat.Matrix, slot int) {
 	eff := s.effectiveRequests(r)
 	estStart, relStart := len(s.estBuf), len(s.relBuf)
 	s.releaseVanished(eff, slot)
+	pend := s.pendingCells(eff)
 
-	b := s.configs[slot]
+	cfg := s.rowDst[slot]
 	n := s.p.N
 	off := 0
 	if s.p.RotatePriority {
@@ -209,13 +222,14 @@ func (s *Scheduler) scheduleSlotWavefront(r *bitmat.Matrix, slot int) {
 			if v < 0 {
 				v += n
 			}
-			if !s.candidate(eff, slot, u, v) {
+			if !s.candidate(pend, slot, u, v) {
 				continue
 			}
-			if s.p.CanEstablish != nil && !s.p.CanEstablish(b, u, v) {
+			if s.p.CanEstablish != nil && !s.p.CanEstablish(cfg, u, v) {
 				continue
 			}
-			id := s.setConn(slot, u, v)
+			id := s.idOf(u, v)
+			s.setConn(slot, u, v, id)
 			s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot, ID: id})
 		}
 	}

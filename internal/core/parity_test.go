@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 )
 
@@ -15,36 +16,44 @@ import (
 // the production path; they must agree on every pass result and on all
 // visible state, latches and pins included.
 
-// twin holds the dense oracle and the sparse scheduler with one request
-// matrix in each form.
+// twin holds the dense oracle and the sparse scheduler with the requests in
+// each form: a matrix and a set over the connection table.
 type twin struct {
 	t      *testing.T
 	dense  *Scheduler
 	sparse *Scheduler
 	r      *bitmat.Matrix
-	sp     *bitmat.Sparse
+	sp     *topology.IDSet
 }
 
 func newTwin(t *testing.T, p Params) *twin {
 	t.Helper()
+	if p.Conns == nil {
+		// One table for both, so their ids agree.
+		p.Conns = topology.NewCompleteConnTable(p.N)
+	}
 	return &twin{
 		t:      t,
 		dense:  MustScheduler(p),
 		sparse: MustScheduler(p),
 		r:      bitmat.NewSquare(p.N),
-		sp:     bitmat.NewSparse(p.N, p.N),
+		sp:     topology.NewIDSet(p.Conns),
 	}
 }
 
-// request raises or drops the request u→v in both matrices.
+// request raises or drops the request u→v in both forms. A pair outside the
+// connection table, such as a self-connection, cannot be requested and is
+// skipped.
 func (tw *twin) request(u, v int, on bool) {
+	if tw.sp.Table().ID(u, v) < 0 {
+		return
+	}
 	if on {
 		tw.r.Set(u, v)
-		tw.sp.Set(u, v)
 	} else {
 		tw.r.Clear(u, v)
-		tw.sp.Clear(u, v)
 	}
+	setRequest(tw.sp, u, v, on)
 }
 
 // pass runs one pass on both schedulers and demands identical results and
@@ -356,7 +365,7 @@ func runWorkloadTwin(t *testing.T, tw *twin, wl *traffic.Workload) {
 			}
 		}
 		held = held[:0]
-		tw.dense.BStarView().Ones(func(u, v int) bool {
+		tw.dense.BStar().Ones(func(u, v int) bool {
 			held = append(held, [2]int{u, v})
 			return true
 		})
@@ -385,9 +394,9 @@ func FuzzSparseDenseOps(f *testing.F) {
 	f.Fuzz(func(t *testing.T, ops []byte, n8, k8, flags uint8) {
 		n := 2 + int(n8)%160
 		k := 1 + int(k8)%4
-		var hook func(b *bitmat.Matrix, u, v int) bool
+		var hook func(cfg []int32, u, v int) bool
 		if flags&32 != 0 {
-			hook = func(_ *bitmat.Matrix, u, v int) bool { return (u+v)%2 != 0 }
+			hook = func(_ []int32, u, v int) bool { return (u+v)%2 != 0 }
 		}
 		tw := newTwin(t, Params{
 			N:              n,

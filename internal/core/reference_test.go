@@ -119,7 +119,7 @@ func TestQuickConstraintHookRespected(t *testing.T) {
 		// Constraint: outputs in the top half are unreachable (a fabric
 		// with a dead region) — configuration-independent so it can be
 		// re-validated after the pass.
-		constraint := func(_ *bitmat.Matrix, u, v int) bool {
+		constraint := func(_ []int32, u, v int) bool {
 			return v < n/2
 		}
 		s := MustScheduler(Params{N: n, K: 2, CanEstablish: constraint})

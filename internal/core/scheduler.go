@@ -1,9 +1,13 @@
 // Package core implements the paper's primary contribution: the TDM
 // connection scheduler of the predictive multiplexed switch (paper §4).
 //
-// The scheduler owns K configuration matrices B(0) ... B(K-1), one per
-// multiplexed time slot. Each matrix is a partial permutation of the
-// crossbar. Two counters drive it:
+// The scheduler owns K configurations B(0) ... B(K-1), one per multiplexed
+// time slot. Each is a partial permutation of the crossbar, held as a slot
+// index (per slot: each input's output, each output's input, occupancy
+// masks). Every other set the paper names is a set of connections, kept as
+// a bitset over the ids of the run's connection table (Params.Conns): the
+// request matrix R, the latch, and B*, the connections established in any
+// slot. Two counters drive the scheduler:
 //
 //   - The TDM counter selects which configuration is copied into the fabric's
 //     configuration register at each slot boundary, skipping slots whose
@@ -14,12 +18,11 @@
 //
 // One scheduling pass is one SL clock cycle of the hardware: the
 // pre-scheduling logic (Table 1) compares the request matrix R against B*
-// (the OR of all configurations) and the selected slot's B(s) to produce the
-// change matrix L, and the NxN array of SL modules (Table 2, Figure 3)
-// resolves L against the propagating port-availability signals A (outputs)
-// and D (inputs), establishing and releasing connections. The pass is
-// modeled bit-exactly; its hardware cost is modeled by the Table 3 latency
-// figures (see latency.go).
+// and the selected slot's B(s) to produce the change matrix L, and the NxN
+// array of SL modules (Table 2, Figure 3) resolves L against the propagating
+// port-availability signals A (outputs) and D (inputs), establishing and
+// releasing connections. The pass is modeled bit-exactly; its hardware cost
+// is modeled by the Table 3 latency figures (see latency.go).
 //
 // All five extensions listed in §4 are implemented: multiple SL copies
 // (Params.SLCopies), multi-slot connections (AddBandwidth), request latching
@@ -63,20 +66,25 @@ type Params struct {
 	LatchRequests bool
 	// CanEstablish, when non-nil, adds a fabric-realizability constraint to
 	// the scheduling logic: a connection u→v is only established in a slot
-	// whose configuration b (not yet containing u→v) satisfies
-	// CanEstablish(b, u, v). Crossbars need no constraint beyond free ports;
-	// fabrics with limited permutation capability — multistage networks —
-	// use this hook (paper §4: "more complicated constraints may be derived
-	// for fabrics that have limited permutation capabilities").
-	CanEstablish func(b *bitmat.Matrix, u, v int) bool
+	// whose configuration (not yet containing u→v) satisfies
+	// CanEstablish(cfg, u, v). cfg is the configuration as a port map —
+	// cfg[x] is the output input x connects to, or -1 — live and read-only.
+	// Crossbars need no constraint beyond free ports; fabrics with limited
+	// permutation capability — multistage networks — use this hook (paper
+	// §4: "more complicated constraints may be derived for fabrics that have
+	// limited permutation capabilities").
+	CanEstablish func(cfg []int32, u, v int) bool
 	// Algorithm selects the matching algorithm a pass runs: the paper-exact
 	// Tables 1–2 scheduling array (the default), iSLIP, or wavefront
 	// matching. See match.go for the alternatives' semantics and provenance.
 	Algorithm Algorithm
-	// Conns, when non-nil, is the run's connection table: the slot index
-	// keeps each connection's id next to its destination, resolved once per
-	// establish, and Changes and AppendSlotConns hand it out. Without a
-	// table every id is -1.
+	// Conns is the run's connection table, over at most N ports (a
+	// workload may use fewer ports than the switch has). Its ids key the
+	// scheduler's state: requests, latches and B* are sets of its
+	// connections, and every connection a pass, preload or eviction reports
+	// carries its id. Nil selects the complete table over N ports
+	// (topology.NewCompleteConnTable), N(N−1) connections, for tests and
+	// table generators.
 	Conns *topology.ConnTable
 }
 
@@ -101,6 +109,9 @@ func (p Params) Validate() error {
 	}
 	if !Algorithms.Valid(p.Algorithm) {
 		return fmt.Errorf("core: unknown algorithm %d (valid: %v)", int(p.Algorithm), Algorithms.Names())
+	}
+	if p.Conns != nil && p.Conns.Ports() > p.N {
+		return fmt.Errorf("core: connection table has %d ports, scheduler only %d", p.Conns.Ports(), p.N)
 	}
 	return nil
 }
@@ -137,20 +148,20 @@ type Stats struct {
 // Scheduler is the TDM connection scheduler. It is not safe for concurrent
 // use; the simulation engine is single-threaded by design.
 type Scheduler struct {
-	p       Params
-	configs []*bitmat.Matrix
-	pinned  []bool
-	latch   *bitmat.Sparse
-	bstar   *bitmat.Matrix
-	// heldIDs is B* as a bitset over Params.Conns ids (nil without a table).
-	heldIDs []uint64
+	p      Params
+	conns  *topology.ConnTable
+	pinned []bool
+	// latch holds the connections kept past their request (extension 3).
+	latch *topology.IDSet
+	// held is B*, the connections established in any slot, as a bitset
+	// over connection ids.
+	held []uint64
 
-	// Incrementally-maintained per-pair slot index. Every configuration is a
+	// The slot index is the only copy of the configurations. Each is a
 	// partial permutation, so a slot holds at most one connection per input
-	// row and per output column; the index stores it directly. All config
-	// mutation funnels through setConn/clearConn (including preloads), which
-	// also keep B* current, so the per-pair queries are O(K) array reads
-	// instead of O(K·N/64) word scans.
+	// row and per output column; the index stores it directly. All
+	// configuration mutation funnels through setConn/clearConn (preloads
+	// included), which also keep B* current.
 	rowDst     [][]int32  // [slot][u] = v of the connection u→v, or -1
 	rowID      [][]int32  // [slot][u] = Params.Conns id of u→rowDst, or -1
 	colSrc     [][]int32  // [slot][v] = u of the connection u→v, or -1
@@ -166,24 +177,25 @@ type Scheduler struct {
 
 	// Reusable scratch, sized once at construction so the per-pass hot path
 	// stays allocation-free after warmup.
-	effBuf   *bitmat.Matrix // effectiveRequests result under latching
-	lBuf     *bitmat.Matrix // PreSchedule change matrix
-	occOut   []uint64       // AO bitmask: output v occupied in the slot
-	occIn    []uint64       // AI bitmask: input u occupied in the slot
-	colBuf   []int          // rotated set-column scan of one L row
-	estBuf   []Change       // established changes of the current pass
-	relBuf   []Change       // released changes of the current pass
-	slotsBuf []int          // slots visited by the current pass
-	invBuf   *bitmat.Matrix // CheckInvariants B* recomputation
+	occOut   []uint64 // AO bitmask: output v occupied in the slot
+	occIn    []uint64 // AI bitmask: input u occupied in the slot
+	colBuf   []int    // rotated set-column scan of one L row
+	estBuf   []Change // established changes of the current pass
+	relBuf   []Change // released changes of the current pass
+	slotsBuf []int    // slots visited by the current pass
+	loadIDs  []int32  // LoadConfig's resolved ids
+	invBuf   []uint64 // CheckInvariants B* recomputation
 
 	// Sparse-pass scratch (sparsepass.go).
 	activeMask  []uint64 // row mask: rows the sparse pass must visit
 	pendingMask []uint64 // per-pass row mask: rows with a request not in B*
 	rowsBuf     []int    // rotated active-row iteration order
-	wordRowMin  int      // row nonzeros at which to switch to the word path
 
 	// Alternative-algorithm scratch (match.go); nil for AlgPaper.
 	match *matchState
+	// dense holds the N×N matrices the dense oracle and the alternative
+	// matchers build from the id-keyed state; nil until one of them runs.
+	dense *denseScratch
 
 	// Observability (nil when off). now supplies timestamps for emitted
 	// events; the scheduler has no clock of its own.
@@ -200,13 +212,14 @@ func NewScheduler(p Params) (*Scheduler, error) {
 	if err := p.Validate(); err != nil {
 		return nil, fmt.Errorf("core: invalid scheduler parameters: %w", err)
 	}
+	if p.Conns == nil {
+		p.Conns = topology.NewCompleteConnTable(p.N)
+	}
 	s := &Scheduler{
 		p:          p,
-		configs:    make([]*bitmat.Matrix, p.K),
+		conns:      p.Conns,
 		pinned:     make([]bool, p.K),
-		latch:      bitmat.NewSparse(p.N, p.N),
-		bstar:      bitmat.NewSquare(p.N),
-		lBuf:       bitmat.NewSquare(p.N),
+		latch:      topology.NewIDSet(p.Conns),
 		rowDst:     make([][]int32, p.K),
 		rowID:      make([][]int32, p.K),
 		colSrc:     make([][]int32, p.K),
@@ -214,44 +227,39 @@ func NewScheduler(p Params) (*Scheduler, error) {
 		cfgColMask: make([][]uint64, p.K),
 		cfgCount:   make([]int, p.K),
 	}
-	// The per-slot index and every occupancy mask are carved from two
+	// The per-slot index, B* and every occupancy mask are carved from two
 	// arenas, one allocation each. Full slice expressions cap each piece's
 	// capacity, so an append that outgrows a piece reallocates instead of
 	// spilling into its neighbour.
 	occWords := (p.N + 63) / 64
+	heldWords := (p.Conns.Len() + 63) / 64
 	idx := make([]int32, 3*p.K*p.N)
 	for j := range idx {
 		idx[j] = -1
 	}
-	words := make([]uint64, (2*p.K+4)*occWords)
+	words := make([]uint64, (2*p.K+4)*occWords+heldWords)
 	carveIdx := func() []int32 {
 		piece := idx[:p.N:p.N]
 		idx = idx[p.N:]
 		return piece
 	}
-	carveWords := func() []uint64 {
-		piece := words[:occWords:occWords]
-		words = words[occWords:]
+	carveWords := func(n int) []uint64 {
+		piece := words[:n:n]
+		words = words[n:]
 		return piece
 	}
-	for i := range s.configs {
-		s.configs[i] = bitmat.NewSquare(p.N)
+	for i := 0; i < p.K; i++ {
 		s.rowDst[i] = carveIdx()
 		s.rowID[i] = carveIdx()
 		s.colSrc[i] = carveIdx()
-		s.cfgRowMask[i] = carveWords()
-		s.cfgColMask[i] = carveWords()
+		s.cfgRowMask[i] = carveWords(occWords)
+		s.cfgColMask[i] = carveWords(occWords)
 	}
-	if p.LatchRequests {
-		s.effBuf = bitmat.NewSquare(p.N)
-	}
-	if p.Conns != nil {
-		s.heldIDs = make([]uint64, (p.Conns.Len()+63)/64)
-	}
-	s.occOut = carveWords()
-	s.occIn = carveWords()
-	s.activeMask = carveWords()
-	s.pendingMask = carveWords()
+	s.held = carveWords(heldWords)
+	s.occOut = carveWords(occWords)
+	s.occIn = carveWords(occWords)
+	s.activeMask = carveWords(occWords)
+	s.pendingMask = carveWords(occWords)
 	// A pass visits at most SLCopies slots and, in each, establishes and
 	// releases at most one connection per input row, so the change buffers
 	// are sized for that once instead of growing through the first passes.
@@ -259,7 +267,6 @@ func NewScheduler(p Params) (*Scheduler, error) {
 	buf := make([]Change, 2*changes)
 	s.estBuf = buf[:0:changes]
 	s.relBuf = buf[changes:changes]
-	s.wordRowMin = wordRowThreshold(p.N)
 	if p.Algorithm != AlgPaper {
 		s.match = newMatchState(p)
 	}
@@ -268,35 +275,25 @@ func NewScheduler(p Params) (*Scheduler, error) {
 
 // --- per-pair slot index ---
 
-// setConn establishes u→v in a slot, updating the configuration matrix, the
-// slot index, the per-slot occupancy masks and B* together, and returns the
-// connection's id. The caller must have verified the slot's row u and column
-// v are free (partial-permutation discipline); every establish path does.
-func (s *Scheduler) setConn(slot, u, v int) int32 {
-	id := int32(-1)
-	if s.p.Conns != nil {
-		id = s.p.Conns.ID(u, v)
-	}
-	s.configs[slot].Set(u, v)
+// setConn establishes u→v, connection id, in a slot, updating the slot
+// index, the per-slot occupancy masks and B* together. The caller must have
+// verified the slot's row u and column v are free (partial-permutation
+// discipline); every establish path does.
+func (s *Scheduler) setConn(slot, u, v int, id int32) {
 	s.rowDst[slot][u] = int32(v)
 	s.rowID[slot][u] = id
 	s.colSrc[slot][v] = int32(u)
 	maskSet(s.cfgRowMask[slot], u)
 	maskSet(s.cfgColMask[slot], v)
 	s.cfgCount[slot]++
-	s.bstar.Set(u, v)
-	if id >= 0 {
-		maskSet(s.heldIDs, int(id))
-	}
-	return id
+	maskSet(s.held, int(id))
 }
 
 // clearConn releases u→v from a slot and returns its id. The connection
-// must be present there. B* drops the bit only when the pair is gone from
-// every slot (AddBandwidth can hold it in several).
+// must be present there. B* drops it only when it is gone from every slot
+// (AddBandwidth can hold it in several).
 func (s *Scheduler) clearConn(slot, u, v int) int32 {
 	id := s.rowID[slot][u]
-	s.configs[slot].Clear(u, v)
 	s.rowDst[slot][u] = -1
 	s.rowID[slot][u] = -1
 	s.colSrc[slot][v] = -1
@@ -304,10 +301,7 @@ func (s *Scheduler) clearConn(slot, u, v int) int32 {
 	maskClear(s.cfgColMask[slot], v)
 	s.cfgCount[slot]--
 	if s.slotCountOf(u, v) == 0 {
-		s.bstar.Clear(u, v)
-		if id >= 0 {
-			maskClear(s.heldIDs, int(id))
-		}
+		maskClear(s.held, int(id))
 	}
 	return id
 }
@@ -325,6 +319,26 @@ func (s *Scheduler) clearSlot(slot int) {
 	}
 }
 
+// idOf returns the id of u→v, which must be in the connection table.
+func (s *Scheduler) idOf(u, v int) int32 {
+	id := s.conns.ID(u, v)
+	if id < 0 {
+		panic(fmt.Sprintf("core: connection %v is outside the connection table", topology.Conn{Src: u, Dst: v}))
+	}
+	return id
+}
+
+// heldID returns the id of src→dst if a slot holds it, else -1: O(K) slot
+// index reads, no table search.
+func (s *Scheduler) heldID(src, dst int) int32 {
+	for i := 0; i < s.p.K; i++ {
+		if s.rowDst[i][src] == int32(dst) {
+			return s.rowID[i][src]
+		}
+	}
+	return -1
+}
+
 // MustScheduler is NewScheduler for static configurations known to be valid
 // (tests, table generators); it panics on error.
 func MustScheduler(p Params) *Scheduler {
@@ -335,7 +349,7 @@ func MustScheduler(p Params) *Scheduler {
 	return s
 }
 
-// Params returns the scheduler's configuration.
+// Params returns the scheduler's configuration, Conns filled in.
 func (s *Scheduler) Params() Params { return s.p }
 
 // SetProbe attaches an observability probe; now supplies event timestamps
@@ -356,26 +370,17 @@ func (s *Scheduler) SetProbe(p *probe.Probe, now func() sim.Time) {
 // Stats returns activity counters.
 func (s *Scheduler) Stats() Stats { return s.stats }
 
-// Config returns a copy of configuration matrix B(slot).
-func (s *Scheduler) Config(slot int) *bitmat.Matrix {
-	s.checkSlot(slot)
-	return s.configs[slot].Clone()
-}
+// HeldIDs returns B* as a bitset over the ids of Params.Conns. It is live
+// and read-only for callers: every establish, eviction and flush changes
+// it.
+func (s *Scheduler) HeldIDs() []uint64 { return s.held }
 
-// BStarView returns B* itself, without the copy BStar makes. The matrix is
-// live and read-only for callers: every establish, eviction and flush
-// changes it.
-func (s *Scheduler) BStarView() *bitmat.Matrix { return s.bstar }
-
-// HeldIDs returns B* as a bitset over the ids of Params.Conns, nil without
-// a table. Like BStarView it is live and read-only for callers.
-func (s *Scheduler) HeldIDs() []uint64 { return s.heldIDs }
+// Held reports whether connection id is established in any slot (in B*).
+func (s *Scheduler) Held(id int32) bool { return maskTest(s.held, int(id)) }
 
 // Connected reports whether the connection src→dst is established in any
-// slot (the B* bit).
-func (s *Scheduler) Connected(src, dst int) bool {
-	return s.bstar.Get(src, dst)
-}
+// slot (in B*).
+func (s *Scheduler) Connected(src, dst int) bool { return s.heldID(src, dst) >= 0 }
 
 // slotCountOf returns the number of slots holding src→dst without
 // materializing the slot list.
@@ -387,11 +392,6 @@ func (s *Scheduler) slotCountOf(src, dst int) int {
 		}
 	}
 	return n
-}
-
-// Connections returns the number of distinct established connections.
-func (s *Scheduler) Connections() int {
-	return s.bstar.Count()
 }
 
 // AppendSlotConns appends every connection of a slot to dst, and its id to
@@ -446,36 +446,81 @@ func (s *Scheduler) NextFabricSlot() (slot int, ok bool) {
 
 // --- scheduling logic (SL side) ---
 
+// denseScratch holds the N×N matrices of the dense forms: the oracle
+// (Pass, ScheduleSlot, PreSchedule) and the alternative matchers, which
+// read requests and B* as matrices. A scheduler builds it on first use, so
+// a paper-algorithm run through PassSparse never holds one.
+type denseScratch struct {
+	req   *bitmat.Matrix // PassSparse's requests, for the alternative matchers
+	eff   *bitmat.Matrix // R | latch
+	bstar *bitmat.Matrix // B*
+	l     *bitmat.Matrix // Table 1's change matrix; the matchers' pending cells
+}
+
+func (s *Scheduler) denseMats() *denseScratch {
+	if s.dense == nil {
+		n := s.p.N
+		s.dense = &denseScratch{req: bitmat.NewSquare(n), eff: bitmat.NewSquare(n),
+			bstar: bitmat.NewSquare(n), l: bitmat.NewSquare(n)}
+	}
+	return s.dense
+}
+
+// setIDs sets in m the cell of every connection in the id bitset, resolving
+// sources with a row cursor.
+func (s *Scheduler) setIDs(m *bitmat.Matrix, ids []uint64) {
+	src := -1
+	for w, x := range ids {
+		for ; x != 0; x &= x - 1 {
+			id := int32(w<<6 | bits.TrailingZeros64(x))
+			src = s.conns.SrcFrom(src, id)
+			m.Set(src, s.conns.Dst(id))
+		}
+	}
+}
+
+// bstarMatrix returns B* as a matrix in the dense scratch, valid until the
+// next call.
+func (s *Scheduler) bstarMatrix() *bitmat.Matrix {
+	m := s.denseMats().bstar
+	m.Reset()
+	s.setIDs(m, s.held)
+	return m
+}
+
 // effectiveRequests returns R | latch when latching is on, otherwise R.
-// The latch matrix holds requests the scheduler has decided to remember
-// after the NIC dropped them (extension 3). Under latching the result is
-// the scheduler's effBuf scratch, valid until the next call.
+// The latch holds requests the scheduler has decided to remember after the
+// NIC dropped them (extension 3). Under latching the result is dense
+// scratch, valid until the next call.
 func (s *Scheduler) effectiveRequests(r *bitmat.Matrix) *bitmat.Matrix {
 	if !s.p.LatchRequests {
 		return r
 	}
-	s.effBuf.CopyFrom(r)
-	s.effBuf.Or(s.latch.Matrix())
-	return s.effBuf
+	eff := s.denseMats().eff
+	eff.CopyFrom(r)
+	s.setIDs(eff, s.latch.IDs())
+	return eff
 }
 
 // PreSchedule computes the change matrix L of Table 1 for slot `slot` given
 // request matrix r: L(u,v)=1 when the connection should be released from the
 // slot (not requested but realized there) or established (requested and
-// realized nowhere). The result is a scheduler-owned scratch matrix, valid
-// until the next PreSchedule, ScheduleSlot or Pass call.
+// realized nowhere). The result is dense scratch, valid until the next
+// PreSchedule, ScheduleSlot or Pass call.
 func (s *Scheduler) PreSchedule(r *bitmat.Matrix, slot int) *bitmat.Matrix {
 	s.checkSlot(slot)
 	s.checkShape(r)
 	eff := s.effectiveRequests(r)
-
+	l := s.denseMats().l
+	l.Reset()
 	// Release term: not requested, realized in slot s -> B(s) &^ Reff.
-	l := s.lBuf
-	l.CopyFrom(s.configs[slot])
-	l.AndNot(eff)
-	// Establish term: requested, realized nowhere -> Reff &^ B*, fused into
-	// the same scan.
-	l.OrAndNot(eff, s.bstar)
+	for u, v := range s.rowDst[slot] {
+		if v >= 0 && !eff.Get(u, int(v)) {
+			l.Set(u, int(v))
+		}
+	}
+	// Establish term: requested, realized nowhere -> Reff &^ B*.
+	l.OrAndNot(eff, s.bstarMatrix())
 	return l
 }
 
@@ -505,27 +550,27 @@ func maskSet(m []uint64, i int)       { m[i>>6] |= 1 << (uint(i) & 63) }
 func maskClear(m []uint64, i int)     { m[i>>6] &^= 1 << (uint(i) & 63) }
 
 // dispatchSlot routes one slot evaluation to the configured matching
-// algorithm. For the paper algorithm, a non-nil sp selects the sparse-path
+// algorithm. For the paper algorithm, a non-nil req selects the sparse-path
 // evaluation (bit-identical to the dense one — see sparsepass.go); the
 // alternative matchers consume the dense form either way.
-func (s *Scheduler) dispatchSlot(r *bitmat.Matrix, sp *bitmat.Sparse, slot int) {
+func (s *Scheduler) dispatchSlot(r *bitmat.Matrix, req *topology.IDSet, slot int) {
 	switch s.p.Algorithm {
 	case AlgISLIP:
 		s.scheduleSlotISLIP(r, slot)
 	case AlgWavefront:
 		s.scheduleSlotWavefront(r, slot)
 	default:
-		if sp != nil {
-			s.scheduleSlotSparse(sp, slot)
+		if req != nil {
+			s.scheduleSlotSparse(req, slot)
 		} else {
 			s.scheduleSlot(r, slot)
 		}
 	}
 }
 
-// scheduleSlot is the allocation-free SL-array evaluation shared by
-// ScheduleSlot and Pass. It appends changes to estBuf/relBuf without
-// resetting them, so one Pass accumulates across its SLCopies slots.
+// scheduleSlot is the dense SL-array evaluation, the oracle the sparse path
+// is tested against. It appends changes to estBuf/relBuf without resetting
+// them, so one Pass accumulates across its SLCopies slots.
 func (s *Scheduler) scheduleSlot(r *bitmat.Matrix, slot int) {
 	s.checkSlot(slot)
 	if s.pinned[slot] {
@@ -535,7 +580,7 @@ func (s *Scheduler) scheduleSlot(r *bitmat.Matrix, slot int) {
 	if l.IsZero() {
 		return
 	}
-	b := s.configs[slot]
+	rowDst := s.rowDst[slot]
 	n := s.p.N
 	estStart, relStart := len(s.estBuf), len(s.relBuf)
 
@@ -562,21 +607,22 @@ func (s *Scheduler) scheduleSlot(r *bitmat.Matrix, slot int) {
 			// distinguish the release case (bit set, ports necessarily
 			// occupied by this very connection) from an establish request
 			// whose ports happen to be busy.
-			if b.Get(u, v) {
+			if rowDst[u] == int32(v) {
 				// Table 2 row (L=1, A=1, D=1): release, ports become free.
 				id := s.clearConn(slot, u, v)
 				maskClear(s.occOut, v)
 				maskClear(s.occIn, u)
 				s.relBuf = append(s.relBuf, Change{Src: u, Dst: v, Slot: slot, ID: id})
 			} else if !maskTest(s.occOut, v) && !maskTest(s.occIn, u) {
-				if s.p.CanEstablish != nil && !s.p.CanEstablish(b, u, v) {
+				if s.p.CanEstablish != nil && !s.p.CanEstablish(rowDst, u, v) {
 					// Fabric constraint: the connection would make this
 					// slot's configuration unrealizable; treat it like a
 					// port conflict and leave it for another slot.
 					continue
 				}
 				// Table 2 row (L=1, A=0, D=0): establish, ports become busy.
-				id := s.setConn(slot, u, v)
+				id := s.idOf(u, v)
+				s.setConn(slot, u, v, id)
 				maskSet(s.occOut, v)
 				maskSet(s.occIn, u)
 				s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot, ID: id})
@@ -595,13 +641,13 @@ func (s *Scheduler) finishSlot(slot, estStart, relStart int) {
 	released := s.relBuf[relStart:]
 	if s.p.LatchRequests {
 		for _, c := range established {
-			s.latch.Set(c.Src, c.Dst)
+			s.latch.Add(c.Src, c.ID)
 		}
 		for _, c := range released {
 			// Released connections (evicted or flushed) lose their latch if
 			// they are gone from every slot.
 			if s.slotCountOf(c.Src, c.Dst) == 0 {
-				s.latch.Clear(c.Src, c.Dst)
+				s.latch.Remove(c.Src, c.ID)
 			}
 		}
 	}
@@ -612,29 +658,35 @@ func (s *Scheduler) finishSlot(slot, estStart, relStart int) {
 // Pass runs one scheduler pass: SLCopies scheduling-logic evaluations on the
 // next dynamic (unpinned) slots in SL-counter order, then advances the
 // priority rotation. It is the unit of work that costs PassLatency() in
-// simulated time. The returned slices are scheduler-owned and valid until
-// the next Pass or ScheduleSlot call.
+// simulated time. Pass takes the request matrix in dense form and runs the
+// dense evaluation, the oracle PassSparse is tested against; every request
+// must be a connection of Params.Conns. The returned slices are
+// scheduler-owned and valid until the next Pass or ScheduleSlot call.
 func (s *Scheduler) Pass(r *bitmat.Matrix) PassResult {
+	s.checkShape(r)
 	return s.passProbed(r, nil)
 }
 
-// PassSparse is Pass taking the request matrix in sparse form. For the
-// paper algorithm it runs the sparse-path evaluation — cost proportional to
-// the active rows and their nonzeros instead of N²/64 words — and is
-// bit-identical to Pass over sp's dense form. The alternative algorithms
-// consume the dense backing either way.
-func (s *Scheduler) PassSparse(sp *bitmat.Sparse) PassResult {
-	return s.passProbed(sp.Matrix(), sp)
+// PassSparse is Pass taking the requests as a set over Params.Conns. For
+// the paper algorithm it runs the sparse-path evaluation — cost
+// proportional to the active rows and their ids instead of N²/64 words —
+// and is bit-identical to Pass over the same requests. The alternative
+// algorithms build the dense form and run as under Pass.
+func (s *Scheduler) PassSparse(req *topology.IDSet) PassResult {
+	if req.Table() != s.conns {
+		panic("core: request set over another connection table")
+	}
+	return s.passProbed(nil, req)
 }
 
 // passProbed wraps the pass body with probe emission when attached.
-func (s *Scheduler) passProbed(r *bitmat.Matrix, sp *bitmat.Sparse) PassResult {
+func (s *Scheduler) passProbed(r *bitmat.Matrix, req *topology.IDSet) PassResult {
 	if s.probe == nil {
-		return s.pass(r, sp)
+		return s.pass(r, req)
 	}
 	now := s.now()
 	s.probe.Emit(probe.Event{Kind: probe.SchedPassBegin, At: now})
-	res := s.pass(r, sp)
+	res := s.pass(r, req)
 	for _, c := range res.Established {
 		s.probe.Emit(probe.Event{Kind: probe.ConnEstablished, At: now,
 			Src: int32(c.Src), Dst: int32(c.Dst), Slot: int32(c.Slot)})
@@ -648,9 +700,9 @@ func (s *Scheduler) passProbed(r *bitmat.Matrix, sp *bitmat.Sparse) PassResult {
 	return res
 }
 
-// pass is the probe-free body of Pass. A non-nil sp must wrap r (sp.Matrix()
-// == r); it selects the sparse-path slot evaluation for the paper algorithm.
-func (s *Scheduler) pass(r *bitmat.Matrix, sp *bitmat.Sparse) PassResult {
+// pass is the probe-free body of Pass and PassSparse: exactly one of r and
+// req is non-nil.
+func (s *Scheduler) pass(r *bitmat.Matrix, req *topology.IDSet) PassResult {
 	s.stats.Passes++
 	dyn := s.DynamicSlotCount()
 	if dyn == 0 {
@@ -664,8 +716,15 @@ func (s *Scheduler) pass(r *bitmat.Matrix, sp *bitmat.Sparse) PassResult {
 	s.estBuf = s.estBuf[:0]
 	s.relBuf = s.relBuf[:0]
 	s.slotsBuf = s.slotsBuf[:0]
-	if sp != nil && s.p.Algorithm == AlgPaper {
-		s.computePendingMask(sp)
+	if req != nil {
+		if s.p.Algorithm == AlgPaper {
+			s.computePendingMask(req)
+		} else {
+			r = s.denseMats().req
+			r.Reset()
+			s.setIDs(r, req.IDs())
+			req = nil
+		}
 	}
 	for c := 0; c < copies; c++ {
 		// Advance the SL cursor to the next dynamic slot.
@@ -677,7 +736,7 @@ func (s *Scheduler) pass(r *bitmat.Matrix, sp *bitmat.Sparse) PassResult {
 				break
 			}
 		}
-		s.dispatchSlot(r, sp, slot)
+		s.dispatchSlot(r, req, slot)
 		s.slotsBuf = append(s.slotsBuf, slot)
 	}
 	if s.p.RotatePriority {
@@ -701,9 +760,9 @@ func (s *Scheduler) DynamicSlotCount() int {
 // --- extensions ---
 
 // LoadConfig loads a predefined configuration into a slot (extension 5,
-// compiled communication). The configuration must be a partial permutation.
-// If pin is true the slot is excluded from dynamic scheduling until a later
-// LoadConfig unpins it.
+// compiled communication). The configuration must be a partial permutation
+// of connections in Params.Conns. If pin is true the slot is excluded from
+// dynamic scheduling until a later LoadConfig unpins it.
 func (s *Scheduler) LoadConfig(slot int, cfg *bitmat.Matrix, pin bool) error {
 	s.checkSlot(slot)
 	if cfg.Rows() != s.p.N || cfg.Cols() != s.p.N {
@@ -712,11 +771,27 @@ func (s *Scheduler) LoadConfig(slot int, cfg *bitmat.Matrix, pin bool) error {
 	if !cfg.IsPartialPermutation() {
 		return fmt.Errorf("core: configuration for slot %d is not a partial permutation", slot)
 	}
-	s.clearSlot(slot)
+	var err error
+	s.loadIDs = s.loadIDs[:0]
 	cfg.Ones(func(u, v int) bool {
-		s.setConn(slot, u, v)
+		id := s.conns.ID(u, v)
+		if id < 0 {
+			err = fmt.Errorf("core: configuration for slot %d holds %v, outside the connection table",
+				slot, topology.Conn{Src: u, Dst: v})
+			return false
+		}
+		s.loadIDs = append(s.loadIDs, id)
 		return true
 	})
+	if err != nil {
+		return err
+	}
+	s.clearSlot(slot)
+	u := -1
+	for _, id := range s.loadIDs {
+		u = s.conns.SrcFrom(u, id)
+		s.setConn(slot, u, s.conns.Dst(id), id)
+	}
 	s.pinned[slot] = pin
 	return nil
 }
@@ -732,7 +807,8 @@ func (s *Scheduler) AddBandwidth(src, dst, extra int) int {
 	if extra < 0 {
 		panic(fmt.Sprintf("core: negative extra slot count %d", extra))
 	}
-	if !s.Connected(src, dst) {
+	id := s.heldID(src, dst)
+	if id < 0 {
 		return 0
 	}
 	added := 0
@@ -740,10 +816,10 @@ func (s *Scheduler) AddBandwidth(src, dst, extra int) int {
 		if s.pinned[slot] || s.rowDst[slot][src] >= 0 || s.colSrc[slot][dst] >= 0 {
 			continue
 		}
-		if s.p.CanEstablish != nil && !s.p.CanEstablish(s.configs[slot], src, dst) {
+		if s.p.CanEstablish != nil && !s.p.CanEstablish(s.rowDst[slot], src, dst) {
 			continue
 		}
-		s.setConn(slot, src, dst)
+		s.setConn(slot, src, dst, id)
 		added++
 	}
 	return added
@@ -756,6 +832,11 @@ func (s *Scheduler) AddBandwidth(src, dst, extra int) int {
 func (s *Scheduler) Evict(src, dst int) int {
 	s.checkPort(src)
 	s.checkPort(dst)
+	id := s.heldID(src, dst)
+	if id < 0 {
+		// Only its latch can remain.
+		id = s.conns.ID(src, dst)
+	}
 	removed := 0
 	for slot := 0; slot < s.p.K; slot++ {
 		if s.pinned[slot] {
@@ -766,9 +847,9 @@ func (s *Scheduler) Evict(src, dst int) int {
 			removed++
 		}
 	}
-	latched := s.latch.Get(src, dst)
+	latched := id >= 0 && s.latch.Has(id)
 	if latched {
-		s.latch.Clear(src, dst)
+		s.latch.Remove(src, id)
 	}
 	if removed > 0 {
 		s.stats.Evictions += uint64(removed)
@@ -807,7 +888,7 @@ func (s *Scheduler) EvictPort(p int) []Change {
 		}
 	}
 	for _, ch := range out {
-		s.latch.Clear(ch.Src, ch.Dst)
+		s.latch.Remove(ch.Src, ch.ID)
 	}
 	if len(out) > 0 {
 		s.stats.Evictions += uint64(len(out))
@@ -840,81 +921,57 @@ func (s *Scheduler) Flush() {
 }
 
 // CheckInvariants verifies the structural invariants of the scheduler state:
-// every configuration is a partial permutation, B* equals the OR of the
-// configurations, the per-pair slot index (rowDst/colSrc, occupancy masks,
-// counts) matches the matrices, and the sparse latch matches its dense
-// backing. It returns an error describing the first violation. Tests and the
-// simulation's self-checks call this; it is cheap (O(K·N²/64)).
+// each slot's index is a consistent partial permutation (rowDst and colSrc
+// mirror each other, the occupancy masks and counts match, every entry
+// carries its table id), B* is the union of the slots' connections, and the
+// latch's row mask matches its ids. It returns an error describing the
+// first violation. Tests and the simulation's self-checks call this; it
+// costs O(K·N + connections/64).
 func (s *Scheduler) CheckInvariants() error {
-	for i, c := range s.configs {
-		if !c.IsPartialPermutation() {
-			return fmt.Errorf("core: B(%d) is not a partial permutation", i)
-		}
-	}
 	if s.invBuf == nil {
-		s.invBuf = bitmat.NewSquare(s.p.N)
+		s.invBuf = make([]uint64, len(s.held))
 	}
 	want := s.invBuf
-	want.Reset()
-	for _, c := range s.configs {
-		want.Or(c)
-	}
-	if !s.bstar.Equal(want) {
-		return fmt.Errorf("core: B* out of sync with configurations")
-	}
-	if t := s.p.Conns; t != nil {
-		held := 0
-		for id := int32(0); id < int32(t.Len()); id++ {
-			c := t.Conn(id)
-			if maskTest(s.heldIDs, int(id)) != s.bstar.Get(c.Src, c.Dst) {
-				return fmt.Errorf("core: held id %d (%v) out of sync with B*", id, c)
-			}
-			if s.bstar.Get(c.Src, c.Dst) {
-				held++
-			}
-		}
-		if held != s.bstar.Count() {
-			return fmt.Errorf("core: B* holds %d connections, %d of them in the table", s.bstar.Count(), held)
-		}
-	}
-	for i, c := range s.configs {
+	clear(want)
+	for i := 0; i < s.p.K; i++ {
 		count := 0
-		for u := 0; u < s.p.N; u++ {
-			v := c.FirstInRow(u)
-			if int(s.rowDst[i][u]) != v {
-				return fmt.Errorf("core: slot %d rowDst[%d]=%d, matrix says %d", i, u, s.rowDst[i][u], v)
-			}
+		for u, v := range s.rowDst[i] {
 			if maskTest(s.cfgRowMask[i], u) != (v >= 0) {
 				return fmt.Errorf("core: slot %d row mask out of sync at input %d", i, u)
 			}
-			want := int32(-1)
-			if v >= 0 && s.p.Conns != nil {
-				want = s.p.Conns.ID(u, v)
-			}
-			if s.rowID[i][u] != want {
-				return fmt.Errorf("core: slot %d rowID[%d]=%d, want %d", i, u, s.rowID[i][u], want)
-			}
-			if v >= 0 {
-				count++
-				if int(s.colSrc[i][v]) != u {
-					return fmt.Errorf("core: slot %d colSrc[%d]=%d, matrix says %d", i, v, s.colSrc[i][v], u)
+			if v < 0 {
+				if s.rowID[i][u] != -1 {
+					return fmt.Errorf("core: slot %d rowID[%d]=%d on an empty row", i, u, s.rowID[i][u])
 				}
+				continue
 			}
+			count++
+			if int(s.colSrc[i][v]) != u {
+				return fmt.Errorf("core: slot %d colSrc[%d]=%d, rowDst says %d", i, v, s.colSrc[i][v], u)
+			}
+			if id := s.conns.ID(u, int(v)); s.rowID[i][u] != id || id < 0 {
+				return fmt.Errorf("core: slot %d rowID[%d]=%d, table says %d", i, u, s.rowID[i][u], id)
+			}
+			maskSet(want, int(s.rowID[i][u]))
 		}
-		for v := 0; v < s.p.N; v++ {
-			has := c.ColAny(v)
-			if maskTest(s.cfgColMask[i], v) != has {
+		for v, u := range s.colSrc[i] {
+			if maskTest(s.cfgColMask[i], v) != (u >= 0) {
 				return fmt.Errorf("core: slot %d column mask out of sync at output %d", i, v)
 			}
-			if !has && s.colSrc[i][v] != -1 {
-				return fmt.Errorf("core: slot %d colSrc[%d]=%d, column is empty", i, v, s.colSrc[i][v])
+			if u >= 0 && s.rowDst[i][u] != int32(v) {
+				return fmt.Errorf("core: slot %d colSrc[%d]=%d, rowDst says %d", i, v, u, s.rowDst[i][u])
 			}
 		}
 		if s.cfgCount[i] != count {
-			return fmt.Errorf("core: slot %d count %d, matrix holds %d", i, s.cfgCount[i], count)
+			return fmt.Errorf("core: slot %d count %d, index holds %d", i, s.cfgCount[i], count)
 		}
 	}
-	if err := s.latch.CheckParity(); err != nil {
+	for w, x := range want {
+		if x != s.held[w] {
+			return fmt.Errorf("core: B* out of sync with configurations in ids %d-%d", w*64, w*64+63)
+		}
+	}
+	if err := s.latch.Check(); err != nil {
 		return fmt.Errorf("core: latch: %w", err)
 	}
 	return nil

@@ -14,6 +14,11 @@ func newTest(n, k int) *Scheduler {
 	return MustScheduler(Params{N: n, K: k, SkipEmptySlots: true})
 }
 
+// change is the Change of u→v in slot, with the id of the scheduler's table.
+func change(s *Scheduler, u, v, slot int) Change {
+	return Change{Src: u, Dst: v, Slot: slot, ID: s.Params().Conns.ID(u, v)}
+}
+
 func req(n int, conns ...[2]int) *bitmat.Matrix {
 	r := bitmat.NewSquare(n)
 	for _, c := range conns {
@@ -131,7 +136,7 @@ func TestSLModuleTable2(t *testing.T) {
 		}
 		// No request for (u,v): release it.
 		est, rel := s.ScheduleSlot(bitmat.NewSquare(n), 0)
-		if len(est) != 0 || len(rel) != 1 || rel[0] != (Change{u, v, 0, -1}) {
+		if len(est) != 0 || len(rel) != 1 || rel[0] != change(s, u, v, 0) {
 			t.Fatalf("est=%v rel=%v, want single release of %d->%d", est, rel, u, v)
 		}
 		if s.Connected(u, v) {
@@ -169,7 +174,7 @@ func TestSLModuleTable2(t *testing.T) {
 	t.Run("L=1 A=0 D=0 establish", func(t *testing.T) {
 		s := newTest(n, 1)
 		est, rel := s.ScheduleSlot(req(n, [2]int{u, v}), 0)
-		if len(rel) != 0 || len(est) != 1 || est[0] != (Change{u, v, 0, -1}) {
+		if len(rel) != 0 || len(est) != 1 || est[0] != change(s, u, v, 0) {
 			t.Fatalf("est=%v rel=%v, want single establish of %d->%d", est, rel, u, v)
 		}
 		if !s.Connected(u, v) {
@@ -212,10 +217,10 @@ func TestReleaseFreesPortsForLaterCellInSamePass(t *testing.T) {
 	// Request (1,2): output 2 is busy until (0,2) is released, which happens
 	// earlier in the row scan (row 0 before row 1).
 	est, rel := s.ScheduleSlot(req(n, [2]int{1, 2}), 0)
-	if len(rel) != 1 || rel[0] != (Change{0, 2, 0, -1}) {
+	if len(rel) != 1 || rel[0] != change(s, 0, 2, 0) {
 		t.Fatalf("rel=%v, want release of 0->2", rel)
 	}
-	if len(est) != 1 || est[0] != (Change{1, 2, 0, -1}) {
+	if len(est) != 1 || est[0] != change(s, 1, 2, 0) {
 		t.Fatalf("est=%v, want establish of 1->2 in the same pass", est)
 	}
 }
@@ -680,17 +685,25 @@ func BenchmarkPass128Dense(b *testing.B) {
 // destination per source, so the request matrix carries N nonzeros out of
 // N² cells (occupancy 1/N — 0.1% at N=1024, well under the 5% gate) — the
 // Solstice-style skew regime large multiprocessor request matrices live in.
-func benchSparseRequests(n int) (*bitmat.Matrix, *bitmat.Sparse) {
+// The request set's table holds those connections, as a run's table holds
+// the connections its programs use.
+func benchSparseRequests(n int) (*bitmat.Matrix, *topology.IDSet) {
 	rng := rand.New(rand.NewSource(9))
 	r := bitmat.NewSquare(n)
-	sp := bitmat.NewSparse(n, n)
 	for i := 0; i < n; i++ {
-		v := rng.Intn(n)
-		if v != i {
+		if v := rng.Intn(n); v != i {
 			r.Set(i, v)
-			sp.Set(i, v)
 		}
 	}
+	sp := topology.NewIDSet(topology.NewConnTable(n, func(src int, add func(dst int)) {
+		if v := r.FirstInRow(src); v >= 0 {
+			add(v)
+		}
+	}))
+	r.Ones(func(u, v int) bool {
+		setRequest(sp, u, v, true)
+		return true
+	})
 	return r, sp
 }
 
@@ -700,9 +713,9 @@ func benchSparseRequests(n int) (*bitmat.Matrix, *bitmat.Sparse) {
 // representation attacks.
 func benchPassScale(b *testing.B, n int, sparse bool) {
 	b.Helper()
-	p := Params{N: n, K: 4, RotatePriority: true, SkipEmptySlots: true}
-	s := MustScheduler(p)
 	r, sp := benchSparseRequests(n)
+	p := Params{N: n, K: 4, RotatePriority: true, SkipEmptySlots: true, Conns: sp.Table()}
+	s := MustScheduler(p)
 	for pass := 0; pass < p.K; pass++ {
 		if sparse {
 			s.PassSparse(sp)

@@ -2,10 +2,13 @@
 //
 // The dense path (scheduleSlot) materializes the full change matrix L and
 // scans all N²/64 words of it per slot; at N ≥ 512 that scan dominates pass
-// cost even when almost every word is zero. The sparse path visits only the
-// rows that can hold an L cell, and in each row does only the work that can
-// change B(slot): cost proportional to the active rows and the candidates
-// they scan before their first establish. Two arguments make it
+// cost even when almost every word is zero. The sparse path reads the
+// requests, the latch and B* as bitsets over connection ids. It visits only
+// the rows that can hold an L cell, and in each row does only the work that
+// can change B(slot): cost proportional to the active rows and the id words
+// they scan before their first establish. Row u's requests are the set bits
+// of its id range Row(u), and ids ascend in destination order, so a scan of
+// that range is a scan of the row in column order. Two arguments make it
 // bit-identical to the dense path.
 //
 // Row locality. L's row u is a function of row u of B(slot), Reff and B*
@@ -34,21 +37,8 @@ import (
 	"slices"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/topology"
 )
-
-// wordRowThreshold is the adaptive row-occupancy cutoff: a row whose request
-// (+latch) lists hold at least this many nonzeros scans for its first
-// establish with word operations, at most N/64 of them whatever its
-// occupancy, instead of probing B* and AO per nonzero. Dense rows (all-to-all
-// phases) pay word-scan prices; sparse rows never scan a full row. The cutoff
-// is max(8, N/64): at least the break-even probe count, and proportional to
-// the row's word count at large N.
-func wordRowThreshold(n int) int {
-	if t := n / 64; t > 8 {
-		return t
-	}
-	return 8
-}
 
 // computePendingMask fills s.pendingMask with the rows holding at least one
 // request realized nowhere (row of R &^ B* nonempty) — the only rows whose
@@ -58,41 +48,36 @@ func wordRowThreshold(n int) int {
 // release time and — since R is fixed for the pass and latch bits are only
 // minted for established (hence requested) pairs — stays out of Reff until
 // the pass ends.
-func (s *Scheduler) computePendingMask(sp *bitmat.Sparse) {
+func (s *Scheduler) computePendingMask(req *topology.IDSet) {
 	pm := s.pendingMask
-	for i := range pm {
-		pm[i] = 0
-	}
-	for wi, w := range sp.RowMask() {
-		for w != 0 {
+	clear(pm)
+	ids := req.IDs()
+	for wi, w := range req.Rows() {
+		for ; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
-			w &= w - 1
-			u := wi*64 + b
-			if row := sp.Row(u); len(row) >= s.wordRowMin {
-				reqRow := sp.Matrix().RowWords(u)
-				bsRow := s.bstar.RowWords(u)
-				for k, rw := range reqRow {
-					if rw&^bsRow[k] != 0 {
-						pm[wi] |= 1 << uint(b)
-						break
-					}
+			lo, hi := s.conns.Row(wi*64 + b)
+			first, last := lo>>6, (hi-1)>>6
+			for k := first; k <= last; k++ {
+				c := ids[k] &^ s.held[k]
+				if k == first {
+					c &^= 1<<(uint32(lo)&63) - 1
 				}
-			} else {
-				for _, v := range row {
-					if !s.bstar.Get(u, int(v)) {
-						pm[wi] |= 1 << uint(b)
-						break
-					}
+				if k == last && hi&63 != 0 {
+					c &= 1<<(uint32(hi)&63) - 1
+				}
+				if c != 0 {
+					pm[wi] |= 1 << uint(b)
+					break
 				}
 			}
 		}
 	}
 }
 
-// scheduleSlotSparse is scheduleSlot evaluated from a sparse request matrix:
-// the same Table 1–2 semantics, restricted to the rows that can hold a change
-// cell. It requires the pass to have called computePendingMask first.
-func (s *Scheduler) scheduleSlotSparse(sp *bitmat.Sparse, slot int) {
+// scheduleSlotSparse is scheduleSlot evaluated from the id-keyed requests:
+// the same Table 1–2 semantics, restricted to the rows that can hold a
+// change cell. It requires the pass to have called computePendingMask first.
+func (s *Scheduler) scheduleSlotSparse(req *topology.IDSet, slot int) {
 	s.checkSlot(slot)
 	if s.pinned[slot] {
 		panic(fmt.Sprintf("core: ScheduleSlot on pinned slot %d", slot))
@@ -103,14 +88,13 @@ func (s *Scheduler) scheduleSlotSparse(sp *bitmat.Sparse, slot int) {
 	// pending mask — a row whose requests are all realized in B* cannot
 	// yield an establish), a latched request, or a connection in this slot.
 	am := s.activeMask
-	if spMask, cfgMask := s.pendingMask, s.cfgRowMask[slot]; s.p.LatchRequests {
-		lm := s.latch.RowMask()
-		for w := range am {
-			am[w] = spMask[w] | lm[w] | cfgMask[w]
-		}
-	} else {
-		for w := range am {
-			am[w] = spMask[w] | cfgMask[w]
+	for w, x := range s.pendingMask {
+		am[w] = x | s.cfgRowMask[slot][w]
+	}
+	if s.p.LatchRequests {
+		// The table may span fewer ports, and so fewer mask words.
+		for w, x := range s.latch.Rows() {
+			am[w] |= x
 		}
 	}
 
@@ -127,19 +111,19 @@ func (s *Scheduler) scheduleSlotSparse(sp *bitmat.Sparse, slot int) {
 	for _, u := range s.rowsBuf {
 		from := bo
 		if v0 := int(rowDst[u]); v0 >= 0 {
-			if sp.Get(u, v0) || (s.p.LatchRequests && s.latch.Get(u, v0)) {
+			if id0 := s.rowID[slot][u]; req.Has(id0) || (s.p.LatchRequests && s.latch.Has(id0)) {
 				continue // no release cell: AI is held for the whole visit
 			}
 			id := s.clearConn(slot, u, v0)
 			s.relBuf = append(s.relBuf, Change{Src: u, Dst: v0, Slot: slot, ID: id})
 			if v0 < bo {
-				s.establishFirst(sp, slot, u, v0+1, bo)
+				s.establishFirst(req, slot, u, v0+1, bo)
 				continue
 			}
 			from = v0 + 1
 		}
-		if !s.establishFirst(sp, slot, u, from, n) {
-			s.establishFirst(sp, slot, u, 0, bo)
+		if !s.establishFirst(req, slot, u, from, n) {
+			s.establishFirst(req, slot, u, 0, bo)
 		}
 	}
 	s.finishSlot(slot, estStart, relStart)
@@ -148,72 +132,51 @@ func (s *Scheduler) scheduleSlotSparse(sp *bitmat.Sparse, slot int) {
 // establishFirst establishes row u's first candidate in columns [lo, hi),
 // ascending, and reports whether it found one. A candidate is in Reff, not
 // in B* and has its output column free in the slot; the CanEstablish hook
-// may refuse it, and the scan moves on. Rows with wordRowMin or more request
-// (+latch) nonzeros scan whole words; sparser rows walk their merged lists.
-func (s *Scheduler) establishFirst(sp *bitmat.Sparse, slot, u, lo, hi int) bool {
+// may refuse it, and the scan moves on. The columns map to a range of row
+// u's ids, whose words give the candidates as Reff &^ B* a word at a time.
+func (s *Scheduler) establishFirst(req *topology.IDSet, slot, u, lo, hi int) bool {
 	if lo >= hi {
 		return false
 	}
-	reqRow := sp.Row(u)
-	var latchRow []int32
-	if s.p.LatchRequests {
-		latchRow = s.latch.Row(u)
+	a, b := s.conns.Row(u)
+	if lo > 0 || hi < s.p.N {
+		dsts := s.conns.RowDsts(u)
+		if hi < s.p.N {
+			i, _ := slices.BinarySearch(dsts, int32(hi))
+			dsts = dsts[:i]
+			b = a + int32(i)
+		}
+		if lo > 0 {
+			i, _ := slices.BinarySearch(dsts, int32(lo))
+			a += int32(i)
+		}
 	}
-	if len(reqRow)+len(latchRow) >= s.wordRowMin {
-		return s.establishFirstWords(sp, slot, u, lo, hi)
+	if a >= b {
+		return false
+	}
+	reqIDs := req.IDs()
+	var latchIDs []uint64
+	if s.p.LatchRequests {
+		latchIDs = s.latch.IDs()
 	}
 	colMask := s.cfgColMask[slot]
-	i, _ := slices.BinarySearch(reqRow, int32(lo))
-	j, _ := slices.BinarySearch(latchRow, int32(lo))
-	for i < len(reqRow) || j < len(latchRow) {
-		var v int32
-		if j >= len(latchRow) || (i < len(reqRow) && reqRow[i] <= latchRow[j]) {
-			v = reqRow[i]
-			if j < len(latchRow) && latchRow[j] == v {
-				j++
-			}
-			i++
-		} else {
-			v = latchRow[j]
-			j++
-		}
-		if int(v) >= hi {
-			return false
-		}
-		if !s.bstar.Get(u, int(v)) && !maskTest(colMask, int(v)) && s.tryEstablish(slot, u, int(v)) {
-			return true
-		}
-	}
-	return false
-}
-
-// establishFirstWords is establishFirst for high-occupancy rows: the
-// candidates of each word are Reff &^ B* &^ AO, masked to [lo, hi).
-func (s *Scheduler) establishFirstWords(sp *bitmat.Sparse, slot, u, lo, hi int) bool {
-	reqRow := sp.Matrix().RowWords(u)
-	bsRow := s.bstar.RowWords(u)
-	colMask := s.cfgColMask[slot]
-	var latchRow []uint64
-	if s.p.LatchRequests {
-		latchRow = s.latch.Matrix().RowWords(u)
-	}
-	first, last := lo>>6, (hi-1)>>6
+	first, last := a>>6, (b-1)>>6
 	for w := first; w <= last; w++ {
-		c := reqRow[w]
-		if latchRow != nil {
-			c |= latchRow[w]
+		c := reqIDs[w]
+		if latchIDs != nil {
+			c |= latchIDs[w]
 		}
-		c &^= bsRow[w] | colMask[w]
+		c &^= s.held[w]
 		if w == first {
-			c &^= 1<<(uint(lo)&63) - 1
+			c &^= 1<<(uint32(a)&63) - 1
 		}
-		if w == last && hi&63 != 0 {
-			c &= 1<<(uint(hi)&63) - 1
+		if w == last && b&63 != 0 {
+			c &= 1<<(uint32(b)&63) - 1
 		}
 		for c != 0 {
-			v := w*64 + bits.TrailingZeros64(c)
+			id := w<<6 | int32(bits.TrailingZeros64(c))
 			c &= c - 1
-			if s.tryEstablish(slot, u, v) {
+			if v := s.conns.Dst(id); !maskTest(colMask, v) && s.tryEstablish(slot, u, v, id) {
 				return true
 			}
 		}
@@ -224,12 +187,12 @@ func (s *Scheduler) establishFirstWords(sp *bitmat.Sparse, slot, u, lo, hi int) 
 // tryEstablish is Table 2's establish row (L=1, A=0, D=0) for a cell whose
 // ports are free: unless the CanEstablish hook refuses it — the connection
 // would make the slot's configuration unrealizable, a conflict like a busy
-// port — it sets u→v in the slot and records the change.
-func (s *Scheduler) tryEstablish(slot, u, v int) bool {
-	if s.p.CanEstablish != nil && !s.p.CanEstablish(s.configs[slot], u, v) {
+// port — it sets u→v (connection id) in the slot and records the change.
+func (s *Scheduler) tryEstablish(slot, u, v int, id int32) bool {
+	if s.p.CanEstablish != nil && !s.p.CanEstablish(s.rowDst[slot], u, v) {
 		return false
 	}
-	id := s.setConn(slot, u, v)
+	s.setConn(slot, u, v, id)
 	s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot, ID: id})
 	return true
 }

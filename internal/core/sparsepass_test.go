@@ -5,16 +5,18 @@ import (
 	"testing"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/topology"
 )
 
 // TestSparseRowVisitCases pins the sparse pass's row visit on hand-built
-// rows at N=160 (three words per row), each run twice: once with every row
-// on the word path and once with every row on the list path. Each case
-// checks the exact changes and the dense twin's agreement with them.
+// rows at N=160, each run over two connection tables: "words", the complete
+// table, whose rows span three id words and start and end mid-word, and
+// "lists", a table of only the case's connections, whose rows are a few ids
+// inside one word. Each case checks the exact changes and the dense twin's
+// agreement with them.
 func TestSparseRowVisitCases(t *testing.T) {
 	const n = 160
-	oddOnly := func(_ *bitmat.Matrix, u, v int) bool { return (u+v)%2 != 0 }
-	ch := func(u, v int) Change { return Change{Src: u, Dst: v, Slot: 0, ID: -1} }
+	oddOnly := func(_ []int32, u, v int) bool { return (u+v)%2 != 0 }
 	// latchThenDrop establishes 9→50 with a request, then drops the request.
 	latchThenDrop := func(tw *twin) {
 		tw.request(9, 50, true)
@@ -25,33 +27,33 @@ func TestSparseRowVisitCases(t *testing.T) {
 		name     string
 		rot      int // row origin a and column origin bo
 		latch    bool
-		hook     func(b *bitmat.Matrix, u, v int) bool
+		hook     func(cfg []int32, u, v int) bool
 		conns    [][2]int // slot-0 connections loaded before the pass
 		prep     func(tw *twin)
 		reqs     [][2]int
-		est, rel []Change
+		est, rel [][2]int
 	}{
 		{name: "release after origin, establish after it", rot: 100,
 			conns: [][2]int{{5, 130}}, reqs: [][2]int{{5, 20}, {5, 110}, {5, 140}},
-			est: []Change{ch(5, 140)}, rel: []Change{ch(5, 130)}},
+			est: [][2]int{{5, 140}}, rel: [][2]int{{5, 130}}},
 		{name: "release after origin, establish wraps", rot: 100,
 			conns: [][2]int{{5, 130}}, reqs: [][2]int{{5, 20}, {5, 110}},
-			est: []Change{ch(5, 20)}, rel: []Change{ch(5, 130)}},
+			est: [][2]int{{5, 20}}, rel: [][2]int{{5, 130}}},
 		{name: "release before origin", rot: 100,
 			conns: [][2]int{{5, 30}}, reqs: [][2]int{{5, 20}, {5, 40}, {5, 110}},
-			est: []Change{ch(5, 40)}, rel: []Change{ch(5, 30)}},
+			est: [][2]int{{5, 40}}, rel: [][2]int{{5, 30}}},
 		{name: "release before origin does not wrap past it", rot: 100,
 			conns: [][2]int{{5, 30}}, reqs: [][2]int{{5, 20}, {5, 110}},
-			rel: []Change{ch(5, 30)}},
+			rel: [][2]int{{5, 30}}},
 		{name: "origin zero, kept row skipped, busy output passed over", rot: 0,
 			conns: [][2]int{{6, 3}}, reqs: [][2]int{{6, 3}, {7, 3}, {7, 150}},
-			est: []Change{ch(7, 150)}},
+			est: [][2]int{{7, 150}}},
 		{name: "origin mid-word", rot: 70,
 			reqs: [][2]int{{9, 65}, {9, 69}, {9, 71}, {10, 65}},
-			est:  []Change{ch(9, 71), ch(10, 65)}},
+			est:  [][2]int{{9, 71}, {10, 65}}},
 		{name: "hook refuses the first candidate", rot: 0, hook: oddOnly,
 			conns: [][2]int{{8, 10}}, reqs: [][2]int{{5, 41}, {5, 42}, {8, 12}, {8, 13}},
-			est: []Change{ch(5, 42), ch(8, 13)}, rel: []Change{ch(8, 10)}},
+			est: [][2]int{{5, 42}, {8, 13}}, rel: [][2]int{{8, 10}}},
 		{name: "latch-only row establishes", latch: true,
 			prep: func(tw *twin) {
 				latchThenDrop(tw)
@@ -62,25 +64,32 @@ func TestSparseRowVisitCases(t *testing.T) {
 					}
 				})
 			},
-			est: []Change{ch(9, 50)}},
+			est: [][2]int{{9, 50}}},
 		{name: "latched row keeps its connection", latch: true, prep: latchThenDrop},
 		{name: "unlatched row releases its connection", prep: latchThenDrop,
-			rel: []Change{ch(9, 50)}},
+			rel: [][2]int{{9, 50}}},
 	}
 	for _, c := range cases {
-		for _, path := range []struct {
-			name       string
-			wordRowMin int
-		}{{"words", 1}, {"lists", n + 1}} {
-			t.Run(c.name+"/"+path.name, func(t *testing.T) {
+		for _, tab := range []string{"words", "lists"} {
+			t.Run(c.name+"/"+tab, func(t *testing.T) {
+				conns := topology.NewCompleteConnTable(n)
+				if tab == "lists" {
+					pairs := append(append(append([][2]int{{9, 50}}, c.conns...), c.reqs...), c.est...)
+					conns = topology.NewConnTable(n, func(src int, add func(dst int)) {
+						for _, uv := range pairs {
+							if uv[0] == src {
+								add(uv[1])
+							}
+						}
+					})
+				}
 				tw := newTwin(t, Params{N: n, K: 1, RotatePriority: true,
-					LatchRequests: c.latch, CanEstablish: c.hook})
+					LatchRequests: c.latch, CanEstablish: c.hook, Conns: conns})
 				cfg := bitmat.NewSquare(n)
 				for _, uv := range c.conns {
 					cfg.Set(uv[0], uv[1])
 				}
 				tw.each(func(s *Scheduler) {
-					s.wordRowMin = path.wordRowMin
 					if err := s.LoadConfig(0, cfg, false); err != nil {
 						t.Fatal(err)
 					}
@@ -92,10 +101,17 @@ func TestSparseRowVisitCases(t *testing.T) {
 					tw.request(uv[0], uv[1], true)
 				}
 				tw.each(func(s *Scheduler) { s.rot = c.rot })
+				changes := func(uvs [][2]int) []Change {
+					var out []Change
+					for _, uv := range uvs {
+						out = append(out, change(tw.sparse, uv[0], uv[1], 0))
+					}
+					return out
+				}
 				res := tw.pass()
-				if !sameChanges(res.Established, c.est) || !sameChanges(res.Released, c.rel) {
+				if !sameChanges(res.Established, changes(c.est)) || !sameChanges(res.Released, changes(c.rel)) {
 					t.Fatalf("established %v released %v, want %v and %v",
-						res.Established, res.Released, c.est, c.rel)
+						res.Established, res.Released, changes(c.est), changes(c.rel))
 				}
 			})
 		}
@@ -109,32 +125,50 @@ func TestSparseRowVisitCases(t *testing.T) {
 // releases connections and establishes new ones. next runs one pass.
 func churnPass(n int) (next func() PassResult) {
 	const churnBase, churnVary, sets = 7, 6, 3
-	s := MustScheduler(Params{N: n, K: 4, RotatePriority: true, SkipEmptySlots: true})
 	rng := rand.New(rand.NewSource(3))
-	var reqs [sets]*bitmat.Sparse
+	var reqs [sets]*bitmat.Matrix
 	for i := range reqs {
-		reqs[i] = bitmat.NewSparse(n, n)
+		reqs[i] = bitmat.NewSquare(n)
 	}
 	for u := 0; u < n; u++ {
 		for k := 0; k < churnBase; k++ {
 			if v := rng.Intn(n); v != u {
-				for _, sp := range reqs {
-					sp.Set(u, v)
+				for _, r := range reqs {
+					r.Set(u, v)
 				}
 			}
 		}
-		for _, sp := range reqs {
+		for _, r := range reqs {
 			for k := 0; k < churnVary; k++ {
 				if v := rng.Intn(n); v != u {
-					sp.Set(u, v)
+					r.Set(u, v)
 				}
 			}
 		}
 	}
+	// The table holds every requested connection, as a run's table holds
+	// the connections its programs use.
+	var row []int
+	conns := topology.NewConnTable(n, func(src int, add func(dst int)) {
+		for _, r := range reqs {
+			for _, v := range r.AppendRowOnesFrom(row[:0], src, 0) {
+				add(v)
+			}
+		}
+	})
+	var sps [sets]*topology.IDSet
+	for i, r := range reqs {
+		sps[i] = topology.NewIDSet(conns)
+		r.Ones(func(u, v int) bool {
+			setRequest(sps[i], u, v, true)
+			return true
+		})
+	}
+	s := MustScheduler(Params{N: n, K: 4, RotatePriority: true, SkipEmptySlots: true, Conns: conns})
 	pass := 0
 	next = func() PassResult {
 		pass++
-		return s.PassSparse(reqs[pass%sets])
+		return s.PassSparse(sps[pass%sets])
 	}
 	for i := 0; i < 24; i++ {
 		next()

@@ -4,10 +4,10 @@ import (
 	"fmt"
 	"time"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/core"
 	"pmsnet/internal/metrics"
 	"pmsnet/internal/sim"
+	"pmsnet/internal/topology"
 )
 
 // Table3Sizes are the system sizes of the paper's Table 3.
@@ -33,18 +33,27 @@ func Table3(iters int) []Table3Row {
 	}
 	var rows []Table3Row
 	for _, n := range Table3Sizes() {
-		s := core.MustScheduler(core.Params{N: n, K: Fig4K, RotatePriority: true})
 		rng := sim.NewRNG(3, uint64(n))
-		r := bitmat.NewSquare(n)
-		for i := 0; i < n; i++ {
-			v := rng.Intn(n)
-			if v != i {
-				r.Set(i, v)
+		dst := make([]int, n)
+		for i := range dst {
+			dst[i] = rng.Intn(n)
+		}
+		// The run's connection table holds the requested connections.
+		conns := topology.NewConnTable(n, func(src int, add func(int)) {
+			if dst[src] != src {
+				add(dst[src])
+			}
+		})
+		s := core.MustScheduler(core.Params{N: n, K: Fig4K, RotatePriority: true, Conns: conns})
+		req := topology.NewIDSet(conns)
+		for src := 0; src < n; src++ {
+			if lo, hi := conns.Row(src); lo < hi {
+				req.Add(src, lo)
 			}
 		}
 		start := time.Now()
 		for i := 0; i < iters; i++ {
-			s.Pass(r)
+			s.PassSparse(req)
 		}
 		elapsed := time.Since(start)
 		rows = append(rows, Table3Row{

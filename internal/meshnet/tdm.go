@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/core"
 	"pmsnet/internal/fault"
 	"pmsnet/internal/link"
@@ -14,6 +13,7 @@ import (
 	"pmsnet/internal/nic"
 	"pmsnet/internal/probe"
 	"pmsnet/internal/sim"
+	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 )
 
@@ -99,16 +99,17 @@ func (t *TDM) Name() string { return fmt.Sprintf("mesh-tdm/k=%d", t.cfg.K) }
 // pathConn is one established end-to-end circuit.
 type pathConn struct {
 	src, dst int
+	id       int32 // in the run's connection table
 	path     []Hop
 }
 
 type tdmRun struct {
 	common
 	cfg TDMConfig
-	// reqWire drives reqView, the delayed request matrix, as in the
-	// crossbar switch.
+	// reqWire drives reqView, the delayed requests as a set over the run's
+	// connection ids, as in the crossbar switch.
 	reqWire *netmodel.RequestWire
-	reqView *bitmat.Matrix
+	reqView *topology.IDSet
 	// occupied[s] holds the links reserved in slot s; estab[s] the circuits.
 	occupied []map[Hop]bool
 	estab    []map[[2]int]*pathConn
@@ -121,9 +122,8 @@ type tdmRun struct {
 	slTicker   *sim.Ticker
 	stats      metrics.NetStats
 
-	// Reusable scratch for the per-pass and per-slot scans.
+	// Reusable scratch for the per-slot scans.
 	connBuf [][2]int
-	rowBuf  []int
 
 	probe *probe.Probe
 }
@@ -131,12 +131,9 @@ type tdmRun struct {
 // Run implements netmodel.Network.
 func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 	eng := sim.NewEngine()
-	reqWire := netmodel.NewRequestWire(eng, t.cfg.N, t.cfg.Link.ControlDelay(), "mesh-request-wire")
 	r := &tdmRun{
 		common:   common{grid: t.grid, tm: newTiming(t.cfg.Link, 5), eng: eng},
 		cfg:      t.cfg,
-		reqWire:  reqWire,
-		reqView:  reqWire.View(),
 		occupied: make([]map[Hop]bool, t.cfg.K),
 		estab:    make([]map[[2]int]*pathConn, t.cfg.K),
 		slotOf:   make(map[[2]int]int),
@@ -157,6 +154,8 @@ func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 		return metrics.Result{}, err
 	}
 	r.driver = driver
+	r.reqWire = netmodel.NewRequestWire(eng, driver.Conns, t.cfg.Link.ControlDelay(), "mesh-request-wire")
+	r.reqView = r.reqWire.View()
 	if t.cfg.Probe != nil {
 		driver.SetProbe(t.cfg.Probe)
 	}
@@ -182,7 +181,7 @@ func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 	return driver.Finish(t.Name(), t.cfg.Horizon, r.stats)
 }
 
-func (r *tdmRun) onEnqueue(m *nic.Message, _ int32, first bool) {
+func (r *tdmRun) onEnqueue(m *nic.Message, id int32, first bool) {
 	u, v := int(m.Src), int(m.Dst)
 	if first {
 		// The queue's 0→1 transition.
@@ -191,7 +190,7 @@ func (r *tdmRun) onEnqueue(m *nic.Message, _ int32, first bool) {
 		} else {
 			r.stats.Misses++
 		}
-		r.reqWire.Set(u, v, true)
+		r.reqWire.Set(u, id, true)
 	} else {
 		r.stats.Hits++
 	}
@@ -215,7 +214,7 @@ func (r *tdmRun) onPass() {
 	r.connBuf = appendSortedConns(r.connBuf[:0], r.estab[s])
 	for _, key := range r.connBuf {
 		pc := r.estab[s][key]
-		if !r.reqView.Get(pc.src, pc.dst) {
+		if !r.reqView.Has(pc.id) {
 			for _, h := range pc.path {
 				delete(r.occupied[s], h)
 			}
@@ -230,37 +229,38 @@ func (r *tdmRun) onPass() {
 		}
 	}
 	// Establishments: scan requests in row-major order (the hardware scan),
-	// word-level through a reusable column buffer.
-	for u := 0; u < r.cfg.N; u++ {
-		r.rowBuf = r.reqView.AppendRowOnes(r.rowBuf[:0], u)
-		for _, v := range r.rowBuf {
-			key := [2]int{u, v}
-			if _, ok := r.slotOf[key]; ok {
-				continue
+	// which is id order, resolving each id's source with a row cursor.
+	conns := r.reqView.Table()
+	end := int32(conns.Len())
+	for id, u := r.reqView.Next(0, end), -1; id < end; id = r.reqView.Next(id+1, end) {
+		u = conns.SrcFrom(u, id)
+		v := conns.Dst(id)
+		key := [2]int{u, v}
+		if _, ok := r.slotOf[key]; ok {
+			continue
+		}
+		path := r.grid.FullPath(u, v)
+		free := true
+		for _, h := range path {
+			if r.occupied[s][h] {
+				free = false
+				break
 			}
-			path := r.grid.FullPath(u, v)
-			free := true
-			for _, h := range path {
-				if r.occupied[s][h] {
-					free = false
-					break
-				}
-			}
-			if !free {
-				continue
-			}
-			for _, h := range path {
-				r.occupied[s][h] = true
-			}
-			pc := &pathConn{src: u, dst: v, path: path}
-			r.estab[s][key] = pc
-			r.slotOf[key] = s
-			r.stats.Established++
-			if r.probe != nil {
-				est++
-				r.probe.Emit(probe.Event{Kind: probe.ConnEstablished, At: passAt,
-					Src: int32(u), Dst: int32(v), Slot: int32(s)})
-			}
+		}
+		if !free {
+			continue
+		}
+		for _, h := range path {
+			r.occupied[s][h] = true
+		}
+		pc := &pathConn{src: u, dst: v, id: id, path: path}
+		r.estab[s][key] = pc
+		r.slotOf[key] = s
+		r.stats.Established++
+		if r.probe != nil {
+			est++
+			r.probe.Emit(probe.Event{Kind: probe.ConnEstablished, At: passAt,
+				Src: int32(u), Dst: int32(v), Slot: int32(s)})
 		}
 	}
 	if r.probe != nil {
@@ -311,8 +311,8 @@ func (r *tdmRun) onSlot() {
 						Src: h.Src, Dst: h.Dst, ID: int64(h.ID)})
 				}
 			}
-			if !r.driver.Buffers[pc.src].HasFor(pc.dst) {
-				r.reqWire.Set(pc.src, pc.dst, false)
+			if !r.driver.Buffers[pc.src].Has(pc.id) {
+				r.reqWire.Set(pc.src, pc.id, false)
 			}
 			// End-to-end analog pipe: serialize once, one wire delay per
 			// mesh hop (the two NIC pseudo-hops carry no extra wire),

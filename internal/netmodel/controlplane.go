@@ -11,11 +11,11 @@
 package netmodel
 
 import (
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/fault"
 	"pmsnet/internal/nic"
 	"pmsnet/internal/probe"
 	"pmsnet/internal/sim"
+	"pmsnet/internal/topology"
 )
 
 // ControlPlane models the control links between the NICs and the central
@@ -120,18 +120,20 @@ func (cp *ControlPlane) sendToken(label, retryLabel string, grant bool, deliver 
 // Events fire in order, so the view always equals the NIC state one control
 // delay ago — wire semantics. Fault reactions that must take effect
 // immediately (a failed port's requests vanishing with it) clear the view
-// through ClearNow, which keeps the sparse form in sync.
+// through ClearNow.
 //
-// Every transition is delayed by the same amount, so the wire's events fire
-// in the order Set scheduled them. The pending writes therefore wait in a
-// FIFO ring, and each event applies the oldest one through a handler cached
-// at construction: a transition allocates nothing once the ring has grown to
-// the wire's peak in-flight count.
+// The view is a set over the run's connection ids (topology.IDSet): the
+// writers name each transition by its connection, so a transition is one
+// bit flip. Every transition is delayed by the same amount, so the wire's
+// events fire in the order Set scheduled them. The pending writes therefore
+// wait in a FIFO ring, and each event applies the oldest one through a
+// handler cached at construction: a transition allocates nothing once the
+// ring has grown to the wire's peak in-flight count.
 type RequestWire struct {
 	eng     *sim.Engine
 	delay   sim.Time
 	label   string
-	view    *bitmat.Sparse
+	view    *topology.IDSet
 	applyFn sim.Handler
 
 	// ring holds the in-flight writes oldest first, starting at head and
@@ -141,35 +143,33 @@ type RequestWire struct {
 	size int
 }
 
-// wireWrite is one in-flight transition: the view bit (u, v) becomes val.
+// wireWrite is one in-flight transition: connection id, of source src,
+// enters (val) or leaves the view.
 type wireWrite struct {
-	u, v int32
-	val  bool
+	src, id int32
+	val     bool
 }
 
-// NewRequestWire builds an n×n request wire with the given propagation delay
-// and event label.
-func NewRequestWire(eng *sim.Engine, n int, delay sim.Time, label string) *RequestWire {
-	w := &RequestWire{eng: eng, delay: delay, label: label, view: bitmat.NewSparse(n, n)}
+// NewRequestWire builds a request wire over the connections of t with the
+// given propagation delay and event label.
+func NewRequestWire(eng *sim.Engine, t *topology.ConnTable, delay sim.Time, label string) *RequestWire {
+	w := &RequestWire{eng: eng, delay: delay, label: label, view: topology.NewIDSet(t)}
 	w.applyFn = w.apply
 	return w
 }
 
-// View returns the delayed request matrix (live; do not retain across runs,
-// and do not mutate — use Set/ClearNow).
-func (w *RequestWire) View() *bitmat.Matrix { return w.view.Matrix() }
+// View returns the delayed requests (live; do not retain across runs, and
+// do not mutate — use Set/ClearNow).
+func (w *RequestWire) View() *topology.IDSet { return w.view }
 
-// ViewSparse returns the delayed request matrix in sparse form, same aliasing
-// rules as View.
-func (w *RequestWire) ViewSparse() *bitmat.Sparse { return w.view }
-
-// Set propagates a queue-state transition to the view after the wire delay.
-// The written value is the one sampled now.
-func (w *RequestWire) Set(u, v int, val bool) {
+// Set propagates a queue-state transition of connection id, of source src,
+// to the view after the wire delay. The written value is the one sampled
+// now.
+func (w *RequestWire) Set(src int, id int32, val bool) {
 	if w.size == len(w.ring) {
 		w.grow()
 	}
-	w.ring[(w.head+w.size)&(len(w.ring)-1)] = wireWrite{u: int32(u), v: int32(v), val: val}
+	w.ring[(w.head+w.size)&(len(w.ring)-1)] = wireWrite{src: int32(src), id: id, val: val}
 	w.size++
 	w.eng.After(w.delay, w.label, w.applyFn)
 }
@@ -189,9 +189,9 @@ func (w *RequestWire) apply() {
 	w.head = (w.head + 1) & (len(w.ring) - 1)
 	w.size--
 	if wr.val {
-		w.view.Set(int(wr.u), int(wr.v))
+		w.view.Add(int(wr.src), wr.id)
 	} else {
-		w.view.Clear(int(wr.u), int(wr.v))
+		w.view.Remove(int(wr.src), wr.id)
 	}
 }
 
@@ -199,10 +199,11 @@ func (w *RequestWire) apply() {
 // does not show yet.
 func (w *RequestWire) InFlight() int { return w.size }
 
-// ClearNow clears a view bit immediately, bypassing the wire delay — the
-// fault path where a failed port's requests vanish with the port.
-func (w *RequestWire) ClearNow(u, v int) {
-	w.view.Clear(u, v)
+// ClearNow takes connection id, of source src, out of the view
+// immediately, bypassing the wire delay — the fault path where a failed
+// port's requests vanish with the port.
+func (w *RequestWire) ClearNow(src int, id int32) {
+	w.view.Remove(src, id)
 }
 
 // PortEngine serializes each source NIC's output port: one message in flight

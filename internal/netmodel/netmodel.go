@@ -351,6 +351,9 @@ func (d *Driver) Finish(name string, horizon sim.Time, stats metrics.NetStats) (
 			next = horizon
 		}
 		d.Engine.Run(next)
+		if d.Engine.Err() != nil {
+			break
+		}
 		if d.Engine.Now() == beforeTime && d.remaining == before {
 			// The event queue drained with nothing left to do.
 			break

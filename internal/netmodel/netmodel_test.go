@@ -12,6 +12,7 @@ import (
 	"pmsnet/internal/metrics"
 	"pmsnet/internal/nic"
 	"pmsnet/internal/sim"
+	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 )
 
@@ -256,7 +257,8 @@ func TestDoubleDeliverPanics(t *testing.T) {
 func TestRequestWireDelaysInOrder(t *testing.T) {
 	const n, delay = 4, 25
 	eng := sim.NewEngine()
-	w := NewRequestWire(eng, n, delay, "wire")
+	conns := topology.NewCompleteConnTable(n)
+	w := NewRequestWire(eng, conns, delay, "wire")
 	rng := sim.NewRNG(9, 0)
 	type write struct {
 		at   sim.Time
@@ -269,9 +271,12 @@ func TestRequestWireDelaysInOrder(t *testing.T) {
 		if i >= 100 {
 			at = 1000 + sim.Time(rng.Intn(100))
 		}
-		wr := write{at: at, u: rng.Intn(n), v: rng.Intn(n), val: rng.Intn(2) == 0}
+		wr := write{at: at, u: rng.Intn(n), v: rng.Intn(n - 1), val: rng.Intn(2) == 0}
+		if wr.v >= wr.u {
+			wr.v++ // no self-connection
+		}
 		writes = append(writes, wr)
-		eng.At(at, "write", func() { w.Set(wr.u, wr.v, wr.val) })
+		eng.At(at, "write", func() { w.Set(wr.u, conns.ID(wr.u, wr.v), wr.val) })
 	}
 	// want replays every write made at or before t, in the order made.
 	want := func(t sim.Time) [n][n]bool {
@@ -299,7 +304,7 @@ func TestRequestWireDelaysInOrder(t *testing.T) {
 		exp := want(now - delay)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
-				if got := w.ViewSparse().Get(u, v); got != exp[u][v] {
+				if got := u != v && w.View().Has(conns.ID(u, v)); got != exp[u][v] {
 					t.Fatalf("at %v view(%d,%d) = %v, want %v", now, u, v, got, exp[u][v])
 				}
 			}
@@ -312,10 +317,11 @@ func TestRequestWireDelaysInOrder(t *testing.T) {
 // nothing.
 func TestRequestWireSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
-	w := NewRequestWire(eng, 8, 50, "wire")
+	conns := topology.NewCompleteConnTable(8)
+	w := NewRequestWire(eng, conns, 50, "wire")
 	burst := func() {
 		for i := 0; i < 64; i++ {
-			w.Set(i%8, (i+1)%8, i%3 != 0)
+			w.Set(i%8, conns.ID(i%8, (i+1)%8), i%3 != 0)
 		}
 		eng.RunAll()
 	}

@@ -7,11 +7,14 @@ import (
 	"pmsnet/internal/bitmat"
 )
 
-// Solstice plans by greedy cover, after "Costly Circuits, Submodular
-// Schedules" (Liu et al., CoNEXT'15): each round extracts the conflict-free
-// configuration covering the most remaining demand (heaviest-edge-first
-// greedy matching — the classic 1/2-approximation to the submodular
-// max-weight matching step), until the demand is exhausted. Because a pinned
+// Solstice plans by a heaviest-edge greedy cover followed by a grouping
+// dynamic program. Despite its name it runs neither Solstice (Liu et al.'s
+// hybrid-switch scheduler) nor Eclipse, the algorithm of "Costly Circuits,
+// Submodular Schedules" (Venkatakrishnan, Alizadeh and Viswanath,
+// arXiv:1512.01271), which compares against Solstice. Each round extracts a
+// conflict-free configuration by heaviest-edge-first greedy matching (the
+// classic 1/2-approximation to max-weight matching), until the demand is
+// exhausted. Because a pinned
 // configuration keeps serving its connections every cycle, each connection
 // is covered by exactly one configuration, and configurations extracted
 // later carry strictly less traffic — the natural heaviest-first order the

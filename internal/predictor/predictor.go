@@ -179,10 +179,12 @@ func (p *Timeout) Evictions(now sim.Time, held []uint64) []Conn {
 		bitmat.MaskSet(p.expired, int(i))
 	}
 	out := p.out[:0]
+	src := -1 // a row cursor: the ids ascend, so one search resolves them all
 	for w, x := range p.expired {
 		for x &= held[w]; x != 0; x &= x - 1 {
 			id := int32(w<<6 | bits.TrailingZeros64(x))
-			out = append(out, Conn{Conn: p.conns.Conn(id), ID: id})
+			src = p.conns.SrcFrom(src, id)
+			out = append(out, Conn{Conn: topology.Conn{Src: src, Dst: p.conns.Dst(id)}, ID: id})
 		}
 	}
 	p.out = out

@@ -418,6 +418,17 @@ func (e *Engine) Cancel(id EventID) bool {
 // Stop makes Run return after the current event completes.
 func (e *Engine) Stop() { e.stopped = true }
 
+// Fail records err as the simulation's error, unless one is recorded
+// already, and stops the engine: a model calls it when the run cannot go
+// on. Like an invariant violation it is final — Err reports it, and Run
+// returns at once while an error is set.
+func (e *Engine) Fail(err error) {
+	if e.err == nil {
+		e.err = err
+	}
+	e.stopped = true
+}
+
 // SetInvariantCheck installs a model self-check that runs after every
 // executed event — the engine's debug mode. Together with the
 // scheduled-in-the-past panic in At, it turns causality and state-consistency
@@ -428,8 +439,8 @@ func (e *Engine) Stop() { e.stopped = true }
 // it for tests.
 func (e *Engine) SetInvariantCheck(f func() error) { e.check = f }
 
-// Err returns the first invariant violation detected by the installed check,
-// or nil. Once set, the engine stays stopped.
+// Err returns the first error recorded by Fail or by the installed
+// invariant check, or nil. Once set, the engine stays stopped.
 func (e *Engine) Err() error { return e.err }
 
 // afterEvent runs the invariant check, if any, and latches the first
@@ -439,8 +450,7 @@ func (e *Engine) afterEvent(ev *event) {
 		return
 	}
 	if err := e.check(); err != nil {
-		e.err = fmt.Errorf("sim: invariant violated after event %q at %v: %w", ev.label, e.now, err)
-		e.stopped = true
+		e.Fail(fmt.Errorf("sim: invariant violated after event %q at %v: %w", ev.label, e.now, err))
 	}
 }
 
@@ -450,7 +460,11 @@ func (e *Engine) afterEvent(ev *event) {
 // Stop is called, the clock stays at the last executed event (or where it
 // was, if nothing ran). When the next event lies beyond the horizon, it stays
 // queued for a later call and the clock advances to the horizon itself.
+// While an error is recorded (Err), Run executes nothing.
 func (e *Engine) Run(horizon Time) Time {
+	if e.err != nil {
+		return e.now
+	}
 	e.stopped = false
 	for !e.stopped {
 		ev := e.first()

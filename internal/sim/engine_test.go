@@ -408,8 +408,26 @@ func TestInvariantCheckLatchesAndStops(t *testing.T) {
 	// The first violation is latched: resuming must neither run more events
 	// under a broken invariant nor overwrite the recorded error.
 	e.RunAll()
-	if e.Err() != err {
-		t.Fatal("Err() must latch the first violation")
+	if e.Err() != err || ran != 2 {
+		t.Fatalf("after a resume: ran = %d, err %v; want 2 and the first violation", ran, e.Err())
+	}
+}
+
+// TestFailStopsRunForGood checks that a model error recorded through Fail
+// stops the engine after the current event and that later Run calls
+// execute nothing, while Err keeps the first error.
+func TestFailStopsRunForGood(t *testing.T) {
+	e := NewEngine()
+	first, second := errors.New("model broke"), errors.New("and again")
+	ran := 0
+	e.At(1, "ok", func() { ran++ })
+	e.At(2, "fails", func() { ran++; e.Fail(first); e.Fail(second) })
+	e.At(3, "never-runs", func() { ran++ })
+	if now := e.Run(10); now != 2 || ran != 2 {
+		t.Fatalf("Run returned at %v after %d events, want 2 and 2", now, ran)
+	}
+	if now := e.Run(10); now != 2 || ran != 2 || e.Err() != first {
+		t.Fatalf("a second Run: clock %v, %d events, err %v; want 2, 2 and the first error", now, ran, e.Err())
 	}
 }
 

@@ -31,12 +31,12 @@ func (r *run) onEnqueue(m *nic.Message, id int32, first bool) {
 		// The queue was empty: this message must wait for a connection
 		// unless one is already cached — the working-set hit/miss the paper
 		// discusses.
-		if r.sched.Connected(u, v) {
+		if r.sched.Held(id) {
 			r.stats.Hits++
 		} else {
 			r.stats.Misses++
 		}
-		r.raiseRequest(u, v, 0)
+		r.raiseRequest(u, v, id, 0)
 		if r.pre != nil {
 			r.pre.pendingUp(id)
 		}
@@ -47,23 +47,24 @@ func (r *run) onEnqueue(m *nic.Message, id int32, first bool) {
 	}
 }
 
-// raiseRequest asserts the request wire toward the scheduler. With fault
-// injection, the raise transition can be lost; the NIC detects the missing
-// grant by timeout and re-raises after an exponential backoff (attempt is the
-// backoff exponent). Clears are not subject to loss: the request line is
-// level-sampled every pass, so a stale low is corrected by the next sample.
-func (r *run) raiseRequest(u, v, attempt int) {
+// raiseRequest asserts the request wire of u→v (connection id) toward the
+// scheduler. With fault injection, the raise transition can be lost; the NIC
+// detects the missing grant by timeout and re-raises after an exponential
+// backoff (attempt is the backoff exponent). Clears are not subject to loss:
+// the request line is level-sampled every pass, so a stale low is corrected
+// by the next sample.
+func (r *run) raiseRequest(u, v int, id int32, attempt int) {
 	if r.cp.RequestTokenLost() {
 		r.cp.RetryAfter(attempt, "request-retry", func() {
-			if r.driver.Buffers[u].HasFor(v) && !r.sched.Connected(u, v) &&
+			if r.driver.Buffers[u].Has(id) && !r.sched.Held(id) &&
 				!(r.inj.PairBlocked(u, v)) {
 				r.driver.CountRetry()
-				r.raiseRequest(u, v, attempt+1)
+				r.raiseRequest(u, v, id, attempt+1)
 			}
 		})
 		return
 	}
-	r.reqWire.Set(u, v, true)
+	r.reqWire.Set(u, id, true)
 }
 
 // onFlush handles the compiler's FLUSH directive: the request reaches the
@@ -71,20 +72,19 @@ func (r *run) raiseRequest(u, v, attempt int) {
 func (r *run) onFlush(int) {
 	r.cp.After("flush", func() {
 		if r.pred != nil {
-			// B*'s connections by id, in (Src, Dst) order.
+			// B*'s connections by id, in (Src, Dst) order; a row cursor
+			// resolves their sources.
+			src := -1
 			for w, x := range r.sched.HeldIDs() {
 				for ; x != 0; x &= x - 1 {
-					r.pred.OnRelease(r.predConn(int32(w<<6 | bits.TrailingZeros64(x))))
+					id := int32(w<<6 | bits.TrailingZeros64(x))
+					src = r.conns.SrcFrom(src, id)
+					r.pred.OnRelease(predictor.Conn{Conn: topology.Conn{Src: src, Dst: r.conns.Dst(id)}, ID: id})
 				}
 			}
 		}
 		r.sched.Flush()
 	})
-}
-
-// predConn returns connection id as the predictor takes it.
-func (r *run) predConn(id int32) predictor.Conn {
-	return predictor.Conn{Conn: r.conns.Conn(id), ID: id}
 }
 
 // changeConn returns a scheduler change's connection as the predictor
@@ -99,19 +99,20 @@ func (r *run) onSLPass() {
 	req := r.reqView
 	if pf, ok := r.pred.(predictor.Prefetcher); ok {
 		for _, c := range pf.Prefetch(r.eng.Now()) {
-			if r.conns.ID(c.Src, c.Dst) < 0 {
+			id := r.conns.ID(c.Src, c.Dst)
+			if id < 0 {
 				// A connection no program sends on and no static phase
 				// holds: the prefetcher is wrong, and the run reports it
 				// rather than grow its table.
 				r.fail(fmt.Errorf("tdm: predictor %s prefetched %v, a connection outside the run's table", r.pred.Name(), c))
 				return
 			}
-			if !r.sched.Connected(c.Src, c.Dst) {
-				r.specReq.Set(c.Src, c.Dst)
+			if !r.sched.Held(id) {
+				r.specReq.Add(c.Src, id)
 			}
 		}
 	}
-	if !r.specReq.IsZero() {
+	if !r.specReq.IsEmpty() {
 		r.reqMerge.CopyFrom(r.reqView)
 		r.reqMerge.Or(r.specReq)
 		req = r.reqMerge
@@ -119,7 +120,7 @@ func (r *run) onSLPass() {
 	res := r.sched.PassSparse(req)
 	for _, c := range res.Established {
 		r.deliverGrant(c.Src, c.Dst, c.ID, 0)
-		r.specReq.Clear(c.Src, c.Dst)
+		r.specReq.Remove(c.Src, c.ID)
 	}
 	if r.pred != nil {
 		now := r.eng.Now()
@@ -153,7 +154,7 @@ func (r *run) deliverGrant(u, v int, id int32, attempt int) {
 		// The NIC must not use the connection until a grant arrives.
 		r.grants.send(id, sim.MaxTime)
 		r.cp.RetryAfter(attempt, "grant-retry", func() {
-			if r.sched.Connected(u, v) {
+			if r.sched.Held(id) {
 				r.driver.CountRetry()
 				r.deliverGrant(u, v, id, attempt+1)
 			}

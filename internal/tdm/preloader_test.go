@@ -158,8 +158,8 @@ func TestPreloaderIndexMatchesReference(t *testing.T) {
 					t.Fatalf("%s: breakConn(%v) = %v, want %v", what, c, got, want)
 				}
 			}
-			if r.err != nil {
-				t.Fatalf("%s: run failed: %v", what, r.err)
+			if err := r.eng.Err(); err != nil {
+				t.Fatalf("%s: run failed: %v", what, err)
 			}
 			checkIndexAgainst(t, what, p, ref)
 			if p.pendingStatic > 0 {

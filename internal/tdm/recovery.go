@@ -3,6 +3,11 @@ package tdm
 // Fault-reaction handlers: link failures and repairs, dead crosspoints, and
 // the queue/preload bookkeeping they unwind.
 
+import (
+	"pmsnet/internal/predictor"
+	"pmsnet/internal/topology"
+)
+
 // onPortDown is the injector's link-failure callback. The scheduler evicts
 // every dynamic connection touching the port (its cached TDM configurations
 // are stale) and forgets the port's pending requests; preloaded
@@ -18,14 +23,16 @@ func (r *run) onPortDown(p int, permanent bool) {
 			r.pred.OnRelease(changeConn(c))
 		}
 	}
+	lo, hi := r.conns.Row(p)
+	for id := lo; id < hi; id++ {
+		r.reqWire.ClearNow(p, id)
+		r.specReq.Remove(p, id)
+	}
 	for x := 0; x < r.cfg.N; x++ {
-		if x == p {
-			continue
+		if id := r.conns.ID(x, p); id >= 0 {
+			r.reqWire.ClearNow(x, id)
+			r.specReq.Remove(x, id)
 		}
-		r.reqWire.ClearNow(p, x)
-		r.reqWire.ClearNow(x, p)
-		r.specReq.Clear(p, x)
-		r.specReq.Clear(x, p)
 	}
 	if r.pre != nil {
 		if n := r.pre.breakPort(p); n > 0 {
@@ -39,7 +46,6 @@ func (r *run) onPortDown(p int, permanent bool) {
 		// Each p->dst queue is retired once, at its last drained message:
 		// the point where it drained when messages left one at a time.
 		// lastOf is indexed by p's row of the connection table.
-		lo, hi := r.conns.Row(p)
 		lastOf := make([]int, hi-lo)
 		ids := make([]int32, len(msgs))
 		for i, m := range msgs {
@@ -70,11 +76,11 @@ func (r *run) onPortUp(p int) {
 		if x == p {
 			continue
 		}
-		if r.driver.Buffers[p].HasFor(x) {
-			r.raiseRequest(p, x, 0)
+		if id := r.conns.ID(p, x); id >= 0 && r.driver.Buffers[p].Has(id) {
+			r.raiseRequest(p, x, id, 0)
 		}
-		if r.driver.Buffers[x].HasFor(p) {
-			r.raiseRequest(x, p, 0)
+		if id := r.conns.ID(x, p); id >= 0 && r.driver.Buffers[x].Has(id) {
+			r.raiseRequest(x, p, id, 0)
 		}
 	}
 }
@@ -91,13 +97,13 @@ func (r *run) onCrosspointDead(in, out int) {
 		r.sched.Evict(in, out)
 		r.reschedules++
 		if r.pred != nil {
-			r.pred.OnRelease(r.predConn(id))
+			r.pred.OnRelease(predictor.Conn{Conn: topology.Conn{Src: in, Dst: out}, ID: id})
 		}
 	}
-	r.reqWire.ClearNow(in, out)
-	r.specReq.Clear(in, out)
-	if r.pre != nil && id >= 0 {
-		if r.pre.breakConn(id) {
+	if id >= 0 {
+		r.reqWire.ClearNow(in, id)
+		r.specReq.Remove(in, id)
+		if r.pre != nil && r.pre.breakConn(id) {
 			r.preloadFallbacks++
 			r.ensureDynamicFallback()
 		}
@@ -110,7 +116,7 @@ func (r *run) onCrosspointDead(in, out int) {
 // preloader's pending count, exactly as completeMessage does when a queue
 // drains.
 func (r *run) retirePair(u, v int, id int32) {
-	r.reqWire.Set(u, v, false)
+	r.reqWire.Set(u, id, false)
 	if r.pre != nil {
 		r.pre.pendingDown(id)
 	}

@@ -6,13 +6,11 @@ package tdm
 import (
 	"fmt"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/netmodel"
 	"pmsnet/internal/nic"
 	"pmsnet/internal/predictor"
 	"pmsnet/internal/probe"
 	"pmsnet/internal/sim"
-	"pmsnet/internal/topology"
 )
 
 // onSlot is the slot-boundary handler: pick the next configuration, load
@@ -44,12 +42,6 @@ func (r *run) onSlot() {
 	// From here on each connection is served by its id; nothing is looked
 	// up.
 	r.connsBuf, r.idsBuf = r.sched.AppendSlotConns(r.connsBuf[:0], r.idsBuf[:0], slot)
-	if r.cfg.SelfCheck {
-		if err := checkSlotConns(r.sched.Config(slot), r.connsBuf); err != nil {
-			r.fail(fmt.Errorf("tdm: slot %d: %w", slot, err))
-			return
-		}
-	}
 	if err := r.fab.Apply(r.connsBuf); err != nil {
 		r.fail(fmt.Errorf("tdm: scheduler produced unrealizable configuration for slot %d: %w", slot, err))
 		return
@@ -59,10 +51,6 @@ func (r *run) onSlot() {
 	used := false
 	for i, conn := range r.connsBuf {
 		u, v, id := conn.Src, conn.Dst, r.idsBuf[i]
-		if id < 0 {
-			r.fail(fmt.Errorf("tdm: slot %d carries %v, a connection outside the run's table", slot, conn))
-			return
-		}
 		if r.grants.waiting(id) {
 			// The grant for this freshly established connection has not
 			// reached the NIC yet; the slot passes unused for this port.
@@ -129,39 +117,12 @@ func (r *run) onSlot() {
 	netmodel.EmitSlotEnd(r.probe, slotStart, int32(slot), used)
 }
 
-// checkSlotConns is the self-check's matrix-level cross-check of a slot's
-// connection list against the slot's configuration matrix B(slot): the list
-// must run in strictly ascending source order, each row's first set column
-// must be its list entry (or -1 for a row the list skips), and the matrix
-// may hold no other bit. With the fabric's own check on the list, this is
-// the full partial-permutation check of B(slot), at O(N²/64) per slot.
-func checkSlotConns(cfg *bitmat.Matrix, conns []topology.Conn) error {
-	if got := cfg.Count(); got != len(conns) {
-		return fmt.Errorf("configuration holds %d connections, its list %d", got, len(conns))
-	}
-	next := 0
-	for u := 0; u < cfg.Rows(); u++ {
-		want := -1
-		if next < len(conns) && conns[next].Src == u {
-			want = conns[next].Dst
-			next++
-		}
-		if got := cfg.FirstInRow(u); got != want {
-			return fmt.Errorf("row %d connects to %d, its list entry to %d", u, got, want)
-		}
-	}
-	if next != len(conns) {
-		return fmt.Errorf("list entry %v is out of ascending source order", conns[next])
-	}
-	return nil
-}
-
 // completeMessage retires a message whose last payload was granted in the
 // slot starting at slotStart, on connection id, whose queue that drained
 // when drained is set: the last byte clears the pipe one slot plus the link
 // latency later, then the destination NIC spends its receive overhead.
 func (r *run) completeMessage(m *nic.Message, id int32, drained bool, slotStart sim.Time) {
-	u, v := int(m.Src), int(m.Dst)
+	u := int(m.Src)
 	if r.probe != nil {
 		// Transmit already dequeued m, so the current head is its successor
 		// reaching the front of the u→v queue.
@@ -171,7 +132,7 @@ func (r *run) completeMessage(m *nic.Message, id int32, drained bool, slotStart 
 		}
 	}
 	if drained {
-		r.reqWire.Set(u, v, false)
+		r.reqWire.Set(u, id, false)
 		if r.pre != nil {
 			r.pre.pendingDown(id)
 		}

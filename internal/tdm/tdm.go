@@ -263,19 +263,19 @@ type run struct {
 	// cp models the control links toward the scheduler: token signaling with
 	// fault-aware loss/backoff, one control delay per signal.
 	cp *netmodel.ControlPlane
-	// reqWire drives reqView, the request matrix as the scheduler sees it:
-	// NIC queue state delayed by the control-line latency, maintained in
-	// sparse form (per-row nonzero lists over the dense words).
+	// reqWire drives reqView, the requests as the scheduler sees them: NIC
+	// queue state delayed by the control-line latency, a set over the
+	// connection table's ids.
 	reqWire *netmodel.RequestWire
-	reqView *bitmat.Sparse
+	reqView *topology.IDSet
 	// specReq holds speculative requests injected by a prefetching
-	// predictor (predictor.Prefetcher): they are OR-ed into the request
-	// matrix until the connection establishes, then cleared — the latch
-	// keeps the connection alive from there.
-	specReq *bitmat.Sparse
+	// predictor (predictor.Prefetcher): they are OR-ed into the requests
+	// until the connection establishes, then cleared — the latch keeps the
+	// connection alive from there.
+	specReq *topology.IDSet
 	// reqMerge is the reusable scratch for reqView|specReq so the per-pass
 	// merge does not allocate.
-	reqMerge *bitmat.Sparse
+	reqMerge *topology.IDSet
 	// conns is the run's connection table (the driver's): every
 	// per-connection structure of the run is indexed by its ids.
 	conns *topology.ConnTable
@@ -297,11 +297,8 @@ type run struct {
 	// probe observes the run (nil when observability is off).
 	probe *probe.Probe
 
-	// inj is the fault injector (nil for fault-free runs); err latches the
-	// first unrecoverable model error so it surfaces instead of a misleading
-	// stall diagnosis.
+	// inj is the fault injector (nil for fault-free runs).
 	inj *fault.Injector
-	err error
 	// Fault-recovery tallies owned by the TDM model (the driver owns the
 	// rest, see netmodel.Driver.FaultStats).
 	reschedules      uint64
@@ -309,14 +306,10 @@ type run struct {
 	maskedGrants     uint64
 }
 
-// fail latches the first model-level error and stops the engine; Run reports
-// it instead of the stall it would otherwise manifest as.
-func (r *run) fail(err error) {
-	if r.err == nil {
-		r.err = err
-		r.eng.Stop()
-	}
-}
+// fail records the first model-level error with the engine, which stops
+// for good; Run reports it instead of the stall it would otherwise manifest
+// as.
+func (r *run) fail(err error) { r.eng.Fail(err) }
 
 // Run implements netmodel.Network.
 func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
@@ -340,27 +333,29 @@ func (n *Network) start(wl *traffic.Workload) (*run, error) {
 	if err != nil {
 		return nil, err
 	}
-	var canEstablish func(b *bitmat.Matrix, u, v int) bool
+	var canEstablish func(cfg []int32, u, v int) bool
 	if !fab.Rearrangeable() {
-		// One reusable trial matrix avoids a clone per realizability probe.
+		// The blocking fabric realizes configurations given as matrices:
+		// one reusable trial matrix holds the slot's configuration plus the
+		// candidate for each probe.
 		trial := bitmat.NewSquare(cfg.N)
-		canEstablish = func(b *bitmat.Matrix, u, v int) bool {
-			trial.CopyFrom(b)
+		canEstablish = func(slot []int32, u, v int) bool {
+			trial.Reset()
+			for x, y := range slot {
+				if y >= 0 {
+					trial.Set(x, int(y))
+				}
+			}
 			trial.Set(u, v)
 			return fab.CanRealize(trial)
 		}
 	}
-	reqWire := netmodel.NewRequestWire(eng, cfg.N, cfg.Link.ControlDelay(), "request-wire")
 	r := &run{
-		cfg:      cfg,
-		eng:      eng,
-		fab:      fab,
-		pred:     pred,
-		reqWire:  reqWire,
-		reqView:  reqWire.ViewSparse(),
-		specReq:  bitmat.NewSparse(cfg.N, cfg.N),
-		reqMerge: bitmat.NewSparse(cfg.N, cfg.N),
-		probe:    cfg.Probe,
+		cfg:   cfg,
+		eng:   eng,
+		fab:   fab,
+		pred:  pred,
+		probe: cfg.Probe,
 	}
 	r.deliverFn = r.deliver
 
@@ -373,6 +368,10 @@ func (n *Network) start(wl *traffic.Workload) (*run, error) {
 		return nil, err
 	}
 	r.driver, r.conns = driver, driver.Conns
+	r.reqWire = netmodel.NewRequestWire(eng, r.conns, cfg.Link.ControlDelay(), "request-wire")
+	r.reqView = r.reqWire.View()
+	r.specReq = topology.NewIDSet(r.conns)
+	r.reqMerge = topology.NewIDSet(r.conns)
 	r.grants.init(r.conns.Len())
 	if cfg.Probe != nil {
 		driver.SetProbe(cfg.Probe)
@@ -447,9 +446,6 @@ func (n *Network) start(wl *traffic.Workload) (*run, error) {
 // finish simulates the run to completion and assembles its result.
 func (r *run) finish(name string) (metrics.Result, error) {
 	res, err := r.driver.Finish(name, r.cfg.Horizon, metrics.NetStats{})
-	if r.err != nil {
-		return metrics.Result{}, r.err
-	}
 	if err != nil {
 		return metrics.Result{}, err
 	}
@@ -478,10 +474,10 @@ func (r *run) checkInvariants() error {
 	if err := r.sched.CheckInvariants(); err != nil {
 		return err
 	}
-	if err := r.reqView.CheckParity(); err != nil {
+	if err := r.reqView.Check(); err != nil {
 		return fmt.Errorf("tdm: request wire: %w", err)
 	}
-	if err := r.specReq.CheckParity(); err != nil {
+	if err := r.specReq.Check(); err != nil {
 		return fmt.Errorf("tdm: speculative requests: %w", err)
 	}
 	if err := r.driver.CheckBuffers(); err != nil {

@@ -635,27 +635,32 @@ func TestQuickEfficiencyRespectsPayloadBound(t *testing.T) {
 
 // strayPrefetcher is a time-out predictor that also nominates, once the run
 // is under way, a connection no program sends on and no static phase holds.
+// at records when it first did.
 type strayPrefetcher struct {
 	*predictor.Timeout
 	stray topology.Conn
+	at    sim.Time
 }
 
 func (p *strayPrefetcher) Prefetch(now sim.Time) []topology.Conn {
 	if now < 200 {
 		return nil
 	}
+	if p.at == 0 {
+		p.at = now
+	}
 	return []topology.Conn{p.stray}
 }
 
 // TestPrefetchOutsideTableFailsRun checks that a prefetch of a connection
 // outside the run's connection table fails the run with an error naming
-// it, without a panic and without the table growing.
+// it, without a panic and without the table growing, and that the run
+// stops there: the clock at return is within one slot of the failure.
 func TestPrefetchOutsideTableFailsRun(t *testing.T) {
 	wl := traffic.Scatter(8, 64) // only processor 0 sends
 	stray := topology.Conn{Src: 3, Dst: 5}
-	nw := mustNew(t, Config{N: 8, K: 2, NewPredictor: func() predictor.Predictor {
-		return &strayPrefetcher{Timeout: predictor.NewTimeout(500), stray: stray}
-	}})
+	pf := &strayPrefetcher{Timeout: predictor.NewTimeout(500), stray: stray}
+	nw := mustNew(t, Config{N: 8, K: 2, NewPredictor: func() predictor.Predictor { return pf }})
 	r, err := nw.start(wl)
 	if err != nil {
 		t.Fatal(err)
@@ -671,5 +676,8 @@ func TestPrefetchOutsideTableFailsRun(t *testing.T) {
 	}
 	if r.conns.Len() != conns {
 		t.Fatalf("the table grew from %d to %d connections", conns, r.conns.Len())
+	}
+	if now, slot := r.eng.Now(), nw.cfg.SlotNs; pf.at == 0 || now-pf.at > slot {
+		t.Fatalf("the run failed at %v and returned at %v, more than one %v slot later", pf.at, now, slot)
 	}
 }

@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -22,18 +23,32 @@ type ConnTable struct {
 
 // NewConnTable builds the table whose row src holds the destinations
 // rows(src, add) adds, duplicates allowed. rows is called twice per source:
-// once to size the table, once to fill it.
+// once to count the row's distinct destinations, which sizes the table
+// exactly, and once to fill it.
 func NewConnTable(n int, rows func(src int, add func(dst int))) *ConnTable {
 	b := newRowBuilder(n)
 	t := &ConnTable{rowStart: make([]int32, n+1)}
 	for u := 0; u < n; u++ {
-		t.rowStart[u+1] = t.rowStart[u] + int32(len(b.row(u, rows)))
+		t.rowStart[u+1] = t.rowStart[u] + int32(b.count(u, rows))
 	}
 	t.dst = make([]int32, 0, t.rowStart[n])
 	for u := 0; u < n; u++ {
-		t.dst = append(t.dst, b.row(u, rows)...)
+		t.dst = b.appendRow(t.dst, u, rows)
 	}
 	return t
+}
+
+// NewCompleteConnTable returns the table of every connection between n
+// ports: row src holds every destination but src. Schedulers built without
+// a run's table use it.
+func NewCompleteConnTable(n int) *ConnTable {
+	return NewConnTable(n, func(src int, add func(dst int)) {
+		for v := 0; v < n; v++ {
+			if v != src {
+				add(v)
+			}
+		}
+	})
 }
 
 // Ports returns the port count N.
@@ -69,20 +84,35 @@ func (t *ConnTable) ID(src, dst int) int32 {
 }
 
 // Conn returns connection id's port pair.
-func (t *ConnTable) Conn(id int32) Conn {
-	// The row before the first one starting beyond id holds it (the search
-	// finds the first of equal starts, so empty rows are skipped).
-	next, _ := slices.BinarySearch(t.rowStart, id+1)
-	return Conn{Src: next - 1, Dst: int(t.dst[id])}
+func (t *ConnTable) Conn(id int32) Conn { return Conn{Src: t.SrcFrom(-1, id), Dst: int(t.dst[id])} }
+
+// SrcFrom returns the source of connection id. from is the source of a
+// smaller id, or -1: a scan resolving ascending ids passes each result
+// back in, so only its first id costs a binary search and the rest advance
+// a row cursor.
+func (t *ConnTable) SrcFrom(from int, id int32) int {
+	if from < 0 {
+		// The row before the first one starting beyond id holds it (the
+		// search finds the first of equal starts, so empty rows are
+		// skipped).
+		next, _ := slices.BinarySearch(t.rowStart, id+1)
+		return next - 1
+	}
+	for t.rowStart[from+1] <= id {
+		from++
+	}
+	return from
 }
 
-// rowBuilder collects one row's distinct destinations at a time.
+// rowBuilder collects one row's distinct destinations at a time in a
+// bitset over the ports, so a row comes out deduplicated and ascending
+// without a sort.
 type rowBuilder struct {
 	n     int
-	src   int     // the row being built
-	stamp int32   // counts rows built
-	seen  []int32 // seen[v] == stamp once the current row holds v
-	buf   []int32
+	src   int           // the row being built
+	seen  []uint64      // bit dst set once the current row holds dst
+	size  int           // distinct destinations in the current row
+	buf   []int32       // row's result
 	addFn func(dst int) // add, bound once so building a row allocates nothing
 }
 
@@ -90,19 +120,36 @@ func newRowBuilder(n int) *rowBuilder {
 	if n <= 0 {
 		panic(fmt.Sprintf("topology: invalid port count %d", n))
 	}
-	b := &rowBuilder{n: n, seen: make([]int32, n)}
+	b := &rowBuilder{n: n, seen: make([]uint64, (n+63)/64)}
 	b.addFn = b.add
 	return b
+}
+
+// count returns the number of src's distinct destinations.
+func (b *rowBuilder) count(src int, rows func(src int, add func(dst int))) int {
+	b.src, b.size = src, 0
+	rows(src, b.addFn)
+	clear(b.seen)
+	return b.size
+}
+
+// appendRow appends src's distinct destinations to dst in ascending order.
+func (b *rowBuilder) appendRow(dst []int32, src int, rows func(src int, add func(dst int))) []int32 {
+	b.src = src
+	rows(src, b.addFn)
+	for w, word := range b.seen {
+		for ; word != 0; word &= word - 1 {
+			dst = append(dst, int32(w<<6|bits.TrailingZeros64(word)))
+		}
+		b.seen[w] = 0
+	}
+	return dst
 }
 
 // row returns src's distinct destinations in ascending order, valid until
 // the next call.
 func (b *rowBuilder) row(src int, rows func(src int, add func(dst int))) []int32 {
-	b.buf = b.buf[:0]
-	b.src = src
-	b.stamp++
-	rows(src, b.addFn)
-	slices.Sort(b.buf)
+	b.buf = b.appendRow(b.buf[:0], src, rows)
 	return b.buf
 }
 
@@ -112,8 +159,8 @@ func (b *rowBuilder) add(dst int) {
 	if dst < 0 || dst >= b.n || dst == b.src {
 		panic(fmt.Sprintf("topology: connection %v outside %d ports or a self-connection", Conn{b.src, dst}, b.n))
 	}
-	if b.seen[dst] != b.stamp {
-		b.seen[dst] = b.stamp
-		b.buf = append(b.buf, int32(dst))
+	if bit := uint64(1) << (uint(dst) & 63); b.seen[dst>>6]&bit == 0 {
+		b.seen[dst>>6] |= bit
+		b.size++
 	}
 }

@@ -460,9 +460,12 @@ func TestConnTableNumbersInConnOrder(t *testing.T) {
 		if tab.Len() != len(want) || tab.Ports() != n {
 			t.Fatalf("n=%d: Len %d Ports %d, want %d and %d", n, tab.Len(), tab.Ports(), len(want), n)
 		}
-		prev := Conn{-1, -1}
+		prev, cursor := Conn{-1, -1}, -1
 		for id := int32(0); id < int32(tab.Len()); id++ {
 			c := tab.Conn(id)
+			if cursor = tab.SrcFrom(cursor, id); cursor != c.Src {
+				t.Fatalf("n=%d: a row cursor puts id %d in row %d, Conn in row %d", n, id, cursor, c.Src)
+			}
 			if !want[c] || tab.ID(c.Src, c.Dst) != id || tab.Dst(id) != c.Dst {
 				t.Fatalf("n=%d: id %d is %v, ID maps it to %d", n, id, c, tab.ID(c.Src, c.Dst))
 			}
@@ -484,6 +487,28 @@ func TestConnTableNumbersInConnOrder(t *testing.T) {
 		}
 		if tab.ID(-1, 0) != -1 || tab.ID(n, 0) != -1 {
 			t.Fatalf("n=%d: a source outside the ports has an id", n)
+		}
+	}
+}
+
+// TestCompleteConnTable checks that the complete table holds every pair but
+// the self-connections, in (Src, Dst) order.
+func TestCompleteConnTable(t *testing.T) {
+	for _, n := range []int{1, 2, 5, 70} {
+		tab := NewCompleteConnTable(n)
+		if tab.Len() != n*(n-1) || tab.Ports() != n {
+			t.Fatalf("n=%d: Len %d Ports %d", n, tab.Len(), tab.Ports())
+		}
+		id := int32(0)
+		for u := 0; u < n; u++ {
+			for v := 0; v < n; v++ {
+				if got := tab.ID(u, v); u == v && got != -1 || u != v && got != id {
+					t.Fatalf("n=%d: ID(%d, %d) = %d, want %d", n, u, v, got, id)
+				}
+				if u != v {
+					id++
+				}
+			}
 		}
 	}
 }

@@ -7,21 +7,15 @@ import (
 )
 
 // runAllocBoundMB bounds the host memory one light dynamic-TDM run allocates
-// at N=2048. Such a run allocates about 13 MB: the scheduler's bit matrices
-// plus state sized by the traffic. A per-(src, dst) table of machine words
-// is 32 MB on its own at this N, and N-squared NIC queue headers, pair
-// counters and grant times together are ~170 MB, so the bound catches
-// N-squared state coming back into the data path.
-const runAllocBoundMB = 24
+// at N=2048. Such a run allocates about 3.0 MB, all of it sized by the
+// ports, the connections and the messages. One N×N bitmap is 0.5 MB at this
+// N and a per-(src, dst) table of machine words 32 MB, so the bound catches
+// two bitmaps or any N-squared per-pair state coming back.
+const runAllocBoundMB = 4
 
-func TestRunAllocationIsNotQuadratic(t *testing.T) {
-	const n = 2048
-	wl, err := GenerateWorkload("random-mesh:bytes=64,msgs=4", n, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := Config{Switching: DynamicTDM, N: n, K: 4,
-		Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}
+// runAlloc returns the host MB one run of wl under cfg allocates.
+func runAlloc(t *testing.T, cfg Config, wl *Workload) float64 {
+	t.Helper()
 	var before, after runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&before)
@@ -33,11 +27,44 @@ func TestRunAllocationIsNotQuadratic(t *testing.T) {
 	if rep.Messages != wl.Messages() {
 		t.Fatalf("delivered %d of %d messages", rep.Messages, wl.Messages())
 	}
-	mb := float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+	return float64(after.TotalAlloc-before.TotalAlloc) / (1 << 20)
+}
+
+func TestRunAllocationIsNotQuadratic(t *testing.T) {
+	const n = 2048
+	wl, err := GenerateWorkload("random-mesh:bytes=64,msgs=4", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Switching: DynamicTDM, N: n, K: 4,
+		Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}
+	mb := runAlloc(t, cfg, wl)
 	t.Logf("one N=%d run allocated %.1f MB", n, mb)
 	if mb > runAllocBoundMB {
 		t.Fatalf("one N=%d run allocated %.1f MB, bound %d MB: is per-pair state sized N-squared again?",
 			n, mb, runAllocBoundMB)
+	}
+}
+
+// TestDynamicRunHoldsNoPortPairMatrix runs dynamic TDM with a time-out
+// predictor at N=8192, where one N×N bitmap is 8 MiB, and bounds the run's
+// allocation below two of them. The run's connections, about four per
+// port, key the requests, the latch and B*, and the slot index is the only
+// copy of the configurations, so the run allocates about 13 MB; when B*,
+// the latch, the request views and the K configurations were N×N bitmaps
+// it held eleven, 88 MiB.
+func TestDynamicRunHoldsNoPortPairMatrix(t *testing.T) {
+	const n = 8192
+	wl, err := GenerateWorkload("random-mesh:bytes=64,msgs=4", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Switching: DynamicTDM, N: n, K: 4,
+		Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}
+	mb := runAlloc(t, cfg, wl)
+	t.Logf("one N=%d run allocated %.1f MB", n, mb)
+	if bitmap := float64(n) * n / 8 / (1 << 20); mb >= 2*bitmap {
+		t.Fatalf("one N=%d run allocated %.1f MB, as much as two %.0f MB N×N bitmaps", n, mb, bitmap)
 	}
 }
 
