@@ -316,23 +316,6 @@ func checkPlanArgs(d *Demand, k, preloadSlots int) error {
 	return nil
 }
 
-// weightedEdge is one positive demand entry during matching extraction.
-type weightedEdge struct {
-	u, v int
-	w    int64
-}
-
-// edges lists the connections with positive demand in row-major order.
-func (d *Demand) edges() []weightedEdge {
-	edges := make([]weightedEdge, 0, d.Conns())
-	for i, w := range d.d {
-		if w > 0 {
-			edges = append(edges, weightedEdge{i / d.n, i % d.n, w})
-		}
-	}
-	return edges
-}
-
 // assignShares distributes exactly `slots` registers over the group's
 // entries, each getting at least one, minimizing the group's drain cycles
 // max_i ceil(Demand_i/Share_i). Greedy: hand each spare register to the

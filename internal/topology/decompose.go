@@ -2,6 +2,7 @@ package topology
 
 import (
 	"fmt"
+	"math/bits"
 
 	"pmsnet/internal/bitmat"
 )
@@ -14,7 +15,10 @@ import (
 // edge-coloring theorem a bipartite graph with maximum degree Δ can be edge
 // colored with exactly Δ colors, so k = Degree() configurations always
 // suffice and none fewer can. The implementation is the classical
-// alternating-path (Kempe chain) recoloring: O(|C| · (N + Δ)).
+// alternating-path (Kempe chain) recoloring. Each port keeps a bitmask of
+// its free colors, so finding one costs O(Δ/64) word scans, and the color
+// tables are stored color-major, so a flip of colors a and b walks four rows
+// of N entries: O(|C| · (N + Δ/64)) in all.
 //
 // The returned configurations are partial permutations ordered by color
 // index; their union equals the working set exactly.
@@ -25,25 +29,38 @@ func Decompose(w *WorkingSet) []*bitmat.Matrix {
 		return nil
 	}
 
-	// atSrc[u*delta+c] = output port of the edge at input u colored c, or -1.
-	// atDst[v*delta+c] = input port of the edge at output v colored c, or -1.
+	// atSrc[c*n+u] = output port of the edge at input u colored c, or -1.
+	// atDst[c*n+v] = input port of the edge at output v colored c, or -1.
 	tables := make([]int32, 2*n*delta)
 	for i := range tables {
 		tables[i] = -1
 	}
 	atSrc, atDst := tables[:n*delta:n*delta], tables[n*delta:]
+	// freeSrc[u*words:(u+1)*words] has bit c set while input u has color c
+	// free; freeDst likewise for outputs.
+	words := (delta + 63) / 64
+	masks := make([]uint64, 2*n*words)
+	for i := range masks {
+		masks[i] = ^uint64(0)
+	}
+	if r := delta % 64; r != 0 {
+		for i := words - 1; i < len(masks); i += words {
+			masks[i] = 1<<r - 1
+		}
+	}
+	freeSrc, freeDst := masks[:n*words:n*words], masks[n*words:]
 
 	for _, k := range w.keys {
 		e := ConnOfKey(k)
-		src := atSrc[e.Src*delta : (e.Src+1)*delta]
-		dst := atDst[e.Dst*delta : (e.Dst+1)*delta]
+		src := freeSrc[e.Src*words : (e.Src+1)*words]
+		dst := freeDst[e.Dst*words : (e.Dst+1)*words]
 		a := firstFree(src)
 		b := firstFree(dst)
 		if a == -1 || b == -1 {
 			// Impossible: at most delta edges touch each port.
 			panic(fmt.Sprintf("topology: no free color for %v with degree %d", e, delta))
 		}
-		if dst[a] != -1 {
+		if atDst[a*n+e.Dst] != -1 {
 			// a is free at the source but taken at the destination, and b
 			// is free at the destination. Swap colors a and b along the
 			// maximal alternating path that starts with the destination's
@@ -52,63 +69,78 @@ func Decompose(w *WorkingSet) []*bitmat.Matrix {
 			// edge, making the path a cycle back through e.Dst, impossible
 			// since b is free there), so afterwards a is free at both
 			// endpoints.
-			flipAlternatingPath(atSrc, atDst, delta, e.Dst, a, b)
-			if dst[a] != -1 || src[a] != -1 {
+			end, endIsDst := flipAlternatingPath(atSrc[a*n:(a+1)*n], atSrc[b*n:(b+1)*n],
+				atDst[a*n:(a+1)*n], atDst[b*n:(b+1)*n], e.Dst)
+			toggle(dst, a, b)
+			if endIsDst {
+				toggle(freeDst[end*words:(end+1)*words], a, b)
+			} else {
+				toggle(freeSrc[end*words:(end+1)*words], a, b)
+			}
+			if atDst[a*n+e.Dst] != -1 || atSrc[a*n+e.Src] != -1 {
 				panic(fmt.Sprintf("topology: alternating-path flip failed to free color %d for %v", a, e))
 			}
 		}
-		src[a] = int32(e.Dst)
-		dst[a] = int32(e.Src)
+		atSrc[a*n+e.Src] = int32(e.Dst)
+		atDst[a*n+e.Dst] = int32(e.Src)
+		src[a/64] &^= 1 << (a % 64)
+		dst[a/64] &^= 1 << (a % 64)
 	}
 
 	configs := make([]*bitmat.Matrix, delta)
-	for c := 0; c < delta; c++ {
-		configs[c] = bitmat.NewSquare(n)
-	}
-	for u := 0; u < n; u++ {
-		for c, v := range atSrc[u*delta : (u+1)*delta] {
+	for c := range configs {
+		cfg := bitmat.NewSquare(n)
+		for u, v := range atSrc[c*n : (c+1)*n] {
 			if v != -1 {
-				configs[c].Set(u, int(v))
+				cfg.Set(u, int(v))
 			}
 		}
+		configs[c] = cfg
 	}
 	return configs
 }
 
-func firstFree(slots []int32) int {
-	for c, occ := range slots {
-		if occ == -1 {
-			return c
+// firstFree returns the lowest color set in a free-color mask, or -1.
+func firstFree(free []uint64) int {
+	for i, word := range free {
+		if word != 0 {
+			return i*64 + bits.TrailingZeros64(word)
 		}
 	}
 	return -1
 }
 
+// toggle flips colors a and b in a free-color mask.
+func toggle(free []uint64, a, b int) {
+	free[a/64] ^= 1 << (a % 64)
+	free[b/64] ^= 1 << (b % 64)
+}
+
 // flipAlternatingPath swaps colors a and b along the maximal alternating
 // path that starts at destination vertex start with its a-colored edge:
-// start -(a)- u1 -(b)- v1 -(a)- u2 -(b)- ... Every vertex on the path holds
+// start -(a)- u1 -(b)- v1 -(a)- u2 -(b)- ... The rows are the color tables'
+// a and b rows for sources and destinations. Every vertex on the path holds
 // its path edges in colors a and b (an end vertex holds one and has the
-// other free), so swapping the two entries of each vertex's table recolors
-// the path in one walk. The walk reads the next vertex before it swaps, and
-// a path visits no vertex twice.
-func flipAlternatingPath(atSrc, atDst []int32, delta, start, a, b int) {
-	v, color := start, a
+// other free), so swapping the two entries of each vertex recolors the path
+// in one walk; a destination is always left by its a-colored edge and a
+// source by its b-colored one. The walk reads the next vertex before it
+// swaps, and a path visits no vertex twice. It returns the path's far end
+// vertex and whether that is a destination: the two ends are the only
+// vertices whose free colors change.
+func flipAlternatingPath(srcA, srcB, dstA, dstB []int32, start int) (end int, endIsDst bool) {
+	v := start
 	for {
-		dst := atDst[v*delta : (v+1)*delta]
-		u := dst[color]
-		dst[a], dst[b] = dst[b], dst[a]
+		u := dstA[v]
+		dstA[v], dstB[v] = dstB[v], u
 		if u == -1 {
-			return
+			return v, true
 		}
-		color ^= a ^ b
-		src := atSrc[int(u)*delta : (int(u)+1)*delta]
-		nv := src[color]
-		src[a], src[b] = src[b], src[a]
+		nv := srcB[u]
+		srcA[u], srcB[u] = nv, srcA[u]
 		if nv == -1 {
-			return
+			return int(u), false
 		}
 		v = int(nv)
-		color ^= a ^ b
 	}
 }
 

@@ -151,6 +151,38 @@ func TestDecomposeMatchesReferenceRandom(t *testing.T) {
 	}
 }
 
+// TestDecomposeMatchesReference checks working sets whose degree sits on
+// either side of the one- and two-word boundaries of the free-color masks.
+// Each is random with every port's degree capped at Δ, and port 0 topped up
+// to exactly Δ destinations.
+func TestDecomposeMatchesReference(t *testing.T) {
+	for _, tc := range []struct{ delta, n int }{
+		{63, 100}, {64, 130}, {65, 200}, {127, 300}, {128, 300}, {129, 300},
+	} {
+		rng := rand.New(rand.NewSource(int64(tc.delta)))
+		w := topology.NewWorkingSet(tc.n)
+		out, in := make([]int, tc.n), make([]int, tc.n)
+		add := func(c topology.Conn) {
+			if c.Src != c.Dst && out[c.Src] < tc.delta && in[c.Dst] < tc.delta && !w.Contains(c) {
+				w.Add(c)
+				out[c.Src]++
+				in[c.Dst]++
+			}
+		}
+		for i := tc.n * tc.delta * 3 / 4; i > 0; i-- {
+			add(topology.Conn{Src: rng.Intn(tc.n), Dst: rng.Intn(tc.n)})
+		}
+		for v := 1; v < tc.n && out[0] < tc.delta; v++ {
+			add(topology.Conn{Src: 0, Dst: v})
+		}
+		if w.Degree() != tc.delta {
+			t.Fatalf("n=%d: working set has degree %d, want %d", tc.n, w.Degree(), tc.delta)
+		}
+		assertSameConfigs(t, fmt.Sprintf("Δ=%d n=%d (%d conns)", tc.delta, tc.n, w.Len()),
+			topology.Decompose(w), referenceDecompose(w))
+	}
+}
+
 // BenchmarkDecomposeTwoPhase128 decomposes both static phases of the
 // two-phase workload at N=128, as every preload run of it does.
 func BenchmarkDecomposeTwoPhase128(b *testing.B) {
@@ -166,8 +198,8 @@ func BenchmarkDecomposeTwoPhase128(b *testing.B) {
 	}
 }
 
-// FuzzDecomposeParity decodes a working set from the input (N from the
-// first byte, then one connection per byte pair, duplicates kept) and
+// FuzzDecomposeParity decodes a working set from the input (N up to 160
+// from the first byte, then one connection per byte pair, duplicates kept) and
 // checks that Decompose matches referenceDecompose and returns Δ partial
 // permutations, pairwise disjoint, whose union is the set.
 func FuzzDecomposeParity(f *testing.F) {
@@ -180,11 +212,17 @@ func FuzzDecomposeParity(f *testing.F) {
 		}
 	}
 	f.Add(dense)
+	// A port of degree 100 needs two mask words.
+	wide := []byte{159}
+	for v := byte(1); v <= 100; v++ {
+		wide = append(wide, 0, v, v, v+1)
+	}
+	f.Add(wide)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
-		n := 1 + int(data[0])%64
+		n := 1 + int(data[0])%160
 		w := topology.NewWorkingSet(n)
 		for i := 1; i+1 < len(data); i += 2 {
 			if c := (topology.Conn{Src: int(data[i]) % n, Dst: int(data[i+1]) % n}); c.Src != c.Dst {
