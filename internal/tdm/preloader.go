@@ -87,7 +87,7 @@ func (p *preloader) buildGroups(wl *traffic.Workload) error {
 	if p.r.cfg.Planner != nil {
 		return p.planPhases(wl)
 	}
-	for _, phase := range wl.StaticPhases {
+	for _, phase := range p.phases(wl) {
 		configs, err := p.r.fab.Decompose(phase)
 		if err != nil {
 			return fmt.Errorf("tdm: %w", err)
@@ -100,6 +100,26 @@ func (p *preloader) buildGroups(wl *traffic.Workload) error {
 	return nil
 }
 
+// phases returns the workload's static phases over the switch's ports. A
+// workload narrower than the switch runs with the extra ports idle; its
+// phases widen to the switch so the fabric decomposes, checks and loads
+// configurations of its own size.
+func (p *preloader) phases(wl *traffic.Workload) []*topology.WorkingSet {
+	n := p.r.cfg.N
+	if wl.N == n {
+		return wl.StaticPhases
+	}
+	wide := make([]*topology.WorkingSet, len(wl.StaticPhases))
+	for i, phase := range wl.StaticPhases {
+		wide[i] = topology.NewWorkingSetOfRows(n, func(src int, add func(dst int)) {
+			if src < phase.Ports() {
+				phase.EachDst(src, add)
+			}
+		})
+	}
+	return wide
+}
+
 // indexGroups builds the group lists once every group exists. A planned
 // configuration can occupy several of the group's slot registers (register
 // shares), and a connection can sit in several of a group's configurations,
@@ -108,11 +128,12 @@ func (p *preloader) buildGroups(wl *traffic.Workload) error {
 // each group by distinct waiting connections. A counting pass sizes the
 // lists; the filling pass lists each row's (dst, group) pairs, packed into
 // one word with dst in the high half, and sorts them, which orders the row
-// by dst, as the table's row is, and keeps each list in group order.
+// by dst, as the table's row is, and keeps each list in group order. Rows
+// past the table's ports belong to idle ports, which no group holds.
 func (p *preloader) indexGroups() error {
-	n := p.r.cfg.N
 	conns := p.r.conns
-	words := (n + 63) / 64
+	n := conns.Ports()
+	words := (p.r.cfg.N + 63) / 64
 	union := make([]uint64, words)
 	members, widest := 0, 0
 	for u := 0; u < n; u++ {
@@ -206,6 +227,15 @@ func (p *preloader) firstUncovered(wl *traffic.Workload) (topology.Conn, bool) {
 func (p *preloader) planPhases(wl *traffic.Workload) error {
 	cfg := p.r.cfg
 	demand := plan.FromWorkload(wl, cfg.PayloadBytes)
+	if wl.N < cfg.N {
+		wide := plan.NewDemand(cfg.N)
+		for u := 0; u < wl.N; u++ {
+			for v := 0; v < wl.N; v++ {
+				wide.Set(u, v, demand.At(u, v))
+			}
+		}
+		demand = wide
+	}
 	opts := plan.Options{
 		ReconfigSlots: float64(cfg.Link.ControlDelay()) / float64(cfg.SlotNs),
 		CoverAll:      cfg.Mode == Preload,
@@ -214,7 +244,7 @@ func (p *preloader) planPhases(wl *traffic.Workload) error {
 	if !p.r.fab.Rearrangeable() {
 		opts.CanRealize = p.r.fab.CanRealize
 	}
-	for _, phase := range wl.StaticPhases {
+	for _, phase := range p.phases(wl) {
 		sched, err := cfg.Planner.Plan(demand.Restrict(phase), cfg.K, p.slots, opts)
 		if err != nil {
 			return fmt.Errorf("tdm: %s planner: %w", cfg.Planner.Name(), err)
@@ -283,7 +313,7 @@ func (p *preloader) pendingDown(id int32) {
 func (p *preloader) checkPending() error {
 	inGroup := make([]int, len(p.groups))
 	static := 0
-	for u := 0; u < p.r.cfg.N; u++ {
+	for u := 0; u < p.r.conns.Ports(); u++ {
 		lo, hi := p.r.conns.Row(u)
 		for id := lo; id < hi; id++ {
 			gs := p.groupsOf(id)
@@ -392,7 +422,7 @@ func (p *preloader) breakConn(id int32) bool {
 // entries break in that order.
 func (p *preloader) breakPort(port int) int {
 	broken := 0
-	for u := 0; u < p.r.cfg.N; u++ {
+	for u := 0; u < p.r.conns.Ports(); u++ {
 		lo, hi := p.r.conns.Row(u)
 		for id := lo; id < hi; id++ {
 			if (u == port || p.r.conns.Dst(id) == port) && p.breakConn(id) {

@@ -14,8 +14,12 @@ import (
 // configurations containing the port are invalidated for good — their
 // traffic falls back to dynamic scheduling, the cache-invalidation semantics
 // of a broken compiled schedule. A permanent failure additionally drops all
-// traffic from and toward the port: no recovery is possible.
+// traffic from and toward the port: no recovery is possible. A port past
+// the workload's processors is idle and has nothing to unwind.
 func (r *run) onPortDown(p int, permanent bool) {
+	if r.idle(p) {
+		return
+	}
 	changes := r.sched.EvictPort(p)
 	r.reschedules += uint64(len(changes))
 	if r.pred != nil {
@@ -58,7 +62,7 @@ func (r *run) onPortDown(p int, permanent bool) {
 			}
 			r.driver.Drop(m)
 		}
-		for u := 0; u < r.cfg.N; u++ {
+		for u := 0; u < r.conns.Ports(); u++ {
 			if u != p {
 				r.dropPair(u, p)
 			}
@@ -88,8 +92,12 @@ func (r *run) onPortUp(p int) {
 // onCrosspointDead is the injector's crosspoint-failure callback: the pair
 // (in,out) is permanently unroutable through the central fabric. Cached and
 // preloaded configurations using the crosspoint are invalidated and the
-// pair's queued traffic is dropped.
+// pair's queued traffic is dropped. A crosspoint of an idle port carries
+// nothing.
 func (r *run) onCrosspointDead(in, out int) {
+	if r.idle(in) || r.idle(out) {
+		return
+	}
 	// Every connection in B* or the preloaded groups is in the table; a
 	// pair outside it has nothing to invalidate but its requests.
 	id := r.conns.ID(in, out)
@@ -110,6 +118,11 @@ func (r *run) onCrosspointDead(in, out int) {
 	}
 	r.dropPair(in, out)
 }
+
+// idle reports whether port p is past the workload's processors. A workload
+// narrower than the switch runs with the extra ports idle: they hold no NIC
+// and no connection, so a fault on one is counted and moves no traffic.
+func (r *run) idle(p int) bool { return p >= r.conns.Ports() }
 
 // retirePair unwinds the queue bookkeeping of the u->v queue (connection
 // id) just emptied without delivery: it clears the request wire and the

@@ -159,7 +159,9 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 
 // onCell runs one iSLIP arbitration and transfers the matched cells.
 func (r *run) onCell() {
-	n := r.cfg.N
+	// Only the workload's processors have NICs; a wider switch's extra
+	// ports are idle and never request, so arbitration skips them.
+	n := len(r.driver.Buffers)
 	r.stats.SlotsTotal++
 	netmodel.EmitSlotStart(r.probe, r.eng.Now(), 0, r.cellTime)
 	if r.probe != nil {
