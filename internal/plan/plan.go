@@ -15,11 +15,13 @@
 //   - Static reproduces today's hand-written preloads bit for bit (exact
 //     edge coloring, one register per configuration, groups in decomposition
 //     order) so planned and unplanned runs can be A/B'd.
-//   - Solstice runs a greedy submodular-style cover in the spirit of
-//     "Costly Circuits, Submodular Schedules" (Solstice): repeatedly extract
-//     the heaviest conflict-free matching from the remaining demand, charge
-//     each extra configuration at the reconfiguration cost, and route
-//     leftovers that cannot pay for a pinned register to the dynamic slots.
+//   - Solstice runs a heaviest-edge greedy cover, the baseline that
+//     "Costly Circuits, Submodular Schedules" (Eclipse) compares against,
+//     not Eclipse or Liu et al.'s Solstice themselves: repeatedly extract a
+//     greedy heaviest-edge-first conflict-free matching from the remaining
+//     demand, charge each extra configuration at the reconfiguration cost,
+//     and route leftovers that cannot pay for a pinned register to the
+//     dynamic slots.
 //   - BvN performs a Birkhoff–von-Neumann-style weighted decomposition
 //     (per Minaeva et al.) via multistage.DecomposeBvN: the demand splits
 //     exactly into weighted partial permutations and register shares follow

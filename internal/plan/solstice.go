@@ -228,8 +228,8 @@ func (wc *weightClasses) match(cfg *bitmat.Matrix, canRealize func(*bitmat.Matri
 		rows := wc.rows[wc.rowLo[c]:wc.rowHi[c]]
 		kept := rows[:0]
 		for _, r := range rows {
-			if wc.rowUsed[r.u/64]&(1<<(r.u%64)) == 0 && wc.take(&r, cfg, canRealize) {
-				wc.rowUsed[r.u/64] |= 1 << (r.u % 64)
+			if !bitmat.MaskTest(wc.rowUsed, int(r.u)) && wc.take(&r, cfg, canRealize) {
+				bitmat.MaskSet(wc.rowUsed, int(r.u))
 				covered += w
 				maxConn = max(maxConn, w)
 			}

@@ -83,8 +83,8 @@ func Decompose(w *WorkingSet) []*bitmat.Matrix {
 		}
 		atSrc[a*n+e.Src] = int32(e.Dst)
 		atDst[a*n+e.Dst] = int32(e.Src)
-		src[a/64] &^= 1 << (a % 64)
-		dst[a/64] &^= 1 << (a % 64)
+		bitmat.MaskClear(src, a)
+		bitmat.MaskClear(dst, a)
 	}
 
 	configs := make([]*bitmat.Matrix, delta)
