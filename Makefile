@@ -67,6 +67,13 @@ bench:
 # Timing needs the full BENCHTIME to be meaningful and is measured by
 # perfbench; BENCHMETRICS=allocs/op gates allocations alone, which are
 # deterministic even at short benchtimes (CI's setting).
+# The ns/op gate does not hold at BENCHTIME=100x on a shared 2-vCPU host:
+# three captures of an unchanged tree against its own BENCH_9.json flagged
+# 16, 9 and 13 of 56 benchmarks on ns/op (up to +40%), while allocs/op
+# stayed within 0.1%. So CI gates allocs/op only, and a timing claim is
+# made from ten alternating perfbench run pairs against the parent commit
+# (better in at least nine, and in the median by more than the parent's
+# interquartile range), not from this target.
 BASELINE ?= BENCH_9.json
 BENCHMETRICS ?= ns/op,allocs/op
 bench-compare:
@@ -122,8 +129,9 @@ plan-smoke:
 	@test -s /tmp/pmsnet-plan-smoke.json
 
 # Short fuzzing passes over the text-format parsers, the workload-spec
-# grammar, the connection-id set against a map model, the sparse scheduling
-# pass against the dense oracle under every state mutator, the BvN
+# grammar, the connection-id set against a map model, the id-keyed
+# scheduling pass of all three matching algorithms (paper, iSLIP, wavefront)
+# against its dense oracle under every state mutator, the BvN
 # decomposition, the König decomposition's in-place Kempe flips against
 # the path-buffer reference, the incremental time-out predictor's parity with the map-scan
 # reference, the event engine's fire order against a sort-by-(at, seq)

@@ -31,7 +31,7 @@ func benchFig4Panel(b *testing.B, panel experiments.Panel) {
 	var rows []experiments.SizeRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Fig4Panel(panel, experiments.N, []int{benchSize}, 1)
+		rows, err = experiments.Fig4PanelExec(experiments.Serial, panel, experiments.N, []int{benchSize}, 1)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -60,7 +60,7 @@ func BenchmarkFig5Hybrid(b *testing.B) {
 	var rows []experiments.Fig5Row
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.Fig5(experiments.N, []float64{0.5, 0.85}, 7)
+		rows, err = experiments.Fig5Exec(experiments.Serial, experiments.N, []float64{0.5, 0.85}, 7)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -125,7 +125,7 @@ func metricUnit(label string) string {
 func BenchmarkAblationPredictors(b *testing.B) {
 	wl := traffic.RandomMesh(experiments.N, benchSize, experiments.MeshMsgs, 1)
 	benchAblation(b, "predictor ablation (random mesh)", func() ([]experiments.NamedResult, error) {
-		return experiments.PredictorAblation(experiments.N, wl)
+		return experiments.PredictorAblationExec(experiments.Serial, experiments.N, wl)
 	})
 }
 
@@ -134,7 +134,7 @@ func BenchmarkAblationPredictors(b *testing.B) {
 func BenchmarkAblationDegree(b *testing.B) {
 	wl := traffic.RandomMesh(experiments.N, benchSize, experiments.MeshMsgs, 1)
 	benchAblation(b, "multiplexing degree sweep (random mesh)", func() ([]experiments.NamedResult, error) {
-		return experiments.DegreeSweep(experiments.N, []int{1, 2, 4, 8, 16}, wl)
+		return experiments.DegreeSweepExec(experiments.Serial, experiments.N, []int{1, 2, 4, 8, 16}, wl)
 	})
 }
 
@@ -144,7 +144,7 @@ func BenchmarkAblationDegree(b *testing.B) {
 func BenchmarkAblationDegreeSparse(b *testing.B) {
 	wl := traffic.Mix(experiments.N, benchSize, experiments.Fig5Msgs, 1.0, experiments.Fig5Think, 7)
 	benchAblation(b, "multiplexing degree sweep (sparse deterministic)", func() ([]experiments.NamedResult, error) {
-		return experiments.DegreeSweep(experiments.N, []int{1, 2, 3, 4, 8}, wl)
+		return experiments.DegreeSweepExec(experiments.Serial, experiments.N, []int{1, 2, 3, 4, 8}, wl)
 	})
 }
 
@@ -153,7 +153,7 @@ func BenchmarkAblationDegreeSparse(b *testing.B) {
 func BenchmarkAblationRotation(b *testing.B) {
 	wl := traffic.RandomMesh(experiments.N, benchSize, experiments.MeshMsgs, 1)
 	benchAblation(b, "priority rotation ablation", func() ([]experiments.NamedResult, error) {
-		return experiments.RotationAblation(experiments.N, wl)
+		return experiments.RotationAblationExec(experiments.Serial, experiments.N, wl)
 	})
 }
 
@@ -162,7 +162,7 @@ func BenchmarkAblationRotation(b *testing.B) {
 func BenchmarkAblationSkipEmpty(b *testing.B) {
 	wl := traffic.OrderedMesh(experiments.N, benchSize, experiments.MeshMsgs/4)
 	benchAblation(b, "empty-slot skipping ablation (K=8)", func() ([]experiments.NamedResult, error) {
-		return experiments.SkipEmptyAblation(experiments.N, 8, wl)
+		return experiments.SkipEmptyAblationExec(experiments.Serial, experiments.N, 8, wl)
 	})
 }
 
@@ -171,7 +171,7 @@ func BenchmarkAblationSkipEmpty(b *testing.B) {
 func BenchmarkAblationSLCopies(b *testing.B) {
 	wl := traffic.AllToAll(experiments.N, benchSize)
 	benchAblation(b, "SL copies sweep (all-to-all)", func() ([]experiments.NamedResult, error) {
-		return experiments.SLCopiesSweep(experiments.N, []int{1, 2, 4}, wl)
+		return experiments.SLCopiesSweepExec(experiments.Serial, experiments.N, []int{1, 2, 4}, wl)
 	})
 }
 
@@ -180,7 +180,7 @@ func BenchmarkAblationSLCopies(b *testing.B) {
 func BenchmarkAblationAmplify(b *testing.B) {
 	wl := traffic.Hotspot(experiments.N, benchSize, experiments.MeshMsgs, 2048, 50, 1)
 	benchAblation(b, "bandwidth amplification (hotspot)", func() ([]experiments.NamedResult, error) {
-		return experiments.AmplifyAblation(experiments.N, wl)
+		return experiments.AmplifyAblationExec(experiments.Serial, experiments.N, wl)
 	})
 }
 
@@ -189,7 +189,7 @@ func BenchmarkAblationAmplify(b *testing.B) {
 func BenchmarkAblationPrefetch(b *testing.B) {
 	wl := experiments.CyclicWorkload(experiments.N, 8, 8, 1200)
 	benchAblation(b, "markov prefetching (cyclic traffic)", func() ([]experiments.NamedResult, error) {
-		return experiments.PrefetchAblation(experiments.N, wl)
+		return experiments.PrefetchAblationExec(experiments.Serial, experiments.N, wl)
 	})
 }
 
@@ -198,7 +198,7 @@ func BenchmarkAblationPrefetch(b *testing.B) {
 func BenchmarkAblationPayload(b *testing.B) {
 	wl := traffic.OrderedMesh(experiments.N, benchSize, experiments.MeshMsgs/4)
 	benchAblation(b, "slot payload sweep", func() ([]experiments.NamedResult, error) {
-		return experiments.PayloadSweep(experiments.N, []int{32, 48, 64, 80}, wl)
+		return experiments.PayloadSweepExec(experiments.Serial, experiments.N, []int{32, 48, 64, 80}, wl)
 	})
 }
 
@@ -207,7 +207,7 @@ func BenchmarkAblationPayload(b *testing.B) {
 func BenchmarkModernBaseline(b *testing.B) {
 	wl := traffic.RandomMesh(experiments.N, benchSize, experiments.MeshMsgs, 1)
 	benchAblation(b, "iSLIP VOQ vs PMS (random mesh)", func() ([]experiments.NamedResult, error) {
-		return experiments.ModernBaseline(experiments.N, wl)
+		return experiments.ModernBaselineExec(experiments.Serial, experiments.N, wl)
 	})
 }
 
@@ -219,7 +219,7 @@ func BenchmarkOmegaFabric(b *testing.B) {
 		traffic.BitReverse(experiments.N, benchSize, experiments.MeshMsgs),
 	}
 	benchAblation(b, "omega fabric vs crossbar", func() ([]experiments.NamedResult, error) {
-		return experiments.OmegaFabricStudy(experiments.N, wls)
+		return experiments.OmegaFabricStudyExec(experiments.Serial, experiments.N, wls)
 	})
 }
 
@@ -232,10 +232,10 @@ func BenchmarkMultiHopMesh(b *testing.B) {
 	}
 	benchAblation(b, "multi-hop mesh: wormhole vs TDM circuits", func() ([]experiments.NamedResult, error) {
 		// Each workload declares its own processor count (128 mesh, 100
-		// transpose grid); MultiHopStudy builds the matching networks.
+		// transpose grid); MultiHopStudyExec builds the matching networks.
 		var out []experiments.NamedResult
 		for _, wl := range wls {
-			rows, err := experiments.MultiHopStudy(wl.N, []*traffic.Workload{wl})
+			rows, err := experiments.MultiHopStudyExec(experiments.Serial, wl.N, []*traffic.Workload{wl})
 			if err != nil {
 				return nil, err
 			}
@@ -255,7 +255,7 @@ func BenchmarkFabricComparison(b *testing.B) {
 	var rows []experiments.FabricRow
 	for i := 0; i < b.N; i++ {
 		var err error
-		rows, err = experiments.FabricComparison(experiments.N, wls)
+		rows, err = experiments.FabricComparisonExec(experiments.Serial, experiments.N, wls)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -12,9 +12,9 @@ import (
 // Dense/sparse twin suite: drivePair covers request churn and evictions;
 // these tests add every other state mutator the network layer calls between
 // passes — bandwidth amplification, preloads, pinning, flushes — and traffic
-// shaped by the workload generators. The dense Pass is the oracle, PassSparse
-// the production path; they must agree on every pass result and on all
-// visible state, latches and pins included.
+// shaped by the workload generators. The dense Pass (oracle_test.go) is the
+// oracle, PassSparse the production path; they must agree on every pass
+// result and on all visible state, latches and pins included.
 
 // twin holds the dense oracle and the sparse scheduler with the requests in
 // each form: a matrix and a set over the connection table.
@@ -272,9 +272,9 @@ func TestQuickSparseDenseParityWithMutators(t *testing.T) {
 }
 
 // TestPassSparseAlgorithmParity runs every matching algorithm through
-// PassSparse, as the network layer does, against the dense Pass: the
-// alternative algorithms read the sparse matrix's dense backing, so they
-// must see exactly the requests the sparse form holds.
+// PassSparse, as the network layer does, against its dense form through
+// Pass: the id-keyed iSLIP and wavefront matchers must make the dense
+// matchers' grants, accepts and diagonal sweep, hook calls included.
 func TestPassSparseAlgorithmParity(t *testing.T) {
 	for _, alg := range []Algorithm{AlgPaper, AlgISLIP, AlgWavefront} {
 		alg := alg
@@ -385,12 +385,32 @@ func runWorkloadTwin(t *testing.T, tw *twin, wl *traffic.Workload) {
 // preloads and flushes, in lockstep with the dense oracle. N reaches 161, so
 // rows span up to three words and the rotation origin falls mid-word and
 // wraps; one flag bit installs a CanEstablish hook that refuses every
-// connection whose ports sum to an even number.
+// connection whose ports sum to an even number. The top two flag bits pick
+// the matching algorithm: 0 and 3 the paper's, 1 iSLIP, 2 wavefront.
 func FuzzSparseDenseOps(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 40, 5, 6, 0x80, 9}, uint8(12), uint8(3), uint8(0))
 	f.Add([]byte{0xff, 0x00, 0x80, 0x7f, 0x22, 0x11}, uint8(20), uint8(4), uint8(7))
 	f.Add([]byte("steady state then evict"), uint8(4), uint8(1), uint8(22))
 	f.Add([]byte("wide rows, a refusing hook and a rotation that wraps mid-word"), uint8(150), uint8(202), uint8(36))
+	// One seed per algorithm, each latching behind the refusing hook at N=16
+	// with three SL copies over four slots: request churn with a pass every
+	// third operation and an eviction every seventh. The tapes are short, as
+	// the fuzzer's minimizer runs an input once per candidate cut.
+	rng := rand.New(rand.NewSource(1))
+	var tape []byte
+	for i := 0; i < 20; i++ {
+		op := byte(rng.Intn(9))
+		switch {
+		case i%3 == 2:
+			op = 9
+		case i%7 == 6:
+			op = 12
+		}
+		tape = append(tape, byte(rng.Intn(256)), byte(rng.Intn(256)), op)
+	}
+	f.Add(tape, uint8(14), uint8(23), uint8(0xf6)) // paper
+	f.Add(tape, uint8(14), uint8(23), uint8(0x76)) // iSLIP
+	f.Add(tape, uint8(14), uint8(23), uint8(0xb6)) // wavefront
 	f.Fuzz(func(t *testing.T, ops []byte, n8, k8, flags uint8) {
 		n := 2 + int(n8)%160
 		k := 1 + int(k8)%4
@@ -406,6 +426,7 @@ func FuzzSparseDenseOps(f *testing.F) {
 			SkipEmptySlots: flags&8 != 0,
 			LatchRequests:  flags&16 != 0,
 			CanEstablish:   hook,
+			Algorithm:      Algorithm(flags>>6) % 3,
 		})
 		// k8's upper six bits place the first rotation origin across the row.
 		tw.each(func(s *Scheduler) { s.rot = int(k8>>2) * n / 64 })

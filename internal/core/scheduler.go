@@ -125,8 +125,8 @@ type Change struct {
 }
 
 // PassResult summarizes one scheduling pass. Its slices are scheduler-owned
-// scratch buffers: they are valid until the next Pass or ScheduleSlot call
-// and must not be mutated or retained by the caller.
+// scratch buffers: they are valid until the next pass and must not be
+// mutated or retained by the caller.
 type PassResult struct {
 	// Slots lists the slot indices the pass scheduled into (SLCopies long,
 	// unless fewer dynamic slots exist).
@@ -177,9 +177,6 @@ type Scheduler struct {
 
 	// Reusable scratch, sized once at construction so the per-pass hot path
 	// stays allocation-free after warmup.
-	occOut   []uint64 // AO bitmask: output v occupied in the slot
-	occIn    []uint64 // AI bitmask: input u occupied in the slot
-	colBuf   []int    // rotated set-column scan of one L row
 	estBuf   []Change // established changes of the current pass
 	relBuf   []Change // released changes of the current pass
 	slotsBuf []int    // slots visited by the current pass
@@ -193,9 +190,6 @@ type Scheduler struct {
 
 	// Alternative-algorithm scratch (match.go); nil for AlgPaper.
 	match *matchState
-	// dense holds the N×N matrices the dense oracle and the alternative
-	// matchers build from the id-keyed state; nil until one of them runs.
-	dense *denseScratch
 
 	// Observability (nil when off). now supplies timestamps for emitted
 	// events; the scheduler has no clock of its own.
@@ -237,7 +231,7 @@ func NewScheduler(p Params) (*Scheduler, error) {
 	for j := range idx {
 		idx[j] = -1
 	}
-	words := make([]uint64, (2*p.K+4)*occWords+heldWords)
+	words := make([]uint64, (2*p.K+2)*occWords+heldWords)
 	carveIdx := func() []int32 {
 		piece := idx[:p.N:p.N]
 		idx = idx[p.N:]
@@ -256,8 +250,6 @@ func NewScheduler(p Params) (*Scheduler, error) {
 		s.cfgColMask[i] = carveWords(occWords)
 	}
 	s.held = carveWords(heldWords)
-	s.occOut = carveWords(occWords)
-	s.occIn = carveWords(occWords)
 	s.activeMask = carveWords(occWords)
 	s.pendingMask = carveWords(occWords)
 	// A pass visits at most SLCopies slots and, in each, establishes and
@@ -446,192 +438,28 @@ func (s *Scheduler) NextFabricSlot() (slot int, ok bool) {
 
 // --- scheduling logic (SL side) ---
 
-// denseScratch holds the N×N matrices of the dense forms: the oracle
-// (Pass, ScheduleSlot, PreSchedule) and the alternative matchers, which
-// read requests and B* as matrices. A scheduler builds it on first use, so
-// a paper-algorithm run through PassSparse never holds one.
-type denseScratch struct {
-	req   *bitmat.Matrix // PassSparse's requests, for the alternative matchers
-	eff   *bitmat.Matrix // R | latch
-	bstar *bitmat.Matrix // B*
-	l     *bitmat.Matrix // Table 1's change matrix; the matchers' pending cells
-}
-
-func (s *Scheduler) denseMats() *denseScratch {
-	if s.dense == nil {
-		n := s.p.N
-		s.dense = &denseScratch{req: bitmat.NewSquare(n), eff: bitmat.NewSquare(n),
-			bstar: bitmat.NewSquare(n), l: bitmat.NewSquare(n)}
-	}
-	return s.dense
-}
-
-// setIDs sets in m the cell of every connection in the id bitset, resolving
-// sources with a row cursor.
-func (s *Scheduler) setIDs(m *bitmat.Matrix, ids []uint64) {
-	src := -1
-	for w, x := range ids {
-		for ; x != 0; x &= x - 1 {
-			id := int32(w<<6 | bits.TrailingZeros64(x))
-			src = s.conns.SrcFrom(src, id)
-			m.Set(src, s.conns.Dst(id))
-		}
-	}
-}
-
-// bstarMatrix returns B* as a matrix in the dense scratch, valid until the
-// next call.
-func (s *Scheduler) bstarMatrix() *bitmat.Matrix {
-	m := s.denseMats().bstar
-	m.Reset()
-	s.setIDs(m, s.held)
-	return m
-}
-
-// effectiveRequests returns R | latch when latching is on, otherwise R.
-// The latch holds requests the scheduler has decided to remember after the
-// NIC dropped them (extension 3). Under latching the result is dense
-// scratch, valid until the next call.
-func (s *Scheduler) effectiveRequests(r *bitmat.Matrix) *bitmat.Matrix {
-	if !s.p.LatchRequests {
-		return r
-	}
-	eff := s.denseMats().eff
-	eff.CopyFrom(r)
-	s.setIDs(eff, s.latch.IDs())
-	return eff
-}
-
-// PreSchedule computes the change matrix L of Table 1 for slot `slot` given
-// request matrix r: L(u,v)=1 when the connection should be released from the
-// slot (not requested but realized there) or established (requested and
-// realized nowhere). The result is dense scratch, valid until the next
-// PreSchedule, ScheduleSlot or Pass call.
-func (s *Scheduler) PreSchedule(r *bitmat.Matrix, slot int) *bitmat.Matrix {
-	s.checkSlot(slot)
-	s.checkShape(r)
-	eff := s.effectiveRequests(r)
-	l := s.denseMats().l
-	l.Reset()
-	// Release term: not requested, realized in slot s -> B(s) &^ Reff.
-	for u, v := range s.rowDst[slot] {
-		if v >= 0 && !eff.Get(u, int(v)) {
-			l.Set(u, int(v))
-		}
-	}
-	// Establish term: requested, realized nowhere -> Reff &^ B*.
-	l.OrAndNot(eff, s.bstarMatrix())
-	return l
-}
-
-func (s *Scheduler) checkShape(m *bitmat.Matrix) {
-	if m.Rows() != s.p.N || m.Cols() != s.p.N {
-		panic(fmt.Sprintf("core: matrix is %dx%d, scheduler is %dx%d", m.Rows(), m.Cols(), s.p.N, s.p.N))
-	}
-}
-
-// ScheduleSlot runs one SL-array evaluation (Table 2) against slot `slot`,
-// mutating B(slot). It returns the changes it made in scheduler-owned
-// scratch slices, valid until the next ScheduleSlot or Pass call. The array
-// is scanned in the rotated priority order: rows from origin a, columns from
-// origin b, with the availability signals A (per output column) and D (per
-// input row) initialized from AO/AI and updated as connections are released
-// and established, exactly as the propagating hardware signals would be.
-func (s *Scheduler) ScheduleSlot(r *bitmat.Matrix, slot int) (established, released []Change) {
-	s.estBuf = s.estBuf[:0]
-	s.relBuf = s.relBuf[:0]
-	s.dispatchSlot(r, nil, slot)
-	return s.estBuf, s.relBuf
-}
-
 // occupancy bitmask helpers for the AO/AI vectors.
 func maskTest(m []uint64, i int) bool { return m[i>>6]&(1<<(uint(i)&63)) != 0 }
 func maskSet(m []uint64, i int)       { m[i>>6] |= 1 << (uint(i) & 63) }
 func maskClear(m []uint64, i int)     { m[i>>6] &^= 1 << (uint(i) & 63) }
 
 // dispatchSlot routes one slot evaluation to the configured matching
-// algorithm. For the paper algorithm, a non-nil req selects the sparse-path
-// evaluation (bit-identical to the dense one — see sparsepass.go); the
-// alternative matchers consume the dense form either way.
-func (s *Scheduler) dispatchSlot(r *bitmat.Matrix, req *topology.IDSet, slot int) {
-	switch s.p.Algorithm {
-	case AlgISLIP:
-		s.scheduleSlotISLIP(r, slot)
-	case AlgWavefront:
-		s.scheduleSlotWavefront(r, slot)
-	default:
-		if req != nil {
-			s.scheduleSlotSparse(req, slot)
-		} else {
-			s.scheduleSlot(r, slot)
-		}
-	}
-}
-
-// scheduleSlot is the dense SL-array evaluation, the oracle the sparse path
-// is tested against. It appends changes to estBuf/relBuf without resetting
-// them, so one Pass accumulates across its SLCopies slots.
-func (s *Scheduler) scheduleSlot(r *bitmat.Matrix, slot int) {
+// algorithm. Each reads the requests as a set over the connection table;
+// each is bit-identical to its dense form, which the tests keep as the
+// oracle (oracle_test.go).
+func (s *Scheduler) dispatchSlot(req *topology.IDSet, slot int) {
 	s.checkSlot(slot)
 	if s.pinned[slot] {
-		panic(fmt.Sprintf("core: ScheduleSlot on pinned slot %d", slot))
+		panic(fmt.Sprintf("core: slot evaluation on pinned slot %d", slot))
 	}
-	l := s.PreSchedule(r, slot)
-	if l.IsZero() {
-		return
+	switch s.p.Algorithm {
+	case AlgISLIP:
+		s.scheduleSlotISLIPSparse(req, slot)
+	case AlgWavefront:
+		s.scheduleSlotWavefrontSparse(req, slot)
+	default:
+		s.scheduleSlotSparse(req, slot)
 	}
-	rowDst := s.rowDst[slot]
-	n := s.p.N
-	estStart, relStart := len(s.estBuf), len(s.relBuf)
-
-	// A[v]: output v occupied in this slot (paper's AO). D[u]: input u
-	// occupied (paper's AI). The slot index maintains both masks
-	// incrementally; the pass works on copies it mutates as it goes.
-	s.occOut = append(s.occOut[:0], s.cfgColMask[slot]...)
-	s.occIn = append(s.occIn[:0], s.cfgRowMask[slot]...)
-
-	a, bo := 0, 0
-	if s.p.RotatePriority {
-		a, bo = s.rot%n, s.rot%n
-	}
-
-	for i := 0; i < n; i++ {
-		u := (a + i) % n
-		if !l.RowAny(u) {
-			continue
-		}
-		// Visit this row's L=1 cells in rotated column order, word-at-a-time.
-		s.colBuf = l.AppendRowOnesFrom(s.colBuf[:0], u, bo)
-		for _, v := range s.colBuf {
-			// Each SL cell holds its own register bit B(s)(u,v), so it can
-			// distinguish the release case (bit set, ports necessarily
-			// occupied by this very connection) from an establish request
-			// whose ports happen to be busy.
-			if rowDst[u] == int32(v) {
-				// Table 2 row (L=1, A=1, D=1): release, ports become free.
-				id := s.clearConn(slot, u, v)
-				maskClear(s.occOut, v)
-				maskClear(s.occIn, u)
-				s.relBuf = append(s.relBuf, Change{Src: u, Dst: v, Slot: slot, ID: id})
-			} else if !maskTest(s.occOut, v) && !maskTest(s.occIn, u) {
-				if s.p.CanEstablish != nil && !s.p.CanEstablish(rowDst, u, v) {
-					// Fabric constraint: the connection would make this
-					// slot's configuration unrealizable; treat it like a
-					// port conflict and leave it for another slot.
-					continue
-				}
-				// Table 2 row (L=1, A=0, D=0): establish, ports become busy.
-				id := s.idOf(u, v)
-				s.setConn(slot, u, v, id)
-				maskSet(s.occOut, v)
-				maskSet(s.occIn, u)
-				s.estBuf = append(s.estBuf, Change{Src: u, Dst: v, Slot: slot, ID: id})
-			}
-			// Mixed availability (Table 2 middle rows): no change; the
-			// signals pass through unchanged.
-		}
-	}
-	s.finishSlot(slot, estStart, relStart)
 }
 
 // finishSlot is the shared slot epilogue: latch maintenance and activity
@@ -655,38 +483,23 @@ func (s *Scheduler) finishSlot(slot, estStart, relStart int) {
 	s.stats.Released += uint64(len(released))
 }
 
-// Pass runs one scheduler pass: SLCopies scheduling-logic evaluations on the
-// next dynamic (unpinned) slots in SL-counter order, then advances the
-// priority rotation. It is the unit of work that costs PassLatency() in
-// simulated time. Pass takes the request matrix in dense form and runs the
-// dense evaluation, the oracle PassSparse is tested against; every request
-// must be a connection of Params.Conns. The returned slices are
-// scheduler-owned and valid until the next Pass or ScheduleSlot call.
-func (s *Scheduler) Pass(r *bitmat.Matrix) PassResult {
-	s.checkShape(r)
-	return s.passProbed(r, nil)
-}
-
-// PassSparse is Pass taking the requests as a set over Params.Conns. For
-// the paper algorithm it runs the sparse-path evaluation — cost
-// proportional to the active rows and their ids instead of N²/64 words —
-// and is bit-identical to Pass over the same requests. The alternative
-// algorithms build the dense form and run as under Pass.
+// PassSparse runs one scheduler pass: SLCopies scheduling-logic evaluations
+// on the next dynamic (unpinned) slots in SL-counter order, then advances
+// the priority rotation. It is the unit of work that costs PassLatency() in
+// simulated time. The requests are a set over Params.Conns; a paper-algorithm
+// evaluation costs in proportion to the active rows and their ids instead of
+// N²/64 words. The returned slices are scheduler-owned and valid until the
+// next pass.
 func (s *Scheduler) PassSparse(req *topology.IDSet) PassResult {
 	if req.Table() != s.conns {
 		panic("core: request set over another connection table")
 	}
-	return s.passProbed(nil, req)
-}
-
-// passProbed wraps the pass body with probe emission when attached.
-func (s *Scheduler) passProbed(r *bitmat.Matrix, req *topology.IDSet) PassResult {
 	if s.probe == nil {
-		return s.pass(r, req)
+		return s.pass(req)
 	}
 	now := s.now()
 	s.probe.Emit(probe.Event{Kind: probe.SchedPassBegin, At: now})
-	res := s.pass(r, req)
+	res := s.pass(req)
 	for _, c := range res.Established {
 		s.probe.Emit(probe.Event{Kind: probe.ConnEstablished, At: now,
 			Src: int32(c.Src), Dst: int32(c.Dst), Slot: int32(c.Slot)})
@@ -700,49 +513,39 @@ func (s *Scheduler) passProbed(r *bitmat.Matrix, req *topology.IDSet) PassResult
 	return res
 }
 
-// pass is the probe-free body of Pass and PassSparse: exactly one of r and
-// req is non-nil.
-func (s *Scheduler) pass(r *bitmat.Matrix, req *topology.IDSet) PassResult {
+// pass is the probe-free body of PassSparse.
+func (s *Scheduler) pass(req *topology.IDSet) PassResult {
 	s.stats.Passes++
 	dyn := s.DynamicSlotCount()
 	if dyn == 0 {
 		return PassResult{}
 	}
-
-	copies := s.p.SLCopies
-	if copies > dyn {
-		copies = dyn
-	}
 	s.estBuf = s.estBuf[:0]
 	s.relBuf = s.relBuf[:0]
 	s.slotsBuf = s.slotsBuf[:0]
-	if req != nil {
-		if s.p.Algorithm == AlgPaper {
-			s.computePendingMask(req)
-		} else {
-			r = s.denseMats().req
-			r.Reset()
-			s.setIDs(r, req.IDs())
-			req = nil
-		}
+	if s.p.Algorithm == AlgPaper {
+		s.computePendingMask(req)
 	}
-	for c := 0; c < copies; c++ {
-		// Advance the SL cursor to the next dynamic slot.
-		var slot int
-		for {
-			slot = s.slCursor
-			s.slCursor = (s.slCursor + 1) % s.p.K
-			if !s.pinned[slot] {
-				break
-			}
-		}
-		s.dispatchSlot(r, req, slot)
-		s.slotsBuf = append(s.slotsBuf, slot)
+	for c := 0; c < min(s.p.SLCopies, dyn); c++ {
+		s.dispatchSlot(req, s.nextSLSlot())
 	}
 	if s.p.RotatePriority {
 		s.rot = (s.rot + 1) % s.p.N
 	}
 	return PassResult{Slots: s.slotsBuf, Established: s.estBuf, Released: s.relBuf}
+}
+
+// nextSLSlot advances the SL counter to the next dynamic slot, records the
+// slot in the pass's slot list and returns it.
+func (s *Scheduler) nextSLSlot() int {
+	for {
+		slot := s.slCursor
+		s.slCursor = (s.slCursor + 1) % s.p.K
+		if !s.pinned[slot] {
+			s.slotsBuf = append(s.slotsBuf, slot)
+			return slot
+		}
+	}
 }
 
 // DynamicSlotCount returns the number of slots available to reactive

@@ -1,22 +1,23 @@
 // Sparse-path slot evaluation for the paper algorithm.
 //
-// The dense path (scheduleSlot) materializes the full change matrix L and
-// scans all N²/64 words of it per slot; at N ≥ 512 that scan dominates pass
-// cost even when almost every word is zero. The sparse path reads the
+// The dense evaluation, which the tests keep as the oracle (scheduleSlot in
+// oracle_test.go), materializes the full change matrix L and scans all
+// N²/64 words of it per slot; at N ≥ 512 that scan dominates pass cost even
+// when almost every word is zero. The sparse path reads the
 // requests, the latch and B* as bitsets over connection ids. It visits only
 // the rows that can hold an L cell, and in each row does only the work that
 // can change B(slot): cost proportional to the active rows and the id words
 // they scan before their first establish. Row u's requests are the set bits
 // of its id range Row(u), and ids ascend in destination order, so a scan of
 // that range is a scan of the row in column order. Two arguments make it
-// bit-identical to the dense path.
+// bit-identical to the dense evaluation.
 //
 // Row locality. L's row u is a function of row u of B(slot), Reff and B*
 // only. During a slot scan the only mutations are setConn/clearConn on cells
 // of the row being visited (latch updates are deferred to the finishSlot
 // epilogue), so when the scan reaches row u, row u of every input matrix
 // still holds its pre-scan value — reading the row's inputs live at visit
-// time sees exactly the L snapshot the dense path precomputed.
+// time sees exactly the L snapshot the dense evaluation precomputed.
 //
 // AI is held for the whole visit, or until the row's first establish. A
 // Table 2 cell establishes only where its input port (AI) and output port
@@ -28,11 +29,10 @@
 // the row, so the search is a first-fit scan in rotated column order that
 // stops at the first candidate — in Reff, not in B*, its output free — that
 // the CanEstablish hook accepts; the hook sees the same calls, in the same
-// order, as in the dense path.
+// order, as in the dense evaluation.
 package core
 
 import (
-	"fmt"
 	"math/bits"
 	"slices"
 
@@ -56,16 +56,8 @@ func (s *Scheduler) computePendingMask(req *topology.IDSet) {
 		for ; w != 0; w &= w - 1 {
 			b := bits.TrailingZeros64(w)
 			lo, hi := s.conns.Row(wi*64 + b)
-			first, last := lo>>6, (hi-1)>>6
-			for k := first; k <= last; k++ {
-				c := ids[k] &^ s.held[k]
-				if k == first {
-					c &^= 1<<(uint32(lo)&63) - 1
-				}
-				if k == last && hi&63 != 0 {
-					c &= 1<<(uint32(hi)&63) - 1
-				}
-				if c != 0 {
+			for k := lo >> 6; k <= (hi-1)>>6; k++ {
+				if ids[k]&^s.held[k]&idRangeMask(k, lo, hi) != 0 {
 					pm[wi] |= 1 << uint(b)
 					break
 				}
@@ -78,10 +70,6 @@ func (s *Scheduler) computePendingMask(req *topology.IDSet) {
 // the same Table 1–2 semantics, restricted to the rows that can hold a
 // change cell. It requires the pass to have called computePendingMask first.
 func (s *Scheduler) scheduleSlotSparse(req *topology.IDSet, slot int) {
-	s.checkSlot(slot)
-	if s.pinned[slot] {
-		panic(fmt.Sprintf("core: ScheduleSlot on pinned slot %d", slot))
-	}
 	n := s.p.N
 
 	// A row can hold an L cell only if it has an unserved request (the
@@ -111,7 +99,7 @@ func (s *Scheduler) scheduleSlotSparse(req *topology.IDSet, slot int) {
 	for _, u := range s.rowsBuf {
 		from := bo
 		if v0 := int(rowDst[u]); v0 >= 0 {
-			if id0 := s.rowID[slot][u]; req.Has(id0) || (s.p.LatchRequests && s.latch.Has(id0)) {
+			if s.wanted(req, s.rowID[slot][u]) {
 				continue // no release cell: AI is held for the whole visit
 			}
 			id := s.clearConn(slot, u, v0)
@@ -160,19 +148,13 @@ func (s *Scheduler) establishFirst(req *topology.IDSet, slot, u, lo, hi int) boo
 		latchIDs = s.latch.IDs()
 	}
 	colMask := s.cfgColMask[slot]
-	first, last := a>>6, (b-1)>>6
-	for w := first; w <= last; w++ {
+	for w := a >> 6; w <= (b-1)>>6; w++ {
 		c := reqIDs[w]
 		if latchIDs != nil {
 			c |= latchIDs[w]
 		}
 		c &^= s.held[w]
-		if w == first {
-			c &^= 1<<(uint32(a)&63) - 1
-		}
-		if w == last && b&63 != 0 {
-			c &= 1<<(uint32(b)&63) - 1
-		}
+		c &= idRangeMask(w, a, b)
 		for c != 0 {
 			id := w<<6 | int32(bits.TrailingZeros64(c))
 			c &= c - 1
@@ -184,10 +166,30 @@ func (s *Scheduler) establishFirst(req *topology.IDSet, slot, u, lo, hi int) boo
 	return false
 }
 
+// idRangeMask masks id word k to the ids in [lo, hi), a range that meets
+// word k.
+func idRangeMask(k, lo, hi int32) uint64 {
+	m := ^uint64(0)
+	if k == lo>>6 {
+		m &^= 1<<(uint32(lo)&63) - 1
+	}
+	if k == (hi-1)>>6 && hi&63 != 0 {
+		m &= 1<<(uint32(hi)&63) - 1
+	}
+	return m
+}
+
+// wanted reports whether connection id is in Reff: requested, or latched
+// under latching.
+func (s *Scheduler) wanted(req *topology.IDSet, id int32) bool {
+	return req.Has(id) || s.p.LatchRequests && s.latch.Has(id)
+}
+
 // tryEstablish is Table 2's establish row (L=1, A=0, D=0) for a cell whose
-// ports are free: unless the CanEstablish hook refuses it — the connection
-// would make the slot's configuration unrealizable, a conflict like a busy
-// port — it sets u→v (connection id) in the slot and records the change.
+// ports are free, and the establish step of iSLIP and wavefront: unless the
+// CanEstablish hook refuses it — the connection would make the slot's
+// configuration unrealizable, a conflict like a busy port — it sets u→v
+// (connection id) in the slot and records the change.
 func (s *Scheduler) tryEstablish(slot, u, v int, id int32) bool {
 	if s.p.CanEstablish != nil && !s.p.CanEstablish(s.rowDst[slot], u, v) {
 		return false

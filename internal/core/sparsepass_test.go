@@ -118,12 +118,13 @@ func TestSparseRowVisitCases(t *testing.T) {
 	}
 }
 
-// churnPass builds a scheduler at N=n in a churning steady state: every row
-// requests churnBase fixed destinations plus churnVary that change with the
-// pass, from three request sets in turn. Three sets over four slots means
-// each visit to a slot sees a different set than the last, so every pass
-// releases connections and establishes new ones. next runs one pass.
-func churnPass(n int) (next func() PassResult) {
+// churnPass builds a scheduler at N=n running alg in a churning steady
+// state: every row requests churnBase fixed destinations plus churnVary that
+// change with the pass, from three request sets in turn. Three sets over
+// four slots means each visit to a slot sees a different set than the last,
+// so every pass releases connections and establishes new ones. next runs one
+// pass.
+func churnPass(n int, alg Algorithm) (next func() PassResult) {
 	const churnBase, churnVary, sets = 7, 6, 3
 	rng := rand.New(rand.NewSource(3))
 	var reqs [sets]*bitmat.Matrix
@@ -164,7 +165,7 @@ func churnPass(n int) (next func() PassResult) {
 			return true
 		})
 	}
-	s := MustScheduler(Params{N: n, K: 4, RotatePriority: true, SkipEmptySlots: true, Conns: conns})
+	s := MustScheduler(Params{N: n, K: 4, RotatePriority: true, SkipEmptySlots: true, Conns: conns, Algorithm: alg})
 	pass := 0
 	next = func() PassResult {
 		pass++
@@ -177,20 +178,27 @@ func churnPass(n int) (next func() PassResult) {
 }
 
 // TestPassSparseZeroAlloc checks that a churning sparse pass at N=1024, which
-// releases and establishes connections every time, allocates nothing.
+// releases and establishes connections every time, allocates nothing under
+// every matching algorithm: iSLIP's grant and accept arrays and the pending
+// cells both alternatives gather and wavefront sorts are scratch reused
+// across passes.
 func TestPassSparseZeroAlloc(t *testing.T) {
-	next := churnPass(1024)
-	var est, rel int
-	allocs := testing.AllocsPerRun(30, func() {
-		res := next()
-		est += len(res.Established)
-		rel += len(res.Released)
-	})
-	if allocs != 0 {
-		t.Fatalf("sparse pass allocates %.1f times per pass, want 0", allocs)
-	}
-	if est == 0 || rel == 0 {
-		t.Fatalf("no churn: %d establishes and %d releases over the measured passes", est, rel)
+	for _, alg := range []Algorithm{AlgPaper, AlgISLIP, AlgWavefront} {
+		t.Run(alg.String(), func(t *testing.T) {
+			next := churnPass(1024, alg)
+			var est, rel int
+			allocs := testing.AllocsPerRun(30, func() {
+				res := next()
+				est += len(res.Established)
+				rel += len(res.Released)
+			})
+			if allocs != 0 {
+				t.Fatalf("sparse pass allocates %.1f times per pass, want 0", allocs)
+			}
+			if est == 0 || rel == 0 {
+				t.Fatalf("no churn: %d establishes and %d releases over the measured passes", est, rel)
+			}
+		})
 	}
 }
 
@@ -199,7 +207,7 @@ func TestPassSparseZeroAlloc(t *testing.T) {
 // regime of bursty dynamic TDM at N=1024 (benchPassScale's steady state
 // changes nothing after warm-up).
 func BenchmarkPass1024SparseChurn(b *testing.B) {
-	next := churnPass(1024)
+	next := churnPass(1024, AlgPaper)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -49,14 +49,9 @@ func runTDMCases(ex Exec, wl *traffic.Workload, cases []tdmCase) ([]NamedResult,
 	})
 }
 
-// PredictorAblation runs dynamic TDM over one workload under each eviction
-// policy: pure reactive release (no latching), the paper's timeout, the
-// counter predictor, never-evict, and the clairvoyant oracle.
-func PredictorAblation(n int, wl *traffic.Workload) ([]NamedResult, error) {
-	return PredictorAblationExec(Serial, n, wl)
-}
-
-// PredictorAblationExec is PredictorAblation with an explicit executor.
+// PredictorAblationExec runs dynamic TDM over one workload under each
+// eviction policy: pure reactive release (no latching), the paper's timeout,
+// the counter predictor, never-evict, and the clairvoyant oracle.
 func PredictorAblationExec(ex Exec, n int, wl *traffic.Workload) ([]NamedResult, error) {
 	uses := connUses(wl)
 	preds := []struct {
@@ -89,7 +84,7 @@ func connUses(wl *traffic.Workload) map[topology.Conn]int {
 	return uses
 }
 
-// DegreeSweep runs dynamic TDM with multiplexing degrees ks over one
+// DegreeSweepExec runs dynamic TDM with multiplexing degrees ks over one
 // workload, using the paper's timeout-predictor configuration. K=1 is the
 // circuit-switching degenerate case of the framework (§3: "circuit switching
 // amounts to TDM with a multiplexing degree of one"): with only one
@@ -97,11 +92,6 @@ func connUses(wl *traffic.Workload) map[topology.Conn]int {
 // thrashes, which is exactly the caching argument for multiplexing. Note the
 // trade-off the paper states in §2 — each connection gets 1/k of the link
 // bandwidth — so K far above the working-set degree wastes bandwidth too.
-func DegreeSweep(n int, ks []int, wl *traffic.Workload) ([]NamedResult, error) {
-	return DegreeSweepExec(Serial, n, ks, wl)
-}
-
-// DegreeSweepExec is DegreeSweep with an explicit executor.
 func DegreeSweepExec(ex Exec, n int, ks []int, wl *traffic.Workload) ([]NamedResult, error) {
 	cases := make([]tdmCase, len(ks))
 	for i, k := range ks {
@@ -111,15 +101,10 @@ func DegreeSweepExec(ex Exec, n int, ks []int, wl *traffic.Workload) ([]NamedRes
 	return runTDMCases(ex, wl, cases)
 }
 
-// RotationAblation compares rotating vs fixed scheduling priority on a
+// RotationAblationExec compares rotating vs fixed scheduling priority on a
 // hotspot workload where low-numbered ports would otherwise starve
 // high-numbered ones. It reports per-configuration results; the interesting
 // output is the p95 latency spread.
-func RotationAblation(n int, wl *traffic.Workload) ([]NamedResult, error) {
-	return RotationAblationExec(Serial, n, wl)
-}
-
-// RotationAblationExec is RotationAblation with an explicit executor.
 func RotationAblationExec(ex Exec, n int, wl *traffic.Workload) ([]NamedResult, error) {
 	var cases []tdmCase
 	for _, rot := range []bool{false, true} {
@@ -130,16 +115,11 @@ func RotationAblationExec(ex Exec, n int, wl *traffic.Workload) ([]NamedResult, 
 	return runTDMCases(ex, wl, cases)
 }
 
-// SkipEmptyAblation compares the TDM counter with and without empty-slot
+// SkipEmptyAblationExec compares the TDM counter with and without empty-slot
 // skipping on a workload whose active working set is far smaller than K —
 // the feature's motivating case (§4: the counter "skips over empty
 // configurations and allows the scheduler to reduce the multiplexing
 // degrees").
-func SkipEmptyAblation(n, k int, wl *traffic.Workload) ([]NamedResult, error) {
-	return SkipEmptyAblationExec(Serial, n, k, wl)
-}
-
-// SkipEmptyAblationExec is SkipEmptyAblation with an explicit executor.
 func SkipEmptyAblationExec(ex Exec, n, k int, wl *traffic.Workload) ([]NamedResult, error) {
 	var cases []tdmCase
 	for _, skip := range []bool{false, true} {
@@ -150,13 +130,8 @@ func SkipEmptyAblationExec(ex Exec, n, k int, wl *traffic.Workload) ([]NamedResu
 	return runTDMCases(ex, wl, cases)
 }
 
-// SLCopiesSweep measures extension 1 (multiple scheduling-logic units) on a
-// scheduler-bound workload.
-func SLCopiesSweep(n int, copies []int, wl *traffic.Workload) ([]NamedResult, error) {
-	return SLCopiesSweepExec(Serial, n, copies, wl)
-}
-
-// SLCopiesSweepExec is SLCopiesSweep with an explicit executor.
+// SLCopiesSweepExec measures extension 1 (multiple scheduling-logic units)
+// on a scheduler-bound workload.
 func SLCopiesSweepExec(ex Exec, n int, copies []int, wl *traffic.Workload) ([]NamedResult, error) {
 	cases := make([]tdmCase, len(copies))
 	for i, c := range copies {

@@ -8,7 +8,7 @@ import (
 )
 
 func TestFig4CSV(t *testing.T) {
-	rows, err := Fig4Panel(Scatter, 16, []int{32, 64}, 1)
+	rows, err := Fig4PanelExec(Serial, Scatter, 16, []int{32, 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +36,7 @@ func TestFig4CSV(t *testing.T) {
 }
 
 func TestFig5CSV(t *testing.T) {
-	rows, err := Fig5(16, []float64{0.5}, 1)
+	rows, err := Fig5Exec(Serial, 16, []float64{0.5}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -19,14 +19,8 @@ type Exec struct {
 	OnPoint func(runner.Point)
 }
 
-// Serial is the reference executor: one point at a time, in order. The
-// un-suffixed harness functions (Fig4Panel, Fig5, ...) use it, so existing
-// callers keep the exact pre-parallelism semantics.
+// Serial is the reference executor: one point at a time, in order.
 var Serial = Exec{Parallelism: 1}
-
-// Parallel returns an executor with the given worker count (<= 0 means
-// GOMAXPROCS).
-func Parallel(j int) Exec { return Exec{Parallelism: j} }
 
 func (ex Exec) options() runner.Options {
 	return runner.Options{Parallelism: ex.Parallelism, OnPoint: ex.OnPoint}

@@ -130,18 +130,12 @@ type SizeRow struct {
 	Results []metrics.Result
 }
 
-// Fig4Panel regenerates one panel of Figure 4: for every message size, the
-// efficiency of each network. It is the serial reference for
-// Fig4PanelExec.
-func Fig4Panel(p Panel, n int, sizes []int, seed int64) ([]SizeRow, error) {
-	return Fig4PanelExec(Serial, p, n, sizes, seed)
-}
-
-// Fig4PanelExec regenerates one Figure 4 panel with the sweep's points —
-// one (message size, network) pair each — fanned out through the executor.
-// Every point rebuilds its own workload and network from (p, n, size, seed),
-// so points share nothing and the assembled rows are bit-identical to a
-// serial run at any parallelism.
+// Fig4PanelExec regenerates one panel of Figure 4: for every message size,
+// the efficiency of each network. The sweep's points — one (message size,
+// network) pair each — fan out through the executor. Every point rebuilds
+// its own workload and network from (p, n, size, seed), so points share
+// nothing and the assembled rows are bit-identical to a serial run at any
+// parallelism.
 func Fig4PanelExec(ex Exec, p Panel, n int, sizes []int, seed int64) ([]SizeRow, error) {
 	if len(sizes) == 0 {
 		sizes = Fig4Sizes()
@@ -216,14 +210,9 @@ func Fig5Networks(n int) ([]netmodel.Network, error) {
 	return out, nil
 }
 
-// Fig5 regenerates Figure 5: preload/dynamic slot splits against traffic
-// determinism. It is the serial reference for Fig5Exec.
-func Fig5(n int, dets []float64, seed int64) ([]Fig5Row, error) {
-	return Fig5Exec(Serial, n, dets, seed)
-}
-
-// Fig5Exec regenerates Figure 5 with the sweep's points — one (determinism
-// level, hybrid scheme) pair each — fanned out through the executor.
+// Fig5Exec regenerates Figure 5: preload/dynamic slot splits against traffic
+// determinism. The sweep's points — one (determinism level, hybrid scheme)
+// pair each — fan out through the executor.
 func Fig5Exec(ex Exec, n int, dets []float64, seed int64) ([]Fig5Row, error) {
 	if len(dets) == 0 {
 		dets = Fig5Determinism()

@@ -23,7 +23,7 @@ const (
 
 func fig4(t *testing.T, p Panel, sizes []int) []SizeRow {
 	t.Helper()
-	rows, err := Fig4Panel(p, N, sizes, seed)
+	rows, err := Fig4PanelExec(Serial, p, N, sizes, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestFig5Claims(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-scale figure test")
 	}
-	rows, err := Fig5(N, []float64{0.5, 0.85}, 7)
+	rows, err := Fig5Exec(Serial, N, []float64{0.5, 0.85}, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -195,7 +195,7 @@ func TestPanelsAndTables(t *testing.T) {
 	if _, err := Panel("bogus").Workload(8, 64, 1); err == nil {
 		t.Fatal("unknown panel should error")
 	}
-	rows, err := Fig4Panel(Scatter, 16, []int{32}, seed)
+	rows, err := Fig4PanelExec(Serial, Scatter, 16, []int{32}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -203,7 +203,7 @@ func TestPanelsAndTables(t *testing.T) {
 	if tbl.Rows() != 1 {
 		t.Fatal("panel table should have one row per size")
 	}
-	frows, err := Fig5(16, []float64{0.5}, seed)
+	frows, err := Fig5Exec(Serial, 16, []float64{0.5}, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestPanelsAndTables(t *testing.T) {
 
 func TestAblationsRun(t *testing.T) {
 	wl := traffic.RandomMesh(16, 64, 10, seed)
-	pred, err := PredictorAblation(16, wl)
+	pred, err := PredictorAblationExec(Serial, 16, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestAblationsRun(t *testing.T) {
 	if AblationTable("predictors", pred).Rows() != 5 {
 		t.Fatal("ablation table lost rows")
 	}
-	deg, err := DegreeSweep(16, []int{1, 2, 4, 8}, wl)
+	deg, err := DegreeSweepExec(Serial, 16, []int{1, 2, 4, 8}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -242,14 +242,14 @@ func TestAblationsRun(t *testing.T) {
 	if k4 <= k1 {
 		t.Errorf("K=4 (%.3f) should beat K=1 (%.3f) on the degree-4 working set", k4, k1)
 	}
-	rot, err := RotationAblation(16, traffic.OrderedMesh(16, 64, 5))
+	rot, err := RotationAblationExec(Serial, 16, traffic.OrderedMesh(16, 64, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rot) != 2 {
 		t.Fatal("rotation ablation rows")
 	}
-	skip, err := SkipEmptyAblation(16, 8, traffic.OrderedMesh(16, 64, 5))
+	skip, err := SkipEmptyAblationExec(Serial, 16, 8, traffic.OrderedMesh(16, 64, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +259,7 @@ func TestAblationsRun(t *testing.T) {
 		t.Errorf("skip-empty=true (%.3f) should not lose to false (%.3f)",
 			skip[1].Result.Efficiency, skip[0].Result.Efficiency)
 	}
-	sl, err := SLCopiesSweep(16, []int{1, 2, 4}, traffic.AllToAll(16, 16))
+	sl, err := SLCopiesSweepExec(Serial, 16, []int{1, 2, 4}, traffic.AllToAll(16, 16))
 	if err != nil {
 		t.Fatal(err)
 	}

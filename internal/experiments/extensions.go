@@ -22,14 +22,9 @@ import (
 // pre-establishment (§3.2's forward-prediction direction), the slot-payload
 // (guard-band) fraction, multi-seed robustness, and multistage fabrics.
 
-// AmplifyAblation compares dynamic TDM with and without bandwidth
+// AmplifyAblationExec compares dynamic TDM with and without bandwidth
 // amplification on a hotspot workload whose hot stream outruns a single
 // slot's share.
-func AmplifyAblation(n int, wl *traffic.Workload) ([]NamedResult, error) {
-	return AmplifyAblationExec(Serial, n, wl)
-}
-
-// AmplifyAblationExec is AmplifyAblation with an explicit executor.
 func AmplifyAblationExec(ex Exec, n int, wl *traffic.Workload) ([]NamedResult, error) {
 	var cases []tdmCase
 	for _, amplify := range []int{0, 256} {
@@ -43,14 +38,9 @@ func AmplifyAblationExec(ex Exec, n int, wl *traffic.Workload) ([]NamedResult, e
 	return runTDMCases(ex, wl, cases)
 }
 
-// PrefetchAblation compares the plain timeout predictor against the Markov
-// prefetching predictor on a workload with a learnable destination cycle
-// and inter-send compute gaps.
-func PrefetchAblation(n int, wl *traffic.Workload) ([]NamedResult, error) {
-	return PrefetchAblationExec(Serial, n, wl)
-}
-
-// PrefetchAblationExec is PrefetchAblation with an explicit executor.
+// PrefetchAblationExec compares the plain timeout predictor against the
+// Markov prefetching predictor on a workload with a learnable destination
+// cycle and inter-send compute gaps.
 func PrefetchAblationExec(ex Exec, n int, wl *traffic.Workload) ([]NamedResult, error) {
 	preds := []struct {
 		label string
@@ -98,15 +88,10 @@ func CyclicWorkload(n, bytes, cycles int, gap sim.Time) *traffic.Workload {
 	return w
 }
 
-// PayloadSweep varies the usable payload per 100 ns slot — the complement of
-// the guard-band + framing fraction (DESIGN.md models 64 of 80 raw bytes).
-// A larger guard band wastes line rate; the sweep quantifies the
+// PayloadSweepExec varies the usable payload per 100 ns slot — the
+// complement of the guard-band + framing fraction (DESIGN.md models 64 of 80
+// raw bytes). A larger guard band wastes line rate; the sweep quantifies the
 // sensitivity.
-func PayloadSweep(n int, payloads []int, wl *traffic.Workload) ([]NamedResult, error) {
-	return PayloadSweepExec(Serial, n, payloads, wl)
-}
-
-// PayloadSweepExec is PayloadSweep with an explicit executor.
 func PayloadSweepExec(ex Exec, n int, payloads []int, wl *traffic.Workload) ([]NamedResult, error) {
 	cases := make([]tdmCase, len(payloads))
 	for i, p := range payloads {
@@ -122,13 +107,8 @@ type SeedStats struct {
 	Seeds                  int
 }
 
-// SeedSweep runs fn for every seed and aggregates the efficiencies —
-// the robustness check that single-seed figures are representative.
-func SeedSweep(seeds []int64, fn func(seed int64) (metrics.Result, error)) (SeedStats, error) {
-	return SeedSweepExec(Serial, seeds, fn)
-}
-
-// SeedSweepExec is SeedSweep with an explicit executor: seeds run
+// SeedSweepExec runs fn for every seed and aggregates the efficiencies — the
+// robustness check that single-seed figures are representative. Seeds run
 // independently, and the aggregation consumes them in seed order, so the
 // statistics are identical at any parallelism. fn must be safe for
 // concurrent calls when the executor is parallel (the harness closures in
@@ -169,15 +149,10 @@ func SeedSweepExec(ex Exec, seeds []int64, fn func(seed int64) (metrics.Result, 
 	return st, nil
 }
 
-// ModernBaseline compares the paper's switch against an iSLIP VOQ cell
+// ModernBaselineExec compares the paper's switch against an iSLIP VOQ cell
 // switch (the post-paper standard for crossbar routers) on one workload:
 // wormhole, iSLIP, dynamic TDM (paper config) and preload TDM. This
 // comparison goes beyond the paper's evaluation; see internal/voq.
-func ModernBaseline(n int, wl *traffic.Workload) ([]NamedResult, error) {
-	return ModernBaselineExec(Serial, n, wl)
-}
-
-// ModernBaselineExec is ModernBaseline with an explicit executor.
 func ModernBaselineExec(ex Exec, n int, wl *traffic.Workload) ([]NamedResult, error) {
 	fig4 := fig4Builders(n)
 	// wormhole, islip, dynamic, preload (skip the circuit baseline: it is
@@ -201,17 +176,12 @@ func ModernBaselineExec(ex Exec, n int, wl *traffic.Workload) ([]NamedResult, er
 	})
 }
 
-// OmegaFabricStudy runs dynamic TDM on the crossbar and on the blocking
+// OmegaFabricStudyExec runs dynamic TDM on the crossbar and on the blocking
 // Omega fabric over each workload. Structured permutations separate the
 // fabrics: a uniform shift routes through the Omega in one pass, while bit
-// reversal conflicts heavily and must spread across TDM slots — the
-// crossbar treats both identically. n must be a power of two.
-func OmegaFabricStudy(n int, wls []*traffic.Workload) ([]NamedResult, error) {
-	return OmegaFabricStudyExec(Serial, n, wls)
-}
-
-// OmegaFabricStudyExec is OmegaFabricStudy with an explicit executor; each
-// (workload, fabric) pair is one sweep point.
+// reversal conflicts heavily and must spread across TDM slots — the crossbar
+// treats both identically. n must be a power of two. Each (workload, fabric)
+// pair is one sweep point.
 func OmegaFabricStudyExec(ex Exec, n int, wls []*traffic.Workload) ([]NamedResult, error) {
 	fabrics := []fabric.Kind{fabric.KindCrossbar, fabric.KindOmega}
 	return sweep(ex, len(wls)*len(fabrics), func(i int) (NamedResult, error) {
@@ -231,16 +201,10 @@ func OmegaFabricStudyExec(ex Exec, n int, wls []*traffic.Workload) ([]NamedResul
 	})
 }
 
-// FabricBackendSweep runs dynamic TDM end-to-end on both fabric backends —
-// crossbar and Omega — over the paper's four Figure 4 traffic patterns. The
-// blocking Omega pays extra TDM slots whenever a pass conflicts in its
-// single-path routing.
-func FabricBackendSweep(n, bytes int, seed int64) ([]NamedResult, error) {
-	return FabricBackendSweepExec(Serial, n, bytes, seed)
-}
-
-// FabricBackendSweepExec is FabricBackendSweep with an explicit executor;
-// each (pattern, fabric) pair is one sweep point.
+// FabricBackendSweepExec runs dynamic TDM end-to-end on both fabric backends
+// — crossbar and Omega — over the paper's four Figure 4 traffic patterns.
+// The blocking Omega pays extra TDM slots whenever a pass conflicts in its
+// single-path routing. Each (pattern, fabric) pair is one sweep point.
 func FabricBackendSweepExec(ex Exec, n, bytes int, seed int64) ([]NamedResult, error) {
 	panels := Panels()
 	fabrics := []fabric.Kind{fabric.KindCrossbar, fabric.KindOmega}
@@ -265,18 +229,12 @@ func FabricBackendSweepExec(ex Exec, n, bytes int, seed int64) ([]NamedResult, e
 	})
 }
 
-// SchedulerSweep runs dynamic TDM under every matching algorithm — the
-// paper's Tables 1–2 scheduler, iSLIP, and wavefront — over the paper's
-// four Figure 4 traffic patterns. All three produce maximal matchings, so
+// SchedulerSweepExec runs dynamic TDM under every matching algorithm — the
+// paper's Tables 1–2 scheduler, iSLIP, and wavefront — over the paper's four
+// Figure 4 traffic patterns. All three produce maximal matchings, so
 // efficiency figures land close together; the interesting deltas are in the
 // scheduler counters (establishments vs evictions) where the rotation
-// disciplines differ.
-func SchedulerSweep(n, bytes int, seed int64) ([]NamedResult, error) {
-	return SchedulerSweepExec(Serial, n, bytes, seed)
-}
-
-// SchedulerSweepExec is SchedulerSweep with an explicit executor; each
-// (pattern, algorithm) pair is one sweep point.
+// disciplines differ. Each (pattern, algorithm) pair is one sweep point.
 func SchedulerSweepExec(ex Exec, n, bytes int, seed int64) ([]NamedResult, error) {
 	panels := Panels()
 	algs := []core.Algorithm{core.AlgPaper, core.AlgISLIP, core.AlgWavefront}
@@ -324,7 +282,7 @@ func SparsePermutation(base *traffic.Workload, gap sim.Time) *traffic.Workload {
 	return out
 }
 
-// MultiHopStudy tests the paper's concluding claim that the
+// MultiHopStudyExec tests the paper's concluding claim that the
 // connection-oriented approach is "amplified when multi-hop networks are
 // considered since it avoids buffering at intermediate switches": it runs
 // the multi-hop wormhole mesh and the multi-hop TDM-circuit mesh
@@ -332,14 +290,9 @@ func SparsePermutation(base *traffic.Workload, gap sim.Time) *traffic.Workload {
 // maximizes the per-hop cost difference; run both a saturated workload (the
 // throughput view, where whole-path slot reservation costs the TDM mesh
 // capacity) and a SparsePermutation variant (the latency view, where the
-// end-to-end analog pipe pays ~20 ns per extra hop against wormhole's
-// ~100 ns of per-hop serdes + arbitration).
-func MultiHopStudy(n int, wls []*traffic.Workload) ([]NamedResult, error) {
-	return MultiHopStudyExec(Serial, n, wls)
-}
-
-// MultiHopStudyExec is MultiHopStudy with an explicit executor; each
-// (workload, mesh paradigm) pair is one sweep point building its own mesh.
+// end-to-end analog pipe pays ~20 ns per extra hop against wormhole's ~100
+// ns of per-hop serdes + arbitration). Each (workload, mesh paradigm) pair
+// is one sweep point building its own mesh.
 func MultiHopStudyExec(ex Exec, n int, wls []*traffic.Workload) ([]NamedResult, error) {
 	builders := []func() (netmodel.Network, error){
 		func() (netmodel.Network, error) { return meshnet.NewWormhole(meshnet.WormholeConfig{N: n}) },
@@ -373,19 +326,13 @@ type FabricRow struct {
 	BenesStages   int
 }
 
-// FabricComparison quantifies paper §4's remark that "more complicated
+// FabricComparisonExec quantifies paper §4's remark that "more complicated
 // constraints may be derived for fabrics that have limited permutation
 // capabilities": the extra multiplexing degree an Omega fabric pays, versus
 // the extra stages a non-blocking Benes fabric pays. n must be a power of
-// two.
-func FabricComparison(n int, wls []*traffic.Workload) ([]FabricRow, error) {
-	return FabricComparisonExec(Serial, n, wls)
-}
-
-// FabricComparisonExec is FabricComparison with an explicit executor; each
-// workload's decompositions are one sweep point (pure computation, but the
-// exact edge coloring is expensive enough on dense working sets to be worth
-// fanning out).
+// two. Each workload's decompositions are one sweep point (pure computation,
+// but the exact edge coloring is expensive enough on dense working sets to
+// be worth fanning out).
 func FabricComparisonExec(ex Exec, n int, wls []*traffic.Workload) ([]FabricRow, error) {
 	return sweep(ex, len(wls), func(i int) (FabricRow, error) {
 		wl := wls[i]

@@ -9,7 +9,7 @@ import (
 
 func TestAmplifyAblationHelpsHotspot(t *testing.T) {
 	wl := traffic.Hotspot(16, 64, 10, 2048, 20, seed)
-	rows, err := AmplifyAblation(16, wl)
+	rows, err := AmplifyAblationExec(Serial, 16, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func TestAmplifyAblationHelpsHotspot(t *testing.T) {
 
 func TestPrefetchAblationHelpsCyclicTraffic(t *testing.T) {
 	wl := CyclicWorkload(16, 8, 6, 1200)
-	rows, err := PrefetchAblation(16, wl)
+	rows, err := PrefetchAblationExec(Serial, 16, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestCyclicWorkloadValid(t *testing.T) {
 
 func TestPayloadSweepMonotonic(t *testing.T) {
 	wl := traffic.OrderedMesh(16, 64, 10)
-	rows, err := PayloadSweep(16, []int{32, 48, 64, 80}, wl)
+	rows, err := PayloadSweepExec(Serial, 16, []int{32, 48, 64, 80}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +74,7 @@ func TestPayloadSweepMonotonic(t *testing.T) {
 }
 
 func TestSeedSweepStats(t *testing.T) {
-	st, err := SeedSweep([]int64{1, 2, 3}, func(s int64) (metrics.Result, error) {
+	st, err := SeedSweepExec(Serial, []int64{1, 2, 3}, func(s int64) (metrics.Result, error) {
 		return metrics.Result{Efficiency: float64(s)}, nil
 	})
 	if err != nil {
@@ -86,7 +86,7 @@ func TestSeedSweepStats(t *testing.T) {
 	if st.StdDev < 0.99 || st.StdDev > 1.01 {
 		t.Fatalf("stddev = %v, want 1", st.StdDev)
 	}
-	if _, err := SeedSweep(nil, nil); err == nil {
+	if _, err := SeedSweepExec(Serial, nil, nil); err == nil {
 		t.Fatal("empty seeds should error")
 	}
 }
@@ -100,7 +100,7 @@ func TestFig4RandomMeshRobustAcrossSeeds(t *testing.T) {
 	type pair struct{ dyn, wh float64 }
 	var pairs []pair
 	for _, s := range []int64{1, 2, 3} {
-		rows, err := Fig4Panel(RandomMesh, N, []int{64}, s)
+		rows, err := Fig4PanelExec(Serial, RandomMesh, N, []int{64}, s)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -121,7 +121,7 @@ func TestFabricComparison(t *testing.T) {
 		traffic.OrderedMesh(16, 64, 1),
 		traffic.AllToAll(16, 8),
 	}
-	rows, err := FabricComparison(16, wls)
+	rows, err := FabricComparisonExec(Serial, 16, wls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,7 +140,7 @@ func TestFabricComparison(t *testing.T) {
 	if FabricTable(rows).Rows() != len(rows) {
 		t.Fatal("fabric table lost rows")
 	}
-	if _, err := FabricComparison(12, wls); err == nil {
+	if _, err := FabricComparisonExec(Serial, 12, wls); err == nil {
 		t.Fatal("non-power-of-two should error")
 	}
 }
@@ -151,7 +151,7 @@ func TestOmegaFabricStudySeparatesPermutations(t *testing.T) {
 		traffic.Shift(n, 64, 20, 1),
 		traffic.BitReverse(n, 64, 20),
 	}
-	rows, err := OmegaFabricStudy(n, wls)
+	rows, err := OmegaFabricStudyExec(Serial, n, wls)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,7 +179,7 @@ func TestOmegaFabricStudySeparatesPermutations(t *testing.T) {
 
 func TestFabricBackendSweepCoversPanelsAndFabrics(t *testing.T) {
 	const n = 16
-	rows, err := FabricBackendSweep(n, 64, 1)
+	rows, err := FabricBackendSweepExec(Serial, n, 64, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -198,7 +198,7 @@ func TestFabricBackendSweepCoversPanelsAndFabrics(t *testing.T) {
 }
 
 func TestJainFairnessInRotationAblation(t *testing.T) {
-	rows, err := RotationAblation(16, traffic.RandomMesh(16, 64, 30, 4))
+	rows, err := RotationAblationExec(Serial, 16, traffic.RandomMesh(16, 64, 30, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +226,7 @@ func TestMultiHopLatencyAdvantage(t *testing.T) {
 	if sparse.MessageCount() != base.MessageCount() {
 		t.Fatal("sparse variant lost messages")
 	}
-	rows, err := MultiHopStudy(n, []*traffic.Workload{sparse})
+	rows, err := MultiHopStudyExec(Serial, n, []*traffic.Workload{sparse})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +248,7 @@ func TestDegreeSweepSparseShowsWorkingSetOptimum(t *testing.T) {
 		t.Skip("full-scale sweep")
 	}
 	wl := traffic.Mix(N, 64, Fig5Msgs, 1.0, Fig5Think, 7)
-	rows, err := DegreeSweep(N, []int{1, 2, 8}, wl)
+	rows, err := DegreeSweepExec(Serial, N, []int{1, 2, 8}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -72,16 +72,11 @@ type FaultRow struct {
 	Results []metrics.Result
 }
 
-// FaultSweep runs the workload through every network at every fault level.
-// It verifies the exact message-accounting invariant on every run: each
-// injected message must end up delivered or explicitly dropped. It is the
-// serial reference for FaultSweepExec.
-func FaultSweep(n int, wl *traffic.Workload, levels []FaultLevel) ([]FaultRow, error) {
-	return FaultSweepExec(Serial, n, wl, levels)
-}
-
-// FaultSweepExec runs the robustness sweep with the points — one (fault
-// level, network) pair each — fanned out through the executor.
+// FaultSweepExec runs the workload through every network at every fault
+// level, with the points — one (fault level, network) pair each — fanned out
+// through the executor. It verifies the exact message-accounting invariant
+// on every run: each injected message must end up delivered or explicitly
+// dropped.
 func FaultSweepExec(ex Exec, n int, wl *traffic.Workload, levels []FaultLevel) ([]FaultRow, error) {
 	if len(levels) == 0 {
 		levels = FaultLevels()

@@ -11,7 +11,7 @@ import (
 
 // TestFaultSweepSmall runs the robustness sweep on a small system and checks
 // its contract: one row per level, one result per paradigm, exact message
-// accounting everywhere (FaultSweep itself rejects a non-reconciling run),
+// accounting everywhere (FaultSweepExec itself rejects a non-reconciling run),
 // and a fault-free first row with clean counters.
 func TestFaultSweepSmall(t *testing.T) {
 	n := 16
@@ -21,7 +21,7 @@ func TestFaultSweepSmall(t *testing.T) {
 		{"corrupt", &fault.Plan{Seed: 1, CorruptProb: 0.02}},
 		{"churn", &fault.Plan{Seed: 1, LinkMTBF: 100 * sim.Microsecond, LinkMTTR: 2 * sim.Microsecond}},
 	}
-	rows, err := FaultSweep(n, wl, levels)
+	rows, err := FaultSweepExec(Serial, n, wl, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,7 +66,7 @@ func TestFaultLevelsAreValid(t *testing.T) {
 
 func TestFaultTableRenders(t *testing.T) {
 	n := 16
-	rows, err := FaultSweep(n, traffic.RandomMesh(n, 64, 5, 2), []FaultLevel{
+	rows, err := FaultSweepExec(Serial, n, traffic.RandomMesh(n, 64, 5, 2), []FaultLevel{
 		{"none", nil},
 		{"corrupt", &fault.Plan{Seed: 1, CorruptProb: 0.05}},
 	})

@@ -28,11 +28,11 @@ func TestFig4PanelParallelIdentity(t *testing.T) {
 		panel := panel
 		t.Run(string(panel), func(t *testing.T) {
 			t.Parallel()
-			serial, err := Fig4Panel(panel, identityN, sizes, 1)
+			serial, err := Fig4PanelExec(Serial, panel, identityN, sizes, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
-			parallel, err := Fig4PanelExec(Parallel(4), panel, identityN, sizes, 1)
+			parallel, err := Fig4PanelExec(Exec{Parallelism: 4}, panel, identityN, sizes, 1)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -45,11 +45,11 @@ func TestFig4PanelParallelIdentity(t *testing.T) {
 
 func TestFig5ParallelIdentity(t *testing.T) {
 	dets := []float64{0.5, 0.85, 1.0}
-	serial, err := Fig5(identityN, dets, 7)
+	serial, err := Fig5Exec(Serial, identityN, dets, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := Fig5Exec(Parallel(4), identityN, dets, 7)
+	parallel, err := Fig5Exec(Exec{Parallelism: 4}, identityN, dets, 7)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,11 +68,11 @@ func TestFaultSweepParallelIdentity(t *testing.T) {
 		{"link churn", &fault.Plan{Seed: 1, LinkMTBF: 200 * sim.Microsecond, LinkMTTR: 2 * sim.Microsecond}},
 	}
 	wl := traffic.RandomMesh(identityN, 64, 10, 1)
-	serial, err := FaultSweep(identityN, wl, levels)
+	serial, err := FaultSweepExec(Serial, identityN, wl, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := FaultSweepExec(Parallel(4), identityN, wl, levels)
+	parallel, err := FaultSweepExec(Exec{Parallelism: 4}, identityN, wl, levels)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -84,18 +84,18 @@ func TestFaultSweepParallelIdentity(t *testing.T) {
 func TestFig4PanelWithFaultyNetworkPropagatesError(t *testing.T) {
 	// A sweep error must surface through the parallel path just as through
 	// the serial one (here: an invalid panel).
-	if _, err := Fig4PanelExec(Parallel(4), Panel("no-such-panel"), identityN, []int{8}, 1); err == nil {
+	if _, err := Fig4PanelExec(Exec{Parallelism: 4}, Panel("no-such-panel"), identityN, []int{8}, 1); err == nil {
 		t.Fatal("expected workload construction error to propagate")
 	}
 }
 
 func TestAblationParallelIdentity(t *testing.T) {
 	wl := traffic.RandomMesh(identityN, 64, 10, 1)
-	serial, err := DegreeSweep(identityN, []int{1, 2, 4}, wl)
+	serial, err := DegreeSweepExec(Serial, identityN, []int{1, 2, 4}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := DegreeSweepExec(Parallel(3), identityN, []int{1, 2, 4}, wl)
+	parallel, err := DegreeSweepExec(Exec{Parallelism: 3}, identityN, []int{1, 2, 4}, wl)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -113,11 +113,11 @@ func TestSeedSweepParallelIdentity(t *testing.T) {
 		}
 		return nets[2].Run(traffic.RandomMesh(identityN, 64, 10, seed))
 	}
-	serial, err := SeedSweep(seeds, fn)
+	serial, err := SeedSweepExec(Serial, seeds, fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := SeedSweepExec(Parallel(4), seeds, fn)
+	parallel, err := SeedSweepExec(Exec{Parallelism: 4}, seeds, fn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,20 +22,15 @@ func PlannerDemandWorkloads(n, bytes int) []*traffic.Workload {
 	}
 }
 
-// PlannerSweep compares the preload planners against the reactive baseline
-// on demand-skewed phased workloads: static preload (the demand-blind
-// hand-written decomposition), solstice and BvN preload (demand-aware
-// planned schedules), and dynamic TDM (no static knowledge at all). The
-// planners' case: on skewed demand the static chunking alternates groups
-// that serve mostly-drained traffic, and the reactive path pays cache
+// PlannerSweepExec compares the preload planners against the reactive
+// baseline on demand-skewed phased workloads: static preload (the
+// demand-blind hand-written decomposition), solstice and BvN preload
+// (demand-aware planned schedules), and dynamic TDM (no static knowledge at
+// all). The planners' case: on skewed demand the static chunking alternates
+// groups that serve mostly-drained traffic, and the reactive path pays cache
 // thrash; a demand-weighted schedule pins the hot connections with register
-// shares and drains in fewer slots.
-func PlannerSweep(n int, wls []*traffic.Workload) ([]NamedResult, error) {
-	return PlannerSweepExec(Serial, n, wls)
-}
-
-// PlannerSweepExec is PlannerSweep with an explicit executor; each
-// (workload, planner case) pair is one sweep point.
+// shares and drains in fewer slots. Each (workload, planner case) pair is
+// one sweep point.
 func PlannerSweepExec(ex Exec, n int, wls []*traffic.Workload) ([]NamedResult, error) {
 	cases := []struct {
 		label string

@@ -24,7 +24,7 @@ func plannerRow(t *testing.T, rows []NamedResult, label string) NamedResult {
 // baseline on makespan and efficiency.
 func TestPlannerSweepSolsticeWins(t *testing.T) {
 	n := 16
-	rows, err := PlannerSweep(n, PlannerDemandWorkloads(n, 64))
+	rows, err := PlannerSweepExec(Serial, n, PlannerDemandWorkloads(n, 64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -71,11 +71,11 @@ func TestPlannerSweepSolsticeWins(t *testing.T) {
 
 func TestPlannerSweepParallelIdentity(t *testing.T) {
 	wls := PlannerDemandWorkloads(16, 64)
-	serial, err := PlannerSweep(16, wls)
+	serial, err := PlannerSweepExec(Serial, 16, wls)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := PlannerSweepExec(Parallel(4), 16, wls)
+	parallel, err := PlannerSweepExec(Exec{Parallelism: 4}, 16, wls)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,10 +15,10 @@ import (
 // families (collectives, phased programs, arrival-process and adversarial
 // patterns) that ROADMAP item 4 calls for. Two harnesses:
 //
-//   - FamilySweep runs every new family under reactive dynamic TDM and a
+//   - FamilySweepExec runs every new family under reactive dynamic TDM and a
 //     planned hybrid, so each family's predictor hit rate and planner
 //     makespan land in one table.
-//   - PhasedPlannerStudy demonstrates the compiled-communication path end
+//   - PhasedPlannerStudyExec demonstrates the compiled-communication path end
 //     to end: the phased family's program is stripped, re-discovered by the
 //     compiler analysis, and its per-phase demand matrices drive the
 //     Solstice planner.
@@ -37,11 +37,6 @@ func FamilySpecs() []string {
 		"perm-churn",
 		"incast",
 	}
-}
-
-// FamilySweep is the serial reference for FamilySweepExec.
-func FamilySweep(n int, seed int64) ([]NamedResult, error) {
-	return FamilySweepExec(Serial, n, seed)
 }
 
 // FamilySweepExec runs every FamilySpecs workload under two TDM regimes —
@@ -89,11 +84,6 @@ type PhasedStudy struct {
 	// Rows compares static preload, Solstice-planned preload, and the
 	// reactive dynamic baseline on the analyzed workload.
 	Rows []NamedResult
-}
-
-// PhasedPlannerStudy is the serial reference for PhasedPlannerStudyExec.
-func PhasedPlannerStudy(n int, spec string, seed int64) (PhasedStudy, error) {
-	return PhasedPlannerStudyExec(Serial, n, spec, seed)
 }
 
 // PhasedPlannerStudyExec is the compiled-communication demonstration for

@@ -15,7 +15,7 @@ import (
 // planner. Small n keeps the suite fast; the properties are scale-free.
 
 func TestFamilySweepCoversEveryFamily(t *testing.T) {
-	rows, err := FamilySweep(16, seed)
+	rows, err := FamilySweepExec(Serial, 16, seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +43,7 @@ func TestFamilySweepCoversEveryFamily(t *testing.T) {
 // per-phase demand matrices, and the Solstice preload run must consume them
 // (a named planner with planned configurations in its telemetry).
 func TestPhasedFeedsPlanner(t *testing.T) {
-	st, err := PhasedPlannerStudy(16, "phased", seed)
+	st, err := PhasedPlannerStudyExec(Serial, 16, "phased", seed)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +107,7 @@ func TestTilesFeedPlannerToo(t *testing.T) {
 }
 
 func TestPhasedStudyTableRenders(t *testing.T) {
-	st, err := PhasedPlannerStudy(16, "phased", seed)
+	st, err := PhasedPlannerStudyExec(Serial, 16, "phased", seed)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -47,24 +47,29 @@ func TestRunAllocationIsNotQuadratic(t *testing.T) {
 }
 
 // TestDynamicRunHoldsNoPortPairMatrix runs dynamic TDM with a time-out
-// predictor at N=8192, where one N×N bitmap is 8 MiB, and bounds the run's
-// allocation below two of them. The run's connections, about four per
-// port, key the requests, the latch and B*, and the slot index is the only
-// copy of the configurations, so the run allocates about 13 MB; when B*,
-// the latch, the request views and the K configurations were N×N bitmaps
-// it held eleven, 88 MiB.
+// predictor at N=8192, where one N×N bitmap is 8 MiB, under every matching
+// algorithm, and bounds each run's allocation below two of them. The run's
+// connections, about four per port, key the requests, the latch and B*, and
+// the slot index is the only copy of the configurations, so the run
+// allocates about 13 MB; when B*, the latch, the request views and the K
+// configurations were N×N bitmaps it held eleven, 88 MiB, and iSLIP and
+// wavefront built four more on their first pass.
 func TestDynamicRunHoldsNoPortPairMatrix(t *testing.T) {
 	const n = 8192
 	wl, err := GenerateWorkload("random-mesh:bytes=64,msgs=4", n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{Switching: DynamicTDM, N: n, K: 4,
-		Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}
-	mb := runAlloc(t, cfg, wl)
-	t.Logf("one N=%d run allocated %.1f MB", n, mb)
-	if bitmap := float64(n) * n / 8 / (1 << 20); mb >= 2*bitmap {
-		t.Fatalf("one N=%d run allocated %.1f MB, as much as two %.0f MB N×N bitmaps", n, mb, bitmap)
+	for _, sched := range []Scheduler{SchedulerPaper, SchedulerISLIP, SchedulerWavefront} {
+		t.Run(sched.String(), func(t *testing.T) {
+			cfg := Config{Switching: DynamicTDM, N: n, K: 4, Scheduler: sched,
+				Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}
+			mb := runAlloc(t, cfg, wl)
+			t.Logf("one N=%d run allocated %.1f MB", n, mb)
+			if bitmap := float64(n) * n / 8 / (1 << 20); mb >= 2*bitmap {
+				t.Fatalf("one N=%d run allocated %.1f MB, as much as two %.0f MB N×N bitmaps", n, mb, bitmap)
+			}
+		})
 	}
 }
 

@@ -195,8 +195,7 @@ const (
 	PlannerSolstice = plan.KindSolstice
 	// PlannerBvN is the Birkhoff–von-Neumann planner: the demand matrix is
 	// decomposed exactly into weighted partial permutations, so the planned
-	// slot budget per connection equals its demand — the natural input for
-	// the schedule-slack eviction signal.
+	// slot budget per connection equals its demand.
 	PlannerBvN = plan.KindBvN
 )
 
