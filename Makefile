@@ -135,7 +135,8 @@ plan-smoke:
 # decomposition, the König decomposition's in-place Kempe flips against
 # the path-buffer reference, the incremental time-out predictor's parity with the map-scan
 # reference, the event engine's fire order against a sort-by-(at, seq)
-# reference, the NIC output buffer's parity with the
+# reference, its fixed-delay lines against an event per item, the NIC
+# output buffer's parity with the
 # slice-per-destination reference, NewRNG's draw-for-draw parity with
 # math/rand, the Solstice planner's parity with its rescan-every-round
 # oracle, and both fabric backends' connection-list loads against the
@@ -150,6 +151,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzDecomposeParity -fuzztime=30s ./internal/topology/
 	$(GO) test -run=NONE -fuzz=FuzzTimeoutParity -fuzztime=30s ./internal/predictor/
 	$(GO) test -run=NONE -fuzz=FuzzEngineOrder -fuzztime=30s ./internal/sim/
+	$(GO) test -run=NONE -fuzz=FuzzLineOrder -fuzztime=30s ./internal/sim/
 	$(GO) test -run=NONE -fuzz=FuzzOutBufferParity -fuzztime=30s ./internal/nic/
 	$(GO) test -run=NONE -fuzz=FuzzNewRNGParity -fuzztime=30s ./internal/sim/
 	$(GO) test -run=NONE -fuzz=FuzzSolsticeParity -fuzztime=30s ./internal/plan/

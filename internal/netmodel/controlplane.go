@@ -117,30 +117,20 @@ func (cp *ControlPlane) sendToken(label, retryLabel string, grant bool, deliver 
 
 // RequestWire is the scheduler's view of the NIC request matrix: queue-state
 // transitions written through Set appear in View one control delay later.
-// Events fire in order, so the view always equals the NIC state one control
-// delay ago — wire semantics. Fault reactions that must take effect
-// immediately (a failed port's requests vanishing with it) clear the view
-// through ClearNow.
+// Transitions land in the order written, so the view always equals the NIC
+// state one control delay ago — wire semantics. Fault reactions that must
+// take effect immediately (a failed port's requests vanishing with it) clear
+// the view through ClearNow.
 //
 // The view is a set over the run's connection ids (topology.IDSet): the
 // writers name each transition by its connection, so a transition is one
-// bit flip. Every transition is delayed by the same amount, so the wire's
-// events fire in the order Set scheduled them. The pending writes therefore
-// wait in a FIFO ring, and each event applies the oldest one through a
-// handler cached at construction: a transition allocates nothing once the
-// ring has grown to the wire's peak in-flight count.
+// bit flip. Every transition is delayed by the same amount, so the pending
+// writes ride a sim.Line, which lands all the writes due at one instant in
+// one engine event; a transition allocates nothing once the line's buffers
+// have grown to the wire's peak in-flight count.
 type RequestWire struct {
-	eng     *sim.Engine
-	delay   sim.Time
-	label   string
-	view    *topology.IDSet
-	applyFn sim.Handler
-
-	// ring holds the in-flight writes oldest first, starting at head and
-	// wrapping; its length is zero or a power of two.
-	ring []wireWrite
-	head int
-	size int
+	view *topology.IDSet
+	line *sim.Line[wireWrite]
 }
 
 // wireWrite is one in-flight transition: connection id, of source src,
@@ -153,8 +143,8 @@ type wireWrite struct {
 // NewRequestWire builds a request wire over the connections of t with the
 // given propagation delay and event label.
 func NewRequestWire(eng *sim.Engine, t *topology.ConnTable, delay sim.Time, label string) *RequestWire {
-	w := &RequestWire{eng: eng, delay: delay, label: label, view: topology.NewIDSet(t)}
-	w.applyFn = w.apply
+	w := &RequestWire{view: topology.NewIDSet(t)}
+	w.line = sim.NewLine(eng, delay, label, w.apply)
 	return w
 }
 
@@ -166,28 +156,11 @@ func (w *RequestWire) View() *topology.IDSet { return w.view }
 // to the view after the wire delay. The written value is the one sampled
 // now.
 func (w *RequestWire) Set(src int, id int32, val bool) {
-	if w.size == len(w.ring) {
-		w.grow()
-	}
-	w.ring[(w.head+w.size)&(len(w.ring)-1)] = wireWrite{src: int32(src), id: id, val: val}
-	w.size++
-	w.eng.After(w.delay, w.label, w.applyFn)
+	w.line.Push(wireWrite{src: int32(src), id: id, val: val})
 }
 
-// grow doubles the ring, unwrapping the pending writes to its front.
-func (w *RequestWire) grow() {
-	ring := make([]wireWrite, max(16, 2*len(w.ring)))
-	n := copy(ring, w.ring[w.head:])
-	copy(ring[n:], w.ring[:w.head])
-	w.ring, w.head = ring, 0
-}
-
-// apply lands the oldest pending write: the event firing now is the one Set
-// scheduled for it.
-func (w *RequestWire) apply() {
-	wr := w.ring[w.head]
-	w.head = (w.head + 1) & (len(w.ring) - 1)
-	w.size--
+// apply lands a write whose wire delay has passed.
+func (w *RequestWire) apply(wr wireWrite) {
 	if wr.val {
 		w.view.Add(int(wr.src), wr.id)
 	} else {
@@ -197,7 +170,7 @@ func (w *RequestWire) apply() {
 
 // InFlight returns the number of transitions written by Set that the view
 // does not show yet.
-func (w *RequestWire) InFlight() int { return w.size }
+func (w *RequestWire) InFlight() int { return w.line.Len() }
 
 // ClearNow takes connection id, of source src, out of the view
 // immediately, bypassing the wire delay — the fault path where a failed

@@ -82,6 +82,10 @@ type Driver struct {
 	// closure allocation per executed op.
 	progIdx []int
 	stepFns []func()
+	// sends carries the processors whose next step follows a NIC send
+	// overhead, the common continuation: the steps due at one instant share
+	// one engine event.
+	sends *sim.Line[int32]
 
 	// inj is the run's fault injector (nil for fault-free runs); retries and
 	// dropped tally the driver-level recovery accounting.
@@ -122,6 +126,7 @@ func NewDriver(engine *sim.Engine, lm link.Model, wl *traffic.Workload, hooks Ho
 		p := p
 		d.stepFns[p] = func() { d.step(p) }
 	}
+	d.sends = sim.NewLine(engine, nic.SendOverhead, "program-step", d.stepProc)
 	return d, nil
 }
 
@@ -139,19 +144,27 @@ func checkMessageCount(name string, msgs int) error {
 // (created, head-of-queue, delivered). Nil detaches.
 func (d *Driver) SetProbe(p *probe.Probe) { d.probe = p }
 
-// Start schedules every processor's program from time zero.
+// Start schedules every processor's program from time zero: one event
+// runs each processor's first op, in processor order.
 func (d *Driver) Start() {
-	for p := range d.wl.Programs {
-		if len(d.wl.Programs[p].Ops) > 0 {
-			d.Engine.At(0, "program-start", d.stepFns[p])
+	d.Engine.At(0, "program-start", func() {
+		for p := range d.wl.Programs {
+			d.step(p)
 		}
-	}
+	})
 }
 
 // advance schedules processor p's next program step.
 func (d *Driver) advance(p int, after sim.Time) {
+	if after == nic.SendOverhead {
+		d.sends.Push(int32(p))
+		return
+	}
 	d.Engine.After(after, "program-step", d.stepFns[p])
 }
+
+// stepProc is step for a processor carried by the sends line.
+func (d *Driver) stepProc(p int32) { d.step(int(p)) }
 
 // step executes the next op of processor p's program and schedules the one
 // after it.

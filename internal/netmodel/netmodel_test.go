@@ -35,7 +35,7 @@ func TestDriverExecutesSendsWithNICOverhead(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Start()
-	eng.RunAll()
+	eng.Run(sim.MaxTime)
 	// Sends are spaced by the 10 ns NIC send overhead.
 	want := []sim.Time{0, 10, 20}
 	if len(enq) != 3 {
@@ -74,7 +74,7 @@ func TestDriverDelayAndDirectives(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Start()
-	eng.RunAll()
+	eng.Run(sim.MaxTime)
 	if flushAt != 500 {
 		t.Fatalf("flush at %v, want 500", flushAt)
 	}
@@ -96,7 +96,7 @@ func TestDriverPhaseHook(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Start()
-	eng.RunAll()
+	eng.Run(sim.MaxTime)
 	if !got[0] || !got[1] {
 		t.Fatalf("phase hooks seen: %v, want both phases", got)
 	}
@@ -165,7 +165,7 @@ func TestDriverResumesBlockedSender(t *testing.T) {
 			t.Fatal(err)
 		}
 		d.Start()
-		eng.RunAll()
+		eng.Run(sim.MaxTime)
 		if want := []sim.Time{0, 1000 + nic.SendOverhead}; !slices.Equal(enq, want) {
 			t.Fatalf("drop=%v: enqueues at %v, want %v", drop, enq, want)
 		}
@@ -237,10 +237,10 @@ func TestDoubleDeliverPanics(t *testing.T) {
 		t.Fatal(err)
 	}
 	d.Start()
-	eng.RunAll()
+	eng.Run(sim.MaxTime)
 	m := d.Buffers[0].PopFIFO()
 	eng.At(eng.Now()+1, "x", func() {})
-	eng.Step()
+	eng.Run(eng.Now() + 1)
 	d.Deliver(m)
 	defer func() {
 		if recover() == nil {
@@ -252,7 +252,7 @@ func TestDoubleDeliverPanics(t *testing.T) {
 
 // TestRequestWireDelaysInOrder drives a wire with random transitions at
 // random instants, sparse at first and then in a dense burst (so the
-// pending-write ring grows while wrapped), and checks after every event
+// pending-write buffers grow while wrapped), and checks at every instant
 // that the view equals the written state one wire delay earlier.
 func TestRequestWireDelaysInOrder(t *testing.T) {
 	const n, delay = 4, 25
@@ -295,12 +295,8 @@ func TestRequestWireDelaysInOrder(t *testing.T) {
 		}
 		return m
 	}
-	for eng.Step() {
-		now := eng.Now()
-		// Check only once every event at this instant has fired.
-		if eng.Pending() > 0 && eng.Run(now) != now {
-			t.Fatal("Run past the current instant")
-		}
+	for now := sim.Time(0); now <= 1100+delay; now++ {
+		eng.Run(now) // every write due at or before now lands
 		exp := want(now - delay)
 		for u := 0; u < n; u++ {
 			for v := 0; v < n; v++ {
@@ -313,7 +309,7 @@ func TestRequestWireDelaysInOrder(t *testing.T) {
 }
 
 // TestRequestWireSteadyStateZeroAlloc checks that once the pending-write
-// ring has grown to the peak in-flight count, a transition allocates
+// buffers have grown to the peak in-flight count, a transition allocates
 // nothing.
 func TestRequestWireSteadyStateZeroAlloc(t *testing.T) {
 	eng := sim.NewEngine()
@@ -323,9 +319,9 @@ func TestRequestWireSteadyStateZeroAlloc(t *testing.T) {
 		for i := 0; i < 64; i++ {
 			w.Set(i%8, conns.ID(i%8, (i+1)%8), i%3 != 0)
 		}
-		eng.RunAll()
+		eng.Run(sim.MaxTime)
 	}
-	burst() // warm up the ring and the engine's event free list
+	burst() // warm up the line's buffers and the engine's event free list
 	if allocs := testing.AllocsPerRun(100, burst); allocs != 0 {
 		t.Fatalf("steady-state wire transitions allocated %.1f times per burst, want 0", allocs)
 	}

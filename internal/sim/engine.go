@@ -216,6 +216,14 @@ func (w *wheel) push(ev *event) {
 	w.n++
 }
 
+// pushFront puts ev, due in [base, base+wheelSpan), at the head of its
+// bucket: appended at the tail of the circular list, it becomes the head
+// once the head moves onto it.
+func (w *wheel) pushFront(ev *event) {
+	w.push(ev)
+	w.head[int(ev.at)&wheelMask] = ev
+}
+
 // remove unlinks ev from its bucket and marks it no longer queued.
 func (w *wheel) remove(ev *event) {
 	b := int(ev.at) & wheelMask
@@ -279,10 +287,6 @@ func (e *Engine) Now() Time { return e.now }
 // Processed returns the number of events executed so far.
 func (e *Engine) Processed() uint64 { return e.processed }
 
-// Pending returns the number of events still queued. Cancelled events are
-// removed from the queue eagerly, so this is O(1).
-func (e *Engine) Pending() int { return e.wheel.n + len(e.far) }
-
 // At schedules handler to run at absolute time at. Scheduling in the past
 // panics: it would silently corrupt causality in a model.
 func (e *Engine) At(at Time, label string, handler Handler) EventID {
@@ -345,6 +349,29 @@ func (e *Engine) enqueue(at Time, ev *event) {
 		e.far.push(entry{at: at, seq: e.seq, ev: ev})
 	}
 	e.seq++
+}
+
+// atFront schedules handler at Now, ahead of every event already queued
+// for Now. A Line resumes a batch that Stop or a failure interrupted with
+// it, so the batch's remaining items still fire before everything else due
+// at this instant. The clock is at the wheel's base while an event runs, so
+// the event goes into the wheel.
+func (e *Engine) atFront(label string, handler Handler) EventID {
+	ev := e.alloc(label)
+	ev.handler = handler
+	ev.at = e.now
+	e.wheel.pushFront(ev)
+	return EventID{ev, ev.gen}
+}
+
+// isLast reports whether id's event is still queued in the timing wheel and
+// is the last event of its bucket: no event has been queued for its instant
+// since it was. A Line adds an item to such an event instead of scheduling
+// one behind it. An event in the far heap never qualifies.
+func (e *Engine) isLast(id EventID) bool {
+	ev := id.ev
+	return ev != nil && id.gen == ev.gen && ev.index == inWheel &&
+		e.wheel.head[int(ev.at)&wheelMask].prev == ev
 }
 
 // first returns the earliest queued event, or nil. Every wheel event is due
@@ -430,27 +457,32 @@ func (e *Engine) Fail(err error) {
 }
 
 // SetInvariantCheck installs a model self-check that runs after every
-// executed event — the engine's debug mode. Together with the
-// scheduled-in-the-past panic in At, it turns causality and state-consistency
-// bugs into immediate, attributable failures instead of silently wrong
-// results. When the check returns an error, the engine records it (see Err)
-// and stops; the error names the event that broke the invariant. Pass nil to
-// disable. The check runs after *every* event, so keep it cheap or reserve
-// it for tests.
+// executed event, and after every item of a Line — the engine's debug mode.
+// Together with the scheduled-in-the-past panic in At, it turns causality
+// and state-consistency bugs into immediate, attributable failures instead
+// of silently wrong results. When the check returns an error, the engine
+// records it (see Err) and stops; the error names the event that broke the
+// invariant. Pass nil to disable. The check runs after *every* event, so
+// keep it cheap or reserve it for tests.
 func (e *Engine) SetInvariantCheck(f func() error) { e.check = f }
 
 // Err returns the first error recorded by Fail or by the installed
 // invariant check, or nil. Once set, the engine stays stopped.
 func (e *Engine) Err() error { return e.err }
 
-// afterEvent runs the invariant check, if any, and latches the first
-// violation.
-func (e *Engine) afterEvent(ev *event) {
-	if e.check == nil || e.err != nil {
-		return
+// afterEvent runs the invariant check, if any, after the event (or Line
+// item) labelled label, and latches the first violation.
+func (e *Engine) afterEvent(label string) {
+	if e.check != nil && e.err == nil {
+		e.runCheck(label)
 	}
+}
+
+// runCheck is afterEvent's slow path, kept apart so that afterEvent
+// inlines.
+func (e *Engine) runCheck(label string) {
 	if err := e.check(); err != nil {
-		e.Fail(fmt.Errorf("sim: invariant violated after event %q at %v: %w", ev.label, e.now, err))
+		e.Fail(fmt.Errorf("sim: invariant violated after event %q at %v: %w", label, e.now, err))
 	}
 }
 
@@ -480,26 +512,13 @@ func (e *Engine) Run(horizon Time) Time {
 	return e.now
 }
 
-// RunAll executes events until the queue drains or Stop is called.
-func (e *Engine) RunAll() Time { return e.Run(MaxTime) }
-
-// Step executes exactly one event and reports whether one was available.
-func (e *Engine) Step() bool {
-	ev := e.first()
-	if ev == nil {
-		return false
-	}
-	e.fire(ev)
-	return true
-}
-
 // fire pops ev, the earliest event, advances the clock to it and runs it.
 func (e *Engine) fire(ev *event) {
 	e.pop(ev)
 	e.now = ev.at
 	e.processed++
 	ev.fire()
-	e.afterEvent(ev)
+	e.afterEvent(ev.label)
 	e.release(ev)
 }
 

@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 )
@@ -132,8 +133,7 @@ func TestPreloaderIndexMatchesReference(t *testing.T) {
 		checkIndexAgainst(t, fmt.Sprintf("trial %d: fresh", trial), p, ref)
 
 		for op := 0; op < 12; op++ {
-			for i := rng.Intn(200); i > 0 && r.eng.Step(); i-- {
-			}
+			r.eng.Run(r.eng.Now() + sim.Time(rng.Intn(200)))
 			what := fmt.Sprintf("trial %d op %d", trial, op)
 			if rng.Intn(3) == 0 {
 				port := rng.Intn(n)

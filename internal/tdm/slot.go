@@ -118,9 +118,10 @@ func (r *run) onSlot() {
 }
 
 // completeMessage retires a message whose last payload was granted in the
-// slot starting at slotStart, on connection id, whose queue that drained
-// when drained is set: the last byte clears the pipe one slot plus the link
-// latency later, then the destination NIC spends its receive overhead.
+// slot starting now, at slotStart, on connection id, whose queue that
+// drained when drained is set: the last byte clears the pipe one slot plus
+// the link latency later, then the destination NIC spends its receive
+// overhead (the deliveries line's delay).
 func (r *run) completeMessage(m *nic.Message, id int32, drained bool, slotStart sim.Time) {
 	u := int(m.Src)
 	if r.probe != nil {
@@ -137,9 +138,5 @@ func (r *run) completeMessage(m *nic.Message, id int32, drained bool, slotStart 
 			r.pre.pendingDown(id)
 		}
 	}
-	deliverAt := slotStart + r.cfg.SlotNs + r.cfg.Link.PipeLatency() + nic.RecvOverhead
-	r.eng.AtArg(deliverAt, "tdm-deliver", r.deliverFn, m)
+	r.deliveries.Push(m)
 }
-
-// deliver hands a completed message to the driver (see completeMessage).
-func (r *run) deliver(arg any) { r.driver.Deliver(arg.(*nic.Message)) }

@@ -39,6 +39,7 @@ import (
 	"pmsnet/internal/link"
 	"pmsnet/internal/metrics"
 	"pmsnet/internal/netmodel"
+	"pmsnet/internal/nic"
 	"pmsnet/internal/plan"
 	"pmsnet/internal/predictor"
 	"pmsnet/internal/probe"
@@ -283,9 +284,10 @@ type run struct {
 	// ids: the fabric's load and the data-plane grant loop's snapshot.
 	connsBuf []topology.Conn
 	idsBuf   []int32
-	// deliverFn is the cached deliver method value, so scheduling a
-	// message's delivery allocates no closure.
-	deliverFn sim.ArgHandler
+	// deliveries hands each completed message to the driver one slot plus
+	// the pipe latency and the receive overhead after its last slot began
+	// (see completeMessage).
+	deliveries *sim.Line[*nic.Message]
 	// grants tracks the grant signals in flight toward the NICs.
 	grants grantLine
 
@@ -357,7 +359,6 @@ func (n *Network) start(wl *traffic.Workload) (*run, error) {
 		pred:  pred,
 		probe: cfg.Probe,
 	}
-	r.deliverFn = r.deliver
 
 	driver, err := netmodel.NewDriver(eng, cfg.Link, wl, netmodel.Hooks{
 		OnEnqueue: r.onEnqueue,
@@ -368,6 +369,7 @@ func (n *Network) start(wl *traffic.Workload) (*run, error) {
 		return nil, err
 	}
 	r.driver, r.conns = driver, driver.Conns
+	r.deliveries = sim.NewLine(eng, cfg.SlotNs+cfg.Link.PipeLatency()+nic.RecvOverhead, "tdm-deliver", driver.Deliver)
 	r.reqWire = netmodel.NewRequestWire(eng, r.conns, cfg.Link.ControlDelay(), "request-wire")
 	r.reqView = r.reqWire.View()
 	r.specReq = topology.NewIDSet(r.conns)

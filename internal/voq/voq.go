@@ -113,8 +113,11 @@ type run struct {
 	cellTime  sim.Time
 	// outPipe is the switch-to-destination latency plus NIC receive.
 	outPipe sim.Time
-	stats   metrics.NetStats
-	probe   *probe.Probe
+	// deliveries hands each message whose last cell crossed the switch to
+	// the driver one cell time plus outPipe after its cell slot began.
+	deliveries *sim.Line[*nic.Message]
+	stats      metrics.NetStats
+	probe      *probe.Probe
 }
 
 // Run implements netmodel.Network.
@@ -137,6 +140,7 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 		return metrics.Result{}, err
 	}
 	r.driver = driver
+	r.deliveries = sim.NewLine(eng, r.cellTime+r.outPipe, "voq-deliver", driver.Arrive)
 	if n.cfg.Probe != nil {
 		driver.SetProbe(n.cfg.Probe)
 	}
@@ -258,9 +262,7 @@ func (r *run) onCell() {
 				Src: int32(i), Dst: int32(j), ID: int64(injected.ID)})
 		}
 		if done != nil {
-			deliverAt := slotStart + r.cellTime + r.outPipe
-			m := done
-			r.eng.At(deliverAt, "voq-deliver", func() { r.driver.Arrive(m) })
+			r.deliveries.Push(done)
 		}
 	}
 	if used {
