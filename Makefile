@@ -23,10 +23,11 @@ fmt:
 
 # Fails unless the compiler can inline the bit probes of bitmat's matrices
 # and of topology's connection ids. The scheduler pass, request wire and
-# preloader probe single bits and resolve ids in their hot loops; a probe
-# pushed back over the inliner's budget costs two calls per bit (~5% of a
-# dynamic-TDM run) and shows in no test.
-INLINE_PROBES = '(*Matrix).Get' '(*Matrix).Set' '(*Matrix).Clear' '(*Matrix).RowWords' '(*Matrix).check' \
+# preloader probe single bits and resolve ids in their hot loops, and the
+# dense test oracles probe matrix bits in theirs; a probe pushed back over
+# the inliner's budget costs two calls per bit (~5% of a dynamic-TDM run)
+# and shows in no test.
+INLINE_PROBES = '(*Matrix).Get' '(*Matrix).Set' '(*Matrix).Clear' '(*Matrix).check' \
 	'(*IDSet).Has' '(*ConnTable).Row' '(*ConnTable).Dst'
 inline:
 	@inlined=$$($(GO) build -gcflags=-m ./internal/bitmat ./internal/topology 2>&1 | sed -n 's/.*: can inline //p'); \
@@ -133,14 +134,16 @@ plan-smoke:
 # scheduling pass of all three matching algorithms (paper, iSLIP, wavefront)
 # against its dense oracle under every state mutator, the BvN
 # decomposition, the König decomposition's in-place Kempe flips against
-# the path-buffer reference, the incremental time-out predictor's parity with the map-scan
+# the path-buffer reference, the Omega first-fit decomposition's port maps
+# against the dense-matrix reference, the incremental time-out predictor's parity with the map-scan
 # reference, the event engine's fire order against a sort-by-(at, seq)
 # reference, its fixed-delay lines against an event per item, the NIC
 # output buffer's parity with the
 # slice-per-destination reference, NewRNG's draw-for-draw parity with
 # math/rand, the Solstice planner's parity with its rescan-every-round
 # oracle, and both fabric backends' connection-list loads against the
-# partial-permutation and Omega-routing references.
+# partial-permutation and Omega-routing references, their port-map
+# realizability checks included.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/traffic/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
@@ -149,6 +152,7 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzSparseDenseOps -fuzztime=30s ./internal/core/
 	$(GO) test -run=NONE -fuzz=FuzzDecompose -fuzztime=30s ./internal/multistage/
 	$(GO) test -run=NONE -fuzz=FuzzDecomposeParity -fuzztime=30s ./internal/topology/
+	$(GO) test -run=NONE -fuzz=FuzzFirstFitParity -fuzztime=30s ./internal/multistage/
 	$(GO) test -run=NONE -fuzz=FuzzTimeoutParity -fuzztime=30s ./internal/predictor/
 	$(GO) test -run=NONE -fuzz=FuzzEngineOrder -fuzztime=30s ./internal/sim/
 	$(GO) test -run=NONE -fuzz=FuzzLineOrder -fuzztime=30s ./internal/sim/

@@ -248,7 +248,7 @@ func printSchedule(title string, s *plan.Schedule) {
 	for gi, g := range s.Groups {
 		var parts []string
 		for _, e := range g {
-			parts = append(parts, fmt.Sprintf("%d conns x%d (demand %d)", e.Config.Count(), e.Share, e.Demand))
+			parts = append(parts, fmt.Sprintf("%d conns x%d (demand %d)", len(configConns(e.Config)), e.Share, e.Demand))
 		}
 		fmt.Printf("  group %d: %s\n", gi, strings.Join(parts, ", "))
 	}
@@ -280,6 +280,17 @@ type connJS struct {
 	W   int64 `json:"w,omitempty"`
 }
 
+// configConns lists a planned configuration's connections in source order.
+func configConns(cfg []int32) []connJS {
+	var conns []connJS
+	for u, v := range cfg {
+		if v >= 0 {
+			conns = append(conns, connJS{Src: u, Dst: int(v)})
+		}
+	}
+	return conns
+}
+
 func writeSchedules(path string, scheds []*plan.Schedule) {
 	if path == "" {
 		return
@@ -290,12 +301,7 @@ func writeSchedules(path string, scheds []*plan.Schedule) {
 		for _, g := range s.Groups {
 			var eg []entryJS
 			for _, e := range g {
-				ej := entryJS{Share: e.Share, Demand: e.Demand}
-				e.Config.Ones(func(u, v int) bool {
-					ej.Conns = append(ej.Conns, connJS{Src: u, Dst: v})
-					return true
-				})
-				eg = append(eg, ej)
+				eg = append(eg, entryJS{Share: e.Share, Demand: e.Demand, Conns: configConns(e.Config)})
 			}
 			js.Groups = append(js.Groups, eg)
 		}
@@ -360,42 +366,38 @@ func buildWorkload(pattern, tracePath string, n, size, msgs, rounds, factor int,
 	return spec.Generate(n, seed)
 }
 
-// readDemandCSV parses an NxN comma-separated integer matrix.
+// readDemandCSV parses an NxN comma-separated integer matrix. N is the
+// first row's length; each row's positive entries go straight into the
+// sparse demand, in (Src, Dst) order.
 func readDemandCSV(path string) (*plan.Demand, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
 	defer f.Close()
-	var rows [][]int64
+	var d *plan.Demand
+	u := 0
 	sc := bufio.NewScanner(f)
 	for sc.Scan() {
 		line := strings.TrimSpace(sc.Text())
 		if line == "" || strings.HasPrefix(line, "#") {
 			continue
 		}
-		var row []int64
-		for _, cell := range strings.Split(line, ",") {
-			v, err := strconv.ParseInt(strings.TrimSpace(cell), 10, 64)
+		cells := strings.Split(line, ",")
+		if d == nil {
+			d = plan.NewDemand(len(cells))
+		}
+		if u >= d.N() {
+			return nil, fmt.Errorf("%s: more than %d rows", path, d.N())
+		}
+		if len(cells) != d.N() {
+			return nil, fmt.Errorf("%s: row %d has %d columns, want %d", path, u+1, len(cells), d.N())
+		}
+		for v, cell := range cells {
+			w, err := strconv.ParseInt(strings.TrimSpace(cell), 10, 64)
 			if err != nil {
-				return nil, fmt.Errorf("%s: row %d: %w", path, len(rows)+1, err)
+				return nil, fmt.Errorf("%s: row %d: %w", path, u+1, err)
 			}
-			row = append(row, v)
-		}
-		rows = append(rows, row)
-	}
-	if err := sc.Err(); err != nil {
-		return nil, err
-	}
-	if len(rows) == 0 {
-		return nil, fmt.Errorf("%s: empty demand matrix", path)
-	}
-	d := plan.NewDemand(len(rows))
-	for u, row := range rows {
-		if len(row) != len(rows) {
-			return nil, fmt.Errorf("%s: row %d has %d columns, want %d", path, u+1, len(row), len(rows))
-		}
-		for v, w := range row {
 			if w < 0 {
 				return nil, fmt.Errorf("%s: negative demand at (%d,%d)", path, u, v)
 			}
@@ -406,6 +408,16 @@ func readDemandCSV(path string) (*plan.Demand, error) {
 				d.Set(u, v, w)
 			}
 		}
+		u++
+	}
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	if d == nil {
+		return nil, fmt.Errorf("%s: empty demand matrix", path)
+	}
+	if u != d.N() {
+		return nil, fmt.Errorf("%s: %d rows, want %d", path, u, d.N())
 	}
 	return d, nil
 }

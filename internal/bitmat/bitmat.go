@@ -1,16 +1,11 @@
-// Package bitmat provides dense boolean matrices backed by machine words.
-//
-// The predictive-multiplexed-switching scheduler manipulates three kinds of
-// NxN boolean matrices: the request matrix R (which NIC wants which output),
-// the per-slot configuration matrices B(s) (which crossbar connections are
-// realized during TDM slot s), and the aggregate matrix B* (the bitwise OR of
-// all configuration matrices). Rows index crossbar input ports, columns index
-// output ports. A configuration is valid for a crossbar when it is a partial
-// permutation: at most one set bit per row and per column.
-//
-// The representation is a packed row-major bitset so that the row/column OR
-// reductions the scheduler needs (the paper's AI and AO availability vectors)
-// are word-parallel.
+// Package bitmat provides word-packed bitsets: bitmask helpers over a
+// []uint64, which the simulator uses for port-occupancy masks and sets over
+// connection ids, and dense boolean matrices. The matrix is the paper's
+// form of the scheduler's state — the request matrix R, the per-slot
+// configurations B(s) and their OR B*, rows indexing input ports and
+// columns output ports — and the form the test oracles of other packages
+// compute in, comparing the simulator's port maps through FromPermutation
+// and PortMap.
 package bitmat
 
 import (
@@ -58,11 +53,11 @@ func Identity(n int) *Matrix {
 	return m
 }
 
-// FromPermutation builds an n x n matrix with bit (i, perm[i]) set for every
-// i with perm[i] >= 0. Entries with perm[i] < 0 leave row i empty. It panics
-// if two rows map to the same output (the result would not be a partial
-// permutation).
-func FromPermutation(perm []int) *Matrix {
+// FromPermutation builds the n x n matrix of a port map: bit (i, perm[i]) is
+// set for every i with perm[i] >= 0, and entries with perm[i] < 0 leave row
+// i empty. It panics if two rows map to the same output (the result would
+// not be a partial permutation).
+func FromPermutation(perm []int32) *Matrix {
 	n := len(perm)
 	m := NewSquare(n)
 	seen := make([]bool, n)
@@ -70,16 +65,38 @@ func FromPermutation(perm []int) *Matrix {
 		if p < 0 {
 			continue
 		}
-		if p >= n {
+		if int(p) >= n {
 			panic(fmt.Sprintf("bitmat: permutation entry %d out of range [0,%d)", p, n))
 		}
 		if seen[p] {
 			panic(fmt.Sprintf("bitmat: duplicate output %d in permutation", p))
 		}
 		seen[p] = true
-		m.Set(i, p)
+		m.Set(i, int(p))
 	}
 	return m
+}
+
+// PortMap returns the square matrix as a port map: entry i is row i's set
+// column, or -1 when the row is empty. It panics on a row with more than
+// one bit, which no port map can hold; two rows sharing a column pass
+// through, so the consumer's own check sees them.
+func (m *Matrix) PortMap() []int32 {
+	if m.rows != m.cols {
+		panic(fmt.Sprintf("bitmat: port map of a %dx%d matrix", m.rows, m.cols))
+	}
+	cfg := make([]int32, m.rows)
+	for i := range cfg {
+		cfg[i] = -1
+	}
+	m.Ones(func(i, j int) bool {
+		if cfg[i] >= 0 {
+			panic(fmt.Sprintf("bitmat: row %d has two bits, not a port map", i))
+		}
+		cfg[i] = int32(j)
+		return true
+	})
+	return cfg
 }
 
 // Rows returns the number of rows.
@@ -88,21 +105,14 @@ func (m *Matrix) Rows() int { return m.rows }
 // Cols returns the number of columns.
 func (m *Matrix) Cols() int { return m.cols }
 
-// indexError is the panic value of an out-of-range bit index; rowError is
-// that of an out-of-range row. They are small values formatted only when
-// printed, which keeps check, RowWords and the bit probes built on them
-// under the Go inliner's budget: a fmt.Sprintf call in the failure branch
-// alone costs more than the whole probe.
+// indexError is the panic value of an out-of-range bit index. It is a
+// small value formatted only when printed, which keeps check and the bit
+// probes built on it under the Go inliner's budget: a fmt.Sprintf call in
+// the failure branch alone costs more than the whole probe.
 type indexError struct{ i, j, rows, cols int }
 
 func (e indexError) Error() string {
 	return fmt.Sprintf("bitmat: index (%d,%d) out of range %dx%d", e.i, e.j, e.rows, e.cols)
-}
-
-type rowError struct{ i, rows, cols int }
-
-func (e rowError) Error() string {
-	return fmt.Sprintf("bitmat: row %d out of range %dx%d", e.i, e.rows, e.cols)
 }
 
 // check panics unless (i, j) is inside the matrix. The unsigned compares
@@ -111,17 +121,6 @@ func (m *Matrix) check(i, j int) {
 	if uint(i) >= uint(m.rows) || uint(j) >= uint(m.cols) {
 		panic(indexError{i, j, m.rows, m.cols})
 	}
-}
-
-// RowWords returns row i's packed words. The slice is live — the Matrix's
-// own storage — and read-only for callers; bits past Cols are zero. It
-// exists for word-parallel row computations (the scheduler's adaptive
-// dense-row fallback) that per-bit Get calls would dominate.
-func (m *Matrix) RowWords(i int) []uint64 {
-	if uint(i) >= uint(m.rows) {
-		panic(rowError{i, m.rows, m.cols})
-	}
-	return m.bits[i*m.wordsPerRow : (i+1)*m.wordsPerRow]
 }
 
 // Get reports whether bit (i, j) is set.

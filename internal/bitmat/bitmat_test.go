@@ -91,7 +91,7 @@ func TestIdentity(t *testing.T) {
 }
 
 func TestFromPermutation(t *testing.T) {
-	m := FromPermutation([]int{2, -1, 0, 1})
+	m := FromPermutation([]int32{2, -1, 0, 1})
 	if !m.IsPartialPermutation() {
 		t.Fatal("expected a partial permutation")
 	}
@@ -112,7 +112,7 @@ func TestFromPermutationDuplicatePanics(t *testing.T) {
 			t.Fatal("expected panic on duplicate output")
 		}
 	}()
-	FromPermutation([]int{1, 1})
+	FromPermutation([]int32{1, 1})
 }
 
 func TestFromRows(t *testing.T) {
@@ -394,7 +394,7 @@ func TestQuickPartialPermutationFromPerm(t *testing.T) {
 			}
 		}
 		// Re-deduplicate after blanking is unnecessary: blanking only removes.
-		m := FromPermutation(perm)
+		m := FromPermutation(perm32(perm))
 		return m.IsPartialPermutation()
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -554,7 +554,7 @@ func TestOnesWordLevelMatchesGet(t *testing.T) {
 // that the stack side does not allocate.
 func TestPartialPermutationEitherSideOfStackBuffer(t *testing.T) {
 	for _, n := range []int{1024, 1088} {
-		m := FromPermutation(rand.New(rand.NewSource(int64(n))).Perm(n))
+		m := FromPermutation(perm32(rand.New(rand.NewSource(int64(n))).Perm(n)))
 		if !m.IsPartialPermutation() {
 			t.Fatalf("n=%d: a permutation is a partial permutation", n)
 		}
@@ -574,4 +574,13 @@ func TestPartialPermutationEitherSideOfStackBuffer(t *testing.T) {
 	if allocs := testing.AllocsPerRun(10, func() { m.IsPartialPermutation() }); allocs != 0 {
 		t.Errorf("IsPartialPermutation at 1024 columns allocates %.0f times, want 0", allocs)
 	}
+}
+
+// perm32 converts a permutation to the port-map form FromPermutation takes.
+func perm32(perm []int) []int32 {
+	out := make([]int32, len(perm))
+	for i, v := range perm {
+		out[i] = int32(v)
+	}
+	return out
 }

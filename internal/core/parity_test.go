@@ -155,7 +155,7 @@ func TestEvictPortSparesPinnedSlots(t *testing.T) {
 	pre := bitmat.NewSquare(n)
 	pre.Set(1, 2)
 	tw.each(func(s *Scheduler) {
-		if err := s.LoadConfig(0, pre, true); err != nil {
+		if err := s.LoadConfig(0, pre.PortMap(), true); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -254,7 +254,7 @@ func TestQuickSparseDenseParityWithMutators(t *testing.T) {
 				cfg := randomPartialPermutation(rng, n)
 				slot, pin := rng.Intn(p.K), rng.Intn(2) == 0
 				tw.each(func(s *Scheduler) {
-					if err := s.LoadConfig(slot, cfg, pin); err != nil {
+					if err := s.LoadConfig(slot, cfg.PortMap(), pin); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -454,7 +454,7 @@ func FuzzSparseDenseOps(f *testing.F) {
 				}
 				slot, pin := u%k, ops[i+1]&1 == 0
 				tw.each(func(s *Scheduler) {
-					if err := s.LoadConfig(slot, cfg, pin); err != nil {
+					if err := s.LoadConfig(slot, cfg.PortMap(), pin); err != nil {
 						t.Fatal(err)
 					}
 				})

@@ -62,13 +62,14 @@ func TestQuickScheduleSlotMatchesReference(t *testing.T) {
 
 		// Random pre-state: load disjoint-port partial permutations.
 		for slot := 0; slot < k; slot++ {
-			perm := rng.Perm(n)
-			for i := range perm {
-				if rng.Float64() < 0.6 || perm[i] == i {
+			perm := make([]int32, n)
+			for i, v := range rng.Perm(n) {
+				perm[i] = int32(v)
+				if rng.Float64() < 0.6 || v == i {
 					perm[i] = -1
 				}
 			}
-			if err := s.LoadConfig(slot, bitmat.FromPermutation(perm), false); err != nil {
+			if err := s.LoadConfig(slot, perm, false); err != nil {
 				return false
 			}
 		}

@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/probe"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
@@ -181,6 +180,7 @@ type Scheduler struct {
 	relBuf   []Change // released changes of the current pass
 	slotsBuf []int    // slots visited by the current pass
 	loadIDs  []int32  // LoadConfig's resolved ids
+	loadOuts []uint64 // LoadConfig's outputs in use, all clear between calls
 	invBuf   []uint64 // CheckInvariants B* recomputation
 
 	// Sparse-pass scratch (sparsepass.go).
@@ -231,7 +231,7 @@ func NewScheduler(p Params) (*Scheduler, error) {
 	for j := range idx {
 		idx[j] = -1
 	}
-	words := make([]uint64, (2*p.K+2)*occWords+heldWords)
+	words := make([]uint64, (2*p.K+3)*occWords+heldWords)
 	carveIdx := func() []int32 {
 		piece := idx[:p.N:p.N]
 		idx = idx[p.N:]
@@ -252,6 +252,7 @@ func NewScheduler(p Params) (*Scheduler, error) {
 	s.held = carveWords(heldWords)
 	s.activeMask = carveWords(occWords)
 	s.pendingMask = carveWords(occWords)
+	s.loadOuts = carveWords(occWords)
 	// A pass visits at most SLCopies slots and, in each, establishes and
 	// releases at most one connection per input row, so the change buffers
 	// are sized for that once instead of growing through the first passes.
@@ -563,29 +564,40 @@ func (s *Scheduler) DynamicSlotCount() int {
 // --- extensions ---
 
 // LoadConfig loads a predefined configuration into a slot (extension 5,
-// compiled communication). The configuration must be a partial permutation
-// of connections in Params.Conns. If pin is true the slot is excluded from
-// dynamic scheduling until a later LoadConfig unpins it.
-func (s *Scheduler) LoadConfig(slot int, cfg *bitmat.Matrix, pin bool) error {
+// compiled communication). The configuration is a port map over the N
+// ports — cfg[u] is the output input u connects to, or -1 — or nil for the
+// empty configuration. It must be a partial permutation of connections in
+// Params.Conns; otherwise LoadConfig returns an error and leaves the slot
+// unchanged. If pin is true the slot is excluded from dynamic scheduling
+// until a later LoadConfig unpins it. The slot keeps its own copy.
+func (s *Scheduler) LoadConfig(slot int, cfg []int32, pin bool) error {
 	s.checkSlot(slot)
-	if cfg.Rows() != s.p.N || cfg.Cols() != s.p.N {
-		return fmt.Errorf("core: configuration is %dx%d, want %dx%d", cfg.Rows(), cfg.Cols(), s.p.N, s.p.N)
+	if cfg != nil && len(cfg) != s.p.N {
+		return fmt.Errorf("core: configuration maps %d ports, want %d", len(cfg), s.p.N)
 	}
-	if !cfg.IsPartialPermutation() {
-		return fmt.Errorf("core: configuration for slot %d is not a partial permutation", slot)
-	}
-	var err error
 	s.loadIDs = s.loadIDs[:0]
-	cfg.Ones(func(u, v int) bool {
-		id := s.conns.ID(u, v)
-		if id < 0 {
-			err = fmt.Errorf("core: configuration for slot %d holds %v, outside the connection table",
-				slot, topology.Conn{Src: u, Dst: v})
-			return false
+	var err error
+	for u, v := range cfg {
+		if v < 0 {
+			continue
 		}
-		s.loadIDs = append(s.loadIDs, id)
-		return true
-	})
+		id := s.conns.ID(u, int(v))
+		switch {
+		case id < 0:
+			err = fmt.Errorf("core: configuration for slot %d holds %v, outside the connection table",
+				slot, topology.Conn{Src: u, Dst: int(v)})
+		case maskTest(s.loadOuts, int(v)):
+			err = fmt.Errorf("core: configuration for slot %d is not a partial permutation (output %d used twice)", slot, v)
+		default:
+			maskSet(s.loadOuts, int(v))
+			s.loadIDs = append(s.loadIDs, id)
+			continue
+		}
+		break
+	}
+	for _, id := range s.loadIDs {
+		maskClear(s.loadOuts, s.conns.Dst(id))
+	}
 	if err != nil {
 		return err
 	}

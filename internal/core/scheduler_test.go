@@ -90,14 +90,14 @@ func TestPreScheduleTable1(t *testing.T) {
 			if c.inThisSlot {
 				cfg := bitmat.NewSquare(n)
 				cfg.Set(u, v)
-				if err := s.LoadConfig(0, cfg, false); err != nil {
+				if err := s.LoadConfig(0, cfg.PortMap(), false); err != nil {
 					t.Fatal(err)
 				}
 			}
 			if c.inOtherSlot {
 				cfg := bitmat.NewSquare(n)
 				cfg.Set(u, v)
-				if err := s.LoadConfig(1, cfg, false); err != nil {
+				if err := s.LoadConfig(1, cfg.PortMap(), false); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -131,7 +131,7 @@ func TestSLModuleTable2(t *testing.T) {
 		s := newTest(n, 1)
 		cfg := bitmat.NewSquare(n)
 		cfg.Set(u, v)
-		if err := s.LoadConfig(0, cfg, false); err != nil {
+		if err := s.LoadConfig(0, cfg.PortMap(), false); err != nil {
 			t.Fatal(err)
 		}
 		// No request for (u,v): release it.
@@ -148,7 +148,7 @@ func TestSLModuleTable2(t *testing.T) {
 		s := newTest(n, 1)
 		cfg := bitmat.NewSquare(n)
 		cfg.Set(0, v) // output v held by input 0
-		if err := s.LoadConfig(0, cfg, false); err != nil {
+		if err := s.LoadConfig(0, cfg.PortMap(), false); err != nil {
 			t.Fatal(err)
 		}
 		// Request (u,v) and keep (0,v) requested so it is not released.
@@ -162,7 +162,7 @@ func TestSLModuleTable2(t *testing.T) {
 		s := newTest(n, 1)
 		cfg := bitmat.NewSquare(n)
 		cfg.Set(u, 3) // input u held toward output 3
-		if err := s.LoadConfig(0, cfg, false); err != nil {
+		if err := s.LoadConfig(0, cfg.PortMap(), false); err != nil {
 			t.Fatal(err)
 		}
 		est, _ := s.ScheduleSlot(req(n, [2]int{u, 3}, [2]int{u, v}), 0)
@@ -191,7 +191,7 @@ func TestSLModuleTable2(t *testing.T) {
 		cfg := bitmat.NewSquare(n)
 		cfg.Set(0, v)
 		cfg.Set(u, 3)
-		if err := s.LoadConfig(0, cfg, false); err != nil {
+		if err := s.LoadConfig(0, cfg.PortMap(), false); err != nil {
 			t.Fatal(err)
 		}
 		est, rel := s.ScheduleSlot(req(n, [2]int{0, v}, [2]int{u, 3}, [2]int{u, v}), 0)
@@ -211,7 +211,7 @@ func TestReleaseFreesPortsForLaterCellInSamePass(t *testing.T) {
 	s := newTest(n, 1)
 	cfg := bitmat.NewSquare(n)
 	cfg.Set(0, 2) // will be released (no request)
-	if err := s.LoadConfig(0, cfg, false); err != nil {
+	if err := s.LoadConfig(0, cfg.PortMap(), false); err != nil {
 		t.Fatal(err)
 	}
 	// Request (1,2): output 2 is busy until (0,2) is released, which happens
@@ -293,7 +293,7 @@ func TestTDMCounterSkipsEmptySlots(t *testing.T) {
 	s := MustScheduler(Params{N: n, K: 4, SkipEmptySlots: true})
 	cfg := bitmat.NewSquare(n)
 	cfg.Set(1, 2)
-	if err := s.LoadConfig(2, cfg, false); err != nil {
+	if err := s.LoadConfig(2, cfg.PortMap(), false); err != nil {
 		t.Fatal(err)
 	}
 	// Only slot 2 is non-empty: the TDM counter must return it every time.
@@ -323,7 +323,7 @@ func TestTDMCounterWithoutSkipping(t *testing.T) {
 	s := MustScheduler(Params{N: n, K: 3, SkipEmptySlots: false})
 	cfg := bitmat.NewSquare(n)
 	cfg.Set(0, 1)
-	if err := s.LoadConfig(1, cfg, false); err != nil {
+	if err := s.LoadConfig(1, cfg.PortMap(), false); err != nil {
 		t.Fatal(err)
 	}
 	var slots []int
@@ -392,7 +392,7 @@ func TestFlushSparesPinnedSlots(t *testing.T) {
 	s := MustScheduler(Params{N: n, K: 3, LatchRequests: true})
 	pre := bitmat.NewSquare(n)
 	pre.Set(3, 0)
-	if err := s.LoadConfig(0, pre, true); err != nil {
+	if err := s.LoadConfig(0, pre.PortMap(), true); err != nil {
 		t.Fatal(err)
 	}
 	s.Pass(req(n, [2]int{1, 2}))
@@ -417,7 +417,7 @@ func TestPassSkipsPinnedSlots(t *testing.T) {
 	s := MustScheduler(Params{N: n, K: 2})
 	pre := bitmat.NewSquare(n)
 	pre.Set(0, 1)
-	if err := s.LoadConfig(0, pre, true); err != nil {
+	if err := s.LoadConfig(0, pre.PortMap(), true); err != nil {
 		t.Fatal(err)
 	}
 	if s.DynamicSlotCount() != 1 {
@@ -452,15 +452,37 @@ func TestScheduleSlotOnPinnedSlotPanics(t *testing.T) {
 }
 
 func TestLoadConfigValidation(t *testing.T) {
-	s := newTest(4, 2)
-	bad := bitmat.NewSquare(4)
-	bad.Set(0, 1)
-	bad.Set(2, 1)
-	if err := s.LoadConfig(0, bad, false); err == nil {
-		t.Fatal("expected error for conflicting configuration")
+	conns := topology.NewConnTable(4, func(src int, add func(dst int)) {
+		if src != 3 {
+			add((src + 1) % 4)
+			add((src + 2) % 4)
+		}
+	})
+	s := MustScheduler(Params{N: 4, K: 2, Conns: conns})
+	loaded := []int32{1, 2, -1, -1}
+	if err := s.LoadConfig(0, loaded, true); err != nil {
+		t.Fatal(err)
 	}
-	if err := s.LoadConfig(0, bitmat.NewSquare(5), false); err == nil {
-		t.Fatal("expected error for wrong shape")
+	for name, bad := range map[string][]int32{
+		"conflicting outputs": {2, 2, -1, -1},
+		"outside the table":   {2, 3, -1, 0},
+		"output past N":       {-1, 4, -1, -1},
+		"wrong shape":         {1, 2, 3, 0, -1},
+		"short map":           {1},
+	} {
+		if err := s.LoadConfig(0, bad, false); err == nil {
+			t.Fatalf("%s: LoadConfig(%v) accepted", name, bad)
+		}
+		if !s.Pinned(0) || s.Config(0).String() != bitmat.FromPermutation(loaded).String() {
+			t.Fatalf("%s: a refused load changed the slot to\n%v", name, s.Config(0))
+		}
+	}
+	// The refusals leave the output scratch clear: the same outputs load.
+	if err := s.LoadConfig(0, []int32{-1, 2, 3, -1}, false); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.LoadConfig(0, nil, false); err != nil || s.Config(0).Count() != 0 {
+		t.Fatalf("nil configuration: %v, slot holds %d connections", err, s.Config(0).Count())
 	}
 }
 
@@ -777,7 +799,7 @@ func TestSlotIndexCarriesTableIDs(t *testing.T) {
 	s := MustScheduler(Params{N: n, K: 2, Conns: conns})
 	cfg := bitmat.NewSquare(n)
 	cfg.Set(2, 5)
-	if err := s.LoadConfig(1, cfg, true); err != nil {
+	if err := s.LoadConfig(1, cfg.PortMap(), true); err != nil {
 		t.Fatal(err)
 	}
 	req := bitmat.NewSquare(n)

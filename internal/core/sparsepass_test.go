@@ -59,7 +59,7 @@ func TestSparseRowVisitCases(t *testing.T) {
 				latchThenDrop(tw)
 				tw.each(func(s *Scheduler) {
 					// An unpinned load clears the slot but keeps the latch.
-					if err := s.LoadConfig(0, bitmat.NewSquare(n), false); err != nil {
+					if err := s.LoadConfig(0, bitmat.NewSquare(n).PortMap(), false); err != nil {
 						t.Fatal(err)
 					}
 				})
@@ -90,7 +90,7 @@ func TestSparseRowVisitCases(t *testing.T) {
 					cfg.Set(uv[0], uv[1])
 				}
 				tw.each(func(s *Scheduler) {
-					if err := s.LoadConfig(0, cfg, false); err != nil {
+					if err := s.LoadConfig(0, cfg.PortMap(), false); err != nil {
 						t.Fatal(err)
 					}
 				})

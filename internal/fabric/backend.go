@@ -3,7 +3,6 @@ package fabric
 import (
 	"fmt"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/multistage"
 	"pmsnet/internal/topology"
 	"pmsnet/internal/vocab"
@@ -47,9 +46,11 @@ type Backend interface {
 	// On a rearrangeable backend CanRealize never fails for a valid partial
 	// permutation, so the scheduler needs no establishment constraint.
 	Rearrangeable() bool
-	// CanRealize reports whether the configuration routes through the fabric
-	// — the blocking check.
-	CanRealize(cfg *bitmat.Matrix) bool
+	// CanRealize reports whether the configuration, a port map over the
+	// ports (cfg[u] is the output input u connects to, or -1), is a partial
+	// permutation that routes through the fabric — the blocking check. It
+	// allocates nothing.
+	CanRealize(cfg []int32) bool
 	// Apply loads a slot's connections, in ascending source order, into the
 	// register for the next slot, routing them through the fabric. It fails
 	// on a list that is not a partial permutation of the ports or that the
@@ -59,10 +60,10 @@ type Backend interface {
 	Apply(conns []topology.Conn) error
 	// Applied returns how many configurations have been loaded so far.
 	Applied() int
-	// Decompose splits a working set into realizable configurations for the
-	// preload controller: an exact edge coloring on rearrangeable fabrics, a
-	// first-fit under CanRealize on blocking ones.
-	Decompose(ws *topology.WorkingSet) ([]*bitmat.Matrix, error)
+	// Decompose splits a working set into realizable configurations, as port
+	// maps, for the preload controller: an exact edge coloring on
+	// rearrangeable fabrics, a first-fit under CanRealize on blocking ones.
+	Decompose(ws *topology.WorkingSet) ([][]int32, error)
 }
 
 // Check reports the error NewBackend(kind, n) would return, without building
@@ -89,10 +90,10 @@ func NewBackend(kind Kind, n int) (Backend, error) {
 	if err := Check(kind, n); err != nil {
 		return nil, err
 	}
-	xbar := NewCrossbar(n, LVDS, 0)
+	xbar := NewCrossbar(n)
 	if kind == KindOmega {
 		o, _ := multistage.NewOmega(n) // Check accepted n
-		return omegaBackend{xbar, o, make([]uint8, o.Stages()*o.SwitchesPerStage())}, nil
+		return omegaBackend{xbar, o, o.NewState()}, nil
 	}
 	return crossbarBackend{xbar}, nil
 }
@@ -105,13 +106,11 @@ type crossbarBackend struct {
 func (b crossbarBackend) Kind() Kind          { return KindCrossbar }
 func (b crossbarBackend) Rearrangeable() bool { return true }
 
-func (b crossbarBackend) CanRealize(cfg *bitmat.Matrix) bool {
-	return cfg.Rows() == b.Ports() && cfg.Cols() == b.Ports() && cfg.IsPartialPermutation()
-}
+func (b crossbarBackend) CanRealize(cfg []int32) bool { return b.isPortMap(cfg) }
 
 // Decompose is the exact bipartite edge coloring: the working set's degree
 // in configurations.
-func (b crossbarBackend) Decompose(ws *topology.WorkingSet) ([]*bitmat.Matrix, error) {
+func (b crossbarBackend) Decompose(ws *topology.WorkingSet) ([][]int32, error) {
 	return topology.Decompose(ws), nil
 }
 
@@ -120,14 +119,16 @@ func (b crossbarBackend) Decompose(ws *topology.WorkingSet) ([]*bitmat.Matrix, e
 // register, routes the list through the stages, and only then loads it.
 type omegaBackend struct {
 	*Crossbar
-	o     *multistage.Omega
-	state []uint8 // Apply's switch-state scratch, reused every slot
+	o *multistage.Omega
+	// state is the switch-state scratch of Apply and CanRealize, reused by
+	// every call.
+	state []uint8
 }
 
 func (b omegaBackend) Kind() Kind          { return KindOmega }
 func (b omegaBackend) Rearrangeable() bool { return false }
 
-func (b omegaBackend) CanRealize(cfg *bitmat.Matrix) bool { return b.o.CanRealize(cfg) }
+func (b omegaBackend) CanRealize(cfg []int32) bool { return b.o.CanRealize(cfg, b.state) }
 
 func (b omegaBackend) Apply(conns []topology.Conn) error {
 	if err := b.validate(conns); err != nil {
@@ -141,6 +142,6 @@ func (b omegaBackend) Apply(conns []topology.Conn) error {
 }
 
 // Decompose is the first-fit under the Omega's realizability check.
-func (b omegaBackend) Decompose(ws *topology.WorkingSet) ([]*bitmat.Matrix, error) {
+func (b omegaBackend) Decompose(ws *topology.WorkingSet) ([][]int32, error) {
 	return multistage.DecomposeOmega(ws, b.o)
 }

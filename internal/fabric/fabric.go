@@ -19,7 +19,6 @@ package fabric
 import (
 	"fmt"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
 )
@@ -65,36 +64,28 @@ func (t Technology) TraversalDelay() sim.Time {
 // register is a port map loaded from the slot's connection list, so loading
 // and checking a slot costs O(connections), not O(N²).
 type Crossbar struct {
-	n          int
-	tech       Technology
-	reconfigNs sim.Time
-	out        []int32         // out[u]: output connected to input u, or -1
-	conns      []topology.Conn // the loaded list, in load order
-	// seen stamps the ports of the list under validation: seen[u] for input
-	// u and seen[n+v] for output v hold gen when the list uses the port.
-	// Bumping gen forgets every stamp at once.
+	n     int
+	out   []int32         // out[u]: output connected to input u, or -1
+	conns []topology.Conn // the loaded list, in load order
+	// seen stamps the ports of the list or port map under validation:
+	// seen[u] for input u and seen[n+v] for output v hold gen when it uses
+	// the port. Bumping gen forgets every stamp at once.
 	seen    []uint32
 	gen     uint32
 	applied int // number of successful Apply calls, for stats/tests
 }
 
-// NewCrossbar builds an NxN crossbar. reconfigNs is the time needed to change
-// the setting of the fabric (the paper's example uses 50 ns for large optical
-// fabrics; the simulated 128-port LVDS system reconfigures within the slot's
-// guard band).
-func NewCrossbar(n int, tech Technology, reconfigNs sim.Time) *Crossbar {
+// NewCrossbar builds an NxN LVDS crossbar: its traversal is neglected, and
+// it reconfigures within the slot's guard band, so neither costs simulated
+// time.
+func NewCrossbar(n int) *Crossbar {
 	if n <= 0 {
 		panic(fmt.Sprintf("fabric: invalid port count %d", n))
 	}
-	if reconfigNs < 0 {
-		panic(fmt.Sprintf("fabric: negative reconfiguration time %v", reconfigNs))
-	}
 	c := &Crossbar{
-		n:          n,
-		tech:       tech,
-		reconfigNs: reconfigNs,
-		out:        make([]int32, n),
-		seen:       make([]uint32, 2*n),
+		n:    n,
+		out:  make([]int32, n),
+		seen: make([]uint32, 2*n),
 	}
 	for u := range c.out {
 		c.out[u] = -1
@@ -104,15 +95,6 @@ func NewCrossbar(n int, tech Technology, reconfigNs sim.Time) *Crossbar {
 
 // Ports returns N.
 func (c *Crossbar) Ports() int { return c.n }
-
-// Technology returns the fabric technology.
-func (c *Crossbar) Technology() Technology { return c.tech }
-
-// ReconfigTime returns the fabric's reconfiguration time.
-func (c *Crossbar) ReconfigTime() sim.Time { return c.reconfigNs }
-
-// TraversalDelay returns the propagation delay through the fabric.
-func (c *Crossbar) TraversalDelay() sim.Time { return c.tech.TraversalDelay() }
 
 // Applied returns how many configurations have been loaded so far.
 func (c *Crossbar) Applied() int { return c.applied }
@@ -131,15 +113,20 @@ func (c *Crossbar) Apply(conns []topology.Conn) error {
 	return nil
 }
 
-// validate is Apply's partial-permutation check. It changes only its own
-// port stamps, never the register.
-func (c *Crossbar) validate(conns []topology.Conn) error {
+// nextGen starts a validation with fresh port stamps.
+func (c *Crossbar) nextGen() {
 	c.gen++
 	if c.gen == 0 {
 		// The stamps wrapped: forget them all once in 2³² checks.
 		clear(c.seen)
 		c.gen = 1
 	}
+}
+
+// validate is Apply's partial-permutation check. It changes only its own
+// port stamps, never the register.
+func (c *Crossbar) validate(conns []topology.Conn) error {
+	c.nextGen()
 	for _, conn := range conns {
 		u, v := conn.Src, conn.Dst
 		if uint(u) >= uint(c.n) || uint(v) >= uint(c.n) {
@@ -169,38 +156,22 @@ func (c *Crossbar) commit(conns []topology.Conn) {
 	c.applied++
 }
 
-// OutputFor returns the output port currently connected to input u, or -1.
-func (c *Crossbar) OutputFor(u int) int { return int(c.out[u]) }
-
-// Connected reports whether input u is currently connected to output v.
-func (c *Crossbar) Connected(u, v int) bool {
-	return uint(v) < uint(c.n) && c.out[u] == int32(v)
-}
-
-// Connections returns the number of point-to-point connections currently
-// realized.
-func (c *Crossbar) Connections() int { return len(c.conns) }
-
-// Config returns the current configuration as a new NxN matrix.
-func (c *Crossbar) Config() *bitmat.Matrix {
-	m := bitmat.NewSquare(c.n)
-	for _, conn := range c.conns {
-		m.Set(conn.Src, conn.Dst)
+// isPortMap reports whether cfg is a port map over the N ports that is a
+// partial permutation: N entries, each an output in range or -1, no output
+// used twice. Like validate, it changes only the port stamps.
+func (c *Crossbar) isPortMap(cfg []int32) bool {
+	if len(cfg) != c.n {
+		return false
 	}
-	return m
-}
-
-// GuardBand computes the slot guard band for the paper's formula: circuits
-// must stay idle while the fabric state is uncertain, which covers the
-// fabric reconfiguration time plus the worst-case skew of the grant lines
-// (paper §4: 50 ns reconfig + 50 ns grant propagation on a 50-foot line for a
-// 1 us slot gives a 50 ns guard band, i.e. max of the two overlapping terms).
-func GuardBand(reconfig, grantSkew sim.Time) sim.Time {
-	if reconfig < 0 || grantSkew < 0 {
-		panic(fmt.Sprintf("fabric: negative guard-band inputs %v, %v", reconfig, grantSkew))
+	c.nextGen()
+	for _, v := range cfg {
+		if v == -1 {
+			continue
+		}
+		if uint(v) >= uint(c.n) || c.seen[c.n+int(v)] == c.gen {
+			return false
+		}
+		c.seen[c.n+int(v)] = c.gen
 	}
-	if reconfig > grantSkew {
-		return reconfig
-	}
-	return grantSkew
+	return true
 }

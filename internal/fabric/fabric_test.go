@@ -5,11 +5,11 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/multistage"
 	"pmsnet/internal/topology"
 )
@@ -50,19 +50,21 @@ func permConns(perm []int) []topology.Conn {
 	return conns
 }
 
-// connsMatrix is the n x n configuration matrix of a connection list whose
-// ports are in range.
-func connsMatrix(n int, conns []topology.Conn) *bitmat.Matrix {
-	m := bitmat.NewSquare(n)
+// connsMap is the port map over n ports of a connection list whose inputs
+// are distinct and in range: entry u is u's output, or -1. Outputs are
+// copied as they are, so a list that reuses one yields a map that is not a
+// partial permutation.
+func connsMap(n int, conns []topology.Conn) []int32 {
+	cfg := topology.NewPortMap(n)
 	for _, c := range conns {
-		m.Set(c.Src, c.Dst)
+		cfg[c.Src] = int32(c.Dst)
 	}
-	return m
+	return cfg
 }
 
 func TestApplyAndQuery(t *testing.T) {
-	c := NewCrossbar(4, LVDS, 0)
-	if c.Ports() != 4 || c.Technology() != LVDS || c.ReconfigTime() != 0 {
+	c := NewCrossbar(4)
+	if c.Ports() != 4 {
 		t.Fatal("constructor fields wrong")
 	}
 	perm := []int{2, -1, 0, 3}
@@ -72,30 +74,15 @@ func TestApplyAndQuery(t *testing.T) {
 	if c.Applied() != 1 {
 		t.Fatalf("Applied = %d, want 1", c.Applied())
 	}
-	if c.OutputFor(0) != 2 || c.OutputFor(1) != -1 {
-		t.Fatal("OutputFor wrong")
-	}
-	if !c.Connected(3, 3) || c.Connected(3, 0) || c.Connected(3, 7) {
-		t.Fatal("Connected wrong")
-	}
-	if c.Connections() != 3 {
-		t.Fatalf("Connections = %d, want 3", c.Connections())
-	}
-	got := c.Config()
-	if !got.Equal(bitmat.FromPermutation(perm)) {
-		t.Fatal("Config should equal the applied configuration")
-	}
-	// Returned config is a copy; mutating it must not affect the fabric.
-	got.Reset()
-	if c.Connections() != 3 {
-		t.Fatal("Config must return a copy, not an alias")
+	if !slices.Equal(c.out, []int32{2, -1, 0, 3}) || len(c.conns) != 3 {
+		t.Fatalf("register holds %v (%d connections), want the applied configuration", c.out, len(c.conns))
 	}
 	// A second load replaces the first completely.
 	if err := c.Apply(permConns([]int{-1, 2, -1, -1})); err != nil {
 		t.Fatal(err)
 	}
-	if c.OutputFor(0) != -1 || c.OutputFor(1) != 2 || c.OutputFor(3) != -1 || c.Connections() != 1 || c.Applied() != 2 {
-		t.Fatalf("second load left %v", c.Config())
+	if !slices.Equal(c.out, []int32{-1, 2, -1, -1}) || len(c.conns) != 1 || c.Applied() != 2 {
+		t.Fatalf("second load left %v", c.out)
 	}
 }
 
@@ -104,7 +91,7 @@ func TestApplyAndQuery(t *testing.T) {
 // wraps, the stamps the first load left must be forgotten, not read as
 // duplicates.
 func TestApplyAcrossStampWrap(t *testing.T) {
-	c := NewCrossbar(4, LVDS, 0)
+	c := NewCrossbar(4)
 	conns := permConns([]int{1, 2, 3, 0})
 	if err := c.Apply(conns); err != nil {
 		t.Fatal(err)
@@ -121,12 +108,12 @@ func TestApplyAcrossStampWrap(t *testing.T) {
 }
 
 func TestApplyRejectsNonPermutation(t *testing.T) {
-	c := NewCrossbar(3, Digital, 10)
+	c := NewCrossbar(3)
 	bad := []topology.Conn{{Src: 0, Dst: 1}, {Src: 2, Dst: 1}} // two inputs to one output
 	if err := c.Apply(bad); err == nil {
 		t.Fatal("expected error for conflicting configuration")
 	}
-	if c.Connections() != 0 || c.Applied() != 0 {
+	if len(c.conns) != 0 || c.Applied() != 0 {
 		t.Fatal("failed Apply must leave register unchanged")
 	}
 }
@@ -143,7 +130,7 @@ func TestRejectedApplyLeavesRegister(t *testing.T) {
 	for u := range reverse {
 		reverse[u] = int(bits.Reverse8(uint8(u)) >> 5)
 	}
-	if o.CanRealize(bitmat.FromPermutation(reverse)) {
+	if o.CanRealize(connsMap(n, permConns(reverse)), o.NewState()) {
 		t.Fatal("bit reversal should be blocked on the omega network")
 	}
 	loaded := []topology.Conn{{Src: 0, Dst: 0}, {Src: 3, Dst: 3}, {Src: 5, Dst: 5}}
@@ -187,27 +174,25 @@ func TestRejectedApplyLeavesRegister(t *testing.T) {
 // after applied successful loads.
 func assertRegister(t *testing.T, what string, b Backend, n int, conns []topology.Conn, applied int) {
 	t.Helper()
-	reg := b.(interface {
-		OutputFor(u int) int
-		Connections() int
-		Config() *bitmat.Matrix
-	})
-	want := connsMatrix(n, conns)
-	for u := 0; u < n; u++ {
-		if got := reg.OutputFor(u); got != want.FirstInRow(u) {
-			t.Fatalf("%s: OutputFor(%d) = %d, want %d", what, u, got, want.FirstInRow(u))
-		}
+	var reg *Crossbar
+	switch b := b.(type) {
+	case crossbarBackend:
+		reg = b.Crossbar
+	case omegaBackend:
+		reg = b.Crossbar
 	}
-	if reg.Connections() != len(conns) || b.Applied() != applied || !reg.Config().Equal(want) {
+	if want := connsMap(n, conns); !slices.Equal(reg.out, want) {
+		t.Fatalf("%s: register maps %v, want %v", what, reg.out, want)
+	}
+	if !slices.Equal(reg.conns, conns) || b.Applied() != applied {
 		t.Fatalf("%s: register holds %d connections after %d loads, want %d after %d",
-			what, reg.Connections(), b.Applied(), len(conns), applied)
+			what, len(reg.conns), b.Applied(), len(conns), applied)
 	}
 }
 
 func TestConstructorPanics(t *testing.T) {
 	for i, fn := range []func(){
-		func() { NewCrossbar(0, LVDS, 0) },
-		func() { NewCrossbar(4, LVDS, -1) },
+		func() { NewCrossbar(0) },
 	} {
 		func() {
 			defer func() {
@@ -220,30 +205,11 @@ func TestConstructorPanics(t *testing.T) {
 	}
 }
 
-func TestGuardBand(t *testing.T) {
-	// Paper example: 50 ns reconfig, 50 ns grant skew -> 50 ns guard band.
-	if got := GuardBand(50, 50); got != 50 {
-		t.Fatalf("GuardBand(50,50) = %v, want 50", got)
-	}
-	if got := GuardBand(10, 30); got != 30 {
-		t.Fatalf("GuardBand(10,30) = %v, want 30", got)
-	}
-	if got := GuardBand(40, 5); got != 40 {
-		t.Fatalf("GuardBand(40,5) = %v, want 40", got)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative inputs")
-		}
-	}()
-	GuardBand(-1, 0)
-}
-
 func TestQuickApplyPermutationsAlwaysSucceed(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		n := 1 + rng.Intn(32)
-		c := NewCrossbar(n, LVDS, 0)
+		c := NewCrossbar(n)
 		perm := rng.Perm(n)
 		for i := range perm {
 			if rng.Float64() < 0.25 {
@@ -255,10 +221,10 @@ func TestQuickApplyPermutationsAlwaysSucceed(t *testing.T) {
 		}
 		// Every connection in the permutation must be realized.
 		for u, v := range perm {
-			if v >= 0 && c.OutputFor(u) != v {
+			if v >= 0 && c.out[u] != int32(v) {
 				return false
 			}
-			if v < 0 && c.OutputFor(u) != -1 {
+			if v < 0 && c.out[u] != -1 {
 				return false
 			}
 		}
@@ -302,21 +268,23 @@ func TestCheckErrors(t *testing.T) {
 }
 
 // TestBackendsFollowTheirFabric drives each backend with random partial
-// permutations (as matrices for CanRealize, as lists for Apply) and working
+// permutations (as port maps for CanRealize, as lists for Apply) and working
 // sets: CanRealize and Apply must follow the fabric
 // model behind the register (every partial permutation on the crossbar, the
-// Omega network's routing on the Omega), and Decompose must cover the working
-// set with configurations the backend accepts.
+// Omega network's routing on the Omega), CanRealize must refuse a map that
+// is no partial permutation of the ports, and Decompose must cover the
+// working set with configurations the backend accepts.
 func TestBackendsFollowTheirFabric(t *testing.T) {
 	const n = 16
 	o, _ := multistage.NewOmega(n)
+	state := o.NewState()
 	for _, tc := range []struct {
 		kind          Kind
 		rearrangeable bool
-		realizes      func(*bitmat.Matrix) bool
+		realizes      func([]int32) bool
 	}{
-		{KindCrossbar, true, func(*bitmat.Matrix) bool { return true }},
-		{KindOmega, false, o.CanRealize},
+		{KindCrossbar, true, func([]int32) bool { return true }},
+		{KindOmega, false, func(cfg []int32) bool { return o.CanRealize(cfg, state) }},
 	} {
 		t.Run(tc.kind.String(), func(t *testing.T) {
 			b, err := NewBackend(tc.kind, n)
@@ -335,7 +303,7 @@ func TestBackendsFollowTheirFabric(t *testing.T) {
 						conns = append(conns, topology.Conn{Src: u, Dst: v})
 					}
 				}
-				cfg := connsMatrix(n, conns)
+				cfg := connsMap(n, conns)
 				want := tc.realizes(cfg)
 				if !want {
 					blocked++
@@ -350,6 +318,17 @@ func TestBackendsFollowTheirFabric(t *testing.T) {
 			if tc.rearrangeable != (blocked == 0) {
 				t.Fatalf("%d of 200 random partial permutations blocked", blocked)
 			}
+			for name, cfg := range map[string][]int32{
+				"duplicate output": connsMap(n, []topology.Conn{{Src: 1, Dst: 4}, {Src: 2, Dst: 4}}),
+				"output past N":    connsMap(n, []topology.Conn{{Src: 1, Dst: n}}),
+				"output below -1":  connsMap(n, []topology.Conn{{Src: 1, Dst: -2}}),
+				"short map":        topology.NewPortMap(n - 1),
+				"long map":         topology.NewPortMap(n + 1),
+			} {
+				if b.CanRealize(cfg) {
+					t.Fatalf("%s: CanRealize(%v) accepted", name, cfg)
+				}
+			}
 			ws := topology.NewWorkingSet(n)
 			for ws.Len() < 3*n {
 				if u, v := rng.Intn(n), rng.Intn(n); u != v {
@@ -360,14 +339,20 @@ func TestBackendsFollowTheirFabric(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			union := bitmat.NewSquare(n)
+			union := topology.NewWorkingSet(n)
+			total := 0
 			for i, cfg := range configs {
 				if !b.CanRealize(cfg) {
 					t.Fatalf("decomposed config %d is not realizable", i)
 				}
-				union.Or(cfg)
+				for u, v := range cfg {
+					if v >= 0 {
+						union.Add(topology.Conn{Src: u, Dst: int(v)})
+						total++
+					}
+				}
 			}
-			if !union.Equal(ws.Matrix()) {
+			if total != ws.Len() || !slices.Equal(union.Conns(), ws.Conns()) {
 				t.Fatal("decomposition does not cover the working set exactly")
 			}
 			if tc.rearrangeable && len(configs) != len(topology.Decompose(ws)) {

@@ -11,8 +11,10 @@ import (
 // repeated and out-of-range ports, two loads per input so the second meets
 // a loaded register. The crossbar must accept exactly the partial
 // permutations of its ports; the Omega exactly those the Omega network also
-// routes. An accepted load must leave the list's matrix in the register, a
-// refused one the register as it was.
+// routes. An accepted load must leave the list in the register, a refused
+// one the register as it was. Each list whose inputs are distinct and in
+// range is also offered to CanRealize as a port map, duplicate outputs and
+// all: it must agree with Apply.
 //
 // Input layout: byte 0 picks N = 2..16 (a power of two, so the Omega
 // exists), byte 1 where the data splits into the two lists, and each later
@@ -49,7 +51,12 @@ func FuzzFabricApply(f *testing.F) {
 			for _, conns := range lists {
 				want := isPartialPermutation(n, conns)
 				if want && kind == KindOmega {
-					want = o.CanRealize(connsMatrix(n, conns))
+					want = o.CanRealize(connsMap(n, conns), o.NewState())
+				}
+				if mapsInputs(n, conns) {
+					if got := b.CanRealize(connsMap(n, conns)); got != want {
+						t.Fatalf("%v N=%d: CanRealize(%v) = %v, want %v", kind, n, connsMap(n, conns), got, want)
+					}
 				}
 				err := b.Apply(conns)
 				if (err == nil) != want {
@@ -78,9 +85,23 @@ func isPartialPermutation(n int, conns []topology.Conn) bool {
 	return true
 }
 
+// mapsInputs reports whether a port map can hold the list: inputs distinct
+// and in [0, n), outputs not negative (a map reads -1 as a free input).
+func mapsInputs(n int, conns []topology.Conn) bool {
+	ins := map[int]bool{}
+	for _, c := range conns {
+		if c.Src < 0 || c.Src >= n || c.Dst < 0 || ins[c.Src] {
+			return false
+		}
+		ins[c.Src] = true
+	}
+	return true
+}
+
 // TestApplySteadyStateZeroAlloc alternates two loads per backend — the
 // slot-boundary pattern — and expects no allocation once the register's
-// list has grown to size.
+// list has grown to size. Checking either list's port map with CanRealize
+// allocates nothing either.
 func TestApplySteadyStateZeroAlloc(t *testing.T) {
 	const n = 64
 	o, _ := multistage.NewOmega(n)
@@ -98,7 +119,8 @@ func TestApplySteadyStateZeroAlloc(t *testing.T) {
 		{KindCrossbar, sparse, shift},
 		{KindOmega, identity, shift},
 	} {
-		if tc.kind == KindOmega && !(o.CanRealize(connsMatrix(n, tc.a)) && o.CanRealize(connsMatrix(n, tc.b))) {
+		mapA, mapB := connsMap(n, tc.a), connsMap(n, tc.b)
+		if state := o.NewState(); tc.kind == KindOmega && !(o.CanRealize(mapA, state) && o.CanRealize(mapB, state)) {
 			t.Fatal("omega lists must be realizable")
 		}
 		be, err := NewBackend(tc.kind, n)
@@ -112,6 +134,14 @@ func TestApplySteadyStateZeroAlloc(t *testing.T) {
 		})
 		if allocs != 0 {
 			t.Errorf("%v: %v allocs per pair of loads, want 0", tc.kind, allocs)
+		}
+		allocs = testing.AllocsPerRun(100, func() {
+			if !be.CanRealize(mapA) || !be.CanRealize(mapB) {
+				t.Fatal("CanRealize refused a valid map")
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("%v: %v allocs per pair of CanRealize checks, want 0", tc.kind, allocs)
 		}
 	}
 }

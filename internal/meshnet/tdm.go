@@ -116,6 +116,11 @@ type tdmRun struct {
 	// slotOf maps a connection to its slot, or -1.
 	slotOf map[[2]int]int
 
+	// deliveries[h] hands each delivered message of a circuit over h mesh
+	// hops to its destination NIC: one line per hop count, since the
+	// pipe's delay grows with the hops.
+	deliveries []*sim.Line[*nic.Message]
+
 	slCursor   int
 	tdmCursor  int
 	slotTicker *sim.Ticker
@@ -154,6 +159,13 @@ func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 		return metrics.Result{}, err
 	}
 	r.driver = driver
+	// A delivery waits out the slot, then the end-to-end analog pipe:
+	// serialize once, one wire delay per mesh hop (the two NIC pseudo-hops
+	// carry no extra wire), deserialize once, NIC receive.
+	for h := 0; h <= t.grid.Mesh.Cols+t.grid.Mesh.Rows-2; h++ {
+		pipe := t.cfg.Link.SerializeNs + sim.Time(h)*r.tm.hopWire + t.cfg.Link.DeserializeNs + nic.RecvOverhead
+		r.deliveries = append(r.deliveries, sim.NewLine(eng, t.cfg.SlotNs+pipe, "mesh-tdm-deliver", driver.Arrive))
+	}
 	r.reqWire = netmodel.NewRequestWire(eng, driver.Conns, t.cfg.Link.ControlDelay(), "mesh-request-wire")
 	r.reqView = r.reqWire.View()
 	if t.cfg.Probe != nil {
@@ -314,17 +326,7 @@ func (r *tdmRun) onSlot() {
 			if !r.driver.Buffers[pc.src].Has(pc.id) {
 				r.reqWire.Set(pc.src, pc.id, false)
 			}
-			// End-to-end analog pipe: serialize once, one wire delay per
-			// mesh hop (the two NIC pseudo-hops carry no extra wire),
-			// deserialize once, NIC receive.
-			meshHops := len(pc.path) - 2
-			pipe := r.cfg.Link.SerializeNs +
-				sim.Time(meshHops)*r.tm.hopWire +
-				r.cfg.Link.DeserializeNs + nic.RecvOverhead
-			m := done
-			r.eng.At(slotStart+r.cfg.SlotNs+pipe, "mesh-tdm-deliver", func() {
-				r.driver.Arrive(m)
-			})
+			r.deliveries[len(pc.path)-2].Push(done)
 		}
 	}
 	if used {

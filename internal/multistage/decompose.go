@@ -4,41 +4,47 @@ import (
 	"fmt"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/topology"
 )
 
-// FirstFit splits the connections of set, a square connection matrix, into
+// FirstFit splits a list of distinct connections over n ports into
 // configurations that each satisfy a fabric's realizability oracle.
-// Connections are taken row-major; each joins the first configuration that
-// stays realizable with it, opening a new configuration otherwise. The union
-// of the result equals set, which is not modified.
+// Connections are taken in list order; each joins the first configuration
+// that stays realizable with it, opening a new configuration otherwise. The
+// configurations are port maps (cfg[u] is the output input u connects to,
+// or -1), and their union is the list.
 //
 // Because a blocking fabric realizes fewer permutations than a crossbar, the
 // result can need more configurations than the crossbar's optimal (the
 // working set's degree) — quantifying the extra multiplexing degree a
 // predictive multiplexed switch pays on that fabric.
-func FirstFit(set *bitmat.Matrix, canRealize func(*bitmat.Matrix) bool) []*bitmat.Matrix {
-	var configs []*bitmat.Matrix
-	set.Ones(func(u, v int) bool {
-		for _, cfg := range configs {
-			if cfg.RowAny(u) || cfg.ColAny(v) {
-				continue
+func FirstFit(n int, conns []topology.Conn, canRealize func(cfg []int32) bool) [][]int32 {
+	words := (n + 63) / 64
+	var configs [][]int32
+	var outs [][]uint64 // outs[c]: the outputs configuration c uses
+	for _, e := range conns {
+		u, v := e.Src, int32(e.Dst)
+		c := 0
+		for ; c < len(configs); c++ {
+			if cfg := configs[c]; cfg[u] < 0 && !bitmat.MaskTest(outs[c], e.Dst) {
+				if cfg[u] = v; canRealize(cfg) {
+					break
+				}
+				cfg[u] = -1
 			}
-			cfg.Set(u, v)
-			if canRealize(cfg) {
-				return true
+		}
+		if c == len(configs) {
+			cfg := topology.NewPortMap(n)
+			if cfg[u] = v; !canRealize(cfg) {
+				// A single connection is always realizable; anything else
+				// is a wiring-model bug.
+				panic(fmt.Sprintf("multistage: single connection %v unroutable", e))
 			}
-			cfg.Clear(u, v)
+			configs = append(configs, cfg)
+			outs = append(outs, make([]uint64, words))
 		}
-		cfg := bitmat.NewSquare(set.Rows())
-		cfg.Set(u, v)
-		if !canRealize(cfg) {
-			// A single connection is always realizable; anything else is a
-			// wiring-model bug.
-			panic(fmt.Sprintf("multistage: single connection %d->%d unroutable", u, v))
-		}
-		configs = append(configs, cfg)
-		return true
-	})
+		bitmat.MaskSet(outs[c], e.Dst)
+	}
 	return configs
 }
 
@@ -47,8 +53,8 @@ func FirstFit(set *bitmat.Matrix, canRealize func(*bitmat.Matrix) bool) []*bitma
 type Weighted struct {
 	// Weight is the term's coefficient in slots (always positive).
 	Weight int64
-	// Config is the partial permutation.
-	Config *bitmat.Matrix
+	// Config is the partial permutation as a port map.
+	Config []int32
 }
 
 // DecomposeBvN splits a non-negative integer n×n demand matrix — read
@@ -134,10 +140,10 @@ func DecomposeBvN(n int, at func(u, v int) int64) ([]Weighted, error) {
 				}
 			}
 		}
-		cfg := bitmat.NewSquare(n)
+		cfg := topology.NewPortMap(n)
 		for u := 0; u < n; u++ {
 			if v := matchOf[u]; v >= 0 {
-				cfg.Set(u, v)
+				cfg[u] = int32(v)
 				rem[u*n+v] -= weight
 			}
 		}

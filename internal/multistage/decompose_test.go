@@ -3,10 +3,12 @@ package multistage
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/topology"
 )
 
 // checkBvN asserts the decomposition invariants for a demand matrix: every
@@ -19,16 +21,14 @@ func checkBvN(t *testing.T, n int, demand []int64, terms []Weighted) {
 		if term.Weight <= 0 {
 			t.Fatalf("term %d has non-positive weight %d", ti, term.Weight)
 		}
-		if term.Config == nil || term.Config.Rows() != n || term.Config.Cols() != n {
+		if len(term.Config) != n {
 			t.Fatalf("term %d has malformed config", ti)
 		}
-		if !term.Config.IsPartialPermutation() {
-			t.Fatalf("term %d is not a conflict-free partial permutation", ti)
-		}
-		if term.Config.IsZero() {
+		cfg := bitmat.FromPermutation(term.Config)
+		if cfg.IsZero() {
 			t.Fatalf("term %d is empty", ti)
 		}
-		term.Config.Ones(func(u, v int) bool {
+		cfg.Ones(func(u, v int) bool {
 			sum[u*n+v] += term.Weight
 			return true
 		})
@@ -126,7 +126,7 @@ func TestDecomposeBvNDeterministic(t *testing.T) {
 		t.Fatalf("term counts differ: %d vs %d", len(a), len(b))
 	}
 	for i := range a {
-		if a[i].Weight != b[i].Weight || !a[i].Config.Equal(b[i].Config) {
+		if a[i].Weight != b[i].Weight || !slices.Equal(a[i].Config, b[i].Config) {
 			t.Fatalf("term %d differs between identical runs", i)
 		}
 	}
@@ -143,17 +143,22 @@ func TestDecomposeBvNErrors(t *testing.T) {
 
 // checkFirstFit asserts FirstFit's contract: every configuration is a
 // nonempty partial permutation the oracle accepts, no connection lands in two
-// configurations, and together they are exactly set.
-func checkFirstFit(t *testing.T, set *bitmat.Matrix, configs []*bitmat.Matrix, canRealize func(*bitmat.Matrix) bool) {
+// configurations, and together they are exactly the list.
+func checkFirstFit(t *testing.T, n int, conns []topology.Conn, configs [][]int32, canRealize func([]int32) bool) {
 	t.Helper()
-	union := bitmat.NewSquare(set.Rows())
+	set := bitmat.NewSquare(n)
+	for _, c := range conns {
+		set.Set(c.Src, c.Dst)
+	}
+	union := bitmat.NewSquare(n)
 	total := 0
 	for i, cfg := range configs {
-		if cfg.IsZero() || !cfg.IsPartialPermutation() || !canRealize(cfg) {
-			t.Fatalf("config %d is empty, conflicting or unrealizable", i)
+		m := bitmat.FromPermutation(cfg)
+		if m.IsZero() || !canRealize(cfg) {
+			t.Fatalf("config %d is empty or unrealizable", i)
 		}
-		total += cfg.Count()
-		union.Or(cfg)
+		total += m.Count()
+		union.Or(m)
 	}
 	if total != set.Count() || !union.Equal(set) {
 		t.Fatalf("configs hold %d connections covering %d, set has %d", total, union.Count(), set.Count())
@@ -161,9 +166,9 @@ func checkFirstFit(t *testing.T, set *bitmat.Matrix, configs []*bitmat.Matrix, c
 }
 
 func TestFirstFit(t *testing.T) {
-	always := func(*bitmat.Matrix) bool { return true }
+	always := func([]int32) bool { return true }
 	t.Run("empty", func(t *testing.T) {
-		if configs := FirstFit(bitmat.NewSquare(8), always); len(configs) != 0 {
+		if configs := FirstFit(8, nil, always); len(configs) != 0 {
 			t.Fatalf("empty set gave %d configurations", len(configs))
 		}
 	})
@@ -171,59 +176,68 @@ func TestFirstFit(t *testing.T) {
 		// (0,0) opens c0; (0,1) conflicts with c0 on row 0 and opens c1;
 		// (1,0) conflicts with c0 on column 0 and joins c1; (1,1) joins c0;
 		// (2,2) fits both and joins the first, c0.
-		set := bitmat.NewSquare(3)
-		set.Set(0, 0)
-		set.Set(0, 1)
-		set.Set(1, 0)
-		set.Set(1, 1)
-		set.Set(2, 2)
-		configs := FirstFit(set, always)
+		conns := []topology.Conn{{Src: 0, Dst: 0}, {Src: 0, Dst: 1}, {Src: 1, Dst: 0}, {Src: 1, Dst: 1}, {Src: 2, Dst: 2}}
+		configs := FirstFit(3, conns, always)
 		if len(configs) != 2 {
 			t.Fatalf("got %d configurations, want 2", len(configs))
 		}
-		if !configs[0].Get(0, 0) || !configs[0].Get(1, 1) || !configs[0].Get(2, 2) || !configs[1].Get(0, 1) || !configs[1].Get(1, 0) {
+		if !slices.Equal(configs[0], []int32{0, 1, 2}) || !slices.Equal(configs[1], []int32{1, 0, -1}) {
 			t.Fatalf("configurations %v / %v are not the row-major first fit", configs[0], configs[1])
 		}
-		checkFirstFit(t, set, configs, always)
+		checkFirstFit(t, 3, conns, configs, always)
 	})
 	t.Run("oracle-bounds-each-config", func(t *testing.T) {
-		single := func(cfg *bitmat.Matrix) bool { return cfg.Count() <= 1 }
-		set := bitmat.Identity(6)
-		configs := FirstFit(set, single)
+		single := func(cfg []int32) bool { return bitmat.FromPermutation(cfg).Count() <= 1 }
+		var conns []topology.Conn
+		for u := 0; u < 6; u++ {
+			conns = append(conns, topology.Conn{Src: u, Dst: u})
+		}
+		configs := FirstFit(6, conns, single)
 		if len(configs) != 6 {
 			t.Fatalf("got %d configurations, want one per connection", len(configs))
 		}
 		for i, cfg := range configs {
-			if !cfg.Get(i, i) {
+			if cfg[i] != int32(i) {
 				t.Fatalf("config %d does not hold connection %d->%d: order is not row-major", i, i, i)
 			}
 		}
-		checkFirstFit(t, set, configs, single)
+		checkFirstFit(t, 6, conns, configs, single)
 	})
 	t.Run("omega", func(t *testing.T) {
 		o, _ := NewOmega(16)
+		state := o.NewState()
+		canRealize := func(cfg []int32) bool { return o.CanRealize(cfg, state) }
 		rng := rand.New(rand.NewSource(11))
 		for trial := 0; trial < 50; trial++ {
 			set := bitmat.NewSquare(16)
 			for i := 0; i < 48; i++ {
 				set.Set(rng.Intn(16), rng.Intn(16))
 			}
-			before := set.Clone()
-			configs := FirstFit(set, o.CanRealize)
-			if !set.Equal(before) {
+			conns := matrixConns(set)
+			before := slices.Clone(conns)
+			configs := FirstFit(16, conns, canRealize)
+			if !slices.Equal(conns, before) {
 				t.Fatal("FirstFit modified its input")
 			}
-			checkFirstFit(t, set, configs, o.CanRealize)
+			checkFirstFit(t, 16, conns, configs, canRealize)
 		}
 	})
 	t.Run("unroutable-connection-panics", func(t *testing.T) {
-		set := bitmat.NewSquare(4)
-		set.Set(2, 3)
 		defer func() {
 			if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "single connection 2->3 unroutable") {
 				t.Fatalf("recovered %v, want the unroutable-connection panic", r)
 			}
 		}()
-		FirstFit(set, func(*bitmat.Matrix) bool { return false })
+		FirstFit(4, []topology.Conn{{Src: 2, Dst: 3}}, func([]int32) bool { return false })
 	})
+}
+
+// matrixConns lists a matrix's set bits as connections in row-major order.
+func matrixConns(m *bitmat.Matrix) []topology.Conn {
+	var conns []topology.Conn
+	m.Ones(func(u, v int) bool {
+		conns = append(conns, topology.Conn{Src: u, Dst: v})
+		return true
+	})
+	return conns
 }

@@ -1,6 +1,10 @@
 package multistage
 
-import "testing"
+import (
+	"testing"
+
+	"pmsnet/internal/bitmat"
+)
 
 // FuzzDecompose feeds arbitrary demand matrices to the BvN decomposition and
 // checks its library contract: the result is a set of conflict-free partial
@@ -38,10 +42,11 @@ func FuzzDecompose(f *testing.F) {
 			if term.Weight <= 0 {
 				t.Fatalf("term %d: non-positive weight %d", ti, term.Weight)
 			}
-			if !term.Config.IsPartialPermutation() || term.Config.IsZero() {
+			cfg := bitmat.FromPermutation(term.Config)
+			if len(term.Config) != n || cfg.IsZero() {
 				t.Fatalf("term %d: not a nonempty conflict-free partial permutation", ti)
 			}
-			term.Config.Ones(func(u, v int) bool {
+			cfg.Ones(func(u, v int) bool {
 				sum[u*n+v] += term.Weight
 				return true
 			})

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -63,18 +64,18 @@ func TestOmegaIsBlocking(t *testing.T) {
 	// so some full permutations must be blocked. Verify by counting over
 	// all 4! permutations of a 4-port network: some realizable, some not.
 	o, _ := NewOmega(4)
-	perms := [][]int{}
-	var gen func(cur []int, used int)
-	gen = func(cur []int, used int) {
+	perms := [][]int32{}
+	var gen func(cur []int32, used int)
+	gen = func(cur []int32, used int) {
 		if len(cur) == 4 {
-			cp := make([]int, 4)
+			cp := make([]int32, 4)
 			copy(cp, cur)
 			perms = append(perms, cp)
 			return
 		}
 		for v := 0; v < 4; v++ {
 			if used&(1<<v) == 0 {
-				gen(append(cur, v), used|1<<v)
+				gen(append(cur, int32(v)), used|1<<v)
 			}
 		}
 	}
@@ -84,7 +85,7 @@ func TestOmegaIsBlocking(t *testing.T) {
 	}
 	realizable := 0
 	for _, p := range perms {
-		if o.CanRealize(bitmat.FromPermutation(p)) {
+		if o.CanRealize(p, o.NewState()) {
 			realizable++
 		}
 	}
@@ -176,17 +177,21 @@ func TestDecomposeOmegaCoversAndRealizes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	union := ws.Matrix()
-	union.Reset()
+	state := o.NewState()
+	union := topology.NewWorkingSet(16)
 	total := 0
 	for i, cfg := range configs {
-		if !o.CanRealize(cfg) {
+		if !o.CanRealize(cfg, state) {
 			t.Fatalf("config %d not omega-realizable", i)
 		}
-		total += cfg.Count()
-		union.Or(cfg)
+		for u, v := range cfg {
+			if v >= 0 {
+				total++
+				union.Add(topology.Conn{Src: u, Dst: int(v)})
+			}
+		}
 	}
-	if total != ws.Len() || !union.Equal(ws.Matrix()) {
+	if total != ws.Len() || !slices.Equal(union.Conns(), ws.Conns()) {
 		t.Fatal("omega decomposition must exactly cover the working set")
 	}
 	// The omega's blocking constraints can only increase the configuration
@@ -204,29 +209,29 @@ func TestDecomposeOmegaNeedsMoreSlotsThanCrossbar(t *testing.T) {
 	// multiplexing degree a blocking fabric pays.
 	const n = 8
 	o, _ := NewOmega(n)
-	var blocked []int
-	var gen func(cur []int, used int)
-	gen = func(cur []int, used int) {
+	var blocked []int32
+	state := o.NewState()
+	var gen func(cur []int32, used int)
+	gen = func(cur []int32, used int) {
 		if blocked != nil {
 			return
 		}
 		if len(cur) == n {
-			cfg := bitmat.FromPermutation(cur)
 			fixedPoint := false
 			for i, v := range cur {
-				if i == v {
+				if i == int(v) {
 					fixedPoint = true
 					break
 				}
 			}
-			if !fixedPoint && !o.CanRealize(cfg) {
-				blocked = append([]int(nil), cur...)
+			if !fixedPoint && !o.CanRealize(cur, state) {
+				blocked = append([]int32(nil), cur...)
 			}
 			return
 		}
 		for v := 0; v < n; v++ {
 			if used&(1<<v) == 0 {
-				gen(append(cur, v), used|1<<v)
+				gen(append(cur, int32(v)), used|1<<v)
 			}
 		}
 	}
@@ -236,7 +241,7 @@ func TestDecomposeOmegaNeedsMoreSlotsThanCrossbar(t *testing.T) {
 	}
 	ws := topology.NewWorkingSet(n)
 	for u, v := range blocked {
-		ws.Add(topology.Conn{Src: u, Dst: v})
+		ws.Add(topology.Conn{Src: u, Dst: int(v)})
 	}
 	crossbar := topology.Decompose(ws)
 	if len(crossbar) != 1 {
@@ -299,16 +304,16 @@ func TestOmegaRealizesEveryShift(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			o, _ := NewOmega(n)
 			for k := 0; k < n; k++ {
-				perm := make([]int, n)
+				perm := make([]int32, n)
 				for u := range perm {
-					perm[u] = (u + k) % n
+					perm[u] = int32((u + k) % n)
 				}
 				settings, err := o.Route(bitmat.FromPermutation(perm))
 				if err != nil {
 					t.Fatalf("shift by %d: %v", k, err)
 				}
 				for u, v := range perm {
-					if got := o.Eval(settings, u); got != v {
+					if got := o.Eval(settings, u); got != int(v) {
 						t.Fatalf("shift by %d: Eval(%d) = %d, want %d", k, u, got, v)
 					}
 				}
@@ -324,18 +329,21 @@ func TestOmegaBlocksBitReverse(t *testing.T) {
 	for _, n := range []int{8, 16, 64} {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			o, _ := NewOmega(n)
-			perm := make([]int, n)
+			perm := make([]int32, n)
+			var conns []topology.Conn
 			for u := range perm {
-				perm[u] = int(bits.Reverse(uint(u)) >> (bits.UintSize - o.Stages()))
+				perm[u] = int32(bits.Reverse(uint(u)) >> (bits.UintSize - o.Stages()))
+				conns = append(conns, topology.Conn{Src: u, Dst: int(perm[u])})
 			}
-			set := bitmat.FromPermutation(perm)
-			if o.CanRealize(set) {
+			state := o.NewState()
+			if o.CanRealize(perm, state) {
 				t.Fatalf("bit reverse %v routed in one pass", perm)
 			}
-			if _, err := o.Route(set); err == nil {
+			if _, err := o.Route(bitmat.FromPermutation(perm)); err == nil {
 				t.Fatal("Route accepted a configuration CanRealize rejects")
 			}
-			if configs := FirstFit(set, o.CanRealize); len(configs) < 2 {
+			canRealize := func(cfg []int32) bool { return o.CanRealize(cfg, state) }
+			if configs := FirstFit(n, conns, canRealize); len(configs) < 2 {
 				t.Fatalf("bit reverse first-fits into %d configurations, want at least 2", len(configs))
 			}
 		})
@@ -352,13 +360,13 @@ func TestOmegaRealizableCount(t *testing.T) {
 		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
 			o, _ := NewOmega(n)
 			realizable := 0
-			perm := make([]int, n)
+			perm := make([]int32, n)
+			state := o.NewState()
 			var gen func(i, used int)
 			gen = func(i, used int) {
 				if i == n {
-					cfg := bitmat.FromPermutation(perm)
-					settings, err := o.Route(cfg)
-					if (err == nil) != o.CanRealize(cfg) {
+					settings, err := o.Route(bitmat.FromPermutation(perm))
+					if (err == nil) != o.CanRealize(perm, state) {
 						t.Fatalf("%v: Route error %v disagrees with CanRealize", perm, err)
 					}
 					if err != nil {
@@ -366,7 +374,7 @@ func TestOmegaRealizableCount(t *testing.T) {
 					}
 					realizable++
 					for u, v := range perm {
-						if got := o.Eval(settings, u); got != v {
+						if got := o.Eval(settings, u); got != int(v) {
 							t.Fatalf("%v: Eval(%d) = %d, want %d", perm, u, got, v)
 						}
 					}
@@ -374,7 +382,7 @@ func TestOmegaRealizableCount(t *testing.T) {
 				}
 				for v := 0; v < n; v++ {
 					if used&(1<<v) == 0 {
-						perm[i] = v
+						perm[i] = int32(v)
 						gen(i+1, used|1<<v)
 					}
 				}

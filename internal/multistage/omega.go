@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math/bits"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/topology"
 )
 
@@ -119,23 +118,34 @@ func (o *Omega) route(count int, at func(i int) (u, v int), state []uint8) (bloc
 	return blockedConn{}, true
 }
 
-// CanRealize reports whether the configuration is Omega-realizable. It runs
-// Route's admission without building the settings, so the scheduler's
-// per-establish realizability probe costs one allocation.
-func (o *Omega) CanRealize(cfg *bitmat.Matrix) bool {
-	if cfg.Rows() != o.n || cfg.Cols() != o.n || !cfg.IsPartialPermutation() {
+// NewState returns switch-state scratch for CanRealize and CanRealizeConns:
+// one entry per switch, Stages()*SwitchesPerStage() in all.
+func (o *Omega) NewState() []uint8 { return make([]uint8, o.stages*o.n/2) }
+
+// CanRealize reports whether the configuration, a port map over the
+// network's ports (cfg[u] is the output input u connects to, or -1), is
+// Omega-realizable. Two inputs mapped to one output always collide in some
+// switch, so the routing also rejects a map that is not a partial
+// permutation. state is NewState's scratch; it is cleared and overwritten,
+// so passing the same slice every call keeps the check allocation-free.
+func (o *Omega) CanRealize(cfg []int32, state []uint8) bool {
+	if len(cfg) != o.n {
 		return false
 	}
-	_, ok := o.route(o.n, func(u int) (int, int) { return u, cfg.FirstInRow(u) }, make([]uint8, o.stages*o.n/2))
+	for _, v := range cfg {
+		if v < -1 || int(v) >= o.n {
+			return false
+		}
+	}
+	clear(state)
+	_, ok := o.route(o.n, func(u int) (int, int) { return u, int(cfg[u]) }, state)
 	return ok
 }
 
 // CanRealizeConns is CanRealize for a configuration given as its connection
 // list, which must already be a partial permutation of the network's ports
 // (distinct inputs, distinct outputs, all in range — the crossbar register's
-// check). state is switch-state scratch of Stages()*SwitchesPerStage()
-// entries; it is cleared and overwritten, so passing the same slice every
-// call keeps the check allocation-free.
+// check). state is NewState's scratch, as for CanRealize.
 func (o *Omega) CanRealizeConns(conns []topology.Conn, state []uint8) bool {
 	clear(state)
 	_, ok := o.route(len(conns), func(i int) (int, int) { return conns[i].Src, conns[i].Dst }, state)
@@ -144,9 +154,10 @@ func (o *Omega) CanRealizeConns(conns []topology.Conn, state []uint8) bool {
 
 // DecomposeOmega splits a working set into Omega-realizable configurations —
 // FirstFit under the Omega network's realizability oracle.
-func DecomposeOmega(ws *topology.WorkingSet, o *Omega) ([]*bitmat.Matrix, error) {
+func DecomposeOmega(ws *topology.WorkingSet, o *Omega) ([][]int32, error) {
 	if ws.Ports() != o.n {
 		return nil, fmt.Errorf("multistage: working set spans %d ports, omega has %d", ws.Ports(), o.n)
 	}
-	return FirstFit(ws.Matrix(), o.CanRealize), nil
+	state := o.NewState()
+	return FirstFit(o.n, ws.Conns(), func(cfg []int32) bool { return o.CanRealize(cfg, state) }), nil
 }

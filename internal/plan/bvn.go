@@ -4,8 +4,8 @@ import (
 	"fmt"
 	"sort"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/multistage"
+	"pmsnet/internal/topology"
 )
 
 // BvN plans by Birkhoff–von-Neumann-style decomposition, after Minaeva et
@@ -38,7 +38,7 @@ func (BvN) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, error)
 			entries = append(entries, Entry{
 				Config:  cfg,
 				Demand:  t.Weight,
-				Covered: t.Weight * int64(cfg.Count()),
+				Covered: t.Weight * int64(len(portMapConns(cfg))),
 			})
 		}
 	}
@@ -50,23 +50,12 @@ func (BvN) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, error)
 		N:            d.N(),
 		K:            k,
 		PreloadSlots: preloadSlots,
-		Residual:     NewDemand(d.N()),
 	}
 	// Spill trailing light terms to the dynamic path. A dropped term removes
 	// only its own weight from each of its connections — earlier kept terms
 	// may still cover the rest of the connection's demand.
-	kept := entries
-	if !opts.CoverAll {
-		thr := residualThreshold(k, opts.ReconfigSlots)
-		for len(kept) > 1 && kept[len(kept)-1].Covered < thr {
-			e := kept[len(kept)-1]
-			e.Config.Ones(func(u, v int) bool {
-				s.Residual.Add(u, v, e.Demand)
-				return true
-			})
-			kept = kept[:len(kept)-1]
-		}
-	}
+	var kept []Entry
+	kept, s.Residual = splitResidual(entries, d.N(), k, opts, func(e Entry, _, _ int) int64 { return e.Demand })
 	s.Covered = coveredDemand(d, s.Residual)
 	s.Groups, s.DrainSlots, s.Reconfigs = packGroups(kept, k, preloadSlots, opts.ReconfigSlots)
 	return s, nil
@@ -75,9 +64,20 @@ func (BvN) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, error)
 // splitRealizable returns cfg itself when the fabric can route it, or splits
 // it into realizable sub-configurations by multistage.FirstFit when it
 // cannot.
-func splitRealizable(cfg *bitmat.Matrix, canRealize func(*bitmat.Matrix) bool) []*bitmat.Matrix {
+func splitRealizable(cfg []int32, canRealize func([]int32) bool) [][]int32 {
 	if canRealize == nil || canRealize(cfg) {
-		return []*bitmat.Matrix{cfg}
+		return [][]int32{cfg}
 	}
-	return multistage.FirstFit(cfg, canRealize)
+	return multistage.FirstFit(len(cfg), portMapConns(cfg), canRealize)
+}
+
+// portMapConns lists a port map's connections in (Src, Dst) order.
+func portMapConns(cfg []int32) []topology.Conn {
+	var conns []topology.Conn
+	for u, v := range cfg {
+		if v >= 0 {
+			conns = append(conns, topology.Conn{Src: u, Dst: int(v)})
+		}
+	}
+	return conns
 }

@@ -32,50 +32,71 @@
 package plan
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 	"pmsnet/internal/vocab"
 )
 
-// Demand is a non-negative integer N×N demand matrix: entry (u,v) is the
-// number of TDM slots connection u→v needs to drain its traffic. The boolean
-// request matrices elsewhere in the repo (bitmat.Matrix) cannot express skew;
-// planning is exactly the place where magnitudes matter.
+// Demand is a non-negative integer demand over the connections of an N-port
+// switch: the demand of u→v is the number of TDM slots the connection needs
+// to drain its traffic. Working sets say only which connections a phase
+// uses and cannot express skew; planning is exactly the place where
+// magnitudes matter. Only the connections with positive demand are held, as
+// Conn.Key words in (Src, Dst) order with parallel weights (the layout of
+// topology.WorkingSet), so every method costs O(connections), whatever N.
 type Demand struct {
-	n int
-	d []int64 // row-major
+	n    int
+	keys []uint64 // the Conn.Keys of the connections with demand, ascending
+	w    []int64  // w[i] is the demand of keys[i], always positive
 }
 
-// NewDemand returns an all-zero n×n demand matrix.
+// NewDemand returns an all-zero demand over n ports.
 func NewDemand(n int) *Demand {
 	if n <= 0 {
 		panic(fmt.Sprintf("plan: invalid demand size %d", n))
 	}
-	return &Demand{n: n, d: make([]int64, n*n)}
+	return &Demand{n: n}
 }
 
 // N returns the port count.
 func (d *Demand) N() int { return d.n }
 
-func (d *Demand) idx(u, v int) int {
+// find returns the position of u→v's key, or where it would be inserted.
+func (d *Demand) find(u, v int) (int, bool) {
 	if u < 0 || u >= d.n || v < 0 || v >= d.n {
 		panic(fmt.Sprintf("plan: demand index (%d,%d) out of range for n=%d", u, v, d.n))
 	}
-	return u*d.n + v
+	return slices.BinarySearch(d.keys, topology.Conn{Src: u, Dst: v}.Key())
 }
 
 // At returns the demand of connection u→v in slots.
-func (d *Demand) At(u, v int) int64 { return d.d[d.idx(u, v)] }
+func (d *Demand) At(u, v int) int64 {
+	if i, ok := d.find(u, v); ok {
+		return d.w[i]
+	}
+	return 0
+}
 
-// Set replaces the demand of u→v.
+// Set replaces the demand of u→v. Sets in (Src, Dst) order append.
 func (d *Demand) Set(u, v int, w int64) {
 	if w < 0 {
 		panic("plan: negative demand")
 	}
-	d.d[d.idx(u, v)] = w
+	i, ok := d.find(u, v)
+	switch {
+	case ok && w > 0:
+		d.w[i] = w
+	case ok:
+		d.keys = slices.Delete(d.keys, i, i+1)
+		d.w = slices.Delete(d.w, i, i+1)
+	case w > 0:
+		d.keys = slices.Insert(d.keys, i, topology.Conn{Src: u, Dst: v}.Key())
+		d.w = slices.Insert(d.w, i, w)
+	}
 }
 
 // Add adds w slots of demand to u→v.
@@ -83,87 +104,103 @@ func (d *Demand) Add(u, v int, w int64) {
 	if w < 0 {
 		panic("plan: negative demand")
 	}
-	d.d[d.idx(u, v)] += w
+	d.Set(u, v, d.At(u, v)+w)
 }
 
 // Clone returns a deep copy.
 func (d *Demand) Clone() *Demand {
-	c := NewDemand(d.n)
-	copy(c.d, d.d)
-	return c
+	return &Demand{n: d.n, keys: slices.Clone(d.keys), w: slices.Clone(d.w)}
 }
 
 // Total returns the summed demand in slots.
 func (d *Demand) Total() int64 {
 	var t int64
-	for _, w := range d.d {
+	for _, w := range d.w {
 		t += w
 	}
 	return t
 }
 
 // Conns returns the number of connections with positive demand.
-func (d *Demand) Conns() int {
-	c := 0
-	for _, w := range d.d {
-		if w > 0 {
-			c++
-		}
-	}
-	return c
-}
-
-// IsZero reports whether no connection has demand.
-func (d *Demand) IsZero() bool {
-	for _, w := range d.d {
-		if w > 0 {
-			return false
-		}
-	}
-	return true
-}
+func (d *Demand) Conns() int { return len(d.keys) }
 
 // WorkingSet returns the support of the demand as a topology working set.
 func (d *Demand) WorkingSet() *topology.WorkingSet {
-	ws := topology.NewWorkingSet(d.n)
-	for u := 0; u < d.n; u++ {
-		for v := 0; v < d.n; v++ {
-			if d.d[u*d.n+v] > 0 {
-				ws.Add(topology.Conn{Src: u, Dst: v})
-			}
-		}
+	ws := topology.NewWorkingSetSized(d.n, len(d.keys))
+	for _, k := range d.keys {
+		ws.Add(topology.ConnOfKey(k))
 	}
 	return ws
 }
 
-// Restrict returns a copy of d keeping only the connections present in ws.
+// Restrict returns the demand of the connections present in ws, over ws's
+// ports: restricting to a working set over more ports than d widens the
+// demand to them.
 func (d *Demand) Restrict(ws *topology.WorkingSet) *Demand {
-	c := NewDemand(d.n)
-	for _, conn := range ws.Conns() {
-		c.Set(conn.Src, conn.Dst, d.At(conn.Src, conn.Dst))
+	c := newDemandSized(ws.Ports(), min(ws.Len(), len(d.keys)))
+	i := 0
+	for _, k := range ws.Keys() {
+		for i < len(d.keys) && d.keys[i] < k {
+			i++
+		}
+		if i < len(d.keys) && d.keys[i] == k {
+			c.keys = append(c.keys, k)
+			c.w = append(c.w, d.w[i])
+		}
 	}
 	return c
 }
 
-// FromWorkload builds the whole-workload demand matrix: every OpSend /
-// OpSendWait contributes ceil(bytes/payloadBytes) slots to its connection.
-// payloadBytes must be positive (use the network's slot payload).
+// newDemandSized returns an all-zero demand over n ports with room for
+// conns connections.
+func newDemandSized(n, conns int) *Demand {
+	d := NewDemand(n)
+	d.keys, d.w = make([]uint64, 0, conns), make([]int64, 0, conns)
+	return d
+}
+
+// entry is one connection's demand, keyed by Conn.Key.
+type entry struct {
+	key uint64
+	w   int64
+}
+
+// appendEntries sorts the entries by key and adds them, none below d's last
+// key: the entries of one connection add up.
+func (d *Demand) appendEntries(entries []entry) {
+	slices.SortFunc(entries, func(a, b entry) int { return cmp.Compare(a.key, b.key) })
+	for _, e := range entries {
+		if last := len(d.keys) - 1; last >= 0 && d.keys[last] == e.key {
+			d.w[last] += e.w
+		} else if e.w > 0 {
+			d.keys = append(d.keys, e.key)
+			d.w = append(d.w, e.w)
+		}
+	}
+}
+
+// FromWorkload builds the whole-workload demand: every OpSend / OpSendWait
+// contributes ceil(bytes/payloadBytes) slots to its connection.
+// payloadBytes must be positive (use the network's slot payload). Each
+// program's sends are sorted by destination and appended as one row; the
+// demand is sized for one connection per send.
 func FromWorkload(wl *traffic.Workload, payloadBytes int) *Demand {
 	if payloadBytes <= 0 {
 		panic(fmt.Sprintf("plan: invalid payload size %d", payloadBytes))
 	}
-	d := NewDemand(wl.N)
+	d := newDemandSized(wl.N, wl.MessageCount())
+	var row []entry
 	for src, prog := range wl.Programs {
+		row = row[:0]
 		for _, op := range prog.Ops {
 			if op.Kind != traffic.OpSend && op.Kind != traffic.OpSendWait {
 				continue
 			}
+			d.find(src, op.Dst) // range check
 			slots := (int64(op.Bytes) + int64(payloadBytes) - 1) / int64(payloadBytes)
-			if slots < 1 {
-				slots = 1
-			}
-			d.Add(src, op.Dst, slots)
+			row = append(row, entry{topology.Conn{Src: src, Dst: op.Dst}.Key(), max(slots, 1)})
 		}
+		d.appendEntries(row)
 	}
 	return d
 }
@@ -182,20 +219,22 @@ type Options struct {
 	// the dynamic slots.
 	CoverAll bool
 	// CanRealize, when non-nil, restricts configurations to those the
-	// fabric backend can route (the blocking Omega). Nil means every
-	// partial permutation is realizable (the crossbar).
-	CanRealize func(*bitmat.Matrix) bool
+	// fabric backend can route (the blocking Omega); it is handed each
+	// candidate configuration as a port map. Nil means every partial
+	// permutation is realizable (the crossbar).
+	CanRealize func(cfg []int32) bool
 	// Decompose overrides the static planner's decomposition (defaults to
 	// the exact edge coloring). The tdm preloader passes the fabric
 	// backend's Decompose so static planning is bit-identical to the
 	// unplanned path.
-	Decompose func(*topology.WorkingSet) ([]*bitmat.Matrix, error)
+	Decompose func(*topology.WorkingSet) ([][]int32, error)
 }
 
 // Entry is one planned configuration.
 type Entry struct {
-	// Config is the conflict-free (partial permutation) configuration.
-	Config *bitmat.Matrix
+	// Config is the conflict-free (partial permutation) configuration as a
+	// port map: Config[u] is the output input u connects to, or -1.
+	Config []int32
 	// Share is the number of pinned slot registers the configuration
 	// occupies within its group's TDM cycle (≥1 once grouped).
 	Share int
@@ -221,7 +260,7 @@ type Schedule struct {
 	// within a group sum to at most PreloadSlots.
 	Groups [][]Entry
 	// Residual is the demand spilled to the dynamic slots (never nil;
-	// all-zero when everything is covered).
+	// empty when everything is covered).
 	Residual *Demand
 	// Covered is the demand served by the groups (input minus residual).
 	Covered *Demand
@@ -235,10 +274,10 @@ type Schedule struct {
 // Configs flattens the schedule for the preload controller: one slice of
 // configurations per group, where an entry with Share s appears s times so it
 // occupies s of the pinned slot registers.
-func (s *Schedule) Configs() [][]*bitmat.Matrix {
-	out := make([][]*bitmat.Matrix, len(s.Groups))
+func (s *Schedule) Configs() [][][]int32 {
+	out := make([][][]int32, len(s.Groups))
 	for gi, g := range s.Groups {
-		var flat []*bitmat.Matrix
+		var flat [][]int32
 		for _, e := range g {
 			share := e.Share
 			if share < 1 {
@@ -396,43 +435,49 @@ func residualThreshold(k int, reconfig float64) int64 {
 	return int64(reconfig) + int64(k)
 }
 
-// splitResidual drops trailing light entries into the residual demand. The
-// entries must be ordered by decreasing usefulness; at least one entry is
-// kept. CoverAll disables spilling entirely.
-func splitResidual(entries []Entry, d *Demand, k int, opts Options) (kept []Entry, residual *Demand) {
-	residual = NewDemand(d.N())
-	if opts.CoverAll {
-		return entries, residual
-	}
-	thr := residualThreshold(k, opts.ReconfigSlots)
+// splitResidual drops trailing light entries into the residual demand over
+// n ports. The entries must be ordered by decreasing usefulness; at least
+// one entry is kept. CoverAll disables spilling entirely. A dropped entry e
+// spills weight(e, u, v) slots of each of its connections u→v, and the
+// residual adds up a connection's spills.
+func splitResidual(entries []Entry, n, k int, opts Options, weight func(e Entry, u, v int) int64) (kept []Entry, residual *Demand) {
 	kept = entries
-	for len(kept) > 1 && kept[len(kept)-1].Covered < thr {
-		e := kept[len(kept)-1]
-		e.Config.Ones(func(u, v int) bool {
-			residual.Set(u, v, d.At(u, v))
-			return true
-		})
-		kept = kept[:len(kept)-1]
+	var spilled []entry
+	if !opts.CoverAll {
+		thr := residualThreshold(k, opts.ReconfigSlots)
+		for len(kept) > 1 && kept[len(kept)-1].Covered < thr {
+			e := kept[len(kept)-1]
+			for u, v := range e.Config {
+				if v >= 0 {
+					spilled = append(spilled, entry{topology.Conn{Src: u, Dst: int(v)}.Key(), weight(e, u, int(v))})
+				}
+			}
+			kept = kept[:len(kept)-1]
+		}
 	}
+	residual = NewDemand(n)
+	residual.appendEntries(spilled)
 	return kept, residual
 }
 
-// coveredDemand returns d minus residual, elementwise (clamped at zero).
-// The solstice residual holds a spilled connection's full demand; the BvN
-// residual can hold just the dropped terms' weights, leaving the connection
-// partially covered.
+// coveredDemand returns d minus residual, connection by connection (clamped
+// at zero), in one walk over both. The solstice residual holds a spilled
+// connection's full demand; the BvN residual can hold just the dropped
+// terms' weights, leaving the connection partially covered.
 func coveredDemand(d, residual *Demand) *Demand {
-	c := d.Clone()
-	n := c.N()
-	for u := 0; u < n; u++ {
-		for v := 0; v < n; v++ {
-			if r := residual.At(u, v); r > 0 {
-				w := c.At(u, v) - r
-				if w < 0 {
-					w = 0
-				}
-				c.Set(u, v, w)
-			}
+	c := newDemandSized(d.n, len(d.keys))
+	j := 0
+	for i, k := range d.keys {
+		w := d.w[i]
+		for j < len(residual.keys) && residual.keys[j] < k {
+			j++
+		}
+		if j < len(residual.keys) && residual.keys[j] == k {
+			w -= residual.w[j]
+		}
+		if w > 0 {
+			c.keys = append(c.keys, k)
+			c.w = append(c.w, w)
 		}
 	}
 	return c

@@ -1,9 +1,9 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/multistage"
 	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
@@ -42,7 +42,7 @@ func checkSchedule(t *testing.T, s *Schedule, d *Demand) {
 	for gi, g := range s.Groups {
 		shares := 0
 		for ei, e := range g {
-			if !e.Config.IsPartialPermutation() {
+			if !isPartialPermutation(s.N, e.Config) {
 				t.Fatalf("group %d entry %d is not conflict-free", gi, ei)
 			}
 			if e.Share < 1 {
@@ -71,6 +71,32 @@ func checkSchedule(t *testing.T, s *Schedule, d *Demand) {
 			t.Fatalf("flattened group %d has %d configs for %d slots", gi, len(flat[gi]), s.PreloadSlots)
 		}
 	}
+}
+
+// isPartialPermutation reports whether cfg is a port map over n ports with
+// no output used twice.
+func isPartialPermutation(n int, cfg []int32) bool {
+	used := make([]bool, n)
+	for _, v := range cfg {
+		if v >= 0 {
+			if int(v) >= n || used[v] {
+				return false
+			}
+			used[v] = true
+		}
+	}
+	return len(cfg) == n
+}
+
+// connCount returns the number of connections a port map holds.
+func connCount(cfg []int32) int {
+	c := 0
+	for _, v := range cfg {
+		if v >= 0 {
+			c++
+		}
+	}
+	return c
 }
 
 // TestNewNamesItsKind: each planner reports the name its kind parses from
@@ -128,7 +154,7 @@ func TestStaticMatchesDecomposeChunks(t *testing.T) {
 	s := planOrDie(t, Static{}, d, 4, 4, Options{})
 	checkSchedule(t, s, d)
 	flat := s.Configs()
-	var got []*bitmat.Matrix
+	var got [][]int32
 	for _, g := range flat {
 		got = append(got, g...)
 	}
@@ -136,11 +162,11 @@ func TestStaticMatchesDecomposeChunks(t *testing.T) {
 		t.Fatalf("static planned %d configs, decomposition has %d", len(got), len(want))
 	}
 	for i := range got {
-		if !got[i].Equal(want[i]) {
+		if !slices.Equal(got[i], want[i]) {
 			t.Fatalf("config %d differs from the plain decomposition", i)
 		}
 	}
-	if !s.Residual.IsZero() {
+	if s.Residual.Conns() != 0 {
 		t.Fatal("static planner must not spill to the dynamic path")
 	}
 }
@@ -151,7 +177,7 @@ func TestSolsticeCoversAndBeatsStatic(t *testing.T) {
 	opts := Options{ReconfigSlots: 0.8, CoverAll: true}
 	sol := planOrDie(t, Solstice{}, d, 4, 4, opts)
 	checkSchedule(t, sol, d)
-	if !sol.Residual.IsZero() {
+	if sol.Residual.Conns() != 0 {
 		t.Fatal("CoverAll must cover everything")
 	}
 	// The planner's own drain estimate must beat the hand-written static
@@ -189,7 +215,7 @@ func TestSolsticeResidualSpill(t *testing.T) {
 	}
 	// CoverAll forces it back in.
 	s = planOrDie(t, Solstice{}, d, 4, 2, Options{ReconfigSlots: 0.8, CoverAll: true})
-	if !s.Residual.IsZero() {
+	if s.Residual.Conns() != 0 {
 		t.Fatal("CoverAll still spilled")
 	}
 }
@@ -211,14 +237,14 @@ func TestBvNExactCover(t *testing.T) {
 func TestPlannersRespectRealizability(t *testing.T) {
 	// Oracle: at most 2 connections per configuration — a harshly blocking
 	// fabric. Every planned configuration must satisfy it.
-	canRealize := func(cfg *bitmat.Matrix) bool { return cfg.Count() <= 2 }
+	canRealize := func(cfg []int32) bool { return connCount(cfg) <= 2 }
 	d := skewedDemand(8, 10, 2, 1, 2, 3)
 	for _, p := range []Planner{Solstice{}, BvN{}} {
 		s := planOrDie(t, p, d, 4, 4, Options{CoverAll: true, CanRealize: canRealize})
 		checkSchedule(t, s, d)
 		for gi, g := range s.Groups {
 			for ei, e := range g {
-				if e.Config.Count() > 2 {
+				if connCount(e.Config) > 2 {
 					t.Fatalf("%s group %d entry %d violates the realizability oracle", p.Name(), gi, ei)
 				}
 			}
@@ -240,7 +266,7 @@ func TestPlanDeterministic(t *testing.T) {
 			}
 			for ei := range a.Groups[gi] {
 				x, y := a.Groups[gi][ei], b.Groups[gi][ei]
-				if x.Share != y.Share || x.Demand != y.Demand || !x.Config.Equal(y.Config) {
+				if x.Share != y.Share || x.Demand != y.Demand || !slices.Equal(x.Config, y.Config) {
 					t.Fatalf("%s: group %d entry %d differs", p.Name(), gi, ei)
 				}
 			}
@@ -276,32 +302,87 @@ func TestEmptyDemandPlansEmpty(t *testing.T) {
 
 func TestSplitRealizable(t *testing.T) {
 	o, _ := multistage.NewOmega(8)
+	canRealize := omegaOracle(o)
 	t.Run("no-oracle", func(t *testing.T) {
-		cfg := bitmat.FromPermutation([]int{3, 2, 1, 0, 7, 6, 5, 4})
-		if got := splitRealizable(cfg, nil); len(got) != 1 || got[0] != cfg {
+		cfg := []int32{3, 2, 1, 0, 7, 6, 5, 4}
+		if got := splitRealizable(cfg, nil); len(got) != 1 || &got[0][0] != &cfg[0] {
 			t.Fatal("without an oracle the configuration must come back as is")
 		}
 	})
 	t.Run("realizable", func(t *testing.T) {
-		cfg := bitmat.FromPermutation([]int{1, 2, 3, 4, 5, 6, 7, 0}) // a shift routes on an Omega
-		if got := splitRealizable(cfg, o.CanRealize); len(got) != 1 || got[0] != cfg {
+		cfg := []int32{1, 2, 3, 4, 5, 6, 7, 0} // a shift routes on an Omega
+		if got := splitRealizable(cfg, canRealize); len(got) != 1 || &got[0][0] != &cfg[0] {
 			t.Fatal("a realizable configuration must come back as is")
 		}
 	})
 	t.Run("blocked", func(t *testing.T) {
-		cfg := bitmat.FromPermutation([]int{0, 4, 2, 6, 1, 5, 3, 7}) // bit reverse is Omega-blocked
-		if o.CanRealize(cfg) {
+		cfg := []int32{0, 4, 2, 6, 1, 5, 3, 7} // bit reverse is Omega-blocked
+		if canRealize(cfg) {
 			t.Fatal("bit reverse routed on the Omega")
 		}
-		got := splitRealizable(cfg, o.CanRealize)
-		want := multistage.FirstFit(cfg, o.CanRealize)
+		got := splitRealizable(cfg, canRealize)
+		var conns []topology.Conn
+		for u, v := range cfg {
+			conns = append(conns, topology.Conn{Src: u, Dst: int(v)})
+		}
+		want := multistage.FirstFit(8, conns, canRealize)
 		if len(got) < 2 || len(got) != len(want) {
 			t.Fatalf("split into %d configurations, FirstFit gives %d", len(got), len(want))
 		}
 		for i := range got {
-			if !got[i].Equal(want[i]) || !o.CanRealize(got[i]) {
+			if !slices.Equal(got[i], want[i]) || !canRealize(got[i]) {
 				t.Fatalf("piece %d differs from FirstFit or is unrealizable", i)
 			}
 		}
 	})
+}
+
+// TestDemandHoldsOnlyItsConnections runs every Demand operation over 2^24
+// ports, where one dense N×N cell per pair would need 2^51 bytes: the
+// demand must hold its connections and nothing per port pair.
+func TestDemandHoldsOnlyItsConnections(t *testing.T) {
+	const n = 1 << 24
+	d := NewDemand(n)
+	d.Set(n-1, 0, 4)
+	d.Add(7, n-2, 3)
+	d.Add(7, n-2, 2)
+	d.Set(3, 9, 1)
+	d.Set(3, 9, 0) // a zero demand is not held
+	d.Add(5, 6, 0)
+	if d.Conns() != 2 || d.Total() != 9 || d.At(7, n-2) != 5 || d.At(3, 9) != 0 {
+		t.Fatalf("demand holds %d connections, %d slots", d.Conns(), d.Total())
+	}
+	ws := d.WorkingSet()
+	if want := []topology.Conn{{Src: 7, Dst: n - 2}, {Src: n - 1, Dst: 0}}; !slices.Equal(ws.Conns(), want) {
+		t.Fatalf("working set %v, want %v", ws.Conns(), want)
+	}
+	c := d.Clone()
+	c.Set(7, n-2, 0)
+	if d.At(7, n-2) != 5 || c.Conns() != 1 {
+		t.Fatal("Clone shares the demand's storage")
+	}
+	narrow := topology.NewWorkingSet(n)
+	narrow.Add(topology.Conn{Src: n - 1, Dst: 0})
+	narrow.Add(topology.Conn{Src: 1, Dst: 2})
+	if r := d.Restrict(narrow); r.Conns() != 1 || r.At(n-1, 0) != 4 {
+		t.Fatalf("Restrict kept %d connections", r.Conns())
+	}
+	if cov := coveredDemand(d, c); cov.Conns() != 1 || cov.At(7, n-2) != 5 {
+		t.Fatalf("coveredDemand kept %d connections", cov.Conns())
+	}
+}
+
+// TestDemandRestrictWidens restricts a 4-port demand to a working set over
+// 8 ports: the result spans the wider switch.
+func TestDemandRestrictWidens(t *testing.T) {
+	d := NewDemand(4)
+	d.Set(0, 1, 5)
+	d.Set(3, 2, 7)
+	ws := topology.NewWorkingSet(8)
+	ws.Add(topology.Conn{Src: 3, Dst: 2})
+	ws.Add(topology.Conn{Src: 6, Dst: 7})
+	r := d.Restrict(ws)
+	if r.N() != 8 || r.Conns() != 1 || r.At(3, 2) != 7 || r.At(6, 7) != 0 {
+		t.Fatalf("widened demand over %d ports holds %d connections", r.N(), r.Conns())
+	}
 }

@@ -5,6 +5,7 @@ import (
 	"slices"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/topology"
 )
 
 // Solstice plans by a heaviest-edge greedy cover followed by a grouping
@@ -57,7 +58,7 @@ func (Solstice) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, e
 	wc := newWeightClasses(d)
 	var entries []Entry
 	for len(wc.live) > 0 {
-		cfg := bitmat.NewSquare(n)
+		cfg := topology.NewPortMap(n)
 		maxConn, covered := wc.match(cfg, opts.CanRealize)
 		if covered == 0 {
 			// Nothing realizable — should not happen (a single edge is
@@ -74,7 +75,7 @@ func (Solstice) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, e
 		PreloadSlots: preloadSlots,
 	}
 	var kept []Entry
-	kept, s.Residual = splitResidual(entries, d, k, opts)
+	kept, s.Residual = splitResidual(entries, n, k, opts, func(_ Entry, u, v int) int64 { return d.At(u, v) })
 	s.Covered = coveredDemand(d, s.Residual)
 	s.Groups, s.DrainSlots, s.Reconfigs = packGroups(kept, k, preloadSlots, opts.ReconfigSlots)
 	return s, nil
@@ -112,23 +113,23 @@ type cell struct {
 	word int32
 }
 
-// newWeightClasses groups d's positive edges into weight classes. It scans
-// the demand row-major, so each class's rows, and each row's cells, come out
-// in (src, dst) order: a bucket pass in place of a sort.
+// newWeightClasses groups d's positive edges into weight classes. It walks
+// the demand in (src, dst) order, so each class's rows, and each row's
+// cells, come out in that order: a bucket pass in place of a sort.
 func newWeightClasses(d *Demand) weightClasses {
 	n := d.N()
-	// The distinct weights are the sorted weights of the row-major runs of
-	// equal positive entries, which are few when the classes are large.
+	// The distinct weights are the sorted weights of the runs of equal
+	// entries in (src, dst) order, which are few when the classes are large.
 	runs, last := 0, int64(0)
-	for _, w := range d.d {
-		if w > 0 && w != last {
+	for _, w := range d.w {
+		if w != last {
 			runs, last = runs+1, w
 		}
 	}
 	weight := make([]int64, 0, runs)
 	last = 0
-	for _, w := range d.d {
-		if w > 0 && w != last {
+	for _, w := range d.w {
+		if w != last {
 			weight, last = append(weight, w), w
 		}
 	}
@@ -153,20 +154,16 @@ func newWeightClasses(d *Demand) weightClasses {
 	for c := range lastU {
 		lastU[c] = -1
 	}
-	for u := 0; u < n; u++ {
-		for v, w := range d.d[u*n : (u+1)*n] {
-			if w <= 0 {
-				continue
-			}
-			c, word := classOf(w), int32(v/64)
-			if lastU[c] != int32(u) {
-				lastU[c], lastWord[c] = int32(u), -1
-				rowHi[c]++
-			}
-			if lastWord[c] != word {
-				lastWord[c] = word
-				next[c]++
-			}
+	for i, k := range d.keys {
+		e := topology.ConnOfKey(k)
+		c, u, word := classOf(d.w[i]), int32(e.Src), int32(e.Dst/64)
+		if lastU[c] != u {
+			lastU[c], lastWord[c] = u, -1
+			rowHi[c]++
+		}
+		if lastWord[c] != word {
+			lastWord[c] = word
+			next[c]++
 		}
 	}
 	// Lay the classes out heaviest first; rowHi[c] and next[c] become the
@@ -189,25 +186,21 @@ func newWeightClasses(d *Demand) weightClasses {
 		rowUsed: used[:words:words],
 		colUsed: used[words:],
 	}
-	for u := 0; u < n; u++ {
-		for v, w := range d.d[u*n : (u+1)*n] {
-			if w <= 0 {
-				continue
-			}
-			c := classOf(w)
-			if lastU[c] != int32(u) {
-				lastU[c] = int32(u)
-				wc.rows[rowHi[c]] = classRow{u: int32(u), lo: next[c], hi: next[c]}
-				rowHi[c]++
-			}
-			r := &wc.rows[rowHi[c]-1]
-			if word := int32(v / 64); r.lo == r.hi || wc.cells[r.hi-1].word != word {
-				wc.cells[r.hi].word = word
-				r.hi++
-				next[c]++
-			}
-			wc.cells[r.hi-1].bits |= 1 << (v % 64)
+	for i, k := range d.keys {
+		e := topology.ConnOfKey(k)
+		c, u, v := classOf(d.w[i]), int32(e.Src), e.Dst
+		if lastU[c] != u {
+			lastU[c] = u
+			wc.rows[rowHi[c]] = classRow{u: u, lo: next[c], hi: next[c]}
+			rowHi[c]++
 		}
+		r := &wc.rows[rowHi[c]-1]
+		if word := int32(v / 64); r.lo == r.hi || wc.cells[r.hi-1].word != word {
+			wc.cells[r.hi].word = word
+			r.hi++
+			next[c]++
+		}
+		wc.cells[r.hi-1].bits |= 1 << (v % 64)
 	}
 	slices.Reverse(weight)
 	wc.weight = weight
@@ -219,7 +212,7 @@ func newWeightClasses(d *Demand) weightClasses {
 // lowest free column that canRealize accepts. It removes the matched edges,
 // drops rows and classes left without one, and returns the heaviest matched
 // weight and the summed weights.
-func (wc *weightClasses) match(cfg *bitmat.Matrix, canRealize func(*bitmat.Matrix) bool) (maxConn, covered int64) {
+func (wc *weightClasses) match(cfg []int32, canRealize func([]int32) bool) (maxConn, covered int64) {
 	clear(wc.rowUsed)
 	clear(wc.colUsed)
 	live := wc.live[:0]
@@ -249,15 +242,13 @@ func (wc *weightClasses) match(cfg *bitmat.Matrix, canRealize func(*bitmat.Matri
 // take matches row r to its lowest column that is free this round and that
 // canRealize accepts, setting it in cfg and removing it from the row, and
 // reports whether it found one. A refused column stays in the row.
-func (wc *weightClasses) take(r *classRow, cfg *bitmat.Matrix, canRealize func(*bitmat.Matrix) bool) bool {
-	u := int(r.u)
+func (wc *weightClasses) take(r *classRow, cfg []int32, canRealize func([]int32) bool) bool {
 	for i := r.lo; i < r.hi; i++ {
 		word := wc.cells[i].word
 		for free := wc.cells[i].bits &^ wc.colUsed[word]; free != 0; free &= free - 1 {
-			v := int(word)*64 + bits.TrailingZeros64(free)
-			cfg.Set(u, v)
+			cfg[r.u] = word*64 + int32(bits.TrailingZeros64(free))
 			if canRealize != nil && !canRealize(cfg) {
-				cfg.Clear(u, v)
+				cfg[r.u] = -1
 				continue
 			}
 			bit := free & -free

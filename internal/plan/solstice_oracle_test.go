@@ -65,19 +65,26 @@ func heaviestMatching(rem *Demand, canRealize func(*bitmat.Matrix) bool) (cfg *b
 }
 
 // solsticeOracle is the full Solstice plan built from heaviestMatching, one
-// rescan of a cloned demand per round. Solstice.Plan must match it exactly.
+// rescan of a cloned demand per round, on dense matrices: it hands the
+// realizability check each candidate converted to a port map, and converts
+// each configuration to one for its entry. Solstice.Plan must match it
+// exactly.
 func solsticeOracle(d *Demand, k, preloadSlots int, opts Options) (*Schedule, error) {
 	if err := checkPlanArgs(d, k, preloadSlots); err != nil {
 		return nil, err
 	}
+	var canRealize func(*bitmat.Matrix) bool
+	if opts.CanRealize != nil {
+		canRealize = func(cfg *bitmat.Matrix) bool { return opts.CanRealize(cfg.PortMap()) }
+	}
 	rem := d.Clone()
 	var entries []Entry
-	for !rem.IsZero() {
-		cfg, maxConn, covered := heaviestMatching(rem, opts.CanRealize)
+	for rem.Conns() > 0 {
+		cfg, maxConn, covered := heaviestMatching(rem, canRealize)
 		if cfg == nil {
 			break
 		}
-		entries = append(entries, Entry{Config: cfg, Demand: maxConn, Covered: covered})
+		entries = append(entries, Entry{Config: cfg.PortMap(), Demand: maxConn, Covered: covered})
 		cfg.Ones(func(u, v int) bool {
 			rem.Set(u, v, 0)
 			return true
@@ -90,7 +97,7 @@ func solsticeOracle(d *Demand, k, preloadSlots int, opts Options) (*Schedule, er
 		PreloadSlots: preloadSlots,
 	}
 	var kept []Entry
-	kept, s.Residual = splitResidual(entries, d, k, opts)
+	kept, s.Residual = splitResidual(entries, d.N(), k, opts, func(_ Entry, u, v int) int64 { return d.At(u, v) })
 	s.Covered = coveredDemand(d, s.Residual)
 	s.Groups, s.DrainSlots, s.Reconfigs = packGroups(kept, k, preloadSlots, opts.ReconfigSlots)
 	return s, nil
@@ -117,22 +124,31 @@ func assertSolsticeMatchesOracle(t *testing.T, d *Demand, k, slots int, opts Opt
 // refusingOracle is a deterministic realizability oracle that refuses
 // roughly one multi-connection configuration in four, chosen by a hash of
 // the configuration's connections salted with salt.
-func refusingOracle(salt uint64) func(*bitmat.Matrix) bool {
-	return func(cfg *bitmat.Matrix) bool {
-		h := salt | 1
-		cfg.Ones(func(u, v int) bool {
-			h = (h ^ uint64(u)<<16 ^ uint64(v)) * 0x100000001b3
-			return true
-		})
-		return cfg.Count() <= 1 || h>>62 != 0
+func refusingOracle(salt uint64) func([]int32) bool {
+	return func(cfg []int32) bool {
+		h, count := salt|1, 0
+		for u, v := range cfg {
+			if v >= 0 {
+				h = (h ^ uint64(u)<<16 ^ uint64(v)) * 0x100000001b3
+				count++
+			}
+		}
+		return count <= 1 || h>>62 != 0
 	}
+}
+
+// omegaOracle is the Omega network's realizability check with its own
+// switch-state scratch.
+func omegaOracle(o *multistage.Omega) func([]int32) bool {
+	state := o.NewState()
+	return func(cfg []int32) bool { return o.CanRealize(cfg, state) }
 }
 
 // realizabilityOracles returns the CanRealize functions the parity checks
 // plan under: none (the crossbar), the Omega at power-of-two n, and
 // refusingOracle.
-func realizabilityOracles(t testing.TB, n int, salt uint64) map[string]func(*bitmat.Matrix) bool {
-	oracles := map[string]func(*bitmat.Matrix) bool{
+func realizabilityOracles(t testing.TB, n int, salt uint64) map[string]func([]int32) bool {
+	oracles := map[string]func([]int32) bool{
 		"crossbar": nil,
 		"refusing": refusingOracle(salt),
 	}
@@ -141,7 +157,7 @@ func realizabilityOracles(t testing.TB, n int, salt uint64) map[string]func(*bit
 		if err != nil {
 			t.Fatal(err)
 		}
-		oracles["omega"] = o.CanRealize
+		oracles["omega"] = omegaOracle(o)
 	}
 	return oracles
 }
@@ -194,7 +210,7 @@ func TestSolsticeMatchesOracleTwoPhase128(t *testing.T) {
 		d := demand.Restrict(phase)
 		assertSolsticeMatchesOracle(t, d, 4, 2, Options{ReconfigSlots: 0.8})
 		assertSolsticeMatchesOracle(t, d, 4, 4, Options{ReconfigSlots: 0.8, CoverAll: true})
-		assertSolsticeMatchesOracle(t, d, 4, 2, Options{ReconfigSlots: 0.8, CanRealize: o.CanRealize})
+		assertSolsticeMatchesOracle(t, d, 4, 2, Options{ReconfigSlots: 0.8, CanRealize: omegaOracle(o)})
 	}
 }
 

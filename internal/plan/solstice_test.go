@@ -63,8 +63,8 @@ func TestSolsticeMatchesOracleOmega256(t *testing.T) {
 		t.Fatal(err)
 	}
 	d := randomDemand(n, 12, false, 34)
-	assertSolsticeMatchesOracle(t, d, 4, 2, Options{ReconfigSlots: 0.8, CanRealize: o.CanRealize})
-	assertSolsticeMatchesOracle(t, d, 4, 4, Options{ReconfigSlots: 0.8, CoverAll: true, CanRealize: o.CanRealize})
+	assertSolsticeMatchesOracle(t, d, 4, 2, Options{ReconfigSlots: 0.8, CanRealize: omegaOracle(o)})
+	assertSolsticeMatchesOracle(t, d, 4, 4, Options{ReconfigSlots: 0.8, CoverAll: true, CanRealize: omegaOracle(o)})
 }
 
 // TestSolsticeAllocatesPerConnection plans an N=1024 demand of ~16k

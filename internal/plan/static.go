@@ -3,7 +3,6 @@ package plan
 import (
 	"fmt"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/topology"
 )
 
@@ -26,7 +25,7 @@ func (Static) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, err
 	}
 	decompose := opts.Decompose
 	if decompose == nil {
-		decompose = func(ws *topology.WorkingSet) ([]*bitmat.Matrix, error) {
+		decompose = func(ws *topology.WorkingSet) ([][]int32, error) {
 			return topology.Decompose(ws), nil
 		}
 	}
@@ -50,14 +49,13 @@ func (Static) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, err
 		var group []Entry
 		for _, cfg := range configs[start:end] {
 			e := Entry{Config: cfg, Share: 1}
-			cfg.Ones(func(u, v int) bool {
-				w := d.At(u, v)
-				e.Covered += w
-				if w > e.Demand {
-					e.Demand = w
+			for u, v := range cfg {
+				if v >= 0 {
+					w := d.At(u, int(v))
+					e.Covered += w
+					e.Demand = max(e.Demand, w)
 				}
-				return true
-			})
+			}
 			group = append(group, e)
 		}
 		s.Groups = append(s.Groups, group)

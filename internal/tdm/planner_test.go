@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/fabric"
 	"pmsnet/internal/plan"
 	"pmsnet/internal/topology"
@@ -139,10 +138,10 @@ func TestPlannerValidation(t *testing.T) {
 // configuration repeats within the group (a register share) or two of the
 // group's configurations overlap (BvN terms can).
 func TestIndexGroupsRecordsEachGroupOnce(t *testing.T) {
-	cfg := func(conns ...topology.Conn) *bitmat.Matrix {
-		m := bitmat.NewSquare(4)
+	cfg := func(conns ...topology.Conn) []int32 {
+		m := topology.NewPortMap(4)
 		for _, c := range conns {
-			m.Set(c.Src, c.Dst)
+			m[c.Src] = int32(c.Dst)
 		}
 		return m
 	}
@@ -158,7 +157,7 @@ func TestIndexGroupsRecordsEachGroupOnce(t *testing.T) {
 			}
 		}
 	})
-	p := &preloader{r: &run{cfg: Config{N: 4}, conns: conns}, groups: [][]*bitmat.Matrix{
+	p := &preloader{r: &run{cfg: Config{N: 4}, conns: conns}, groups: [][][]int32{
 		{shared, shared},    // a register share
 		{cfg(b), cfg(b, c)}, // overlapping configurations
 		{cfg(c), cfg(a)},

@@ -3,8 +3,6 @@ package tdm
 import (
 	"fmt"
 	"math"
-	"math/bits"
-	"slices"
 
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/plan"
@@ -25,8 +23,9 @@ import (
 type preloader struct {
 	r     *run
 	slots int
-	// groups holds the configuration groups in phase order.
-	groups [][]*bitmat.Matrix
+	// groups holds the configuration groups in phase order, each
+	// configuration a port map over the switch's ports.
+	groups [][][]int32
 	// groupStart and groupList list the groups holding each connection of
 	// the run's table, in group order: connection id's groups are
 	// groupList[groupStart[id]:groupStart[id+1]] (indexGroups). broken is a
@@ -35,9 +34,6 @@ type preloader struct {
 	groupStart []int32
 	groupList  []int32
 	broken     []uint64
-	// empty is the all-zero configuration pinned into every managed slot a
-	// group leaves unused; LoadConfig copies it, so one serves every slot.
-	empty *bitmat.Matrix
 	// pendingInGroup counts pending connections per group;
 	// pendingStatic counts pending connections covered by any group.
 	pendingInGroup []int
@@ -56,7 +52,7 @@ func newPreloader(r *run, wl *traffic.Workload, slots int) (*preloader, error) {
 	if len(wl.StaticPhases) == 0 {
 		return nil, fmt.Errorf("tdm: %s mode needs static phases in the workload", r.cfg.Mode)
 	}
-	p := &preloader{r: r, slots: slots, empty: bitmat.NewSquare(r.cfg.N)}
+	p := &preloader{r: r, slots: slots}
 	if err := p.buildGroups(wl); err != nil {
 		return nil, err
 	}
@@ -123,71 +119,55 @@ func (p *preloader) phases(wl *traffic.Workload) []*topology.WorkingSet {
 // indexGroups builds the group lists once every group exists. A planned
 // configuration can occupy several of the group's slot registers (register
 // shares), and a connection can sit in several of a group's configurations,
-// so each group's row is the OR of its configurations' rows: membership is
-// recorded once per (connection, group) and the pending accounting weighs
-// each group by distinct waiting connections. A counting pass sizes the
-// lists; the filling pass lists each row's (dst, group) pairs, packed into
-// one word with dst in the high half, and sorts them, which orders the row
-// by dst, as the table's row is, and keeps each list in group order. Rows
-// past the table's ports belong to idle ports, which no group holds.
+// so membership is recorded once per (connection, group) and the pending
+// accounting weighs each group by distinct waiting connections. One pass
+// over the configurations' connections resolves each id once, keeps a
+// group's first sighting of it and counts the connection's groups; a
+// second pass lays the lists out by id, each in group order.
 func (p *preloader) indexGroups() error {
 	conns := p.r.conns
-	n := conns.Ports()
-	words := (p.r.cfg.N + 63) / 64
-	union := make([]uint64, words)
-	members, widest := 0, 0
-	for u := 0; u < n; u++ {
-		row := 0
-		for _, group := range p.groups {
-			rowUnion(union, group, u)
-			for _, word := range union {
-				row += bits.OnesCount64(word)
-			}
-		}
-		members += row
-		widest = max(widest, row)
+	lastGroup := make([]int32, conns.Len())
+	for i := range lastGroup {
+		lastGroup[i] = -1
 	}
-
 	p.groupStart = make([]int32, conns.Len()+1)
-	p.groupList = make([]int32, 0, members)
-	pairs := make([]uint64, 0, widest)
-	for u := 0; u < n; u++ {
-		pairs = pairs[:0]
-		for gi, group := range p.groups {
-			rowUnion(union, group, u)
-			for w, word := range union {
-				for ; word != 0; word &= word - 1 {
-					v := w*64 + bits.TrailingZeros64(word)
-					pairs = append(pairs, uint64(v)<<32|uint64(gi))
+	var members []int32 // the ids each group holds, group after group
+	groupEnd := make([]int, len(p.groups))
+	for gi, group := range p.groups {
+		for _, cfg := range group {
+			for u, v := range cfg {
+				if v < 0 {
+					continue
+				}
+				id := conns.ID(u, int(v))
+				if id < 0 {
+					return fmt.Errorf("tdm: preloaded connection %v is outside the run's table",
+						topology.Conn{Src: u, Dst: int(v)})
+				}
+				if lastGroup[id] != int32(gi) {
+					lastGroup[id] = int32(gi)
+					members = append(members, id)
+					p.groupStart[id+1]++
 				}
 			}
 		}
-		slices.Sort(pairs)
-		lo, hi := conns.Row(u)
-		i := 0
-		for id := lo; id < hi; id++ {
-			p.groupStart[id] = int32(len(p.groupList))
-			for ; i < len(pairs) && int(pairs[i]>>32) == conns.Dst(id); i++ {
-				p.groupList = append(p.groupList, int32(uint32(pairs[i])))
-			}
-		}
-		if i < len(pairs) {
-			return fmt.Errorf("tdm: preloaded connection %v is outside the run's table",
-				topology.Conn{Src: u, Dst: int(pairs[i] >> 32)})
-		}
+		groupEnd[gi] = len(members)
 	}
-	p.groupStart[conns.Len()] = int32(len(p.groupList))
+	for id := range lastGroup {
+		p.groupStart[id+1] += p.groupStart[id]
+	}
+	next := lastGroup // reused as each list's fill cursor
+	copy(next, p.groupStart)
+	p.groupList = make([]int32, len(members))
+	gi := 0
+	for i, id := range members {
+		for i == groupEnd[gi] {
+			gi++
+		}
+		p.groupList[next[id]] = int32(gi)
+		next[id]++
+	}
 	return nil
-}
-
-// rowUnion sets union to the OR of row u over the group's configurations.
-func rowUnion(union []uint64, group []*bitmat.Matrix, u int) {
-	clear(union)
-	for _, cfg := range group {
-		for w, word := range cfg.RowWords(u) {
-			union[w] |= word
-		}
-	}
 }
 
 // groupsOf returns every group holding connection id, in group order.
@@ -227,15 +207,6 @@ func (p *preloader) firstUncovered(wl *traffic.Workload) (topology.Conn, bool) {
 func (p *preloader) planPhases(wl *traffic.Workload) error {
 	cfg := p.r.cfg
 	demand := plan.FromWorkload(wl, cfg.PayloadBytes)
-	if wl.N < cfg.N {
-		wide := plan.NewDemand(cfg.N)
-		for u := 0; u < wl.N; u++ {
-			for v := 0; v < wl.N; v++ {
-				wide.Set(u, v, demand.At(u, v))
-			}
-		}
-		demand = wide
-	}
 	opts := plan.Options{
 		ReconfigSlots: float64(cfg.Link.ControlDelay()) / float64(cfg.SlotNs),
 		CoverAll:      cfg.Mode == Preload,
@@ -245,6 +216,8 @@ func (p *preloader) planPhases(wl *traffic.Workload) error {
 		opts.CanRealize = p.r.fab.CanRealize
 	}
 	for _, phase := range p.phases(wl) {
+		// The phase spans the switch's ports, so restricting the workload's
+		// demand to it also widens the demand to them.
 		sched, err := cfg.Planner.Plan(demand.Restrict(phase), cfg.K, p.slots, opts)
 		if err != nil {
 			return fmt.Errorf("tdm: %s planner: %w", cfg.Planner.Name(), err)
@@ -266,7 +239,7 @@ func (p *preloader) load(gi int) error {
 	p.slotsSinceLoad = 0
 	group := p.groups[gi]
 	for i := 0; i < p.slots; i++ {
-		cfg := p.empty
+		var cfg []int32 // the empty configuration
 		if i < len(group) {
 			cfg = group[i]
 		}
@@ -378,7 +351,7 @@ func (p *preloader) maybeAdvance() bool {
 
 // breakConn invalidates every preloaded configuration entry carrying
 // connection id after a fault (dead crosspoint or failed endpoint link). The
-// entry is removed from its group matrices for the rest of the run — the
+// entry is cleared from its groups' port maps for the rest of the run — the
 // compiled schedule is not revalidated at run time, so a repaired link does
 // not restore it — and the currently loaded group is re-pinned if it was
 // affected. From here on its traffic is served only by dynamic slots. It
@@ -401,8 +374,8 @@ func (p *preloader) breakConn(id int32) bool {
 	reload := false
 	for _, g := range gs {
 		for _, cfg := range p.groups[g] {
-			if cfg.Get(c.Src, c.Dst) {
-				cfg.Clear(c.Src, c.Dst)
+			if cfg[c.Src] == int32(c.Dst) {
+				cfg[c.Src] = -1
 			}
 		}
 		if int(g) == p.cur {
@@ -443,7 +416,7 @@ func (p *preloader) releaseSlot() bool {
 		return false
 	}
 	p.slots--
-	if err := p.r.sched.LoadConfig(p.slots, p.empty, false); err != nil {
+	if err := p.r.sched.LoadConfig(p.slots, nil, false); err != nil {
 		p.r.fail(err)
 		return false
 	}

@@ -16,13 +16,13 @@ import (
 // referenceGroupsOf indexes groups the map way: each group's configurations
 // are ORed into one union matrix, whose every connection records the group
 // once, in group order.
-func referenceGroupsOf(n int, groups [][]*bitmat.Matrix) map[topology.Conn][]int32 {
+func referenceGroupsOf(n int, groups [][][]int32) map[topology.Conn][]int32 {
 	ref := make(map[topology.Conn][]int32)
 	union := bitmat.NewSquare(n)
 	for gi, group := range groups {
 		union.Reset()
 		for _, cfg := range group {
-			union.Or(cfg)
+			union.Or(bitmat.FromPermutation(cfg))
 		}
 		union.Ones(func(u, v int) bool {
 			c := topology.Conn{Src: u, Dst: v}
@@ -36,8 +36,8 @@ func referenceGroupsOf(n int, groups [][]*bitmat.Matrix) map[topology.Conn][]int
 // randomGroups draws groups of random partial permutations over n ports.
 // Some groups repeat a configuration (a register share) and every group's
 // configurations may overlap.
-func randomGroups(rng *rand.Rand, n int) [][]*bitmat.Matrix {
-	groups := make([][]*bitmat.Matrix, 1+rng.Intn(6))
+func randomGroups(rng *rand.Rand, n int) [][][]int32 {
+	groups := make([][][]int32, 1+rng.Intn(6))
 	for gi := range groups {
 		size := 1 + rng.Intn(3)
 		for len(groups[gi]) < size {
@@ -45,10 +45,10 @@ func randomGroups(rng *rand.Rand, n int) [][]*bitmat.Matrix {
 				groups[gi] = append(groups[gi], groups[gi][rng.Intn(len(groups[gi]))])
 				continue
 			}
-			cfg := bitmat.NewSquare(n)
+			cfg := topology.NewPortMap(n)
 			for u, v := range rng.Perm(n) {
 				if u != v && rng.Intn(3) > 0 {
-					cfg.Set(u, v)
+					cfg[u] = int32(v)
 				}
 			}
 			groups[gi] = append(groups[gi], cfg)
@@ -58,7 +58,7 @@ func randomGroups(rng *rand.Rand, n int) [][]*bitmat.Matrix {
 }
 
 // checkIndexAgainst compares groupsOf for every (u, v) with the reference,
-// checks that each group's matrices hold exactly the connections the
+// checks that each group's port maps hold exactly the connections the
 // reference lists for that group, and recounts the pending totals.
 func checkIndexAgainst(t *testing.T, what string, p *preloader, ref map[topology.Conn][]int32) {
 	t.Helper()
@@ -81,7 +81,7 @@ func checkIndexAgainst(t *testing.T, what string, p *preloader, ref map[topology
 			for v := 0; v < n; v++ {
 				held := false
 				for _, cfg := range group {
-					held = held || cfg.Get(u, v)
+					held = held || cfg[u] == int32(v)
 				}
 				listed := false
 				for _, g := range ref[topology.Conn{Src: u, Dst: v}] {
@@ -205,8 +205,8 @@ func TestPreloadCoverageNamesSmallestConnection(t *testing.T) {
 }
 
 // TestGroupLoadDoesNotAllocate pins a group that leaves managed slots empty
-// and hands a slot back: one empty configuration held by the preloader
-// serves every such slot, so neither allocates.
+// and hands a slot back: a nil configuration pins each such slot empty, so
+// neither allocates.
 func TestGroupLoadDoesNotAllocate(t *testing.T) {
 	// 15 single-connection configurations in groups of 4: the last group
 	// fills three of the four slots.

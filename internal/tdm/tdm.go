@@ -32,7 +32,6 @@ package tdm
 import (
 	"fmt"
 
-	"pmsnet/internal/bitmat"
 	"pmsnet/internal/core"
 	"pmsnet/internal/fabric"
 	"pmsnet/internal/fault"
@@ -337,18 +336,12 @@ func (n *Network) start(wl *traffic.Workload) (*run, error) {
 	}
 	var canEstablish func(cfg []int32, u, v int) bool
 	if !fab.Rearrangeable() {
-		// The blocking fabric realizes configurations given as matrices:
-		// one reusable trial matrix holds the slot's configuration plus the
+		// One reused port map holds the slot's configuration plus the
 		// candidate for each probe.
-		trial := bitmat.NewSquare(cfg.N)
+		trial := make([]int32, cfg.N)
 		canEstablish = func(slot []int32, u, v int) bool {
-			trial.Reset()
-			for x, y := range slot {
-				if y >= 0 {
-					trial.Set(x, int(y))
-				}
-			}
-			trial.Set(u, v)
+			copy(trial, slot)
+			trial[u] = int32(v)
 			return fab.CanRealize(trial)
 		}
 	}

@@ -1,11 +1,14 @@
 package tdm
 
 import (
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
 
 	"pmsnet/internal/fabric"
+	"pmsnet/internal/multistage"
 	"pmsnet/internal/predictor"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
@@ -556,6 +559,69 @@ func TestOmegaFabricPreloadCompletes(t *testing.T) {
 	}
 	if res.Messages != wl.MessageCount() {
 		t.Fatalf("delivered %d of %d", res.Messages, wl.MessageCount())
+	}
+}
+
+// TestOmegaCanEstablishZeroAlloc probes the scheduler's establish hook of a
+// -fabric omega run at N=64: a candidate joins a copy of the slot's port map
+// and the backend routes it with its own switch-state scratch, so no probe
+// allocates. The hook must agree with the Omega network on every
+// candidate, and leave the slot's map as it was.
+func TestOmegaCanEstablishZeroAlloc(t *testing.T) {
+	const n = 64
+	r, err := mustNew(t, Config{N: n, K: 4, Fabric: fabric.KindOmega}).start(traffic.AllToAll(n, 64))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hook := r.sched.Params().CanEstablish
+	if hook == nil {
+		t.Fatal("an omega run installs no establish hook")
+	}
+	o, _ := multistage.NewOmega(n)
+	// The slot holds the connections of a random permutation that route
+	// together, taken first-fit from the lower half of the inputs; a free
+	// input's candidates to free outputs then route or collide.
+	slot := topology.NewPortMap(n)
+	used := make([]bool, n)
+	for u, v := range rand.New(rand.NewSource(36)).Perm(n)[:n/2] {
+		if slot[u] = int32(v); o.CanRealize(slot, o.NewState()) {
+			used[v] = true
+		} else {
+			slot[u] = -1
+		}
+	}
+	before := slices.Clone(slot)
+	routes, blocked := 0, 0
+	for u := n / 2; u < n; u++ {
+		for v := 0; v < n; v++ {
+			if used[v] {
+				continue
+			}
+			trial := slices.Clone(slot)
+			trial[u] = int32(v)
+			want := o.CanRealize(trial, o.NewState())
+			if got := hook(slot, u, v); got != want {
+				t.Fatalf("hook(%d->%d) = %v, the omega network says %v", u, v, got, want)
+			}
+			if want {
+				routes++
+			} else {
+				blocked++
+			}
+		}
+	}
+	if routes == 0 || blocked == 0 {
+		t.Fatalf("%d candidates route and %d collide; want both kinds", routes, blocked)
+	}
+	if !slices.Equal(slot, before) {
+		t.Fatal("the hook changed the slot's port map")
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		for v := 0; v < n; v++ {
+			hook(slot, n-1, v)
+		}
+	}); allocs != 0 {
+		t.Errorf("%v allocations per %d establish probes, want 0", allocs, n)
 	}
 }
 

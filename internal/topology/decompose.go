@@ -20,9 +20,11 @@ import (
 // tables are stored color-major, so a flip of colors a and b walks four rows
 // of N entries: O(|C| · (N + Δ/64)) in all.
 //
-// The returned configurations are partial permutations ordered by color
-// index; their union equals the working set exactly.
-func Decompose(w *WorkingSet) []*bitmat.Matrix {
+// The returned configurations are port maps (cfg[u] is the output input u
+// connects to, or -1) ordered by color index; each is a partial permutation
+// and their union equals the working set exactly. They are the rows of the
+// coloring's own table, so they share one allocation.
+func Decompose(w *WorkingSet) [][]int32 {
 	n := w.Ports()
 	delta := w.Degree()
 	if delta == 0 {
@@ -31,11 +33,10 @@ func Decompose(w *WorkingSet) []*bitmat.Matrix {
 
 	// atSrc[c*n+u] = output port of the edge at input u colored c, or -1.
 	// atDst[c*n+v] = input port of the edge at output v colored c, or -1.
-	tables := make([]int32, 2*n*delta)
-	for i := range tables {
-		tables[i] = -1
+	atSrc, atDst := make([]int32, n*delta), make([]int32, n*delta)
+	for i := range atSrc {
+		atSrc[i], atDst[i] = -1, -1
 	}
-	atSrc, atDst := tables[:n*delta:n*delta], tables[n*delta:]
 	// freeSrc[u*words:(u+1)*words] has bit c set while input u has color c
 	// free; freeDst likewise for outputs.
 	words := (delta + 63) / 64
@@ -87,15 +88,9 @@ func Decompose(w *WorkingSet) []*bitmat.Matrix {
 		bitmat.MaskClear(dst, a)
 	}
 
-	configs := make([]*bitmat.Matrix, delta)
+	configs := make([][]int32, delta)
 	for c := range configs {
-		cfg := bitmat.NewSquare(n)
-		for u, v := range atSrc[c*n : (c+1)*n] {
-			if v != -1 {
-				cfg.Set(u, int(v))
-			}
-		}
-		configs[c] = cfg
+		configs[c] = atSrc[c*n : (c+1)*n : (c+1)*n]
 	}
 	return configs
 }
@@ -144,30 +139,12 @@ func flipAlternatingPath(srcA, srcB, dstA, dstB []int32, start int) (end int, en
 	}
 }
 
-// GreedyDecompose is the first-fit alternative decomposer: each connection
-// goes into the first configuration whose input and output ports are both
-// free, opening a new configuration when none fits. It can use up to
-// 2Δ−1 configurations in the worst case but runs in O(|C| · k) with no
-// recoloring, which is the shape of what a simple hardware preloader would
-// do. Used by the ablation benchmarks against the exact decomposer.
-func GreedyDecompose(w *WorkingSet) []*bitmat.Matrix {
-	n := w.Ports()
-	var configs []*bitmat.Matrix
-	for _, k := range w.keys {
-		e := ConnOfKey(k)
-		placed := false
-		for _, cfg := range configs {
-			if !cfg.RowAny(e.Src) && !cfg.ColAny(e.Dst) {
-				cfg.Set(e.Src, e.Dst)
-				placed = true
-				break
-			}
-		}
-		if !placed {
-			cfg := bitmat.NewSquare(n)
-			cfg.Set(e.Src, e.Dst)
-			configs = append(configs, cfg)
-		}
+// NewPortMap returns a configuration over n ports with every input free: a
+// port map whose entry u is the output input u connects to, or -1.
+func NewPortMap(n int) []int32 {
+	cfg := make([]int32, n)
+	for u := range cfg {
+		cfg[u] = -1
 	}
-	return configs
+	return cfg
 }

@@ -4,8 +4,10 @@ import (
 	"fmt"
 	"math/rand"
 	"testing"
+	"testing/quick"
 
 	"pmsnet/internal/bitmat"
+	"pmsnet/internal/multistage"
 	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
 )
@@ -109,8 +111,9 @@ func free(slots []int) int {
 	return -1
 }
 
-func assertSameConfigs(t *testing.T, what string, got, want []*bitmat.Matrix) {
+func assertSameConfigs(t *testing.T, what string, gotMaps [][]int32, want []*bitmat.Matrix) {
 	t.Helper()
+	got := topology.ConfigMatrices(gotMaps)
 	if len(got) != len(want) {
 		t.Fatalf("%s: %d configurations, reference has %d", what, len(got), len(want))
 	}
@@ -229,8 +232,9 @@ func FuzzDecomposeParity(f *testing.F) {
 				w.Add(c)
 			}
 		}
-		got := topology.Decompose(w)
-		assertSameConfigs(t, "fuzz", got, referenceDecompose(w))
+		maps := topology.Decompose(w)
+		assertSameConfigs(t, "fuzz", maps, referenceDecompose(w))
+		got := topology.ConfigMatrices(maps)
 		if len(got) != w.Degree() {
 			t.Fatalf("%d configurations, degree %d", len(got), w.Degree())
 		}
@@ -247,4 +251,55 @@ func FuzzDecomposeParity(f *testing.F) {
 			t.Fatalf("configurations cover %d entries (union equal %v), set has %d", count, union.Equal(w.Matrix()), w.Len())
 		}
 	})
+}
+
+// greedyDecompose is the first-fit decomposer the ablations hold the exact
+// one against: multistage.FirstFit on the crossbar, where every partial
+// permutation is realizable.
+func greedyDecompose(w *topology.WorkingSet) [][]int32 {
+	return multistage.FirstFit(w.Ports(), w.Conns(), func([]int32) bool { return true })
+}
+
+func TestGreedyDecomposeCoversSet(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	w := topology.NewWorkingSet(16)
+	for w.Len() < 40 {
+		if s, d := rng.Intn(16), rng.Intn(16); s != d {
+			w.Add(topology.Conn{Src: s, Dst: d})
+		}
+	}
+	configs := topology.ConfigMatrices(greedyDecompose(w))
+	if len(configs) < w.Degree() {
+		t.Fatalf("greedy used %d configs, below lower bound %d", len(configs), w.Degree())
+	}
+	union := bitmat.NewSquare(16)
+	total := 0
+	for i, cfg := range configs {
+		if !cfg.IsPartialPermutation() {
+			t.Fatalf("greedy config %d not a partial permutation", i)
+		}
+		total += cfg.Count()
+		union.Or(cfg)
+	}
+	if total != w.Len() || !union.Equal(w.Matrix()) {
+		t.Fatal("greedy decomposition must exactly cover the set")
+	}
+}
+
+func TestQuickGreedyNeverBeatsOptimal(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		n := 2 + rng.Intn(12)
+		w := topology.NewWorkingSet(n)
+		for i := 0; i < n*2; i++ {
+			s, d := rng.Intn(n), rng.Intn(n)
+			if s != d {
+				w.Add(topology.Conn{Src: s, Dst: d})
+			}
+		}
+		return len(greedyDecompose(w)) >= len(topology.Decompose(w))
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
 }

@@ -222,7 +222,7 @@ func TestDecomposeSinglePermutation(t *testing.T) {
 	w.Add(Conn{1, 2})
 	w.Add(Conn{2, 3})
 	w.Add(Conn{3, 0})
-	configs := Decompose(w)
+	configs := ConfigMatrices(Decompose(w))
 	if len(configs) != 1 {
 		t.Fatalf("a permutation should decompose into 1 config, got %d", len(configs))
 	}
@@ -243,7 +243,7 @@ func TestDecomposeAllToAll(t *testing.T) {
 			}
 		}
 	}
-	configs := Decompose(w)
+	configs := ConfigMatrices(Decompose(w))
 	if len(configs) != n-1 {
 		t.Fatalf("all-to-all(%d) decomposed into %d configs, want %d", n, len(configs), n-1)
 	}
@@ -279,44 +279,11 @@ func TestDecomposeTriggersRecoloring(t *testing.T) {
 	w.Add(Conn{3, 1})
 	w.Add(Conn{4, 1})
 	w.Add(Conn{4, 2})
-	configs := Decompose(w)
+	configs := ConfigMatrices(Decompose(w))
 	if len(configs) != w.Degree() {
 		t.Fatalf("got %d configs, want Degree()=%d", len(configs), w.Degree())
 	}
 	assertExactCover(t, w, configs)
-}
-
-func TestGreedyDecomposeCoversSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	w := randomWorkingSet(rng, 16, 40)
-	configs := GreedyDecompose(w)
-	if len(configs) < w.Degree() {
-		t.Fatalf("greedy used %d configs, below lower bound %d", len(configs), w.Degree())
-	}
-	union := w.Matrix()
-	union.Reset()
-	total := 0
-	for i, cfg := range configs {
-		if !cfg.IsPartialPermutation() {
-			t.Fatalf("greedy config %d not a partial permutation", i)
-		}
-		total += cfg.Count()
-		union.Or(cfg)
-	}
-	if total != w.Len() || !union.Equal(w.Matrix()) {
-		t.Fatal("greedy decomposition must exactly cover the set")
-	}
-}
-
-func randomWorkingSet(rng *rand.Rand, n, edges int) *WorkingSet {
-	w := NewWorkingSet(n)
-	for w.Len() < edges {
-		s, d := rng.Intn(n), rng.Intn(n)
-		if s != d {
-			w.Add(Conn{s, d})
-		}
-	}
-	return w
 }
 
 func TestQuickDecomposeIsOptimalExactCover(t *testing.T) {
@@ -332,7 +299,7 @@ func TestQuickDecomposeIsOptimalExactCover(t *testing.T) {
 				w.Add(Conn{s, d})
 			}
 		}
-		configs := Decompose(w)
+		configs := ConfigMatrices(Decompose(w))
 		if len(configs) != w.Degree() {
 			return false
 		}
@@ -354,24 +321,6 @@ func TestQuickDecomposeIsOptimalExactCover(t *testing.T) {
 	}
 }
 
-func TestQuickGreedyNeverBeatsOptimal(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 2 + rng.Intn(12)
-		w := NewWorkingSet(n)
-		for i := 0; i < n*2; i++ {
-			s, d := rng.Intn(n), rng.Intn(n)
-			if s != d {
-				w.Add(Conn{s, d})
-			}
-		}
-		return len(GreedyDecompose(w)) >= len(Decompose(w))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestDecomposeMeshNeighborsDegree(t *testing.T) {
 	// The full nearest-neighbor working set on the paper's 16x8 mesh has
 	// degree 4 (interior nodes talk to 4 neighbors) and therefore fits a
@@ -386,7 +335,7 @@ func TestDecomposeMeshNeighborsDegree(t *testing.T) {
 	if w.Degree() != 4 {
 		t.Fatalf("mesh working-set degree = %d, want 4", w.Degree())
 	}
-	configs := Decompose(w)
+	configs := ConfigMatrices(Decompose(w))
 	if len(configs) != 4 {
 		t.Fatalf("mesh decomposes into %d configs, want 4", len(configs))
 	}

@@ -3,8 +3,6 @@ package topology
 import (
 	"fmt"
 	"slices"
-
-	"pmsnet/internal/bitmat"
 )
 
 // Conn is one end-to-end connection (a crossbar input→output pair).
@@ -24,7 +22,7 @@ func ConnOfKey(k uint64) Conn { return Conn{Src: int(int32(k >> 32)), Dst: int(i
 
 // WorkingSet is a communication working set W(j): the set of connections a
 // program phase uses (paper §2). It deduplicates connections and tracks the
-// port count so it can be rendered as a request matrix.
+// port count.
 //
 // The connections are held as Conn.Key words in one slice kept sorted and
 // distinct on every write, so every read is a walk or a binary search that
@@ -132,16 +130,9 @@ func (w *WorkingSet) EachDst(src int, f func(dst int)) {
 	}
 }
 
-// Matrix renders the working set as an NxN boolean matrix (a request matrix
-// in which every connection of the set is requested).
-func (w *WorkingSet) Matrix() *bitmat.Matrix {
-	m := bitmat.NewSquare(w.n)
-	for _, k := range w.keys {
-		c := ConnOfKey(k)
-		m.Set(c.Src, c.Dst)
-	}
-	return m
-}
+// Keys returns the connections as Conn.Key words in (Src, Dst) order. The
+// slice is the set's own; do not modify it.
+func (w *WorkingSet) Keys() []uint64 { return w.keys }
 
 // Degree returns the maximum port degree: the larger of the highest
 // out-degree over sources and the highest in-degree over destinations. By

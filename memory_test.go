@@ -73,6 +73,42 @@ func TestDynamicRunHoldsNoPortPairMatrix(t *testing.T) {
 	}
 }
 
+// TestPlannedRunHoldsNoPortPairMatrix runs the planned modes at N=8192, where
+// one N×N bitmap is 8 MiB: pure preload, hybrid with the static planner and
+// hybrid with Solstice, and bounds each run's allocation below two bitmaps.
+// Configurations are port maps from the decomposer to the scheduler and a
+// demand holds its connections only, so the runs allocate about 8.7, 9.2
+// and 11.9 MB. When every configuration was an N×N bitmap and every demand
+// an N×N table of slot counts, they allocated 48.1, 48.6 and about 2 GB
+// (531 MB at N=4096).
+func TestPlannedRunHoldsNoPortPairMatrix(t *testing.T) {
+	const n = 8192
+	wl, err := GenerateWorkload("random-mesh:bytes=64,msgs=4", n, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hybrid := Config{Switching: HybridTDM, N: n, K: 4, PreloadSlots: 2,
+		Eviction: TimeoutEviction, EvictionTimeout: 500 * time.Nanosecond, Parallelism: 1}
+	solstice := hybrid
+	solstice.Planner = PlannerSolstice
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"preload", Config{Switching: PreloadTDM, N: n, K: 4, Parallelism: 1}},
+		{"hybrid-static", hybrid},
+		{"hybrid-solstice", solstice},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			mb := runAlloc(t, tc.cfg, wl)
+			t.Logf("one N=%d run allocated %.1f MB", n, mb)
+			if bitmap := float64(n) * n / 8 / (1 << 20); mb >= 2*bitmap {
+				t.Fatalf("one N=%d run allocated %.1f MB, as much as two %.0f MB N×N bitmaps", n, mb, bitmap)
+			}
+		})
+	}
+}
+
 // runAllocPerMessageBoundMB bounds the host memory one Figure-4 dynamic-TDM
 // run of random-mesh at N=128 (6,400 messages of 64 bytes) allocates. Such a
 // run allocates about 0.75 MB, of which the message array, one 64-byte Message
