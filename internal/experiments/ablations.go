@@ -54,7 +54,6 @@ func runTDMCases(ex Exec, wl *traffic.Workload, cases []tdmCase) ([]NamedResult,
 // eviction policy: pure reactive release (no latching), the paper's timeout,
 // the counter predictor, never-evict, and the clairvoyant oracle.
 func PredictorAblationExec(ex Exec, n int, wl *traffic.Workload) ([]NamedResult, error) {
-	uses := connUses(wl)
 	preds := []struct {
 		label string
 		pred  func() predictor.Predictor
@@ -63,26 +62,13 @@ func PredictorAblationExec(ex Exec, n int, wl *traffic.Workload) ([]NamedResult,
 		{"timeout(500ns)", func() predictor.Predictor { return predictor.NewTimeout(500) }},
 		{"timeout(2us)", func() predictor.Predictor { return predictor.NewTimeout(2 * sim.Microsecond) }},
 		{"counter(8)", func() predictor.Predictor { return predictor.NewCounter(8) }},
-		{"oracle", func() predictor.Predictor { return predictor.NewOracle(uses) }},
+		{"oracle", func() predictor.Predictor { return predictor.NewOracle(wl) }},
 	}
 	cases := make([]tdmCase, len(preds))
 	for i, p := range preds {
 		cases[i] = tdmCase{label: p.label, cfg: tdm.Config{N: n, K: Fig4K, NewPredictor: p.pred}}
 	}
 	return runTDMCases(ex, wl, cases)
-}
-
-// connUses counts messages per connection — the oracle's plan.
-func connUses(wl *traffic.Workload) map[topology.Conn]int {
-	uses := make(map[topology.Conn]int)
-	for p, prog := range wl.Programs {
-		for _, op := range prog.Ops {
-			if op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait {
-				uses[topology.Conn{Src: p, Dst: op.Dst}]++
-			}
-		}
-	}
-	return uses
 }
 
 // DegreeSweepExec runs dynamic TDM with multiplexing degrees ks over one

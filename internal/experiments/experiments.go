@@ -193,23 +193,6 @@ type Fig5Row struct {
 	Results     []metrics.Result // index = preloaded slot count k
 }
 
-// Fig5Networks returns the hybrid networks of Figure 5: multiplexing degree
-// three with k = 0, 1, 2 preloaded slots.
-func Fig5Networks(n int) ([]netmodel.Network, error) {
-	var out []netmodel.Network
-	for k := 0; k <= 2; k++ {
-		nw, err := tdm.New(tdm.Config{
-			N: n, K: Fig5K, Mode: tdm.Hybrid, PreloadSlots: k,
-			NewPredictor: func() predictor.Predictor { return predictor.NewTimeout(Fig5Timeout) },
-		})
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, nw)
-	}
-	return out, nil
-}
-
 // Fig5Exec regenerates Figure 5: preload/dynamic slot splits against traffic
 // determinism. The sweep's points — one (determinism level, hybrid scheme)
 // pair each — fan out through the executor.

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 
 	"pmsnet/internal/core"
 	"pmsnet/internal/fabric"
@@ -47,7 +46,7 @@ func PrefetchAblationExec(ex Exec, n int, wl *traffic.Workload) ([]NamedResult, 
 		pred  func() predictor.Predictor
 	}{
 		{"timeout(2us)", func() predictor.Predictor { return predictor.NewTimeout(2000) }},
-		{"markov-prefetch(2us)", func() predictor.Predictor { return predictor.NewMarkov(2000, 1) }},
+		{"markov-prefetch(2us)", func() predictor.Predictor { return predictor.NewMarkov(2000) }},
 	}
 	cases := make([]tdmCase, len(preds))
 	for i, p := range preds {
@@ -99,54 +98,6 @@ func PayloadSweepExec(ex Exec, n int, payloads []int, wl *traffic.Workload) ([]N
 			cfg: tdm.Config{N: n, K: Fig4K, Mode: tdm.Preload, PayloadBytes: p}}
 	}
 	return runTDMCases(ex, wl, cases)
-}
-
-// SeedStats summarizes a metric across seeds.
-type SeedStats struct {
-	Mean, StdDev, Min, Max float64
-	Seeds                  int
-}
-
-// SeedSweepExec runs fn for every seed and aggregates the efficiencies — the
-// robustness check that single-seed figures are representative. Seeds run
-// independently, and the aggregation consumes them in seed order, so the
-// statistics are identical at any parallelism. fn must be safe for
-// concurrent calls when the executor is parallel (the harness closures in
-// this package all are: each call builds its own workload and network).
-func SeedSweepExec(ex Exec, seeds []int64, fn func(seed int64) (metrics.Result, error)) (SeedStats, error) {
-	if len(seeds) == 0 {
-		return SeedStats{}, fmt.Errorf("experiments: no seeds")
-	}
-	values, err := sweep(ex, len(seeds), func(i int) (float64, error) {
-		res, err := fn(seeds[i])
-		if err != nil {
-			return 0, fmt.Errorf("experiments: seed %d: %w", seeds[i], err)
-		}
-		return res.Efficiency, nil
-	})
-	if err != nil {
-		return SeedStats{}, err
-	}
-	st := SeedStats{Seeds: len(values), Min: values[0], Max: values[0]}
-	var sum float64
-	for _, v := range values {
-		sum += v
-		if v < st.Min {
-			st.Min = v
-		}
-		if v > st.Max {
-			st.Max = v
-		}
-	}
-	st.Mean = sum / float64(len(values))
-	var sq float64
-	for _, v := range values {
-		sq += (v - st.Mean) * (v - st.Mean)
-	}
-	if len(values) > 1 {
-		st.StdDev = math.Sqrt(sq / float64(len(values)-1))
-	}
-	return st, nil
 }
 
 // ModernBaselineExec compares the paper's switch against an iSLIP VOQ cell

@@ -3,7 +3,6 @@ package experiments
 import (
 	"testing"
 
-	"pmsnet/internal/metrics"
 	"pmsnet/internal/traffic"
 )
 
@@ -70,24 +69,6 @@ func TestPayloadSweepMonotonic(t *testing.T) {
 	// left, so efficiency approaches the pattern's packing bound.
 	if rows[len(rows)-1].Result.Efficiency < rows[0].Result.Efficiency*1.5 {
 		t.Fatalf("doubling the payload (32->80B) should raise efficiency substantially: %v", rows)
-	}
-}
-
-func TestSeedSweepStats(t *testing.T) {
-	st, err := SeedSweepExec(Serial, []int64{1, 2, 3}, func(s int64) (metrics.Result, error) {
-		return metrics.Result{Efficiency: float64(s)}, nil
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Seeds != 3 || st.Mean != 2 || st.Min != 1 || st.Max != 3 {
-		t.Fatalf("stats = %+v", st)
-	}
-	if st.StdDev < 0.99 || st.StdDev > 1.01 {
-		t.Fatalf("stddev = %v, want 1", st.StdDev)
-	}
-	if _, err := SeedSweepExec(Serial, nil, nil); err == nil {
-		t.Fatal("empty seeds should error")
 	}
 }
 

@@ -106,23 +106,23 @@ func TestAblationParallelIdentity(t *testing.T) {
 
 func TestSeedSweepParallelIdentity(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
-	fn := func(seed int64) (metrics.Result, error) {
+	fn := func(i int) (metrics.Result, error) {
 		nets, err := Fig4Networks(identityN)
 		if err != nil {
 			return metrics.Result{}, err
 		}
-		return nets[2].Run(traffic.RandomMesh(identityN, 64, 10, seed))
+		return nets[2].Run(traffic.RandomMesh(identityN, 64, 10, seeds[i]))
 	}
-	serial, err := SeedSweepExec(Serial, seeds, fn)
+	serial, err := sweep(Serial, len(seeds), fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := SeedSweepExec(Exec{Parallelism: 4}, seeds, fn)
+	parallel, err := sweep(Exec{Parallelism: 4}, len(seeds), fn)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if serial != parallel {
-		t.Fatalf("seed stats diverge: serial %+v, parallel %+v", serial, parallel)
+	if !reflect.DeepEqual(serial, parallel) {
+		t.Fatal("parallel seed-sweep results differ from serial results")
 	}
 }
 

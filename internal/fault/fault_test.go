@@ -135,8 +135,7 @@ func TestNewInjectorFastPath(t *testing.T) {
 func TestNilInjectorIsInert(t *testing.T) {
 	var inj *Injector
 	inj.Start()
-	if !inj.PortUp(3) || inj.PortDead(3) || inj.CrosspointDead(1, 2) ||
-		inj.PairDown(0, 1) || inj.PairBlocked(0, 1) {
+	if !inj.PortUp(3) || inj.PairDown(0, 1) || inj.PairBlocked(0, 1) {
 		t.Error("nil injector reports faults")
 	}
 	if inj.DrawCorrupt() || inj.DrawRequestLoss() || inj.DrawGrantLoss() {
@@ -183,7 +182,7 @@ func TestScriptedFaultTimeline(t *testing.T) {
 	inj.Start()
 
 	eng.Run(60)
-	if !inj.CrosspointDead(0, 3) || !inj.PairBlocked(0, 3) {
+	if !inj.deadX[[2]int{0, 3}] || !inj.PairBlocked(0, 3) {
 		t.Error("crosspoint 0:3 should be dead by t=60")
 	}
 	if !inj.PortUp(1) || !inj.PortUp(2) {
@@ -194,13 +193,13 @@ func TestScriptedFaultTimeline(t *testing.T) {
 	}
 
 	eng.Run(130)
-	if inj.PortUp(1) || inj.PortDead(1) {
+	if inj.PortUp(1) || inj.portDead[1] {
 		t.Error("port 1 should be transiently down at t=130")
 	}
 	if !inj.PairDown(1, 0) || inj.PairBlocked(1, 0) {
 		t.Error("pair 1->0 should be down but not blocked at t=130")
 	}
-	if !inj.PortDead(2) || !inj.PairBlocked(2, 0) || !inj.PairBlocked(0, 2) {
+	if !inj.portDead[2] || !inj.PairBlocked(2, 0) || !inj.PairBlocked(0, 2) {
 		t.Error("port 2 should be permanently dead at t=130")
 	}
 
@@ -208,7 +207,7 @@ func TestScriptedFaultTimeline(t *testing.T) {
 	if !inj.PortUp(1) {
 		t.Error("port 1 should have repaired")
 	}
-	if !inj.PortDead(2) {
+	if !inj.portDead[2] {
 		t.Error("permanent failure must not repair")
 	}
 	want := []ev{{"xdead", 0, 3}, {"down", 1, 0}, {"down", 2, 1}, {"up", 1, 0}}

@@ -227,16 +227,6 @@ func (inj *Injector) PortUp(port int) bool {
 	return inj == nil || !inj.portDown[port]
 }
 
-// PortDead reports whether the port's link failed permanently.
-func (inj *Injector) PortDead(port int) bool {
-	return inj != nil && inj.portDead[port]
-}
-
-// CrosspointDead reports whether the crossbar can no longer connect in→out.
-func (inj *Injector) CrosspointDead(in, out int) bool {
-	return inj != nil && inj.deadX[[2]int{in, out}]
-}
-
 // PairDown reports whether traffic in→out cannot move right now: an endpoint
 // link is down or the crosspoint is dead.
 func (inj *Injector) PairDown(in, out int) bool {

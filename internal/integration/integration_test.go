@@ -45,7 +45,7 @@ func networks(t *testing.T) []netmodel.Network {
 	add(tdm.New(tdm.Config{N: n, K: 4,
 		NewPredictor: func() predictor.Predictor { return predictor.NewCounter(8) }}))
 	add(tdm.New(tdm.Config{N: n, K: 4,
-		NewPredictor: func() predictor.Predictor { return predictor.NewMarkov(1000, 1) }}))
+		NewPredictor: func() predictor.Predictor { return predictor.NewMarkov(1000) }}))
 	add(tdm.New(tdm.Config{N: n, K: 4, Mode: tdm.Preload}))
 	add(tdm.New(tdm.Config{N: n, K: 3, Mode: tdm.Hybrid, PreloadSlots: 1,
 		NewPredictor: func() predictor.Predictor { return predictor.NewTimeout(250) }}))

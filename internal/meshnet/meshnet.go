@@ -46,6 +46,23 @@ const (
 	DirEject  topology.Direction = 101
 )
 
+// links is the number of directed links a router owns: its four mesh
+// directions plus its NIC's injection and ejection links.
+const links = 6
+
+// index returns h's position in a per-link array of links entries per
+// router, the key the mesh models keep link state under.
+func (h Hop) index() int32 {
+	d := int32(h.Dir) // East, West, North, South: 0 to 3
+	switch h.Dir {
+	case DirInject:
+		d = 4
+	case DirEject:
+		d = 5
+	}
+	return int32(h.From)*links + d
+}
+
 // Grid wraps the logical mesh with routing helpers.
 type Grid struct {
 	Mesh topology.Mesh
@@ -95,12 +112,15 @@ func (g Grid) Path(src, dst int) []Hop {
 // Hops returns the XY hop count between two processors.
 func (g Grid) Hops(src, dst int) int { return len(g.Path(src, dst)) }
 
-// FullPath returns the complete resource list of a circuit: the source's
-// injection link, the XY mesh hops, and the destination's ejection link.
-func (g Grid) FullPath(src, dst int) []Hop {
-	hops := []Hop{{From: src, Dir: DirInject}}
-	hops = append(hops, g.Path(src, dst)...)
-	return append(hops, Hop{From: dst, Dir: DirEject})
+// appendFullPath appends the complete resource list of a circuit to out as
+// link indices: the source's injection link, the XY mesh hops, and the
+// destination's ejection link.
+func (g Grid) appendFullPath(out []int32, src, dst int) []int32 {
+	out = append(out, Hop{From: src, Dir: DirInject}.index())
+	for _, h := range g.Path(src, dst) {
+		out = append(out, h.index())
+	}
+	return append(out, Hop{From: dst, Dir: DirEject}.index())
 }
 
 // Timing shared by both mesh models (paper §5 constants).

@@ -1,10 +1,10 @@
 package meshnet
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 
+	"pmsnet/internal/bitmat"
 	"pmsnet/internal/core"
 	"pmsnet/internal/fault"
 	"pmsnet/internal/link"
@@ -96,13 +96,6 @@ func NewTDM(cfg TDMConfig) (*TDM, error) {
 // Name implements netmodel.Network.
 func (t *TDM) Name() string { return fmt.Sprintf("mesh-tdm/k=%d", t.cfg.K) }
 
-// pathConn is one established end-to-end circuit.
-type pathConn struct {
-	src, dst int
-	id       int32 // in the run's connection table
-	path     []Hop
-}
-
 type tdmRun struct {
 	common
 	cfg TDMConfig
@@ -110,11 +103,21 @@ type tdmRun struct {
 	// connection ids, as in the crossbar switch.
 	reqWire *netmodel.RequestWire
 	reqView *topology.IDSet
-	// occupied[s] holds the links reserved in slot s; estab[s] the circuits.
-	occupied []map[Hop]bool
-	estab    []map[[2]int]*pathConn
-	// slotOf maps a connection to its slot, or -1.
-	slotOf map[[2]int]int
+	// conns is the run's connection table: the circuits are its
+	// connections, and the per-circuit state below is indexed by its ids.
+	conns *topology.ConnTable
+	// estab[s] holds the circuits established in slot s, a bitset over
+	// connection ids, and circuits[s] their number; occupied[s] holds the
+	// links they reserve, a bitset over link indices (Hop.index).
+	estab    [][]uint64
+	circuits []int
+	occupied [][]uint64
+	// slotOf is each connection's slot, or -1.
+	slotOf []int32
+	// paths[id] locates connection id's full path, as link indices, in
+	// pathLinks; a path is computed on the connection's first request.
+	paths     []span
+	pathLinks []int32
 
 	// deliveries[h] hands each delivered message of a circuit over h mesh
 	// hops to its destination NIC: one line per hop count, since the
@@ -127,26 +130,19 @@ type tdmRun struct {
 	slTicker   *sim.Ticker
 	stats      metrics.NetStats
 
-	// Reusable scratch for the per-slot scans.
-	connBuf [][2]int
-
 	probe *probe.Probe
 }
+
+// span is a run of n entries of a slice from off; n == 0 is no run yet.
+type span struct{ off, n int32 }
 
 // Run implements netmodel.Network.
 func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 	eng := sim.NewEngine()
 	r := &tdmRun{
-		common:   common{grid: t.grid, tm: newTiming(t.cfg.Link, 5), eng: eng},
-		cfg:      t.cfg,
-		occupied: make([]map[Hop]bool, t.cfg.K),
-		estab:    make([]map[[2]int]*pathConn, t.cfg.K),
-		slotOf:   make(map[[2]int]int),
-		probe:    t.cfg.Probe,
-	}
-	for s := 0; s < t.cfg.K; s++ {
-		r.occupied[s] = make(map[Hop]bool)
-		r.estab[s] = make(map[[2]int]*pathConn)
+		common: common{grid: t.grid, tm: newTiming(t.cfg.Link, 5), eng: eng},
+		cfg:    t.cfg,
+		probe:  t.cfg.Probe,
 	}
 	driver, err := netmodel.NewDriver(eng, t.cfg.Link, wl, netmodel.Hooks{
 		OnEnqueue: r.onEnqueue,
@@ -158,7 +154,20 @@ func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 	if err != nil {
 		return metrics.Result{}, err
 	}
-	r.driver = driver
+	r.driver, r.conns = driver, driver.Conns
+	words := func(n int) []uint64 { return make([]uint64, (n+63)/64) }
+	r.estab = make([][]uint64, t.cfg.K)
+	r.occupied = make([][]uint64, t.cfg.K)
+	for s := range r.estab {
+		r.estab[s] = words(r.conns.Len())
+		r.occupied[s] = words(t.cfg.N * links)
+	}
+	r.circuits = make([]int, t.cfg.K)
+	r.slotOf = make([]int32, r.conns.Len())
+	for i := range r.slotOf {
+		r.slotOf[i] = -1
+	}
+	r.paths = make([]span, r.conns.Len())
 	// A delivery waits out the slot, then the end-to-end analog pipe:
 	// serialize once, one wire delay per mesh hop (the two NIC pseudo-hops
 	// carry no extra wire), deserialize once, NIC receive.
@@ -166,7 +175,7 @@ func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 		pipe := t.cfg.Link.SerializeNs + sim.Time(h)*r.tm.hopWire + t.cfg.Link.DeserializeNs + nic.RecvOverhead
 		r.deliveries = append(r.deliveries, sim.NewLine(eng, t.cfg.SlotNs+pipe, "mesh-tdm-deliver", driver.Arrive))
 	}
-	r.reqWire = netmodel.NewRequestWire(eng, driver.Conns, t.cfg.Link.ControlDelay(), "mesh-request-wire")
+	r.reqWire = netmodel.NewRequestWire(eng, r.conns, t.cfg.Link.ControlDelay(), "mesh-request-wire")
 	r.reqView = r.reqWire.View()
 	if t.cfg.Probe != nil {
 		driver.SetProbe(t.cfg.Probe)
@@ -194,15 +203,14 @@ func (t *TDM) Run(wl *traffic.Workload) (metrics.Result, error) {
 }
 
 func (r *tdmRun) onEnqueue(m *nic.Message, id int32, first bool) {
-	u, v := int(m.Src), int(m.Dst)
 	if first {
 		// The queue's 0→1 transition.
-		if _, ok := r.slotOf[[2]int{u, v}]; ok {
+		if r.slotOf[id] >= 0 {
 			r.stats.Hits++
 		} else {
 			r.stats.Misses++
 		}
-		r.reqWire.Set(u, id, true)
+		r.reqWire.Set(int(m.Src), id, true)
 	} else {
 		r.stats.Hits++
 	}
@@ -210,7 +218,8 @@ func (r *tdmRun) onEnqueue(m *nic.Message, id int32, first bool) {
 
 // onPass is one scheduling pass: release circuits whose requests dropped
 // from the cursor slot, then establish pending requests whose whole XY path
-// is free in that slot.
+// is free in that slot. Both walk connection ids in ascending order, which
+// is (src, dst) order: the hardware's row-major scan.
 func (r *tdmRun) onPass() {
 	r.stats.SchedulerPasses++
 	var passAt sim.Time
@@ -222,39 +231,34 @@ func (r *tdmRun) onPass() {
 	s := r.slCursor
 	r.slCursor = (r.slCursor + 1) % r.cfg.K
 
-	// Releases, in deterministic connection order.
-	r.connBuf = appendSortedConns(r.connBuf[:0], r.estab[s])
-	for _, key := range r.connBuf {
-		pc := r.estab[s][key]
-		if !r.reqView.Has(pc.id) {
-			for _, h := range pc.path {
-				delete(r.occupied[s], h)
+	estab, occupied, req := r.estab[s], r.occupied[s], r.reqView.IDs()
+	for w, x := range estab {
+		for x &^= req[w]; x != 0; x &= x - 1 {
+			id := int32(w<<6 | bits.TrailingZeros64(x))
+			for _, l := range r.path(id) {
+				bitmat.MaskClear(occupied, int(l))
 			}
-			delete(r.estab[s], key)
-			delete(r.slotOf, key)
+			bitmat.MaskClear(estab, int(id))
+			r.slotOf[id] = -1
+			r.circuits[s]--
 			r.stats.Released++
 			if r.probe != nil {
 				rel++
+				c := r.conns.Conn(id)
 				r.probe.Emit(probe.Event{Kind: probe.ConnReleased, At: passAt,
-					Src: int32(pc.src), Dst: int32(pc.dst), Slot: int32(s)})
+					Src: int32(c.Src), Dst: int32(c.Dst), Slot: int32(s)})
 			}
 		}
 	}
-	// Establishments: scan requests in row-major order (the hardware scan),
-	// which is id order, resolving each id's source with a row cursor.
-	conns := r.reqView.Table()
-	end := int32(conns.Len())
-	for id, u := r.reqView.Next(0, end), -1; id < end; id = r.reqView.Next(id+1, end) {
-		u = conns.SrcFrom(u, id)
-		v := conns.Dst(id)
-		key := [2]int{u, v}
-		if _, ok := r.slotOf[key]; ok {
+	end := int32(r.conns.Len())
+	for id := r.reqView.Next(0, end); id < end; id = r.reqView.Next(id+1, end) {
+		if r.slotOf[id] >= 0 {
 			continue
 		}
-		path := r.grid.FullPath(u, v)
+		path := r.path(id)
 		free := true
-		for _, h := range path {
-			if r.occupied[s][h] {
+		for _, l := range path {
+			if bitmat.MaskTest(occupied, int(l)) {
 				free = false
 				break
 			}
@@ -262,17 +266,18 @@ func (r *tdmRun) onPass() {
 		if !free {
 			continue
 		}
-		for _, h := range path {
-			r.occupied[s][h] = true
+		for _, l := range path {
+			bitmat.MaskSet(occupied, int(l))
 		}
-		pc := &pathConn{src: u, dst: v, id: id, path: path}
-		r.estab[s][key] = pc
-		r.slotOf[key] = s
+		bitmat.MaskSet(estab, int(id))
+		r.slotOf[id] = int32(s)
+		r.circuits[s]++
 		r.stats.Established++
 		if r.probe != nil {
 			est++
+			c := r.conns.Conn(id)
 			r.probe.Emit(probe.Event{Kind: probe.ConnEstablished, At: passAt,
-				Src: int32(u), Dst: int32(v), Slot: int32(s)})
+				Src: int32(c.Src), Dst: int32(c.Dst), Slot: int32(s)})
 		}
 	}
 	if r.probe != nil {
@@ -280,15 +285,29 @@ func (r *tdmRun) onPass() {
 	}
 }
 
+// path returns connection id's full path as link indices, computing it on
+// the first call.
+func (r *tdmRun) path(id int32) []int32 {
+	p := r.paths[id]
+	if p.n == 0 {
+		c := r.conns.Conn(id)
+		p.off = int32(len(r.pathLinks))
+		r.pathLinks = r.grid.appendFullPath(r.pathLinks, c.Src, c.Dst)
+		p.n = int32(len(r.pathLinks)) - p.off
+		r.paths[id] = p
+	}
+	return r.pathLinks[p.off : p.off+p.n]
+}
+
 // onSlot advances the TDM counter (skipping empty slots) and lets every
-// circuit of the selected slot carry one payload.
+// circuit of the selected slot carry one payload, in connection id order.
 func (r *tdmRun) onSlot() {
 	r.stats.SlotsTotal++
 	s := -1
 	for tried := 0; tried < r.cfg.K; tried++ {
 		cand := r.tdmCursor
 		r.tdmCursor = (r.tdmCursor + 1) % r.cfg.K
-		if len(r.estab[cand]) > 0 {
+		if r.circuits[cand] > 0 {
 			s = cand
 			break
 		}
@@ -300,54 +319,44 @@ func (r *tdmRun) onSlot() {
 	}
 	slotStart := r.eng.Now()
 	used := false
-	r.connBuf = appendSortedConns(r.connBuf[:0], r.estab[s])
-	for _, key := range r.connBuf {
-		pc := r.estab[s][key]
-		var injected *nic.Message
-		if r.probe != nil {
-			injected = r.driver.HeadUntransmitted(pc.src, pc.dst)
-		}
-		sent, done := r.driver.Buffers[pc.src].TransmitTo(pc.dst, r.cfg.PayloadBytes)
-		if sent == 0 {
-			continue
-		}
-		used = true
-		if injected != nil {
-			r.probe.Emit(probe.Event{Kind: probe.MsgInjected, At: slotStart,
-				Src: int32(pc.src), Dst: int32(pc.dst), ID: int64(injected.ID)})
-		}
-		if done != nil {
+	src := -1 // a row cursor: the ids ascend
+	for w, x := range r.estab[s] {
+		for ; x != 0; x &= x - 1 {
+			id := int32(w<<6 | bits.TrailingZeros64(x))
+			src = r.conns.SrcFrom(src, id)
+			buf := r.driver.Buffers[src]
+			var injected *nic.Message
 			if r.probe != nil {
-				if h := r.driver.Buffers[pc.src].Head(pc.dst); h != nil {
+				if h := buf.HeadOf(id); h != nil && h.Remaining() == int(h.Bytes) {
+					injected = h
+				}
+			}
+			sent, done, drained := buf.Transmit(id, r.cfg.PayloadBytes)
+			if sent == 0 {
+				continue
+			}
+			used = true
+			if injected != nil {
+				r.probe.Emit(probe.Event{Kind: probe.MsgInjected, At: slotStart,
+					Src: int32(src), Dst: int32(r.conns.Dst(id)), ID: int64(injected.ID)})
+			}
+			if done == nil {
+				continue
+			}
+			if r.probe != nil {
+				if h := buf.HeadOf(id); h != nil {
 					r.probe.Emit(probe.Event{Kind: probe.MsgHeadOfQueue, At: slotStart,
 						Src: h.Src, Dst: h.Dst, ID: int64(h.ID)})
 				}
 			}
-			if !r.driver.Buffers[pc.src].Has(pc.id) {
-				r.reqWire.Set(pc.src, pc.id, false)
+			if drained {
+				r.reqWire.Set(src, id, false)
 			}
-			r.deliveries[len(pc.path)-2].Push(done)
+			r.deliveries[r.paths[id].n-2].Push(done)
 		}
 	}
 	if used {
 		r.stats.SlotsUsed++
 	}
 	netmodel.EmitSlotEnd(r.probe, slotStart, int32(s), used)
-}
-
-// appendSortedConns appends the map's connection keys to dst in (src, dst)
-// order so every pass and slot iterates deterministically; callers pass a
-// reusable buffer to keep the per-tick scans allocation-free.
-func appendSortedConns(dst [][2]int, m map[[2]int]*pathConn) [][2]int {
-	dst = dst[:0]
-	for k := range m {
-		dst = append(dst, k)
-	}
-	slices.SortFunc(dst, func(a, b [2]int) int {
-		if c := cmp.Compare(a[0], b[0]); c != 0 {
-			return c
-		}
-		return cmp.Compare(a[1], b[1])
-	})
-	return dst
 }

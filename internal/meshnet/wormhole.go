@@ -78,9 +78,10 @@ type meshWorm struct {
 type wormholeRun struct {
 	common
 	cfg WormholeConfig
-	// busy and waiting model each directed mesh link as a FIFO resource.
-	busy    map[Hop]bool
-	waiting map[Hop][]*meshWorm
+	// busy and waiting model each directed mesh link as a FIFO resource,
+	// indexed by Hop.index.
+	busy    []bool
+	waiting [][]*meshWorm
 	// ports serializes each source's transmit process.
 	ports *netmodel.PortEngine
 	// flit transfer time for one hop's stream (per flit, at link rate).
@@ -99,8 +100,8 @@ func (w *Wormhole) Run(wl *traffic.Workload) (metrics.Result, error) {
 			eng:  eng,
 		},
 		cfg:     w.cfg,
-		busy:    make(map[Hop]bool),
-		waiting: make(map[Hop][]*meshWorm),
+		busy:    make([]bool, w.cfg.N*links),
+		waiting: make([][]*meshWorm, w.cfg.N*links),
 		flitNs:  w.cfg.Link.SerializationTime(wormhole.FlitBytes),
 		probe:   w.cfg.Probe,
 	}
@@ -194,18 +195,19 @@ func (r *wormholeRun) requestHop(w *meshWorm) {
 		panic(fmt.Sprintf("meshnet: worm for %d->%d ran out of path", w.msg.Src, w.msg.Dst))
 	}
 	h := w.path[w.hop]
-	r.waiting[h] = append(r.waiting[h], w)
-	r.kickLink(h)
+	i := h.index()
+	r.waiting[i] = append(r.waiting[i], w)
+	r.kickLink(h, i)
 }
 
-// kickLink grants the link to the next waiting worm.
-func (r *wormholeRun) kickLink(h Hop) {
-	if r.busy[h] || len(r.waiting[h]) == 0 {
+// kickLink grants link h, whose index is i, to the next waiting worm.
+func (r *wormholeRun) kickLink(h Hop, i int32) {
+	if r.busy[i] || len(r.waiting[i]) == 0 {
 		return
 	}
-	w := r.waiting[h][0]
-	r.waiting[h] = r.waiting[h][1:]
-	r.busy[h] = true
+	w := r.waiting[i][0]
+	r.waiting[i] = r.waiting[i][1:]
+	r.busy[i] = true
 	if w.hop == 0 {
 		w.onStart()
 	}
@@ -216,8 +218,8 @@ func (r *wormholeRun) kickLink(h Hop) {
 		// The router-to-NIC link: no arbitration, just the serialized
 		// drain, then the pipe to the NIC and its receive overhead.
 		r.eng.After(stream, "mesh-eject-free", func() {
-			r.busy[h] = false
-			r.kickLink(h)
+			r.busy[i] = false
+			r.kickLink(h, i)
 		})
 		r.eng.After(stream+r.cfg.Link.PipeLatency()+nic.RecvOverhead, "mesh-deliver", func() {
 			if w.last {
@@ -233,8 +235,8 @@ func (r *wormholeRun) kickLink(h Hop) {
 	occupancy := r.tm.routerArb + stream
 	headNext := r.tm.routerArb + 10 + r.cfg.Link.PipeLatency()
 	r.eng.After(occupancy, "mesh-link-free", func() {
-		r.busy[h] = false
-		r.kickLink(h)
+		r.busy[i] = false
+		r.kickLink(h, i)
 	})
 	r.eng.After(headNext, "mesh-worm-advance", func() {
 		w.hop++

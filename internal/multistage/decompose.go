@@ -87,21 +87,17 @@ func DecomposeBvN(n int, at func(u, v int) int64) ([]Weighted, error) {
 	matchOf := make([]int, n) // row -> matched col, -1 if unmatched
 	colOf := make([]int, n)   // col -> matched row, -1 if unmatched
 	visited := make([]bool, n)
+	// cands[start[u]:start[u+1]] is row u's candidate columns in the order
+	// augment tries them: heaviest remaining entry first so heavy edges
+	// tend to share a term, ties to the lower column index
+	// (sortColsByWeight is stable). rem changes only between rounds, so
+	// each round builds the lists once, in one arena of its nonzeros, and
+	// the recursion only reads them.
+	start := make([]int, n+1)
+	var cands []int
 	var augment func(u int) bool
 	augment = func(u int) bool {
-		// Try columns in deterministic order: heaviest remaining entry
-		// first so heavy edges tend to share a term, ties to the lower
-		// column index (sortColsByWeight is stable). The candidate list is
-		// per call — the recursion below must not clobber it.
-		adj := make([]int, 0, n)
-		for v := 0; v < n; v++ {
-			if rem[u*n+v] > 0 {
-				adj = append(adj, v)
-			}
-		}
-		row := rem[u*n : u*n+n]
-		sortColsByWeight(adj, row)
-		for _, v := range adj {
+		for _, v := range cands[start[u]:start[u+1]] {
 			if visited[v] {
 				continue
 			}
@@ -115,6 +111,17 @@ func DecomposeBvN(n int, at func(u, v int) int64) ([]Weighted, error) {
 	}
 	var terms []Weighted
 	for {
+		cands = cands[:0]
+		for u := 0; u < n; u++ {
+			row := rem[u*n : u*n+n]
+			for v, w := range row {
+				if w > 0 {
+					cands = append(cands, v)
+				}
+			}
+			sortColsByWeight(cands[start[u]:], row)
+			start[u+1] = len(cands)
+		}
 		for i := range matchOf {
 			matchOf[i], colOf[i] = -1, -1
 		}

@@ -141,6 +141,32 @@ func TestDecomposeBvNErrors(t *testing.T) {
 	}
 }
 
+// TestDecomposeBvNAllocationBound decomposes a 512-port demand with four
+// entries per row. Each round builds its candidate lists once, so the
+// allocations are one port map per term plus a bounded amount of set-up
+// and slice growth, not one list per augmenting call.
+func TestDecomposeBvNAllocationBound(t *testing.T) {
+	const n = 512
+	at := func(u, v int) int64 {
+		for k := 1; k <= 4; k++ {
+			if v == (u+37*k)%n {
+				return int64((u*k)%5 + 1)
+			}
+		}
+		return 0
+	}
+	var terms []Weighted
+	allocs := testing.AllocsPerRun(1, func() {
+		var err error
+		if terms, err = DecomposeBvN(n, at); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if bound := float64(len(terms) + 64); allocs > bound {
+		t.Fatalf("%d terms took %v allocations, want at most %v", len(terms), allocs, bound)
+	}
+}
+
 // checkFirstFit asserts FirstFit's contract: every configuration is a
 // nonempty partial permutation the oracle accepts, no connection lands in two
 // configurations, and together they are exactly the list.

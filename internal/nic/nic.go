@@ -227,15 +227,6 @@ func (b *OutBuffer) BytesPending() int64 { return b.bytesPending }
 // R_{u,dst} request bit.
 func (b *OutBuffer) HasFor(dst int) bool { return b.Head(dst) != nil }
 
-// CountFor returns the number of messages queued toward dst.
-func (b *OutBuffer) CountFor(dst int) int {
-	n := 0
-	for m := b.Head(dst); m != nil; m = m.next {
-		n++
-	}
-	return n
-}
-
 // Has reports whether connection id's queue is non-empty.
 func (b *OutBuffer) Has(id int32) bool { return b.queue(id).head != nil }
 

@@ -12,6 +12,16 @@ func msg(id, src, dst, bytes int) *Message {
 	return &Message{ID: int32(id), Src: int32(src), Dst: int32(dst), Bytes: int32(bytes)}
 }
 
+// countFor returns the number of messages b queues toward dst, walking the
+// queue's links.
+func countFor(b *OutBuffer, dst int) int {
+	n := 0
+	for m := b.Head(dst); m != nil; m = m.next {
+		n++
+	}
+	return n
+}
+
 // TestMessageLayout pins a Message to one 64-byte cache line. A run holds
 // one Message per simulated message and nothing else per message, so a field
 // added here costs every run its size times the message count.
@@ -82,8 +92,8 @@ func TestEnqueueAndRequestBits(t *testing.T) {
 	if !b.HasFor(2) || !b.HasFor(3) || b.HasFor(1) {
 		t.Fatal("request bits wrong")
 	}
-	if b.CountFor(2) != 2 || b.CountFor(3) != 1 || b.CountFor(1) != 0 {
-		t.Fatalf("CountFor = %d %d %d, want 2 1 0", b.CountFor(2), b.CountFor(3), b.CountFor(1))
+	if countFor(b, 2) != 2 || countFor(b, 3) != 1 || countFor(b, 1) != 0 {
+		t.Fatalf("queued = %d %d %d, want 2 1 0", countFor(b, 2), countFor(b, 3), countFor(b, 1))
 	}
 	if b.Head(2).ID != 1 || b.Head(3).ID != 3 || b.Head(1) != nil {
 		t.Fatal("Head wrong")

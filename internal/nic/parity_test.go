@@ -275,9 +275,9 @@ func checkParity(t *testing.T, step int, b *OutBuffer, ref *refBuffer, table *to
 	}
 	for d := range ref.queues {
 		if id(b.Head(d)) != id(ref.head(d)) || b.HasFor(d) != (len(ref.queues[d]) > 0) ||
-			b.CountFor(d) != len(ref.queues[d]) || b.BytesFor(d) != ref.bytesFor(d) {
-			t.Fatalf("step %d, %d->%d: Head %d HasFor %v CountFor %d BytesFor %d; reference %d %v %d %d",
-				step, b.ID(), d, id(b.Head(d)), b.HasFor(d), b.CountFor(d), b.BytesFor(d),
+			countFor(b, d) != len(ref.queues[d]) || b.BytesFor(d) != ref.bytesFor(d) {
+			t.Fatalf("step %d, %d->%d: Head %d HasFor %v queued %d BytesFor %d; reference %d %v %d %d",
+				step, b.ID(), d, id(b.Head(d)), b.HasFor(d), countFor(b, d), b.BytesFor(d),
 				id(ref.head(d)), len(ref.queues[d]) > 0, len(ref.queues[d]), ref.bytesFor(d))
 		}
 		if h := b.Head(d); h != nil && h.Remaining() != ref.head(d).Remaining() {

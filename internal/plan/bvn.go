@@ -56,7 +56,6 @@ func (BvN) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, error)
 	// may still cover the rest of the connection's demand.
 	var kept []Entry
 	kept, s.Residual = splitResidual(entries, d.N(), k, opts, func(e Entry, _, _ int) int64 { return e.Demand })
-	s.Covered = coveredDemand(d, s.Residual)
 	s.Groups, s.DrainSlots, s.Reconfigs = packGroups(kept, k, preloadSlots, opts.ReconfigSlots)
 	return s, nil
 }

@@ -262,10 +262,9 @@ type Schedule struct {
 	// Residual is the demand spilled to the dynamic slots (never nil;
 	// empty when everything is covered).
 	Residual *Demand
-	// Covered is the demand served by the groups (input minus residual).
-	Covered *Demand
 	// DrainSlots is the planner's estimate of the wall-clock slots needed
-	// to drain Covered, reconfiguration charges included.
+	// to drain the demand the groups serve (the input minus Residual),
+	// reconfiguration charges included.
 	DrainSlots float64
 	// Reconfigs counts the charged configuration-group loads.
 	Reconfigs int
@@ -458,27 +457,4 @@ func splitResidual(entries []Entry, n, k int, opts Options, weight func(e Entry,
 	residual = NewDemand(n)
 	residual.appendEntries(spilled)
 	return kept, residual
-}
-
-// coveredDemand returns d minus residual, connection by connection (clamped
-// at zero), in one walk over both. The solstice residual holds a spilled
-// connection's full demand; the BvN residual can hold just the dropped
-// terms' weights, leaving the connection partially covered.
-func coveredDemand(d, residual *Demand) *Demand {
-	c := newDemandSized(d.n, len(d.keys))
-	j := 0
-	for i, k := range d.keys {
-		w := d.w[i]
-		for j < len(residual.keys) && residual.keys[j] < k {
-			j++
-		}
-		if j < len(residual.keys) && residual.keys[j] == k {
-			w -= residual.w[j]
-		}
-		if w > 0 {
-			c.keys = append(c.keys, k)
-			c.w = append(c.w, w)
-		}
-	}
-	return c
 }

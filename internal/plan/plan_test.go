@@ -37,6 +37,10 @@ func planOrDie(t *testing.T, p Planner, d *Demand, k, slots int, opts Options) *
 // checkSchedule asserts the structural invariants every planner must keep:
 // conflict-free configurations, shares filling each group within the pinned
 // region, and covered+residual == input.
+// covered returns the demand of u→v that s's groups serve: the demand
+// minus the residual spilled to the dynamic slots.
+func covered(d *Demand, s *Schedule, u, v int) int64 { return d.At(u, v) - s.Residual.At(u, v) }
+
 func checkSchedule(t *testing.T, s *Schedule, d *Demand) {
 	t.Helper()
 	for gi, g := range s.Groups {
@@ -56,9 +60,8 @@ func checkSchedule(t *testing.T, s *Schedule, d *Demand) {
 	}
 	for u := 0; u < d.N(); u++ {
 		for v := 0; v < d.N(); v++ {
-			if got := s.Covered.At(u, v) + s.Residual.At(u, v); got != d.At(u, v) {
-				t.Fatalf("(%d,%d): covered %d + residual %d != demand %d",
-					u, v, s.Covered.At(u, v), s.Residual.At(u, v), d.At(u, v))
+			if r := s.Residual.At(u, v); r < 0 || covered(d, s, u, v) < 0 {
+				t.Fatalf("(%d,%d): residual %d outside [0, demand %d]", u, v, r, d.At(u, v))
 			}
 		}
 	}
@@ -227,7 +230,7 @@ func TestBvNExactCover(t *testing.T) {
 	// With CoverAll, the covered demand is exactly the demand.
 	for u := 0; u < d.N(); u++ {
 		for v := 0; v < d.N(); v++ {
-			if got, want := s.Covered.At(u, v), d.At(u, v); got != want {
+			if got, want := covered(d, s, u, v), d.At(u, v); got != want {
 				t.Fatalf("covered (%d,%d) = %d, want %d", u, v, got, want)
 			}
 		}
@@ -366,9 +369,6 @@ func TestDemandHoldsOnlyItsConnections(t *testing.T) {
 	narrow.Add(topology.Conn{Src: 1, Dst: 2})
 	if r := d.Restrict(narrow); r.Conns() != 1 || r.At(n-1, 0) != 4 {
 		t.Fatalf("Restrict kept %d connections", r.Conns())
-	}
-	if cov := coveredDemand(d, c); cov.Conns() != 1 || cov.At(7, n-2) != 5 {
-		t.Fatalf("coveredDemand kept %d connections", cov.Conns())
 	}
 }
 

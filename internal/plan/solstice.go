@@ -76,7 +76,6 @@ func (Solstice) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, e
 	}
 	var kept []Entry
 	kept, s.Residual = splitResidual(entries, n, k, opts, func(_ Entry, u, v int) int64 { return d.At(u, v) })
-	s.Covered = coveredDemand(d, s.Residual)
 	s.Groups, s.DrainSlots, s.Reconfigs = packGroups(kept, k, preloadSlots, opts.ReconfigSlots)
 	return s, nil
 }

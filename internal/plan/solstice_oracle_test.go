@@ -98,7 +98,6 @@ func solsticeOracle(d *Demand, k, preloadSlots int, opts Options) (*Schedule, er
 	}
 	var kept []Entry
 	kept, s.Residual = splitResidual(entries, d.N(), k, opts, func(_ Entry, u, v int) int64 { return d.At(u, v) })
-	s.Covered = coveredDemand(d, s.Residual)
 	s.Groups, s.DrainSlots, s.Reconfigs = packGroups(kept, k, preloadSlots, opts.ReconfigSlots)
 	return s, nil
 }

@@ -39,7 +39,6 @@ func (Static) Plan(d *Demand, k, preloadSlots int, opts Options) (*Schedule, err
 		K:            k,
 		PreloadSlots: preloadSlots,
 		Residual:     NewDemand(d.N()),
-		Covered:      d.Clone(),
 	}
 	for start := 0; start < len(configs); start += preloadSlots {
 		end := start + preloadSlots

@@ -1,10 +1,10 @@
 package predictor
 
 import (
-	"cmp"
 	"fmt"
-	"slices"
+	"math/bits"
 
+	"pmsnet/internal/bitmat"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
 )
@@ -17,119 +17,144 @@ import (
 // connections speculatively.
 type Prefetcher interface {
 	Predictor
-	// Prefetch returns connections likely to be used soon that are worth
-	// establishing ahead of their request. The caller establishes (some of)
-	// them and reports outcomes via OnEstablish/OnRelease as usual.
-	Prefetch(now sim.Time) []topology.Conn
+	// Prefetch returns, in ascending order, the ids of connections likely
+	// to be used soon that are worth establishing ahead of their request.
+	// The caller establishes (some of) them and reports outcomes via
+	// OnEstablish/OnRelease as usual. The slice is reused by the next
+	// Prefetch call.
+	Prefetch(now sim.Time) []int32
 }
+
+// markovSupport is the observation count from which a transition is
+// trusted: one sighting.
+const markovSupport = 1
 
 // Markov is a first-order per-source destination predictor with time-out
 // eviction. For every source it learns the transition counts between
 // consecutive destinations; after source u talks to v, the most frequent
-// successor destination v' (if seen at least MinSupport times) is nominated
-// for pre-establishment. Eviction behaves exactly like the Timeout
-// predictor.
+// successor destination v' is nominated for pre-establishment. Eviction
+// behaves exactly like the Timeout predictor.
+//
+// A transition v -> v' at source u links two connections of u's row, so
+// the counts are kept per predecessor connection id: a list of (successor
+// id, count) in one arena, and the current most frequent successor, which
+// only changes when a count grows. A predicted successor was itself used,
+// so every prefetch names a connection in the run's table.
 type Markov struct {
 	Timeout *Timeout
-	// MinSupport is the minimum observation count before a transition is
-	// trusted.
-	MinSupport int
 
-	// trans[u][v][v'] counts v -> v' transitions at source u.
-	trans map[int]map[int]map[int]int
-	last  map[int]int // last destination per source
-	// pending holds the current prediction per source.
-	pending map[int]topology.Conn
+	conns *topology.ConnTable
+	succ  []successors // by predecessor connection id
+	trans []transition // the successor lists' entries
+	// last and pending are per source: the connection it used last (-1
+	// before its first use) and its current prediction, valid while its
+	// bit in predicted is set.
+	last, pending []int32
+	predicted     []uint64
+	out           []int32
+}
+
+// successors is one connection's learned successors: the head of its list
+// in Markov.trans and the most frequent one (-1 when none) with its count.
+type successors struct {
+	head, best, bestN int32
+}
+
+// transition counts n sightings of connection to after the list's owner.
+type transition struct {
+	to, n, next int32
 }
 
 // NewMarkov builds a Markov prefetching predictor with the given eviction
-// timeout and transition support threshold.
-func NewMarkov(timeout sim.Time, minSupport int) *Markov {
-	if minSupport <= 0 {
-		panic(fmt.Sprintf("predictor: markov support %d must be positive", minSupport))
-	}
-	return &Markov{
-		Timeout:    NewTimeout(timeout),
-		MinSupport: minSupport,
-		trans:      make(map[int]map[int]map[int]int),
-		last:       make(map[int]int),
-		pending:    make(map[int]topology.Conn),
-	}
+// timeout.
+func NewMarkov(timeout sim.Time) *Markov {
+	return &Markov{Timeout: NewTimeout(timeout)}
 }
 
 // Name implements Predictor.
 func (m *Markov) Name() string {
-	return fmt.Sprintf("markov(%v,%d)", m.Timeout.timeout, m.MinSupport)
+	return fmt.Sprintf("markov(%v,%d)", m.Timeout.timeout, markovSupport)
 }
 
-// Start implements Predictor.
-func (m *Markov) Start(t *topology.ConnTable) { m.Timeout.Start(t) }
+// Start implements Predictor: successor state per connection id and a
+// last use and prediction per source.
+func (m *Markov) Start(t *topology.ConnTable) {
+	m.Timeout.Start(t)
+	m.conns = t
+	m.succ = make([]successors, t.Len())
+	for i := range m.succ {
+		m.succ[i] = successors{head: -1, best: -1}
+	}
+	m.trans = m.trans[:0]
+	n := t.Ports()
+	m.last = make([]int32, n)
+	for i := range m.last {
+		m.last[i] = -1
+	}
+	m.pending = make([]int32, n)
+	m.predicted = make([]uint64, (n+63)/64)
+}
 
 // OnEstablish implements Predictor.
-func (m *Markov) OnEstablish(c Conn, now sim.Time) { m.Timeout.OnEstablish(c, now) }
+func (m *Markov) OnEstablish(id int32, now sim.Time) { m.Timeout.OnEstablish(id, now) }
 
 // OnUse implements Predictor. It learns the destination transition and
 // prepares the next prediction for the source.
-func (m *Markov) OnUse(c Conn, now sim.Time) {
-	m.Timeout.OnUse(c, now)
-	if prev, ok := m.last[c.Src]; ok && prev != c.Dst {
-		byPrev, ok := m.trans[c.Src]
-		if !ok {
-			byPrev = make(map[int]map[int]int)
-			m.trans[c.Src] = byPrev
-		}
-		succ, ok := byPrev[prev]
-		if !ok {
-			succ = make(map[int]int)
-			byPrev[prev] = succ
-		}
-		succ[c.Dst]++
+func (m *Markov) OnUse(id int32, now sim.Time) {
+	m.Timeout.OnUse(id, now)
+	src := m.conns.SrcFrom(-1, id)
+	if prev := m.last[src]; prev >= 0 && prev != id {
+		m.count(prev, id)
 	}
-	m.last[c.Src] = c.Dst
-	if next, ok := m.predictNext(c.Src, c.Dst); ok {
-		m.pending[c.Src] = topology.Conn{Src: c.Src, Dst: next}
+	m.last[src] = id
+	if s := m.succ[id]; s.bestN >= markovSupport {
+		m.pending[src] = s.best
+		bitmat.MaskSet(m.predicted, src)
 	} else {
-		delete(m.pending, c.Src)
+		bitmat.MaskClear(m.predicted, src)
 	}
 }
 
-// predictNext returns the learned most-frequent successor of dst at src.
-// Ties break toward the lowest destination for determinism.
-func (m *Markov) predictNext(src, dst int) (int, bool) {
-	succ := m.trans[src][dst]
-	best, bestCount := -1, 0
-	for v, count := range succ {
-		if count > bestCount || (count == bestCount && best >= 0 && v < best) {
-			best, bestCount = v, count
-		}
+// count records one sighting of next after prev, both of one source, and
+// keeps prev's most frequent successor current: counts only grow, so the
+// successor just counted replaces it when it now has more sightings, or as
+// many and a lower id (a lower destination).
+func (m *Markov) count(prev, next int32) {
+	s := &m.succ[prev]
+	i := s.head
+	for i >= 0 && m.trans[i].to != next {
+		i = m.trans[i].next
 	}
-	if bestCount < m.MinSupport {
-		return 0, false
+	if i < 0 {
+		i = int32(len(m.trans))
+		m.trans = append(m.trans, transition{to: next, next: s.head})
+		s.head = i
 	}
-	return best, true
+	m.trans[i].n++
+	if n := m.trans[i].n; n > s.bestN || (n == s.bestN && next < s.best) {
+		s.best, s.bestN = next, n
+	}
 }
 
 // OnRelease implements Predictor.
-func (m *Markov) OnRelease(c Conn) { m.Timeout.OnRelease(c) }
+func (m *Markov) OnRelease(id int32) { m.Timeout.OnRelease(id) }
 
 // Evictions implements Predictor.
-func (m *Markov) Evictions(now sim.Time, held []uint64) []Conn {
+func (m *Markov) Evictions(now sim.Time, held []uint64) []int32 {
 	return m.Timeout.Evictions(now, held)
 }
 
 // Prefetch implements Prefetcher: the current per-source predictions, each
-// returned once.
-func (m *Markov) Prefetch(sim.Time) []topology.Conn {
-	if len(m.pending) == 0 {
-		return nil
+// returned once. One prediction per source, so source order is id order.
+func (m *Markov) Prefetch(sim.Time) []int32 {
+	out := m.out[:0]
+	for w, x := range m.predicted {
+		for ; x != 0; x &= x - 1 {
+			out = append(out, m.pending[w<<6|bits.TrailingZeros64(x)])
+		}
+		m.predicted[w] = 0
 	}
-	out := make([]topology.Conn, 0, len(m.pending))
-	for _, c := range m.pending {
-		out = append(out, c)
-	}
-	m.pending = make(map[int]topology.Conn)
-	// One prediction per source, so source order is (Src, Dst) order.
-	slices.SortFunc(out, func(a, b topology.Conn) int { return cmp.Compare(a.Src, b.Src) })
+	m.out = out
 	return out
 }
 

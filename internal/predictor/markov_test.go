@@ -4,17 +4,16 @@ import (
 	"testing"
 
 	"pmsnet/internal/sim"
-	"pmsnet/internal/topology"
 )
 
-func newMarkov(timeout sim.Time, minSupport int) *Markov {
-	m := NewMarkov(timeout, minSupport)
+func newMarkov(timeout sim.Time) *Markov {
+	m := NewMarkov(timeout)
 	m.Start(table)
 	return m
 }
 
 func TestMarkovLearnsCycle(t *testing.T) {
-	m := newMarkov(1000, 1)
+	m := newMarkov(1000)
 	if m.Name() == "" {
 		t.Fatal("name empty")
 	}
@@ -28,7 +27,7 @@ func TestMarkovLearnsCycle(t *testing.T) {
 	// After using a again, the prediction must be b.
 	m.OnUse(a, 0)
 	got := m.Prefetch(0)
-	if len(got) != 1 || got[0] != b.Conn {
+	if len(got) != 1 || got[0] != b {
 		t.Fatalf("Prefetch = %v, want [%v]", got, b)
 	}
 	// Prefetch drains: a second call returns nothing until the next use.
@@ -37,24 +36,8 @@ func TestMarkovLearnsCycle(t *testing.T) {
 	}
 }
 
-func TestMarkovNeedsSupport(t *testing.T) {
-	m := newMarkov(1000, 2)
-	a, b := conn(0, 1), conn(0, 2)
-	m.OnUse(a, 0)
-	m.OnUse(b, 0) // one a->b observation: below support 2
-	m.OnUse(a, 0)
-	if got := m.Prefetch(0); len(got) != 0 {
-		t.Fatalf("Prefetch = %v, want none below support", got)
-	}
-	m.OnUse(b, 0) // second observation
-	m.OnUse(a, 0)
-	if got := m.Prefetch(0); len(got) != 1 || got[0] != b.Conn {
-		t.Fatalf("Prefetch = %v, want [%v] at support 2", got, b)
-	}
-}
-
 func TestMarkovPicksMostFrequentSuccessor(t *testing.T) {
-	m := newMarkov(1000, 1)
+	m := newMarkov(1000)
 	a, b, c := conn(0, 1), conn(0, 2), conn(0, 3)
 	m.OnUse(a, 0)
 	m.OnUse(b, 0)
@@ -64,26 +47,26 @@ func TestMarkovPicksMostFrequentSuccessor(t *testing.T) {
 	m.OnUse(c, 0)
 	m.OnUse(a, 0)
 	// a -> c seen twice, a -> b once.
-	if got := m.Prefetch(0); len(got) != 1 || got[0] != c.Conn {
+	if got := m.Prefetch(0); len(got) != 1 || got[0] != c {
 		t.Fatalf("Prefetch = %v, want [%v]", got, c)
 	}
 }
 
 func TestMarkovSourcesIndependent(t *testing.T) {
-	m := newMarkov(1000, 1)
+	m := newMarkov(1000)
 	m.OnUse(conn(0, 1), 0)
 	m.OnUse(conn(1, 2), 0) // a different source in between
 	m.OnUse(conn(0, 3), 0) // source 0: 1 -> 3
 	m.OnUse(conn(0, 1), 0)
 	got := m.Prefetch(0)
 	// Source 0 predicts 3 after 1; source 1 has no transition history.
-	want := topology.Conn{Src: 0, Dst: 3}
+	want := conn(0, 3)
 	found := false
-	for _, c := range got {
-		if c.Src == 1 {
-			t.Fatalf("source 1 has no learnable transition, got %v", c)
+	for _, id := range got {
+		if table.Conn(id).Src == 1 {
+			t.Fatalf("source 1 has no learnable transition, got %v", table.Conn(id))
 		}
-		if c == want {
+		if id == want {
 			found = true
 		}
 	}
@@ -93,7 +76,7 @@ func TestMarkovSourcesIndependent(t *testing.T) {
 }
 
 func TestMarkovEvictionDelegatesToTimeout(t *testing.T) {
-	m := newMarkov(100, 1)
+	m := newMarkov(100)
 	c := conn(0, 1)
 	m.OnEstablish(c, 0)
 	if got := m.Evictions(99, all); len(got) != 0 {
@@ -106,13 +89,4 @@ func TestMarkovEvictionDelegatesToTimeout(t *testing.T) {
 	if got := m.Evictions(1000, all); len(got) != 0 {
 		t.Fatalf("after release: %v", got)
 	}
-}
-
-func TestMarkovBadSupportPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewMarkov(100, 0)
 }

@@ -10,25 +10,23 @@
 // connections are used, evict at a threshold) and two reference points
 // (never-evict, and an oracle that knows the future) are provided for the
 // ablation benchmarks.
+//
+// A connection is named by its id in the run's connection table
+// (topology.ConnTable), the key every layer of a run shares. Each predictor
+// sizes its per-connection state from the table in Start and indexes it by
+// id; id order is (Src, Dst) order, so a walk over an id bitset yields
+// nominations in a deterministic order without a sort.
 package predictor
 
 import (
-	"cmp"
 	"fmt"
 	"math/bits"
-	"slices"
 
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
+	"pmsnet/internal/traffic"
 )
-
-// Conn is a connection as the network reports it to a predictor: its port
-// pair and its id in the run's connection table.
-type Conn struct {
-	topology.Conn
-	ID int32
-}
 
 // Predictor decides when established connections should be evicted from the
 // network's configuration registers. Implementations are not safe for
@@ -42,34 +40,35 @@ type Predictor interface {
 	// Name identifies the predictor in results.
 	Name() string
 	// Start hands the predictor the run's connection table before any
-	// other call: every connection passed in later is in it, with its id
-	// there, so per-connection state can be sized once.
+	// other call: every connection id passed in later is one of its ids,
+	// so per-connection state can be sized once.
 	Start(t *topology.ConnTable)
-	// OnEstablish tells the predictor a connection entered the working set.
-	OnEstablish(c Conn, now sim.Time)
-	// OnUse tells the predictor a connection carried traffic.
-	OnUse(c Conn, now sim.Time)
-	// OnRelease tells the predictor a connection left the working set for
+	// OnEstablish tells the predictor connection id entered the working
+	// set.
+	OnEstablish(id int32, now sim.Time)
+	// OnUse tells the predictor connection id carried traffic.
+	OnUse(id int32, now sim.Time)
+	// OnRelease tells the predictor connection id left the working set for
 	// any reason (eviction it requested, a flush, or a scheduler release),
 	// so it can drop its state.
-	OnRelease(c Conn)
-	// Evictions returns, in (Src, Dst) order and without duplicates, the
+	OnRelease(id int32)
+	// Evictions returns, in ascending id order and without duplicates, the
 	// connections that should be evicted now and whose id is set in held —
 	// the scheduler's B*, the connections currently established, as a
 	// bitset over connection ids. The caller is expected to evict them and
 	// then call OnRelease for each. The slice is reused by the next
 	// Evictions call; OnRelease leaves it intact.
-	Evictions(now sim.Time, held []uint64) []Conn
+	Evictions(now sim.Time, held []uint64) []int32
 }
 
-// sortConns orders connections for deterministic eviction order.
-func sortConns(cs []Conn) {
-	slices.SortFunc(cs, func(a, b Conn) int {
-		if c := cmp.Compare(a.Src, b.Src); c != 0 {
-			return c
+// appendBoth appends the ids set in both a and b to out, ascending.
+func appendBoth(out []int32, a, b []uint64) []int32 {
+	for w, x := range a {
+		for x &= b[w]; x != 0; x &= x - 1 {
+			out = append(out, int32(w<<6|bits.TrailingZeros64(x)))
 		}
-		return cmp.Compare(a.Dst, b.Dst)
-	})
+	}
+	return out
 }
 
 // --- Never ---
@@ -88,16 +87,16 @@ func (*Never) Name() string { return "never" }
 func (*Never) Start(*topology.ConnTable) {}
 
 // OnEstablish implements Predictor.
-func (*Never) OnEstablish(Conn, sim.Time) {}
+func (*Never) OnEstablish(int32, sim.Time) {}
 
 // OnUse implements Predictor.
-func (*Never) OnUse(Conn, sim.Time) {}
+func (*Never) OnUse(int32, sim.Time) {}
 
 // OnRelease implements Predictor.
-func (*Never) OnRelease(Conn) {}
+func (*Never) OnRelease(int32) {}
 
 // Evictions implements Predictor.
-func (*Never) Evictions(sim.Time, []uint64) []Conn { return nil }
+func (*Never) Evictions(sim.Time, []uint64) []int32 { return nil }
 
 // --- Timeout ---
 
@@ -116,12 +115,10 @@ type Timeout struct {
 	timeout sim.Time
 	now     sim.Time // latest time seen; calls must not go back
 
-	conns      *topology.ConnTable
 	nodes      []lruNode // by connection id
-	tracked    int
-	head, tail int32    // live list, oldest first; empty when < 0
-	expired    []uint64 // bitset over connection ids
-	out        []Conn
+	head, tail int32     // live list, oldest first; empty when < 0
+	expired    []uint64  // bitset over connection ids
+	out        []int32
 }
 
 // lruNode is one connection's state: its last use and, while it is live,
@@ -148,51 +145,34 @@ func (p *Timeout) Name() string { return fmt.Sprintf("timeout(%v)", p.timeout) }
 
 // Start implements Predictor: one node and one expired bit per connection.
 func (p *Timeout) Start(t *topology.ConnTable) {
-	p.conns = t
 	p.nodes = make([]lruNode, t.Len())
 	for i := range p.nodes {
 		p.nodes[i].prev = offList
 	}
 	p.expired = make([]uint64, (t.Len()+63)/64)
-	p.tracked, p.head, p.tail = 0, -1, -1
+	p.head, p.tail = -1, -1
 }
 
 // OnEstablish implements Predictor.
-func (p *Timeout) OnEstablish(c Conn, now sim.Time) { p.touch(c.ID, now) }
+func (p *Timeout) OnEstablish(id int32, now sim.Time) { p.touch(id, now) }
 
 // OnUse implements Predictor.
-func (p *Timeout) OnUse(c Conn, now sim.Time) { p.touch(c.ID, now) }
+func (p *Timeout) OnUse(id int32, now sim.Time) { p.touch(id, now) }
 
 // OnRelease implements Predictor.
-func (p *Timeout) OnRelease(c Conn) {
-	if p.detach(c.ID) {
-		p.tracked--
-	}
-}
+func (p *Timeout) OnRelease(id int32) { p.detach(id) }
 
 // Evictions implements Predictor.
-func (p *Timeout) Evictions(now sim.Time, held []uint64) []Conn {
+func (p *Timeout) Evictions(now sim.Time, held []uint64) []int32 {
 	p.advance(now)
 	for p.head >= 0 && now-p.nodes[p.head].last >= p.timeout {
 		i := p.head
 		p.unlink(i)
 		bitmat.MaskSet(p.expired, int(i))
 	}
-	out := p.out[:0]
-	src := -1 // a row cursor: the ids ascend, so one search resolves them all
-	for w, x := range p.expired {
-		for x &= held[w]; x != 0; x &= x - 1 {
-			id := int32(w<<6 | bits.TrailingZeros64(x))
-			src = p.conns.SrcFrom(src, id)
-			out = append(out, Conn{Conn: topology.Conn{Src: src, Dst: p.conns.Dst(id)}, ID: id})
-		}
-	}
-	p.out = out
-	return out
+	p.out = appendBoth(p.out[:0], p.expired, held)
+	return p.out
 }
-
-// Tracked returns the number of connections under observation.
-func (p *Timeout) Tracked() int { return p.tracked }
 
 // advance enforces the monotone-time contract of Predictor.
 func (p *Timeout) advance(now sim.Time) {
@@ -208,9 +188,7 @@ func (p *Timeout) advance(now sim.Time) {
 // order because time never goes backwards.
 func (p *Timeout) touch(id int32, now sim.Time) {
 	p.advance(now)
-	if !p.detach(id) {
-		p.tracked++
-	}
+	p.detach(id)
 	n := &p.nodes[id]
 	n.last, n.prev, n.next = now, p.tail, -1
 	if p.tail >= 0 {
@@ -221,18 +199,13 @@ func (p *Timeout) touch(id int32, now sim.Time) {
 	p.tail = id
 }
 
-// detach takes node id off the live list or out of the expired set and
-// reports whether it was tracked.
-func (p *Timeout) detach(id int32) bool {
+// detach takes node id off the live list or out of the expired set.
+func (p *Timeout) detach(id int32) {
 	if p.nodes[id].prev != offList {
 		p.unlink(id)
-		return true
-	}
-	if bitmat.MaskTest(p.expired, int(id)) {
+	} else {
 		bitmat.MaskClear(p.expired, int(id))
-		return true
 	}
-	return false
 }
 
 // unlink removes live node i from the list.
@@ -261,8 +234,8 @@ func (p *Timeout) unlink(i int32) {
 // is ever "used", so a pure use-counter would freeze and starve the waiting
 // traffic forever.
 type IdleGrantObserver interface {
-	// OnIdleGrant reports one wasted slot grant for connection c.
-	OnIdleGrant(c Conn, now sim.Time)
+	// OnIdleGrant reports one wasted slot grant for connection id.
+	OnIdleGrant(id int32, now sim.Time)
 }
 
 // Counter is the paper's alternative predictor: each connection has a
@@ -277,12 +250,17 @@ type IdleGrantObserver interface {
 // deadlocks the switch (no use anywhere → no counter movement → no eviction
 // → waiting requests starve); during pure compute phases no traffic is
 // pending, so the paper's no-eviction-while-computing property still holds.
+//
+// Its state is sized at Start: per connection id, the use count at its last
+// use and its wasted grants, plus a bitset of the tracked ids. Evictions
+// walks the tracked ids that are held, word by word, in id order.
 type Counter struct {
 	threshold uint64
 	totalUses uint64
-	atLastUse map[Conn]uint64
-	idle      map[Conn]uint64
-	out       []Conn
+	atLastUse []uint64 // by connection id, while tracked
+	idle      []uint64 // wasted grants since the last use, by connection id
+	tracked   []uint64 // bitset over connection ids
+	out       []int32
 }
 
 // NewCounter builds a counter predictor. threshold must be positive.
@@ -290,53 +268,58 @@ func NewCounter(threshold uint64) *Counter {
 	if threshold == 0 {
 		panic("predictor: counter threshold must be positive")
 	}
-	return &Counter{
-		threshold: threshold,
-		atLastUse: make(map[Conn]uint64),
-		idle:      make(map[Conn]uint64),
-	}
+	return &Counter{threshold: threshold}
 }
 
 // Name implements Predictor.
 func (p *Counter) Name() string { return fmt.Sprintf("counter(%d)", p.threshold) }
 
 // Start implements Predictor.
-func (*Counter) Start(*topology.ConnTable) {}
+func (p *Counter) Start(t *topology.ConnTable) {
+	p.totalUses = 0
+	p.atLastUse = make([]uint64, t.Len())
+	p.idle = make([]uint64, t.Len())
+	p.tracked = make([]uint64, (t.Len()+63)/64)
+}
 
 // OnEstablish implements Predictor.
-func (p *Counter) OnEstablish(c Conn, _ sim.Time) { p.atLastUse[c] = p.totalUses }
+func (p *Counter) OnEstablish(id int32, _ sim.Time) {
+	p.atLastUse[id] = p.totalUses
+	bitmat.MaskSet(p.tracked, int(id))
+}
 
 // OnUse implements Predictor.
-func (p *Counter) OnUse(c Conn, _ sim.Time) {
+func (p *Counter) OnUse(id int32, _ sim.Time) {
 	p.totalUses++
-	p.atLastUse[c] = p.totalUses
-	delete(p.idle, c)
+	p.atLastUse[id] = p.totalUses
+	bitmat.MaskSet(p.tracked, int(id))
+	p.idle[id] = 0
 }
 
 // OnIdleGrant implements IdleGrantObserver.
-func (p *Counter) OnIdleGrant(c Conn, _ sim.Time) {
-	p.idle[c]++
-}
+func (p *Counter) OnIdleGrant(id int32, _ sim.Time) { p.idle[id]++ }
 
 // OnRelease implements Predictor.
-func (p *Counter) OnRelease(c Conn) {
-	delete(p.atLastUse, c)
-	delete(p.idle, c)
+func (p *Counter) OnRelease(id int32) {
+	bitmat.MaskClear(p.tracked, int(id))
+	p.idle[id] = 0
 }
 
 // Evictions implements Predictor.
-func (p *Counter) Evictions(_ sim.Time, held []uint64) []Conn {
+func (p *Counter) Evictions(_ sim.Time, held []uint64) []int32 {
 	out := p.out[:0]
-	for c, at := range p.atLastUse {
-		// Uses by other connections since c's last use (c's own last use is
-		// included in totalUses and in at, so the difference counts exactly
-		// the *other* uses since then) plus the slot grants c wasted while
-		// other traffic waited.
-		if p.totalUses-at+p.idle[c] >= p.threshold && bitmat.MaskTest(held, int(c.ID)) {
-			out = append(out, c)
+	for w, x := range p.tracked {
+		for x &= held[w]; x != 0; x &= x - 1 {
+			id := int32(w<<6 | bits.TrailingZeros64(x))
+			// Uses by other connections since id's last use (its own last
+			// use is included in totalUses and in atLastUse, so the
+			// difference counts exactly the *other* uses since then) plus
+			// the slot grants it wasted while other traffic waited.
+			if p.totalUses-p.atLastUse[id]+p.idle[id] >= p.threshold {
+				out = append(out, id)
+			}
 		}
 	}
-	sortConns(out)
 	p.out = out
 	return out
 }
@@ -349,73 +332,81 @@ var _ IdleGrantObserver = (*Counter)(nil)
 // the workload) and evicts a connection immediately after its final use.
 // It is the eviction upper bound for ablation comparisons.
 type Oracle struct {
-	remaining map[topology.Conn]int
+	wl *traffic.Workload
+	// remaining counts each connection's future uses; it is zero for a
+	// connection whose uses are exhausted or that no program sends on.
+	remaining []int32
 	// done counts each nominated connection's pending nominations; an
-	// OnRelease retires one.
-	done map[Conn]int
-	out  []Conn
+	// OnRelease retires one. nominated holds the ids whose count is
+	// positive.
+	done      []int32
+	nominated []uint64
+	out       []int32
 }
 
-// NewOracle builds an oracle from the per-connection total use counts of the
-// workload that will run.
-func NewOracle(uses map[topology.Conn]int) *Oracle {
-	rem := make(map[topology.Conn]int, len(uses))
-	for c, n := range uses {
-		if n < 0 {
-			panic(fmt.Sprintf("predictor: negative use count for %v", c))
-		}
-		rem[c] = n
-	}
-	return &Oracle{remaining: rem, done: make(map[Conn]int)}
-}
+// NewOracle builds an oracle for a run of wl: Start counts its sends per
+// connection.
+func NewOracle(wl *traffic.Workload) *Oracle { return &Oracle{wl: wl} }
 
 // Name implements Predictor.
 func (*Oracle) Name() string { return "oracle" }
 
-// Start implements Predictor.
-func (*Oracle) Start(*topology.ConnTable) {}
+// Start implements Predictor: it resolves every send of the workload to its
+// connection id once. The table must be the one of a run of that workload.
+func (p *Oracle) Start(t *topology.ConnTable) {
+	p.remaining = make([]int32, t.Len())
+	p.done = make([]int32, t.Len())
+	p.nominated = make([]uint64, (t.Len()+63)/64)
+	for src, prog := range p.wl.Programs {
+		for _, op := range prog.Ops {
+			if op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait {
+				id := t.ID(src, op.Dst)
+				if id < 0 {
+					panic(fmt.Sprintf("predictor: oracle's workload sends %d->%d, outside the run's table", src, op.Dst))
+				}
+				p.remaining[id]++
+			}
+		}
+	}
+}
 
 // OnEstablish implements Predictor.
-func (p *Oracle) OnEstablish(c Conn, _ sim.Time) {
-	if _, ok := p.remaining[c.Conn]; !ok {
-		// A connection the oracle never saw in the plan has zero future
-		// uses; evict as soon as possible.
-		p.done[c]++
+func (p *Oracle) OnEstablish(id int32, _ sim.Time) {
+	if p.remaining[id] == 0 {
+		// A connection with no future use: evict as soon as possible.
+		p.nominate(id)
 	}
 }
 
 // OnUse implements Predictor.
-func (p *Oracle) OnUse(c Conn, _ sim.Time) {
-	n, ok := p.remaining[c.Conn]
-	if !ok {
+func (p *Oracle) OnUse(id int32, _ sim.Time) {
+	if p.remaining[id] == 0 {
 		return
 	}
-	n--
-	p.remaining[c.Conn] = n
-	if n <= 0 {
-		p.done[c]++
-		delete(p.remaining, c.Conn)
+	p.remaining[id]--
+	if p.remaining[id] == 0 {
+		p.nominate(id)
 	}
 }
 
+// nominate adds one pending nomination of id.
+func (p *Oracle) nominate(id int32) {
+	p.done[id]++
+	bitmat.MaskSet(p.nominated, int(id))
+}
+
 // OnRelease implements Predictor.
-func (p *Oracle) OnRelease(c Conn) {
-	if n := p.done[c]; n > 1 {
-		p.done[c] = n - 1
+func (p *Oracle) OnRelease(id int32) {
+	if p.done[id] > 1 {
+		p.done[id]--
 	} else {
-		delete(p.done, c)
+		p.done[id] = 0
+		bitmat.MaskClear(p.nominated, int(id))
 	}
 }
 
 // Evictions implements Predictor.
-func (p *Oracle) Evictions(_ sim.Time, held []uint64) []Conn {
-	out := p.out[:0]
-	for c := range p.done {
-		if bitmat.MaskTest(held, int(c.ID)) {
-			out = append(out, c)
-		}
-	}
-	sortConns(out)
-	p.out = out
-	return out
+func (p *Oracle) Evictions(_ sim.Time, held []uint64) []int32 {
+	p.out = appendBoth(p.out[:0], p.nominated, held)
+	return p.out
 }

@@ -1,9 +1,9 @@
 package predictor
 
 import (
+	"math/bits"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -11,6 +11,7 @@ import (
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
+	"pmsnet/internal/traffic"
 )
 
 // table is the connection table the unit tests run over: every pair of
@@ -41,18 +42,67 @@ var (
 	}()
 )
 
-// conn returns src→dst with its id in table.
-func conn(src, dst int) Conn {
-	return Conn{Conn: topology.Conn{Src: src, Dst: dst}, ID: table.ID(src, dst)}
+// conn returns the id of src→dst in table.
+func conn(src, dst int) int32 { return table.ID(src, dst) }
+
+// ref returns connection id as the reference predictors take it.
+func ref(id int32) refConn { return refConn{Conn: table.Conn(id), ID: id} }
+
+// refs maps ids to refConns.
+func refs(ids []int32) []refConn {
+	out := make([]refConn, len(ids))
+	for i, id := range ids {
+		out[i] = ref(id)
+	}
+	return out
 }
 
-// heldSet returns the held bitset holding exactly cs.
-func heldSet(cs ...Conn) []uint64 {
+// heldSet returns the held bitset holding exactly ids.
+func heldSet(ids ...int32) []uint64 {
 	m := make([]uint64, (table.Len()+63)/64)
-	for _, c := range cs {
-		bitmat.MaskSet(m, int(c.ID))
+	for _, id := range ids {
+		bitmat.MaskSet(m, int(id))
 	}
 	return m
+}
+
+// tracked returns the number of connections p observes: those on its live
+// list and those in its expired set.
+func tracked(p *Timeout) int {
+	n := 0
+	for _, x := range p.nodes {
+		if x.prev != offList {
+			n++
+		}
+	}
+	for _, x := range p.expired {
+		n += bits.OnesCount64(x)
+	}
+	return n
+}
+
+// sendsWorkload returns a workload over table's ports in which src sends
+// to dst once per listed pair occurrence.
+func sendsWorkload(pairs ...[2]int) *traffic.Workload {
+	wl := &traffic.Workload{Name: "sends", N: tableN, Programs: make([]traffic.Program, tableN)}
+	for _, pr := range pairs {
+		wl.Programs[pr[0]].Ops = append(wl.Programs[pr[0]].Ops, traffic.Send(pr[1], 64))
+	}
+	return wl
+}
+
+// newOracle returns an oracle of wl started on table.
+func newOracle(wl *traffic.Workload) *Oracle {
+	p := NewOracle(wl)
+	p.Start(table)
+	return p
+}
+
+// newCounter returns a counter predictor started on table.
+func newCounter(threshold uint64) *Counter {
+	p := NewCounter(threshold)
+	p.Start(table)
+	return p
 }
 
 // newTimeout returns a time-out predictor started on table.
@@ -96,8 +146,8 @@ func TestTimeoutEvictsIdleConnections(t *testing.T) {
 		t.Fatalf("Evictions = %v, want sorted [%v %v]", got, c01, c12)
 	}
 	p.OnRelease(c01)
-	if p.Tracked() != 1 {
-		t.Fatalf("Tracked = %d, want 1", p.Tracked())
+	if tracked(p) != 1 {
+		t.Fatalf("tracked = %d, want 1", tracked(p))
 	}
 }
 
@@ -122,7 +172,7 @@ func TestTimeoutPanicsOnBadTimeout(t *testing.T) {
 }
 
 func TestCounterEvictsOnOtherUses(t *testing.T) {
-	p := NewCounter(3)
+	p := newCounter(3)
 	p.OnEstablish(c01, 0)
 	p.OnEstablish(c12, 0)
 	// Three uses of c12: c01's counter reaches 3.
@@ -141,7 +191,7 @@ func TestCounterEvictsOnOtherUses(t *testing.T) {
 func TestCounterDoesNotEvictDuringComputePhase(t *testing.T) {
 	// The paper's motivation for the counter predictor: no eviction while
 	// the application computes and nothing communicates — unlike Timeout.
-	p := NewCounter(2)
+	p := newCounter(2)
 	p.OnEstablish(c01, 0)
 	p.OnUse(c01, 1)
 	if got := p.Evictions(1<<40, all); len(got) != 0 {
@@ -156,7 +206,7 @@ func TestCounterDoesNotEvictDuringComputePhase(t *testing.T) {
 }
 
 func TestCounterUseResets(t *testing.T) {
-	p := NewCounter(2)
+	p := newCounter(2)
 	p.OnEstablish(c01, 0)
 	p.OnUse(c12, 1)
 	p.OnUse(c01, 2) // reset
@@ -181,7 +231,7 @@ func TestCounterPanicsOnZeroThreshold(t *testing.T) {
 }
 
 func TestOracleEvictsAfterLastUse(t *testing.T) {
-	p := NewOracle(map[topology.Conn]int{c01.Conn: 2, c12.Conn: 1})
+	p := newOracle(sendsWorkload([2]int{0, 1}, [2]int{0, 1}, [2]int{1, 2}))
 	p.OnEstablish(c01, 0)
 	p.OnEstablish(c12, 0)
 	p.OnUse(c01, 1)
@@ -202,21 +252,12 @@ func TestOracleEvictsAfterLastUse(t *testing.T) {
 }
 
 func TestOracleUnplannedConnectionEvictedImmediately(t *testing.T) {
-	p := NewOracle(map[topology.Conn]int{c01.Conn: 1})
+	p := newOracle(sendsWorkload([2]int{0, 1}))
 	p.OnEstablish(c23, 0) // never in the plan
 	got := p.Evictions(0, all)
 	if len(got) != 1 || got[0] != c23 {
 		t.Fatalf("Evictions = %v, want [%v]", got, c23)
 	}
-}
-
-func TestOraclePanicsOnNegativeUses(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewOracle(map[topology.Conn]int{c01.Conn: -1})
 }
 
 func TestNamesAreDistinct(t *testing.T) {
@@ -235,7 +276,7 @@ func TestQuickTimeoutNeverEvictsRecentlyUsed(t *testing.T) {
 	f := func(events []uint16, window uint8) bool {
 		timeout := sim.Time(int64(window)%500 + 1)
 		p := newTimeout(timeout)
-		last := map[Conn]sim.Time{}
+		last := map[int32]sim.Time{}
 		now := sim.Time(0)
 		for _, e := range events {
 			now += sim.Time(e % 50)
@@ -260,9 +301,9 @@ func TestQuickTimeoutNeverEvictsRecentlyUsed(t *testing.T) {
 func TestQuickCounterMatchesNaive(t *testing.T) {
 	f := func(events []uint8, rawThreshold uint8) bool {
 		threshold := uint64(rawThreshold)%10 + 1
-		p := NewCounter(threshold)
-		var log []Conn
-		seen := map[Conn]bool{}
+		p := newCounter(threshold)
+		var log []int32
+		seen := map[int32]bool{}
 		for _, e := range events {
 			c := conn(int(e%5), int(e%5)+1)
 			if !seen[c] {
@@ -272,7 +313,7 @@ func TestQuickCounterMatchesNaive(t *testing.T) {
 			p.OnUse(c, 0)
 			log = append(log, c)
 		}
-		evicted := map[Conn]bool{}
+		evicted := map[int32]bool{}
 		for _, c := range p.Evictions(0, all) {
 			evicted[c] = true
 		}
@@ -296,7 +337,7 @@ func TestQuickCounterMatchesNaive(t *testing.T) {
 }
 
 func TestCounterIdleGrants(t *testing.T) {
-	p := NewCounter(3)
+	p := newCounter(3)
 	p.OnEstablish(c01, 0)
 	p.OnIdleGrant(c01, 1)
 	p.OnIdleGrant(c01, 2)
@@ -331,13 +372,13 @@ func TestEvictionsFilterByHeld(t *testing.T) {
 	// due at now.
 	for _, tc := range []struct {
 		p    Predictor
-		uses []Conn
+		uses []int32
 		now  sim.Time
 	}{
 		{newTimeout(100), nil, 100},
-		{newMarkov(100, 1), nil, 100},
-		{NewCounter(1), []Conn{c23}, 1},
-		{NewOracle(nil), nil, 1},
+		{newMarkov(100), nil, 100},
+		{newCounter(1), []int32{c23}, 1},
+		{newOracle(sendsWorkload()), nil, 1},
 	} {
 		tc.p.OnEstablish(c01, 0)
 		tc.p.OnEstablish(c12, 0)
@@ -356,7 +397,7 @@ func TestEvictionsFilterByHeld(t *testing.T) {
 func TestOracleDoubleNominationNeedsTwoReleases(t *testing.T) {
 	// An unplanned connection established twice without a release in between
 	// is nominated twice; the first release leaves one nomination standing.
-	p := NewOracle(nil)
+	p := newOracle(sendsWorkload())
 	p.OnEstablish(c01, 0)
 	p.OnEstablish(c01, 1)
 	if got := p.Evictions(1, all); len(got) != 1 || got[0] != c01 {
@@ -393,43 +434,15 @@ func TestTimeoutPanicsWhenTimeGoesBackwards(t *testing.T) {
 	}
 }
 
-// refTimeout is the map-scan time-out predictor Timeout replaced, with the
-// B* filter its caller used to apply folded in. The parity tests hold
-// Timeout to it.
-type refTimeout struct {
-	timeout sim.Time
-	lastUse map[Conn]sim.Time
-}
-
-func (p *refTimeout) touch(c Conn, now sim.Time) { p.lastUse[c] = now }
-
-func (p *refTimeout) release(c Conn) { delete(p.lastUse, c) }
-
-func (p *refTimeout) evictions(now sim.Time, held []uint64) []Conn {
-	var out []Conn
-	for c, last := range p.lastUse {
-		if now-last >= p.timeout && bitmat.MaskTest(held, int(c.ID)) {
-			out = append(out, c)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src < out[j].Src
-		}
-		return out[i].Dst < out[j].Dst
-	})
-	return out
-}
-
 // The parity sequences draw from a 12x12 grid of the table's ports, spread
 // over its 70, so that calls revisit the same connections often; a
 // self-pair is moved one column on.
-func parityConn(a, b int) Conn {
+func parityConn(a, b int) refConn {
 	src, dst := a%12, b%12
 	if dst == src {
 		dst = (dst + 1) % 12
 	}
-	return conn(src*6, dst*6)
+	return ref(conn(src*6, dst*6))
 }
 
 // checkTimeoutParity decodes data into a sequence of establish, use,
@@ -442,7 +455,7 @@ func checkTimeoutParity(t *testing.T, data []byte) {
 	}
 	timeout := sim.Time(data[0]%100) + 1
 	p := newTimeout(timeout)
-	ref := &refTimeout{timeout: timeout, lastUse: map[Conn]sim.Time{}}
+	rt := &refTimeout{timeout: timeout, lastUse: map[refConn]sim.Time{}}
 	held := heldSet()
 	now := sim.Time(0)
 	for i := 1; i+3 < len(data); i += 4 {
@@ -451,15 +464,15 @@ func checkTimeoutParity(t *testing.T, data []byte) {
 		now += dt
 		switch op % 8 {
 		case 0, 1:
-			p.OnEstablish(c, now)
-			ref.touch(c, now)
+			p.OnEstablish(c.ID, now)
+			rt.touch(c, now)
 			bitmat.MaskSet(held, int(c.ID))
 		case 2, 3:
-			p.OnUse(c, now)
-			ref.touch(c, now)
+			p.OnUse(c.ID, now)
+			rt.touch(c, now)
 		case 4:
-			p.OnRelease(c)
-			ref.release(c)
+			p.OnRelease(c.ID)
+			rt.release(c)
 		case 5:
 			held[c.ID>>6] ^= 1 << (uint(c.ID) & 63)
 		case 6:
@@ -469,7 +482,7 @@ func checkTimeoutParity(t *testing.T, data []byte) {
 				copy(held, all)
 			}
 		case 7:
-			got, want := p.Evictions(now, held), ref.evictions(now, held)
+			got, want := refs(p.Evictions(now, held)), rt.evictions(now, held)
 			if !slices.Equal(got, want) {
 				t.Fatalf("at op %d (t=%v): Evictions = %v, reference %v", i, now, got, want)
 			}
@@ -477,13 +490,13 @@ func checkTimeoutParity(t *testing.T, data []byte) {
 				// The tdm caller's loop: evict, then release.
 				for _, c := range want {
 					bitmat.MaskClear(held, int(c.ID))
-					p.OnRelease(c)
-					ref.release(c)
+					p.OnRelease(c.ID)
+					rt.release(c)
 				}
 			}
 		}
-		if p.Tracked() != len(ref.lastUse) {
-			t.Fatalf("at op %d: Tracked = %d, reference %d", i, p.Tracked(), len(ref.lastUse))
+		if tracked(p) != len(rt.lastUse) {
+			t.Fatalf("at op %d: tracked = %d, reference %d", i, tracked(p), len(rt.lastUse))
 		}
 	}
 }
@@ -511,8 +524,8 @@ func TestTimeoutParitySeeded(t *testing.T) {
 // idle in B* (expired and nominated every pass, but left in place because
 // their queues are not empty). sweep advances time by one pass, touches the
 // busy ones and runs Evictions.
-func timeoutSteadyState() (sweep func() []Conn) {
-	const n, tracked, busy, idle = 128, 6000, 80, 20
+func timeoutSteadyState() (sweep func() []int32) {
+	const n, live, busy, idle = 128, 6000, 80, 20
 	const timeout = sim.Time(500)
 	full := topology.NewConnTable(n, func(src int, add func(dst int)) {
 		for v := 0; v < n; v++ {
@@ -524,19 +537,19 @@ func timeoutSteadyState() (sweep func() []Conn) {
 	p := NewTimeout(timeout)
 	p.Start(full)
 	held := make([]uint64, (full.Len()+63)/64)
-	conns := make([]Conn, tracked)
+	conns := make([]int32, live)
 	for k := range conns {
 		src, dst := k%n, (k%n+k/n+1)%n
-		conns[k] = Conn{Conn: topology.Conn{Src: src, Dst: dst}, ID: full.ID(src, dst)}
+		conns[k] = full.ID(src, dst)
 		p.OnEstablish(conns[k], 0)
 	}
-	hot := conns[tracked-busy-idle:]
+	hot := conns[live-busy-idle:]
 	for _, c := range hot {
-		bitmat.MaskSet(held, int(c.ID))
+		bitmat.MaskSet(held, int(c))
 	}
 	hot = hot[:busy]
 	now := sim.Time(0)
-	sweep = func() []Conn {
+	sweep = func() []int32 {
 		now += timeout / 4
 		for _, c := range hot {
 			p.OnUse(c, now)
@@ -561,6 +574,34 @@ func TestTimeoutEvictionsZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPredictorsSteadyStateZeroAlloc pins the counter, oracle and Markov
+// predictors' steady state — establishes, uses, idle grants, Evictions and
+// Prefetch over connections they have seen before — to zero allocations.
+func TestPredictorsSteadyStateZeroAlloc(t *testing.T) {
+	ids := []int32{conn(0, 1), conn(0, 2), conn(0, 3), conn(5, 1), conn(5, 9)}
+	counter, markov := newCounter(3), newMarkov(50)
+	preds := []Predictor{counter, newOracle(sendsWorkload([2]int{0, 1})), markov}
+	now := sim.Time(0)
+	cycle := func() {
+		for _, p := range preds {
+			for _, id := range ids {
+				p.OnEstablish(id, now)
+				p.OnUse(id, now)
+			}
+			p.Evictions(now, all)
+		}
+		counter.OnIdleGrant(ids[0], now)
+		markov.Prefetch(now)
+		now += 10
+	}
+	for i := 0; i < 8; i++ {
+		cycle()
+	}
+	if a := testing.AllocsPerRun(100, cycle); a != 0 {
+		t.Fatalf("steady state allocates %v times, want 0", a)
+	}
+}
+
 func BenchmarkTimeoutEvictions(b *testing.B) {
 	sweep := timeoutSteadyState()
 	b.ReportAllocs()
@@ -577,19 +618,19 @@ func BenchmarkTimeoutEvictions(b *testing.B) {
 func TestTimeoutEvictionsInConnOrder(t *testing.T) {
 	const timeout = 10
 	p := newTimeout(timeout)
-	conns := []Conn{conn(5, 0), conn(0, 9), conn(3, 4), conn(0, 2), conn(69, 68), conn(3, 1), conn(12, 40)}
-	last := map[Conn]sim.Time{}
+	conns := refs([]int32{conn(5, 0), conn(0, 9), conn(3, 4), conn(0, 2), conn(69, 68), conn(3, 1), conn(12, 40)})
+	last := map[refConn]sim.Time{}
 	now := sim.Time(0)
 	check := func(what string) {
 		t.Helper()
-		got := p.Evictions(now, all)
-		var want []Conn
+		got := refs(p.Evictions(now, all))
+		var want []refConn
 		for _, c := range conns {
 			if at, ok := last[c]; ok && now-at >= timeout {
 				want = append(want, c)
 			}
 		}
-		sortConns(want)
+		sortRefConns(want)
 		if !slices.Equal(got, want) {
 			t.Fatalf("%s at t=%v: Evictions = %v, want %v", what, now, got, want)
 		}
@@ -598,7 +639,7 @@ func TestTimeoutEvictionsInConnOrder(t *testing.T) {
 		// Touch in a rotating order, so list order and pair order differ.
 		for i := range conns {
 			c := conns[(i*3+cycle)%len(conns)]
-			p.OnUse(c, now)
+			p.OnUse(c.ID, now)
 			last[c] = now
 			now += 2
 		}
@@ -609,10 +650,10 @@ func TestTimeoutEvictionsInConnOrder(t *testing.T) {
 		for i, c := range conns {
 			switch {
 			case i%3 == cycle%3:
-				p.OnRelease(c)
+				p.OnRelease(c.ID)
 				delete(last, c)
 			case i%2 == 0:
-				p.OnUse(c, now)
+				p.OnUse(c.ID, now)
 				last[c] = now
 			}
 		}
@@ -620,11 +661,126 @@ func TestTimeoutEvictionsInConnOrder(t *testing.T) {
 		now += timeout
 		check("reused expired again")
 		for _, c := range conns {
-			p.OnRelease(c)
+			p.OnRelease(c.ID)
 			delete(last, c)
 		}
-		if p.Tracked() != 0 {
-			t.Fatalf("cycle %d: %d tracked after releasing all", cycle, p.Tracked())
+		if tracked(p) != 0 {
+			t.Fatalf("cycle %d: %d tracked after releasing all", cycle, tracked(p))
 		}
+	}
+}
+
+// parityPlan returns the workload the parity oracles plan from: each pair
+// of the parity grid sends 0 to 3 times, varied by salt, so some
+// connections are unplanned and the others exhaust after a few uses.
+func parityPlan(salt byte) *traffic.Workload {
+	var sends [][2]int
+	for a := 0; a < 12; a++ {
+		for b := 0; b < 12; b++ {
+			c := parityConn(a, b)
+			for k := 0; k < (a*7+b*13+int(salt))%4; k++ {
+				sends = append(sends, [2]int{c.Src, c.Dst})
+			}
+		}
+	}
+	return sendsWorkload(sends...)
+}
+
+// checkPredictorParity decodes data into a sequence of establish, use,
+// idle-grant, release, held-mask, Evictions and Prefetch calls with
+// non-decreasing times, applies it to Counter, Oracle and Markov and to
+// their map-keyed references, and fails on the first Evictions or Prefetch
+// result that differs. Uses may come with no establish first, as hybrid
+// runs produce them.
+func checkPredictorParity(t *testing.T, data []byte) {
+	if len(data) < 2 {
+		return
+	}
+	threshold, timeout := uint64(data[0]%12)+1, sim.Time(data[0]%100)+1
+	wl := parityPlan(data[1])
+	counter, markov := newCounter(threshold), newMarkov(timeout)
+	preds := []Predictor{counter, newOracle(wl), markov}
+	rcounter, rmarkov := newRefCounter(threshold), newRefMarkov(timeout, 1)
+	refPreds := []interface {
+		OnEstablish(refConn, sim.Time)
+		OnUse(refConn, sim.Time)
+		OnRelease(refConn)
+		Evictions(sim.Time, []uint64) []refConn
+	}{rcounter, newRefOracle(connUses(wl)), rmarkov}
+	held := heldSet()
+	now := sim.Time(0)
+	for i := 2; i+3 < len(data); i += 4 {
+		op, a, b, dt := data[i], int(data[i+1]), int(data[i+2]), sim.Time(data[i+3]%32)
+		c := parityConn(a, b)
+		now += dt
+		switch op % 10 {
+		case 0, 1:
+			for k := range preds {
+				preds[k].OnEstablish(c.ID, now)
+				refPreds[k].OnEstablish(c, now)
+			}
+			bitmat.MaskSet(held, int(c.ID))
+		case 2, 3:
+			for k := range preds {
+				preds[k].OnUse(c.ID, now)
+				refPreds[k].OnUse(c, now)
+			}
+		case 4:
+			counter.OnIdleGrant(c.ID, now)
+			rcounter.OnIdleGrant(c, now)
+		case 5:
+			for k := range preds {
+				preds[k].OnRelease(c.ID)
+				refPreds[k].OnRelease(c)
+			}
+		case 6:
+			held[c.ID>>6] ^= 1 << (uint(c.ID) & 63)
+		case 7:
+			if a&1 == 0 {
+				clear(held)
+			} else {
+				copy(held, all)
+			}
+		case 8:
+			for k, p := range preds {
+				got, want := refs(p.Evictions(now, held)), refPreds[k].Evictions(now, held)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s at op %d (t=%v): Evictions = %v, reference %v", p.Name(), i, now, got, want)
+				}
+				if b&1 == 0 {
+					// The tdm caller's loop: evict, then release.
+					for _, c := range want {
+						bitmat.MaskClear(held, int(c.ID))
+						p.OnRelease(c.ID)
+						refPreds[k].OnRelease(c)
+					}
+				}
+			}
+		case 9:
+			var got []topology.Conn
+			for _, id := range markov.Prefetch(now) {
+				got = append(got, table.Conn(id))
+			}
+			if want := rmarkov.Prefetch(now); !slices.Equal(got, want) {
+				t.Fatalf("at op %d (t=%v): Prefetch = %v, reference %v", i, now, got, want)
+			}
+		}
+	}
+}
+
+func FuzzPredictorParity(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 1, 2, 0, 2, 1, 2, 5, 8, 0, 0, 31, 9, 0, 0, 0})
+	f.Add([]byte{40, 3, 2, 0, 1, 1, 2, 0, 2, 1, 3, 0, 1, 2, 9, 0, 0, 0, 4, 3, 4, 1, 8, 1, 0, 9})
+	f.Fuzz(checkPredictorParity)
+}
+
+// TestPredictorParitySeeded runs the parity check over seeded random
+// sequences, so plain go test covers what the fuzz target explores.
+func TestPredictorParitySeeded(t *testing.T) {
+	for seed := int64(1); seed <= 64; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		data := make([]byte, 4*2000+2)
+		rng.Read(data)
+		checkPredictorParity(t, data)
 	}
 }

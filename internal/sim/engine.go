@@ -588,6 +588,3 @@ func (t *Ticker) Stop() {
 
 // Active reports whether the ticker is running.
 func (t *Ticker) Active() bool { return t.active }
-
-// Period returns the tick period.
-func (t *Ticker) Period() Time { return t.period }

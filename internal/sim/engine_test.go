@@ -272,8 +272,8 @@ func TestTicker(t *testing.T) {
 	if tk.Active() {
 		t.Fatal("ticker should be inactive after Stop")
 	}
-	if tk.Period() != 100 {
-		t.Fatalf("Period = %v, want 100", tk.Period())
+	if tk.period != 100 {
+		t.Fatalf("period = %v, want 100", tk.period)
 	}
 }
 

@@ -4,15 +4,12 @@ package tdm
 // signaling toward the scheduler, flushes, and the reactive scheduling pass.
 
 import (
-	"fmt"
 	"math/bits"
 
 	"pmsnet/internal/bitmat"
-	"pmsnet/internal/core"
 	"pmsnet/internal/nic"
 	"pmsnet/internal/predictor"
 	"pmsnet/internal/sim"
-	"pmsnet/internal/topology"
 )
 
 // onEnqueue tracks queue transitions, drives the delayed request wire and
@@ -72,14 +69,9 @@ func (r *run) raiseRequest(u, v int, id int32, attempt int) {
 func (r *run) onFlush(int) {
 	r.cp.After("flush", func() {
 		if r.pred != nil {
-			// B*'s connections by id, in (Src, Dst) order; a row cursor
-			// resolves their sources.
-			src := -1
 			for w, x := range r.sched.HeldIDs() {
 				for ; x != 0; x &= x - 1 {
-					id := int32(w<<6 | bits.TrailingZeros64(x))
-					src = r.conns.SrcFrom(src, id)
-					r.pred.OnRelease(predictor.Conn{Conn: topology.Conn{Src: src, Dst: r.conns.Dst(id)}, ID: id})
+					r.pred.OnRelease(int32(w<<6 | bits.TrailingZeros64(x)))
 				}
 			}
 		}
@@ -87,28 +79,16 @@ func (r *run) onFlush(int) {
 	})
 }
 
-// changeConn returns a scheduler change's connection as the predictor
-// takes it.
-func changeConn(c core.Change) predictor.Conn {
-	return predictor.Conn{Conn: topology.Conn{Src: c.Src, Dst: c.Dst}, ID: c.ID}
-}
-
 // onSLPass runs one scheduling pass and applies predictor evictions and
 // prefetches.
 func (r *run) onSLPass() {
 	req := r.reqView
 	if pf, ok := r.pred.(predictor.Prefetcher); ok {
-		for _, c := range pf.Prefetch(r.eng.Now()) {
-			id := r.conns.ID(c.Src, c.Dst)
-			if id < 0 {
-				// A connection no program sends on and no static phase
-				// holds: the prefetcher is wrong, and the run reports it
-				// rather than grow its table.
-				r.fail(fmt.Errorf("tdm: predictor %s prefetched %v, a connection outside the run's table", r.pred.Name(), c))
-				return
-			}
+		src := -1 // a row cursor: the ids ascend
+		for _, id := range pf.Prefetch(r.eng.Now()) {
+			src = r.conns.SrcFrom(src, id)
 			if !r.sched.Held(id) {
-				r.specReq.Add(c.Src, id)
+				r.specReq.Add(src, id)
 			}
 		}
 	}
@@ -125,20 +105,23 @@ func (r *run) onSLPass() {
 	if r.pred != nil {
 		now := r.eng.Now()
 		for _, c := range res.Established {
-			r.pred.OnEstablish(changeConn(c), now)
+			r.pred.OnEstablish(c.ID, now)
 		}
 		for _, c := range res.Released {
-			r.pred.OnRelease(changeConn(c))
+			r.pred.OnRelease(c.ID)
 		}
 		// The predictor nominates only connections still in B*. Evict clears
 		// no B* bit but its own, so the live set read here is as good as a
-		// snapshot taken before the loop.
-		for _, c := range r.pred.Evictions(now, r.sched.HeldIDs()) {
+		// snapshot taken before the loop. The ids ascend, so a row cursor
+		// resolves their sources.
+		src := -1
+		for _, id := range r.pred.Evictions(now, r.sched.HeldIDs()) {
+			src = r.conns.SrcFrom(src, id)
 			// Never evict a connection that still has traffic queued; the
 			// predictor only sees usage, not queue occupancy.
-			if !r.driver.Buffers[c.Src].Has(c.ID) {
-				r.sched.Evict(c.Src, c.Dst)
-				r.pred.OnRelease(c)
+			if !r.driver.Buffers[src].Has(id) {
+				r.sched.Evict(src, r.conns.Dst(id))
+				r.pred.OnRelease(id)
 			}
 		}
 	}

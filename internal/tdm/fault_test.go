@@ -345,11 +345,20 @@ func TestPermanentPortDownRetiresEachPairOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// queued counts the messages on u→v's queue: every message is 256
+	// bytes and only the head can be part sent, so the queued bytes round
+	// up to the count.
+	queued := func(u, v int) int {
+		if id := r.conns.ID(u, v); id >= 0 {
+			return int((r.driver.Buffers[u].Bytes(id) + 255) / 256)
+		}
+		return 0
+	}
 	var pairs, drained, deepPairs int
 	onPortDown := r.inj.OnPortDown
 	r.inj.OnPortDown = func(p int, permanent bool) {
 		for x := 0; x < n; x++ {
-			if c := r.driver.Buffers[p].CountFor(x); c > 0 {
+			if c := queued(p, x); c > 0 {
 				pairs++
 				drained += c
 				if c >= 2 {
@@ -358,7 +367,7 @@ func TestPermanentPortDownRetiresEachPairOnce(t *testing.T) {
 			}
 			if x != p && r.driver.Buffers[x].HasFor(p) {
 				pairs++
-				drained += r.driver.Buffers[x].CountFor(p)
+				drained += queued(x, p)
 			}
 		}
 		wire, dropped := r.reqWire.InFlight(), r.driver.FaultStats().Dropped

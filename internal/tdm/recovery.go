@@ -3,11 +3,6 @@ package tdm
 // Fault-reaction handlers: link failures and repairs, dead crosspoints, and
 // the queue/preload bookkeeping they unwind.
 
-import (
-	"pmsnet/internal/predictor"
-	"pmsnet/internal/topology"
-)
-
 // onPortDown is the injector's link-failure callback. The scheduler evicts
 // every dynamic connection touching the port (its cached TDM configurations
 // are stale) and forgets the port's pending requests; preloaded
@@ -24,7 +19,7 @@ func (r *run) onPortDown(p int, permanent bool) {
 	r.reschedules += uint64(len(changes))
 	if r.pred != nil {
 		for _, c := range changes {
-			r.pred.OnRelease(changeConn(c))
+			r.pred.OnRelease(c.ID)
 		}
 	}
 	lo, hi := r.conns.Row(p)
@@ -105,7 +100,7 @@ func (r *run) onCrosspointDead(in, out int) {
 		r.sched.Evict(in, out)
 		r.reschedules++
 		if r.pred != nil {
-			r.pred.OnRelease(predictor.Conn{Conn: topology.Conn{Src: in, Dst: out}, ID: id})
+			r.pred.OnRelease(id)
 		}
 	}
 	if id >= 0 {

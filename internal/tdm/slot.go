@@ -88,7 +88,7 @@ func (r *run) onSlot() {
 			// destinations, tell idle-grant-aware predictors — this is the
 			// signal that the connection is squatting on a slot others need.
 			if obs, ok := r.pred.(predictor.IdleGrantObserver); ok && buf.Len() > 0 {
-				obs.OnIdleGrant(predictor.Conn{Conn: conn, ID: id}, slotStart)
+				obs.OnIdleGrant(id, slotStart)
 			}
 			continue
 		}
@@ -98,7 +98,7 @@ func (r *run) onSlot() {
 				Src: int32(u), Dst: int32(v), ID: int64(injected.ID)})
 		}
 		if r.pred != nil {
-			r.pred.OnUse(predictor.Conn{Conn: conn, ID: id}, slotStart)
+			r.pred.OnUse(id, slotStart)
 		}
 		if done != nil {
 			r.completeMessage(done, id, drained, slotStart)

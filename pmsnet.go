@@ -393,7 +393,7 @@ func (c Config) predictorFactory() (func() predictor.Predictor, error) {
 		return func() predictor.Predictor { return predictor.NewNever() }, nil
 	case MarkovPrefetch:
 		t := sim.Time(c.EvictionTimeout.Nanoseconds())
-		return func() predictor.Predictor { return predictor.NewMarkov(t, 1) }, nil
+		return func() predictor.Predictor { return predictor.NewMarkov(t) }, nil
 	default:
 		return nil, fmt.Errorf("pmsnet: unknown eviction policy %d", int(c.Eviction))
 	}
