@@ -135,16 +135,15 @@ plan-smoke:
 # against its dense oracle under every state mutator, the BvN
 # decomposition, the König decomposition's in-place Kempe flips against
 # the path-buffer reference, the Omega first-fit decomposition's port maps
-# against the dense-matrix reference, the incremental time-out predictor's
+# and its realizability check on arbitrary port maps against the
+# dense-matrix reference, the incremental time-out predictor's
 # parity with the map-scan reference, the id-indexed counter, oracle and
 # Markov predictors' parity with their map-keyed references, the event
 # engine's fire order against a sort-by-(at, seq) reference, its
 # fixed-delay lines against an event per item, the NIC output buffer's
 # parity with the slice-per-destination reference, NewRNG's draw-for-draw
-# parity with math/rand, the Solstice planner's parity with its
-# rescan-every-round oracle, and both fabric backends' connection-list
-# loads against the partial-permutation and Omega-routing references, their
-# port-map realizability checks included.
+# parity with math/rand, and the Solstice planner's parity with its
+# rescan-every-round oracle.
 fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzWorkloadSpec -fuzztime=30s ./internal/traffic/
 	$(GO) test -run=NONE -fuzz=FuzzRead -fuzztime=30s ./internal/trace/
@@ -161,7 +160,6 @@ fuzz:
 	$(GO) test -run=NONE -fuzz=FuzzOutBufferParity -fuzztime=30s ./internal/nic/
 	$(GO) test -run=NONE -fuzz=FuzzNewRNGParity -fuzztime=30s ./internal/sim/
 	$(GO) test -run=NONE -fuzz=FuzzSolsticeParity -fuzztime=30s ./internal/plan/
-	$(GO) test -run=NONE -fuzz=FuzzFabricApply -fuzztime=30s ./internal/fabric/
 
 figures:
 	$(GO) run ./cmd/figures

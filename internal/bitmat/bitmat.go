@@ -142,12 +142,6 @@ func (m *Matrix) Clear(i, j int) {
 	m.bits[i*m.wordsPerRow+j/wordBits] &^= 1 << (uint(j) % wordBits)
 }
 
-func (m *Matrix) maskTail(row []uint64) {
-	if tail := uint(m.cols) % wordBits; tail != 0 && len(row) > 0 {
-		row[len(row)-1] &= (1 << tail) - 1
-	}
-}
-
 // Reset clears every bit.
 func (m *Matrix) Reset() {
 	for i := range m.bits {

@@ -42,11 +42,9 @@ func (m *Matrix) Toggle(i, j int) bool {
 // SetAll sets every bit.
 func (m *Matrix) SetAll() {
 	for i := 0; i < m.rows; i++ {
-		row := m.bits[i*m.wordsPerRow : (i+1)*m.wordsPerRow]
-		for w := range row {
-			row[w] = ^uint64(0)
+		for j := 0; j < m.cols; j++ {
+			m.Set(i, j)
 		}
-		m.maskTail(row)
 	}
 }
 

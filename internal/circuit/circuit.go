@@ -15,7 +15,6 @@ import (
 	"fmt"
 
 	"pmsnet/internal/core"
-	"pmsnet/internal/fabric"
 	"pmsnet/internal/fault"
 	"pmsnet/internal/link"
 	"pmsnet/internal/metrics"
@@ -109,9 +108,9 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 		cfg:     n.cfg,
 		eng:     eng,
 		schedNs: core.ASICLatency(n.cfg.N),
-		// Source serdes + wire to switch + (LVDS switch: 0) + wire to
-		// destination + destination serdes: 30+20+20+30.
-		dataPipe: lm.SerializeNs + lm.WireNs + n.xbarDelay() + lm.WireNs + lm.DeserializeNs,
+		// Source serdes + wire to switch + LVDS switch + wire to
+		// destination + destination serdes: 30+20+0+20+30.
+		dataPipe: lm.SerializeNs + lm.WireNs + lvdsNs + lm.WireNs + lm.DeserializeNs,
 		outQueue: make([][]*nic.Message, n.cfg.N),
 		outBusy:  make([]bool, n.cfg.N),
 		probe:    n.cfg.Probe,
@@ -152,7 +151,9 @@ func (n *Network) Run(wl *traffic.Workload) (metrics.Result, error) {
 	return driver.Finish(n.Name(), n.cfg.Horizon, r.stats)
 }
 
-func (n *Network) xbarDelay() sim.Time { return fabric.LVDS.TraversalDelay() }
+// lvdsNs is the traversal of the LVDS/optical crossbar (paper §5): under
+// 2 ns, and neglected.
+const lvdsNs sim.Time = 0
 
 // startMessage raises a circuit request for a freshly popped message; the
 // port engine serializes calls per source.

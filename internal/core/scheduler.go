@@ -387,23 +387,20 @@ func (s *Scheduler) slotCountOf(src, dst int) int {
 	return n
 }
 
-// AppendSlotConns appends every connection of a slot to dst, and its id to
-// ids, in ascending row order and returns the extended slices — the list the
-// fabric register is loaded with and the data-plane grant snapshot, read
-// straight from the slot index in O(connections) instead of N first-in-row
-// word scans.
-func (s *Scheduler) AppendSlotConns(dst []topology.Conn, ids []int32, slot int) ([]topology.Conn, []int32) {
+// AppendSlotConns appends the id of every connection of a slot to ids, in
+// ascending order, and returns the extended slice — the data-plane grant
+// snapshot, read straight from the slot index in O(connections) instead of
+// N first-in-row word scans.
+func (s *Scheduler) AppendSlotConns(ids []int32, slot int) []int32 {
 	s.checkSlot(slot)
-	mask := s.cfgRowMask[slot]
-	for w, word := range mask {
+	for w, word := range s.cfgRowMask[slot] {
 		for word != 0 {
 			u := w*64 + bits.TrailingZeros64(word)
 			word &= word - 1
-			dst = append(dst, topology.Conn{Src: u, Dst: int(s.rowDst[slot][u])})
 			ids = append(ids, s.rowID[slot][u])
 		}
 	}
-	return dst, ids
+	return ids
 }
 
 func (s *Scheduler) checkSlot(slot int) {
@@ -421,8 +418,8 @@ func (s *Scheduler) checkPort(u int) {
 // --- TDM counter (fabric side) ---
 
 // NextFabricSlot advances the TDM counter and returns the slot whose
-// configuration the fabric carries for the next time slot; the caller loads
-// the fabric from AppendSlotConns(slot). With SkipEmptySlots it skips
+// configuration the fabric carries for the next time slot; the caller reads
+// its connections with AppendSlotConns(slot). With SkipEmptySlots it skips
 // all-zero configurations (paper §4, Figure 2); if every configuration is
 // empty it reports ok=false and the fabric stays idle.
 func (s *Scheduler) NextFabricSlot() (slot int, ok bool) {

@@ -302,13 +302,22 @@ func TestTDMCounterSkipsEmptySlots(t *testing.T) {
 		if !ok || slot != 2 {
 			t.Fatalf("iteration %d: slot=%d ok=%v, want slot 2", i, slot, ok)
 		}
-		if got, _ := s.AppendSlotConns(nil, nil, slot); len(got) != 1 || got[0] != (topology.Conn{Src: 1, Dst: 2}) {
+		if got := slotConns(s, slot); len(got) != 1 || got[0] != (topology.Conn{Src: 1, Dst: 2}) {
 			t.Fatalf("slot connections = %v, want [1->2]", got)
 		}
 	}
 	if got := s.ActiveSlots(); len(got) != 1 || got[0] != 2 {
 		t.Fatalf("ActiveSlots = %v, want [2]", got)
 	}
+}
+
+// slotConns is the port pairs of AppendSlotConns' ids for slot.
+func slotConns(s *Scheduler, slot int) []topology.Conn {
+	var conns []topology.Conn
+	for _, id := range s.AppendSlotConns(nil, slot) {
+		conns = append(conns, s.conns.Conn(id))
+	}
+	return conns
 }
 
 func TestTDMCounterAllEmpty(t *testing.T) {
@@ -336,7 +345,7 @@ func TestTDMCounterWithoutSkipping(t *testing.T) {
 		if slot == 1 {
 			want = []topology.Conn{{Src: 0, Dst: 1}}
 		}
-		if got, _ := s.AppendSlotConns(nil, nil, slot); !slices.Equal(got, want) {
+		if got := slotConns(s, slot); !slices.Equal(got, want) {
 			t.Fatalf("slot %d connections = %v, want %v", slot, got, want)
 		}
 		slots = append(slots, slot)
@@ -816,13 +825,16 @@ func TestSlotIndexCarriesTableIDs(t *testing.T) {
 		}
 	}
 	for slot := 0; slot < 2; slot++ {
-		list, ids := s.AppendSlotConns(nil, nil, slot)
-		if len(list) != len(ids) {
-			t.Fatalf("slot %d: %d connections, %d ids", slot, len(list), len(ids))
+		ids := s.AppendSlotConns(nil, slot)
+		if len(ids) != s.cfgCount[slot] {
+			t.Fatalf("slot %d: %d ids, %d connections", slot, len(ids), s.cfgCount[slot])
 		}
-		for i, c := range list {
-			if ids[i] != conns.ID(c.Src, c.Dst) {
-				t.Fatalf("slot %d lists %v with id %d, table says %d", slot, c, ids[i], conns.ID(c.Src, c.Dst))
+		for i, id := range ids {
+			if c := conns.Conn(id); int(s.rowDst[slot][c.Src]) != c.Dst || s.rowID[slot][c.Src] != id {
+				t.Fatalf("slot %d lists id %d (%v), which the slot does not hold", slot, id, c)
+			}
+			if i > 0 && ids[i-1] >= id {
+				t.Fatalf("slot %d lists ids %v out of order", slot, ids)
 			}
 		}
 	}

@@ -107,24 +107,8 @@ func fig4Builders(n int) []func() (netmodel.Network, error) {
 	}
 }
 
-// Fig4Networks returns the four networks of Figure 4 in legend order:
-// wormhole, circuit switching, dynamic TDM (K=4, time-out predictor) and
-// preload TDM (K=4).
-func Fig4Networks(n int) ([]netmodel.Network, error) {
-	builders := fig4Builders(n)
-	out := make([]netmodel.Network, 0, len(builders))
-	for _, build := range builders {
-		nw, err := build()
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, nw)
-	}
-	return out, nil
-}
-
 // SizeRow holds one Figure 4 x-axis point: the efficiency of each network at
-// one message size, in Fig4Networks order.
+// one message size, in fig4Builders order.
 type SizeRow struct {
 	Bytes   int
 	Results []metrics.Result

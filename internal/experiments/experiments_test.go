@@ -13,7 +13,7 @@ import (
 
 const seed = 1
 
-// indices into Fig4Networks results
+// indices into fig4Builders and its SizeRow results
 const (
 	iWormhole = 0
 	iCircuit  = 1

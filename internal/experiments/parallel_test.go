@@ -107,11 +107,11 @@ func TestAblationParallelIdentity(t *testing.T) {
 func TestSeedSweepParallelIdentity(t *testing.T) {
 	seeds := []int64{1, 2, 3, 4, 5}
 	fn := func(i int) (metrics.Result, error) {
-		nets, err := Fig4Networks(identityN)
+		nw, err := fig4Builders(identityN)[iDynamic]()
 		if err != nil {
 			return metrics.Result{}, err
 		}
-		return nets[2].Run(traffic.RandomMesh(identityN, 64, 10, seeds[i]))
+		return nw.Run(traffic.RandomMesh(identityN, 64, 10, seeds[i]))
 	}
 	serial, err := sweep(Serial, len(seeds), fn)
 	if err != nil {

@@ -43,7 +43,7 @@ func TestLatencyHistogramFromRecords(t *testing.T) {
 		{Src: 0, Dst: 1, Bytes: 8, Created: 0, Delivered: 100},
 		{Src: 0, Dst: 1, Bytes: 8, Created: 50, Delivered: 250},
 	}
-	h := Compute("n", "w", 2, link.Paper(), recs, NetStats{}).Latencies
+	h := compute("n", "w", 2, link.Paper(), recs, NetStats{}).Latencies
 	if h.Count() != 2 || h.Min() != 100 || h.Max() != 200 {
 		t.Fatalf("histogram = count %d min %v max %v", h.Count(), h.Min(), h.Max())
 	}

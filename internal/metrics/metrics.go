@@ -153,16 +153,6 @@ func (r Result) String() string {
 		r.Network, r.Workload, r.Messages, r.Bytes, r.Makespan, r.Efficiency, r.Stats.HitRate())
 }
 
-// Compute assembles a Result from delivered-message records. It is the
-// slice form of ComputeEach.
-func Compute(network, workload string, n int, lm link.Model, recs []Record, stats NetStats) Result {
-	return ComputeEach(network, workload, n, lm, len(recs), func(add func(Record)) {
-		for _, r := range recs {
-			add(r)
-		}
-	}, stats)
-}
-
 // ComputeEach assembles a Result from the count delivered messages that each
 // passes to add, one call per message. The order does not matter: every
 // statistic is a sum, an extreme, an order statistic or a histogram, so any

@@ -11,8 +11,17 @@ import (
 	"pmsnet/internal/sim"
 )
 
+// compute is ComputeEach over a slice of records.
+func compute(network, workload string, n int, lm link.Model, recs []Record, stats NetStats) Result {
+	return ComputeEach(network, workload, n, lm, len(recs), func(add func(Record)) {
+		for _, r := range recs {
+			add(r)
+		}
+	}, stats)
+}
+
 func TestComputeEmpty(t *testing.T) {
-	r := Compute("net", "wl", 4, link.Paper(), nil, NetStats{})
+	r := compute("net", "wl", 4, link.Paper(), nil, NetStats{})
 	if r.Messages != 0 || r.Efficiency != 0 || r.Makespan != 0 {
 		t.Fatalf("empty result = %+v", r)
 	}
@@ -21,7 +30,7 @@ func TestComputeEmpty(t *testing.T) {
 func TestComputeSingleMessage(t *testing.T) {
 	lm := link.Paper()
 	recs := []Record{{Src: 0, Dst: 1, Bytes: 800, Created: 0, Delivered: 2000}}
-	r := Compute("net", "wl", 4, lm, recs, NetStats{})
+	r := compute("net", "wl", 4, lm, recs, NetStats{})
 	// 800 B at 6.4 Gb/s = 1000 ns ideal; makespan 2000 -> efficiency 0.5.
 	if r.Ideal != 1000 {
 		t.Fatalf("Ideal = %v, want 1000ns", r.Ideal)
@@ -45,7 +54,7 @@ func TestBottleneckIsBusiestPort(t *testing.T) {
 		{Src: 0, Dst: 1, Bytes: 800, Delivered: 4000},
 		{Src: 0, Dst: 2, Bytes: 800, Delivered: 4000},
 	}
-	r := Compute("n", "w", 4, lm, recs, NetStats{})
+	r := compute("n", "w", 4, lm, recs, NetStats{})
 	if r.Ideal != 2000 {
 		t.Fatalf("Ideal = %v, want 2000ns", r.Ideal)
 	}
@@ -57,7 +66,7 @@ func TestBottleneckIsBusiestPort(t *testing.T) {
 		{Src: 0, Dst: 2, Bytes: 800, Delivered: 4000},
 		{Src: 1, Dst: 2, Bytes: 800, Delivered: 4000},
 	}
-	r = Compute("n", "w", 4, lm, recs, NetStats{})
+	r = compute("n", "w", 4, lm, recs, NetStats{})
 	if r.Ideal != 2000 {
 		t.Fatalf("incast Ideal = %v, want 2000ns", r.Ideal)
 	}
@@ -68,7 +77,7 @@ func TestLatencyPercentiles(t *testing.T) {
 	for i := 1; i <= 100; i++ {
 		recs = append(recs, Record{Src: 0, Dst: 1, Bytes: 8, Created: 0, Delivered: sim.Time(i)})
 	}
-	r := Compute("n", "w", 2, link.Paper(), recs, NetStats{})
+	r := compute("n", "w", 2, link.Paper(), recs, NetStats{})
 	if r.LatencyP50 != 50 || r.LatencyP95 != 95 || r.LatencyMax != 100 {
 		t.Fatalf("p50=%v p95=%v max=%v", r.LatencyP50, r.LatencyP95, r.LatencyMax)
 	}
@@ -89,7 +98,7 @@ func TestComputePanicsOnCorruptRecords(t *testing.T) {
 					t.Errorf("case %d: expected panic", i)
 				}
 			}()
-			Compute("n", "w", 4, link.Paper(), recs, NetStats{})
+			compute("n", "w", 4, link.Paper(), recs, NetStats{})
 		}()
 	}
 }
@@ -105,7 +114,7 @@ func TestHitRate(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	r := Compute("tdm", "scatter", 4, link.Paper(),
+	r := compute("tdm", "scatter", 4, link.Paper(),
 		[]Record{{Src: 0, Dst: 1, Bytes: 8, Delivered: 100}}, NetStats{Hits: 1})
 	s := r.String()
 	if !strings.Contains(s, "tdm") || !strings.Contains(s, "scatter") {
@@ -133,7 +142,7 @@ func TestQuickEfficiencyBounded(t *testing.T) {
 		for i := range recs {
 			recs[i].Delivered = mk
 		}
-		r := Compute("n", "w", 2, lm, recs, NetStats{})
+		r := compute("n", "w", 2, lm, recs, NetStats{})
 		return r.Efficiency > 0 && r.Efficiency <= 1.0000001
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -177,7 +186,7 @@ func TestTablePanics(t *testing.T) {
 }
 
 // percentile is the reference nearest-rank percentile of a sorted slice,
-// the oracle for Compute's in-place selection.
+// the oracle for ComputeEach's in-place selection.
 func percentile(sorted []sim.Time, p int) sim.Time {
 	if len(sorted) == 0 {
 		return 0
@@ -198,7 +207,7 @@ func percentile(sorted []sim.Time, p int) sim.Time {
 // TestSelectNthMatchesSortedPercentile checks selection against
 // slices.Sort + percentile: random latencies with many duplicates, one
 // sample, all samples equal, already sorted and reversed inputs, at the
-// percentiles Compute and the reports use.
+// percentiles ComputeEach and the reports use.
 func TestSelectNthMatchesSortedPercentile(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	var inputs [][]sim.Time
@@ -238,7 +247,7 @@ func TestSelectNthMatchesSortedPercentile(t *testing.T) {
 	}
 }
 
-// TestComputeMatchesSortReference checks Compute's selected p50/p95, its
+// TestComputeMatchesSortReference checks ComputeEach's selected p50/p95, its
 // scanned max and its folded Jain index against the sort-based computation
 // on random records.
 func TestComputeMatchesSortReference(t *testing.T) {
@@ -271,7 +280,7 @@ func TestComputeMatchesSortReference(t *testing.T) {
 		if sumSq != 0 {
 			jain = sum * sum / (float64(sources) * sumSq)
 		}
-		r := Compute("n", "w", n, link.Paper(), recs, NetStats{})
+		r := compute("n", "w", n, link.Paper(), recs, NetStats{})
 		if r.LatencyP50 != percentile(lat, 50) || r.LatencyP95 != percentile(lat, 95) ||
 			r.LatencyMax != lat[len(lat)-1] || r.FairnessJain != jain {
 			t.Fatalf("trial %d: p50=%v p95=%v max=%v jain=%v, want %v %v %v %v", trial,

@@ -118,7 +118,7 @@ func (o *Omega) route(count int, at func(i int) (u, v int), state []uint8) (bloc
 	return blockedConn{}, true
 }
 
-// NewState returns switch-state scratch for CanRealize and CanRealizeConns:
+// NewState returns switch-state scratch for CanRealize:
 // one entry per switch, Stages()*SwitchesPerStage() in all.
 func (o *Omega) NewState() []uint8 { return make([]uint8, o.stages*o.n/2) }
 
@@ -139,16 +139,6 @@ func (o *Omega) CanRealize(cfg []int32, state []uint8) bool {
 	}
 	clear(state)
 	_, ok := o.route(o.n, func(u int) (int, int) { return u, int(cfg[u]) }, state)
-	return ok
-}
-
-// CanRealizeConns is CanRealize for a configuration given as its connection
-// list, which must already be a partial permutation of the network's ports
-// (distinct inputs, distinct outputs, all in range — the crossbar register's
-// check). state is NewState's scratch, as for CanRealize.
-func (o *Omega) CanRealizeConns(conns []topology.Conn, state []uint8) bool {
-	clear(state)
-	_, ok := o.route(len(conns), func(i int) (int, int) { return conns[i].Src, conns[i].Dst }, state)
 	return ok
 }
 

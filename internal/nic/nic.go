@@ -120,9 +120,8 @@ type OutBuffer struct {
 	q    []dstQueue
 	// first and last are the oldest and newest queued messages.
 	first, last *Message
-	// pending counts queued messages; bytesPending counts their unsent bytes.
-	pending      int
-	bytesPending int64
+	// pending counts queued messages.
+	pending int
 }
 
 // dstQueue is one connection's logical queue, oldest message at head: 16
@@ -213,15 +212,11 @@ func (b *OutBuffer) Enqueue(m *Message) (id int32, first bool) {
 	}
 	b.last = m
 	b.pending++
-	b.bytesPending += int64(m.Bytes)
 	return id, first
 }
 
 // Len returns the number of queued messages.
 func (b *OutBuffer) Len() int { return b.pending }
-
-// BytesPending returns the unsent bytes across all queues.
-func (b *OutBuffer) BytesPending() int64 { return b.bytesPending }
 
 // HasFor reports whether the logical queue toward dst is non-empty — the
 // R_{u,dst} request bit.
@@ -275,7 +270,6 @@ func (b *OutBuffer) Transmit(id int32, maxBytes int) (sent int, completed *Messa
 	}
 	sent = min(maxBytes, int(m.remaining))
 	m.remaining -= int32(sent)
-	b.bytesPending -= int64(sent)
 	if m.remaining == 0 {
 		b.popHead(q)
 		return sent, m, q.head == nil
@@ -317,7 +311,6 @@ func (b *OutBuffer) unlinkArrival(m *Message) {
 // retire clears a message that has left the buffer.
 func (b *OutBuffer) retire(m *Message) {
 	b.pending--
-	b.bytesPending -= int64(m.remaining)
 	m.remaining = 0
 	m.flags &^= flagQueued
 	m.next, m.prev, m.after = nil, nil, nil
@@ -368,10 +361,9 @@ func (b *OutBuffer) DrainAll() []*Message {
 }
 
 // Check verifies the buffer's bookkeeping: Len is the number of messages in
-// the destination queues, BytesPending the sum of the queued messages'
-// remaining bytes, and every destination queue is exactly its messages of
-// the global arrival order, in that order. It is the invariant hook of the
-// simulators' self-check mode.
+// the destination queues, and every destination queue is exactly its
+// messages of the global arrival order, in that order. It is the invariant
+// hook of the simulators' self-check mode.
 func (b *OutBuffer) Check() error {
 	// cursor[i] walks queue i's list alongside the arrival order.
 	cursor := make([]*Message, len(b.q))
@@ -396,7 +388,6 @@ func (b *OutBuffer) Check() error {
 		return fmt.Errorf("nic %d: Len %d but destination queues hold %d", b.id, b.pending, count)
 	}
 	var n int
-	var bytes int64
 	var prev *Message
 	for m := b.first; m != nil; m = m.after {
 		if m.prev != prev {
@@ -408,12 +399,10 @@ func (b *OutBuffer) Check() error {
 		}
 		cursor[id-b.base] = m.next
 		n++
-		bytes += int64(m.remaining)
 		prev = m
 	}
-	if prev != b.last || n != b.pending || bytes != b.bytesPending {
-		return fmt.Errorf("nic %d: arrival order holds %d messages, %d bytes; Len %d, BytesPending %d",
-			b.id, n, bytes, b.pending, b.bytesPending)
+	if prev != b.last || n != b.pending {
+		return fmt.Errorf("nic %d: arrival order holds %d messages; Len %d", b.id, n, b.pending)
 	}
 	return nil
 }

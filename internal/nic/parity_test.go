@@ -262,9 +262,9 @@ func checkParity(t *testing.T, step int, b *OutBuffer, ref *refBuffer, table *to
 	if err := b.Check(); err != nil {
 		t.Fatalf("step %d: %v", step, err)
 	}
-	if b.Len() != len(ref.fifo) || b.BytesPending() != ref.bytesPending {
-		t.Fatalf("step %d, nic %d: Len %d BytesPending %d; reference %d, %d",
-			step, b.ID(), b.Len(), b.BytesPending(), len(ref.fifo), ref.bytesPending)
+	if b.Len() != len(ref.fifo) || bytesPending(b) != ref.bytesPending {
+		t.Fatalf("step %d, nic %d: Len %d, %d bytes pending; reference %d, %d",
+			step, b.ID(), b.Len(), bytesPending(b), len(ref.fifo), ref.bytesPending)
 	}
 	var rnext *Message
 	if len(ref.fifo) > 0 {

@@ -27,7 +27,10 @@
 // vocabularies: its output is a trace in the Perfetto sense.
 package probe
 
-import "pmsnet/internal/sim"
+import (
+	"pmsnet/internal/sim"
+	"pmsnet/internal/vocab"
+)
 
 // Kind identifies an event type in the simulation event taxonomy.
 type Kind uint8
@@ -76,45 +79,15 @@ const (
 	KindCount
 )
 
+// kinds names the event kinds, indexed by Kind.
+var kinds = vocab.New[Kind]("event kind",
+	"slot-start", "slot-end", "sched-pass-begin", "sched-pass-end",
+	"conn-established", "conn-released", "conn-evicted", "preload", "flush",
+	"msg-created", "msg-head-of-queue", "msg-injected", "msg-delivered",
+	"fault-injected", "fault-recovered", "plan")
+
 // String implements fmt.Stringer.
-func (k Kind) String() string {
-	switch k {
-	case SlotStart:
-		return "slot-start"
-	case SlotEnd:
-		return "slot-end"
-	case SchedPassBegin:
-		return "sched-pass-begin"
-	case SchedPassEnd:
-		return "sched-pass-end"
-	case ConnEstablished:
-		return "conn-established"
-	case ConnReleased:
-		return "conn-released"
-	case ConnEvicted:
-		return "conn-evicted"
-	case Preload:
-		return "preload"
-	case Flush:
-		return "flush"
-	case MsgCreated:
-		return "msg-created"
-	case MsgHeadOfQueue:
-		return "msg-head-of-queue"
-	case MsgInjected:
-		return "msg-injected"
-	case MsgDelivered:
-		return "msg-delivered"
-	case FaultInjected:
-		return "fault-injected"
-	case FaultRecovered:
-		return "fault-recovered"
-	case Plan:
-		return "plan"
-	default:
-		return "unknown"
-	}
-}
+func (k Kind) String() string { return kinds.Name(k) }
 
 // Event is one simulation event. It is a flat value type: emitting one
 // allocates nothing, and sinks receive a copy they may keep.

@@ -56,6 +56,18 @@ func newPreloader(r *run, wl *traffic.Workload, slots int) (*preloader, error) {
 	if err := p.buildGroups(wl); err != nil {
 		return nil, err
 	}
+	if !r.fab.Rearrangeable() {
+		// Every configuration is checked once, here: the slots it is pinned
+		// into later carry it as it is.
+		for gi, group := range p.groups {
+			for i, cfg := range group {
+				if !r.fab.CanRealize(cfg) {
+					return nil, fmt.Errorf("tdm: configuration %d of preload group %d is not realizable on the %v fabric",
+						i, gi, r.cfg.Fabric)
+				}
+			}
+		}
+	}
 	if err := p.indexGroups(); err != nil {
 		return nil, err
 	}

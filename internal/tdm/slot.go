@@ -4,8 +4,6 @@ package tdm
 // completion.
 
 import (
-	"fmt"
-
 	"pmsnet/internal/netmodel"
 	"pmsnet/internal/nic"
 	"pmsnet/internal/predictor"
@@ -13,9 +11,8 @@ import (
 	"pmsnet/internal/sim"
 )
 
-// onSlot is the slot-boundary handler: pick the next configuration, load
-// its connection list into the fabric, and let every granted NIC transmit
-// one slot payload.
+// onSlot is the slot-boundary handler: pick the next configuration and let
+// every NIC it grants transmit one slot payload.
 func (r *run) onSlot() {
 	r.stats.SlotsTotal++
 	if r.pre != nil {
@@ -36,21 +33,19 @@ func (r *run) onSlot() {
 		netmodel.EmitSlotEnd(r.probe, r.eng.Now(), -1, false)
 		return
 	}
-	// The slot's connections and their ids, read from the scheduler's slot
-	// index in ascending source order in O(connections): the list the
-	// fabric is loaded with and the grants the transmit loop below serves.
-	// From here on each connection is served by its id; nothing is looked
-	// up.
-	r.connsBuf, r.idsBuf = r.sched.AppendSlotConns(r.connsBuf[:0], r.idsBuf[:0], slot)
-	if err := r.fab.Apply(r.connsBuf); err != nil {
-		r.fail(fmt.Errorf("tdm: scheduler produced unrealizable configuration for slot %d: %w", slot, err))
-		return
-	}
+	// The slot's connection ids, read from the scheduler's slot index in
+	// ascending order in O(connections): the grants the transmit loop below
+	// serves. The configuration was realizable when it entered its slot
+	// (see checkRealizable), so the fabric carries it as it is. The ids
+	// ascend, so a row cursor resolves their sources.
+	r.idsBuf = r.sched.AppendSlotConns(r.idsBuf[:0], slot)
 	slotStart := r.eng.Now()
 	r.grants.arrive(slotStart)
 	used := false
-	for i, conn := range r.connsBuf {
-		u, v, id := conn.Src, conn.Dst, r.idsBuf[i]
+	u := -1
+	for _, id := range r.idsBuf {
+		u = r.conns.SrcFrom(u, id)
+		v := r.conns.Dst(id)
 		if r.grants.waiting(id) {
 			// The grant for this freshly established connection has not
 			// reached the NIC yet; the slot passes unused for this port.

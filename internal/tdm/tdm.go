@@ -45,6 +45,7 @@ import (
 	"pmsnet/internal/sim"
 	"pmsnet/internal/topology"
 	"pmsnet/internal/traffic"
+	"pmsnet/internal/vocab"
 )
 
 // Mode selects how connections enter the network.
@@ -60,19 +61,11 @@ const (
 	Hybrid
 )
 
+// modes names the operating modes, indexed by Mode.
+var modes = vocab.New[Mode]("mode", "dynamic", "preload", "hybrid")
+
 // String implements fmt.Stringer.
-func (m Mode) String() string {
-	switch m {
-	case Dynamic:
-		return "dynamic"
-	case Preload:
-		return "preload"
-	case Hybrid:
-		return "hybrid"
-	default:
-		return fmt.Sprintf("Mode(%d)", int(m))
-	}
-}
+func (m Mode) String() string { return modes.Name(m) }
 
 // Config parameterizes the TDM network.
 type Config struct {
@@ -279,10 +272,12 @@ type run struct {
 	// conns is the run's connection table (the driver's): every
 	// per-connection structure of the run is indexed by its ids.
 	conns *topology.ConnTable
-	// connsBuf and idsBuf are the reusable slot-connection list and its
-	// ids: the fabric's load and the data-plane grant loop's snapshot.
-	connsBuf []topology.Conn
-	idsBuf   []int32
+	// idsBuf is the reusable list of a slot's connection ids: the
+	// data-plane grant loop's snapshot.
+	idsBuf []int32
+	// slotMap is checkRealizable's scratch port map of one slot (nil until
+	// its first check).
+	slotMap []int32
 	// deliveries hands each completed message to the driver one slot plus
 	// the pipe latency and the receive overhead after its last slot began
 	// (see completeMessage).
@@ -463,11 +458,17 @@ func (r *run) finish(name string) (metrics.Result, error) {
 }
 
 // checkInvariants is the engine debug hook (Config.SelfCheck): scheduler
-// state consistency, the NIC buffers' queue bookkeeping and the preloader's
-// pending counts derived from it.
+// state consistency, every slot's configuration realizable on the fabric,
+// the NIC buffers' queue bookkeeping and the preloader's pending counts
+// derived from it.
 func (r *run) checkInvariants() error {
 	if err := r.sched.CheckInvariants(); err != nil {
 		return err
+	}
+	if !r.fab.Rearrangeable() {
+		if err := r.checkRealizable(); err != nil {
+			return err
+		}
 	}
 	if err := r.reqView.Check(); err != nil {
 		return fmt.Errorf("tdm: request wire: %w", err)
@@ -480,6 +481,31 @@ func (r *run) checkInvariants() error {
 	}
 	if r.pre != nil {
 		return r.pre.checkPending()
+	}
+	return nil
+}
+
+// checkRealizable checks that every slot's configuration routes through the
+// fabric. Configurations are checked where they enter a slot — the pass and
+// AddBandwidth through CanEstablish, the preloader when it builds its
+// groups — and releases only shrink them; this rechecks the result.
+func (r *run) checkRealizable() error {
+	if r.slotMap == nil {
+		r.slotMap = make([]int32, r.cfg.N)
+	}
+	for slot := 0; slot < r.cfg.K; slot++ {
+		for u := range r.slotMap {
+			r.slotMap[u] = -1
+		}
+		r.idsBuf = r.sched.AppendSlotConns(r.idsBuf[:0], slot)
+		u := -1
+		for _, id := range r.idsBuf {
+			u = r.conns.SrcFrom(u, id)
+			r.slotMap[u] = int32(r.conns.Dst(id))
+		}
+		if !r.fab.CanRealize(r.slotMap) {
+			return fmt.Errorf("tdm: slot %d holds a configuration the %v fabric cannot realize", slot, r.cfg.Fabric)
+		}
 	}
 	return nil
 }

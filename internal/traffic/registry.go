@@ -2,7 +2,6 @@ package traffic
 
 import (
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -406,15 +405,4 @@ func parseDuration(raw string) (sim.Time, error) {
 		return 0, fmt.Errorf("duration %q is negative", raw)
 	}
 	return sim.Time(d.Nanoseconds()), nil
-}
-
-// sortedSetKeys is a test helper surface: the explicitly set parameter
-// names, sorted.
-func (s *Spec) setKeys() []string {
-	keys := make([]string, 0, len(s.set))
-	for k := range s.set {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -2,9 +2,20 @@ package traffic
 
 import (
 	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
+
+// setKeys returns the parameter names set explicitly on s, sorted.
+func (s *Spec) setKeys() []string {
+	keys := make([]string, 0, len(s.set))
+	for k := range s.set {
+		keys = append(keys, k)
+	}
+	sort.Strings(keys)
+	return keys
+}
 
 // nonDefault returns a valid value for p that differs from its default.
 func nonDefault(t *testing.T, g *Generator, p Param) string {

@@ -1,7 +1,8 @@
 // Package vocab holds the name table of an enumeration: the one list that
 // maps each value to the name flags, the pmsd JSON API and reports use, and
 // back. Each vocabulary (paradigm, eviction policy, fabric, scheduler,
-// planner) has exactly one Table, owned by the package that implements it.
+// planner, TDM mode, probe event kind) has exactly one Table, owned by the
+// package that implements it.
 package vocab
 
 import (
@@ -13,14 +14,14 @@ import (
 // Table names the values 0, 1, ..., n-1 of an enumeration in declaration
 // order: value v is named names[v]. The order therefore fixes each name's
 // integer value, which persisted hashes (Config.Hash) depend on.
-type Table[T ~int] struct {
+type Table[T ~int | ~uint8] struct {
 	what  string
 	names []string
 }
 
 // New returns the table naming values 0..len(names)-1. what names the
 // vocabulary in Parse errors, e.g. "fabric" or "eviction policy".
-func New[T ~int](what string, names ...string) Table[T] {
+func New[T ~int | ~uint8](what string, names ...string) Table[T] {
 	return Table[T]{what: what, names: names}
 }
 

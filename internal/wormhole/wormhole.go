@@ -28,7 +28,6 @@ package wormhole
 import (
 	"fmt"
 
-	"pmsnet/internal/fabric"
 	"pmsnet/internal/fault"
 	"pmsnet/internal/link"
 	"pmsnet/internal/metrics"
@@ -47,6 +46,9 @@ const (
 	FlitBytes = 8
 	// ArbitrationNs is the time to schedule the first flit of a worm.
 	ArbitrationNs sim.Time = 80
+	// FlitNs is one flit's traversal of the digital crossbar, which
+	// converts serial to parallel at its ports.
+	FlitNs sim.Time = 10
 )
 
 // Config parameterizes the wormhole network.
@@ -304,7 +306,7 @@ func (r *run) kickOutput(v int) {
 	r.conditionMet(w) // traversal begins: the source input buffer frees
 	// Scheduling the head flit (80 ns) + one switch traversal per flit.
 	flits := (w.bytes + FlitBytes - 1) / FlitBytes
-	xfer := ArbitrationNs + sim.Time(flits)*fabric.Digital.TraversalDelay()
+	xfer := ArbitrationNs + sim.Time(flits)*FlitNs
 	r.eng.AfterArg(xfer, "worm-through-switch", r.throughFn, w)
 }
 

@@ -109,7 +109,11 @@ func TestResultMatchesRecordOracle(t *testing.T) {
 			if f := got.Stats.Faults; tc.faults != "" && (f.Dropped == 0 || f.Retries == 0) {
 				t.Fatalf("fault plan dropped %d and retried %d messages: the case is vacuous", f.Dropped, f.Retries)
 			}
-			want := metrics.Compute(got.Network, got.Workload, got.N, link.Paper(), sink.recs, got.Stats)
+			want := metrics.ComputeEach(got.Network, got.Workload, got.N, link.Paper(), len(sink.recs), func(add func(metrics.Record)) {
+				for _, r := range sink.recs {
+					add(r)
+				}
+			}, got.Stats)
 			if !reflect.DeepEqual(got, want) {
 				t.Fatalf("result from the message array differs from the record oracle:\ngot:  %+v\nwant: %+v", got, want)
 			}
