@@ -78,12 +78,6 @@ func (m Model) PipeLatency() sim.Time {
 // conversion stages, matching the paper's flat 80 ns figure.
 func (m Model) ControlDelay() sim.Time { return m.PipeLatency() }
 
-// TransferTime returns the total time for a store-and-forward transfer of
-// `bytes` bytes over the link: pipe latency plus payload serialization.
-func (m Model) TransferTime(bytes int) sim.Time {
-	return m.PipeLatency() + m.SerializationTime(bytes)
-}
-
 // BytesInWindow returns how many whole bytes the link can carry in a window
 // of w nanoseconds at the line rate.
 func (m Model) BytesInWindow(w sim.Time) int {

@@ -49,15 +49,6 @@ func TestSerializationTimeRoundsUp(t *testing.T) {
 	}
 }
 
-func TestTransferTime(t *testing.T) {
-	m := Paper()
-	// Paper circuit-switching data path: 30+20+20+30 includes the switch's
-	// second wire segment; a single link transfer is 80 ns + payload.
-	if got := m.TransferTime(2048); got != 80+2560 {
-		t.Fatalf("TransferTime(2048) = %v, want 2640ns", got)
-	}
-}
-
 func TestValidate(t *testing.T) {
 	bad := []Model{
 		{BitsPerSecond: 0},

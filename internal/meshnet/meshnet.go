@@ -109,9 +109,6 @@ func (g Grid) Path(src, dst int) []Hop {
 	return hops
 }
 
-// Hops returns the XY hop count between two processors.
-func (g Grid) Hops(src, dst int) int { return len(g.Path(src, dst)) }
-
 // appendFullPath appends the complete resource list of a circuit to out as
 // link indices: the source's injection link, the XY mesh hops, and the
 // destination's ejection link.

@@ -25,9 +25,6 @@ func TestGridPathXY(t *testing.T) {
 	if path[0].Dir != topology.East || path[1].Dir != topology.East || path[2].Dir != topology.South {
 		t.Fatalf("path = %v, want E,E,S (XY order)", path)
 	}
-	if g.Hops(src, dst) != 3 {
-		t.Fatal("Hops inconsistent with Path")
-	}
 	if g.Path(src, src) != nil {
 		t.Fatal("self path should be empty")
 	}
@@ -107,8 +104,8 @@ func TestWormholeMeshLatencyGrowsPerHop(t *testing.T) {
 	g, _ := NewGrid(64)
 	// Corner-to-corner: 14 hops on an 8x8 grid.
 	src, dst := g.Mesh.Rank(0, 0), g.Mesh.Rank(7, 7)
-	if g.Hops(src, dst) != 14 {
-		t.Fatalf("hops = %d, want 14", g.Hops(src, dst))
+	if hops := len(g.Path(src, dst)); hops != 14 {
+		t.Fatalf("hops = %d, want 14", hops)
 	}
 	one := oneMsg(64, src, g.Mesh.Rank(1, 0), 64)
 	far := oneMsg(64, src, dst, 64)

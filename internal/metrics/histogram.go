@@ -46,12 +46,6 @@ func (h *Histogram) Add(l sim.Time) {
 // Count returns the number of samples.
 func (h *Histogram) Count() uint64 { return h.count }
 
-// Min and Max return the extreme samples (zero when empty).
-func (h *Histogram) Min() sim.Time { return h.min }
-
-// Max returns the largest sample.
-func (h *Histogram) Max() sim.Time { return h.max }
-
 // String renders the non-empty bucket range as aligned bars.
 func (h *Histogram) String() string {
 	if h.count == 0 {

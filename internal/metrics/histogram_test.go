@@ -16,8 +16,8 @@ func TestHistogramBucketsAndExtremes(t *testing.T) {
 	for _, v := range []int64{1, 2, 3, 100, 100, 5000} {
 		h.Add(sim.Time(v))
 	}
-	if h.Count() != 6 || h.Min() != 1 || h.Max() != 5000 {
-		t.Fatalf("count=%d min=%v max=%v", h.Count(), h.Min(), h.Max())
+	if h.Count() != 6 || h.min != 1 || h.max != 5000 {
+		t.Fatalf("count=%d min=%v max=%v", h.Count(), h.min, h.max)
 	}
 	out := h.String()
 	if !strings.Contains(out, "#") {
@@ -44,8 +44,8 @@ func TestLatencyHistogramFromRecords(t *testing.T) {
 		{Src: 0, Dst: 1, Bytes: 8, Created: 50, Delivered: 250},
 	}
 	h := compute("n", "w", 2, link.Paper(), recs, NetStats{}).Latencies
-	if h.Count() != 2 || h.Min() != 100 || h.Max() != 200 {
-		t.Fatalf("histogram = count %d min %v max %v", h.Count(), h.Min(), h.Max())
+	if h.Count() != 2 || h.min != 100 || h.max != 200 {
+		t.Fatalf("histogram = count %d min %v max %v", h.Count(), h.min, h.max)
 	}
 }
 

@@ -23,7 +23,7 @@ func TestNewOmegaValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if o.Ports() != 8 || o.Stages() != 3 || o.SwitchesPerStage() != 4 {
+	if o.Ports() != 8 || o.Stages() != 3 {
 		t.Fatalf("omega geometry wrong: %+v", o)
 	}
 }
@@ -388,7 +388,7 @@ func TestOmegaRealizableCount(t *testing.T) {
 				}
 			}
 			gen(0, 0)
-			if want := 1 << (o.SwitchesPerStage() * o.Stages()); realizable != want {
+			if want := 1 << (o.Ports() / 2 * o.Stages()); realizable != want {
 				t.Fatalf("%d permutations route, want %d", realizable, want)
 			}
 		})

@@ -53,9 +53,6 @@ func (o *Omega) Ports() int { return o.n }
 // Stages returns log2(N).
 func (o *Omega) Stages() int { return o.stages }
 
-// SwitchesPerStage returns N/2.
-func (o *Omega) SwitchesPerStage() int { return o.n / 2 }
-
 // Settings holds one switch state per stage and switch: false = through,
 // true = cross. Only switches on active paths are meaningful; the Route
 // simulation treats unconstrained switches as through.
@@ -119,7 +116,7 @@ func (o *Omega) route(count int, at func(i int) (u, v int), state []uint8) (bloc
 }
 
 // NewState returns switch-state scratch for CanRealize:
-// one entry per switch, Stages()*SwitchesPerStage() in all.
+// one entry per switch, Stages()*Ports()/2 in all.
 func (o *Omega) NewState() []uint8 { return make([]uint8, o.stages*o.n/2) }
 
 // CanRealize reports whether the configuration, a port map over the

@@ -95,6 +95,9 @@ type Driver struct {
 
 	// probe observes message lifecycle events (nil when observability is off).
 	probe *probe.Probe
+	// checkCursor is the cursor CheckBuffers hands every buffer's Check,
+	// one entry per destination.
+	checkCursor []*nic.Message
 }
 
 // NewDriver builds a driver for a validated workload.
@@ -326,10 +329,14 @@ func (d *Driver) Arrive(m *nic.Message) {
 }
 
 // CheckBuffers runs every NIC output buffer's bookkeeping check
-// (nic.OutBuffer.Check); models call it from their self-check hook.
+// (nic.OutBuffer.Check); models call it from their self-check hook. The
+// checks share one cursor, made on the first call.
 func (d *Driver) CheckBuffers() error {
+	if d.checkCursor == nil {
+		d.checkCursor = make([]*nic.Message, len(d.Buffers))
+	}
 	for _, b := range d.Buffers {
-		if err := b.Check(); err != nil {
+		if err := b.Check(d.checkCursor); err != nil {
 			return err
 		}
 	}

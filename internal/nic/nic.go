@@ -363,10 +363,10 @@ func (b *OutBuffer) DrainAll() []*Message {
 // Check verifies the buffer's bookkeeping: Len is the number of messages in
 // the destination queues, and every destination queue is exactly its
 // messages of the global arrival order, in that order. It is the invariant
-// hook of the simulators' self-check mode.
-func (b *OutBuffer) Check() error {
-	// cursor[i] walks queue i's list alongside the arrival order.
-	cursor := make([]*Message, len(b.q))
+// hook of the simulators' self-check mode. cursor is a caller-owned slice
+// with one entry per destination, all nil, so a check allocates nothing;
+// Check leaves it all nil again.
+func (b *OutBuffer) Check(cursor []*Message) error {
 	var count int
 	for i := range b.q {
 		q := &b.q[i]
@@ -382,22 +382,34 @@ func (b *OutBuffer) Check() error {
 		if last != q.tail {
 			return fmt.Errorf("nic %d: the queue toward %d does not end at its tail", b.id, dst)
 		}
-		cursor[i] = q.head
 	}
 	if count != b.pending {
 		return fmt.Errorf("nic %d: Len %d but destination queues hold %d", b.id, b.pending, count)
 	}
+	// cursor[dst] walks the queue toward dst alongside the arrival order.
+	for i, dst := range b.dst {
+		cursor[dst] = b.q[i].head
+	}
+	err := b.checkArrival(cursor)
+	for _, dst := range b.dst {
+		cursor[dst] = nil
+	}
+	return err
+}
+
+// checkArrival walks the arrival order, advancing each message's queue
+// cursor past it.
+func (b *OutBuffer) checkArrival(cursor []*Message) error {
 	var n int
 	var prev *Message
 	for m := b.first; m != nil; m = m.after {
 		if m.prev != prev {
 			return fmt.Errorf("nic %d: arrival order broken at message %d", b.id, m.ID)
 		}
-		id := b.Conn(int(m.Dst))
-		if id < 0 || cursor[id-b.base] != m {
+		if m.Dst < 0 || int(m.Dst) >= len(cursor) || cursor[m.Dst] != m {
 			return fmt.Errorf("nic %d: message %d out of order in its queue toward %d", b.id, m.ID, m.Dst)
 		}
-		cursor[id-b.base] = m.next
+		cursor[m.Dst] = m.next
 		n++
 		prev = m
 	}

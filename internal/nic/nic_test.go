@@ -3,6 +3,7 @@ package nic
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -194,6 +195,54 @@ func TestMixedDisciplinesStayConsistent(t *testing.T) {
 	}
 	if b.Len() != 0 {
 		t.Fatal("buffer should be empty")
+	}
+}
+
+// TestCheckZeroAlloc checks that Check allocates nothing with the caller's
+// cursor, and leaves the cursor all nil.
+func TestCheckZeroAlloc(t *testing.T) {
+	const n = 8
+	b := NewOutBuffer(0, n)
+	for i := 0; i < 32; i++ {
+		b.Enqueue(msg(i, 0, 1+i%(n-1), 64))
+	}
+	cursor := make([]*Message, n)
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := b.Check(cursor); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("Check allocated %.1f times per call, want 0", allocs)
+	}
+	for dst, m := range cursor {
+		if m != nil {
+			t.Fatalf("Check left cursor[%d] set", dst)
+		}
+	}
+}
+
+// TestCheckReportsQueueOutOfArrivalOrder swaps two messages of one queue,
+// so the queue no longer follows the arrival order: Check reports it, and
+// clears the cursor entries it set before it stopped.
+func TestCheckReportsQueueOutOfArrivalOrder(t *testing.T) {
+	b := NewOutBuffer(0, 4)
+	b.Enqueue(msg(1, 0, 1, 8))
+	b.Enqueue(msg(2, 0, 2, 8))
+	b.Enqueue(msg(3, 0, 1, 8))
+	q := b.find(1)
+	m1, m3 := q.head, q.tail
+	q.head, q.tail = m3, m1
+	m3.next, m1.next = m1, nil
+	cursor := make([]*Message, 4)
+	err := b.Check(cursor)
+	if err == nil || !strings.Contains(err.Error(), "message 1 out of order") {
+		t.Fatalf("Check = %v, want message 1 out of order", err)
+	}
+	for dst, m := range cursor {
+		if m != nil {
+			t.Fatalf("Check left cursor[%d] set after an error", dst)
+		}
 	}
 }
 

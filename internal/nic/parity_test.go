@@ -2,6 +2,7 @@ package nic
 
 import (
 	"fmt"
+	"slices"
 	"testing"
 
 	"pmsnet/internal/topology"
@@ -259,8 +260,12 @@ func checkParity(t *testing.T, step int, b *OutBuffer, ref *refBuffer, table *to
 		}
 		return int(m.ID)
 	}
-	if err := b.Check(); err != nil {
+	cursor := make([]*Message, table.Ports())
+	if err := b.Check(cursor); err != nil {
 		t.Fatalf("step %d: %v", step, err)
+	}
+	if i := slices.IndexFunc(cursor, func(m *Message) bool { return m != nil }); i >= 0 {
+		t.Fatalf("step %d: Check left cursor[%d] set", step, i)
 	}
 	if b.Len() != len(ref.fifo) || bytesPending(b) != ref.bytesPending {
 		t.Fatalf("step %d, nic %d: Len %d, %d bytes pending; reference %d, %d",

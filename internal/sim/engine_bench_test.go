@@ -64,10 +64,9 @@ func BenchmarkEngineTicker(b *testing.B) {
 	}
 }
 
-// BenchmarkEngineMixedQueue measures fire/cancel against a populated queue.
-// Its 1,024 events share 97 wheel buckets, so pops and cancels unlink from
-// long bucket lists and each pop scans the occupancy bitmap for the next
-// non-empty bucket; nothing reaches the far heap.
+// BenchmarkEngineMixedQueue measures fire/cancel against a populated queue:
+// its 1,024 events share 97 instants, so many sifts compare equal times and
+// fall back on the FIFO tie-break.
 func BenchmarkEngineMixedQueue(b *testing.B) {
 	e := NewEngine()
 	h := func() {}
@@ -87,9 +86,10 @@ func BenchmarkEngineMixedQueue(b *testing.B) {
 }
 
 // slotMixDeltas draws n schedule-ahead delays from the mix measured on the
-// mesh-n128 perfbench workload: 1% same-instant, 45% 10 ns (NIC and wire),
-// 8% 64–127 ns (the 100 ns slot tick) and the rest 128–255 ns. farShare of
-// the draws are 1–4 µs think-time delays, beyond the timing wheel's span.
+// mesh-n128 perfbench workload before sim.Line folded each instant's
+// fixed-delay traffic into one event: 1% same-instant, 45% 10 ns (NIC and
+// wire), 8% 64–127 ns (the 100 ns slot tick) and the rest 128–255 ns.
+// farShare of the draws are 1–4 µs think-time delays.
 func slotMixDeltas(n int, farShare float64) []Time {
 	rng := rand.New(rand.NewSource(1))
 	d := make([]Time, n)
@@ -112,8 +112,10 @@ func slotMixDeltas(n int, farShare float64) []Time {
 
 // BenchmarkEngineSlotMix measures one fire plus one schedule at a steady
 // queue depth, with delays drawn from the measured mix: ~200 pending events
-// (the mean on mesh-n128) with every delay inside the wheel's span, and
-// ~1,600 (the mean on bursty-n1024) with 2% of delays in the far heap.
+// with every delay under 256 ns, and ~1,600 with 2% of delays at 1–4 µs.
+// The depths are the means measured on mesh-n128 and bursty-n1024 before
+// sim.Line, when every message transition was an event of its own; those
+// runs now fire far fewer events, so their queues are shallower.
 func BenchmarkEngineSlotMix(b *testing.B) {
 	for _, c := range []struct {
 		name     string
@@ -130,7 +132,7 @@ func BenchmarkEngineSlotMix(b *testing.B) {
 			for i := 0; i < c.depth; i++ {
 				e.After(deltas[i], "warm", h)
 			}
-			// Cycle the delay table once so the far heap and the free list
+			// Cycle the delay table once so the queue and the free list
 			// reach their steady sizes before timing.
 			for i := range deltas {
 				e.Step()
@@ -149,8 +151,7 @@ func BenchmarkEngineSlotMix(b *testing.B) {
 // TestEngineSteadyStateZeroAlloc is the hard guarantee behind the
 // benchmarks: after warm-up, a schedule/fire/cancel mix allocates nothing.
 // The mix includes microsecond-scale timers, armed and mostly disarmed as
-// the TDM request/grant retry path does, which live in the far heap and
-// migrate into the timing wheel before they fire.
+// the TDM request/grant retry path does.
 func TestEngineSteadyStateZeroAlloc(t *testing.T) {
 	e := NewEngine()
 	h := func() {}

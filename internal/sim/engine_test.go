@@ -2,6 +2,7 @@ package sim
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -117,6 +118,84 @@ func TestCancel(t *testing.T) {
 	if e.Processed() != 0 {
 		t.Fatalf("processed = %d, want 0", e.Processed())
 	}
+}
+
+// firedLog schedules labelled events and records "label@time" as each fires.
+type firedLog struct {
+	e   *Engine
+	got []string
+}
+
+func (l *firedLog) at(at Time, label string) EventID {
+	return l.e.At(at, label, func() { l.got = append(l.got, fmt.Sprintf("%s@%d", label, l.e.Now())) })
+}
+
+func (l *firedLog) check(t *testing.T, want string) {
+	t.Helper()
+	if got := strings.Join(l.got, " "); got != want {
+		t.Fatalf("fired %q, want %q", got, want)
+	}
+}
+
+// TestCancelQueuedAndStaleIDs cancels events at the front, the back and
+// the middle of the queue, each exactly once, and checks that no stale ID of
+// a fired or cancelled event touches the event that reuses its struct.
+func TestCancelQueuedAndStaleIDs(t *testing.T) {
+	e := NewEngine()
+	l := &firedLog{e: e}
+	w := l.at(10, "w")
+	f := l.at(5000, "f")
+	l.at(10, "near")
+	hop := l.at(4000, "hop")
+	l.at(5000, "keep")
+	m := l.at(4500, "m")
+	for _, id := range []EventID{f, w} {
+		if !e.Cancel(id) {
+			t.Fatal("first Cancel of a queued event reported false")
+		}
+		if e.Cancel(id) {
+			t.Fatal("second Cancel of the same event reported true")
+		}
+	}
+	e.Step() // near@10
+	e.Step() // hop@4000
+	if !e.Cancel(m) || e.Cancel(m) {
+		t.Fatal("a queued event must cancel exactly once")
+	}
+	// The cancelled and fired structs are recycled; none of their stale
+	// IDs may touch the event now reusing one.
+	l.at(e.Now()+2000, "x")
+	for _, id := range []EventID{w, f, hop, m} {
+		if e.Cancel(id) {
+			t.Fatal("a stale EventID cancelled a recycled event")
+		}
+	}
+	if got := e.Pending(); got != 2 {
+		t.Fatalf("Pending = %d, want 2", got)
+	}
+	e.RunAll()
+	l.check(t, "near@10 hop@4000 keep@5000 x@6000")
+}
+
+// TestRunHorizonShortOfAnEvent checks that a Run whose horizon falls short
+// of the next event moves the clock to the horizon, and that an event
+// scheduled a nanosecond after it fires first.
+func TestRunHorizonShortOfAnEvent(t *testing.T) {
+	e := NewEngine()
+	l := &firedLog{e: e}
+	l.at(5000, "far")
+	if got := e.Run(100); got != 100 {
+		t.Fatalf("Run(100) = %v", got)
+	}
+	l.at(e.Now()+1, "near")
+	if got := e.Run(3000); got != 3000 {
+		t.Fatalf("Run(3000) = %v", got)
+	}
+	l.at(e.Now()+1, "later")
+	if got := e.RunAll(); got != 5000 {
+		t.Fatalf("RunAll = %v", got)
+	}
+	l.check(t, "near@101 later@3001 far@5000")
 }
 
 func TestCancelRemovesEagerly(t *testing.T) {

@@ -4,17 +4,16 @@ package sim
 
 // Pending returns the number of events still queued. Cancelled events are
 // removed from the queue eagerly, so this is O(1).
-func (e *Engine) Pending() int { return e.wheel.n + len(e.far) }
+func (e *Engine) Pending() int { return len(e.queue) }
 
 // RunAll executes events until the queue drains or Stop is called.
 func (e *Engine) RunAll() Time { return e.Run(MaxTime) }
 
 // Step executes exactly one event and reports whether one was available.
 func (e *Engine) Step() bool {
-	ev := e.first()
-	if ev == nil {
+	if len(e.queue) == 0 {
 		return false
 	}
-	e.fire(ev)
+	e.fire()
 	return true
 }

@@ -11,11 +11,10 @@ import "fmt"
 //
 // Folding keeps the engine's (at, seq) fire order exactly. Push adds an item
 // to the newest batch only while that batch's event is still queued, due at
-// Now()+delay, and the last event queued for that instant (Engine.isLast):
-// then no other event has been queued for the instant since the batch's
-// event was, and an event for the new item would have fired right after
-// the batch's items anyway. Otherwise Push schedules a new event. An event
-// in the far heap is never joined.
+// Now()+delay, and the engine can tell that no event has been queued for
+// that instant since (Engine.isLast): then an event for the new item would
+// have fired right after the batch's items anyway. Otherwise Push schedules
+// a new event.
 //
 // The invariant check (Engine.SetInvariantCheck) runs after every item, as
 // it would after an event per item. After an item that stops the engine

@@ -193,8 +193,8 @@ func FuzzLineOrder(f *testing.F) {
 }
 
 // TestLineFoldsAnInstant checks that items due at one instant share an
-// event until another event is queued for that instant, and that an
-// instant beyond the timing wheel's span is never folded.
+// event until another event is queued for that instant, however far ahead
+// the instant lies.
 func TestLineFoldsAnInstant(t *testing.T) {
 	e := NewEngine()
 	var got []int
@@ -208,15 +208,15 @@ func TestLineFoldsAnInstant(t *testing.T) {
 	if l.Len() != 102 || e.Pending() != 3 {
 		t.Fatalf("Len %d, Pending %d; want 102 items in 3 events", l.Len(), e.Pending())
 	}
-	far := NewLine(e, 5*wheelSpan, "far", func(i int) { got = append(got, i) })
+	far := NewLine(e, 5120, "far", func(i int) { got = append(got, i) })
 	far.Push(1000)
 	far.Push(1001)
-	if e.Pending() != 5 {
-		t.Fatalf("Pending %d after two far pushes, want 5", e.Pending())
+	if e.Pending() != 4 {
+		t.Fatalf("Pending %d after two far pushes, want 4", e.Pending())
 	}
 	e.RunAll()
-	if e.Processed() != 5 || l.Len() != 0 || far.Len() != 0 {
-		t.Fatalf("Processed %d, Len %d and %d; want 5, 0, 0", e.Processed(), l.Len(), far.Len())
+	if e.Processed() != 4 || l.Len() != 0 || far.Len() != 0 {
+		t.Fatalf("Processed %d, Len %d and %d; want 4, 0, 0", e.Processed(), l.Len(), far.Len())
 	}
 	want := make([]int, 0, 104)
 	for i := 0; i < 100; i++ {
@@ -225,6 +225,38 @@ func TestLineFoldsAnInstant(t *testing.T) {
 	want = append(want, -1, 100, 101, 1000, 1001)
 	if fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("fired %v, want %v", got, want)
+	}
+}
+
+// TestLineJoinMemoCollision queues an event for another instant in the
+// same join-memo slot as a line's newest batch. The memo then refuses the
+// join, so the next push starts a new batch, and a push after that joins
+// the new one. The items still fire as they would with an event each.
+func TestLineJoinMemoCollision(t *testing.T) {
+	drive := func(api lineAPI) []string {
+		var log []string
+		rec := func(s string) func() {
+			return func() { log = append(log, fmt.Sprintf("%s@%d", s, api.now())) }
+		}
+		api.push(0, rec("a"))
+		api.push(0, rec("b"))
+		api.at(10+joinSlots, rec("other"))
+		api.push(0, rec("c"))
+		api.push(0, rec("d"))
+		api.at(10, rec("tick"))
+		api.push(0, rec("e"))
+		api.run(MaxTime)
+		return log
+	}
+	eng := newEngineLines([]Time{10})
+	got := drive(eng)
+	want := drive(newRefLines([]Time{10}))
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("fired %v, want %v as with an event per item", got, want)
+	}
+	// a+b, other, c+d, tick and e.
+	if n := eng.(*engineLines).e.Processed(); n != 5 {
+		t.Fatalf("Processed %d, want 5: the collision splits the batch once", n)
 	}
 }
 

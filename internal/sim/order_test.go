@@ -129,11 +129,12 @@ func (r *refEngine) processed() uint64 { return r.fired }
 
 // orderScales are the delay multipliers a program's first byte picks from.
 // At scale 1 every delay is a few nanoseconds, so the FIFO tie-break carries
-// much of the order. The larger scales carry delays (up to 15 units) and run
-// horizons (up to 23 units) across several wheel spans, through the far heap
-// and its migration into the wheel. Timestamps stay on the scale's grid, so
-// far and wheel events still share instants.
-var orderScales = [...]Time{1, 100, 341, wheelSpan}
+// much of the order. The larger scales spread delays (up to 15 units) and
+// run horizons (up to 23 units) over thousands of nanoseconds. Timestamps
+// stay on the scale's grid, so events still share instants. At scale
+// joinSlots every instant falls in the same slot of the engine's join memo,
+// so a Line's joins are refused whenever another instant was queued since.
+var orderScales = [...]Time{1, 100, 341, joinSlots}
 
 // driveOrder interprets prog as a delay scale (its first byte) followed by a
 // sequence of engine operations, and returns the log of everything
