@@ -175,13 +175,13 @@ func Analyze(wl *traffic.Workload, opt Options) (*traffic.Workload, Analysis, er
 				phase = maxSegments - 1
 			}
 			for _, op := range base.Programs[p].Ops[seg.start:seg.end] {
-				if op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait {
-					phases[phase].Add(topology.Conn{Src: p, Dst: op.Dst})
-					slots := (int64(op.Bytes) + int64(opt.PayloadBytes) - 1) / int64(opt.PayloadBytes)
+				if op.IsSend() {
+					phases[phase].Add(topology.Conn{Src: p, Dst: int(op.Dst)})
+					slots := (op.Bytes() + int64(opt.PayloadBytes) - 1) / int64(opt.PayloadBytes)
 					if slots < 1 {
 						slots = 1
 					}
-					demands[phase].Add(p, op.Dst, slots)
+					demands[phase].Add(p, int(op.Dst), slots)
 				}
 			}
 		}
@@ -220,9 +220,9 @@ func segmentProgram(ops []traffic.Op, opt Options) (segs []segment, candidates [
 	var sendIdx []int
 	var dsts []int
 	for i, op := range ops {
-		if op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait {
+		if op.IsSend() {
 			sendIdx = append(sendIdx, i)
-			dsts = append(dsts, op.Dst)
+			dsts = append(dsts, int(op.Dst))
 		}
 	}
 	if len(ops) == 0 {

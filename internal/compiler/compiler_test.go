@@ -217,12 +217,12 @@ func TestQuickAnalyzePreservesTraffic(t *testing.T) {
 		for p := range wl.Programs {
 			var want, got []traffic.Op
 			for _, op := range wl.Programs[p].Ops {
-				if op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait {
+				if op.IsSend() {
 					want = append(want, op)
 				}
 			}
 			for _, op := range out.Programs[p].Ops {
-				if op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait {
+				if op.IsSend() {
 					got = append(got, op)
 				}
 			}

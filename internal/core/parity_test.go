@@ -331,8 +331,8 @@ func runWorkloadTwin(t *testing.T, tw *twin, wl *traffic.Workload) {
 			pc[p]++
 			switch op.Kind {
 			case traffic.OpSend, traffic.OpSendWait:
-				head[p], remaining[p] = op.Dst, 1+op.Bytes/64
-				tw.request(p, op.Dst, true)
+				head[p], remaining[p] = int(op.Dst), 1+int(op.Bytes())/64
+				tw.request(p, int(op.Dst), true)
 				return
 			case traffic.OpFlush:
 				tw.each((*Scheduler).Flush)

@@ -34,7 +34,6 @@ package core
 
 import (
 	"math/bits"
-	"slices"
 
 	"pmsnet/internal/bitmat"
 	"pmsnet/internal/topology"
@@ -97,49 +96,42 @@ func (s *Scheduler) scheduleSlotSparse(req *topology.IDSet, slot int) {
 	estStart, relStart := len(s.estBuf), len(s.relBuf)
 	rowDst := s.rowDst[slot] // B(slot)'s row u is the one connection u→rowDst[u], if any
 	for _, u := range s.rowsBuf {
-		from := bo
-		if v0 := int(rowDst[u]); v0 >= 0 {
-			if s.wanted(req, s.rowID[slot][u]) {
-				continue // no release cell: AI is held for the whole visit
+		// Row u's ids [lo, hi) ascend in column order, so a scan of an id
+		// range in rotated column order needs only column limits.
+		lo, hi := s.conns.Row(u)
+		v0 := int(rowDst[u])
+		if v0 < 0 {
+			if !s.establishFirst(req, slot, u, lo, hi, bo, n) {
+				s.establishFirst(req, slot, u, lo, hi, 0, bo)
 			}
-			id := s.clearConn(slot, u, v0)
-			s.relBuf = append(s.relBuf, Change{Src: u, Dst: v0, Slot: slot, ID: id})
-			if v0 < bo {
-				s.establishFirst(req, slot, u, v0+1, bo)
-				continue
-			}
-			from = v0 + 1
+			continue
 		}
-		if !s.establishFirst(req, slot, u, from, n) {
-			s.establishFirst(req, slot, u, 0, bo)
+		if s.wanted(req, s.rowID[slot][u]) {
+			continue // no release cell: AI is held for the whole visit
+		}
+		// The cells after the released column start at the id after the
+		// released connection's.
+		id := s.clearConn(slot, u, v0)
+		s.relBuf = append(s.relBuf, Change{Src: u, Dst: v0, Slot: slot, ID: id})
+		if v0 < bo {
+			s.establishFirst(req, slot, u, id+1, hi, 0, bo)
+		} else if !s.establishFirst(req, slot, u, id+1, hi, 0, n) {
+			s.establishFirst(req, slot, u, lo, id, 0, bo)
 		}
 	}
 	s.finishSlot(slot, estStart, relStart)
 }
 
-// establishFirst establishes row u's first candidate in columns [lo, hi),
-// ascending, and reports whether it found one. A candidate is in Reff, not
-// in B* and has its output column free in the slot; the CanEstablish hook
-// may refuse it, and the scan moves on. The columns map to a range of row
-// u's ids, whose words give the candidates as Reff &^ B* a word at a time.
-func (s *Scheduler) establishFirst(req *topology.IDSet, slot, u, lo, hi int) bool {
-	if lo >= hi {
-		return false
-	}
-	a, b := s.conns.Row(u)
-	if lo > 0 || hi < s.p.N {
-		dsts := s.conns.RowDsts(u)
-		if hi < s.p.N {
-			i, _ := slices.BinarySearch(dsts, int32(hi))
-			dsts = dsts[:i]
-			b = a + int32(i)
-		}
-		if lo > 0 {
-			i, _ := slices.BinarySearch(dsts, int32(lo))
-			a += int32(i)
-		}
-	}
-	if a >= b {
+// establishFirst establishes row u's first candidate among its ids [a, b)
+// whose column lies in [from, to), ascending, and reports whether it found
+// one. A candidate is in Reff, not in B* and has its output column free in
+// the slot; the CanEstablish hook may refuse it, and the scan moves on. The
+// id words give the candidates as Reff &^ B* a word at a time. Columns
+// ascend with ids, so the scan skips the candidates before from and stops
+// at the first one at or past to: the rotation column bounds a scan with no
+// search of the row.
+func (s *Scheduler) establishFirst(req *topology.IDSet, slot, u int, a, b int32, from, to int) bool {
+	if a >= b || from >= to {
 		return false
 	}
 	reqIDs := req.IDs()
@@ -158,7 +150,14 @@ func (s *Scheduler) establishFirst(req *topology.IDSet, slot, u, lo, hi int) boo
 		for c != 0 {
 			id := w<<6 | int32(bits.TrailingZeros64(c))
 			c &= c - 1
-			if v := s.conns.Dst(id); !maskTest(colMask, v) && s.tryEstablish(slot, u, v, id) {
+			v := s.conns.Dst(id)
+			if v < from {
+				continue
+			}
+			if v >= to {
+				return false
+			}
+			if !maskTest(colMask, v) && s.tryEstablish(slot, u, v, id) {
 				return true
 			}
 		}

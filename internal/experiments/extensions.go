@@ -224,7 +224,7 @@ func SparsePermutation(base *traffic.Workload, gap sim.Time) *traffic.Workload {
 	for p, prog := range base.Programs {
 		var ops []traffic.Op
 		for _, op := range prog.Ops {
-			if op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait {
+			if op.IsSend() {
 				ops = append(ops, traffic.Delay(gap), op)
 			}
 		}

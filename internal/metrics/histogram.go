@@ -14,8 +14,6 @@ import (
 type Histogram struct {
 	buckets []uint64
 	count   uint64
-	min     sim.Time
-	max     sim.Time
 }
 
 // NewHistogram returns an empty histogram.
@@ -34,12 +32,6 @@ func (h *Histogram) Add(l sim.Time) {
 		b = len(h.buckets) - 1
 	}
 	h.buckets[b]++
-	if h.count == 0 || l < h.min {
-		h.min = l
-	}
-	if l > h.max {
-		h.max = l
-	}
 	h.count++
 }
 

@@ -16,8 +16,15 @@ func TestHistogramBucketsAndExtremes(t *testing.T) {
 	for _, v := range []int64{1, 2, 3, 100, 100, 5000} {
 		h.Add(sim.Time(v))
 	}
-	if h.Count() != 6 || h.min != 1 || h.max != 5000 {
-		t.Fatalf("count=%d min=%v max=%v", h.Count(), h.min, h.max)
+	// 1 → bucket 0; 2 and 3 → 1; 100 → 6; 5000 → 12.
+	want := map[int]uint64{0: 1, 1: 2, 6: 2, 12: 1}
+	for i, c := range h.buckets {
+		if c != want[i] {
+			t.Fatalf("count=%d buckets=%v, want %v", h.Count(), h.buckets, want)
+		}
+	}
+	if h.Count() != 6 {
+		t.Fatalf("count=%d, want 6", h.Count())
 	}
 	out := h.String()
 	if !strings.Contains(out, "#") {
@@ -44,8 +51,9 @@ func TestLatencyHistogramFromRecords(t *testing.T) {
 		{Src: 0, Dst: 1, Bytes: 8, Created: 50, Delivered: 250},
 	}
 	h := compute("n", "w", 2, link.Paper(), recs, NetStats{}).Latencies
-	if h.Count() != 2 || h.min != 100 || h.max != 200 {
-		t.Fatalf("histogram = count %d min %v max %v", h.Count(), h.min, h.max)
+	// Latencies 100 and 200 land in buckets 6 ([64,128)) and 7 ([128,256)).
+	if h.Count() != 2 || h.buckets[6] != 1 || h.buckets[7] != 1 {
+		t.Fatalf("histogram = count %d buckets %v, want one sample in each of buckets 6 and 7", h.Count(), h.buckets)
 	}
 }
 

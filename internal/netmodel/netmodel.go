@@ -63,6 +63,10 @@ type Hooks struct {
 // delivery time in place, and Finish computes the run's statistics from it.
 // Its connection table is the run's only per-connection numbering: the NIC
 // queues and every model's per-connection state are indexed by its ids.
+//
+// A run's programs are fixed before it starts (paper §3.1), so the driver
+// resolves every send to its connection id once, when it is built, and a
+// send executes with no search: the NIC takes the id as it is.
 type Driver struct {
 	Engine  *sim.Engine
 	Link    link.Model
@@ -76,11 +80,15 @@ type Driver struct {
 	// msgs holds every message the workload will send, one allocation per
 	// run: the send with ID i takes msgs[i].
 	msgs []nic.Message
-	// progIdx is each processor's program counter. Programs are sequential —
-	// at most one continuation per processor is ever outstanding — so one
-	// cursor plus one cached step closure (stepFns) per processor replaces a
-	// closure allocation per executed op.
-	progIdx []int
+	// sendIDs holds the connection id of every send, processor by processor
+	// and in program order within a processor.
+	sendIDs []int32
+	// cursors holds each processor's program counter and its next entry of
+	// sendIDs, side by side so a step loads one of them. Programs are
+	// sequential — at most one continuation per processor is ever
+	// outstanding — so one cursor plus one cached step closure (stepFns)
+	// per processor replaces a closure allocation per executed op.
+	cursors []progCursor
 	stepFns []func()
 	// sends carries the processors whose next step follows a NIC send
 	// overhead, the common continuation: the steps due at one instant share
@@ -100,6 +108,13 @@ type Driver struct {
 	checkCursor []*nic.Message
 }
 
+// progCursor is one processor's place in its program: the index of its next
+// op and of its next send's entry in the driver's sendIDs. NewDriver bounds
+// both to int32, so a cursor is 8 bytes.
+type progCursor struct {
+	op, send int32
+}
+
 // NewDriver builds a driver for a validated workload.
 func NewDriver(engine *sim.Engine, lm link.Model, wl *traffic.Workload, hooks Hooks) (*Driver, error) {
 	if err := wl.Validate(); err != nil {
@@ -112,6 +127,12 @@ func NewDriver(engine *sim.Engine, lm link.Model, wl *traffic.Workload, hooks Ho
 	if err := checkMessageCount(wl.Name, msgs); err != nil {
 		return nil, err
 	}
+	for p, prog := range wl.Programs {
+		if len(prog.Ops) > math.MaxInt32 {
+			return nil, fmt.Errorf("netmodel: workload %q: processor %d runs %d ops, more than the %d a program can hold",
+				wl.Name, p, len(prog.Ops), math.MaxInt32)
+		}
+	}
 	conns := wl.ConnTable()
 	d := &Driver{
 		Engine:    engine,
@@ -122,9 +143,10 @@ func NewDriver(engine *sim.Engine, lm link.Model, wl *traffic.Workload, hooks Ho
 		hooks:     hooks,
 		msgs:      make([]nic.Message, msgs),
 		remaining: msgs,
-		progIdx:   make([]int, wl.N),
+		cursors:   make([]progCursor, wl.N),
 		stepFns:   make([]func(), wl.N),
 	}
+	d.resolveSends(msgs)
 	for p := 0; p < wl.N; p++ {
 		p := p
 		d.stepFns[p] = func() { d.step(p) }
@@ -132,6 +154,35 @@ func NewDriver(engine *sim.Engine, lm link.Model, wl *traffic.Workload, hooks Ho
 	d.sends = sim.NewLine(engine, nic.SendOverhead, "program-step", d.stepProc)
 	return d, nil
 }
+
+// resolveSends fills sendIDs with the connection id of each of the msgs
+// sends and points every processor's cursor at its first one. The table was
+// built from these programs, so every send's destination is in its
+// source's row: a scratch over the ports maps each destination of the row
+// being resolved to its id, and no send is searched for.
+func (d *Driver) resolveSends(msgs int) {
+	d.sendIDs = make([]int32, msgs)
+	pos := make([]int32, d.wl.N)
+	k := 0
+	for src, prog := range d.wl.Programs {
+		lo, _ := d.Conns.Row(src)
+		for i, v := range d.Conns.RowDsts(src) {
+			pos[v] = lo + int32(i)
+		}
+		d.cursors[src].send = int32(k)
+		for _, op := range prog.Ops {
+			if op.IsSend() {
+				d.sendIDs[k] = pos[op.Dst]
+				k++
+			}
+		}
+	}
+}
+
+// SendIDs returns the connection id of every send of the run, processor by
+// processor and in program order within a processor. The slice is the
+// driver's own; do not modify it.
+func (d *Driver) SendIDs() []int32 { return d.sendIDs }
 
 // checkMessageCount refuses a workload with more messages than a message's
 // 32-bit ID can number.
@@ -172,25 +223,27 @@ func (d *Driver) stepProc(p int32) { d.step(int(p)) }
 // step executes the next op of processor p's program and schedules the one
 // after it.
 func (d *Driver) step(p int) {
+	c := &d.cursors[p]
 	ops := d.wl.Programs[p].Ops
-	idx := d.progIdx[p]
-	if idx >= len(ops) {
+	if int(c.op) >= len(ops) {
 		return
 	}
-	d.progIdx[p] = idx + 1
-	op := ops[idx]
+	op := ops[c.op]
+	c.op++
 	switch op.Kind {
 	case traffic.OpSend, traffic.OpSendWait:
+		id := d.sendIDs[c.send]
+		c.send++
 		m := &d.msgs[d.nextID]
 		*m = nic.Message{
 			ID:      int32(d.nextID),
 			Src:     int32(p),
-			Dst:     int32(op.Dst),
-			Bytes:   int32(op.Bytes),
+			Dst:     op.Dst,
+			Bytes:   int32(op.Bytes()),
 			Created: d.Engine.Now(),
 		}
 		d.nextID++
-		id, first := d.Buffers[p].Enqueue(m)
+		first := d.Buffers[p].Enqueue(m, id)
 		if d.probe != nil {
 			d.probe.Emit(probe.Event{Kind: probe.MsgCreated, At: m.Created,
 				Src: m.Src, Dst: m.Dst, ID: int64(m.ID), Aux: int64(m.Bytes)})
@@ -211,7 +264,7 @@ func (d *Driver) step(p int) {
 			d.advance(p, nic.SendOverhead)
 		}
 	case traffic.OpDelay:
-		d.advance(p, op.Delay)
+		d.advance(p, op.Delay())
 	case traffic.OpFlush:
 		if d.hooks.OnFlush != nil {
 			d.hooks.OnFlush(p)
@@ -219,7 +272,7 @@ func (d *Driver) step(p int) {
 		d.advance(p, 0)
 	case traffic.OpPhase:
 		if d.hooks.OnPhase != nil {
-			d.hooks.OnPhase(p, op.Arg)
+			d.hooks.OnPhase(p, op.Phase())
 		}
 		d.advance(p, 0)
 	default:
@@ -318,7 +371,9 @@ func (d *Driver) Arrive(m *nic.Message) {
 				d.Drop(m)
 				return
 			}
-			id, first := d.Buffers[src].Enqueue(m)
+			b := d.Buffers[src]
+			id := b.Conn(dst)
+			first := b.Enqueue(m, id)
 			if d.hooks.OnEnqueue != nil {
 				d.hooks.OnEnqueue(m, id, first)
 			}

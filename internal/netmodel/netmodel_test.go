@@ -326,3 +326,73 @@ func TestRequestWireSteadyStateZeroAlloc(t *testing.T) {
 		t.Fatalf("steady-state wire transitions allocated %.1f times per burst, want 0", allocs)
 	}
 }
+
+// TestSendIDsMatchTable checks the driver's resolved sends against a search
+// of the run's table: the k-th send, processor by processor and in program
+// order, carries the id of its (Src, Dst), and so does every enqueue the
+// model hears of. Two-phase and phased carry phase directives and static
+// phases into the table. The hand-built workload has silent processors,
+// and its static phase names pairs no program sends on, so a row's ids
+// interleave sent and unsent destinations.
+func TestSendIDsMatchTable(t *testing.T) {
+	phase := topology.NewWorkingSet(6)
+	for _, c := range []topology.Conn{{Src: 1, Dst: 2}, {Src: 1, Dst: 4}, {Src: 5, Dst: 0}, {Src: 5, Dst: 2}, {Src: 0, Dst: 3}} {
+		phase.Add(c)
+	}
+	sparse := &traffic.Workload{Name: "sparse", N: 6, Programs: []traffic.Program{
+		{},
+		{Ops: []traffic.Op{traffic.Send(5, 8), traffic.Delay(3), traffic.Send(0, 8), traffic.Send(3, 8), traffic.SendWait(5, 8)}},
+		{},
+		{Ops: []traffic.Op{traffic.Send(2, 8)}},
+		{},
+		{Ops: []traffic.Op{traffic.Send(1, 8), traffic.Send(4, 8), traffic.Send(1, 8)}},
+	}, StaticPhases: []*topology.WorkingSet{phase}}
+	for _, c := range []struct {
+		wl        *traffic.Workload
+		phaseOnly bool // the table holds pairs no program sends on
+	}{
+		{traffic.MustGenerate("two-phase", 16, 1), false},
+		{traffic.MustGenerate("phased", 16, 1), false},
+		{sparse, true},
+	} {
+		eng := sim.NewEngine()
+		var d *Driver
+		enqueued := 0
+		d, err := NewDriver(eng, link.Paper(), c.wl, Hooks{
+			OnEnqueue: func(m *nic.Message, id int32, _ bool) {
+				if want := d.Conns.ID(int(m.Src), int(m.Dst)); id != want {
+					t.Fatalf("%s: message %d->%d enqueued on id %d, table says %d", c.wl.Name, m.Src, m.Dst, id, want)
+				}
+				enqueued++
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids := d.SendIDs()
+		if len(ids) != c.wl.MessageCount() {
+			t.Fatalf("%s: %d resolved sends, want %d", c.wl.Name, len(ids), c.wl.MessageCount())
+		}
+		k := 0
+		for src, prog := range c.wl.Programs {
+			for i, op := range prog.Ops {
+				if !op.IsSend() {
+					continue
+				}
+				if want := d.Conns.ID(src, int(op.Dst)); ids[k] != want {
+					t.Fatalf("%s: proc %d op %d (send %d) resolved to id %d, table says %d",
+						c.wl.Name, src, i, k, ids[k], want)
+				}
+				k++
+			}
+		}
+		if got := d.Conns.Len() > c.wl.ConnSet().Len(); got != c.phaseOnly {
+			t.Fatalf("%s: table holds %d connections, sends use %d", c.wl.Name, d.Conns.Len(), c.wl.ConnSet().Len())
+		}
+		d.Start()
+		eng.Run(sim.MaxTime)
+		if enqueued == 0 {
+			t.Fatalf("%s: no send executed", c.wl.Name)
+		}
+	}
+}

@@ -152,8 +152,8 @@ func NewOutBuffers(t *topology.ConnTable) []*OutBuffer {
 func (b *OutBuffer) ID() int { return b.id }
 
 // Conn returns the id of the connection toward dst, or -1 when the NIC has
-// no queue toward it. It searches the NIC's row; the per-message paths take
-// the id Enqueue returned instead.
+// no queue toward it. It searches the NIC's row, so only cold paths call it:
+// the driver resolves every send's id before the run starts.
 func (b *OutBuffer) Conn(dst int) int32 {
 	b.checkDst(dst)
 	if i, ok := slices.BinarySearch(b.dst, int32(dst)); ok {
@@ -173,10 +173,11 @@ func (b *OutBuffer) find(dst int) *dstQueue {
 // queue returns connection id's queue; id must be in the NIC's row.
 func (b *OutBuffer) queue(id int32) *dstQueue { return &b.q[id-b.base] }
 
-// Enqueue admits a message into its destination's logical queue. It returns
-// the message's connection id and whether the queue was empty before: the
-// 0→1 transition that raises the request bit.
-func (b *OutBuffer) Enqueue(m *Message) (id int32, first bool) {
+// Enqueue admits a message into the logical queue of connection id, which
+// must be the NIC's connection toward the message's destination. It reports
+// whether the queue was empty before: the 0→1 transition that raises the
+// request bit.
+func (b *OutBuffer) Enqueue(m *Message, id int32) (first bool) {
 	if int(m.Src) != b.id {
 		panic(fmt.Sprintf("nic %d: enqueue of message from %d", b.id, m.Src))
 	}
@@ -189,9 +190,12 @@ func (b *OutBuffer) Enqueue(m *Message) (id int32, first bool) {
 	if m.flags&flagQueued != 0 {
 		panic(fmt.Sprintf("nic %d: message %d enqueued twice", b.id, m.ID))
 	}
-	id = b.Conn(int(m.Dst))
-	if id < 0 {
-		panic(fmt.Sprintf("nic %d: no queue toward %d: the connection is outside the run's table", b.id, m.Dst))
+	if id < b.base || id-b.base >= int32(len(b.dst)) {
+		panic(fmt.Sprintf("nic %d: connection %d is outside the NIC's row [%d,%d)", b.id, id, b.base, b.base+int32(len(b.dst))))
+	}
+	if b.dst[id-b.base] != m.Dst {
+		panic(fmt.Sprintf("nic %d: connection %d leads to %d, not to message %d's destination %d",
+			b.id, id, b.dst[id-b.base], m.ID, m.Dst))
 	}
 	m.remaining = m.Bytes
 	m.flags |= flagQueued
@@ -212,7 +216,7 @@ func (b *OutBuffer) Enqueue(m *Message) (id int32, first bool) {
 	}
 	b.last = m
 	b.pending++
-	return id, first
+	return first
 }
 
 // Len returns the number of queued messages.

@@ -1,17 +1,24 @@
 package nic
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 	"testing/quick"
 	"unsafe"
+
+	"pmsnet/internal/topology"
 )
 
 func msg(id, src, dst, bytes int) *Message {
 	return &Message{ID: int32(id), Src: int32(src), Dst: int32(dst), Bytes: int32(bytes)}
 }
+
+// enqueue queues m on b, resolving its connection id by search as the
+// driver does once per send before a run.
+func enqueue(b *OutBuffer, m *Message) bool { return b.Enqueue(m, b.Conn(int(m.Dst))) }
 
 // countFor returns the number of messages b queues toward dst, walking the
 // queue's links.
@@ -48,7 +55,7 @@ func TestMessageFlags(t *testing.T) {
 	b := NewOutBuffer(0, 4)
 	m := msg(1, 0, 2, 64)
 	m.MarkBlocking()
-	b.Enqueue(m)
+	enqueue(b, m)
 	if !m.Blocking() || m.Dropped() {
 		t.Fatal("enqueue changed the blocking or dropped bit")
 	}
@@ -64,7 +71,7 @@ func TestMessageFlags(t *testing.T) {
 	if err := m.MarkDropped(); err == nil {
 		t.Fatal("second drop accepted")
 	}
-	b.Enqueue(m) // a retired message may be queued again (retransmission)
+	enqueue(b, m) // a retired message may be queued again (retransmission)
 	if b.Len() != 1 || !m.Blocking() {
 		t.Fatal("re-enqueue after retire failed")
 	}
@@ -94,9 +101,9 @@ func TestEnqueueAndRequestBits(t *testing.T) {
 	if b.Len() != 0 || bytesPending(b) != 0 {
 		t.Fatal("new buffer should be empty")
 	}
-	b.Enqueue(msg(1, 0, 2, 64))
-	b.Enqueue(msg(2, 0, 2, 32))
-	b.Enqueue(msg(3, 0, 3, 16))
+	enqueue(b, msg(1, 0, 2, 64))
+	enqueue(b, msg(2, 0, 2, 32))
+	enqueue(b, msg(3, 0, 3, 16))
 	if b.Len() != 3 || bytesPending(b) != 112 {
 		t.Fatalf("Len=%d bytes pending=%d", b.Len(), bytesPending(b))
 	}
@@ -113,7 +120,7 @@ func TestEnqueueAndRequestBits(t *testing.T) {
 
 func TestTransmitToFragments(t *testing.T) {
 	b := NewOutBuffer(0, 4)
-	b.Enqueue(msg(1, 0, 2, 100))
+	enqueue(b, msg(1, 0, 2, 100))
 	sent, done := b.TransmitTo(2, 64)
 	if sent != 64 || done != nil {
 		t.Fatalf("first slot: sent=%d done=%v", sent, done)
@@ -137,8 +144,8 @@ func TestTransmitToFragments(t *testing.T) {
 
 func TestTransmitServesQueueInOrder(t *testing.T) {
 	b := NewOutBuffer(0, 4)
-	b.Enqueue(msg(1, 0, 2, 10))
-	b.Enqueue(msg(2, 0, 2, 10))
+	enqueue(b, msg(1, 0, 2, 10))
+	enqueue(b, msg(2, 0, 2, 10))
 	_, done := b.TransmitTo(2, 64)
 	if done == nil || done.ID != 1 {
 		t.Fatalf("done = %v, want message 1 first", done)
@@ -151,9 +158,9 @@ func TestTransmitServesQueueInOrder(t *testing.T) {
 
 func TestFIFOOrderAcrossDestinations(t *testing.T) {
 	b := NewOutBuffer(1, 4)
-	b.Enqueue(msg(1, 1, 2, 8))
-	b.Enqueue(msg(2, 1, 3, 8))
-	b.Enqueue(msg(3, 1, 2, 8))
+	enqueue(b, msg(1, 1, 2, 8))
+	enqueue(b, msg(2, 1, 3, 8))
+	enqueue(b, msg(3, 1, 2, 8))
 	if b.NextFIFO().ID != 1 {
 		t.Fatal("NextFIFO should be the oldest message")
 	}
@@ -182,8 +189,8 @@ func TestMixedDisciplinesStayConsistent(t *testing.T) {
 	// TransmitTo completing a message must also remove it from the FIFO,
 	// and PopFIFO must remove from the destination queue.
 	b := NewOutBuffer(0, 4)
-	b.Enqueue(msg(1, 0, 2, 8))
-	b.Enqueue(msg(2, 0, 3, 8))
+	enqueue(b, msg(1, 0, 2, 8))
+	enqueue(b, msg(2, 0, 3, 8))
 	if _, done := b.TransmitTo(2, 64); done == nil {
 		t.Fatal("message 1 should complete")
 	}
@@ -204,7 +211,7 @@ func TestCheckZeroAlloc(t *testing.T) {
 	const n = 8
 	b := NewOutBuffer(0, n)
 	for i := 0; i < 32; i++ {
-		b.Enqueue(msg(i, 0, 1+i%(n-1), 64))
+		enqueue(b, msg(i, 0, 1+i%(n-1), 64))
 	}
 	cursor := make([]*Message, n)
 	allocs := testing.AllocsPerRun(100, func() {
@@ -227,9 +234,9 @@ func TestCheckZeroAlloc(t *testing.T) {
 // clears the cursor entries it set before it stopped.
 func TestCheckReportsQueueOutOfArrivalOrder(t *testing.T) {
 	b := NewOutBuffer(0, 4)
-	b.Enqueue(msg(1, 0, 1, 8))
-	b.Enqueue(msg(2, 0, 2, 8))
-	b.Enqueue(msg(3, 0, 1, 8))
+	enqueue(b, msg(1, 0, 1, 8))
+	enqueue(b, msg(2, 0, 2, 8))
+	enqueue(b, msg(3, 0, 1, 8))
 	q := b.find(1)
 	m1, m3 := q.head, q.tail
 	q.head, q.tail = m3, m1
@@ -249,18 +256,18 @@ func TestCheckReportsQueueOutOfArrivalOrder(t *testing.T) {
 func TestPanics(t *testing.T) {
 	b := NewOutBuffer(0, 4)
 	good := msg(1, 0, 1, 8)
-	b.Enqueue(good)
+	enqueue(b, good)
 	for i, fn := range []func(){
 		func() { NewOutBuffer(4, 4) },
 		func() { NewOutBuffer(-1, 4) },
 		func() { NewOutBuffer(0, 0) },
-		func() { b.Enqueue(msg(2, 1, 0, 8)) }, // wrong source
-		func() { b.Enqueue(msg(3, 0, 0, 8)) }, // self
-		func() { b.Enqueue(msg(4, 0, 9, 8)) }, // out of range
-		func() { b.Enqueue(msg(5, 0, 1, 0)) }, // empty
-		func() { b.Enqueue(good) },            // double enqueue
-		func() { b.TransmitTo(1, 0) },         // zero budget
-		func() { b.TransmitTo(9, 8) },         // bad dst
+		func() { b.Enqueue(msg(2, 1, 0, 8), b.Conn(1)) }, // wrong source
+		func() { b.Enqueue(msg(3, 0, 0, 8), b.Conn(1)) }, // self
+		func() { b.Enqueue(msg(4, 0, 9, 8), b.Conn(1)) }, // out of range
+		func() { b.Enqueue(msg(5, 0, 1, 0), b.Conn(1)) }, // empty
+		func() { b.Enqueue(good, b.Conn(1)) },            // double enqueue
+		func() { b.TransmitTo(1, 0) },                    // zero budget
+		func() { b.TransmitTo(9, 8) },                    // bad dst
 		func() { b.HasFor(-1) },
 		func() { b.Head(4) },
 	} {
@@ -272,6 +279,41 @@ func TestPanics(t *testing.T) {
 			}()
 			fn()
 		}()
+	}
+}
+
+// TestEnqueueRefusesForeignID checks that Enqueue takes only the id of the
+// NIC's own connection toward the message's destination: an id of another
+// NIC's row, or of another destination in the row, panics and queues
+// nothing.
+func TestEnqueueRefusesForeignID(t *testing.T) {
+	table := topology.NewCompleteConnTable(4)
+	bufs := NewOutBuffers(table)
+	b := bufs[1]
+	for _, c := range []struct {
+		name string
+		id   int32
+		want string
+	}{
+		{"another row", table.ID(0, 2), "outside the NIC's row"},
+		{"past the last row", int32(table.Len()), "outside the NIC's row"},
+		{"another destination", table.ID(1, 3), "leads to 3, not to message 1's destination 2"},
+	} {
+		func() {
+			defer func() {
+				r := recover()
+				if r == nil || !strings.Contains(fmt.Sprint(r), c.want) {
+					t.Errorf("%s: Enqueue(1->2, id %d) panicked with %v, want %q", c.name, c.id, r, c.want)
+				}
+			}()
+			b.Enqueue(msg(1, 1, 2, 8), c.id)
+		}()
+		if b.Len() != 0 || b.HasFor(2) {
+			t.Fatalf("%s: a refused enqueue queued the message", c.name)
+		}
+	}
+	if !b.Enqueue(msg(1, 1, 2, 8), table.ID(1, 2)) || !b.HasFor(2) {
+		t.Fatal("Enqueue refused the NIC's own connection toward 2")
 	}
 }
 
@@ -289,7 +331,7 @@ func TestQuickConservation(t *testing.T) {
 			case 0:
 				id++
 				size := 1 + rng.Intn(200)
-				b.Enqueue(msg(id, 0, 1+rng.Intn(7), size))
+				enqueue(b, msg(id, 0, 1+rng.Intn(7), size))
 				enqueued++
 				enqueuedBytes += int64(size)
 			case 1:

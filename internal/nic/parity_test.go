@@ -178,11 +178,10 @@ func parityOps(t *testing.T, n int, seed uint32, tape []byte) {
 	}
 	enqueue := func(m, rm *Message) {
 		wantFirst := len(refs[m.Src].queues[m.Dst]) == 0
-		conn, first := bufs[m.Src].Enqueue(m)
+		first := bufs[m.Src].Enqueue(m, table.ID(int(m.Src), int(m.Dst)))
 		refs[m.Src].enqueue(rm)
-		if conn != table.ID(int(m.Src), int(m.Dst)) || first != wantFirst {
-			t.Fatalf("Enqueue(%d->%d) = %d, %v; want %d, %v", m.Src, m.Dst, conn, first,
-				table.ID(int(m.Src), int(m.Dst)), wantFirst)
+		if first != wantFirst {
+			t.Fatalf("Enqueue(%d->%d) = %v; want %v", m.Src, m.Dst, first, wantFirst)
 		}
 	}
 	for step := 0; step+1 < len(tape); step += 2 {

@@ -193,12 +193,12 @@ func FromWorkload(wl *traffic.Workload, payloadBytes int) *Demand {
 	for src, prog := range wl.Programs {
 		row = row[:0]
 		for _, op := range prog.Ops {
-			if op.Kind != traffic.OpSend && op.Kind != traffic.OpSendWait {
+			if !op.IsSend() {
 				continue
 			}
-			d.find(src, op.Dst) // range check
-			slots := (int64(op.Bytes) + int64(payloadBytes) - 1) / int64(payloadBytes)
-			row = append(row, entry{topology.Conn{Src: src, Dst: op.Dst}.Key(), max(slots, 1)})
+			d.find(src, int(op.Dst)) // range check
+			slots := (op.Bytes() + int64(payloadBytes) - 1) / int64(payloadBytes)
+			row = append(row, entry{topology.Conn{Src: src, Dst: int(op.Dst)}.Key(), max(slots, 1)})
 		}
 		d.appendEntries(row)
 	}

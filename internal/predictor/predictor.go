@@ -359,8 +359,8 @@ func (p *Oracle) Start(t *topology.ConnTable) {
 	p.nominated = make([]uint64, (t.Len()+63)/64)
 	for src, prog := range p.wl.Programs {
 		for _, op := range prog.Ops {
-			if op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait {
-				id := t.ID(src, op.Dst)
+			if op.IsSend() {
+				id := t.ID(src, int(op.Dst))
 				if id < 0 {
 					panic(fmt.Sprintf("predictor: oracle's workload sends %d->%d, outside the run's table", src, op.Dst))
 				}

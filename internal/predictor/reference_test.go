@@ -153,8 +153,8 @@ func connUses(wl *traffic.Workload) map[topology.Conn]int {
 	uses := make(map[topology.Conn]int)
 	for p, prog := range wl.Programs {
 		for _, op := range prog.Ops {
-			if op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait {
-				uses[topology.Conn{Src: p, Dst: op.Dst}]++
+			if op.IsSend() {
+				uses[topology.Conn{Src: p, Dst: int(op.Dst)}]++
 			}
 		}
 	}

@@ -75,7 +75,7 @@ func newPreloader(r *run, wl *traffic.Workload, slots int) (*preloader, error) {
 
 	if r.cfg.Mode == Preload {
 		// Every connection the programs use must be statically covered.
-		if c, ok := p.firstUncovered(wl); ok {
+		if c, ok := p.firstUncovered(r.driver.SendIDs()); ok {
 			return nil, fmt.Errorf("tdm: preload mode cannot serve %v: not in any static phase", c)
 		}
 	}
@@ -191,22 +191,19 @@ func (p *preloader) groupsOf(id int32) []int32 {
 }
 
 // firstUncovered returns the smallest (Src, Dst) connection the programs
-// send on that no group holds.
-func (p *preloader) firstUncovered(wl *traffic.Workload) (topology.Conn, bool) {
-	for src, prog := range wl.Programs {
-		miss := -1
-		for _, op := range prog.Ops {
-			if (op.Kind == traffic.OpSend || op.Kind == traffic.OpSendWait) &&
-				(miss == -1 || op.Dst < miss) &&
-				len(p.groupsOf(p.r.conns.ID(src, op.Dst))) == 0 {
-				miss = op.Dst
-			}
-		}
-		if miss != -1 {
-			return topology.Conn{Src: src, Dst: miss}, true
+// send on that no group holds. sendIDs are the driver's resolved sends; ids
+// are in (Src, Dst) order, so the smallest uncovered id is that connection.
+func (p *preloader) firstUncovered(sendIDs []int32) (topology.Conn, bool) {
+	miss := int32(-1)
+	for _, id := range sendIDs {
+		if (miss < 0 || id < miss) && len(p.groupsOf(id)) == 0 {
+			miss = id
 		}
 	}
-	return topology.Conn{}, false
+	if miss < 0 {
+		return topology.Conn{}, false
+	}
+	return p.r.conns.Conn(miss), true
 }
 
 // planPhases builds the groups through the configured planner instead of the

@@ -174,18 +174,20 @@ func TestPreloaderIndexMatchesReference(t *testing.T) {
 
 // TestPreloadCoverageNamesSmallestConnection checks that the Preload
 // coverage error names the smallest uncovered (Src, Dst), whatever order
-// the programs send in.
+// the programs send in, also when the switch is wider than the workload.
 func TestPreloadCoverageNamesSmallestConnection(t *testing.T) {
 	covered := topology.NewWorkingSet(4)
 	covered.Add(topology.Conn{Src: 0, Dst: 1})
 	for _, tc := range []struct {
 		name  string
+		ports int           // the switch's port count
 		sends map[int][]int // source -> destinations, in program order
 		want  string
 	}{
-		{"same source", map[int][]int{0: {1}, 2: {3, 1}}, "2->1"},
-		{"two sources", map[int][]int{0: {1}, 1: {3}, 3: {0}}, "1->3"},
-		{"later source listed first", map[int][]int{3: {2}, 0: {1, 2}}, "0->2"},
+		{"same source", 4, map[int][]int{0: {1}, 2: {3, 1}}, "2->1"},
+		{"two sources", 4, map[int][]int{0: {1}, 1: {3}, 3: {0}}, "1->3"},
+		{"later source listed first", 4, map[int][]int{3: {2}, 0: {1, 2}}, "0->2"},
+		{"switch wider than the workload", 8, map[int][]int{3: {0, 2}, 2: {1, 0}}, "2->0"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			wl := &traffic.Workload{Name: "cover", N: 4, Programs: make([]traffic.Program, 4),
@@ -195,7 +197,7 @@ func TestPreloadCoverageNamesSmallestConnection(t *testing.T) {
 					wl.Programs[src].Ops = append(wl.Programs[src].Ops, traffic.Send(d, 8))
 				}
 			}
-			_, err := mustNew(t, Config{N: 4, K: 2, Mode: Preload}).Run(wl)
+			_, err := mustNew(t, Config{N: tc.ports, K: 2, Mode: Preload}).Run(wl)
 			want := "tdm: preload mode cannot serve " + tc.want + ": not in any static phase"
 			if err == nil || !strings.Contains(err.Error(), want) {
 				t.Fatalf("err = %v, want %q", err, want)

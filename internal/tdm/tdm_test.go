@@ -758,7 +758,7 @@ func TestMarkovPrefetchesOnlySentConnections(t *testing.T) {
 	for src, prog := range progs {
 		for _, op := range prog.Ops {
 			if op.Kind == traffic.OpSend {
-				sent[topology.Conn{Src: src, Dst: op.Dst}] = true
+				sent[topology.Conn{Src: src, Dst: int(op.Dst)}] = true
 			}
 		}
 	}
@@ -777,6 +777,42 @@ func TestMarkovPrefetchesOnlySentConnections(t *testing.T) {
 	for _, id := range pf.got {
 		if c := conns.Conn(id); !sent[c] {
 			t.Fatalf("prefetched %v, which no program sends on", c)
+		}
+	}
+}
+
+// TestNarrowWorkloadSendIDs runs 8-processor workloads on a 16-port switch
+// in every mode: the driver's resolved sends match the run's table, which
+// spans the workload, and every message is delivered on them.
+func TestNarrowWorkloadSendIDs(t *testing.T) {
+	for _, mode := range []Mode{Dynamic, Preload, Hybrid} {
+		for _, wl := range []*traffic.Workload{traffic.TwoPhase(8, 64, 1), traffic.Phased(8, 64, 4, 2)} {
+			r, err := mustNew(t, Config{N: 16, K: 4, Mode: mode, PreloadSlots: 2}).start(wl)
+			if err != nil {
+				t.Fatalf("%v %s: %v", mode, wl.Name, err)
+			}
+			if r.conns.Ports() != wl.N {
+				t.Fatalf("%v %s: table spans %d ports, want the workload's %d", mode, wl.Name, r.conns.Ports(), wl.N)
+			}
+			k := 0
+			for src, prog := range wl.Programs {
+				for _, op := range prog.Ops {
+					if !op.IsSend() {
+						continue
+					}
+					if got, want := r.driver.SendIDs()[k], r.conns.ID(src, int(op.Dst)); got != want {
+						t.Fatalf("%v %s: send %d (%d->%d) resolved to id %d, table says %d", mode, wl.Name, k, src, op.Dst, got, want)
+					}
+					k++
+				}
+			}
+			res, err := r.finish("narrow")
+			if err != nil {
+				t.Fatalf("%v %s: %v", mode, wl.Name, err)
+			}
+			if res.Messages != wl.MessageCount() {
+				t.Fatalf("%v %s: delivered %d of %d messages", mode, wl.Name, res.Messages, wl.MessageCount())
+			}
 		}
 	}
 }

@@ -70,15 +70,15 @@ func Write(w io.Writer, wl *traffic.Workload) error {
 		for _, op := range prog.Ops {
 			switch op.Kind {
 			case traffic.OpSend:
-				fmt.Fprintf(bw, "SEND %d %d\n", op.Dst, op.Bytes)
+				fmt.Fprintf(bw, "SEND %d %d\n", op.Dst, op.Bytes())
 			case traffic.OpSendWait:
-				fmt.Fprintf(bw, "SENDWAIT %d %d\n", op.Dst, op.Bytes)
+				fmt.Fprintf(bw, "SENDWAIT %d %d\n", op.Dst, op.Bytes())
 			case traffic.OpDelay:
-				fmt.Fprintf(bw, "DELAY %d\n", int64(op.Delay))
+				fmt.Fprintf(bw, "DELAY %d\n", int64(op.Delay()))
 			case traffic.OpFlush:
 				fmt.Fprintln(bw, "FLUSH")
 			case traffic.OpPhase:
-				fmt.Fprintf(bw, "PHASEHINT %d\n", op.Arg)
+				fmt.Fprintf(bw, "PHASEHINT %d\n", op.Phase())
 			default:
 				return fmt.Errorf("trace: unknown op kind %d", int(op.Kind))
 			}
@@ -228,6 +228,11 @@ func Read(r io.Reader) (*traffic.Workload, error) {
 				b, err := atoi(args[1])
 				if err != nil {
 					return nil, err
+				}
+				// Checked before the op narrows it: a destination past
+				// the int32 range would wrap into a valid port.
+				if d < 0 || d >= wl.N {
+					return nil, errf("destination %d outside [0,%d)", d, wl.N)
 				}
 				if dir == "SEND" {
 					op = traffic.Send(d, b)

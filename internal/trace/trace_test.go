@@ -185,6 +185,21 @@ func TestReadRejectsOversizeSend(t *testing.T) {
 	}
 }
 
+// TestReadRejectsWrappingDestination checks that a send whose destination
+// lies outside the int32 range is refused when the file is read, not
+// narrowed into a valid port: 4294967297 and -4294967295 both wrap to 1.
+func TestReadRejectsWrappingDestination(t *testing.T) {
+	for _, dst := range []string{"4294967297", "-4294967295"} {
+		for _, dir := range []string{"SEND", "SENDWAIT"} {
+			src := "PMSTRACE v1\nN 2\nPROC 0\n" + dir + " " + dst + " 8\n"
+			_, err := Read(strings.NewReader(src))
+			if err == nil || !strings.Contains(err.Error(), "destination "+dst+" outside [0,2)") {
+				t.Errorf("%s %s: err = %v, want the destination refused", dir, dst, err)
+			}
+		}
+	}
+}
+
 func TestQuickRoundTripRandomMix(t *testing.T) {
 	f := func(seed int64, rawN uint8) bool {
 		n := 4 + int(rawN)%28

@@ -8,7 +8,7 @@ func countSends(wl *Workload) int {
 	n := 0
 	for _, prog := range wl.Programs {
 		for _, op := range prog.Ops {
-			if op.Kind == OpSend || op.Kind == OpSendWait {
+			if op.IsSend() {
 				n++
 			}
 		}
@@ -28,7 +28,7 @@ func TestAllReduceRingShape(t *testing.T) {
 	}
 	for p, prog := range wl.Programs {
 		for _, op := range prog.Ops {
-			if op.Dst != (p+1)%n {
+			if int(op.Dst) != (p+1)%n {
 				t.Fatalf("proc %d sends to %d, want ring successor %d", p, op.Dst, (p+1)%n)
 			}
 		}
@@ -137,7 +137,7 @@ func TestValidateRejectsBadPhaseHints(t *testing.T) {
 		for p := range wl.Programs {
 			for i, op := range wl.Programs[p].Ops {
 				if op.Kind == OpPhase {
-					wl.Programs[p].Ops[i].Arg = len(wl.StaticPhases)
+					wl.Programs[p].Ops[i] = Phase(len(wl.StaticPhases))
 					corrupted = true
 					break outer
 				}
@@ -164,9 +164,9 @@ func TestTilesCrossesAdjacentLayersOnly(t *testing.T) {
 			if op.Kind != OpSend {
 				continue
 			}
-			if group(op.Dst) != group(p)+1 {
+			if group(int(op.Dst)) != group(p)+1 {
 				t.Fatalf("proc %d (layer %d) sends to %d (layer %d), want the next layer",
-					p, group(p), op.Dst, group(op.Dst))
+					p, group(p), op.Dst, group(int(op.Dst)))
 			}
 		}
 	}
@@ -189,7 +189,7 @@ func TestPermChurnRotatesPermutations(t *testing.T) {
 		dsts := map[int]bool{}
 		for _, op := range prog.Ops {
 			if op.Kind == OpSend {
-				dsts[op.Dst] = true
+				dsts[int(op.Dst)] = true
 			}
 		}
 		if len(dsts) > 1 {
@@ -213,10 +213,10 @@ func TestBurstyShape(t *testing.T) {
 		for _, op := range prog.Ops {
 			switch op.Kind {
 			case OpSend:
-				if op.Bytes < bytes || op.Bytes > 32*bytes {
-					t.Fatalf("proc %d: size %d outside [%d, %d]", p, op.Bytes, bytes, 32*bytes)
+				if op.Bytes() < bytes || op.Bytes() > 32*bytes {
+					t.Fatalf("proc %d: size %d outside [%d, %d]", p, op.Bytes(), bytes, 32*bytes)
 				}
-				if op.Bytes > bytes {
+				if op.Bytes() > bytes {
 					sawTail = true
 				}
 			case OpDelay:

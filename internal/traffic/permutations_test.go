@@ -50,7 +50,7 @@ func TestBitReverse(t *testing.T) {
 			}
 			continue
 		}
-		if w.Programs[src].Ops[0].Dst != dst {
+		if int(w.Programs[src].Ops[0].Dst) != dst {
 			t.Fatalf("proc %d sends to %d, want %d", src, w.Programs[src].Ops[0].Dst, dst)
 		}
 	}

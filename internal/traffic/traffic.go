@@ -21,19 +21,20 @@ import (
 )
 
 // OpKind enumerates program operations.
-type OpKind int
+type OpKind uint8
 
 // Program operation kinds.
 const (
-	// OpSend enqueues a message of Bytes bytes to processor Dst.
+	// OpSend enqueues a message of Bytes() bytes to processor Dst.
 	OpSend OpKind = iota
-	// OpDelay pauses the program for Delay nanoseconds (compute time).
+	// OpDelay pauses the program for Delay() nanoseconds (compute time).
 	OpDelay
 	// OpFlush asks the scheduler to flush all dynamic connections — the
 	// compiler-inserted directive between program phases (paper §3.3).
 	OpFlush
-	// OpPhase hints that the program enters statically-known phase Arg; the
-	// preload controller advances its configuration sequence accordingly.
+	// OpPhase hints that the program enters the statically-known phase
+	// Phase() names; the preload controller advances its configuration
+	// sequence accordingly.
 	OpPhase
 	// OpSendWait enqueues a message like OpSend and then blocks the program
 	// until the message is delivered — a blocking (rendezvous-style) send.
@@ -58,29 +59,53 @@ func (k OpKind) String() string {
 	}
 }
 
-// Op is one program operation.
+// Op is one program operation: 16 bytes, so the driver's program walk,
+// which visits a different processor's program on almost every step, loads
+// a quarter of a cache line per op. The one operand holds what the kind
+// needs: the size of a send, the duration of a delay, the index of a phase.
 type Op struct {
-	Kind  OpKind
-	Dst   int      // OpSend: destination processor
-	Bytes int      // OpSend: message size
-	Delay sim.Time // OpDelay: pause duration
-	Arg   int      // OpPhase: phase index
+	Kind OpKind
+	// Dst is a send's destination processor.
+	Dst int32
+	arg int64
 }
 
+// Bytes returns a send's message size.
+func (o Op) Bytes() int64 { return o.arg }
+
+// Delay returns a delay's pause duration.
+func (o Op) Delay() sim.Time { return sim.Time(o.arg) }
+
+// Phase returns a phase hint's phase index.
+func (o Op) Phase() int { return int(o.arg) }
+
+// IsSend reports whether the op sends a message (OpSend or OpSendWait).
+func (o Op) IsSend() bool { return o.Kind == OpSend || o.Kind == OpSendWait }
+
 // Send builds an OpSend.
-func Send(dst, bytes int) Op { return Op{Kind: OpSend, Dst: dst, Bytes: bytes} }
+func Send(dst, bytes int) Op { return Op{Kind: OpSend, Dst: dstOf(dst), arg: int64(bytes)} }
 
 // SendWait builds an OpSendWait: the program blocks until delivery.
-func SendWait(dst, bytes int) Op { return Op{Kind: OpSendWait, Dst: dst, Bytes: bytes} }
+func SendWait(dst, bytes int) Op { return Op{Kind: OpSendWait, Dst: dstOf(dst), arg: int64(bytes)} }
+
+// dstOf narrows a send's destination to Op.Dst. A destination beyond the
+// int32 range would wrap into a valid port, so it panics; parsers refuse
+// such input before building ops.
+func dstOf(dst int) int32 {
+	if dst != int(int32(dst)) {
+		panic(fmt.Sprintf("traffic: destination %d outside the int32 range", dst))
+	}
+	return int32(dst)
+}
 
 // Delay builds an OpDelay.
-func Delay(d sim.Time) Op { return Op{Kind: OpDelay, Delay: d} }
+func Delay(d sim.Time) Op { return Op{Kind: OpDelay, arg: int64(d)} }
 
 // Flush builds an OpFlush.
 func Flush() Op { return Op{Kind: OpFlush} }
 
 // Phase builds an OpPhase.
-func Phase(i int) Op { return Op{Kind: OpPhase, Arg: i} }
+func Phase(i int) Op { return Op{Kind: OpPhase, arg: int64(i)} }
 
 // Program is one processor's command file.
 type Program struct {
@@ -125,27 +150,27 @@ func (w *Workload) Validate() error {
 		for i, op := range prog.Ops {
 			switch op.Kind {
 			case OpSend, OpSendWait:
-				if op.Dst < 0 || op.Dst >= w.N {
+				if op.Dst < 0 || int(op.Dst) >= w.N {
 					return fmt.Errorf("traffic: proc %d op %d: destination %d outside [0,%d)", p, i, op.Dst, w.N)
 				}
-				if op.Dst == p {
+				if int(op.Dst) == p {
 					return fmt.Errorf("traffic: proc %d op %d: self-send", p, i)
 				}
-				if op.Bytes <= 0 {
-					return fmt.Errorf("traffic: proc %d op %d: size %d", p, i, op.Bytes)
+				if op.Bytes() <= 0 {
+					return fmt.Errorf("traffic: proc %d op %d: size %d", p, i, op.Bytes())
 				}
-				if op.Bytes > math.MaxInt32 {
+				if op.Bytes() > math.MaxInt32 {
 					return fmt.Errorf("traffic: proc %d op %d: size %d exceeds the %d-byte message limit",
-						p, i, op.Bytes, math.MaxInt32)
+						p, i, op.Bytes(), math.MaxInt32)
 				}
 			case OpDelay:
-				if op.Delay < 0 {
+				if op.Delay() < 0 {
 					return fmt.Errorf("traffic: proc %d op %d: negative delay", p, i)
 				}
 			case OpFlush:
 			case OpPhase:
-				if op.Arg < 0 || op.Arg >= len(w.StaticPhases) {
-					return fmt.Errorf("traffic: proc %d op %d: phase %d outside %d static phases", p, i, op.Arg, len(w.StaticPhases))
+				if op.Phase() < 0 || op.Phase() >= len(w.StaticPhases) {
+					return fmt.Errorf("traffic: proc %d op %d: phase %d outside %d static phases", p, i, op.Phase(), len(w.StaticPhases))
 				}
 			default:
 				return fmt.Errorf("traffic: proc %d op %d: unknown kind %d", p, i, int(op.Kind))
@@ -165,7 +190,7 @@ func (w *Workload) MessageCount() int {
 	n := 0
 	for _, prog := range w.Programs {
 		for _, op := range prog.Ops {
-			if op.Kind == OpSend || op.Kind == OpSendWait {
+			if op.IsSend() {
 				n++
 			}
 		}
@@ -178,8 +203,8 @@ func (w *Workload) TotalBytes() int64 {
 	var n int64
 	for _, prog := range w.Programs {
 		for _, op := range prog.Ops {
-			if op.Kind == OpSend || op.Kind == OpSendWait {
-				n += int64(op.Bytes)
+			if op.IsSend() {
+				n += op.Bytes()
 			}
 		}
 	}
@@ -206,8 +231,8 @@ func (w *Workload) ConnTable() *topology.ConnTable {
 // addSends adds the destination of every send in src's program.
 func (w *Workload) addSends(src int, add func(dst int)) {
 	for _, op := range w.Programs[src].Ops {
-		if op.Kind == OpSend || op.Kind == OpSendWait {
-			add(op.Dst)
+		if op.IsSend() {
+			add(int(op.Dst))
 		}
 	}
 }

@@ -4,18 +4,19 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"pmsnet/internal/topology"
 )
 
 func TestOpConstructorsAndKindString(t *testing.T) {
-	if op := Send(3, 64); op.Kind != OpSend || op.Dst != 3 || op.Bytes != 64 {
+	if op := Send(3, 64); op.Kind != OpSend || op.Dst != 3 || op.Bytes() != 64 {
 		t.Fatalf("Send = %+v", op)
 	}
-	if op := Delay(100); op.Kind != OpDelay || op.Delay != 100 {
+	if op := Delay(100); op.Kind != OpDelay || op.Delay() != 100 {
 		t.Fatalf("Delay = %+v", op)
 	}
-	if Flush().Kind != OpFlush || Phase(2).Arg != 2 {
+	if Flush().Kind != OpFlush || Phase(2).Phase() != 2 {
 		t.Fatal("Flush/Phase constructors wrong")
 	}
 	names := map[OpKind]string{OpSend: "send", OpDelay: "delay", OpFlush: "flush", OpPhase: "phase"}
@@ -26,6 +27,34 @@ func TestOpConstructorsAndKindString(t *testing.T) {
 	}
 	if OpKind(42).String() == "" {
 		t.Error("unknown kind should render")
+	}
+}
+
+// TestOpLayout pins an Op to 16 bytes. The driver reads one op per program
+// step, and consecutive steps visit different processors' programs, so a
+// wider op costs a run cache misses in proportion to its op count.
+func TestOpLayout(t *testing.T) {
+	if size := unsafe.Sizeof(Op{}); size != 16 {
+		t.Fatalf("unsafe.Sizeof(Op{}) = %d bytes, want 16: kind, destination and one operand", size)
+	}
+}
+
+// TestSendRefusesWrappingDestination checks that a destination outside the
+// int32 range panics instead of narrowing into a valid port (1<<32 + 1
+// would wrap to 1).
+func TestSendRefusesWrappingDestination(t *testing.T) {
+	for _, build := range []func(dst, bytes int) Op{Send, SendWait} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Error("a destination past the int32 range was narrowed")
+				}
+			}()
+			build(1<<32+1, 8)
+		}()
+	}
+	if op := Send(math.MaxInt32, 8); op.Dst != math.MaxInt32 {
+		t.Fatalf("Send(MaxInt32) has destination %d", op.Dst)
 	}
 }
 
@@ -118,7 +147,7 @@ func TestOrderedMeshDeterministicAndDegree4(t *testing.T) {
 			nbs[nb] = true
 		}
 		for _, op := range prog.Ops {
-			if !nbs[op.Dst] {
+			if !nbs[int(op.Dst)] {
 				t.Fatalf("proc %d sends to non-neighbor %d", p, op.Dst)
 			}
 		}
@@ -157,7 +186,7 @@ func TestRandomMeshSeededAndNeighborsOnly(t *testing.T) {
 			nbs[nb] = true
 		}
 		for _, op := range prog.Ops {
-			if !nbs[op.Dst] {
+			if !nbs[int(op.Dst)] {
 				t.Fatalf("proc %d sends to non-neighbor %d", p, op.Dst)
 			}
 		}
@@ -177,7 +206,7 @@ func TestAllToAllIsStaggeredPermutationSteps(t *testing.T) {
 	for step := 0; step < n-1; step++ {
 		seen := map[int]bool{}
 		for p := 0; p < n; p++ {
-			d := w.Programs[p].Ops[step].Dst
+			d := int(w.Programs[p].Ops[step].Dst)
 			if seen[d] {
 				t.Fatalf("step %d: destination %d repeated", step, d)
 			}
@@ -202,13 +231,13 @@ func TestTwoPhaseStructure(t *testing.T) {
 	// 16 neighbor sends.
 	for p, prog := range w.Programs {
 		ops := prog.Ops
-		if ops[0].Kind != OpPhase || ops[0].Arg != 0 {
+		if ops[0].Kind != OpPhase || ops[0].Phase() != 0 {
 			t.Fatalf("proc %d: first op %+v, want Phase(0)", p, ops[0])
 		}
 		if ops[n].Kind != OpFlush {
 			t.Fatalf("proc %d: op %d is %v, want flush after all-to-all", p, n, ops[n].Kind)
 		}
-		if ops[n+1].Kind != OpPhase || ops[n+1].Arg != 1 {
+		if ops[n+1].Kind != OpPhase || ops[n+1].Phase() != 1 {
 			t.Fatalf("proc %d: expected Phase(1) after flush", p)
 		}
 		sends := 0
@@ -268,7 +297,7 @@ func TestMixDeterminismFraction(t *testing.T) {
 		for p, prog := range w.Programs {
 			fav := FavoredDestinations(n, p)
 			for _, op := range prog.Ops {
-				if op.Dst == fav[0] || op.Dst == fav[1] {
+				if int(op.Dst) == fav[0] || int(op.Dst) == fav[1] {
 					favored++
 				}
 			}
@@ -316,7 +345,7 @@ func TestConnSetMatchesPrograms(t *testing.T) {
 	cs := w.ConnSet()
 	for p, prog := range w.Programs {
 		for _, op := range prog.Ops {
-			if op.Kind == OpSend && !cs.Contains(topology.Conn{Src: p, Dst: op.Dst}) {
+			if op.Kind == OpSend && !cs.Contains(topology.Conn{Src: p, Dst: int(op.Dst)}) {
 				t.Fatalf("ConnSet missing %d->%d", p, op.Dst)
 			}
 		}
@@ -325,7 +354,7 @@ func TestConnSetMatchesPrograms(t *testing.T) {
 	for _, c := range cs.Conns() {
 		found := false
 		for _, op := range w.Programs[c.Src].Ops {
-			if op.Kind == OpSend && op.Dst == c.Dst {
+			if op.Kind == OpSend && int(op.Dst) == c.Dst {
 				found = true
 				break
 			}
@@ -374,7 +403,7 @@ func TestHotspotWorkload(t *testing.T) {
 	}
 	hot := 0
 	for _, op := range w.Programs[0].Ops {
-		if op.Kind == OpSend && op.Dst == n-1 && op.Bytes == 2048 {
+		if op.Kind == OpSend && int(op.Dst) == n-1 && op.Bytes() == 2048 {
 			hot++
 		}
 	}
@@ -407,7 +436,7 @@ func TestConcatBuildsPhasedProgram(t *testing.T) {
 	}
 	// Each processor: Phase(0), phase-0 sends, Flush, Phase(1), phase-1 sends.
 	for p, prog := range c.Programs {
-		if prog.Ops[0].Kind != OpPhase || prog.Ops[0].Arg != 0 {
+		if prog.Ops[0].Kind != OpPhase || prog.Ops[0].Phase() != 0 {
 			t.Fatalf("proc %d: first op %v", p, prog.Ops[0])
 		}
 		flushes := 0
